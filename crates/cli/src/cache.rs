@@ -208,27 +208,70 @@ pub fn combine_fingerprints(a: u64, b: u64) -> u64 {
     h
 }
 
-/// Fingerprint a data file by content (FNV-1a over its bytes): the same
-/// bytes give the same fingerprint wherever the file lives, and any
-/// content change invalidates snapshots built from it.
+/// Fingerprint a data file by content: the same bytes give the same
+/// fingerprint wherever the file lives, and any content change
+/// invalidates snapshots built from it. Streams the file through one
+/// fixed buffer (no mapping, no whole-file read: peak RSS stays flat).
 pub fn file_fingerprint(path: &str) -> Result<u64, String> {
-    let file = std::fs::File::open(path).map_err(|e| format!("open {path}: {e}"))?;
-    let mut reader = std::io::BufReader::new(file);
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut file = std::fs::File::open(path).map_err(|e| format!("open {path}: {e}"))?;
+    content_fingerprint(&mut file).map_err(|e| format!("read {path}: {e}"))
+}
+
+/// Odd multiplier of the fingerprint's multiply-mix (2^64 / golden ratio).
+const MIX_K: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// One multiply-mix step. A bijection in `acc` for a fixed `word` and in
+/// `word` for a fixed `acc`, so a change to any one input word always
+/// reaches the final value.
+fn mix(acc: u64, word: u64) -> u64 {
+    (acc ^ word).wrapping_mul(MIX_K).rotate_left(29)
+}
+
+/// [`file_fingerprint`] of a byte stream: four independent mix lanes over
+/// the little-endian u64 words of each 32-byte block (the lanes overlap
+/// in the CPU, where byte-at-a-time hashing waits on one multiply per
+/// byte), the final partial block zero-padded to whole words, then the
+/// lanes folded into the stream length. The buffer is filled before it
+/// is hashed, so blocks sit at fixed offsets whatever chunking `Read`
+/// returns.
+fn content_fingerprint(reader: &mut impl Read) -> std::io::Result<u64> {
+    let mut lanes: [u64; 4] = [
+        0x243f_6a88_85a3_08d3,
+        0x1319_8a2e_0370_7344,
+        0xa409_3822_299f_31d0,
+        0x082e_fa98_ec4e_6c89,
+    ];
+    let mut len = 0u64;
     let mut buf = [0u8; 64 * 1024];
     loop {
-        let n = reader
-            .read(&mut buf)
-            .map_err(|e| format!("read {path}: {e}"))?;
-        if n == 0 {
-            break;
+        let mut n = 0;
+        while n < buf.len() {
+            match reader.read(&mut buf[n..]) {
+                Ok(0) => break,
+                Ok(k) => n += k,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
         }
-        for &b in &buf[..n] {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x1000_0000_01b3);
+        len += n as u64;
+        let mut blocks = buf[..n].chunks_exact(32);
+        for block in &mut blocks {
+            for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+                *lane = mix(
+                    *lane,
+                    u64::from_le_bytes(word.try_into().expect("8-byte word")),
+                );
+            }
+        }
+        if n < buf.len() {
+            for (lane, tail) in lanes.iter_mut().zip(blocks.remainder().chunks(8)) {
+                let mut word = [0u8; 8];
+                word[..tail.len()].copy_from_slice(tail);
+                *lane = mix(*lane, u64::from_le_bytes(word));
+            }
+            return Ok(lanes.iter().fold(len, |h, &lane| mix(h, lane)));
         }
     }
-    Ok(h)
 }
 
 #[cfg(test)]
@@ -249,6 +292,79 @@ mod tests {
         std::fs::write(&b, "other bytes").unwrap();
         assert_ne!(fa, file_fingerprint(b.to_str().unwrap()).unwrap());
         assert!(file_fingerprint("/does/not/exist").is_err());
+    }
+
+    /// A reader that hands out its bytes in short reads of varying size.
+    struct Trickle<'a> {
+        data: &'a [u8],
+        step: usize,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+            self.step = self.step % 13 + 1;
+            let n = self.step.min(out.len()).min(self.data.len());
+            out[..n].copy_from_slice(&self.data[..n]);
+            self.data = &self.data[n..];
+            Ok(n)
+        }
+    }
+
+    fn fingerprint_of(data: &[u8]) -> u64 {
+        content_fingerprint(&mut &data[..]).unwrap()
+    }
+
+    fn sample(len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i * 31 % 251) as u8).collect()
+    }
+
+    #[test]
+    fn fingerprint_changes_on_any_one_byte_flip() {
+        // 101 bytes: three whole blocks plus a tail that is not a
+        // multiple of 8, every offset flipped.
+        let data = sample(101);
+        let base = fingerprint_of(&data);
+        for at in 0..data.len() {
+            let mut flipped = data.clone();
+            flipped[at] ^= 0x01;
+            assert_ne!(fingerprint_of(&flipped), base, "flip at {at}");
+        }
+        // Across the buffer boundary of a stream longer than the buffer.
+        let data = sample(64 * 1024 + 13);
+        let base = fingerprint_of(&data);
+        for at in [0, 7, 8, 31, 32, 65_535, 65_536, 65_543, data.len() - 1] {
+            let mut flipped = data.clone();
+            flipped[at] ^= 0x80;
+            assert_ne!(fingerprint_of(&flipped), base, "flip at {at}");
+        }
+    }
+
+    #[test]
+    fn fingerprint_changes_when_zero_bytes_are_appended() {
+        for len in [0, 5, 8, 32, 101] {
+            let data = sample(len);
+            let mut seen = vec![fingerprint_of(&data)];
+            for extra in 1..=40 {
+                let mut longer = data.clone();
+                longer.resize(len + extra, 0);
+                let f = fingerprint_of(&longer);
+                assert!(!seen.contains(&f), "{len} + {extra} zero bytes collide");
+                seen.push(f);
+            }
+        }
+    }
+
+    #[test]
+    fn fingerprint_ignores_read_chunking() {
+        for len in [0, 3, 101, 64 * 1024, 2 * 64 * 1024 + 77] {
+            let data = sample(len);
+            let trickled = content_fingerprint(&mut Trickle {
+                data: &data,
+                step: 0,
+            })
+            .unwrap();
+            assert_eq!(trickled, fingerprint_of(&data), "len {len}");
+        }
     }
 
     #[test]

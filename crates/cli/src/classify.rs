@@ -4,8 +4,8 @@
 use crate::bgp::load_table;
 use crate::cache::{self, Cache};
 use crate::input::{
-    group_by_asn, ingest_options, ingest_traceroutes, ingest_traffic, load_probes, resolve_window,
-    write_quarantine,
+    flag_window, group_by_asn, ingest_options, ingest_traceroutes, ingest_traffic, load_probes,
+    resolve_window, write_quarantine,
 };
 use crate::progress::Heartbeat;
 use crate::stats::{emit_stats, wants_stats};
@@ -19,30 +19,29 @@ use lastmile_repro::prefix::Asn;
 use lastmile_repro::runner::{record_population_metrics, store_traffic_since};
 use lastmile_repro::store::{CacheMode, Lookup, StoreKey};
 use lastmile_repro::timebase::UnixTime;
-use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-/// Shared plumbing for `classify` and `hygiene`: stream the file (twice —
-/// once for the time span, once for the analysis) and return one
-/// [`PopulationAnalysis`] per ASN (ASN 0 = "all probes" when no metadata
-/// is given). When `metrics` is given, pipeline counters and stage
-/// timings are accumulated into it.
+/// Shared plumbing for `classify` and `hygiene`: stream the file once,
+/// decoding each record once, and return one [`PopulationAnalysis`] per
+/// ASN (ASN 0 = "all probes" when no metadata is given). When `metrics`
+/// is given, pipeline counters and stage timings are accumulated into it.
 ///
 /// With `--cache-dir` the per-probe median series are served from /
 /// memoized into a `lastmile-store` snapshot: a probe whose series the
 /// cache already holds for the whole analysis window skips ingestion
 /// entirely, and freshly built series are written back (`--cache rw`, the
 /// default). The classification output is byte-identical either way. The
-/// cache only engages when the window is aligned to bin boundaries —
-/// pass explicit midnight-aligned `--start`/`--end`; the data-span
-/// fallback window almost never aligns, and unaligned windows bypass.
+/// cache only engages when the window is known before the file is read
+/// and aligned to bin boundaries — pass explicit midnight-aligned
+/// `--start` AND `--end`. A window with a bound left to the data span is
+/// never served or memoized; its probes count as store bypasses.
 ///
 /// Under per-traceroute ASN attribution (`--bgp` without `--probes`) a
 /// probe can legitimately split across AS pipelines, but the store holds
 /// ONE series per probe — so only probes whose routed traceroutes all
-/// resolve to a single ASN are served or memoized (pass 1 records the
+/// resolve to a single ASN are memoized (the read records the
 /// attribution), and the snapshot's source fingerprint mixes in the BGP
 /// table (the table decides which traceroutes are ingested), so `--bgp`
 /// snapshots never cross with `--probes`/ASN-0 ones.
@@ -66,6 +65,8 @@ pub fn analyze_file_with_cache(
     metrics: Option<&RunMetrics>,
 ) -> Result<AnalysesAndCache, String> {
     let paths = vec![flags.required("traceroutes")?.to_string()];
+    // An empty flag window fails before the fingerprint reads the corpus.
+    flag_window(flags)?;
     let cache = cache::from_flags(flags, || corpus_fingerprint(flags, &paths), metrics)?;
     let results = analyze_corpus(flags, &paths, metrics, cache.as_ref())?;
     if let Some(c) = &cache {
@@ -77,8 +78,10 @@ pub fn analyze_file_with_cache(
 /// The source fingerprint for a (possibly multi-file) corpus: the files'
 /// content fingerprints folded left-to-right, plus the BGP table under
 /// per-traceroute attribution (the table decides which traceroutes are
-/// ingested). One file gives exactly [`cache::file_fingerprint`] of it,
-/// so single-file snapshots from older builds keep matching.
+/// ingested). One file gives exactly [`cache::file_fingerprint`] of it.
+/// Snapshots stamped under the earlier byte-at-a-time FNV-1a fingerprint
+/// no longer match: they fall back to one cold recompute (which `rw`
+/// mode then persists under the new fingerprint).
 pub fn corpus_fingerprint(flags: &Flags, paths: &[String]) -> Result<u64, String> {
     let mut f = cache::file_fingerprint(&paths[0])?;
     for path in &paths[1..] {
@@ -91,17 +94,21 @@ pub fn corpus_fingerprint(flags: &Flags, paths: &[String]) -> Result<u64, String
     Ok(f)
 }
 
-/// The core two-pass analysis over a corpus of one or more traceroute
-/// files (streamed in order, as if concatenated). Serves from / memoizes
-/// into `cache` when one is given, but neither builds nor persists it —
-/// a long-lived caller (the `serve` daemon's re-analysis engine) owns
-/// the cache across many calls and persists once at shutdown.
+/// The core analysis over a corpus of one or more traceroute files
+/// (streamed in order, as if concatenated), decoding each record once.
+/// Serves from / memoizes into `cache` when one is given, but neither
+/// builds nor persists it — a long-lived caller (the `serve` daemon's
+/// re-analysis engine) owns the cache across many calls and persists
+/// once at shutdown.
 pub fn analyze_corpus(
     flags: &Flags,
     paths: &[String],
     metrics: Option<&RunMetrics>,
     cache: Option<&Cache>,
 ) -> Result<Vec<(Asn, PopulationAnalysis)>, String> {
+    let known_window = flag_window(flags)?;
+    let start = flags.parsed::<i64>("start")?;
+    let end = flags.parsed::<i64>("end")?;
     let mut ingest_opts = ingest_options(flags)?;
     // `--progress` gauges are shared with the ingest workers; the
     // heartbeat thread lives for the whole analysis and is stopped and
@@ -111,72 +118,11 @@ pub fn analyze_corpus(
         .then(|| Arc::new(LiveProgress::default()));
     let _heartbeat = progress.clone().map(Heartbeat::start);
     ingest_opts.progress = progress.clone();
-    // Both passes decode every record and both report their decodes
-    // into `ingest.records_decoded`, so BOTH must sample decode latency
-    // — otherwise the histogram count sits at exactly half the decode
-    // counter (the bug `--stats` used to show).
     ingest_opts.record_latency = metrics.is_some();
-    let pass1_opts = ingest_opts.clone();
     let probes = flags.optional("probes").map(load_probes).transpose()?;
     let bgp = flags.optional("bgp").map(load_table).transpose()?;
     let anchors_only = flags.switch("anchors-only");
-    let per_traceroute_asn = probes.is_none() && bgp.is_some();
     let cache_engaged = cache.is_some_and(|c| c.mode != CacheMode::Off);
-
-    // Pass 1: find the data span — and, when the cache may engage under
-    // per-traceroute attribution, record each probe's edge ASN. A probe
-    // whose routed traceroutes disagree (`None`) must never be served
-    // from or inserted into the cache: its traceroutes split across AS
-    // pipelines, and each pipeline's partial series under one store key
-    // would poison the snapshot.
-    let mut bgp_probe_asn: Option<BTreeMap<ProbeId, Option<Asn>>> =
-        (per_traceroute_asn && cache_engaged).then(BTreeMap::new);
-    let mut data_min: Option<UnixTime> = None;
-    let mut data_max: Option<UnixTime> = None;
-    let mut parsed = 0u64;
-    let mut skipped = 0u64;
-    let mut quarantined_all = Vec::new();
-    for path in paths {
-        let span = ingest_traceroutes(path, &pass1_opts, |tr| {
-            data_min = Some(data_min.map_or(tr.timestamp, |m| m.min(tr.timestamp)));
-            data_max = Some(data_max.map_or(tr.timestamp, |m| m.max(tr.timestamp)));
-            if let (Some(attribution), Some(table)) = (bgp_probe_asn.as_mut(), &bgp) {
-                if let Some((_, &asn)) = tr.edge_address().and_then(|a| table.lookup(a)) {
-                    attribution
-                        .entry(tr.probe)
-                        .and_modify(|e| {
-                            if *e != Some(asn) {
-                                *e = None;
-                            }
-                        })
-                        .or_insert(Some(asn));
-                }
-            }
-        })?;
-        parsed += span.parsed;
-        skipped += span.skipped();
-        // Quarantine detail comes from pass 1 only: both passes read the
-        // same files, so typed counts and the triage dump stay exact.
-        if let Some(m) = metrics {
-            m.add_ingest_traffic(&ingest_traffic(&span, true));
-            m.merge_decode_hist(&span.decode_hist);
-        }
-        quarantined_all.extend(span.quarantined);
-    }
-    eprintln!("[input] {parsed} traceroutes parsed, {skipped} skipped");
-    if let Some(qpath) = flags.optional("quarantine") {
-        write_quarantine(qpath, &quarantined_all)?;
-        eprintln!(
-            "[input] {} quarantined record(s) written to {qpath}",
-            quarantined_all.len()
-        );
-    }
-    let window = resolve_window(
-        flags.parsed::<i64>("start")?,
-        flags.parsed::<i64>("end")?,
-        data_min,
-        data_max,
-    )?;
 
     // Probe → ASN routing.
     let probe_to_asn: Option<BTreeMap<ProbeId, Asn>> = probes.as_ref().map(|list| {
@@ -192,35 +138,50 @@ pub fn analyze_corpus(
         cfg.min_probes_per_bin = min_probes.min(cfg.min_probes_per_bin);
     }
 
-    // Whether a probe's series may be cached at all: always, except under
-    // per-traceroute attribution, where only single-ASN probes qualify.
-    let cacheable = |probe: ProbeId| match &bgp_probe_asn {
-        Some(attribution) => matches!(attribution.get(&probe), Some(Some(_))),
-        None => true,
-    };
+    // Under per-traceroute attribution with the cache engaged, each
+    // probe's edge ASN. A probe whose routed traceroutes disagree
+    // (`None`) must never be inserted into the cache: its traceroutes
+    // split across AS pipelines, and each pipeline's partial series under
+    // one store key would poison the snapshot. Serving needs no such
+    // check: a hit under the snapshot's source fingerprint (which mixes
+    // in the table) was inserted from this same corpus, where the probe
+    // was single-ASN, and live passes invalidate every probe with new
+    // records before they read.
+    let mut bgp_probe_asn: Option<BTreeMap<ProbeId, Option<Asn>>> =
+        (probes.is_none() && bgp.is_some() && cache_engaged).then(BTreeMap::new);
     let counters_before = cache.map(|c| c.store.counters());
     // Retaining built series costs memory; only pay when write-back can
-    // accept them (rw mode, bin-aligned window).
-    let retain =
-        cache.is_some_and(|c| c.mode == CacheMode::ReadWrite && cfg.bin.is_aligned(&window));
+    // accept them (rw mode, a bin-aligned window known before the read).
+    let retain = cache.is_some_and(|c| c.mode == CacheMode::ReadWrite)
+        && known_window.is_some_and(|w| cfg.bin.is_aligned(&w));
+    let (bound_start, bound_end) = (start.map(UnixTime::from_secs), end.map(UnixTime::from_secs));
     let new_pipeline = move || {
-        let mut p = AsPipeline::new(cfg, window);
+        let mut p = AsPipeline::with_bounds(cfg, bound_start, bound_end);
         p.retain_median_series(retain);
         p
     };
 
-    // Pass 2: route into per-AS pipelines. Probe metadata wins; otherwise
-    // the BGP table maps the first public hop (the paper's ISP edge) to
-    // its origin ASN; otherwise everything is one population (ASN 0).
-    // A probe whose series the cache covers for the whole window is
-    // "served": its traceroutes are skipped and the prebuilt series is
-    // fed to its population after the stream.
+    // One read: track the data span and route into per-AS pipelines.
+    // Probe metadata wins; otherwise the BGP table maps the first public
+    // hop (the paper's ISP edge) to its origin ASN; otherwise everything
+    // is one population (ASN 0). Pipelines drop what the flag bounds
+    // exclude as they stream; a bound left to the data span excludes
+    // nothing, so it is closed after the read. With a cache, a probe is
+    // looked up on its first routed traceroute
+    // (`Some` = served). A served probe's series covers the whole window:
+    // its traceroutes are skipped and the prebuilt series is fed to its
+    // population after the stream. Only a window known before the read
+    // can be served.
+    let mut data_span: Option<(UnixTime, UnixTime)> = None;
     let mut pipelines: BTreeMap<Asn, AsPipeline> = BTreeMap::new();
-    let mut served: BTreeMap<ProbeId, (Asn, PrebuiltSeries)> = BTreeMap::new();
-    let mut unserved: BTreeSet<ProbeId> = BTreeSet::new();
+    let mut looked_up: BTreeMap<ProbeId, Option<(Asn, PrebuiltSeries)>> = BTreeMap::new();
+    let mut parsed = 0u64;
+    let mut quarantined_all = Vec::new();
     let ingest_timer = StageTimer::start();
     for path in paths {
-        let pass2 = ingest_traceroutes(path, &ingest_opts, |tr| {
+        let summary = ingest_traceroutes(path, &ingest_opts, |tr| {
+            let t = tr.timestamp;
+            data_span = Some(data_span.map_or((t, t), |(lo, hi)| (lo.min(t), hi.max(t))));
             let asn = match (&probe_to_asn, &bgp) {
                 (Some(map), _) => match map.get(&tr.probe) {
                     Some(&asn) => asn,
@@ -232,25 +193,29 @@ pub fn analyze_corpus(
                 },
                 (None, None) => 0,
             };
+            if let Some(attribution) = bgp_probe_asn.as_mut() {
+                attribution
+                    .entry(tr.probe)
+                    .and_modify(|e| {
+                        if *e != Some(asn) {
+                            *e = None;
+                        }
+                    })
+                    .or_insert(Some(asn));
+            }
             if let Some(c) = cache {
-                // Ineligible (multi-ASN) probes take the cache-free path
-                // untouched.
-                if cacheable(tr.probe) && !unserved.contains(&tr.probe) {
-                    match served.entry(tr.probe) {
-                        Entry::Occupied(_) => return,
-                        Entry::Vacant(slot) => match c
-                            .store
-                            .lookup(&StoreKey::for_pipeline(tr.probe, &cfg), &window)
-                        {
-                            Lookup::Hit(pre) => {
-                                slot.insert((asn, pre));
-                                return;
-                            }
-                            Lookup::Miss | Lookup::Bypass => {
-                                unserved.insert(tr.probe);
-                            }
-                        },
+                let served = looked_up.entry(tr.probe).or_insert_with(|| {
+                    let window = known_window?;
+                    match c
+                        .store
+                        .lookup(&StoreKey::for_pipeline(tr.probe, &cfg), &window)
+                    {
+                        Lookup::Hit(pre) => Some((asn, pre)),
+                        Lookup::Miss | Lookup::Bypass => None,
                     }
+                });
+                if served.is_some() {
+                    return;
                 }
             }
             pipelines
@@ -258,20 +223,50 @@ pub fn analyze_corpus(
                 .or_insert_with(new_pipeline)
                 .ingest(&tr);
         })?;
+        parsed += summary.parsed;
         if let Some(m) = metrics {
-            m.add_ingest_traffic(&ingest_traffic(&pass2, false));
-            m.merge_decode_hist(&pass2.decode_hist);
+            m.add_ingest_traffic(&ingest_traffic(&summary));
+            m.merge_decode_hist(&summary.decode_hist);
         }
+        quarantined_all.extend(summary.quarantined);
     }
-    for (_, (asn, pre)) in served {
-        pipelines
-            .entry(asn)
-            .or_insert_with(new_pipeline)
-            .ingest_series(pre);
+    // Whether a probe's series may be cached at all: always, except under
+    // per-traceroute attribution, where only single-ASN probes qualify.
+    let cacheable = |probe: ProbeId| match &bgp_probe_asn {
+        Some(attribution) => matches!(attribution.get(&probe), Some(Some(_))),
+        None => true,
+    };
+    let mut unasked = 0u64;
+    for (probe, served) in looked_up {
+        match served {
+            Some((asn, pre)) => pipelines
+                .entry(asn)
+                .or_insert_with(new_pipeline)
+                .ingest_series(pre),
+            None if known_window.is_none() && cacheable(probe) => unasked += 1,
+            None => {}
+        }
     }
     if let Some(m) = metrics {
         m.add_ingest_nanos(ingest_timer.elapsed_nanos());
     }
+    eprintln!(
+        "[input] {parsed} traceroutes parsed, {} skipped",
+        quarantined_all.len()
+    );
+    if let Some(qpath) = flags.optional("quarantine") {
+        write_quarantine(qpath, &quarantined_all)?;
+        eprintln!(
+            "[input] {} quarantined record(s) written to {qpath}",
+            quarantined_all.len()
+        );
+    }
+    let window = resolve_window(
+        start,
+        end,
+        data_span.map(|(lo, _)| lo),
+        data_span.map(|(_, hi)| hi),
+    )?;
 
     // The population table keys on (ASN, period); a file run has no
     // named measurement period, so the analysis window stands in.
@@ -287,7 +282,7 @@ pub fn analyze_corpus(
                 a.u64("asn", u64::from(asn))
                     .str("period", window_label.as_str());
             });
-            let analysis = p.finish();
+            let analysis = p.finish_in(window);
             if let Some(m) = metrics {
                 // Streaming interleaves populations, so ingest time is
                 // accounted once above; per-task wall = pipeline stages.
@@ -309,6 +304,9 @@ pub fn analyze_corpus(
         .collect();
 
     if let Some(c) = cache {
+        // Probes looked up under no window (it was resolved only after
+        // the read) are ones the store could not serve: bypasses.
+        c.store.count_bypasses(unasked);
         for (_, analysis) in &results {
             for built in &analysis.built_series {
                 // A multi-ASN probe's series here is the partial view of

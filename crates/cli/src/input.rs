@@ -42,35 +42,16 @@ pub fn ingest_traceroutes(
     ingest_file(path, options, f)
 }
 
-/// Map an ingest summary onto the obs counters. `with_quarantine: false`
-/// reports only throughput (bytes, records, timers) — used for the second
-/// classify pass over the same file, so the typed quarantine counts in
-/// `--stats` stay per-file exact instead of double-counting.
-pub fn ingest_traffic(summary: &IngestSummary, with_quarantine: bool) -> IngestTraffic {
+/// Map an ingest summary onto the obs counters.
+pub fn ingest_traffic(summary: &IngestSummary) -> IngestTraffic {
     use lastmile_repro::ingest::QuarantineKind;
     IngestTraffic {
         bytes_read: summary.bytes_read,
         records_decoded: summary.parsed,
-        quarantined_framing: if with_quarantine {
-            summary.quarantined_of(QuarantineKind::Framing)
-        } else {
-            0
-        },
-        quarantined_json: if with_quarantine {
-            summary.quarantined_of(QuarantineKind::Json)
-        } else {
-            0
-        },
-        quarantined_model: if with_quarantine {
-            summary.quarantined_of(QuarantineKind::Model)
-        } else {
-            0
-        },
-        quarantined_panic: if with_quarantine {
-            summary.quarantined_of(QuarantineKind::WorkerPanic)
-        } else {
-            0
-        },
+        quarantined_framing: summary.quarantined_of(QuarantineKind::Framing),
+        quarantined_json: summary.quarantined_of(QuarantineKind::Json),
+        quarantined_model: summary.quarantined_of(QuarantineKind::Model),
+        quarantined_panic: summary.quarantined_of(QuarantineKind::WorkerPanic),
         frame_nanos: summary.frame_nanos,
         decode_nanos: summary.decode_nanos,
         wall_nanos: summary.wall_nanos,
@@ -175,6 +156,16 @@ pub fn group_by_asn(probes: &[Probe], anchors_only: bool) -> BTreeMap<Asn, Vec<P
         }
     }
     out
+}
+
+/// The window `--start` and `--end` give when both are present, checked
+/// before any data is read: an empty one fails before the corpus is
+/// opened. `None` when a bound is left to the data span.
+pub fn flag_window(flags: &Flags) -> Result<Option<TimeRange>, String> {
+    match (flags.parsed::<i64>("start")?, flags.parsed::<i64>("end")?) {
+        (Some(start), Some(end)) => resolve_window(Some(start), Some(end), None, None).map(Some),
+        _ => Ok(None),
+    }
 }
 
 /// The analysis window from `--start`/`--end` flags, or the span of the

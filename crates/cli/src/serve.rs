@@ -1,7 +1,7 @@
 //! `lastmile serve`: the always-on congestion observatory daemon.
 //!
 //! Startup runs the exact `classify` analysis (same flags, same
-//! two-pass ingest, same series cache — a warm `--cache-dir` snapshot
+//! one-pass ingest, same series cache — a warm `--cache-dir` snapshot
 //! skips recomputation), then serves the results over a bounded
 //! worker pool (`lastmile-serve`) until SIGTERM/SIGINT:
 //!
@@ -23,10 +23,12 @@
 //! records are appended to the spool, which is part of the analysis
 //! corpus from startup). Either intake path marks the engine dirty;
 //! after a debounce window (`--reanalyze-debounce-ms`) the engine
-//! re-runs the full two-pass analysis over the union corpus — cheap,
-//! because per-probe series are memoized in the store and only probes
-//! with new traceroutes were invalidated — and publishes the result as
-//! a new **epoch**: an RCU-style atomic snapshot swap. In-flight
+//! re-runs the analysis over the union corpus and publishes the result
+//! as a new **epoch**. A pass costs one decode of the whole union
+//! corpus, however few records were appended: the store spares only the
+//! per-probe series building of probes without new traceroutes (only
+//! those were not invalidated), and decode dominates the pass.
+//! Publishing is an RCU-style atomic snapshot swap. In-flight
 //! readers keep the epoch they started with (the `X-Epoch` header names
 //! it) and never block on re-analysis. At any instant `GET /v1/classify`
 //! is byte-identical to a cold `classify --json` over corpus + spool.
@@ -42,7 +44,7 @@ use crate::cache::{self, Cache};
 use crate::classify::{
     analyze_corpus, classification_doc, classification_json, corpus_fingerprint,
 };
-use crate::input::create_parent_dirs;
+use crate::input::{create_parent_dirs, flag_window};
 use crate::stats::{emit_stats, wants_stats};
 use crate::Flags;
 use lastmile_repro::core::pipeline::PopulationAnalysis;
@@ -197,6 +199,8 @@ fn publish_snapshot(
 
 pub fn run(flags: &Flags) -> Result<(), String> {
     let corpus = flags.required("traceroutes")?.to_string();
+    // An empty flag window fails before anything opens the corpus.
+    flag_window(flags)?;
     let watch = flags.switch("watch");
     // The corpus length BEFORE the startup analysis reads it: appends
     // that land mid-analysis stay beyond the watcher's start offset and

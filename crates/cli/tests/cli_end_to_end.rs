@@ -2,6 +2,8 @@
 //! then classify the exported Atlas-format data and check the verdict
 //! matches the planted ground truth.
 
+mod common;
+
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -280,28 +282,7 @@ fn bgp_cache_excludes_multi_asn_probes() {
     // 1's per-pipeline partial series under one key would poison the
     // snapshot and make warm runs diverge.
     let dir = std::env::temp_dir().join(format!("lastmile-e2e-multiasn-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let bgp = dir.join("bgp.csv");
-    std::fs::write(&bgp, "20.0.0.0/16,64500\n20.1.0.0/16,64501\n").unwrap();
-
-    let mut lines = String::new();
-    let mut tr_line = |prb: u32, ts: i64, edge: &str, rtt: f64| {
-        lines.push_str(&format!(
-            r#"{{"fw":5020,"af":4,"dst_addr":"20.99.0.1","src_addr":"192.168.1.10","from":"{edge}","msm_id":5001,"prb_id":{prb},"timestamp":{ts},"proto":"ICMP","type":"traceroute","result":[{{"hop":1,"result":[{{"from":"192.168.1.1","rtt":1.0}}]}},{{"hop":2,"result":[{{"from":"{edge}","rtt":{rtt}}}]}}]}}"#,
-        ));
-        lines.push('\n');
-    };
-    for bin in 0..8i64 {
-        for k in 0..3i64 {
-            let ts = bin * 1800 + k * 600;
-            let rtt = 10.0 + bin as f64;
-            let edge1 = if k % 2 == 0 { "20.0.0.1" } else { "20.1.0.1" };
-            tr_line(1, ts, edge1, rtt);
-            tr_line(2, ts, "20.0.0.9", rtt + 0.5);
-        }
-    }
-    let trs = dir.join("traceroutes.jsonl");
-    std::fs::write(&trs, lines).unwrap();
+    let (trs, bgp) = common::write_multi_asn_fixture(&dir);
 
     let cache_dir = dir.join("cache");
     let base_args = [
@@ -340,6 +321,38 @@ fn bgp_cache_excludes_multi_asn_probes() {
     assert!(err.contains("[cache] loaded"), "no snapshot served: {err}");
     assert_eq!(warm, baseline, "warm cached output diverges");
 
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn empty_flag_window_fails_before_reading_the_corpus() {
+    // The corpus does not exist: the window check must come first, with
+    // or without a cache (whose fingerprint would read the corpus).
+    let dir = std::env::temp_dir().join(format!("lastmile-e2e-window-{}", std::process::id()));
+    let missing = dir.join("missing.jsonl");
+    let cache_dir = dir.join("cache");
+    for sub in ["classify", "hygiene", "serve"] {
+        for cached in [false, true] {
+            let mut args = vec![
+                sub,
+                "--traceroutes",
+                missing.to_str().unwrap(),
+                "--start",
+                "86400",
+                "--end",
+                "86400",
+            ];
+            if cached {
+                args.extend(["--cache-dir", cache_dir.to_str().unwrap()]);
+            }
+            let (_, err, ok) = run(&args);
+            assert!(!ok, "{args:?} succeeded");
+            assert!(
+                err.contains("empty window: 86400 .. 86400"),
+                "{args:?}: {err}"
+            );
+        }
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

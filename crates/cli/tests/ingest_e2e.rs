@@ -1,8 +1,15 @@
 //! End-to-end tests of the parallel ingest path: classification output
 //! must be byte-identical at any thread count (and on the retained serial
 //! reference path) for both input forms, and malformed records must show
-//! up — typed and reproducible — in `--stats` and `--quarantine`.
+//! up — typed and reproducible — in `--stats` and `--quarantine`. The
+//! one-pass analysis must also equal one that resolves its window before
+//! reading, whichever bounds the flags leave to the data span.
 
+use lastmile_repro::core::pipeline::{AsPipeline, PipelineConfig, PopulationAnalysis};
+use lastmile_repro::ingest::{ingest_file, IngestOptions};
+use lastmile_repro::obs::RunMetrics;
+use lastmile_repro::runner::record_population_metrics;
+use lastmile_repro::timebase::{TimeRange, UnixTime};
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -132,8 +139,8 @@ fn quarantine_counts_and_dump_are_exact() {
     assert!(ok, "classify failed: {err}");
     assert!(err.contains("2 traceroutes parsed, 2 skipped"), "{err}");
 
-    // Typed counts in the stats JSON are per-file exact, even though
-    // classify reads the file twice.
+    // Typed counts in the stats JSON are per-file exact, and each
+    // record is decoded once.
     let stats: serde_json::Value =
         serde_json::from_str(&std::fs::read_to_string(&stats_path).unwrap()).unwrap();
     let q = &stats["ingest"]["quarantined"];
@@ -141,7 +148,7 @@ fn quarantine_counts_and_dump_are_exact() {
     assert_eq!(q["model"], 1, "{stats}");
     assert_eq!(q["framing"], 0, "{stats}");
     assert_eq!(q["worker_panic"], 0, "{stats}");
-    assert_eq!(stats["ingest"]["records_decoded"], 4, "two passes of two");
+    assert_eq!(stats["ingest"]["records_decoded"], 2, "one pass of two");
     assert!(stats["ingest"]["bytes_read"].as_u64().unwrap() > 0);
     assert!(stats["ingest"]["records_per_sec"].as_f64().unwrap() > 0.0);
 
@@ -158,6 +165,148 @@ fn quarantine_counts_and_dump_are_exact() {
     assert_eq!(docs[1]["kind"], "model");
     assert_eq!(docs[1]["record"], bad_model);
     assert!(!docs[1]["detail"].as_str().unwrap().is_empty());
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The reference analysis of a corpus: resolve the window first (each
+/// bound from its flag, else from the data span), then feed one
+/// `AsPipeline` built over that window — all probes as ASN 0, as
+/// `classify` without metadata routes them. Returns the `classify --json`
+/// bytes and the `--stats` document.
+fn reference(
+    path: &std::path::Path,
+    start: Option<i64>,
+    end: Option<i64>,
+) -> (String, serde_json::Value) {
+    let mut trs = Vec::new();
+    ingest_file(path.to_str().unwrap(), &IngestOptions::default(), |tr| {
+        trs.push(tr)
+    })
+    .unwrap();
+    let data_min = trs.iter().map(|tr| tr.timestamp.as_secs()).min().unwrap();
+    let data_max = trs.iter().map(|tr| tr.timestamp.as_secs()).max().unwrap();
+    let window = TimeRange::new(
+        UnixTime::from_secs(start.unwrap_or(data_min)),
+        UnixTime::from_secs(end.unwrap_or(data_max + 1)),
+    );
+    let mut pipeline = AsPipeline::new(PipelineConfig::paper(), window);
+    for tr in &trs {
+        pipeline.ingest(tr);
+    }
+    let analysis: PopulationAnalysis = pipeline.finish();
+
+    let d = analysis.detection.as_ref();
+    let docs = vec![serde_json::json!({
+        "asn": 0,
+        "probes": analysis.probes_used(),
+        "class": analysis.class().name(),
+        "daily_amplitude_ms": d.map(|d| d.daily_amplitude_ms),
+        "prominent_frequency_cph": d.and_then(|d| d.prominent_frequency()),
+        "prominent_is_daily": d.map(|d| d.prominent_is_daily),
+        "max_agg_delay_ms": analysis.aggregated.max(),
+        "coverage": analysis.aggregated.coverage(),
+    })];
+    let json = serde_json::to_string_pretty(&docs).unwrap() + "\n";
+
+    let metrics = RunMetrics::new();
+    let label = format!("{}..{}", window.start().as_secs(), window.end().as_secs());
+    record_population_metrics(&metrics, 0, &label, &analysis, 0);
+    (json, serde_json::to_value(&metrics.snapshot()))
+}
+
+/// `doc`'s fields other than `drop`.
+fn without(doc: &serde_json::Value, drop: &[&str]) -> Vec<(String, serde_json::Value)> {
+    let serde_json::Value::Object(fields) = doc else {
+        panic!("not an object: {doc:?}");
+    };
+    fields
+        .iter()
+        .filter(|(k, _)| !drop.contains(&k.as_str()))
+        .cloned()
+        .collect()
+}
+
+/// A `--stats` document without its timings and decode counts: what two
+/// analyses of the same records under the same window must agree on.
+fn counters(stats: &serde_json::Value) -> serde_json::Value {
+    use serde_json::Value;
+    let mut fields = without(stats, &["stage_nanos", "latency", "ingest"]);
+    for (k, v) in &mut fields {
+        if k == "populations" {
+            let rows = v.as_array().unwrap();
+            *v = Value::Array(
+                rows.iter()
+                    .map(|row| Value::Object(without(row, &["nanos"])))
+                    .collect(),
+            );
+        }
+    }
+    Value::Object(fields)
+}
+
+#[test]
+fn one_pass_matches_resolving_the_window_first() {
+    let dir = std::env::temp_dir().join(format!("lastmile-ingest-window-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    // Four days of three probes with a diurnal swing; the flag bounds
+    // fall mid-bin, a day in from each end, so records lie on both sides.
+    let mut lines = String::new();
+    for bin in 0..(4 * 48i64) {
+        let phase = std::f64::consts::TAU * bin as f64 / 48.0;
+        for k in 0..3i64 {
+            for prb in 1..=3u32 {
+                let rtt = 10.0 + 2.0 * phase.sin() + prb as f64 * 0.25;
+                lines.push_str(&tr_line(prb, bin * 1800 + k * 600, rtt));
+                lines.push('\n');
+            }
+        }
+    }
+    let trs = dir.join("trs.jsonl");
+    std::fs::write(&trs, lines).unwrap();
+    let (flag_start, flag_end) = (86_400 + 900, 3 * 86_400 - 900);
+
+    let stats_path = dir.join("stats.json");
+    for (start, end) in [
+        (None, None),
+        (Some(flag_start), None),
+        (None, Some(flag_end)),
+        (Some(flag_start), Some(flag_end)),
+    ] {
+        let (start_s, end_s) = (
+            start.map(|s: i64| s.to_string()),
+            end.map(|e: i64| e.to_string()),
+        );
+        let mut args = vec![
+            "classify",
+            "--traceroutes",
+            trs.to_str().unwrap(),
+            "--json",
+            "--stats-out",
+            stats_path.to_str().unwrap(),
+        ];
+        if let Some(s) = &start_s {
+            args.extend(["--start", s]);
+        }
+        if let Some(e) = &end_s {
+            args.extend(["--end", e]);
+        }
+        let (stdout, err, ok) = run(&args);
+        assert!(ok, "classify {start:?}..{end:?} failed: {err}");
+        let stats: serde_json::Value =
+            serde_json::from_str(&std::fs::read_to_string(&stats_path).unwrap()).unwrap();
+
+        let (want_json, want_stats) = reference(&trs, start, end);
+        assert_eq!(
+            stdout, want_json,
+            "classify --json under {start:?}..{end:?}"
+        );
+        assert_eq!(
+            counters(&stats),
+            counters(&want_stats),
+            "--stats counters under {start:?}..{end:?}"
+        );
+    }
 
     std::fs::remove_dir_all(&dir).ok();
 }

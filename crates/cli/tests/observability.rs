@@ -177,9 +177,7 @@ fn trace_stats_and_csv_artifacts() {
         assert!(max > 0, "latency.{hist}: {h:?}");
     }
     assert!(stats["ingest"]["queue_max_depth"].as_u64().is_some());
-    // Every decoded record contributes one decode-latency sample. Both
-    // classify passes report into records_decoded, so the histogram
-    // must sample both — it used to sit at exactly half.
+    // Every decoded record contributes one decode-latency sample.
     assert_eq!(
         stats["latency"]["decode"]["count"].as_u64().unwrap(),
         stats["ingest"]["records_decoded"].as_u64().unwrap(),

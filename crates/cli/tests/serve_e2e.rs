@@ -15,7 +15,11 @@
 //!   byte-identity with a cold `classify --json` over the union corpus,
 //!   and concurrent readers see exactly one epoch per response;
 //! * SIGTERM drains in-flight requests AND any pending re-analysis
-//!   (epoch swap before snapshot re-persist), then exits 0.
+//!   (epoch swap before snapshot re-persist), then exits 0;
+//! * every analysis decodes each record once: batch (cold, warm, cached
+//!   `--bgp`) and each live re-analysis pass over the union corpus.
+
+mod common;
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -729,5 +733,124 @@ fn sigterm_drains_in_flight_and_repersists_snapshot() {
         "expected startup + shutdown persists: {stderr}"
     );
     assert!(snapshot.exists(), "shutdown snapshot missing");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `ingest.records_decoded` of a `--stats-out` document.
+fn records_decoded(stats: &serde_json::Value) -> Option<u64> {
+    stats["ingest"]["records_decoded"].as_u64()
+}
+
+/// The `--stats-out` document a run wrote.
+fn read_stats(path: &Path) -> serde_json::Value {
+    serde_json::from_str(&std::fs::read_to_string(path).unwrap()).expect("stats JSON")
+}
+
+#[test]
+fn each_record_is_decoded_once_per_analysis() {
+    let dir = std::env::temp_dir().join(format!("lastmile-serve-decode-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let spool = dir.join("spool.jsonl");
+    let (child, addr) = spawn_serve(&dir, &["--live-spool", spool.to_str().unwrap()]);
+    let trs = dir.join("traceroutes.jsonl");
+    let probes = dir.join("probes.json");
+    let corpus = std::fs::read_to_string(&trs).unwrap();
+    let records = corpus.lines().count() as u64;
+    let stats = dir.join("stats.json");
+
+    let classify = |extra: &[&str]| {
+        let mut args = vec![
+            "classify",
+            "--traceroutes",
+            trs.to_str().unwrap(),
+            "--probes",
+            probes.to_str().unwrap(),
+            "--stats-out",
+            stats.to_str().unwrap(),
+        ];
+        args.extend_from_slice(extra);
+        let (_, err, ok) = run(&args);
+        assert!(ok, "classify {extra:?} failed: {err}");
+        read_stats(&stats)
+    };
+    assert_eq!(records_decoded(&classify(&[])), Some(records), "cold");
+
+    // Warm `--cache ro` over a primed, midnight-aligned window: every
+    // probe is served from the store, and each record is still decoded
+    // exactly once.
+    let timestamps: Vec<i64> = corpus
+        .lines()
+        .map(|l| {
+            let doc: serde_json::Value = serde_json::from_str(l).unwrap();
+            doc["timestamp"].as_i64().unwrap()
+        })
+        .collect();
+    let start = timestamps.iter().min().unwrap().div_euclid(86_400) * 86_400;
+    let end = (timestamps.iter().max().unwrap().div_euclid(86_400) + 1) * 86_400;
+    let (start, end) = (start.to_string(), end.to_string());
+    let cache_dir = dir.join("cache");
+    let window = [
+        "--start",
+        &start,
+        "--end",
+        &end,
+        "--cache-dir",
+        cache_dir.to_str().unwrap(),
+    ];
+    let primed = classify(&[&window[..], &["--cache", "rw"]].concat());
+    assert_eq!(records_decoded(&primed), Some(records), "priming");
+    let s = classify(&[&window[..], &["--cache", "ro"]].concat());
+    assert_eq!(records_decoded(&s), Some(records), "warm");
+    assert!(s["store"]["hits"].as_u64().unwrap() > 0, "{s}");
+    assert_eq!(s["store"]["misses"].as_u64(), Some(0), "{s}");
+
+    // Cached `--bgp`, cold and warm, over the multi-ASN fixture.
+    let (bgp_trs, bgp) = common::write_multi_asn_fixture(&dir.join("bgp"));
+    let bgp_cache = dir.join("bgp").join("cache");
+    for run_kind in ["cold", "warm"] {
+        let (_, err, ok) = run(&[
+            "classify",
+            "--traceroutes",
+            bgp_trs.to_str().unwrap(),
+            "--bgp",
+            bgp.to_str().unwrap(),
+            "--start",
+            "0",
+            "--end",
+            "86400",
+            "--min-probes",
+            "1",
+            "--cache-dir",
+            bgp_cache.to_str().unwrap(),
+            "--stats-out",
+            stats.to_str().unwrap(),
+        ]);
+        assert!(ok, "{run_kind} cached --bgp classify failed: {err}");
+        assert_eq!(
+            records_decoded(&read_stats(&stats)),
+            Some(48),
+            "{run_kind} cached --bgp"
+        );
+    }
+
+    // One live re-analysis pass decodes the union corpus once: the
+    // startup corpus plus the POSTed records, not twice that.
+    let posted: Vec<&str> = corpus.lines().take(25).collect();
+    let body = posted.join("\n") + "\n";
+    let (status, _, reply) = http_post(&addr, "/v1/traceroutes", body.as_bytes());
+    assert_eq!(status, 200, "{}", String::from_utf8_lossy(&reply));
+    await_live_convergence(&addr, posted.len() as u64, Duration::from_secs(60));
+    let (status, _, body) = http_get(&addr, "/metrics");
+    assert_eq!(status, 200);
+    let metrics: serde_json::Value =
+        serde_json::from_str(std::str::from_utf8(&body).unwrap()).expect("metrics doc");
+    assert_eq!(
+        records_decoded(&metrics["run"]),
+        Some(records + posted.len() as u64),
+        "live pass"
+    );
+
+    let (stderr, ok) = terminate(child);
+    assert!(ok, "serve did not exit cleanly: {stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }

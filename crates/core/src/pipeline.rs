@@ -17,7 +17,7 @@ use crate::detect::{detect, CongestionClass, Detection};
 use crate::series::{BuiltSeries, ProbeSeries, ProbeSeriesBuilder, QueuingDelaySeries};
 use lastmile_atlas::{ProbeId, TracerouteResult};
 use lastmile_obs::{trace, Histogram};
-use lastmile_timebase::{BinSpec, TimeRange};
+use lastmile_timebase::{BinSpec, TimeRange, UnixTime};
 use std::collections::BTreeMap;
 use std::time::Instant;
 
@@ -106,7 +106,12 @@ pub struct PrebuiltSeries {
 /// Streams traceroutes of a probe population into an analysis.
 pub struct AsPipeline {
     cfg: PipelineConfig,
-    period: TimeRange,
+    /// The period's bounds as known while streaming; a `None` side is
+    /// closed only by [`AsPipeline::finish_in`].
+    start: Option<UnixTime>,
+    end: Option<UnixTime>,
+    /// Earliest and latest timestamps of the in-period traceroutes fed.
+    fed_span: Option<(UnixTime, UnixTime)>,
     builders: BTreeMap<ProbeId, ProbeSeriesBuilder>,
     prebuilt: BTreeMap<ProbeId, ProbeSeries>,
     prebuilt_discarded: u64,
@@ -118,9 +123,25 @@ pub struct AsPipeline {
 impl AsPipeline {
     /// A pipeline over one measurement period.
     pub fn new(cfg: PipelineConfig, period: TimeRange) -> AsPipeline {
+        AsPipeline::with_bounds(cfg, Some(period.start()), Some(period.end()))
+    }
+
+    /// A pipeline whose period is only partly known while it streams:
+    /// traceroutes before `start` or at/after `end` are dropped as out of
+    /// period, and a side given as `None` is closed once the whole input
+    /// has been read, by [`AsPipeline::finish_in`]. This is how a file
+    /// run bounded by flags on one side (or none) and by the data span
+    /// on the other analyses its input in a single read.
+    pub fn with_bounds(
+        cfg: PipelineConfig,
+        start: Option<UnixTime>,
+        end: Option<UnixTime>,
+    ) -> AsPipeline {
         AsPipeline {
             cfg,
-            period,
+            start,
+            end,
+            fed_span: None,
             builders: BTreeMap::new(),
             prebuilt: BTreeMap::new(),
             prebuilt_discarded: 0,
@@ -140,10 +161,16 @@ impl AsPipeline {
 
     /// Feed one probe's series ready-made instead of its raw traceroutes.
     ///
-    /// Panics if the series' bin width differs from the pipeline's, or if
-    /// the probe was already fed (raw or prebuilt) — mixing sources for
-    /// one probe would corrupt the analysis silently.
+    /// Panics if the pipeline's period has an open bound (a prebuilt
+    /// series is sliced to a period known up front), if the series' bin
+    /// width differs from the pipeline's, or if the probe was already fed
+    /// (raw or prebuilt) — mixing sources for one probe would corrupt the
+    /// analysis silently.
     pub fn ingest_series(&mut self, pre: PrebuiltSeries) {
+        assert!(
+            self.start.is_some() && self.end.is_some(),
+            "a prebuilt series needs the period known up front"
+        );
         assert_eq!(
             pre.series.bin(),
             self.cfg.bin,
@@ -159,19 +186,19 @@ impl AsPipeline {
         self.prebuilt.insert(probe, pre.series);
     }
 
-    /// The measurement period.
-    pub fn period(&self) -> TimeRange {
-        self.period
-    }
-
     /// Ingest one traceroute. Traceroutes outside the period are counted
     /// and dropped (period boundaries are exact, §2's dates are UTC).
     pub fn ingest(&mut self, tr: &TracerouteResult) {
         self.ingested += 1;
-        if !self.period.contains(tr.timestamp) {
+        let t = tr.timestamp;
+        if self.start.is_some_and(|s| t < s) || self.end.is_some_and(|e| t >= e) {
             self.ignored_out_of_period += 1;
             return;
         }
+        self.fed_span = Some(
+            self.fed_span
+                .map_or((t, t), |(lo, hi)| (lo.min(t), hi.max(t))),
+        );
         let cfg = &self.cfg;
         self.builders
             .entry(tr.probe)
@@ -191,10 +218,33 @@ impl AsPipeline {
         self.builders.len() + self.prebuilt.len()
     }
 
-    /// Run the full analysis.
+    /// Run the full analysis. Panics on a pipeline built with an open
+    /// bound; close it with [`AsPipeline::finish_in`].
     pub fn finish(self) -> PopulationAnalysis {
+        let (Some(start), Some(end)) = (self.start, self.end) else {
+            panic!("pipeline period has an open bound: finish it with finish_in");
+        };
+        self.finish_in(TimeRange::new(start, end))
+    }
+
+    /// Close the period and run the full analysis. `period` must keep
+    /// every bound the pipeline was built with and contain every
+    /// traceroute it accepted, so closing it excludes nothing after the
+    /// fact: the analysis and its counters equal those of a pipeline
+    /// built over `period` from the start. Panics otherwise.
+    pub fn finish_in(self, period: TimeRange) -> PopulationAnalysis {
+        assert!(
+            self.start.is_none_or(|s| s == period.start())
+                && self.end.is_none_or(|e| e == period.end()),
+            "finish period {period:?} moves a bound the pipeline streamed with"
+        );
+        if let Some((lo, hi)) = self.fed_span {
+            assert!(
+                period.contains(lo) && period.contains(hi),
+                "finish period {period:?} excludes traceroutes the pipeline accepted"
+            );
+        }
         let cfg = self.cfg;
-        let period = self.period;
         let mut stats = PopulationStats {
             traceroutes_ingested: self.ingested,
             traceroutes_out_of_period: self.ignored_out_of_period as u64,
@@ -452,6 +502,71 @@ mod tests {
         p.ingest(&tr(1, 16 * 86_400, 5.0));
         assert_eq!(p.ignored_out_of_period(), 2);
         assert_eq!(p.probe_count(), 0);
+    }
+
+    #[test]
+    fn open_bounds_closed_at_finish_match_a_known_period() {
+        // Feed 15 days, plus a stray beyond each bounded side, and close
+        // the period only at finish.
+        let period = period_15d();
+        let mut known = AsPipeline::new(PipelineConfig::paper(), period);
+        feed_diurnal(&mut known, 4, 2.0);
+        let known = known.finish();
+        for (start, end) in [
+            (None, None),
+            (Some(period.start()), None),
+            (None, Some(period.end())),
+            (Some(period.start()), Some(period.end())),
+        ] {
+            let mut open = AsPipeline::with_bounds(PipelineConfig::paper(), start, end);
+            feed_diurnal(&mut open, 4, 2.0);
+            // A bounded side drops its stray while streaming. (An open
+            // side never sees one: the caller closes it at the data span.)
+            if start.is_some() {
+                open.ingest(&tr(1, -100, 5.0));
+            }
+            if end.is_some() {
+                open.ingest(&tr(2, 15 * 86_400, 5.0));
+            }
+            let strays = u64::from(start.is_some()) + u64::from(end.is_some());
+            let open = open.finish_in(period);
+            assert_eq!(open.aggregated, known.aggregated, "{start:?}..{end:?}");
+            assert_eq!(open.stats.traceroutes_out_of_period, strays);
+            assert_eq!(
+                open.stats.traceroutes_ingested,
+                known.stats.traceroutes_ingested + strays
+            );
+            assert_eq!(
+                open.stats.bins_discarded_sanity,
+                known.stats.bins_discarded_sanity
+            );
+            assert_eq!(
+                open.detection.map(|d| d.daily_amplitude_ms),
+                known.detection.as_ref().map(|d| d.daily_amplitude_ms)
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "excludes traceroutes")]
+    fn closing_a_period_that_excludes_fed_traceroutes_panics() {
+        let mut p = AsPipeline::with_bounds(PipelineConfig::paper(), None, None);
+        p.ingest(&tr(1, 100, 5.0));
+        p.finish_in(TimeRange::new(
+            UnixTime::from_secs(200),
+            UnixTime::from_secs(300),
+        ));
+    }
+
+    #[test]
+    #[should_panic(expected = "moves a bound")]
+    fn closing_a_period_that_moves_a_streamed_bound_panics() {
+        let p =
+            AsPipeline::with_bounds(PipelineConfig::paper(), Some(UnixTime::from_secs(0)), None);
+        p.finish_in(TimeRange::new(
+            UnixTime::from_secs(10),
+            UnixTime::from_secs(300),
+        ));
     }
 
     #[test]

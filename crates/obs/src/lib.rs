@@ -177,9 +177,9 @@ impl RunMetrics {
         Self::add(&self.store_load_nanos, n);
     }
 
-    /// Record one file ingest's traffic (a classify run that streams the
-    /// input twice calls this once per pass; quarantine counts should be
-    /// reported for one pass only so they stay per-file exact).
+    /// Record one file ingest's traffic. A classify run reads each
+    /// corpus file once and calls this once per file, so the decode and
+    /// quarantine counts are per-record exact.
     pub fn add_ingest_traffic(&self, traffic: &IngestTraffic) {
         Self::add(&self.ingest_bytes_read, traffic.bytes_read);
         Self::add(&self.ingest_records_decoded, traffic.records_decoded);

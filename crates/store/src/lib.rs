@@ -338,6 +338,14 @@ impl SeriesStore {
         }
     }
 
+    /// Count `n` lookups that could not be asked as bypasses: the caller
+    /// had to read its data before the range was known (a file run whose
+    /// window comes from the data span), so the store could not serve
+    /// them — exactly what [`Lookup::Bypass`] reports.
+    pub fn count_bypasses(&self, n: u64) {
+        self.bypasses.fetch_add(n, Ordering::Relaxed);
+    }
+
     /// Memoize a freshly built series for `range`. The series must have
     /// been built from exactly the traceroutes of `range` with the key's
     /// binning parameters; overlapping inserts must agree on shared bins

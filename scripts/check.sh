@@ -22,6 +22,12 @@ cargo build --workspace --benches --examples
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
+# The end-to-end benchmark is a package of its own (outside the
+# workspace); its unit tests include the check that the metrics its
+# driver declares equal those in BENCHMARK.json.
+echo "==> cargo test -q --manifest-path benchmark/Cargo.toml"
+cargo test -q --manifest-path benchmark/Cargo.toml
+
 # Ingest smoke: every form × mode combination of classify over a small
 # corpus (plus a corrupted copy) must produce --json output and a
 # quarantine dump byte-identical to the serial reference path — the
@@ -215,4 +221,4 @@ else
     echo "==> serve smoke skipped (curl not found)"
 fi
 
-echo "OK: fmt, clippy, benches, tests, observability, fleet, serve, loadgen and ops smoke all green"
+echo "OK: fmt, clippy, benches, tests, benchmark, observability, fleet, serve, loadgen and ops smoke all green"
