@@ -4,18 +4,17 @@
 //! AS follow `3 + 1200/(rank+40)`, so a handful of top-ranked ASes carry
 //! several times the probes (and analysis cost) of the long tail. Static
 //! chunking binds the whole run to whichever chunk drew the hot ASes;
-//! the work-stealing executor lets idle workers drain the shared queue
-//! instead. The two schedulers produce byte-identical reports (see
-//! `tests/survey_executor.rs`); this benchmark quantifies the wall-time
-//! gap two ways:
+//! the work-stealing executor (`runner::run_tasks`) lets idle workers
+//! claim the remaining tasks instead. This benchmark quantifies that two
+//! ways:
 //!
 //! * **Schedule model** — per-task costs are measured once, serially,
 //!   and replayed through both schedules. The resulting makespans are
 //!   printed before the timing runs. This shows the load-balancing win
 //!   deterministically, even on a single-core host where real threads
 //!   cannot overlap.
-//! * **Wall time** — both drivers run at `threads = 4`; on multi-core
-//!   hardware the measured gap approaches the modelled one.
+//! * **Wall time** — the survey on the work-stealing executor at
+//!   `threads = 4`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use lastmile_repro::core::pipeline::PipelineConfig;
@@ -23,8 +22,7 @@ use lastmile_repro::netsim::scenarios::survey::{survey_world, SurveyConfig, Surv
 use lastmile_repro::netsim::TracerouteEngine;
 use lastmile_repro::prefix::Asn;
 use lastmile_repro::runner::{
-    analyze_population_with, eyeballs_from_ground_truth, run_survey, run_survey_static_chunks,
-    ProbeSelection, SurveyOptions,
+    analyze_population_with, eyeballs_from_ground_truth, run_survey, ProbeSelection, SurveyOptions,
 };
 use lastmile_repro::timebase::MeasurementPeriod;
 use std::time::{Duration, Instant};
@@ -120,13 +118,6 @@ fn bench_executor(c: &mut Criterion) {
     // One survey run costs ~a second; keep the sample budget small.
     g.sample_size(10);
     g.measurement_time(Duration::from_secs(3));
-    g.bench_function("static_chunks", |b| {
-        b.iter(|| {
-            run_survey_static_chunks(black_box(&scenario.world), &periods, &eyeballs, &options)
-                .rows()
-                .len()
-        })
-    });
     g.bench_function("work_stealing", |b| {
         b.iter(|| {
             run_survey(black_box(&scenario.world), &periods, &eyeballs, &options)

@@ -5,9 +5,9 @@
 //! Atlas dumps. `lastmile-ingest` overlaps framing with N parse workers
 //! over bounded queues; the interesting numbers are:
 //!
-//! * **serial vs threads=1 vs threads=N** — the pipeline tax (one extra
-//!   copy plus queue hops) and the parallel payoff against the retained
-//!   single-threaded reference path.
+//! * **threads=1 vs threads=N** — inline decode on the framing thread
+//!   against the worker pipeline's parallel payoff (and its queue-hop
+//!   tax on a single core).
 //! * **lines vs array** — the two wire forms take different framing
 //!   paths (line scanning vs bracket tracking), same parse workers.
 //!
@@ -56,13 +56,6 @@ fn bench_ingest(c: &mut Criterion) {
     for (form, input) in [("lines", &jsonl), ("array", &array)] {
         g.throughput(criterion::Throughput::Bytes(input.len() as u64));
         for (name, options) in [
-            (
-                "serial",
-                IngestOptions {
-                    serial: true,
-                    ..IngestOptions::default()
-                },
-            ),
             (
                 "threads1",
                 IngestOptions {

@@ -4,8 +4,8 @@
 use crate::bgp::load_table;
 use crate::cache::{self, Cache};
 use crate::input::{
-    flag_window, group_by_asn, ingest_options, ingest_traceroutes, ingest_traffic, load_probes,
-    resolve_window, write_quarantine,
+    flag_window, group_by_asn, ingest_options, ingest_traffic, load_probes, resolve_window,
+    write_quarantine,
 };
 use crate::progress::Heartbeat;
 use crate::stats::{emit_stats, wants_stats};
@@ -14,6 +14,7 @@ use lastmile_repro::atlas::ProbeId;
 use lastmile_repro::core::pipeline::{
     AsPipeline, PipelineConfig, PopulationAnalysis, PrebuiltSeries,
 };
+use lastmile_repro::ingest::ingest_file;
 use lastmile_repro::obs::{trace, LiveProgress, RunMetrics, StageTimer};
 use lastmile_repro::prefix::Asn;
 use lastmile_repro::runner::{record_population_metrics, store_traffic_since};
@@ -179,7 +180,7 @@ pub fn analyze_corpus(
     let mut quarantined_all = Vec::new();
     let ingest_timer = StageTimer::start();
     for path in paths {
-        let summary = ingest_traceroutes(path, &ingest_opts, |tr| {
+        let summary = ingest_file(path, &ingest_opts, |tr| {
             let t = tr.timestamp;
             data_span = Some(data_span.map_or((t, t), |(lo, hi)| (lo.min(t), hi.max(t))));
             let asn = match (&probe_to_asn, &bgp) {

@@ -22,6 +22,7 @@ use lastmile_repro::netsim::fleet::{
 use lastmile_repro::netsim::{SimProbe, TracerouteEngine};
 use lastmile_repro::obs::trace;
 use lastmile_repro::prefix::Asn;
+use lastmile_repro::runner::run_tasks;
 use lastmile_repro::store::CacheMode;
 use std::collections::BTreeMap;
 use std::io::Write;
@@ -263,8 +264,9 @@ fn gen(flags: &Flags) -> Result<(), String> {
     drop(span);
 
     // Traceroutes, probe-major. Rendering parallelizes over probes in
-    // chunks of `--threads`, but the file is assembled strictly in probe
-    // order — thread count can never move a byte.
+    // chunks of `--threads` (bounding how much rendered text is held at
+    // once), but the file is assembled strictly in probe order — thread
+    // count can never move a byte.
     let span = trace::span("fleet_export_traceroutes");
     let trs_path = format!("{out_dir}/traceroutes.jsonl");
     let file = std::fs::File::create(&trs_path).map_err(|e| format!("create {trs_path}: {e}"))?;
@@ -272,29 +274,19 @@ fn gen(flags: &Flags) -> Result<(), String> {
     let engine = TracerouteEngine::new(&scenario.world);
     let mut count = 0usize;
     for chunk in probes.chunks(threads) {
-        let rendered: Vec<(String, usize)> = std::thread::scope(|s| {
-            let handles: Vec<_> = chunk
-                .iter()
-                .map(|probe| {
-                    let engine = &engine;
-                    s.spawn(move || {
-                        let mut buf = String::new();
-                        let mut n = 0usize;
-                        engine.for_each_traceroute(probe, &window, |tr| {
-                            buf.push_str(&to_atlas_json(&tr, probe.meta.public_addr));
-                            buf.push('\n');
-                            n += 1;
-                        });
-                        (buf, n)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("render thread panicked"))
-                .collect()
+        let rendered = run_tasks(threads, "fleet-render", chunk.len(), |i| {
+            let probe = chunk[i];
+            let mut buf = String::new();
+            let mut n = 0usize;
+            engine.for_each_traceroute(probe, &window, |tr| {
+                buf.push_str(&to_atlas_json(&tr, probe.meta.public_addr));
+                buf.push('\n');
+                n += 1;
+            });
+            (buf, n)
         });
-        for (buf, n) in rendered {
+        for outcome in rendered {
+            let (buf, n) = outcome.map_err(|e| format!("render traceroutes: {e}"))?;
             w.write_all(buf.as_bytes())
                 .map_err(|e| format!("write {trs_path}: {e}"))?;
             count += n;

@@ -1,16 +1,16 @@
 //! Input handling: streaming Atlas-format traceroutes and probe metadata
 //! from disk.
 //!
-//! Traceroute decode goes through `lastmile-ingest` (framing reader +
-//! parallel parse workers over bounded queues); this module owns the
-//! flag plumbing (`--ingest-threads`, `--ingest-serial`, `--quarantine`)
-//! and the adapters between [`IngestSummary`] and the CLI's metrics and
-//! triage outputs.
+//! Traceroute decode goes through `lastmile-ingest` (one framing loop,
+//! decoding inline at `--ingest-threads 1` or feeding parallel parse
+//! workers over bounded queues); this module owns the flag plumbing
+//! (`--ingest-threads`, `--quarantine`) and the adapters between
+//! [`IngestSummary`] and the CLI's metrics and triage outputs.
 
 use crate::Flags;
 use lastmile_repro::atlas::framing::{DocSplitter, Frame, FrameKind};
-use lastmile_repro::atlas::{Probe, ProbeId, TracerouteResult};
-use lastmile_repro::ingest::{ingest_file, IngestOptions, IngestSummary, Quarantined};
+use lastmile_repro::atlas::{Probe, ProbeId};
+use lastmile_repro::ingest::{IngestOptions, IngestSummary, Quarantined};
 use lastmile_repro::obs::IngestTraffic;
 use lastmile_repro::prefix::Asn;
 use lastmile_repro::timebase::{TimeRange, UnixTime};
@@ -18,28 +18,12 @@ use std::collections::BTreeMap;
 use std::io::Write;
 
 /// Ingest tuning from the command line: `--ingest-threads N` (0 = one
-/// worker per core, the default) and the retained `--ingest-serial`
-/// reference path.
+/// worker per core, the default; 1 decodes inline).
 pub fn ingest_options(flags: &Flags) -> Result<IngestOptions, String> {
     Ok(IngestOptions {
         threads: flags.parsed::<usize>("ingest-threads")?.unwrap_or(0),
-        serial: flags.switch("ingest-serial"),
         ..IngestOptions::default()
     })
-}
-
-/// Read traceroutes from a file that is either a JSON array or JSON Lines
-/// (one Atlas document per line), streaming each into `f`.
-///
-/// Malformed records are quarantined, not fatal — real Atlas dumps
-/// contain the occasional truncated document; the summary carries the
-/// typed quarantine detail.
-pub fn ingest_traceroutes(
-    path: &str,
-    options: &IngestOptions,
-    f: impl FnMut(TracerouteResult),
-) -> Result<IngestSummary, String> {
-    ingest_file(path, options, f)
 }
 
 /// Map an ingest summary onto the obs counters.
@@ -197,7 +181,8 @@ pub fn resolve_window(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lastmile_repro::atlas::ProbeVersion;
+    use lastmile_repro::atlas::{ProbeVersion, TracerouteResult};
+    use lastmile_repro::ingest::ingest_file;
 
     fn probe(id: u32, asn: u32, anchor: bool) -> Probe {
         Probe {
@@ -265,31 +250,29 @@ mod tests {
         let jsonl = dir.join("trs.jsonl");
         std::fs::write(&jsonl, format!("{json}\nnot-json\n{json}\n")).unwrap();
         let mut count = 0;
-        let s = ingest_traceroutes(jsonl.to_str().unwrap(), &opts, |_| count += 1).unwrap();
+        let s = ingest_file(jsonl.to_str().unwrap(), &opts, |_| count += 1).unwrap();
         assert_eq!((s.parsed, s.skipped(), count), (2, 1, 2));
 
         // Array form.
         let array = dir.join("trs.json");
         std::fs::write(&array, format!("[{json},{json},{json}]")).unwrap();
         let mut count = 0;
-        let s = ingest_traceroutes(array.to_str().unwrap(), &opts, |_| count += 1).unwrap();
+        let s = ingest_file(array.to_str().unwrap(), &opts, |_| count += 1).unwrap();
         assert_eq!((s.parsed, s.skipped(), count), (3, 0, 3));
     }
 
     #[test]
     fn ingest_options_read_the_flags() {
-        let args: Vec<String> = ["--ingest-threads", "3", "--ingest-serial"]
+        let args: Vec<String> = ["--ingest-threads", "3"]
             .iter()
             .map(|s| s.to_string())
             .collect();
         let flags = crate::Flags::parse(&args).unwrap();
         let opts = ingest_options(&flags).unwrap();
         assert_eq!(opts.threads, 3);
-        assert!(opts.serial);
         let flags = crate::Flags::parse(&[]).unwrap();
         let opts = ingest_options(&flags).unwrap();
         assert_eq!(opts.threads, 0, "default is auto");
-        assert!(!opts.serial);
     }
 
     #[test]

@@ -55,15 +55,21 @@ impl Flags {
             // Boolean switches take no value.
             if matches!(
                 name,
-                "json" | "anchors-only" | "stats" | "ingest-serial" | "progress" | "watch"
+                "json" | "anchors-only" | "stats" | "progress" | "watch"
             ) {
                 switches.push(name.to_string());
                 i += 1;
                 continue;
             }
+            // Every other flag takes a value, and a value never starts
+            // with `--`: a removed or mistyped switch must not swallow
+            // the flag after it.
             let value = args
                 .get(i + 1)
                 .ok_or_else(|| format!("--{name} needs a value"))?;
+            if value.starts_with("--") {
+                return Err(format!("--{name} needs a value, got {value}"));
+            }
             values.insert(name.to_string(), value.clone());
             i += 2;
         }
@@ -102,8 +108,8 @@ impl Flags {
 
 fn usage() -> &'static str {
     "usage:\n  \
-     lastmile classify --traceroutes FILE [--probes FILE | --bgp TABLE.csv] [--start UNIX --end UNIX] [--min-probes N] [--cache-dir DIR [--cache off|ro|rw]] [--ingest-threads N] [--ingest-serial] [--quarantine FILE] [--json] [--stats | --stats-out FILE] [--populations-csv FILE] [--progress]\n  \
-     lastmile hygiene  --traceroutes FILE [--probes FILE] [--start UNIX --end UNIX] [--threshold MS] [--ingest-threads N] [--ingest-serial] [--quarantine FILE] [--stats | --stats-out FILE] [--populations-csv FILE] [--progress]\n  \
+     lastmile classify --traceroutes FILE [--probes FILE | --bgp TABLE.csv] [--start UNIX --end UNIX] [--min-probes N] [--cache-dir DIR [--cache off|ro|rw]] [--ingest-threads N] [--quarantine FILE] [--json] [--stats | --stats-out FILE] [--populations-csv FILE] [--progress]\n  \
+     lastmile hygiene  --traceroutes FILE [--probes FILE] [--start UNIX --end UNIX] [--threshold MS] [--ingest-threads N] [--quarantine FILE] [--stats | --stats-out FILE] [--populations-csv FILE] [--progress]\n  \
      lastmile throughput --cdn FILE.tsv --bgp TABLE.csv [--bin-minutes 15] [--view broadband|mobile|v4|v6] [--csv OUT]\n  \
      lastmile simulate --scenario tokyo|fig1|anchor --out DIR [--seed N] [--days N] [--cache-dir DIR [--cache off|ro|rw]]\n  \
      lastmile fleet gen --spec SPEC.json --out DIR [--seed N] [--threads N] [--probes-per-as N [--sample-mode biased|uniform] [--sample-seed N]]\n                       \
@@ -229,6 +235,19 @@ mod tests {
     fn missing_value_is_an_error() {
         assert!(parse(&["--seed"]).is_err());
         assert!(parse(&["positional"]).is_err());
+    }
+
+    #[test]
+    fn a_value_flag_never_swallows_the_next_flag() {
+        // An unknown (mistyped or removed) switch is read as a value
+        // flag; it must fail rather than eat `--json` as its value.
+        let err = parse(&["--traceroutes", "a.jsonl", "--progres", "--json"])
+            .err()
+            .expect("switch-like value flag is rejected");
+        assert_eq!(err, "--progres needs a value, got --json");
+        // Single-dash values (negative numbers) still parse.
+        let f = parse(&["--start", "-5"]).unwrap();
+        assert_eq!(f.parsed::<i64>("start").unwrap(), Some(-5));
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! End-to-end tests of the parallel ingest path: classification output
-//! must be byte-identical at any thread count (and on the retained serial
-//! reference path) for both input forms, and malformed records must show
+//! End-to-end tests of the ingest path: classification output must be
+//! byte-identical at any thread count (inline decode at one, the worker
+//! pipeline above) for both input forms, and malformed records must show
 //! up — typed and reproducible — in `--stats` and `--quarantine`. The
 //! one-pass analysis must also equal one that resolves its window before
 //! reading, whichever bounds the flags leave to the data span.
@@ -82,7 +82,7 @@ fn reports_are_byte_identical_across_thread_counts_and_forms() {
         stdout
     };
 
-    let baseline = classify(&jsonl, &["--ingest-serial"]);
+    let baseline = classify(&jsonl, &["--ingest-threads", "2"]);
     assert!(!baseline.is_empty());
     for extra in [
         &["--ingest-threads", "1"][..],
@@ -101,11 +101,34 @@ fn reports_are_byte_identical_across_thread_counts_and_forms() {
         );
     }
     assert_eq!(
-        classify(&array, &["--ingest-serial"]),
+        classify(&array, &["--ingest-threads", "2"]),
         baseline,
-        "serial array form diverges"
+        "two-worker array form diverges"
     );
 
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn removed_ingest_serial_switch_fails_loudly() {
+    let dir = std::env::temp_dir().join(format!("lastmile-ingest-flag-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (jsonl, _) = write_dataset(&dir);
+    // `--ingest-serial` is no longer a switch; read as a value flag it
+    // must not swallow `--json` and run a different configuration.
+    let (stdout, err, ok) = run(&[
+        "classify",
+        "--traceroutes",
+        jsonl.to_str().unwrap(),
+        "--ingest-serial",
+        "--json",
+    ]);
+    assert!(!ok, "classify accepted a removed switch: {stdout}");
+    assert!(stdout.is_empty(), "{stdout}");
+    assert!(
+        err.contains("--ingest-serial needs a value, got --json"),
+        "{err}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

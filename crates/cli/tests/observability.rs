@@ -223,7 +223,7 @@ fn trace_stats_and_csv_artifacts() {
     // --- Determinism: stdout byte-identical across ingest modes with
     //     tracing on ---------------------------------------------------
     for (i, extra) in [
-        &["--ingest-serial"][..],
+        &["--ingest-threads", "2"][..],
         &["--ingest-threads", "1"][..],
         &["--ingest-threads", "4"][..],
     ]

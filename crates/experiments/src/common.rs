@@ -7,13 +7,12 @@ use lastmile_repro::netsim::TracerouteEngine;
 use lastmile_repro::netsim::World;
 use lastmile_repro::obs::trace;
 use lastmile_repro::runner::{
-    analyze_population_stored, eyeballs_from_ground_truth, run_survey, ProbeSelection,
+    analyze_population_stored, eyeballs_from_ground_truth, run_survey, run_tasks, ProbeSelection,
     SurveyOptions,
 };
 use lastmile_repro::store::SeriesStore;
 use lastmile_repro::timebase::MeasurementPeriod;
 use std::io::Write;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// Harness options plus lazily computed shared state.
@@ -92,10 +91,10 @@ impl Ctx {
 
 /// Analyse several (ASN, period, selection) populations in parallel.
 ///
-/// Jobs are drained from a shared atomic cursor (work stealing), so a
-/// worker that lands on a probe-heavy population simply takes fewer jobs
-/// — static chunking let one heavy chunk bound the whole run. All
-/// workers share one traceroute engine and one in-memory series store:
+/// Jobs run on [`run_tasks`], the work-stealing executor, so a worker
+/// that lands on a probe-heavy population simply takes fewer jobs —
+/// static chunking let one heavy chunk bound the whole run. All workers
+/// share one traceroute engine and one in-memory series store:
 /// experiments that analyse the same probes under several periods or
 /// selections (fig4's per-period Tokyo splits, fig8's longitudinal
 /// windows) simulate and bin each probe once and serve the rest from the
@@ -105,48 +104,16 @@ pub fn analyze_many(
     jobs: &[(u32, MeasurementPeriod, ProbeSelection)],
     cfg: &PipelineConfig,
 ) -> Vec<PopulationAnalysis> {
-    let n_threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .min(jobs.len().max(1));
     let engine = TracerouteEngine::new(world);
     let store = SeriesStore::default();
-    let next = AtomicUsize::new(0);
-    let mut out: Vec<Option<PopulationAnalysis>> = Vec::new();
-    out.resize_with(jobs.len(), || None);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..n_threads)
-            .map(|_| {
-                let engine = &engine;
-                let store = &store;
-                let next = &next;
-                scope.spawn(move || {
-                    let mut done: Vec<(usize, PopulationAnalysis)> = Vec::new();
-                    loop {
-                        let idx = next.fetch_add(1, Ordering::Relaxed);
-                        let Some((asn, period, selection)) = jobs.get(idx) else {
-                            break;
-                        };
-                        let span = trace::span_with("population", |a| {
-                            a.u64("asn", u64::from(*asn)).str("period", period.label());
-                        });
-                        done.push((
-                            idx,
-                            analyze_population_stored(engine, *asn, period, *cfg, selection, store),
-                        ));
-                        drop(span);
-                    }
-                    done
-                })
-            })
-            .collect();
-        for h in handles {
-            for (idx, analysis) in h.join().expect("analysis worker panicked") {
-                out[idx] = Some(analysis);
-            }
-        }
-    });
-    out.into_iter()
-        .map(|o| o.expect("all jobs completed"))
-        .collect()
+    run_tasks(0, "analysis", jobs.len(), |i| {
+        let (asn, period, selection) = &jobs[i];
+        let _span = trace::span_with("population", |a| {
+            a.u64("asn", u64::from(*asn)).str("period", period.label());
+        });
+        analyze_population_stored(&engine, *asn, period, *cfg, selection, &store)
+    })
+    .into_iter()
+    .map(|r| r.unwrap_or_else(|e| panic!("population analysis panicked: {e}")))
+    .collect()
 }

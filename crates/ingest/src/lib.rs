@@ -8,23 +8,32 @@
 //! garbage; the API's list form is one giant JSON array. Both must be
 //! decoded without ever holding the whole file, fast enough that cold
 //! runs are not bound by a single parsing core, and without letting one
-//! poisoned record kill the run. This crate does exactly that:
+//! poisoned record kill the run. This crate does exactly that, with one
+//! framing loop feeding one of two sinks:
 //!
 //! ```text
-//!  file ──► framing reader ──► bounded batch queue ──► N parse workers
-//!           (DocSplitter,          (backpressure)        (serde + model
-//!            one thread)                                  conversion,
-//!                                                         catch_unwind)
-//!                     ┌──────────────────────────────────────┘
+//!  workers ≥ 2:
+//!  file ──► framing loop ──► bounded batch queue ──► N parse workers
+//!           (DocSplitter,        (backpressure)        (serde + model
+//!            one thread)                                conversion,
+//!                                                       catch_unwind)
+//!                     ┌────────────────────────────────────┘
 //!                     ▼
 //!           bounded result queue ──► caller thread (`on_record`,
 //!                                    quarantine collection)
+//!
+//!  workers ≤ 1 (inline), and every `ingest_slice`:
+//!  file ──► framing loop ──► decode each chunk's frames ──► `on_record`
+//!           (DocSplitter)     (same decode, catch_unwind)
+//!           └──────────────── all on the caller thread ──────────────┘
 //! ```
 //!
 //! * **Framing** reuses [`lastmile_atlas::framing::DocSplitter`]: JSON
 //!   Lines and top-level JSON arrays are split into record-aligned byte
 //!   frames incrementally, so peak memory is bounded by the chunk size
-//!   plus the queues — never by the file.
+//!   plus the queues — never by the file. Framing, decode and delivery
+//!   are timed apart in both modes, so `frame_nanos` and `decode_nanos`
+//!   compare across worker counts.
 //! * **Backpressure**: both queues are `sync_channel`s. A slow consumer
 //!   stalls the workers, which stall the framer, which stops reading.
 //! * **Determinism**: records are delivered to `on_record` in arrival
@@ -105,15 +114,15 @@ pub struct IngestSummary {
     pub bytes_read: u64,
     /// Malformed records, sorted by byte offset.
     pub quarantined: Vec<Quarantined>,
-    /// Nanoseconds the framing reader spent splitting (one thread,
-    /// excludes IO and queue blocking).
+    /// Nanoseconds the framing loop spent splitting (one thread;
+    /// excludes IO, decode and queue blocking).
     pub frame_nanos: u64,
     /// Nanoseconds spent parsing, summed across workers.
     pub decode_nanos: u64,
     /// Elapsed time of the whole ingest.
     pub wall_nanos: u64,
-    /// Deepest the bounded batch queue got, in batches (0 on the serial
-    /// path, which has no queue). Pinned at `queue_batches` means the
+    /// Deepest the bounded batch queue got, in batches (0 when decoding
+    /// inline, which has no queue). Pinned at `queue_batches` means the
     /// parse workers are the bottleneck; near zero means framing/IO is.
     pub queue_max_depth: u64,
     /// Per-record decode latency, collected only when
@@ -137,17 +146,15 @@ impl IngestSummary {
 /// in-flight batch pins the read-chunk buffer(s) its records point into
 /// (records are `(chunk, range)` slices, not copies), so the worker
 /// pipeline holds at most roughly `(queue_batches + threads + 1) ×
-/// chunk_bytes` at once; the serial path holds one chunk.
+/// chunk_bytes` at once; inline decode holds one chunk.
 #[derive(Clone, Debug)]
 pub struct IngestOptions {
     /// Parse worker threads; `0` (the default) means one per available
-    /// core, like the survey executor.
+    /// core, like the survey executor. A count that resolves to one or
+    /// fewer (`1`, or `0` on a one-core host) decodes inline on the
+    /// calling thread: there a worker would only add queue hand-offs on
+    /// top of one core's parsing.
     pub threads: usize,
-    /// Run the retained single-threaded reference path instead of the
-    /// worker pipeline. Same framing, same quarantine semantics; kept
-    /// for byte-identity tests and benchmarks against the serial
-    /// baseline.
-    pub serial: bool,
     /// Records per batch handed to a worker.
     pub batch_records: usize,
     /// Bounded batch-queue capacity, in batches.
@@ -173,7 +180,6 @@ impl Default for IngestOptions {
     fn default() -> IngestOptions {
         IngestOptions {
             threads: 0,
-            serial: false,
             batch_records: 64,
             queue_batches: 8,
             chunk_bytes: 256 * 1024,
@@ -184,12 +190,12 @@ impl Default for IngestOptions {
     }
 }
 
-/// Bytes of one framed record travelling to a worker.
+/// Bytes of one framed record on its way to decode.
 ///
-/// The framing reader reads each chunk into an `Arc<Vec<u8>>`; the
+/// The framing loop reads each chunk into an `Arc<Vec<u8>>`; the
 /// splitter's zero-copy contract (a document completing inside the fed
 /// chunk is emitted as a subslice of it) lets the common case ride to
-/// the parse workers as a `(buffer, range)` pair sharing that chunk
+/// the decoder as a `(buffer, range)` pair sharing that chunk
 /// allocation — no per-record copy. Only a record spanning a chunk
 /// boundary (at most one per chunk) is copied out of the splitter's
 /// carry buffer.
@@ -213,7 +219,7 @@ impl RecordBytes {
     }
 }
 
-/// One framed record travelling to a worker.
+/// Framed records, each with its byte offset.
 type Batch = Vec<(u64, RecordBytes)>;
 
 /// One decoded batch travelling back to the caller.
@@ -224,8 +230,8 @@ enum Delivery {
 
 /// Ingest a traceroute file (JSON Lines or a top-level JSON array),
 /// calling `on_record` on the caller's thread for each decoded record.
-/// Delivery order is unspecified under `threads > 1`; see the crate docs
-/// for why consumers stay deterministic anyway.
+/// Delivery order is unspecified under more than one worker; see the
+/// crate docs for why consumers stay deterministic anyway.
 pub fn ingest_file(
     path: &str,
     options: &IngestOptions,
@@ -240,73 +246,43 @@ pub fn ingest_file(
 pub fn ingest_reader(
     reader: impl Read + Send,
     options: &IngestOptions,
-    on_record: impl FnMut(TracerouteResult),
+    mut on_record: impl FnMut(TracerouteResult),
 ) -> Result<IngestSummary, String> {
     let _span = trace::span("ingest");
-    if select_serial(options, available_parallelism()) {
-        ingest_reader_serial(reader, options, on_record)
+    let available = std::thread::available_parallelism().map_or(4, |n| n.get());
+    let workers = resolve_threads(options.threads, available);
+    if workers <= 1 {
+        ingest_inline(reader, options, |_, _, tr| on_record(tr))
     } else {
-        ingest_reader_parallel(reader, options, on_record)
+        ingest_workers(reader, options, workers, on_record)
     }
 }
 
 /// Incremental feed entry point for live intake: frame and decode one
 /// standalone byte slice (an appended corpus delta or a `POST
 /// /v1/traceroutes` body) with exactly the framing and quarantine
-/// semantics of [`ingest_file`]. Each decoded record is delivered with
-/// its byte offset within the slice and its raw framed bytes, so
-/// callers can spool accepted records verbatim. Serial by design — live
-/// intake chunks are small, and the worker pipeline's spawn cost would
-/// dominate. Returns the quarantined records, sorted by offset.
+/// semantics of [`ingest_file`]. Each decoded record is delivered, in
+/// input order, with its byte offset within the slice and its raw framed
+/// bytes, so callers can spool accepted records verbatim. Decoded inline
+/// — live intake chunks are small, and the worker pipeline's spawn cost
+/// would dominate. Returns the quarantined records, sorted by offset.
 pub fn ingest_slice(
     bytes: &[u8],
-    mut on_record: impl FnMut(u64, &[u8], TracerouteResult),
+    on_record: impl FnMut(u64, &[u8], TracerouteResult),
 ) -> Vec<Quarantined> {
     let _span = trace::span("ingest_slice");
-    let options = IngestOptions::default();
-    let mut quarantined: Vec<Quarantined> = Vec::new();
-    let mut handle = |frame: Frame<'_>| match frame {
-        Frame::Doc { offset, bytes } => match decode_record(offset, bytes, &options) {
-            Ok(tr) => on_record(offset, bytes, tr),
-            Err(q) => quarantined.push(q),
-        },
-        Frame::Junk {
-            offset,
-            bytes,
-            reason,
-        } => quarantined.push(Quarantined {
-            offset,
-            kind: QuarantineKind::Framing,
-            detail: reason.to_string(),
-            record: bytes.to_vec(),
-        }),
-    };
-    let mut splitter = DocSplitter::new();
-    splitter.feed(bytes, &mut handle);
-    splitter.finish(&mut handle);
-    quarantined.sort_by_key(|q| q.offset);
-    quarantined
+    ingest_inline(bytes, &IngestOptions::default(), on_record)
+        .expect("reading a byte slice cannot fail")
+        .quarantined
 }
 
-fn available_parallelism() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-}
-
-/// Whether an ingest should take the serial path: explicitly requested,
-/// or automatic thread selection (`threads == 0`) on a single-core host —
-/// there the worker pipeline only adds queue hand-off cost on top of one
-/// core's parsing (BENCH_ingest.json measured it ~25% slower than
-/// serial). An explicit `threads >= 1` still forces the worker pipeline,
-/// so its behaviour stays testable on any machine.
-fn select_serial(options: &IngestOptions, available: usize) -> bool {
-    options.serial || (options.threads == 0 && available <= 1)
-}
-
-fn resolve_threads(requested: usize) -> usize {
+/// Parse workers for a requested count, `0` meaning one per available
+/// core. One or fewer means decode inline: on a single core a worker
+/// only adds queue hand-offs (the one-worker pipeline measured ~25%
+/// slower than decoding on the framing thread).
+fn resolve_threads(requested: usize, available: usize) -> usize {
     if requested == 0 {
-        available_parallelism()
+        available
     } else {
         requested
     }
@@ -322,12 +298,16 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Decode one framed record; quarantines never escape as panics.
+/// Decode one framed record, adding its latency to `hist` when
+/// [`IngestOptions::record_latency`] asks for it; quarantines never
+/// escape as panics.
 fn decode_record(
     offset: u64,
     bytes: &[u8],
     options: &IngestOptions,
+    hist: &mut Histogram,
 ) -> Result<TracerouteResult, Quarantined> {
+    let t = options.record_latency.then(Instant::now);
     let quarantine = |kind: QuarantineKind, detail: String| Quarantined {
         offset,
         kind,
@@ -345,6 +325,9 @@ fn decode_record(
         doc.to_model()
             .map_err(|e| quarantine(QuarantineKind::Model, e.to_string()))
     }));
+    if let Some(t) = t {
+        hist.record(elapsed_nanos(t));
+    }
     match outcome {
         Ok(result) => result,
         Err(payload) => Err(quarantine(
@@ -354,99 +337,139 @@ fn decode_record(
     }
 }
 
-/// The retained single-threaded reference path: same framing and
-/// quarantine semantics as the worker pipeline, no threads, no queues.
-fn ingest_reader_serial(
-    mut reader: impl Read + Send,
+/// What one framing loop read and how long it spent splitting.
+#[derive(Default)]
+struct Framed {
+    bytes_read: u64,
+    frame_nanos: u64,
+}
+
+/// The one framing loop: read a chunk, split it into documents and junk
+/// with a [`DocSplitter`], and hand both to `sink`, which drains what it
+/// takes. Only the split is timed as framing — whatever the sink does (a
+/// queue send blocked by backpressure, an inline decode) is not. `sink`
+/// returns `false` to stop early (the pipeline's consumers are gone).
+fn frame_loop(
+    mut reader: impl Read,
     options: &IngestOptions,
-    mut on_record: impl FnMut(TracerouteResult),
-) -> Result<IngestSummary, String> {
-    let wall = Instant::now();
-    let mut summary = IngestSummary::default();
-    let mut decode_hist = Histogram::new();
+    mut sink: impl FnMut(&mut Batch, &mut Vec<Quarantined>) -> bool,
+) -> Result<Framed, String> {
+    let mut framed = Framed::default();
     let mut splitter = DocSplitter::new();
-    let mut buf = vec![0u8; options.chunk_bytes.max(1)];
-    // The emit closure cannot call `on_record` directly (it borrows the
-    // splitter), so each chunk's frames are staged and drained after.
-    let mut staged: Vec<Result<TracerouteResult, Quarantined>> = Vec::new();
+    let mut docs: Batch = Vec::new();
+    let mut junk: Vec<Quarantined> = Vec::new();
     loop {
+        // Each chunk gets its own shared allocation: frames reference it
+        // until their records are decoded, so it cannot be a reused
+        // buffer.
+        let mut buf = vec![0u8; options.chunk_bytes.max(1)];
         let n = reader.read(&mut buf).map_err(|e| format!("read: {e}"))?;
-        let chunk = &buf[..n];
-        summary.bytes_read += n as u64;
+        buf.truncate(n);
+        let chunk = Arc::new(buf);
+        framed.bytes_read += n as u64;
         if let Some(p) = &options.progress {
             p.bytes_read.fetch_add(n as u64, Ordering::Relaxed);
         }
         let t = Instant::now();
+        // The splitter's zero-copy contract: a document completing inside
+        // the fed chunk is emitted as a subslice of it. The pointer-range
+        // test tells those apart from carry-buffer frames exactly.
+        let base = chunk.as_ptr() as usize;
         let mut handle = |frame: Frame<'_>| match frame {
             Frame::Doc { offset, bytes } => {
-                if options.record_latency {
-                    let t_rec = Instant::now();
-                    let outcome = decode_record(offset, bytes, options);
-                    decode_hist.record(elapsed_nanos(t_rec));
-                    staged.push(outcome);
+                let p = bytes.as_ptr() as usize;
+                let rec = if p >= base && p + bytes.len() <= base + chunk.len() {
+                    RecordBytes::Shared {
+                        buf: Arc::clone(&chunk),
+                        start: p - base,
+                        len: bytes.len(),
+                    }
                 } else {
-                    staged.push(decode_record(offset, bytes, options));
-                }
+                    RecordBytes::Owned(bytes.to_vec())
+                };
+                docs.push((offset, rec));
             }
             Frame::Junk {
                 offset,
                 bytes,
                 reason,
-            } => staged.push(Err(Quarantined {
+            } => junk.push(Quarantined {
                 offset,
                 kind: QuarantineKind::Framing,
                 detail: reason.to_string(),
                 record: bytes.to_vec(),
-            })),
+            }),
         };
         if n == 0 {
-            let s = std::mem::take(&mut splitter);
-            s.finish(&mut handle);
+            std::mem::take(&mut splitter).finish(&mut handle);
         } else {
-            splitter.feed(chunk, &mut handle);
+            splitter.feed(&chunk, &mut handle);
         }
-        summary.frame_nanos += elapsed_nanos(t);
-        for outcome in staged.drain(..) {
+        framed.frame_nanos += elapsed_nanos(t);
+        if !sink(&mut docs, &mut junk) || n == 0 {
+            return Ok(framed);
+        }
+    }
+}
+
+/// Inline decode: the framing loop's sink decodes each chunk's documents
+/// on the calling thread, then delivers them with their offsets and raw
+/// framed bytes. Decode is timed apart from framing and delivery.
+fn ingest_inline(
+    reader: impl Read,
+    options: &IngestOptions,
+    mut on_record: impl FnMut(u64, &[u8], TracerouteResult),
+) -> Result<IngestSummary, String> {
+    let wall = Instant::now();
+    let mut summary = IngestSummary::default();
+    let mut outcomes = Vec::new();
+    let framed = frame_loop(reader, options, |docs, junk| {
+        if !docs.is_empty() {
+            let _span = trace::span_with("decode_batch", |a| {
+                a.u64("records", docs.len() as u64);
+            });
+            let t = Instant::now();
+            outcomes.extend(docs.iter().map(|(offset, bytes)| {
+                decode_record(*offset, bytes.as_slice(), options, &mut summary.decode_hist)
+            }));
+            summary.decode_nanos += elapsed_nanos(t);
+        }
+        for ((offset, bytes), outcome) in docs.drain(..).zip(outcomes.drain(..)) {
             match outcome {
                 Ok(tr) => {
                     summary.parsed += 1;
                     if let Some(p) = &options.progress {
                         p.records.fetch_add(1, Ordering::Relaxed);
                     }
-                    on_record(tr);
+                    on_record(offset, bytes.as_slice(), tr);
                 }
                 Err(q) => summary.quarantined.push(q),
             }
         }
-        if n == 0 {
-            break;
-        }
-    }
-    // Serial framing and decode interleave; attribute the non-framing
-    // share of the loop to decode.
-    summary.decode_nanos = elapsed_nanos(wall).saturating_sub(summary.frame_nanos);
-    summary.decode_hist = decode_hist;
+        summary.quarantined.append(junk);
+        true
+    })?;
+    summary.bytes_read = framed.bytes_read;
+    summary.frame_nanos = framed.frame_nanos;
     summary.quarantined.sort_by_key(|q| q.offset);
     summary.wall_nanos = elapsed_nanos(wall);
     Ok(summary)
 }
 
-/// The worker pipeline: framer thread → bounded batch queue → N parse
-/// workers → bounded result queue → caller thread.
-fn ingest_reader_parallel(
-    mut reader: impl Read + Send,
+/// The worker pipeline: the framing loop on its own thread → bounded
+/// batch queue → `workers` parse workers → bounded result queue → caller
+/// thread.
+fn ingest_workers(
+    reader: impl Read + Send,
     options: &IngestOptions,
+    workers: usize,
     mut on_record: impl FnMut(TracerouteResult),
 ) -> Result<IngestSummary, String> {
     let wall = Instant::now();
-    let threads = resolve_threads(options.threads);
     let batch_records = options.batch_records.max(1);
     let (batch_tx, batch_rx) = mpsc::sync_channel::<Batch>(options.queue_batches.max(1));
-    let (out_tx, out_rx) = mpsc::sync_channel::<Delivery>(options.queue_batches.max(1) + threads);
+    let (out_tx, out_rx) = mpsc::sync_channel::<Delivery>(options.queue_batches.max(1) + workers);
     let batch_queue = Mutex::new(batch_rx);
-    let fatal: Mutex<Option<String>> = Mutex::new(None);
-    let bytes_read = AtomicU64::new(0);
-    let frame_nanos = AtomicU64::new(0);
     let decode_nanos = AtomicU64::new(0);
     // Batch-queue depth gauge: pushed by the framer, popped by workers.
     // Saturating pop — a worker can account its pop before the framer's
@@ -456,19 +479,16 @@ fn ingest_reader_parallel(
     let decode_hist: Mutex<Histogram> = Mutex::new(Histogram::new());
 
     let mut summary = IngestSummary::default();
-    std::thread::scope(|scope| {
-        // Framer: read chunks, split into frames, batch the documents.
-        // Junk frames go straight to the result queue as quarantine.
-        {
+    let framed = std::thread::scope(|scope| {
+        // Framer: batch the documents for the workers. Junk frames go
+        // straight to the result queue as quarantine.
+        let framer = {
             let out_tx = out_tx.clone();
-            let fatal = &fatal;
-            let bytes_read = &bytes_read;
-            let frame_nanos = &frame_nanos;
             let queue_depth = &queue_depth;
             let queue_max_depth = &queue_max_depth;
-            let push_batch = move |b: Batch, tx: &mpsc::SyncSender<Batch>| {
-                if tx.send(b).is_err() {
-                    return false; // all workers are gone (fatal path)
+            let push_batch = move |b: Batch| {
+                if batch_tx.send(b).is_err() {
+                    return false; // all workers are gone
                 }
                 let depth = queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
                 queue_max_depth.fetch_max(depth, Ordering::Relaxed);
@@ -480,95 +500,29 @@ fn ingest_reader_parallel(
             std::thread::Builder::new()
                 .name("ingest-frame".into())
                 .spawn_scoped(scope, move || {
-                    let mut splitter = DocSplitter::new();
                     let mut batch: Batch = Vec::with_capacity(batch_records);
-                    let mut junk: Vec<Quarantined> = Vec::new();
-                    let mut full: Vec<Batch> = Vec::new();
-                    loop {
-                        // Each chunk gets its own shared allocation:
-                        // batches reference it until their records are
-                        // decoded, so it cannot be a reused buffer.
-                        let mut buf = vec![0u8; options.chunk_bytes.max(1)];
-                        let n = match reader.read(&mut buf) {
-                            Ok(n) => n,
-                            Err(e) => {
-                                *fatal.lock().expect("fatal slot lock") =
-                                    Some(format!("read: {e}"));
-                                return; // drops the senders; pipeline drains
-                            }
-                        };
-                        buf.truncate(n);
-                        let chunk = Arc::new(buf);
-                        bytes_read.fetch_add(n as u64, Ordering::Relaxed);
-                        if let Some(p) = &options.progress {
-                            p.bytes_read.fetch_add(n as u64, Ordering::Relaxed);
-                        }
-                        let t = Instant::now();
-                        // The splitter's zero-copy contract: a document
-                        // completing inside the fed chunk is emitted as
-                        // a subslice of it. The pointer-range test tells
-                        // those apart from carry-buffer frames exactly.
-                        let base = chunk.as_ptr() as usize;
-                        let mut handle = |frame: Frame<'_>| match frame {
-                            Frame::Doc { offset, bytes } => {
-                                let p = bytes.as_ptr() as usize;
-                                let rec = if p >= base && p + bytes.len() <= base + chunk.len() {
-                                    RecordBytes::Shared {
-                                        buf: Arc::clone(&chunk),
-                                        start: p - base,
-                                        len: bytes.len(),
-                                    }
-                                } else {
-                                    RecordBytes::Owned(bytes.to_vec())
-                                };
-                                batch.push((offset, rec));
-                                if batch.len() >= batch_records {
-                                    full.push(std::mem::take(&mut batch));
-                                }
-                            }
-                            Frame::Junk {
-                                offset,
-                                bytes,
-                                reason,
-                            } => junk.push(Quarantined {
-                                offset,
-                                kind: QuarantineKind::Framing,
-                                detail: reason.to_string(),
-                                record: bytes.to_vec(),
-                            }),
-                        };
-                        if n == 0 {
-                            let s = std::mem::take(&mut splitter);
-                            s.finish(&mut handle);
-                        } else {
-                            splitter.feed(&chunk, &mut handle);
-                        }
-                        frame_nanos.fetch_add(elapsed_nanos(t), Ordering::Relaxed);
-                        // Queue sends happen outside the timed region: a
-                        // blocked send is backpressure, not framing work.
-                        for b in full.drain(..) {
-                            if !push_batch(b, &batch_tx) {
-                                return;
+                    let framed = frame_loop(reader, options, |docs, junk| {
+                        for doc in docs.drain(..) {
+                            batch.push(doc);
+                            if batch.len() >= batch_records
+                                && !push_batch(std::mem::take(&mut batch))
+                            {
+                                return false;
                             }
                         }
-                        for q in junk.drain(..) {
-                            if out_tx.send(Delivery::Quarantined(q)).is_err() {
-                                return;
-                            }
-                        }
-                        if n == 0 {
-                            if !batch.is_empty() {
-                                push_batch(std::mem::take(&mut batch), &batch_tx);
-                            }
-                            return;
-                        }
+                        junk.drain(..)
+                            .all(|q| out_tx.send(Delivery::Quarantined(q)).is_ok())
+                    });
+                    if !batch.is_empty() {
+                        push_batch(batch);
                     }
+                    framed // dropping the senders lets the pipeline drain
                 })
-                .expect("spawn ingest framer thread");
-        }
+                .expect("spawn ingest framer thread")
+        };
 
         // Parse workers: steal batches until the framer hangs up.
-        for worker in 0..threads {
+        for worker in 0..workers {
             let out_tx = out_tx.clone();
             let batch_queue = &batch_queue;
             let decode_nanos = &decode_nanos;
@@ -606,15 +560,8 @@ fn ingest_reader_parallel(
                         let mut records = Vec::with_capacity(batch.len());
                         let mut quarantined = Vec::new();
                         for (offset, bytes) in &batch {
-                            let outcome = if options.record_latency {
-                                let t_rec = Instant::now();
-                                let outcome = decode_record(*offset, bytes.as_slice(), options);
-                                local_hist.record(elapsed_nanos(t_rec));
-                                outcome
-                            } else {
-                                decode_record(*offset, bytes.as_slice(), options)
-                            };
-                            match outcome {
+                            match decode_record(*offset, bytes.as_slice(), options, &mut local_hist)
+                            {
                                 Ok(tr) => records.push(tr),
                                 Err(q) => quarantined.push(q),
                             }
@@ -651,13 +598,11 @@ fn ingest_reader_parallel(
                 Delivery::Quarantined(q) => summary.quarantined.push(q),
             }
         }
-    });
+        framer.join().expect("ingest framer thread panicked")
+    })?;
 
-    if let Some(e) = fatal.into_inner().expect("fatal slot lock") {
-        return Err(e);
-    }
-    summary.bytes_read = bytes_read.into_inner();
-    summary.frame_nanos = frame_nanos.into_inner();
+    summary.bytes_read = framed.bytes_read;
+    summary.frame_nanos = framed.frame_nanos;
     summary.decode_nanos = decode_nanos.into_inner();
     summary.queue_max_depth = queue_max_depth.into_inner();
     summary.decode_hist = decode_hist.into_inner().expect("decode histogram lock");
@@ -698,7 +643,7 @@ mod tests {
     }
 
     /// A multiset fingerprint of delivered records: order-independent,
-    /// so serial and parallel ingests must agree exactly.
+    /// so inline and worker-pipeline ingests must agree exactly.
     fn fingerprint(
         options: &IngestOptions,
         input: &[u8],
@@ -744,6 +689,19 @@ mod tests {
             assert_eq!(&input[*offset as usize..end], &raw[..]);
             assert_eq!(raw.first(), Some(&b'{'));
         }
+        // The same inline loop over small read chunks hands over the
+        // same frames: records spanning a chunk boundary come out of the
+        // splitter's carry buffer byte for byte.
+        let mut chunked: Vec<(u64, Vec<u8>, u32)> = Vec::new();
+        let options = IngestOptions {
+            chunk_bytes: 97,
+            ..IngestOptions::default()
+        };
+        ingest_inline(&input[..], &options, |offset, raw, tr| {
+            chunked.push((offset, raw.to_vec(), tr.probe.0));
+        })
+        .unwrap();
+        assert_eq!(chunked, records);
         // A top-level array frames too (same DocSplitter).
         let mut n = 0;
         assert!(ingest_slice(&array_input(3), |_, _, _| n += 1).is_empty());
@@ -772,7 +730,7 @@ mod tests {
         let summary = ingest_reader(
             Cursor::new(input.clone()),
             &IngestOptions {
-                serial: true,
+                threads: 1,
                 ..IngestOptions::default()
             },
             |_| reader_accepted += 1,
@@ -787,17 +745,17 @@ mod tests {
     }
 
     #[test]
-    fn serial_and_parallel_agree_on_lines_and_array() {
+    fn inline_and_workers_agree_on_lines_and_array() {
         for input in [lines_input(100), array_input(100)] {
-            let serial = fingerprint(
+            let inline = fingerprint(
                 &IngestOptions {
-                    serial: true,
+                    threads: 1,
                     ..IngestOptions::default()
                 },
                 &input,
             );
-            for threads in [1, 4] {
-                let parallel = fingerprint(
+            for threads in [1, 2, 4] {
+                let chunked = fingerprint(
                     &IngestOptions {
                         threads,
                         chunk_bytes: 97, // force documents across chunk boundaries
@@ -805,10 +763,10 @@ mod tests {
                     },
                     &input,
                 );
-                assert_eq!(serial.0, parallel.0, "threads={threads}");
-                assert_eq!(serial.1.parsed, parallel.1.parsed);
-                assert_eq!(serial.1.bytes_read, parallel.1.bytes_read);
-                assert_eq!(serial.1.skipped(), parallel.1.skipped());
+                assert_eq!(inline.0, chunked.0, "threads={threads}");
+                assert_eq!(inline.1.parsed, chunked.1.parsed);
+                assert_eq!(inline.1.bytes_read, chunked.1.bytes_read);
+                assert_eq!(inline.1.skipped(), chunked.1.skipped());
             }
         }
     }
@@ -845,7 +803,7 @@ mod tests {
         let input = format!("{good}\nnot-json\n{model_bad}\n{good}\n");
         for options in [
             IngestOptions {
-                serial: true,
+                threads: 1,
                 ..IngestOptions::default()
             },
             IngestOptions {
@@ -883,15 +841,14 @@ mod tests {
         // Panic on the third record (offset = 2 lines in).
         let line_len = tr_json(0, 1000).len() + 1;
         let panic_offset = (2 * line_len) as u64;
-        for serial in [false, true] {
+        for threads in [1, 2] {
             let options = IngestOptions {
-                threads: 2,
-                serial,
+                threads,
                 inject_panic_offset: Some(panic_offset),
                 ..IngestOptions::default()
             };
             let (_, summary) = fingerprint(&options, &input);
-            assert_eq!(summary.parsed, 9, "serial={serial}");
+            assert_eq!(summary.parsed, 9, "threads={threads}");
             assert_eq!(summary.quarantined_of(QuarantineKind::WorkerPanic), 1);
             let q = &summary.quarantined[0];
             assert_eq!(q.offset, panic_offset);
@@ -917,35 +874,53 @@ mod tests {
     }
 
     #[test]
-    fn auto_thread_selection_prefers_serial_on_one_core() {
-        let auto = IngestOptions::default();
-        assert!(
-            select_serial(&auto, 1),
-            "auto threads on one core must take the serial path"
-        );
-        assert!(!select_serial(&auto, 8));
-        let explicit_one = IngestOptions {
+    fn at_most_one_resolved_worker_decodes_inline() {
+        // (requested threads, available cores) -> decodes inline?
+        for (requested, available, inline) in [
+            (0, 1, true), // auto on a one-core host
+            (0, 2, false),
+            (0, 8, false),
+            (1, 1, true), // one worker is never worth a queue
+            (1, 8, true),
+            (2, 1, false), // an explicit count >= 2 keeps the workers
+            (4, 8, false),
+        ] {
+            assert_eq!(
+                resolve_threads(requested, available) <= 1,
+                inline,
+                "threads={requested} on {available} cores"
+            );
+        }
+    }
+
+    #[test]
+    fn inline_decode_is_timed_apart_from_framing() {
+        let options = IngestOptions {
             threads: 1,
+            chunk_bytes: 512,
+            record_latency: true,
             ..IngestOptions::default()
         };
+        let (_, summary) = fingerprint(&options, &lines_input(200));
+        assert_eq!(summary.parsed, 200);
+        assert!(summary.frame_nanos > 0 && summary.decode_nanos > 0);
         assert!(
-            !select_serial(&explicit_one, 1),
-            "explicit thread counts keep the worker pipeline"
+            summary.frame_nanos + summary.decode_nanos <= summary.wall_nanos,
+            "frame {} + decode {} > wall {}",
+            summary.frame_nanos,
+            summary.decode_nanos,
+            summary.wall_nanos
         );
-        let forced = IngestOptions {
-            serial: true,
-            ..IngestOptions::default()
-        };
-        assert!(select_serial(&forced, 16));
+        assert!(summary.decode_hist.sum() <= summary.decode_nanos);
+        assert_eq!(summary.queue_max_depth, 0, "inline decode has no queue");
     }
 
     #[test]
     fn latency_and_progress_gauges_are_collected_when_asked() {
         let input = lines_input(100);
-        for serial in [true, false] {
+        for threads in [1, 2] {
             let options = IngestOptions {
-                serial,
-                threads: 2,
+                threads,
                 batch_records: 4,
                 record_latency: true,
                 progress: Some(Arc::new(LiveProgress::default())),
@@ -953,7 +928,7 @@ mod tests {
             };
             let progress = options.progress.clone().unwrap();
             let (_, summary) = fingerprint(&options, &input);
-            assert_eq!(summary.decode_hist.count(), 100, "serial={serial}");
+            assert_eq!(summary.decode_hist.count(), 100, "threads={threads}");
             assert!(summary.decode_hist.max() > 0);
             assert_eq!(
                 progress.bytes_read.load(Ordering::Relaxed) as usize,
@@ -965,8 +940,8 @@ mod tests {
                 0,
                 "queue fully drained"
             );
-            if serial {
-                assert_eq!(summary.queue_max_depth, 0, "serial path has no queue");
+            if threads == 1 {
+                assert_eq!(summary.queue_max_depth, 0, "inline decode has no queue");
             } else {
                 assert!(summary.queue_max_depth > 0, "queue gauge never moved");
             }

@@ -1,7 +1,8 @@
 #!/bin/sh
 # Ingest perf record: classify a simulated dataset in both wire forms
-# (JSON Lines and top-level array) on the serial reference path and at
-# --ingest-threads 1 / auto, collecting each run's --stats-out document
+# (JSON Lines and top-level array) at --ingest-threads 1 (inline decode
+# on the framing thread), 2 and 3 (the worker pipeline, also on a
+# one-core host) and auto, collecting each run's --stats-out document
 # into BENCH_ingest.json. Offline; uses only the repo's own binary.
 #
 # The criterion benchmark (cargo bench -p lastmile-bench --bench ingest)
@@ -10,8 +11,8 @@
 #
 # BENCH_SMOKE=1 runs a fast correctness-only pass instead: a one-day
 # corpus (plus a deliberately corrupted copy) is classified in every
-# form × mode combination and each parallel mode's --json output and
-# quarantine dump must be byte-identical to the serial reference path.
+# form × mode combination and each worker mode's --json output and
+# quarantine dump must be byte-identical to the inline (threads1) run.
 # No timings are recorded and BENCH_ingest.json is not touched — this is
 # the cross-mode identity check scripts/check.sh runs on every change.
 set -eu
@@ -44,23 +45,19 @@ if [ "${BENCH_SMOKE:-0}" = "1" ]; then
             array) file=$array ;;
             corrupt) file=$corrupt ;;
         esac
-        for mode in serial 1 0; do
-            case $mode in
-                serial) args="--ingest-serial" label=serial ;;
-                *) args="--ingest-threads $mode" label="threads$mode" ;;
-            esac
+        for mode in 1 2 3 0; do
+            label="threads$mode"
             echo "==> smoke: classify $form $label"
-            # shellcheck disable=SC2086 # $args is intentionally word-split
             "$bin" classify --traceroutes "$file" --probes "$work/probes.json" \
-                $args --json --quarantine "$work/q.$form.$label.jsonl" \
+                --ingest-threads "$mode" --json --quarantine "$work/q.$form.$label.jsonl" \
                 >"$work/out.$form.$label.json" 2>/dev/null
-            if [ "$label" != serial ]; then
-                cmp "$work/out.$form.serial.json" "$work/out.$form.$label.json" || {
-                    echo "FAIL: $form $label classify --json differs from serial" >&2
+            if [ "$label" != threads1 ]; then
+                cmp "$work/out.$form.threads1.json" "$work/out.$form.$label.json" || {
+                    echo "FAIL: $form $label classify --json differs from threads1" >&2
                     exit 1
                 }
-                cmp "$work/q.$form.serial.jsonl" "$work/q.$form.$label.jsonl" || {
-                    echo "FAIL: $form $label quarantine dump differs from serial" >&2
+                cmp "$work/q.$form.threads1.jsonl" "$work/q.$form.$label.jsonl" || {
+                    echo "FAIL: $form $label quarantine dump differs from threads1" >&2
                     exit 1
                 }
             fi
@@ -68,7 +65,7 @@ if [ "${BENCH_SMOKE:-0}" = "1" ]; then
     done
     # The corrupted corpus must actually have quarantined something, or
     # the quarantine identity above is vacuous.
-    [ -s "$work/q.corrupt.serial.jsonl" ] || {
+    [ -s "$work/q.corrupt.threads1.jsonl" ] || {
         echo "FAIL: corrupted corpus produced an empty quarantine dump" >&2
         exit 1
     }
@@ -97,21 +94,11 @@ for form in lines array; do
         lines) file=$jsonl ;;
         array) file=$array ;;
     esac
-    for mode in serial 1 0; do
-        case $mode in
-            serial)
-                args="--ingest-serial"
-                label=serial
-                ;;
-            *)
-                args="--ingest-threads $mode"
-                label="threads$mode"
-                ;;
-        esac
+    for mode in 1 2 3 0; do
+        label="threads$mode"
         echo "==> classify $form $label"
-        # shellcheck disable=SC2086 # $args is intentionally word-split
         "$bin" classify --traceroutes "$file" --probes "$work/probes.json" \
-            $args --stats-out "$work/stats.json" >/dev/null 2>&1
+            --ingest-threads "$mode" --stats-out "$work/stats.json" >/dev/null 2>&1
         [ "$first" -eq 1 ] || printf ',\n' >>"$out"
         first=0
         printf '    {"form": "%s", "mode": "%s", "stats": ' "$form" "$label" >>"$out"

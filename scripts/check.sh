@@ -30,8 +30,8 @@ cargo test -q --manifest-path benchmark/Cargo.toml
 
 # Ingest smoke: every form × mode combination of classify over a small
 # corpus (plus a corrupted copy) must produce --json output and a
-# quarantine dump byte-identical to the serial reference path — the
-# invariant the parallel zero-copy framer is held to.
+# quarantine dump byte-identical to inline decode (--ingest-threads 1) —
+# the invariant the parallel zero-copy worker pipeline is held to.
 echo "==> ingest smoke (BENCH_SMOKE=1 scripts/bench_ingest.sh)"
 BENCH_SMOKE=1 sh scripts/bench_ingest.sh
 

@@ -10,6 +10,10 @@
 //! * [`run_survey`] — the §3 loop: every AS × every period, parallelised
 //!   across worker threads with deterministic results (the simulation is
 //!   seed-addressed, so thread scheduling cannot change any value).
+//! * [`run_tasks`] — the one parallel executor behind the survey, the
+//!   experiments harness's population batches and `fleet gen`: indexed
+//!   tasks, a work-stealing cursor, per-task panic isolation, results in
+//!   task order.
 //! * [`eyeballs_from_ground_truth`] — an [`EyeballRegistry`] carrying the
 //!   survey scenario's synthetic APNIC ranks and countries.
 
@@ -24,7 +28,8 @@ use lastmile_prefix::Asn;
 use lastmile_store::{Lookup, SeriesStore, StoreCounters, StoreKey};
 use lastmile_timebase::MeasurementPeriod;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// Which probes of an AS a population analysis uses.
 #[derive(Clone, Debug, Default)]
@@ -187,13 +192,13 @@ pub struct SurveyOptions {
 ///
 /// # Scheduling
 ///
-/// Every (AS, period) pair is one task in a shared queue that `threads`
-/// workers drain — a worker that lands on a probe-heavy AS simply takes
-/// fewer tasks, so skewed probe counts cannot idle the other workers
-/// (unlike static chunking, where the chunk containing the heavy ASes
-/// bounds the whole run). Results are sorted by `(asn, period)` before
-/// the report is assembled, and the simulation is seed-addressed, so the
-/// report is identical for every thread count.
+/// Every (AS, period) pair is one task of [`run_tasks`], which `threads`
+/// workers claim one at a time — a worker that lands on a probe-heavy AS
+/// simply claims fewer tasks, so skewed probe counts cannot idle the
+/// other workers (unlike static chunking, where the chunk containing the
+/// heavy ASes bounds the whole run). Results are sorted by
+/// `(asn, period)` before the report is assembled, and the simulation is
+/// seed-addressed, so the report is identical for every thread count.
 ///
 /// # Failure isolation
 ///
@@ -208,112 +213,78 @@ pub fn run_survey(
 ) -> SurveyReport {
     let run_timer = StageTimer::start();
     let asns: Vec<Asn> = world.ases().iter().map(|a| a.config.asn).collect();
-    let threads = resolve_threads(options.threads);
     let engine = TracerouteEngine::new(world);
     let store_counters_before = options.store.as_ref().map(|s| s.counters());
-
-    // Pre-load the task queue. Workers pop one task at a time; the
-    // channel is the work-stealing queue (all tasks are enqueued before
-    // any worker starts, so `try_recv` emptiness means completion).
-    let (tx, rx) = mpsc::channel::<(Asn, usize)>();
-    for &asn in &asns {
-        for period_idx in 0..periods.len() {
-            tx.send((asn, period_idx)).expect("task queue send");
-        }
-    }
-    drop(tx);
-    let queue = Mutex::new(rx);
+    let tasks = asns.len() * periods.len();
+    let task_of = |i: usize| (asns[i / periods.len()], &periods[i % periods.len()]);
     if let Some(p) = &options.progress {
-        use std::sync::atomic::Ordering;
-        p.populations_total
-            .store((asns.len() * periods.len()) as u64, Ordering::Relaxed);
+        p.populations_total.store(tasks as u64, Ordering::Relaxed);
     }
+
+    let outcomes = run_tasks(options.threads, "survey", tasks, |i| {
+        let (asn, period) = task_of(i);
+        let _span = trace::span_with("population", |a| {
+            a.u64("asn", u64::from(asn)).str("period", period.label());
+        });
+        let task_timer = StageTimer::start();
+        if options.inject_panic_asn == Some(asn) {
+            panic!("injected survey panic for AS{asn}");
+        }
+        let analysis = match &options.store {
+            Some(store) => analyze_population_stored(
+                &engine,
+                asn,
+                period,
+                options.pipeline,
+                &ProbeSelection::regular(),
+                store,
+            ),
+            None => analyze_population_with(
+                &engine,
+                asn,
+                period,
+                options.pipeline,
+                &ProbeSelection::regular(),
+            ),
+        };
+        if let Some(m) = &options.metrics {
+            record_population_metrics(
+                m,
+                asn,
+                period.label(),
+                &analysis,
+                task_timer.elapsed_nanos(),
+            );
+        }
+        if let Some(p) = &options.progress {
+            p.populations_done.fetch_add(1, Ordering::Relaxed);
+        }
+        classify_row(asn, period, &analysis, eyeballs)
+    });
 
     let mut rows: Vec<AsClassification> = Vec::new();
     let mut failures: Vec<SurveyFailure> = Vec::new();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|worker| {
-                let queue = &queue;
-                let engine = &engine;
-                std::thread::Builder::new()
-                    .name(format!("survey-{worker}"))
-                    .spawn_scoped(scope, move || {
-                        let mut ok = Vec::new();
-                        let mut failed = Vec::new();
-                        while let Some((asn, period_idx)) = next_task(queue) {
-                            let period = &periods[period_idx];
-                            let span = trace::span_with("population", |a| {
-                                a.u64("asn", u64::from(asn)).str("period", period.label());
-                            });
-                            let task_timer = StageTimer::start();
-                            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                                if options.inject_panic_asn == Some(asn) {
-                                    panic!("injected survey panic for AS{asn}");
-                                }
-                                match &options.store {
-                                    Some(store) => analyze_population_stored(
-                                        engine,
-                                        asn,
-                                        period,
-                                        options.pipeline,
-                                        &ProbeSelection::regular(),
-                                        store,
-                                    ),
-                                    None => analyze_population_with(
-                                        engine,
-                                        asn,
-                                        period,
-                                        options.pipeline,
-                                        &ProbeSelection::regular(),
-                                    ),
-                                }
-                            }));
-                            match outcome {
-                                Ok(analysis) => {
-                                    if let Some(m) = &options.metrics {
-                                        record_population_metrics(
-                                            m,
-                                            asn,
-                                            period.label(),
-                                            &analysis,
-                                            task_timer.elapsed_nanos(),
-                                        );
-                                    }
-                                    ok.push(classify_row(asn, period, &analysis, eyeballs));
-                                }
-                                Err(payload) => {
-                                    if let Some(m) = &options.metrics {
-                                        m.add_task_failed();
-                                    }
-                                    failed.push(SurveyFailure {
-                                        asn,
-                                        period: period.id(),
-                                        reason: panic_message(payload.as_ref()),
-                                    });
-                                }
-                            }
-                            drop(span);
-                            if let Some(p) = &options.progress {
-                                use std::sync::atomic::Ordering;
-                                p.populations_done.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                        (ok, failed)
-                    })
-                    .expect("spawn survey worker")
-            })
-            .collect();
-        for h in handles {
-            // Per-task panics are caught above; a panic escaping here is
-            // a bug in the executor itself, not in an analysis.
-            let (ok, failed) = h.join().expect("survey worker died outside task isolation");
-            rows.extend(ok);
-            failures.extend(failed);
+    for (i, outcome) in outcomes.into_iter().enumerate() {
+        match outcome {
+            Ok(row) => rows.push(row),
+            Err(reason) => {
+                let (asn, period) = task_of(i);
+                if let Some(m) = &options.metrics {
+                    m.add_task_failed();
+                }
+                if let Some(p) = &options.progress {
+                    p.populations_done.fetch_add(1, Ordering::Relaxed);
+                }
+                failures.push(SurveyFailure {
+                    asn,
+                    period: period.id(),
+                    reason,
+                });
+            }
         }
-    });
+    }
 
-    // Deterministic order regardless of thread count and steal order.
+    // Deterministic order regardless of the world's AS order.
     rows.sort_by_key(|r| (r.asn, r.period));
     failures.sort_by_key(|f| (f.asn, f.period));
     let mut report = SurveyReport::new();
@@ -332,6 +303,71 @@ pub fn run_survey(
     report
 }
 
+/// The workspace's one parallel executor: run `tasks` indexed tasks on
+/// `threads` scoped workers (`0` = one per available core, never more
+/// workers than tasks) named `{name}-{i}`.
+///
+/// Workers claim the next unclaimed index from a shared cursor, so a
+/// worker that lands on an expensive task simply claims fewer of them.
+/// A panic is caught per task and comes back as that task's `Err`,
+/// carrying the panic message; the other tasks still run. Results come
+/// back in task order whatever the thread count or claim order.
+pub fn run_tasks<T: Send>(
+    threads: usize,
+    name: &str,
+    tasks: usize,
+    task: impl Fn(usize) -> T + Sync,
+) -> Vec<Result<T, String>> {
+    let threads = match threads {
+        0 => std::thread::available_parallelism().map_or(4, |n| n.get()),
+        n => n,
+    }
+    .min(tasks);
+    let cursor = AtomicUsize::new(0);
+    let mut results: Vec<Option<Result<T, String>>> = (0..tasks).map(|_| None).collect();
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads)
+            .map(|worker| {
+                std::thread::Builder::new()
+                    .name(format!("{name}-{worker}"))
+                    .spawn_scoped(scope, || {
+                        let mut done = Vec::new();
+                        loop {
+                            let i = cursor.fetch_add(1, Ordering::Relaxed);
+                            if i >= tasks {
+                                return done;
+                            }
+                            let outcome = catch_unwind(AssertUnwindSafe(|| task(i)));
+                            done.push((i, outcome.map_err(|payload| panic_message(&*payload))));
+                        }
+                    })
+                    .expect("spawn executor worker")
+            })
+            .collect();
+        for worker in workers {
+            // Task panics are caught above; a panic escaping here is a
+            // bug in the executor itself.
+            for (i, outcome) in worker.join().expect("executor worker died outside a task") {
+                results[i] = Some(outcome);
+            }
+        }
+    });
+    results
+        .into_iter()
+        .map(|r| r.expect("every task ran"))
+        .collect()
+}
+
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "panic with non-string payload".to_string()
+    }
+}
+
 /// The store traffic between two counter readings, as an obs delta.
 pub fn store_traffic_since(before: StoreCounters, after: StoreCounters) -> StoreTraffic {
     StoreTraffic {
@@ -341,59 +377,6 @@ pub fn store_traffic_since(before: StoreCounters, after: StoreCounters) -> Store
         inserts: after.inserts - before.inserts,
         evictions: after.evictions - before.evictions,
     }
-}
-
-/// Reference scheduler: the pre-executor static chunking driver, kept so
-/// the `survey_executor` benchmark can measure the load-balancing win.
-/// Produces the same report as [`run_survey`] on panic-free inputs, but
-/// one slow chunk bounds the whole run and worker panics abort it.
-#[doc(hidden)]
-pub fn run_survey_static_chunks(
-    world: &World,
-    periods: &[MeasurementPeriod],
-    eyeballs: &EyeballRegistry,
-    options: &SurveyOptions,
-) -> SurveyReport {
-    let asns: Vec<Asn> = world.ases().iter().map(|a| a.config.asn).collect();
-    let threads = resolve_threads(options.threads);
-    let engine = TracerouteEngine::new(world);
-    let chunk = asns.len().div_ceil(threads.max(1)).max(1);
-
-    let mut rows: Vec<AsClassification> = Vec::new();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = asns
-            .chunks(chunk)
-            .map(|asn_chunk| {
-                let engine = &engine;
-                scope.spawn(move || {
-                    let mut local = Vec::new();
-                    for &asn in asn_chunk {
-                        for period in periods {
-                            let analysis = analyze_population_with(
-                                engine,
-                                asn,
-                                period,
-                                options.pipeline,
-                                &ProbeSelection::regular(),
-                            );
-                            local.push(classify_row(asn, period, &analysis, eyeballs));
-                        }
-                    }
-                    local
-                })
-            })
-            .collect();
-        for h in handles {
-            rows.extend(h.join().expect("survey worker panicked"));
-        }
-    });
-
-    rows.sort_by_key(|r| (r.asn, r.period));
-    let mut report = SurveyReport::new();
-    for row in rows {
-        report.push(row);
-    }
-    report
 }
 
 /// Accumulate one population's [`PopulationStats`] into the run metrics,
@@ -431,30 +414,6 @@ pub fn record_population_metrics(
         class: analysis.class().name().to_string(),
         nanos: task_nanos,
     });
-}
-
-fn resolve_threads(requested: usize) -> usize {
-    if requested == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4)
-    } else {
-        requested
-    }
-}
-
-fn next_task(queue: &Mutex<mpsc::Receiver<(Asn, usize)>>) -> Option<(Asn, usize)> {
-    queue.lock().expect("task queue lock").try_recv().ok()
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "panic with non-string payload".to_string()
-    }
 }
 
 /// Turn one population analysis into a report row.
@@ -504,4 +463,68 @@ pub fn class_within_one(detected: CongestionClass, planted: CongestionClass) -> 
         CongestionClass::Severe => 3,
     };
     (idx(detected) - idx(planted)).abs() <= 1
+}
+
+#[cfg(test)]
+mod tests {
+    use super::run_tasks;
+
+    #[test]
+    fn results_come_back_in_task_order() {
+        for threads in [1, 2, 8] {
+            // Uneven costs so claim order and completion order differ.
+            let out = run_tasks(threads, "test", 50, |i| {
+                std::thread::sleep(std::time::Duration::from_micros(((i * 7) % 5) as u64 * 100));
+                i * i
+            });
+            let out: Vec<usize> = out.into_iter().map(Result::unwrap).collect();
+            assert_eq!(
+                out,
+                (0..50).map(|i| i * i).collect::<Vec<_>>(),
+                "threads={threads}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_panicking_task_fails_alone() {
+        let out = run_tasks(2, "test", 10, |i| {
+            if i == 3 {
+                panic!("task {i} exploded");
+            }
+            i
+        });
+        assert_eq!(out.len(), 10);
+        for (i, r) in out.iter().enumerate() {
+            match r {
+                Ok(v) => assert_eq!(*v, i),
+                Err(msg) => {
+                    assert_eq!(i, 3);
+                    assert_eq!(msg, "task 3 exploded");
+                }
+            }
+        }
+        assert_eq!(out.iter().filter(|r| r.is_err()).count(), 1);
+    }
+
+    #[test]
+    fn more_threads_than_tasks_and_zero_tasks() {
+        let out = run_tasks(16, "test", 3, |i| i + 1);
+        assert_eq!(out, vec![Ok(1), Ok(2), Ok(3)]);
+        let out = run_tasks(4, "test", 0, |i| i);
+        assert!(out.is_empty());
+        let out = run_tasks(0, "test", 0, |i| i);
+        assert!(out.is_empty());
+    }
+
+    #[test]
+    fn workers_are_named_after_the_prefix() {
+        let out = run_tasks(2, "named", 4, |_| {
+            std::thread::current().name().map(str::to_string)
+        });
+        for name in out.into_iter().map(Result::unwrap) {
+            let name = name.expect("workers are named");
+            assert!(name == "named-0" || name == "named-1", "{name}");
+        }
+    }
 }

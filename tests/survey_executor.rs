@@ -1,12 +1,12 @@
 //! Survey executor invariants.
 //!
-//! The §3 driver schedules (AS, period) tasks onto worker threads from a
-//! shared queue. Two properties must hold regardless of scheduling:
+//! The §3 driver runs its (AS, period) tasks on the work-stealing
+//! executor (`runner::run_tasks`). Two properties must hold regardless
+//! of scheduling:
 //!
 //! * **Determinism** — the report is identical for every thread count
 //!   (the simulation is seed-addressed and rows are sorted by
-//!   `(asn, period)`), and identical to the static-chunk reference
-//!   scheduler.
+//!   `(asn, period)`); the one-worker run is the reference.
 //! * **Failure isolation** — a panic while analysing one population is
 //!   confined to that task: it becomes a [`SurveyFailure`] row instead
 //!   of aborting the survey.
@@ -14,9 +14,7 @@
 use lastmile_repro::core::report::SurveyReport;
 use lastmile_repro::netsim::scenarios::survey::{survey_world, SurveyConfig, SurveyScenario};
 use lastmile_repro::obs::RunMetrics;
-use lastmile_repro::runner::{
-    eyeballs_from_ground_truth, run_survey, run_survey_static_chunks, SurveyOptions,
-};
+use lastmile_repro::runner::{eyeballs_from_ground_truth, run_survey, SurveyOptions};
 use lastmile_repro::timebase::MeasurementPeriod;
 use std::sync::Arc;
 
@@ -63,6 +61,7 @@ fn report_is_identical_across_thread_counts() {
         (fingerprint(&report), metrics.snapshot())
     };
 
+    // The one-worker run is the reference schedule.
     let (one, m1) = run(1);
     let (two, m2) = run(2);
     let (auto, _) = run(0);
@@ -77,18 +76,6 @@ fn report_is_identical_across_thread_counts() {
     assert!(m1.traceroutes_ingested > 0, "survey ingested nothing");
     assert_eq!(m1.tasks_failed, 0);
     assert!(m1.stage_nanos.wall > 0);
-
-    // The work-stealing schedule changes nothing vs static chunks.
-    let reference = run_survey_static_chunks(
-        &scenario.world,
-        &periods,
-        &eyeballs,
-        &SurveyOptions {
-            threads: 2,
-            ..Default::default()
-        },
-    );
-    assert_eq!(one, fingerprint(&reference), "stealing vs static chunks");
 }
 
 #[test]
