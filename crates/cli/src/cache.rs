@@ -12,7 +12,7 @@ use crate::Flags;
 use lastmile_repro::core::pipeline::PipelineConfig;
 use lastmile_repro::core::series::ProbeSeriesBuilder;
 use lastmile_repro::ingest::{ingest_file, IngestOptions};
-use lastmile_repro::obs::{trace, RunMetrics, StageTimer};
+use lastmile_repro::obs::{trace, RunMetrics, StageTimer, StoreStats};
 use lastmile_repro::store::{CacheMode, SeriesStore, StoreConfig, StoreKey};
 use lastmile_repro::timebase::TimeRange;
 use std::io::Read;
@@ -135,8 +135,11 @@ pub fn from_flags(
     let (store, bytes, error) = SeriesStore::load_snapshot_or_empty(&path, fingerprint, config);
     drop(span);
     if let Some(m) = metrics {
-        m.add_store_load_nanos(load_timer.elapsed_nanos());
-        m.add_store_bytes_read(bytes);
+        m.store.add(&StoreStats {
+            snapshot_load_nanos: load_timer.elapsed_nanos(),
+            snapshot_bytes_read: bytes,
+            ..StoreStats::default()
+        });
     }
     match &error {
         Some(e) => eprintln!("[cache] ignoring {}: {e} (recomputing)", path.display()),
@@ -180,8 +183,11 @@ impl Cache {
             .map_err(|e| format!("save cache snapshot {}: {e}", self.path.display()))?;
         drop(span);
         if let Some(m) = metrics {
-            m.add_store_save_nanos(save_timer.elapsed_nanos());
-            m.add_store_bytes_written(bytes);
+            m.store.add(&StoreStats {
+                snapshot_save_nanos: save_timer.elapsed_nanos(),
+                snapshot_bytes_written: bytes,
+                ..StoreStats::default()
+            });
         }
         eprintln!(
             "[cache] saved {} ({} series, {bytes} bytes)",

@@ -226,8 +226,8 @@ pub fn analyze_corpus(
         })?;
         parsed += summary.parsed;
         if let Some(m) = metrics {
-            m.add_ingest_traffic(&ingest_traffic(&summary));
-            m.merge_decode_hist(&summary.decode_hist);
+            m.ingest.add(&ingest_traffic(&summary));
+            m.latency.decode.merge(&summary.decode_hist);
         }
         quarantined_all.extend(summary.quarantined);
     }
@@ -249,7 +249,9 @@ pub fn analyze_corpus(
         }
     }
     if let Some(m) = metrics {
-        m.add_ingest_nanos(ingest_timer.elapsed_nanos());
+        m.stage_nanos
+            .ingest
+            .fetch_add(ingest_timer.elapsed_nanos(), Ordering::Relaxed);
     }
     eprintln!(
         "[input] {parsed} traceroutes parsed, {} skipped",
@@ -324,7 +326,8 @@ pub fn analyze_corpus(
             }
         }
         if let (Some(m), Some(before)) = (metrics, counters_before) {
-            m.add_store_traffic(&store_traffic_since(before, c.store.counters()));
+            m.store
+                .add(&store_traffic_since(before, c.store.counters()));
         }
     }
     Ok(results)

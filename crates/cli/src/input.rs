@@ -11,7 +11,7 @@ use crate::Flags;
 use lastmile_repro::atlas::framing::{DocSplitter, Frame, FrameKind};
 use lastmile_repro::atlas::{Probe, ProbeId};
 use lastmile_repro::ingest::{IngestOptions, IngestSummary, Quarantined};
-use lastmile_repro::obs::IngestTraffic;
+use lastmile_repro::obs::{IngestStats, QuarantineStats};
 use lastmile_repro::prefix::Asn;
 use lastmile_repro::timebase::{TimeRange, UnixTime};
 use std::collections::BTreeMap;
@@ -26,20 +26,23 @@ pub fn ingest_options(flags: &Flags) -> Result<IngestOptions, String> {
     })
 }
 
-/// Map an ingest summary onto the obs counters.
-pub fn ingest_traffic(summary: &IngestSummary) -> IngestTraffic {
+/// Map an ingest summary onto an obs ingest delta.
+pub fn ingest_traffic(summary: &IngestSummary) -> IngestStats {
     use lastmile_repro::ingest::QuarantineKind;
-    IngestTraffic {
+    IngestStats {
         bytes_read: summary.bytes_read,
         records_decoded: summary.parsed,
-        quarantined_framing: summary.quarantined_of(QuarantineKind::Framing),
-        quarantined_json: summary.quarantined_of(QuarantineKind::Json),
-        quarantined_model: summary.quarantined_of(QuarantineKind::Model),
-        quarantined_panic: summary.quarantined_of(QuarantineKind::WorkerPanic),
+        quarantined: QuarantineStats {
+            framing: summary.quarantined_of(QuarantineKind::Framing),
+            json: summary.quarantined_of(QuarantineKind::Json),
+            model: summary.quarantined_of(QuarantineKind::Model),
+            worker_panic: summary.quarantined_of(QuarantineKind::WorkerPanic),
+        },
         frame_nanos: summary.frame_nanos,
         decode_nanos: summary.decode_nanos,
         wall_nanos: summary.wall_nanos,
         queue_max_depth: summary.queue_max_depth,
+        ..IngestStats::default()
     }
 }
 

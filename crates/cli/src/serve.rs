@@ -52,11 +52,10 @@ use lastmile_repro::live::{
     intake_body, newline_aligned_len, AppendWatcher, Epoch, LiveConfig, LiveEngine, LiveHandle,
     Spool,
 };
-use lastmile_repro::obs::ops::TIMELINE_METRICS;
+use lastmile_repro::obs::ops::{TimelineSampler, TIMELINE_METRICS};
 use lastmile_repro::obs::{
     prom, EpochTelemetry, LiveMetrics, LiveMetricsSnapshot, OpsTimeline, RunMetrics,
     RunMetricsSnapshot, ServeEndpoint, ServeMetrics, ServeMetricsSnapshot, StageTimer,
-    TimelineSample,
 };
 use lastmile_repro::prefix::Asn;
 use lastmile_repro::serve::http::{Request, Response};
@@ -66,7 +65,7 @@ use serde::Serialize;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
+use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
 /// One fully-rendered analysis generation: everything a request needs,
 /// immutable once published. Re-analysis builds the next one off to the
@@ -543,33 +542,10 @@ fn with_epoch(resp: Response, generation: u64) -> Response {
     resp.header("X-Epoch", generation.to_string())
 }
 
-/// Counter values whose deltas become the timeline's rate metrics.
-#[derive(Clone, Copy)]
-struct OpsCounters {
-    accepted: u64,
-    shed_cheap: u64,
-    shed_heavy: u64,
-    shed_intake: u64,
-    rejected_busy: u64,
-}
-
-impl OpsCounters {
-    fn read(m: &ServeMetrics) -> OpsCounters {
-        OpsCounters {
-            accepted: m.accepted.load(Ordering::Relaxed),
-            shed_cheap: m.admission_cheap.shed.load(Ordering::Relaxed),
-            shed_heavy: m.admission_heavy.shed.load(Ordering::Relaxed),
-            shed_intake: m.admission_intake.shed.load(Ordering::Relaxed),
-            rejected_busy: m.rejected_busy.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// The self-scrape sampler: every `sample_ms`, read the metrics
-/// surface and push one [`TimelineSample`] into the ring. Rate metrics
-/// are per-second deltas between consecutive samples (the first sample
-/// reports zero rates); gauges are instantaneous. Sleeps in short
-/// steps so shutdown stays prompt at long intervals.
+/// The self-scrape sampler: every `sample_ms`, snapshot the metrics
+/// and push one timeline sample into the ring (see
+/// [`TimelineSampler`] for how rates and levels are read). Sleeps in
+/// short steps so shutdown stays prompt at long intervals.
 fn sampler_loop(
     timeline: &OpsTimeline,
     serve: &ServeMetrics,
@@ -578,32 +554,13 @@ fn sampler_loop(
     stop: &AtomicBool,
 ) {
     let interval = Duration::from_millis(sample_ms.max(10));
-    let mut prev: Option<(Instant, OpsCounters)> = None;
+    let mut sampler = TimelineSampler::default();
     while !stop.load(Ordering::Relaxed) {
-        let now = Instant::now();
-        let counters = OpsCounters::read(serve);
-        // Values in TIMELINE_METRICS order.
-        let mut values = [0.0f64; 9];
-        if let Some((t0, p)) = prev {
-            let dt = now.duration_since(t0).as_secs_f64().max(1e-9);
-            let rate = |cur: u64, before: u64| cur.saturating_sub(before) as f64 / dt;
-            values[0] = rate(counters.accepted, p.accepted); // request_rate
-            values[1] = rate(counters.shed_cheap, p.shed_cheap); // shed_rate_cheap
-            values[2] = rate(counters.shed_heavy, p.shed_heavy); // shed_rate_heavy
-            values[3] = rate(counters.shed_intake, p.shed_intake); // shed_rate_intake
-            values[4] = rate(counters.rejected_busy, p.rejected_busy); // rejected_rate
-        }
-        let ls = live.snapshot();
-        values[5] = serve.in_flight.load(Ordering::Relaxed) as f64; // in_flight
-        values[6] = serve.queue_depth.load(Ordering::Relaxed) as f64; // queue_depth
-        values[7] = ls.ingest_lag as f64; // ingest_lag
-        values[8] = ls.epoch as f64; // epoch
         let unix_ms = SystemTime::now()
             .duration_since(UNIX_EPOCH)
             .map(|d| d.as_millis() as u64)
             .unwrap_or(0);
-        timeline.push(TimelineSample { unix_ms, values });
-        prev = Some((now, counters));
+        timeline.push(sampler.sample(&serve.snapshot(), &live.snapshot(), unix_ms));
         let mut slept = Duration::ZERO;
         while slept < interval && !stop.load(Ordering::Relaxed) {
             let step = Duration::from_millis(20).min(interval - slept);
@@ -685,7 +642,10 @@ fn metrics_response(req: &Request, state: &ServeState) -> Response {
         }
     };
     if prom_wanted {
-        Response::prom(200, prom::render(&snap.run, &state.serve_metrics, &live))
+        Response::prom(
+            200,
+            prom::render(&snap.run, &state.serve_metrics.snapshot(), &live),
+        )
     } else {
         let doc = MetricsDoc {
             run: snap.run.clone(),

@@ -56,7 +56,7 @@
 use lastmile_atlas::framing::{DocSplitter, Frame};
 use lastmile_atlas::json::AtlasTraceroute;
 use lastmile_atlas::TracerouteResult;
-use lastmile_obs::{trace, Histogram, LiveProgress};
+use lastmile_obs::{trace, Gauge, Histogram, LiveProgress};
 use std::io::Read;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -471,11 +471,8 @@ fn ingest_workers(
     let (out_tx, out_rx) = mpsc::sync_channel::<Delivery>(options.queue_batches.max(1) + workers);
     let batch_queue = Mutex::new(batch_rx);
     let decode_nanos = AtomicU64::new(0);
-    // Batch-queue depth gauge: pushed by the framer, popped by workers.
-    // Saturating pop — a worker can account its pop before the framer's
-    // racing push lands.
-    let queue_depth = AtomicU64::new(0);
-    let queue_max_depth = AtomicU64::new(0);
+    // Batch-queue depth: pushed by the framer, popped by workers.
+    let queue_depth = Gauge::default();
     let decode_hist: Mutex<Histogram> = Mutex::new(Histogram::new());
 
     let mut summary = IngestSummary::default();
@@ -485,13 +482,11 @@ fn ingest_workers(
         let framer = {
             let out_tx = out_tx.clone();
             let queue_depth = &queue_depth;
-            let queue_max_depth = &queue_max_depth;
             let push_batch = move |b: Batch| {
                 if batch_tx.send(b).is_err() {
                     return false; // all workers are gone
                 }
-                let depth = queue_depth.fetch_add(1, Ordering::Relaxed) + 1;
-                queue_max_depth.fetch_max(depth, Ordering::Relaxed);
+                queue_depth.inc();
                 if let Some(p) = &options.progress {
                     p.queue_push();
                 }
@@ -546,10 +541,7 @@ fn ingest_workers(
                                 .merge(&local_hist);
                             return;
                         };
-                        let _ =
-                            queue_depth.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |d| {
-                                Some(d.saturating_sub(1))
-                            });
+                        queue_depth.dec();
                         if let Some(p) = &options.progress {
                             p.queue_pop();
                         }
@@ -604,7 +596,7 @@ fn ingest_workers(
     summary.bytes_read = framed.bytes_read;
     summary.frame_nanos = framed.frame_nanos;
     summary.decode_nanos = decode_nanos.into_inner();
-    summary.queue_max_depth = queue_max_depth.into_inner();
+    summary.queue_max_depth = queue_depth.high_water();
     summary.decode_hist = decode_hist.into_inner().expect("decode histogram lock");
     summary.quarantined.sort_by_key(|q| q.offset);
     summary.wall_nanos = elapsed_nanos(wall);

@@ -19,26 +19,102 @@
 //! Both are Mutex-guarded plain data — pushes happen once a second (or
 //! once an epoch), far off any request hot path.
 
+use crate::{LiveMetricsSnapshot, Metric, ServeMetricsSnapshot, Visitor};
 use serde::Serialize;
 use std::collections::VecDeque;
 use std::sync::Mutex;
+use std::time::Instant;
 
-/// The metrics a timeline sample carries, in stable report order. Rates
-/// are per-second deltas computed by the sampler from the underlying
-/// monotone counters; the rest are instantaneous gauges.
-pub const TIMELINE_METRICS: [&str; 9] = [
-    "request_rate",
-    "shed_rate_cheap",
-    "shed_rate_heavy",
-    "shed_rate_intake",
-    "rejected_rate",
-    "in_flight",
-    "queue_depth",
-    "ingest_lag",
-    "epoch",
+/// How a timeline series reads its declared metric.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Reading {
+    /// Per-second delta of a monotone counter between consecutive ticks.
+    Rate,
+    /// The instantaneous value.
+    Level,
+}
+
+/// The series a timeline sample carries, in stable report order: each
+/// name, how it reads, and the `/metrics` JSON path of the declared
+/// metric it reads.
+pub const TIMELINE: [(&str, Reading, &str); 9] = [
+    ("request_rate", Reading::Rate, "serve.accepted"),
+    (
+        "shed_rate_cheap",
+        Reading::Rate,
+        "serve.admission.cheap.shed",
+    ),
+    (
+        "shed_rate_heavy",
+        Reading::Rate,
+        "serve.admission.heavy.shed",
+    ),
+    (
+        "shed_rate_intake",
+        Reading::Rate,
+        "serve.admission.intake.shed",
+    ),
+    ("rejected_rate", Reading::Rate, "serve.rejected_busy"),
+    ("in_flight", Reading::Level, "serve.in_flight"),
+    ("queue_depth", Reading::Level, "serve.queue_depth"),
+    ("ingest_lag", Reading::Level, "live.ingest_lag"),
+    ("epoch", Reading::Level, "live.epoch"),
 ];
 
+/// The series names of [`TIMELINE`], in its order.
+pub const TIMELINE_METRICS: [&str; TIMELINE.len()] = {
+    let mut names = [""; TIMELINE.len()];
+    let mut i = 0;
+    while i < names.len() {
+        names[i] = TIMELINE[i].0;
+        i += 1;
+    }
+    names
+};
+
 const METRICS: usize = TIMELINE_METRICS.len();
+
+/// Turns metric snapshots into [`TimelineSample`]s, one tick at a time:
+/// levels are read as they are, rates as the per-second delta since the
+/// previous tick (zero on the first).
+#[derive(Default)]
+pub struct TimelineSampler {
+    prev: Option<(Instant, [f64; METRICS])>,
+}
+
+impl TimelineSampler {
+    pub fn sample(
+        &mut self,
+        serve: &ServeMetricsSnapshot,
+        live: &LiveMetricsSnapshot,
+        unix_ms: u64,
+    ) -> TimelineSample {
+        let now = Instant::now();
+        let mut read = [0.0; METRICS];
+        let mut sink = |m: &Metric| {
+            if let Some(i) = TIMELINE.iter().position(|(_, _, path)| m.path_is(path)) {
+                read[i] = m.value.as_f64().unwrap_or(0.0);
+            }
+        };
+        let mut v = Visitor::new(&mut sink);
+        v.group("serve", &[], |v| serve.visit(v));
+        v.group("live", &[], |v| live.visit(v));
+        let mut values = read;
+        for (i, (_, reading, _)) in TIMELINE.iter().enumerate() {
+            if *reading == Reading::Rate {
+                values[i] = match self.prev {
+                    Some((t0, before)) => {
+                        let dt = now.duration_since(t0).as_secs_f64().max(1e-9);
+                        (read[i] - before[i]).max(0.0) / dt
+                    }
+                    None => 0.0,
+                };
+            }
+        }
+        self.prev = Some((now, read));
+        TimelineSample { unix_ms, values }
+    }
+}
 
 /// Default ring capacities: 10 minutes of raw 1-second ticks, an hour
 /// of 10-second windows, a day of 1-minute windows. Total worst-case
@@ -340,6 +416,7 @@ impl EpochTelemetry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::Ordering;
 
     fn sample(unix_ms: u64, value: f64) -> TimelineSample {
         TimelineSample {
@@ -488,5 +565,69 @@ mod tests {
         with_error.outcome = "error".into();
         let json = serde_json::to_string(&with_error).expect("serializes");
         assert!(json.contains("\"error\":\"boom\""));
+    }
+
+    #[test]
+    fn timeline_names_are_stable() {
+        assert_eq!(
+            TIMELINE_METRICS,
+            [
+                "request_rate",
+                "shed_rate_cheap",
+                "shed_rate_heavy",
+                "shed_rate_intake",
+                "rejected_rate",
+                "in_flight",
+                "queue_depth",
+                "ingest_lag",
+                "epoch",
+            ]
+        );
+    }
+
+    #[test]
+    fn every_series_reads_one_declared_metric() {
+        let serve = crate::ServeMetrics::new().snapshot();
+        let live = crate::LiveMetrics::new().snapshot();
+        let mut hits = [0; METRICS];
+        let mut sink = |m: &Metric| {
+            for (i, (_, reading, path)) in TIMELINE.iter().enumerate() {
+                if m.path_is(path) {
+                    hits[i] += 1;
+                    // A rate is only meaningful over a monotone counter.
+                    let counter = m.kind == crate::Kind::Counter;
+                    assert_eq!(*reading == Reading::Rate, counter, "{path}");
+                }
+            }
+        };
+        let mut v = Visitor::new(&mut sink);
+        v.group("serve", &[], |v| serve.visit(v));
+        v.group("live", &[], |v| live.visit(v));
+        assert_eq!(hits, [1; METRICS]);
+    }
+
+    #[test]
+    fn sampler_reports_rates_and_levels() {
+        let serve = crate::ServeMetrics::new();
+        let live = crate::LiveMetrics::new();
+        let mut sampler = TimelineSampler::default();
+        serve.accepted.store(100, Ordering::Relaxed);
+        serve.queue_push();
+        live.records_ingested.store(7, Ordering::Relaxed);
+        live.epoch.store(2, Ordering::Relaxed);
+        let first = sampler.sample(&serve.snapshot(), &live.snapshot(), 1_000);
+        // Rates start at zero; levels read straight through.
+        assert_eq!(first.values[0], 0.0);
+        assert_eq!(&first.values[5..], &[0.0, 1.0, 7.0, 2.0]);
+        serve.accepted.store(150, Ordering::Relaxed);
+        serve.admission.heavy.shed.store(3, Ordering::Relaxed);
+        let second = sampler.sample(&serve.snapshot(), &live.snapshot(), 2_000);
+        assert!(second.values[0] > 0.0, "{:?}", second.values);
+        assert!(second.values[2] > 0.0, "{:?}", second.values);
+        // 50 accepted against 3 heavy sheds over the same interval.
+        let ratio = second.values[0] / second.values[2];
+        assert!((ratio - 50.0 / 3.0).abs() < 1e-9, "{ratio}");
+        assert_eq!(second.values[1], 0.0);
+        assert_eq!(second.unix_ms, 2_000);
     }
 }

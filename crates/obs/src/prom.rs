@@ -3,8 +3,9 @@
 //! lint` hold the encoder to.
 //!
 //! The JSON `/metrics` document stays the canonical bespoke schema;
-//! this module renders the *same* counters, gauges, and log-linear
-//! histograms as `# TYPE`-annotated families with stable `lastmile_`-
+//! this module renders the *same* declared metrics — every entry of the
+//! crate's `metrics!` tables, walked by one loop over the snapshots'
+//! visitors — as `# TYPE`-annotated families with stable `lastmile_`-
 //! prefixed names so a stock Prometheus scraper ingests the daemon with
 //! zero glue. Conventions held (and enforced by [`lint`]):
 //!
@@ -17,11 +18,12 @@
 //! * every family's samples are contiguous and each series is unique.
 //!
 //! The encoder is dependency-free: plain `String` assembly from the
-//! live [`ServeMetrics`] (full histograms, not just summaries) and the
-//! plain-value run/live snapshots.
+//! snapshots, whose histograms keep their full buckets.
 
-use crate::hist::Histogram;
-use crate::{LiveMetricsSnapshot, RunMetricsSnapshot, ServeMetrics};
+use crate::hist::{Histogram, HistogramSummary};
+use crate::{
+    Kind, LiveMetricsSnapshot, Metric, RunMetricsSnapshot, ServeMetricsSnapshot, Value, Visitor,
+};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt::Write as _;
 
@@ -42,406 +44,110 @@ fn escape_label(v: &str) -> String {
     out
 }
 
-/// Incremental exposition writer: family headers + samples.
-struct Exposition {
-    out: String,
+/// One family's exposition block: HELP and TYPE from its first
+/// declaration, then every sample of every field that shares it.
+struct Family {
+    name: &'static str,
+    kind: &'static str,
+    help: &'static str,
+    samples: String,
 }
 
-impl Exposition {
-    fn family(&mut self, name: &str, kind: &str, help: &str) {
-        let _ = writeln!(self.out, "# HELP {name} {help}");
-        let _ = writeln!(self.out, "# TYPE {name} {kind}");
-    }
-
-    fn sample(&mut self, name: &str, labels: &[(&str, &str)], value: u64) {
-        if labels.is_empty() {
-            let _ = writeln!(self.out, "{name} {value}");
-        } else {
+impl Family {
+    fn sample(&mut self, suffix: &str, labels: &[(&str, &str)], value: impl std::fmt::Display) {
+        let _ = write!(self.samples, "{}{suffix}", self.name);
+        if !labels.is_empty() {
             let inner = labels
                 .iter()
                 .map(|(k, v)| format!("{k}=\"{}\"", escape_label(v)))
                 .collect::<Vec<_>>()
                 .join(",");
-            let _ = writeln!(self.out, "{name}{{{inner}}} {value}");
+            let _ = write!(self.samples, "{{{inner}}}");
         }
+        let _ = writeln!(self.samples, " {value}");
     }
 
-    /// One unlabeled counter family with a single sample.
-    fn counter(&mut self, name: &str, help: &str, value: u64) {
-        self.family(name, "counter", help);
-        self.sample(name, &[], value);
-    }
-
-    /// One unlabeled gauge family with a single sample.
-    fn gauge(&mut self, name: &str, help: &str, value: u64) {
-        self.family(name, "gauge", help);
-        self.sample(name, &[], value);
-    }
-
-    /// One labeled counter family: a sample per `(label value, count)`.
-    fn counter_by(&mut self, name: &str, help: &str, label: &str, series: &[(&str, u64)]) {
-        self.family(name, "counter", help);
-        for (value, count) in series {
-            self.sample(name, &[(label, value)], *count);
+    /// A histogram series: cumulative non-empty buckets + `+Inf`, then
+    /// `_sum` and `_count`.
+    fn histogram(&mut self, labels: &[(&str, &str)], h: &Histogram) {
+        let mut cumulative = 0u64;
+        for (upper, count) in h.nonzero_buckets() {
+            cumulative += count;
+            let le = upper.to_string();
+            self.sample("_bucket", &with(labels, ("le", &le)), cumulative);
         }
+        self.sample("_bucket", &with(labels, ("le", "+Inf")), h.count());
+        self.sample("_sum", labels, h.sum());
+        self.sample("_count", labels, h.count());
     }
 
-    /// One labeled gauge family: a sample per `(label value, level)`.
-    fn gauge_by(&mut self, name: &str, help: &str, label: &str, series: &[(&str, u64)]) {
-        self.family(name, "gauge", help);
-        for (value, level) in series {
-            self.sample(name, &[(label, value)], *level);
-        }
-    }
-
-    /// One histogram family with a distinguishing label: cumulative
-    /// non-empty buckets + `+Inf`, then `_sum` and `_count`, per series.
-    fn histogram_by(&mut self, name: &str, help: &str, label: &str, series: &[(&str, Histogram)]) {
-        self.family(name, "histogram", help);
-        let bucket = format!("{name}_bucket");
-        for (value, h) in series {
-            let mut cumulative = 0u64;
-            for (upper, count) in h.nonzero_buckets() {
-                cumulative += count;
-                let le = upper.to_string();
-                self.sample(&bucket, &[(label, value), ("le", &le)], cumulative);
-            }
-            self.sample(&bucket, &[(label, value), ("le", "+Inf")], h.count());
-            self.sample(&format!("{name}_sum"), &[(label, value)], h.sum());
-            self.sample(&format!("{name}_count"), &[(label, value)], h.count());
-        }
-    }
-
-    /// Per-quantile gauges for a family only known by its summary.
-    fn summary_gauges(
-        &mut self,
-        name: &str,
-        help: &str,
-        label: &str,
-        series: &[(&str, crate::HistogramSummary)],
-    ) {
-        self.family(name, "gauge", help);
-        for (value, s) in series {
-            for (q, v) in [
-                ("0.5", s.p50_nanos),
-                ("0.9", s.p90_nanos),
-                ("0.99", s.p99_nanos),
-                ("max", s.max_nanos),
-            ] {
-                self.sample(name, &[(label, value), ("quantile", q)], v);
-            }
+    /// Per-quantile gauges for a histogram only known by its summary.
+    fn quantiles(&mut self, labels: &[(&str, &str)], s: &HistogramSummary) {
+        for (q, v) in [
+            ("0.5", s.p50_nanos),
+            ("0.9", s.p90_nanos),
+            ("0.99", s.p99_nanos),
+            ("max", s.max_nanos),
+        ] {
+            self.sample("", &with(labels, ("quantile", q)), v);
         }
     }
 }
 
-/// Render the full metrics surface as Prometheus exposition text.
-///
-/// `serve` is taken live (not as a snapshot) because the per-endpoint
-/// histograms need their full bucket tables, which the JSON snapshot
-/// deliberately collapses to p50/p90/p99/max summaries.
+/// `labels` plus one more pair.
+fn with<'a>(labels: &[(&'a str, &'a str)], extra: (&'a str, &'a str)) -> Vec<(&'a str, &'a str)> {
+    labels.iter().copied().chain([extra]).collect()
+}
+
+/// Render the full metrics surface as Prometheus exposition text: every
+/// declared metric of the three snapshots, one family per declared
+/// family name, families in declaration order.
 pub fn render(
     run: &RunMetricsSnapshot,
-    serve: &ServeMetrics,
+    serve: &ServeMetricsSnapshot,
     live: &LiveMetricsSnapshot,
 ) -> String {
-    let mut e = Exposition {
-        out: String::with_capacity(16 * 1024),
+    let mut families: Vec<Family> = Vec::new();
+    let mut sink = |m: &Metric| {
+        let at = match families.iter().position(|f| f.name == m.family) {
+            Some(at) => at,
+            None => {
+                families.push(Family {
+                    name: m.family,
+                    kind: match (m.kind, m.value) {
+                        (Kind::Counter, _) => "counter",
+                        (_, Value::Histogram(_)) => "histogram",
+                        _ => "gauge",
+                    },
+                    help: m.help,
+                    samples: String::new(),
+                });
+                families.len() - 1
+            }
+        };
+        let family = &mut families[at];
+        if family.help.is_empty() {
+            family.help = m.help;
+        }
+        match m.value {
+            Value::U64(v) => family.sample("", m.labels, v),
+            Value::F64(v) => family.sample("", m.labels, v),
+            Value::Histogram(h) => family.histogram(m.labels, h),
+            Value::Quantiles(s) => family.quantiles(m.labels, s),
+        }
     };
+    let mut v = Visitor::new(&mut sink);
+    run.visit(&mut v);
+    serve.visit(&mut v);
+    live.visit(&mut v);
 
-    // --- run: the analysis pipeline's funnel counters ---
-    e.counter(
-        "lastmile_run_traceroutes_ingested_total",
-        "Traceroute measurements streamed into the analysis pipeline.",
-        run.traceroutes_ingested,
-    );
-    e.counter(
-        "lastmile_run_traceroutes_out_of_period_total",
-        "Traceroutes dropped for falling outside the measurement period.",
-        run.traceroutes_out_of_period,
-    );
-    e.counter(
-        "lastmile_run_bins_discarded_sanity_total",
-        "Probe bins discarded by the per-bin sanity filter.",
-        run.bins_discarded_sanity,
-    );
-    e.counter(
-        "lastmile_run_bins_interpolated_total",
-        "Signal gaps filled by linear interpolation before analysis.",
-        run.bins_interpolated,
-    );
-    e.counter(
-        "lastmile_run_welch_segments_total",
-        "Segments averaged by the Welch periodogram across detections.",
-        run.welch_segments,
-    );
-    e.counter(
-        "lastmile_run_populations_analyzed_total",
-        "(AS, period) populations fully analyzed.",
-        run.populations_analyzed,
-    );
-    e.counter(
-        "lastmile_run_populations_with_detection_total",
-        "Analyzed populations that produced a congestion detection.",
-        run.populations_with_detection,
-    );
-    e.counter(
-        "lastmile_run_tasks_failed_total",
-        "Survey tasks whose worker panicked (isolated per task).",
-        run.tasks_failed,
-    );
-    e.counter_by(
-        "lastmile_run_store_lookups_total",
-        "Series-store lookups by result.",
-        "result",
-        &[
-            ("hit", run.store.hits),
-            ("miss", run.store.misses),
-            ("bypass", run.store.bypasses),
-        ],
-    );
-    e.counter(
-        "lastmile_run_store_inserts_total",
-        "Series-store entries inserted.",
-        run.store.inserts,
-    );
-    e.counter(
-        "lastmile_run_store_evictions_total",
-        "Series-store entries evicted.",
-        run.store.evictions,
-    );
-    e.counter_by(
-        "lastmile_run_store_snapshot_bytes_total",
-        "Series-store snapshot bytes by direction.",
-        "direction",
-        &[
-            ("written", run.store.snapshot_bytes_written),
-            ("read", run.store.snapshot_bytes_read),
-        ],
-    );
-    e.counter(
-        "lastmile_run_ingest_bytes_read_total",
-        "Bytes read from traceroute input files.",
-        run.ingest.bytes_read,
-    );
-    e.counter(
-        "lastmile_run_ingest_records_decoded_total",
-        "Traceroute records decoded from disk.",
-        run.ingest.records_decoded,
-    );
-    e.counter_by(
-        "lastmile_run_ingest_quarantined_total",
-        "Quarantined ingest records by error kind.",
-        "kind",
-        &[
-            ("framing", run.ingest.quarantined.framing),
-            ("json", run.ingest.quarantined.json),
-            ("model", run.ingest.quarantined.model),
-            ("worker_panic", run.ingest.quarantined.worker_panic),
-        ],
-    );
-    e.gauge(
-        "lastmile_run_ingest_queue_max_depth",
-        "High-water mark of the bounded ingest batch queue.",
-        run.ingest.queue_max_depth,
-    );
-    e.counter_by(
-        "lastmile_run_stage_nanos_total",
-        "Wall nanoseconds per pipeline stage, summed across workers.",
-        "stage",
-        &[
-            ("ingest", run.stage_nanos.ingest),
-            ("series", run.stage_nanos.series),
-            ("aggregate", run.stage_nanos.aggregate),
-            ("detect", run.stage_nanos.detect),
-        ],
-    );
-    e.gauge(
-        "lastmile_run_wall_nanos",
-        "Elapsed wall nanoseconds of the analysis run.",
-        run.stage_nanos.wall,
-    );
-    e.summary_gauges(
-        "lastmile_run_latency_nanos",
-        "Bucketed latency quantiles of the per-item hot loops (upper-bound estimates, relative error <= 1/16).",
-        "loop",
-        &[
-            ("decode", run.latency.decode),
-            ("series", run.latency.series),
-            ("analyze", run.latency.analyze),
-        ],
-    );
-    e.counter_by(
-        "lastmile_run_latency_samples_total",
-        "Samples recorded by the per-item latency histograms.",
-        "loop",
-        &[
-            ("decode", run.latency.decode.count),
-            ("series", run.latency.series.count),
-            ("analyze", run.latency.analyze.count),
-        ],
-    );
-    e.gauge(
-        "lastmile_run_histogram_buckets",
-        "Fixed bucket-table size of every log-linear histogram.",
-        run.latency.bucket_count,
-    );
-
-    // --- serve: the request plane ---
-    e.counter(
-        "lastmile_serve_accepted_total",
-        "Connections accepted (queued or handled inline).",
-        load(&serve.accepted),
-    );
-    e.counter(
-        "lastmile_serve_rejected_busy_total",
-        "Connections refused with 503 because the accept queue was full.",
-        load(&serve.rejected_busy),
-    );
-    e.counter(
-        "lastmile_serve_requests_total",
-        "Requests fully answered by a handler (any status).",
-        load(&serve.requests),
-    );
-    e.counter(
-        "lastmile_serve_worker_panics_total",
-        "Worker iterations that panicked while handling a connection.",
-        load(&serve.worker_panics),
-    );
-    e.counter(
-        "lastmile_serve_fastlane_hits_total",
-        "Probes served by the fast lane while the accept queue was busy.",
-        load(&serve.fastlane_hits),
-    );
-    e.gauge(
-        "lastmile_serve_in_flight",
-        "Requests being handled right now.",
-        load(&serve.in_flight),
-    );
-    e.gauge(
-        "lastmile_serve_queue_depth",
-        "Connections sitting in the accept queue right now.",
-        load(&serve.queue_depth),
-    );
-    e.gauge(
-        "lastmile_serve_queue_max_depth",
-        "High-water mark of the accept queue depth.",
-        load(&serve.queue_max_depth),
-    );
-    let classes = [
-        ("cheap", &serve.admission_cheap),
-        ("heavy", &serve.admission_heavy),
-        ("intake", &serve.admission_intake),
-    ];
-    let by = |f: fn(&crate::AdmissionClassMetrics) -> u64| -> Vec<(&str, u64)> {
-        classes.iter().map(|(name, c)| (*name, f(c))).collect()
-    };
-    e.gauge_by(
-        "lastmile_serve_admission_budget",
-        "Configured concurrency budget per cost class (0 = disengaged).",
-        "cost_class",
-        &by(|c| load(&c.budget)),
-    );
-    e.gauge_by(
-        "lastmile_serve_admission_in_flight",
-        "Requests of this cost class in a handler right now.",
-        "cost_class",
-        &by(|c| load(&c.in_flight)),
-    );
-    e.counter_by(
-        "lastmile_serve_admission_admitted_total",
-        "Requests admitted under the class budget.",
-        "cost_class",
-        &by(|c| load(&c.admitted)),
-    );
-    e.counter_by(
-        "lastmile_serve_admission_shed_total",
-        "Requests shed with 503 because the class budget was exhausted.",
-        "cost_class",
-        &by(|c| load(&c.shed)),
-    );
-    e.histogram_by(
-        "lastmile_serve_request_duration_nanos",
-        "Request latency (accept to response flushed) per endpoint family.",
-        "endpoint",
-        &[
-            ("classify", serve.latency_classify.snapshot()),
-            ("series", serve.latency_series.snapshot()),
-            ("populations", serve.latency_populations.snapshot()),
-            ("ingest", serve.latency_ingest.snapshot()),
-            ("healthz", serve.latency_healthz.snapshot()),
-            ("metrics", serve.latency_metrics.snapshot()),
-            ("other", serve.latency_other.snapshot()),
-            ("rejected", serve.latency_rejected.snapshot()),
-        ],
-    );
-
-    // --- live: the re-ingest engine ---
-    e.counter(
-        "lastmile_live_records_ingested_total",
-        "Records accepted through live intake (watch appends + POSTs).",
-        live.records_ingested,
-    );
-    e.counter(
-        "lastmile_live_posts_accepted_total",
-        "Records accepted via POST /v1/traceroutes.",
-        live.posts_accepted,
-    );
-    e.counter(
-        "lastmile_live_posts_rejected_total",
-        "Records rejected (quarantined) via POST /v1/traceroutes.",
-        live.posts_rejected,
-    );
-    e.counter(
-        "lastmile_live_watch_appends_total",
-        "Append deltas slurped by the corpus-file watcher.",
-        live.watch_appends,
-    );
-    e.counter(
-        "lastmile_live_watch_truncations_total",
-        "Truncation/rotation events (each forces a full re-ingest).",
-        live.watch_truncations,
-    );
-    e.counter(
-        "lastmile_live_watch_quarantined_total",
-        "Records the watcher quarantined (malformed appended lines).",
-        live.watch_quarantined,
-    );
-    e.counter(
-        "lastmile_live_reanalyses_total",
-        "Re-analyses that published a new epoch.",
-        live.reanalyses,
-    );
-    e.counter(
-        "lastmile_live_reanalysis_errors_total",
-        "Re-analyses that failed (epoch unchanged).",
-        live.reanalysis_errors,
-    );
-    e.gauge(
-        "lastmile_live_ingest_lag",
-        "Records ingested but not yet covered by a published epoch.",
-        live.ingest_lag,
-    );
-    e.gauge(
-        "lastmile_live_epoch",
-        "Generation of the currently published analysis snapshot.",
-        live.epoch,
-    );
-    e.gauge(
-        "lastmile_live_swap_nanos",
-        "Wall nanoseconds the last epoch pointer swap took.",
-        live.swap_nanos,
-    );
-    e.gauge(
-        "lastmile_live_reanalysis_nanos",
-        "Wall nanoseconds the last full re-analysis took.",
-        live.reanalysis_nanos,
-    );
-
-    e.out
-}
-
-fn load(a: &std::sync::atomic::AtomicU64) -> u64 {
-    a.load(std::sync::atomic::Ordering::Relaxed)
+    let mut out = String::with_capacity(16 * 1024);
+    for f in &families {
+        let _ = writeln!(out, "# HELP {} {}", f.name, f.help);
+        let _ = writeln!(out, "# TYPE {} {}", f.name, f.kind);
+        out.push_str(&f.samples);
+    }
+    out
 }
 
 // --- linter ---
@@ -730,12 +436,14 @@ mod tests {
 
     fn rendered() -> String {
         let run = RunMetrics::new();
-        run.add_traceroutes_ingested(120);
-        run.add_population(true);
+        run.traceroutes_ingested.fetch_add(120, Ordering::Relaxed);
+        run.populations_analyzed.fetch_add(1, Ordering::Relaxed);
+        run.populations_with_detection
+            .fetch_add(1, Ordering::Relaxed);
         let serve = ServeMetrics::new();
         serve.accepted.fetch_add(9, Ordering::Relaxed);
-        serve.admission_heavy.budget.store(2, Ordering::Relaxed);
-        assert!(serve.admission_heavy.try_acquire());
+        serve.admission.heavy.budget.store(2, Ordering::Relaxed);
+        assert!(serve.admission.heavy.try_acquire());
         serve.record_request(ServeEndpoint::Classify, 1_200_000);
         serve.record_request(ServeEndpoint::Classify, 3_400_000);
         serve.record_request(ServeEndpoint::Healthz, 9_000);
@@ -743,7 +451,7 @@ mod tests {
         let live = LiveMetrics::new();
         live.records_ingested.fetch_add(77, Ordering::Relaxed);
         live.epoch.store(3, Ordering::Relaxed);
-        render(&run.snapshot(), &serve, &live.snapshot())
+        render(&run.snapshot(), &serve.snapshot(), &live.snapshot())
     }
 
     #[test]
@@ -776,7 +484,7 @@ mod tests {
         }
         let text = render(
             &RunMetrics::new().snapshot(),
-            &serve,
+            &serve.snapshot(),
             &LiveMetrics::new().snapshot(),
         );
         let count = serve.snapshot().latency.series.count;
@@ -793,7 +501,7 @@ mod tests {
     fn empty_metrics_render_a_lintable_document() {
         let text = render(
             &RunMetrics::new().snapshot(),
-            &ServeMetrics::new(),
+            &ServeMetrics::new().snapshot(),
             &LiveMetrics::new().snapshot(),
         );
         assert!(lint(&text).is_ok(), "{:?}", lint(&text));

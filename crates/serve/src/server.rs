@@ -228,15 +228,15 @@ impl Server {
         // Publish the resolved budgets as gauges before any traffic.
         for (class, budget) in [
             (
-                &self.metrics.admission_cheap,
+                &self.metrics.admission.cheap,
                 resolve(self.config.budget_cheap),
             ),
             (
-                &self.metrics.admission_heavy,
+                &self.metrics.admission.heavy,
                 resolve(self.config.budget_heavy),
             ),
             (
-                &self.metrics.admission_intake,
+                &self.metrics.admission.intake,
                 resolve(self.config.budget_intake),
             ),
         ] {
@@ -630,11 +630,11 @@ fn worker_loop(rx: &Mutex<Receiver<TcpStream>>, handler: &Arc<Handler>, ctx: Ctx
             Err(_) => return, // acceptor dropped the sender: drained
         };
         metrics.queue_pop();
-        metrics.in_flight.fetch_add(1, Ordering::Relaxed);
+        metrics.in_flight.inc();
         let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
             handle_connection(stream, handler, ctx);
         }));
-        metrics.in_flight.fetch_sub(1, Ordering::Relaxed);
+        metrics.in_flight.dec();
         if result.is_err() {
             // `handle_connection` already catches handler panics; this
             // catches bugs in the connection plumbing itself so the
@@ -649,9 +649,9 @@ fn worker_loop(rx: &Mutex<Receiver<TcpStream>>, handler: &Arc<Handler>, ctx: Ctx
 fn class_metrics(metrics: &ServeMetrics, class: CostClass) -> Option<&AdmissionClassMetrics> {
     match class {
         CostClass::Probe => None,
-        CostClass::Cheap => Some(&metrics.admission_cheap),
-        CostClass::Heavy => Some(&metrics.admission_heavy),
-        CostClass::Intake => Some(&metrics.admission_intake),
+        CostClass::Cheap => Some(&metrics.admission.cheap),
+        CostClass::Heavy => Some(&metrics.admission.heavy),
+        CostClass::Intake => Some(&metrics.admission.intake),
     }
 }
 
@@ -1261,7 +1261,7 @@ mod tests {
         write!(heavy_a, "GET /v1/classify HTTP/1.1\r\n\r\n").unwrap();
         heavy_a.flush().unwrap();
         let t0 = Instant::now();
-        while metrics.admission_heavy.in_flight.load(Ordering::Relaxed) != 1 {
+        while metrics.admission.heavy.in_flight.load(Ordering::Relaxed) != 1 {
             assert!(t0.elapsed() < Duration::from_secs(5), "budget never taken");
             std::thread::sleep(Duration::from_millis(2));
         }
@@ -1332,7 +1332,7 @@ mod tests {
         write!(heavy_a, "GET /v1/classify HTTP/1.1\r\n\r\n").unwrap();
         heavy_a.flush().unwrap();
         let t0 = Instant::now();
-        while metrics.admission_heavy.in_flight.load(Ordering::Relaxed) != 1 {
+        while metrics.admission.heavy.in_flight.load(Ordering::Relaxed) != 1 {
             assert!(
                 t0.elapsed() < Duration::from_secs(5),
                 "heavy request never acquired its budget slot"

@@ -204,6 +204,9 @@ if command -v curl >/dev/null 2>&1; then
     sleep 0.3
     curl -sf "http://$addr/metrics?format=prom" >"$smoke/metrics.prom"
     target/debug/lastmile lint --prom "$smoke/metrics.prom"
+    # The run's per-layer ingest timers are declared metrics, so the
+    # shipped binary exposes them too (not only the JSON).
+    grep -q '^lastmile_run_ingest_decode_nanos_total ' "$smoke/metrics.prom"
     samples=$(curl -sf "http://$addr/v1/ops/timeline?metric=request_rate" | grep -o '"t":' | wc -l)
     [ "${samples:-0}" -ge 2 ] || {
         echo "ops timeline too sparse ($samples samples)" >&2

@@ -23,7 +23,10 @@ use lastmile_core::report::{AsClassification, SurveyFailure, SurveyReport};
 use lastmile_eyeball::{EyeballEntry, EyeballRegistry};
 use lastmile_netsim::scenarios::AsGroundTruth;
 use lastmile_netsim::{SimProbe, TracerouteEngine, World};
-use lastmile_obs::{trace, LiveProgress, PopulationRow, RunMetrics, StageTimer, StoreTraffic};
+use lastmile_obs::{
+    trace, LiveProgress, PopulationRow, RunMetrics, RunMetricsSnapshot, StageNanos, StageTimer,
+    StoreStats,
+};
 use lastmile_prefix::Asn;
 use lastmile_store::{Lookup, SeriesStore, StoreCounters, StoreKey};
 use lastmile_timebase::MeasurementPeriod;
@@ -270,7 +273,7 @@ pub fn run_survey(
             Err(reason) => {
                 let (asn, period) = task_of(i);
                 if let Some(m) = &options.metrics {
-                    m.add_task_failed();
+                    m.tasks_failed.fetch_add(1, Ordering::Relaxed);
                 }
                 if let Some(p) = &options.progress {
                     p.populations_done.fetch_add(1, Ordering::Relaxed);
@@ -296,7 +299,7 @@ pub fn run_survey(
     }
     if let Some(m) = &options.metrics {
         if let (Some(store), Some(before)) = (&options.store, store_counters_before) {
-            m.add_store_traffic(&store_traffic_since(before, store.counters()));
+            m.store.add(&store_traffic_since(before, store.counters()));
         }
         m.set_wall(&run_timer);
     }
@@ -369,13 +372,14 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// The store traffic between two counter readings, as an obs delta.
-pub fn store_traffic_since(before: StoreCounters, after: StoreCounters) -> StoreTraffic {
-    StoreTraffic {
+pub fn store_traffic_since(before: StoreCounters, after: StoreCounters) -> StoreStats {
+    StoreStats {
         hits: after.hits - before.hits,
         misses: after.misses - before.misses,
         bypasses: after.bypasses - before.bypasses,
         inserts: after.inserts - before.inserts,
         evictions: after.evictions - before.evictions,
+        ..StoreStats::default()
     }
 }
 
@@ -393,18 +397,25 @@ pub fn record_population_metrics(
     task_nanos: u64,
 ) {
     let s = &analysis.stats;
-    metrics.add_traceroutes_ingested(s.traceroutes_ingested);
-    metrics.add_traceroutes_out_of_period(s.traceroutes_out_of_period);
-    metrics.add_bins_discarded_sanity(s.bins_discarded_sanity);
-    metrics.add_bins_interpolated(s.bins_interpolated);
-    metrics.add_welch_segments(s.welch_segments);
-    metrics.add_population(analysis.detection.is_some());
-    metrics.add_series_nanos(s.series_nanos);
-    metrics.add_aggregate_nanos(s.aggregate_nanos);
-    metrics.add_detect_nanos(s.detect_nanos);
     let pipeline_nanos = s.series_nanos + s.aggregate_nanos + s.detect_nanos;
-    metrics.add_ingest_nanos(task_nanos.saturating_sub(pipeline_nanos));
-    metrics.merge_series_hist(&s.series_hist);
+    metrics.add(&RunMetricsSnapshot {
+        traceroutes_ingested: s.traceroutes_ingested,
+        traceroutes_out_of_period: s.traceroutes_out_of_period,
+        bins_discarded_sanity: s.bins_discarded_sanity,
+        bins_interpolated: s.bins_interpolated,
+        welch_segments: s.welch_segments,
+        populations_analyzed: 1,
+        populations_with_detection: u64::from(analysis.detection.is_some()),
+        stage_nanos: StageNanos {
+            ingest: task_nanos.saturating_sub(pipeline_nanos),
+            series: s.series_nanos,
+            aggregate: s.aggregate_nanos,
+            detect: s.detect_nanos,
+            ..StageNanos::default()
+        },
+        ..RunMetricsSnapshot::default()
+    });
+    metrics.latency.series.merge(&s.series_hist);
     metrics.record_population_row(PopulationRow {
         asn,
         period: label.to_string(),
