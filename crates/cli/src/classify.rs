@@ -24,10 +24,17 @@ use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-/// Shared plumbing for `classify` and `hygiene`: stream the file once,
+/// One [`PopulationAnalysis`] per ASN, in ASN order.
+pub type Analyses = Vec<(Asn, PopulationAnalysis)>;
+
+/// The one start-up analysis of `classify`, `hygiene` and `serve`:
+/// stream the corpus `paths` once (in order, as if concatenated),
 /// decoding each record once, and return one [`PopulationAnalysis`] per
-/// ASN (ASN 0 = "all probes" when no metadata is given). When `metrics`
-/// is given, pipeline counters and stage timings are accumulated into it.
+/// ASN (ASN 0 = "all probes" when no metadata is given) plus the active
+/// series cache (when `--cache-dir` was given), whose snapshot is
+/// already persisted — the `serve` daemon keeps it for re-analysis and
+/// re-persists it at shutdown. When `metrics` is given, pipeline
+/// counters and stage timings are accumulated into it.
 ///
 /// With `--cache-dir` the per-probe median series are served from /
 /// memoized into a `lastmile-store` snapshot: a probe whose series the
@@ -46,30 +53,15 @@ use std::sync::Arc;
 /// attribution), and the snapshot's source fingerprint mixes in the BGP
 /// table (the table decides which traceroutes are ingested), so `--bgp`
 /// snapshots never cross with `--probes`/ASN-0 ones.
-pub fn analyze_file(
+pub fn analyze_paths(
     flags: &Flags,
+    paths: &[String],
     metrics: Option<&RunMetrics>,
-) -> Result<Vec<(Asn, PopulationAnalysis)>, String> {
-    analyze_file_with_cache(flags, metrics).map(|(results, _)| results)
-}
-
-/// [`analyze_file_with_cache`]'s success value: the per-ASN analyses
-/// plus the active series cache (when `--cache-dir` was given).
-pub type AnalysesAndCache = (Vec<(Asn, PopulationAnalysis)>, Option<Cache>);
-
-/// [`analyze_file`], also handing back the active series cache (when
-/// `--cache-dir` was given) so a long-lived caller — the `serve` daemon —
-/// can re-persist the snapshot at shutdown. The snapshot has already
-/// been persisted once by the time this returns.
-pub fn analyze_file_with_cache(
-    flags: &Flags,
-    metrics: Option<&RunMetrics>,
-) -> Result<AnalysesAndCache, String> {
-    let paths = vec![flags.required("traceroutes")?.to_string()];
+) -> Result<(Analyses, Option<Cache>), String> {
     // An empty flag window fails before the fingerprint reads the corpus.
     flag_window(flags)?;
-    let cache = cache::from_flags(flags, || corpus_fingerprint(flags, &paths), metrics)?;
-    let results = analyze_corpus(flags, &paths, metrics, cache.as_ref())?;
+    let cache = cache::from_flags(flags, || corpus_fingerprint(flags, paths), metrics)?;
+    let results = analyze_corpus(flags, paths, metrics, cache.as_ref())?;
     if let Some(c) = &cache {
         c.persist(metrics)?;
     }
@@ -106,7 +98,7 @@ pub fn analyze_corpus(
     paths: &[String],
     metrics: Option<&RunMetrics>,
     cache: Option<&Cache>,
-) -> Result<Vec<(Asn, PopulationAnalysis)>, String> {
+) -> Result<Analyses, String> {
     let known_window = flag_window(flags)?;
     let start = flags.parsed::<i64>("start")?;
     let end = flags.parsed::<i64>("end")?;
@@ -278,7 +270,7 @@ pub fn analyze_corpus(
         p.populations_total
             .store(pipelines.len() as u64, Ordering::Relaxed);
     }
-    let results: Vec<(Asn, PopulationAnalysis)> = pipelines
+    let results: Analyses = pipelines
         .into_iter()
         .map(|(asn, p)| {
             let span = trace::span_with("population", |a| {
@@ -365,7 +357,8 @@ pub fn classification_json(results: &[(Asn, PopulationAnalysis)]) -> String {
 pub fn run(flags: &Flags) -> Result<(), String> {
     let metrics = wants_stats(flags).then(RunMetrics::new);
     let run_timer = StageTimer::start();
-    let results = analyze_file(flags, metrics.as_ref())?;
+    let corpus = [flags.required("traceroutes")?.to_string()];
+    let (results, _cache) = analyze_paths(flags, &corpus, metrics.as_ref())?;
     if let Some(m) = &metrics {
         m.set_wall(&run_timer);
     }

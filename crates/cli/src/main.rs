@@ -1,20 +1,10 @@
 //! `lastmile` — the command-line face of the reproduction, in the spirit
 //! of the paper's released tooling (raclette): point it at RIPE-Atlas-
 //! format traceroute data and get per-AS persistent-congestion
-//! classifications, or export simulated datasets for downstream tools.
-//!
-//! ```text
-//! lastmile classify --traceroutes FILE [--probes FILE] [--start T --end T] [--json]
-//! lastmile hygiene  --traceroutes FILE [--probes FILE] [--start T --end T] [--threshold MS]
-//! lastmile simulate --scenario tokyo|fig1|anchor --out DIR [--seed N] [--days N]
-//! ```
-//!
-//! Traceroute input is Atlas wire format: either a JSON array or JSON
-//! Lines (one document per line — the format of `magellan`/Atlas dumps).
-//! Probe metadata (`--probes`) is a JSON array of probe objects carrying
-//! `id`, `asn`, `country`, `area`, `is_anchor`, `version`, `public_addr`;
-//! without it, all traceroutes are analysed as a single population and
-//! anchors cannot be excluded.
+//! classifications, serve them from a live daemon, or export simulated
+//! datasets for downstream tools. [`usage`] lists every subcommand and
+//! its flags; each subcommand accepts only the flags in its
+//! [`accepted_flags`] list.
 
 mod bgp;
 mod cache;
@@ -104,19 +94,24 @@ impl Flags {
     pub fn switch(&self, name: &str) -> bool {
         self.switches.iter().any(|s| s == name)
     }
+
+    /// Every flag given, value flags and switches alike.
+    fn names(&self) -> impl Iterator<Item = &str> {
+        self.values.keys().chain(&self.switches).map(String::as_str)
+    }
 }
 
 fn usage() -> &'static str {
     "usage:\n  \
-     lastmile classify --traceroutes FILE [--probes FILE | --bgp TABLE.csv] [--start UNIX --end UNIX] [--min-probes N] [--cache-dir DIR [--cache off|ro|rw]] [--ingest-threads N] [--quarantine FILE] [--json] [--stats | --stats-out FILE] [--populations-csv FILE] [--progress]\n  \
-     lastmile hygiene  --traceroutes FILE [--probes FILE] [--start UNIX --end UNIX] [--threshold MS] [--ingest-threads N] [--quarantine FILE] [--stats | --stats-out FILE] [--populations-csv FILE] [--progress]\n  \
+     lastmile classify --traceroutes FILE [--probes FILE [--anchors-only] | --bgp TABLE.csv] [--start UNIX --end UNIX] [--min-probes N] [--cache-dir DIR [--cache off|ro|rw]] [--ingest-threads N] [--quarantine FILE] [--json] [--stats | --stats-out FILE] [--populations-csv FILE] [--progress]\n  \
+     lastmile hygiene  --traceroutes FILE [classify flags except --json] [--threshold MS]\n  \
      lastmile throughput --cdn FILE.tsv --bgp TABLE.csv [--bin-minutes 15] [--view broadband|mobile|v4|v6] [--csv OUT]\n  \
      lastmile simulate --scenario tokyo|fig1|anchor --out DIR [--seed N] [--days N] [--cache-dir DIR [--cache off|ro|rw]]\n  \
      lastmile fleet gen --spec SPEC.json --out DIR [--seed N] [--threads N] [--probes-per-as N [--sample-mode biased|uniform] [--sample-seed N]]\n                       \
 [--cache-dir DIR [--cache off|ro|rw]]\n  \
      lastmile fleet score --truth DIR/truth.json --classified FILE.json [--min-recall F] [--max-peering-fp N] [--json]\n  \
      lastmile serve    --traceroutes FILE [classify flags] [--addr HOST:PORT] [--serve-workers N] [--serve-queue N] [--retry-after SECS] [--ready-file FILE]\n                       \
-[--serve-budget-cheap N --serve-budget-heavy N --serve-budget-intake N (0 = workers)]\n                       \
+[--serve-budget-heavy N (0 = workers)]\n                       \
 [--watch [--watch-poll-ms MS] [--live-offset-file FILE]] [--live-spool FILE] [--reanalyze-debounce-ms MS]\n                       \
 [--ops-sample-ms MS (default 1000, 0 = off)] [--access-log FILE]\n  \
      lastmile loadgen  --addr HOST:PORT --profile burst|ladder|fanout [--mix classify=4,series=1,...] [--concurrency N] [--timeout-ms MS]\n                       \
@@ -125,6 +120,58 @@ fn usage() -> &'static str {
      lastmile lint     [--prom FILE] [--access-log FILE] [--fleet SPEC.json] (validate Prometheus exposition / access-log JSON lines / fleet specs)\n\n\
      any subcommand also takes --trace FILE to write a Chrome/Perfetto trace of the run\n\
      (streamed to disk as the run goes; serve drains it incrementally until shutdown)"
+}
+
+/// The flags the shared corpus analysis reads (`classify`, `hygiene`
+/// and `serve` start-up all run it), space-separated.
+const ANALYSIS_FLAGS: &str = "traceroutes probes anchors-only bgp start end min-probes \
+    cache-dir cache ingest-threads quarantine stats stats-out populations-csv progress";
+
+/// `serve`'s own flags, on top of the classify list. The two
+/// `--serve-*delay-ms` hooks slow handlers down for the load tests and
+/// stay out of [`usage`].
+const SERVE_FLAGS: &str = "addr serve-workers serve-queue retry-after serve-budget-heavy \
+    ready-file watch watch-poll-ms live-offset-file live-spool reanalyze-debounce-ms \
+    ops-sample-ms access-log serve-delay-ms serve-heavy-delay-ms";
+
+/// The flags `cmd` (with its `fleet` action) accepts, `--trace` aside
+/// (it is global); `None` for an unknown subcommand or action, which
+/// dispatch reports.
+fn accepted_flags(cmd: &str, action: Option<&str>) -> Option<impl Iterator<Item = &'static str>> {
+    let lists: &[&str] = match (cmd, action) {
+        ("classify", _) => &[ANALYSIS_FLAGS, "json"],
+        ("hygiene", _) => &[ANALYSIS_FLAGS, "threshold"],
+        ("serve", _) => &[ANALYSIS_FLAGS, "json", SERVE_FLAGS],
+        ("simulate", _) => &["scenario out seed days cache-dir cache"],
+        ("throughput", _) => &["cdn bgp bin-minutes view csv"],
+        ("fleet", Some("gen")) => {
+            &["spec out seed threads probes-per-as sample-mode sample-seed cache-dir cache"]
+        }
+        ("fleet", Some("score")) => &["truth classified min-recall max-peering-fp json"],
+        ("loadgen", _) => &[
+            "addr profile mix concurrency timeout-ms requests bursts rates \
+            dwell-ms rate duration-ms asn post-file post-batch out json",
+        ],
+        ("lint", _) => &["prom access-log fleet"],
+        _ => return None,
+    };
+    Some(lists.iter().flat_map(|list| list.split_whitespace()))
+}
+
+/// Refuse the first flag `cmd` does not accept, as `unknown flag
+/// --NAME for SUBCOMMAND`.
+fn check_flags(cmd: &str, action: Option<&str>, flags: &Flags) -> Result<(), String> {
+    let Some(accepted) = accepted_flags(cmd, action) else {
+        return Ok(());
+    };
+    let accepted: Vec<&str> = accepted.chain(["trace"]).collect();
+    match flags.names().find(|name| !accepted.contains(name)) {
+        Some(name) => {
+            let subcommand = action.map_or(cmd.to_string(), |action| format!("{cmd} {action}"));
+            Err(format!("unknown flag --{name} for {subcommand}"))
+        }
+        None => Ok(()),
+    }
 }
 
 /// How often the `--trace` stream drains ring buffers to disk. Long
@@ -163,7 +210,9 @@ fn main() -> ExitCode {
         .then(|| args.get(1).filter(|a| !a.starts_with("--")).cloned())
         .flatten();
     let flag_start = if fleet_action.is_some() { 2 } else { 1 };
-    let flags = match Flags::parse(&args[flag_start..]) {
+    let flags = match Flags::parse(&args[flag_start..])
+        .and_then(|f| check_flags(cmd, fleet_action.as_deref(), &f).map(|()| f))
+    {
         Ok(f) => f,
         Err(e) => {
             eprintln!("error: {e}\n{}", usage());
@@ -214,7 +263,7 @@ fn main() -> ExitCode {
 
 #[cfg(test)]
 mod tests {
-    use super::Flags;
+    use super::{accepted_flags, check_flags, usage, Flags};
 
     fn parse(args: &[&str]) -> Result<Flags, String> {
         Flags::parse(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
@@ -254,5 +303,85 @@ mod tests {
     fn bad_parse_is_an_error() {
         let f = parse(&["--seed", "banana"]).unwrap();
         assert!(f.parsed::<u64>("seed").is_err());
+    }
+
+    /// Every subcommand (and `fleet` action) `main` dispatches.
+    const SUBCOMMANDS: [(&str, Option<&str>); 9] = [
+        ("classify", None),
+        ("hygiene", None),
+        ("throughput", None),
+        ("simulate", None),
+        ("fleet", Some("gen")),
+        ("fleet", Some("score")),
+        ("serve", None),
+        ("loadgen", None),
+        ("lint", None),
+    ];
+
+    /// Flags a subcommand accepts that [`usage`] leaves out: test hooks.
+    const HIDDEN_FLAGS: [&str; 2] = ["serve-delay-ms", "serve-heavy-delay-ms"];
+
+    fn usage_flags() -> Vec<&'static str> {
+        usage()
+            .split("--")
+            .skip(1)
+            .map(|rest| {
+                let end = rest
+                    .find(|c: char| !(c.is_ascii_lowercase() || c.is_ascii_digit() || c == '-'))
+                    .unwrap_or(rest.len());
+                &rest[..end]
+            })
+            .collect()
+    }
+
+    fn accepted_anywhere(name: &str) -> bool {
+        name == "trace"
+            || SUBCOMMANDS.iter().any(|(cmd, action)| {
+                accepted_flags(cmd, *action)
+                    .expect("dispatched subcommand has a flag list")
+                    .any(|flag| flag == name)
+            })
+    }
+
+    #[test]
+    fn usage_and_flag_lists_agree() {
+        let listed = usage_flags();
+        for name in &listed {
+            assert!(
+                accepted_anywhere(name),
+                "usage shows --{name}, no subcommand accepts it"
+            );
+        }
+        for (cmd, action) in SUBCOMMANDS {
+            for name in accepted_flags(cmd, action).unwrap() {
+                assert!(
+                    listed.contains(&name) || HIDDEN_FLAGS.contains(&name),
+                    "{cmd} accepts --{name}, usage does not show it"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn unknown_flags_are_named_with_their_subcommand() {
+        let f = parse(&["--traceroutes", "a.jsonl", "--serve-budget-cheap", "2"]).unwrap();
+        assert_eq!(
+            check_flags("serve", None, &f).unwrap_err(),
+            "unknown flag --serve-budget-cheap for serve"
+        );
+        assert!(check_flags(
+            "classify",
+            None,
+            &parse(&["--json", "--trace", "t"]).unwrap()
+        )
+        .is_ok());
+        let f = parse(&["--spec", "s.json", "--json"]).unwrap();
+        assert_eq!(
+            check_flags("fleet", Some("gen"), &f).unwrap_err(),
+            "unknown flag --json for fleet gen"
+        );
+        assert!(check_flags("fleet", Some("score"), &parse(&["--json"]).unwrap()).is_ok());
+        // Unknown subcommands and actions are left to dispatch.
+        assert!(check_flags("nonsense", None, &f).is_ok());
     }
 }

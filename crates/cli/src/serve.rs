@@ -40,9 +40,9 @@
 //! last analysis read it (see [`persist_live_snapshot`]); otherwise the
 //! snapshot is skipped and the next start recomputes cold.
 
-use crate::cache::{self, Cache};
+use crate::cache::Cache;
 use crate::classify::{
-    analyze_corpus, classification_doc, classification_json, corpus_fingerprint,
+    analyze_corpus, analyze_paths, classification_doc, classification_json, corpus_fingerprint,
 };
 use crate::input::{create_parent_dirs, flag_window};
 use crate::stats::{emit_stats, wants_stats};
@@ -234,16 +234,11 @@ pub fn run(flags: &Flags) -> Result<(), String> {
     // Metrics are always collected: `/metrics` serves them.
     let metrics = Arc::new(RunMetrics::new());
     let run_timer = StageTimer::start();
-    let cache: Option<Arc<Cache>> =
-        cache::from_flags(flags, || corpus_fingerprint(flags, &paths), Some(&metrics))?
-            .map(Arc::new);
-    let results = analyze_corpus(flags, &paths, Some(&metrics), cache.as_deref())?;
+    let (results, cache) = analyze_paths(flags, &paths, Some(&metrics))?;
+    let cache: Option<Arc<Cache>> = cache.map(Arc::new);
     metrics.set_wall(&run_timer);
     if results.is_empty() {
         return Err("no analysable traceroutes in the window".into());
-    }
-    if let Some(c) = &cache {
-        c.persist(Some(&metrics))?;
     }
 
     let serve_metrics = Arc::new(ServeMetrics::new());
@@ -397,11 +392,8 @@ pub fn run(flags: &Flags) -> Result<(), String> {
             .to_string(),
         workers: flags.parsed::<usize>("serve-workers")?.unwrap_or(4),
         queue: flags.parsed::<usize>("serve-queue")?.unwrap_or(16),
-        fastlane_queue: flags.parsed::<usize>("serve-fastlane-queue")?.unwrap_or(32),
         retry_after_secs: flags.parsed::<u64>("retry-after")?.unwrap_or(1),
-        budget_cheap: flags.parsed::<usize>("serve-budget-cheap")?.unwrap_or(0),
         budget_heavy: flags.parsed::<usize>("serve-budget-heavy")?.unwrap_or(0),
-        budget_intake: flags.parsed::<usize>("serve-budget-intake")?.unwrap_or(0),
         access_log,
     };
     let server = Server::bind(config.clone(), Arc::clone(&serve_metrics))

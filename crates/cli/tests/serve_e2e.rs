@@ -854,3 +854,28 @@ fn each_record_is_decoded_once_per_analysis() {
     assert!(ok, "serve did not exit cleanly: {stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn removed_serve_knobs_fail_loudly() {
+    // The fast-lane queue and the cheap and intake budgets are no longer
+    // settable. Followed by a plain value, each used to parse as an
+    // ignored value flag; now `serve` refuses to start. The corpus path
+    // does not exist, so a daemon that did start fails on it instead.
+    for knob in [
+        "--serve-fastlane-queue",
+        "--serve-budget-cheap",
+        "--serve-budget-intake",
+    ] {
+        let out = Command::new(lastmile_bin())
+            .args(["serve", "--traceroutes", "missing.jsonl", knob, "2"])
+            .output()
+            .expect("spawn lastmile");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{knob}: {err}");
+        assert!(
+            err.contains(&format!("unknown flag {knob} for serve")),
+            "{knob}: {err}"
+        );
+        assert!(err.contains("usage:"), "{knob}: {err}");
+    }
+}

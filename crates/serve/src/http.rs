@@ -73,16 +73,27 @@ pub enum ParseError {
     Io(std::io::Error),
 }
 
-/// Read one full request (head, then a `Content-Length` body if one is
-/// declared) from `stream`.
+/// Read one full request: [`parse_request_head`], then [`read_body`].
+pub fn parse_request(stream: &mut impl Read) -> Result<Request, ParseError> {
+    let (mut request, leftover) = parse_request_head(stream)?;
+    read_body(stream, &mut request, leftover)?;
+    Ok(request)
+}
+
+/// Read the `Content-Length` body of a request whose head
+/// [`parse_request_head`] returned, starting with the `leftover` bytes
+/// the head read already consumed.
 ///
 /// Body rules: no `Content-Length` means an empty body; a
 /// non-numeric length or any `Transfer-Encoding` header is malformed
 /// (400); a declared length above [`MAX_BODY_BYTES`] is
 /// [`ParseError::BodyTooLarge`] (413), checked *before* reading so an
 /// oversized upload is refused without buffering it.
-pub fn parse_request(stream: &mut impl Read) -> Result<Request, ParseError> {
-    let (mut request, leftover) = parse_request_head(stream)?;
+pub fn read_body(
+    stream: &mut impl Read,
+    request: &mut Request,
+    leftover: Vec<u8>,
+) -> Result<(), ParseError> {
     if request.header("transfer-encoding").is_some() {
         return Err(ParseError::Malformed("Transfer-Encoding not supported"));
     }
@@ -114,7 +125,7 @@ pub fn parse_request(stream: &mut impl Read) -> Result<Request, ParseError> {
         body.extend_from_slice(&chunk[..take]);
     }
     request.body = body;
-    Ok(request)
+    Ok(())
 }
 
 /// Read one request head from `stream` and parse it, returning the
@@ -123,12 +134,13 @@ pub fn parse_request(stream: &mut impl Read) -> Result<Request, ParseError> {
 ///
 /// Reads byte-chunks until the head terminator — `\r\n\r\n`, or a bare
 /// `\n\n` from LF-only clients (tolerant reader, like the ingest
-/// splitter's CRLF handling). The fast lane uses this directly: routing
-/// a health probe needs only the head, and never buffers a body. The
-/// terminator search is incremental: each iteration scans only the
-/// bytes the last read appended (minus a [`HEAD_SCAN_OVERLAP`]-byte
-/// overlap for a terminator spanning two reads), so a head arriving in
-/// many small reads costs O(head), not O(head²).
+/// splitter's CRLF handling). The server reads only this before it
+/// admits a request: classifying one needs only the head, and a shed
+/// request's body is never buffered. The terminator search is
+/// incremental: each iteration scans only the bytes the last read
+/// appended (minus a [`HEAD_SCAN_OVERLAP`]-byte overlap for a
+/// terminator spanning two reads), so a head arriving in many small
+/// reads costs O(head), not O(head²).
 pub fn parse_request_head(stream: &mut impl Read) -> Result<(Request, Vec<u8>), ParseError> {
     let mut head = Vec::with_capacity(512);
     let mut chunk = [0u8; 1024];

@@ -5,9 +5,9 @@
 //! ```text
 //!   acceptor ──try_send──▶ bounded queue (cap Q) ──recv──▶ serve-0..N-1
 //!      │                        full?
-//!      ├──try_send──▶ fast lane (cap F) ──recv──▶ serve-fast
+//!      ├──try_send──▶ fast lane (cap 32) ──recv──▶ serve-fast
 //!      │                   full?          GET /healthz | /metrics:
-//!      │                                  served inline; else 503
+//!      │                                  served; else 503
 //!      └──────── inline 503 + Retry-After, close ◀────────┘
 //! ```
 //!
@@ -15,36 +15,42 @@
 //! is saturated, and the correct behaviour under the ISSUE's
 //! backpressure contract is an immediate `503 Service Unavailable` with
 //! `Retry-After`, not unbounded buffering. Overflow connections detour
-//! through a dedicated fast lane first: a single thread that parses
-//! only the request head under a tight timeout and serves `GET
-//! /healthz` and `GET /metrics` inline, so a flood of expensive
-//! classify/ingest work can never blind health probes; anything else
-//! overflowing gets the same 503. Graceful shutdown stops the acceptor,
-//! drops both queues' senders, and joins the workers — which drain
-//! every connection already queued (and the one they are serving)
-//! before exiting.
+//! through a dedicated fast lane first: a single thread that serves
+//! `GET /healthz` and `GET /metrics` under a tight timeout, so a flood
+//! of expensive classify/ingest work can never blind health probes;
+//! anything else overflowing gets the same 503. Graceful shutdown stops
+//! the acceptor, drops both queues' senders, and joins the workers —
+//! which drain every connection already queued (and the one they are
+//! serving) before exiting.
+//!
+//! Every connection, on either lane, is served by one function,
+//! `serve_connection`: read the head, stamp the request id and trace
+//! span, classify, admit, read the body, run the handler, write and
+//! account the response. The lane (`Lane`) picks only the I/O timeout
+//! and the admission rule.
 //!
 //! ## Admission control
 //!
 //! Beyond the queue there is a second, cost-aware shedding layer: every
 //! request is classified into a [`CostClass`] (probe / cheap / heavy /
-//! intake), and each budgeted class has a concurrency budget enforced
-//! at the moment a worker would run its handler. A worker that dequeues
-//! a request whose class is already at budget answers a fast 503 (with
+//! intake) from its head, and each budgeted class has a concurrency
+//! budget checked before the body is read. A worker that dequeues a
+//! request whose class is already at budget answers a fast 503 (with
 //! the class named in the body and an adaptive `Retry-After`) instead
 //! of running the handler — turning slow work into a cheap write, so
 //! the shared accept queue keeps draining and the remaining workers
 //! stay available for the other classes. With `budget_heavy <
 //! workers`, a flood of full-classification requests can never occupy
 //! the whole pool: series / populations / live-intake traffic always
-//! finds a worker. Budgets left at 0 resolve to `workers` — admission
-//! effectively disengaged — so the default daemon sheds only on queue
-//! overflow, exactly as before.
+//! finds a worker. The cheap and intake budgets are fixed at `workers`
+//! (they can never be exceeded, so those classes are only counted), and
+//! a heavy budget left at 0 resolves to `workers` too — so the default
+//! daemon sheds only on queue overflow.
 
 use crate::access::{now_unix_ms, AccessLog, AccessRecord};
-use crate::http::{parse_request, parse_request_head, ParseError, Request, Response};
-use lastmile_obs::{trace, AdmissionClassMetrics, ServeEndpoint, ServeMetrics};
-use std::io::{Read, Write};
+use crate::http::{parse_request_head, read_body, ParseError, Request, Response};
+use lastmile_obs::{trace, AdmissionClassMetrics, ServeMetrics};
+use std::io::Read;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -67,24 +73,14 @@ pub struct ServerConfig {
     /// Accept-queue capacity. Clamped to ≥ 1; `workers + queue` bounds
     /// the connections held at any instant.
     pub queue: usize,
-    /// Fast-lane queue capacity for connections overflowing the main
-    /// queue (health/metrics probes served there; the rest 503'd).
-    /// Clamped to ≥ 1.
-    pub fastlane_queue: usize,
     /// Base seconds advertised in `Retry-After` on a 503; the actual
     /// hint scales up with backlog (see [`adaptive_retry_after`]).
     pub retry_after_secs: u64,
-    /// Concurrency budget for [`CostClass::Cheap`] requests. `0` =
-    /// auto (`workers`: admission disengaged for this class).
-    pub budget_cheap: usize,
     /// Concurrency budget for [`CostClass::Heavy`] requests (the full
     /// `GET /v1/classify` document). `0` = auto (`workers`). Set it
     /// below `workers` to guarantee a classify flood leaves workers
     /// free for every other class.
     pub budget_heavy: usize,
-    /// Concurrency budget for [`CostClass::Intake`] requests
-    /// (`POST /v1/traceroutes`). `0` = auto (`workers`).
-    pub budget_intake: usize,
     /// Structured access log: one JSON object per request (served,
     /// errored, or shed) through a bounded non-blocking writer. `None`
     /// (the default) logs nothing. The server shuts the writer down
@@ -98,11 +94,8 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:8437".to_string(),
             workers: 4,
             queue: 16,
-            fastlane_queue: 32,
             retry_after_secs: 1,
-            budget_cheap: 0,
             budget_heavy: 0,
-            budget_intake: 0,
             access_log: None,
         }
     }
@@ -141,7 +134,7 @@ impl CostClass {
 /// Classify a request head into its [`CostClass`].
 pub fn cost_class(method: &str, path: &str) -> CostClass {
     let bare = path.split('?').next().unwrap_or(path);
-    if method == "GET" && fastlane_path(bare) {
+    if method == "GET" && (bare == "/healthz" || bare == "/metrics") {
         CostClass::Probe
     } else if method == "POST" && bare == "/v1/traceroutes" {
         CostClass::Intake
@@ -177,12 +170,9 @@ const ACCEPT_POLL: Duration = Duration::from_millis(5);
 /// answered while the pool is saturated.
 const FASTLANE_IO_TIMEOUT: Duration = Duration::from_secs(2);
 
-/// Whether the fast lane serves `path` inline when the main accept
-/// queue is full (cheap, read-only endpoints the operator needs *most*
-/// under overload).
-fn fastlane_path(path: &str) -> bool {
-    path == "/healthz" || path == "/metrics"
-}
+/// Fast-lane queue capacity: connections overflowing the main queue
+/// wait here for `serve-fast`; past it the acceptor answers 503 inline.
+const FASTLANE_QUEUE: usize = 32;
 
 /// A bound listener plus its pool configuration. `bind` then `run`.
 pub struct Server {
@@ -218,73 +208,43 @@ impl Server {
     pub fn run(self, handler: Arc<Handler>, shutdown: &AtomicBool) -> std::io::Result<()> {
         let workers = self.config.workers.max(1);
         let queue = self.config.queue.max(1);
-        let fastlane = self.config.fastlane_queue.max(1);
-        let resolve = |budget: usize| if budget == 0 { workers } else { budget };
-        let limits = Limits {
-            retry_after_secs: self.config.retry_after_secs,
-            workers: workers as u64,
-            queue: queue as u64,
+        let heavy = match self.config.budget_heavy {
+            0 => workers,
+            budget => budget,
         };
-        // Publish the resolved budgets as gauges before any traffic.
+        // Publish the budgets as gauges before any traffic.
+        let admission = &self.metrics.admission;
         for (class, budget) in [
-            (
-                &self.metrics.admission.cheap,
-                resolve(self.config.budget_cheap),
-            ),
-            (
-                &self.metrics.admission.heavy,
-                resolve(self.config.budget_heavy),
-            ),
-            (
-                &self.metrics.admission.intake,
-                resolve(self.config.budget_intake),
-            ),
+            (&admission.cheap, workers),
+            (&admission.heavy, heavy),
+            (&admission.intake, workers),
         ] {
             class.budget.store(budget as u64, Ordering::Relaxed);
         }
+        let ctx = Ctx {
+            metrics: &self.metrics,
+            limits: Limits {
+                retry_after_secs: self.config.retry_after_secs,
+                workers: workers as u64,
+                queue: queue as u64,
+            },
+            access: self.config.access_log.as_deref(),
+        };
         self.listener.set_nonblocking(true)?;
         let (tx, rx) = std::sync::mpsc::sync_channel::<TcpStream>(queue);
-        let (ftx, frx) = std::sync::mpsc::sync_channel::<TcpStream>(fastlane);
-        let rx = Arc::new(Mutex::new(rx));
-        std::thread::scope(|scope| -> std::io::Result<()> {
-            for n in 0..workers {
-                let rx = Arc::clone(&rx);
-                let handler = Arc::clone(&handler);
-                let metrics = Arc::clone(&self.metrics);
-                let access = self.config.access_log.clone();
+        let (ftx, frx) = std::sync::mpsc::sync_channel::<TcpStream>(FASTLANE_QUEUE);
+        let (pool, fast) = (Mutex::new(rx), Mutex::new(frx));
+        let handler = &*handler;
+        std::thread::scope(|scope| {
+            let threads = (0..workers)
+                .map(|n| (format!("serve-{n}"), Lane::Pool, &pool))
+                .chain([("serve-fast".to_string(), Lane::Fast, &fast)]);
+            for (name, lane, rx) in threads {
                 std::thread::Builder::new()
-                    .name(format!("serve-{n}"))
-                    .spawn_scoped(scope, move || {
-                        let ctx = Ctx {
-                            metrics: &metrics,
-                            limits,
-                            access: access.as_deref(),
-                        };
-                        worker_loop(&rx, &handler, ctx)
-                    })
+                    .name(name)
+                    .spawn_scoped(scope, move || worker_loop(rx, lane, handler, ctx))
                     .expect("spawn serve worker");
             }
-            {
-                let handler = Arc::clone(&handler);
-                let metrics = Arc::clone(&self.metrics);
-                let access = self.config.access_log.clone();
-                std::thread::Builder::new()
-                    .name("serve-fast".into())
-                    .spawn_scoped(scope, move || {
-                        let ctx = Ctx {
-                            metrics: &metrics,
-                            limits,
-                            access: access.as_deref(),
-                        };
-                        fastlane_loop(frx, &handler, ctx)
-                    })
-                    .expect("spawn serve fast lane");
-            }
-            let actx = Ctx {
-                metrics: &self.metrics,
-                limits,
-                access: self.config.access_log.as_deref(),
-            };
             while !shutdown.load(Ordering::Acquire) {
                 match self.listener.accept() {
                     Ok((stream, _peer)) => {
@@ -309,17 +269,13 @@ impl Server {
                                     Err(TrySendError::Full(stream))
                                     | Err(TrySendError::Disconnected(stream)) => {
                                         // Both queues full; the request
-                                        // head was never read, so the
-                                        // cost class is unknown.
-                                        reject_busy(
+                                        // head was never read.
+                                        let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
+                                        shed(
                                             stream,
-                                            "unknown",
-                                            actx,
-                                            Instant::now(),
-                                            AccessRecord {
-                                                request_id: request_id(None),
-                                                ..AccessRecord::default()
-                                            },
+                                            Shed::QueueFull,
+                                            Exchange::unparsed(Instant::now()),
+                                            ctx,
                                         );
                                     }
                                 }
@@ -347,8 +303,7 @@ impl Server {
             });
             drop(tx); // workers drain the queue, then their recv() errors
             drop(ftx); // likewise for the fast lane
-            Ok(())
-        })?;
+        });
         // Workers are drained and joined: every record is enqueued, so
         // the writer can flush and stop. Losses are reported, never
         // silent.
@@ -443,185 +398,92 @@ impl Limits {
     }
 }
 
-/// Answer a connection no queue had room for: 503 with `Retry-After`,
-/// written inline (bounded work — one small write on a fresh socket).
-/// Shared by the acceptor and the fast lane. `entry` carries whatever
-/// access-log identity the caller knows (request id always; method and
-/// path only when a head was parsed).
-fn reject_busy(
-    stream: TcpStream,
-    class_name: &'static str,
-    ctx: Ctx<'_>,
-    started: Instant,
-    mut entry: AccessRecord,
-) {
-    ctx.metrics.rejected_busy.fetch_add(1, Ordering::Relaxed);
-    let hint = ctx.limits.queue_full_hint(ctx.metrics);
-    entry.shed_reason = "queue_full";
-    shed_503(
-        stream,
-        "accept queue full",
-        class_name,
-        hint,
-        ctx,
-        started,
-        entry,
-    );
+/// Which queue a connection came through. The lane decides the I/O
+/// timeout and the admission rule; every other step of
+/// [`serve_connection`] is shared.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Lane {
+    /// The worker pool behind the bounded accept queue.
+    Pool,
+    /// `serve-fast`, fed by connections overflowing a full accept queue.
+    Fast,
 }
 
-/// Write a shed 503 (`Retry-After` + JSON body naming the cost class),
-/// drain the unread request, and account its latency under the
-/// dedicated `rejected` histogram — never under `requests`, which
-/// counts handler-served work only.
-fn shed_503(
-    mut stream: TcpStream,
-    error: &str,
-    class_name: &'static str,
-    hint_secs: u64,
-    ctx: Ctx<'_>,
-    started: Instant,
-    mut entry: AccessRecord,
-) {
-    let metrics = ctx.metrics;
-    let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
-    let retry = hint_secs.to_string();
-    let body = format!(
-        "{{\"error\":\"{error}\",\"cost_class\":\"{class_name}\",\"retry_after_secs\":{retry}}}\n"
-    );
-    let mut response = Response::json(503, body).header("Retry-After", retry);
-    if !entry.request_id.is_empty() {
-        response = response.header("X-Request-Id", entry.request_id.clone());
-    }
-    let _ = response.write_to(&mut stream);
-    // Closing with the client's request still unread would RST the
-    // connection and can discard the 503 out of the client's receive
-    // buffer. Signal end-of-response, then drain what the client
-    // already sent — bounded (tiny timeout, few reads) so a flooding
-    // client can't park the acceptor here.
-    let _ = stream.shutdown(Shutdown::Write);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(10)));
-    let mut scratch = [0u8; 1024];
-    for _ in 0..4 {
-        match stream.read(&mut scratch) {
-            Ok(0) | Err(_) => break,
-            Ok(_) => {}
+impl Lane {
+    fn io_timeout(self) -> Duration {
+        match self {
+            Lane::Pool => IO_TIMEOUT,
+            Lane::Fast => FASTLANE_IO_TIMEOUT,
         }
     }
-    let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    metrics.record_rejected(nanos);
-    trace::instant_with("request_rejected", |a| {
-        a.u64("status", 503)
-            .str("cost_class", class_name)
-            .str("request_id", entry.request_id.clone());
-    });
-    if let Some(access) = ctx.access {
-        entry.cost_class = class_name;
-        entry.endpoint = "rejected";
-        entry.status = 503;
-        entry.latency_micros = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-        entry.unix_ms = now_unix_ms();
-        access.log(&entry);
-    }
-}
 
-/// The fast lane: a single thread that keeps `GET /healthz` and `GET
-/// /metrics` answered while the worker pool is saturated. It parses
-/// only the request head (never a body) under a tight timeout; anything
-/// that isn't a health/metrics probe gets the same 503 the acceptor
-/// would have written.
-fn fastlane_loop(rx: Receiver<TcpStream>, handler: &Arc<Handler>, ctx: Ctx<'_>) {
-    while let Ok(stream) = rx.recv() {
-        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            fastlane_connection(stream, handler, ctx);
-        }));
-        if result.is_err() {
-            ctx.metrics.worker_panics.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-}
-
-/// Serve exactly one overflow connection on the fast lane.
-fn fastlane_connection(mut stream: TcpStream, handler: &Arc<Handler>, ctx: Ctx<'_>) {
-    let metrics = ctx.metrics;
-    let started = Instant::now();
-    let _ = stream.set_read_timeout(Some(FASTLANE_IO_TIMEOUT));
-    let _ = stream.set_write_timeout(Some(FASTLANE_IO_TIMEOUT));
-    let request = match parse_request_head(&mut stream) {
-        Ok((request, _leftover)) => request,
-        Err(ParseError::ConnectionClosed) => return, // nothing owed
-        // Under saturation an unparsable overflow connection gets the
-        // busy answer rather than per-error statuses: the lane exists
-        // for probes, not error reporting.
-        Err(_) => {
-            reject_busy(
-                stream,
-                "unknown",
-                ctx,
-                started,
-                AccessRecord {
-                    request_id: request_id(None),
-                    ..AccessRecord::default()
-                },
-            );
-            return;
-        }
-    };
-    let id = request_id(request.header("x-request-id"));
-    let class = cost_class(&request.method, &request.path);
-    if class == CostClass::Probe {
-        metrics.fastlane_hits.fetch_add(1, Ordering::Relaxed);
-        trace::instant_with("fastlane_served", |a| {
-            a.str("path", request.path.clone())
-                .str("request_id", id.clone());
-        });
-        let response = match std::panic::catch_unwind(AssertUnwindSafe(|| handler(&request))) {
-            Ok(response) => response,
-            Err(_) => {
-                metrics.worker_panics.fetch_add(1, Ordering::Relaxed);
-                Response::json(500, "{\"error\":\"handler panicked\"}\n")
-            }
+    /// Admit a request of `class`, or say why it is shed. The pool
+    /// checks the class budget and hands back the slot to release after
+    /// the handler (`None` for the unbudgeted probe class). The fast
+    /// lane admits probes only; everything else overflowed a full
+    /// queue.
+    fn admit(
+        self,
+        class: CostClass,
+        metrics: &ServeMetrics,
+    ) -> Result<Option<&AdmissionClassMetrics>, Shed<'_>> {
+        let admission = &metrics.admission;
+        let budget = match class {
+            CostClass::Probe => None,
+            CostClass::Cheap => Some(&admission.cheap),
+            CostClass::Heavy => Some(&admission.heavy),
+            CostClass::Intake => Some(&admission.intake),
         };
-        let response = response.header("X-Request-Id", id.clone());
-        let endpoint = response.endpoint;
-        let status = response.status;
-        let epoch = epoch_from(&response);
-        let _ = response.write_to(&mut stream);
-        record(metrics, endpoint, started);
-        if let Some(access) = ctx.access {
-            access.log(&AccessRecord {
-                request_id: id,
-                method: request.method.clone(),
-                path: request.path.clone(),
-                endpoint: endpoint.label(),
-                cost_class: class.name(),
-                status,
-                latency_micros: u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX),
-                epoch,
-                shed_reason: "",
-                unix_ms: now_unix_ms(),
-            });
+        match (self, budget) {
+            (Lane::Fast, None) => {
+                metrics.fastlane_hits.fetch_add(1, Ordering::Relaxed);
+                Ok(None)
+            }
+            (Lane::Fast, Some(_)) => Err(Shed::QueueFull),
+            (Lane::Pool, Some(class)) if !class.try_acquire() => Err(Shed::OverBudget(class)),
+            (Lane::Pool, slot) => Ok(slot),
         }
-    } else {
-        // The head parsed, so the 503 can at least name the class the
-        // client was charged to.
-        reject_busy(
-            stream,
-            class.name(),
-            ctx,
-            started,
-            AccessRecord {
-                request_id: id,
-                method: request.method.clone(),
-                path: request.path.clone(),
-                ..AccessRecord::default()
-            },
-        );
     }
 }
 
-/// One worker: pull connections until the queue closes.
-fn worker_loop(rx: &Mutex<Receiver<TcpStream>>, handler: &Arc<Handler>, ctx: Ctx<'_>) {
+/// Why a request is answered 503 without reaching its handler.
+#[derive(Clone, Copy)]
+enum Shed<'m> {
+    /// No queue had room (shed by the acceptor or the fast lane).
+    QueueFull,
+    /// Its cost class is at budget.
+    OverBudget(&'m AdmissionClassMetrics),
+}
+
+/// What an answer needs to know about its request, however far the
+/// request got: when it arrived, its id, its head (once parsed) and
+/// its cost class (`unknown` before the head parsed).
+struct Exchange<'r> {
+    started: Instant,
+    id: String,
+    head: Option<&'r Request>,
+    class: &'static str,
+}
+
+impl Exchange<'_> {
+    /// A connection whose head was never parsed.
+    fn unparsed(started: Instant) -> Exchange<'static> {
+        Exchange {
+            started,
+            id: request_id(None),
+            head: None,
+            class: "unknown",
+        }
+    }
+}
+
+/// One serving thread: pull connections off its lane's queue until the
+/// acceptor drops the sender.
+fn worker_loop(rx: &Mutex<Receiver<TcpStream>>, lane: Lane, handler: &Handler, ctx: Ctx<'_>) {
     let metrics = ctx.metrics;
+    // The queue and in-flight gauges describe the pool: the acceptor
+    // already took a detoured connection off the queue gauge.
+    let pool = lane == Lane::Pool;
     loop {
         // Hold the receiver lock only for the dequeue, never while
         // serving — otherwise one slow client would serialize the pool.
@@ -629,164 +491,216 @@ fn worker_loop(rx: &Mutex<Receiver<TcpStream>>, handler: &Arc<Handler>, ctx: Ctx
             Ok(stream) => stream,
             Err(_) => return, // acceptor dropped the sender: drained
         };
-        metrics.queue_pop();
-        metrics.in_flight.inc();
+        if pool {
+            metrics.queue_pop();
+            metrics.in_flight.inc();
+        }
         let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            handle_connection(stream, handler, ctx);
+            serve_connection(stream, lane, handler, ctx);
         }));
-        metrics.in_flight.dec();
+        if pool {
+            metrics.in_flight.dec();
+        }
         if result.is_err() {
-            // `handle_connection` already catches handler panics; this
+            // `serve_connection` already catches handler panics; this
             // catches bugs in the connection plumbing itself so the
-            // worker (and the drain guarantee) survives them.
+            // thread (and the drain guarantee) survives them.
             metrics.worker_panics.fetch_add(1, Ordering::Relaxed);
         }
     }
 }
 
-/// The admission accountant for `class`, or `None` for the unbudgeted
-/// probe class.
-fn class_metrics(metrics: &ServeMetrics, class: CostClass) -> Option<&AdmissionClassMetrics> {
-    match class {
-        CostClass::Probe => None,
-        CostClass::Cheap => Some(&metrics.admission.cheap),
-        CostClass::Heavy => Some(&metrics.admission.heavy),
-        CostClass::Intake => Some(&metrics.admission.intake),
-    }
-}
-
-/// Serve exactly one request on `stream`, then close it.
-fn handle_connection(mut stream: TcpStream, handler: &Arc<Handler>, ctx: Ctx<'_>) {
-    let metrics = ctx.metrics;
+/// Serve exactly one request on `stream`, then close it. Both lanes run
+/// the same steps in the same order.
+fn serve_connection(mut stream: TcpStream, lane: Lane, handler: &Handler, ctx: Ctx<'_>) {
     let started = Instant::now();
-    let _ = stream.set_read_timeout(Some(IO_TIMEOUT));
-    let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
-    let request = match parse_request(&mut stream) {
-        Ok(request) => request,
+    let _ = stream.set_read_timeout(Some(lane.io_timeout()));
+    let _ = stream.set_write_timeout(Some(lane.io_timeout()));
+    // 1. The head only: classifying and admitting need nothing more.
+    let (mut request, leftover) = match parse_request_head(&mut stream) {
+        Ok(head) => head,
         Err(ParseError::ConnectionClosed) => return, // nothing owed
         Err(e) => {
-            let (status, msg) = match e {
-                ParseError::HeadTooLarge => (431, "request head too large"),
-                ParseError::BodyTooLarge => (413, "request body too large"),
-                ParseError::Malformed(why) => (400, why),
-                ParseError::Io(_) | ParseError::ConnectionClosed => return,
-            };
-            let id = request_id(None);
-            let body = format!("{{\"error\":\"{msg}\"}}\n");
-            let _ = Response::json(status, body)
-                .header("X-Request-Id", id.clone())
-                .write_to(&mut stream);
-            record(metrics, ServeEndpoint::Other, started);
-            if let Some(access) = ctx.access {
-                // The head never parsed: no method/path to attribute,
-                // but the status and id still land in the log.
-                access.log(&AccessRecord {
-                    request_id: id,
-                    endpoint: ServeEndpoint::Other.label(),
-                    cost_class: "unknown",
-                    status,
-                    latency_micros: u64::try_from(started.elapsed().as_micros())
-                        .unwrap_or(u64::MAX),
-                    unix_ms: now_unix_ms(),
-                    ..AccessRecord::default()
-                });
+            // No head, no cost class. The fast lane admits probes only,
+            // so it sheds this too; the pool answers the parse error.
+            let exchange = Exchange::unparsed(started);
+            match (lane, error_response(e)) {
+                (Lane::Fast, _) => shed(stream, Shed::QueueFull, exchange, ctx),
+                (Lane::Pool, Some(response)) => respond(stream, response, "", exchange, ctx),
+                (Lane::Pool, None) => {}
             }
             return;
         }
     };
+    // 2. The id joins the response header, trace span and access log.
     let id = request_id(request.header("x-request-id"));
     let _span = trace::span_with("request", |a| {
         a.str("method", request.method.clone())
             .str("path", request.path.clone())
             .str("request_id", id.clone());
     });
-    let run_handler =
-        |request: &Request| match std::panic::catch_unwind(AssertUnwindSafe(|| handler(request))) {
-            Ok(response) => response,
-            Err(_) => {
-                metrics.worker_panics.fetch_add(1, Ordering::Relaxed);
-                Response::json(500, "{\"error\":\"handler panicked\"}\n")
-            }
-        };
+    // 3–4. Classify from the head, then admit.
     let class = cost_class(&request.method, &request.path);
-    let response = if request.method != "GET" && request.method != "POST" {
-        Response::json(405, "{\"error\":\"only GET and POST are served\"}\n")
-    } else {
-        match class_metrics(metrics, class) {
-            Some(admission) => {
-                if !admission.try_acquire() {
-                    // Over budget: shed instead of running the handler.
-                    // The write below is microseconds, so the worker is
-                    // immediately back on the queue — a flooded class
-                    // costs the pool almost nothing.
-                    let hint = ctx.limits.budget_hint(metrics, admission);
-                    trace::instant_with("admission_shed", |a| {
-                        a.str("cost_class", class.name())
-                            .str("request_id", id.clone());
-                    });
-                    shed_503(
-                        stream,
-                        "over budget",
-                        class.name(),
-                        hint,
-                        ctx,
-                        started,
-                        AccessRecord {
-                            request_id: id,
-                            method: request.method.clone(),
-                            path: request.path.clone(),
-                            shed_reason: "over_budget",
-                            ..AccessRecord::default()
-                        },
-                    );
-                    return;
-                }
-                let response = run_handler(&request);
-                admission.release();
-                response
-            }
-            None => run_handler(&request),
+    let slot = match lane.admit(class, ctx.metrics) {
+        Ok(slot) => slot,
+        Err(reason) => {
+            let exchange = Exchange {
+                started,
+                id,
+                head: Some(&request),
+                class: class.name(),
+            };
+            return shed(stream, reason, exchange, ctx);
         }
     };
-    if response.status >= 400 {
-        trace::instant_with("request_error", |a| {
-            a.u64("status", u64::from(response.status));
-        });
+    // 5–6. Only an admitted request's body is read; then the handler.
+    let response = match read_body(&mut stream, &mut request, leftover) {
+        Err(e) => error_response(e),
+        Ok(()) if request.method != "GET" && request.method != "POST" => Some(Response::json(
+            405,
+            "{\"error\":\"only GET and POST are served\"}\n",
+        )),
+        Ok(()) => Some(
+            match std::panic::catch_unwind(AssertUnwindSafe(|| handler(&request))) {
+                Ok(response) => response,
+                Err(_) => {
+                    ctx.metrics.worker_panics.fetch_add(1, Ordering::Relaxed);
+                    Response::json(500, "{\"error\":\"handler panicked\"}\n")
+                }
+            },
+        ),
+    };
+    if let Some(slot) = slot {
+        slot.release();
     }
+    // 7. Write, record, log.
+    if let Some(response) = response {
+        let exchange = Exchange {
+            started,
+            id,
+            head: Some(&request),
+            class: class.name(),
+        };
+        respond(stream, response, "", exchange, ctx);
+    }
+}
+
+/// The answer owed for a request that failed to parse, or `None` when
+/// the socket itself failed and nothing can be answered.
+fn error_response(e: ParseError) -> Option<Response> {
+    let (status, msg) = match e {
+        ParseError::HeadTooLarge => (431, "request head too large"),
+        ParseError::BodyTooLarge => (413, "request body too large"),
+        ParseError::Malformed(why) => (400, why),
+        ParseError::Io(_) | ParseError::ConnectionClosed => return None,
+    };
+    Some(Response::json(status, format!("{{\"error\":\"{msg}\"}}\n")))
+}
+
+/// Answer a request with a 503 instead of running its handler: a
+/// `Retry-After` hint and JSON body chosen by `reason`, naming the cost
+/// class.
+fn shed(stream: TcpStream, reason: Shed<'_>, exchange: Exchange<'_>, ctx: Ctx<'_>) {
+    let metrics = ctx.metrics;
+    let (error, shed_reason, hint) = match reason {
+        Shed::QueueFull => {
+            metrics.rejected_busy.fetch_add(1, Ordering::Relaxed);
+            let hint = ctx.limits.queue_full_hint(metrics);
+            ("accept queue full", "queue_full", hint)
+        }
+        Shed::OverBudget(class) => {
+            let hint = ctx.limits.budget_hint(metrics, class);
+            ("over budget", "over_budget", hint)
+        }
+    };
+    let body = format!(
+        "{{\"error\":\"{error}\",\"cost_class\":\"{}\",\"retry_after_secs\":{hint}}}\n",
+        exchange.class
+    );
+    let response = Response::json(503, body).header("Retry-After", hint.to_string());
+    respond(stream, response, shed_reason, exchange, ctx);
+}
+
+/// Write one answer, then account it once and log it once. A served
+/// answer (`shed_reason` empty) counts toward `requests` and its
+/// endpoint's latency histogram; a shed one drains the unread request
+/// and lands in the `rejected` histogram instead.
+fn respond(
+    mut stream: TcpStream,
+    response: Response,
+    shed_reason: &'static str,
+    exchange: Exchange<'_>,
+    ctx: Ctx<'_>,
+) {
+    let Exchange {
+        started,
+        id,
+        head,
+        class,
+    } = exchange;
+    let shed = !shed_reason.is_empty();
     let response = response.header("X-Request-Id", id.clone());
-    let endpoint = response.endpoint;
-    let status = response.status;
-    let epoch = epoch_from(&response);
-    if response.write_to(&mut stream).is_err() {
-        // The client went away mid-write; the request still ran, so it
-        // still counts against its endpoint.
+    // A client that went away mid-write still had its request run, so
+    // the answer is accounted either way.
+    let _ = response.write_to(&mut stream);
+    if shed {
+        // Closing with the client's request still unread would RST the
+        // connection and can discard the 503 out of the client's
+        // receive buffer. Signal end-of-response, then drain what the
+        // client already sent — bounded (tiny timeout, few reads) so a
+        // flooding client can't park the acceptor here.
+        let _ = stream.shutdown(Shutdown::Write);
+        let _ = stream.set_read_timeout(Some(Duration::from_millis(10)));
+        let mut scratch = [0u8; 1024];
+        for _ in 0..4 {
+            match stream.read(&mut scratch) {
+                Ok(0) | Err(_) => break,
+                Ok(_) => {}
+            }
+        }
     }
-    let _ = stream.flush();
-    record(metrics, endpoint, started);
+    let elapsed = started.elapsed();
+    let nanos = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
+    if shed {
+        ctx.metrics.record_rejected(nanos);
+        trace::instant_with("request_rejected", |a| {
+            a.u64("status", 503)
+                .str("cost_class", class)
+                .str("shed_reason", shed_reason)
+                .str("request_id", id.clone());
+        });
+    } else {
+        ctx.metrics.record_request(response.endpoint, nanos);
+        if response.status >= 400 {
+            trace::instant_with("request_error", |a| {
+                a.u64("status", u64::from(response.status));
+            });
+        }
+    }
     if let Some(access) = ctx.access {
         access.log(&AccessRecord {
             request_id: id,
-            method: request.method.clone(),
-            path: request.path.clone(),
-            endpoint: endpoint.label(),
-            cost_class: class.name(),
-            status,
-            latency_micros: u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX),
-            epoch,
-            shed_reason: "",
+            method: head.map(|r| r.method.clone()).unwrap_or_default(),
+            path: head.map(|r| r.path.clone()).unwrap_or_default(),
+            endpoint: if shed {
+                "rejected"
+            } else {
+                response.endpoint.label()
+            },
+            cost_class: class,
+            status: response.status,
+            latency_micros: u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX),
+            epoch: epoch_from(&response),
+            shed_reason,
             unix_ms: now_unix_ms(),
         });
     }
 }
 
-fn record(metrics: &ServeMetrics, endpoint: ServeEndpoint, started: Instant) {
-    let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    metrics.record_request(endpoint, nanos);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lastmile_obs::ServeEndpoint;
     use std::io::{BufRead, BufReader, Read, Write};
     use std::sync::mpsc;
 
@@ -850,7 +764,6 @@ mod tests {
             addr: "127.0.0.1:0".into(),
             workers: 2,
             queue: 8,
-            fastlane_queue: 4,
             retry_after_secs: 1,
             ..ServerConfig::default()
         };
@@ -888,7 +801,6 @@ mod tests {
             addr: "127.0.0.1:0".into(),
             workers: 1,
             queue: 1,
-            fastlane_queue: 4,
             retry_after_secs: 7,
             ..ServerConfig::default()
         };
@@ -956,7 +868,6 @@ mod tests {
             addr: "127.0.0.1:0".into(),
             workers: 1,
             queue: 4,
-            fastlane_queue: 4,
             retry_after_secs: 1,
             ..ServerConfig::default()
         };
@@ -983,7 +894,6 @@ mod tests {
             addr: "127.0.0.1:0".into(),
             workers: 1,
             queue: 4,
-            fastlane_queue: 4,
             retry_after_secs: 1,
             ..ServerConfig::default()
         };
@@ -1007,7 +917,6 @@ mod tests {
             addr: "127.0.0.1:0".into(),
             workers: 1,
             queue: 4,
-            fastlane_queue: 4,
             retry_after_secs: 1,
             ..ServerConfig::default()
         };
@@ -1060,12 +969,28 @@ mod tests {
             gate_rx.lock().unwrap().recv().ok();
             Response::text(200, "slow")
         });
+        // Fast-lane requests run under the same request span as pool
+        // requests; the global tracer collects it.
+        let tracer = trace::install();
+        #[derive(Clone, Default)]
+        struct SharedSink(Arc<Mutex<Vec<u8>>>);
+        impl Write for SharedSink {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0.lock().unwrap().extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let sink = SharedSink::default();
+        let log_buf = Arc::clone(&sink.0);
         let config = ServerConfig {
             addr: "127.0.0.1:0".into(),
             workers: 1,
             queue: 1,
-            fastlane_queue: 4,
             retry_after_secs: 2,
+            access_log: Some(AccessLog::from_writer(Box::new(sink))),
             ..ServerConfig::default()
         };
         let (addr, metrics, shutdown, join) = spawn_server(config, handler);
@@ -1094,10 +1019,16 @@ mod tests {
             metrics.queue_depth.load(Ordering::Relaxed) == 1
         });
         // Saturated. Health probes keep answering — several in a row.
+        let mut probe_ids = Vec::new();
         for _ in 0..3 {
-            let (status, _, body) = get(addr, "/healthz");
+            let (status, headers, body) = get(addr, "/healthz");
             assert_eq!(status, 200, "health probe blinded under saturation");
             assert!(body.contains("ok"), "{body}");
+            let id = headers
+                .iter()
+                .find_map(|h| h.strip_prefix("X-Request-Id: "))
+                .expect("fast-lane response carries X-Request-Id");
+            probe_ids.push(id.to_string());
         }
         // A classify overflowing at the same moment is bounced.
         let (status, headers, _) = get(addr, "/v1/classify");
@@ -1120,6 +1051,95 @@ mod tests {
         assert_eq!(s.requests, 5);
         assert_eq!(s.latency.rejected.count, 1);
         assert_eq!(s.worker_panics, 0);
+        // Each fast-lane probe left one access-log line and one request
+        // span, both joined to its response by the request id.
+        let log = String::from_utf8(log_buf.lock().unwrap().clone()).unwrap();
+        let mut trace = Vec::new();
+        tracer.drain_chrome_json(&mut trace).unwrap();
+        let trace = String::from_utf8(trace).unwrap();
+        for id in &probe_ids {
+            let needle = format!("\"request_id\":\"{id}\"");
+            let line = log
+                .lines()
+                .find(|l| l.contains(&needle))
+                .unwrap_or_else(|| panic!("no access-log line for {id}: {log}"));
+            assert!(line.contains("\"cost_class\":\"probe\""), "{line}");
+            assert!(line.contains("\"endpoint\":\"healthz\""), "{line}");
+            assert!(line.contains("\"status\":200"), "{line}");
+            assert!(
+                trace.lines().any(|l| l.contains("\"ph\":\"B\"")
+                    && l.contains("\"name\":\"request\"")
+                    && l.contains(&needle)),
+                "no request span for fast-lane probe {id}"
+            );
+        }
+    }
+
+    #[test]
+    fn fast_lane_handler_panic_answers_500_and_the_lane_keeps_serving() {
+        // Saturate the pool (one worker parked, queue of one) so probes
+        // overflow to the fast lane, where `/metrics` panics.
+        let (gate_tx, gate_rx) = mpsc::channel::<()>();
+        let gate_rx = Mutex::new(gate_rx);
+        let handler: Arc<Handler> = Arc::new(move |req: &Request| match req.path.as_str() {
+            "/metrics" => panic!("metrics handler bug"),
+            "/healthz" => Response::json(200, "{\"status\":\"ok\"}\n"),
+            _ => {
+                gate_rx.lock().unwrap().recv().ok();
+                Response::text(200, "slow")
+            }
+        });
+        let config = ServerConfig {
+            addr: "127.0.0.1:0".into(),
+            workers: 1,
+            queue: 1,
+            ..ServerConfig::default()
+        };
+        let (addr, metrics, shutdown, join) = spawn_server(config, handler);
+        let send_slow = || {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            write!(stream, "GET /slow HTTP/1.1\r\n\r\n").unwrap();
+            stream
+        };
+        let wait_for = |what: &str, reached: &dyn Fn() -> bool| {
+            let t0 = Instant::now();
+            while !reached() {
+                assert!(
+                    t0.elapsed() < Duration::from_secs(5),
+                    "never reached: {what}"
+                );
+                std::thread::sleep(Duration::from_millis(2));
+            }
+        };
+        let slow_a = send_slow();
+        wait_for("request A in the handler", &|| {
+            metrics.in_flight.load(Ordering::Relaxed) == 1
+        });
+        let slow_b = send_slow();
+        wait_for("request B parked in the queue", &|| {
+            metrics.queue_depth.load(Ordering::Relaxed) == 1
+        });
+        let (status, headers, _) = get(addr, "/metrics");
+        assert_eq!(status, 500);
+        assert!(
+            headers.iter().any(|h| h.starts_with("X-Request-Id: ")),
+            "{headers:?}"
+        );
+        let (status, _, body) = get(addr, "/healthz");
+        assert_eq!(status, 200, "fast lane died with its handler");
+        assert!(body.contains("ok"), "{body}");
+        gate_tx.send(()).unwrap();
+        gate_tx.send(()).unwrap();
+        for stream in [slow_a, slow_b] {
+            assert_eq!(read_response(stream).0, 200);
+        }
+        shutdown.store(true, Ordering::Release);
+        join.join().unwrap().unwrap();
+        let s = metrics.snapshot();
+        assert_eq!(s.worker_panics, 1);
+        assert_eq!(s.fastlane_hits, 2);
+        assert_eq!(s.requests, 4);
+        assert_eq!(s.rejected_busy, 0);
     }
 
     #[test]
@@ -1164,7 +1184,6 @@ mod tests {
             addr: "127.0.0.1:0".into(),
             workers: 2,
             queue: 8,
-            fastlane_queue: 4,
             retry_after_secs: 1,
             access_log: Some(AccessLog::from_writer(Box::new(sink))),
             ..ServerConfig::default()
@@ -1250,11 +1269,9 @@ mod tests {
             addr: "127.0.0.1:0".into(),
             workers: 2,
             queue: 8,
-            fastlane_queue: 4,
             retry_after_secs: 1,
             budget_heavy: 1,
             access_log: Some(AccessLog::from_writer(Box::new(sink))),
-            ..ServerConfig::default()
         };
         let (addr, metrics, shutdown, join) = spawn_server(config, handler);
         let mut heavy_a = TcpStream::connect(addr).unwrap();
@@ -1322,7 +1339,6 @@ mod tests {
             addr: "127.0.0.1:0".into(),
             workers: 2,
             queue: 8,
-            fastlane_queue: 4,
             retry_after_secs: 1,
             budget_heavy: 1,
             ..ServerConfig::default()

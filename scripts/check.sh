@@ -63,26 +63,42 @@ if command -v curl >/dev/null 2>&1; then
         rm -rf "$smoke"
     }
     trap smoke_cleanup EXIT
+    # start_serve NAME WHAT [serve flags]: launch the daemon in the
+    # background, stderr to $smoke/serve$NAME.log; wait (up to 300 polls)
+    # for it to write its address to $smoke/ready$NAME and set $addr,
+    # dumping the log if it never does ("WHAT never became ready") or
+    # dies first.
+    start_serve() {
+        ready="$smoke/ready$1" log="$smoke/serve$1.log" what=$2
+        shift 2
+        : >"$ready"
+        target/debug/lastmile serve --addr 127.0.0.1:0 --ready-file "$ready" \
+            "$@" >/dev/null 2>"$log" &
+        serve_pid=$!
+        i=0
+        while [ ! -s "$ready" ]; do
+            i=$((i + 1))
+            [ "$i" -le 300 ] || { echo "$what never became ready" >&2; cat "$log" >&2; exit 1; }
+            kill -0 "$serve_pid" 2>/dev/null || { cat "$log" >&2; exit 1; }
+            sleep 0.1
+        done
+        addr=$(head -n1 "$ready")
+    }
+    # stop_serve NAME: SIGTERM the daemon, wait for it, and require the
+    # clean-drain line in its log.
+    stop_serve() {
+        kill "$serve_pid"
+        wait "$serve_pid"
+        serve_pid=
+        grep -q "\[serve\] shutdown: drained" "$smoke/serve$1.log"
+    }
     cargo build -q -p lastmile-cli
     target/debug/lastmile simulate --scenario anchor --out "$smoke" --days 3 >/dev/null 2>&1
-    target/debug/lastmile serve --traceroutes "$smoke/traceroutes.jsonl" \
-        --probes "$smoke/probes.json" --addr 127.0.0.1:0 \
-        --ready-file "$smoke/ready" >/dev/null 2>"$smoke/serve.log" &
-    serve_pid=$!
-    i=0
-    while [ ! -s "$smoke/ready" ]; do
-        i=$((i + 1))
-        [ "$i" -le 300 ] || { echo "serve never became ready" >&2; cat "$smoke/serve.log" >&2; exit 1; }
-        kill -0 "$serve_pid" 2>/dev/null || { cat "$smoke/serve.log" >&2; exit 1; }
-        sleep 0.1
-    done
-    addr=$(head -n1 "$smoke/ready")
+    start_serve "" serve --traceroutes "$smoke/traceroutes.jsonl" \
+        --probes "$smoke/probes.json"
     curl -sf "http://$addr/healthz" | grep -q '"status": *"ok"'
     curl -sf "http://$addr/v1/classify" | grep -q '"class"'
-    kill "$serve_pid"
-    wait "$serve_pid"
-    serve_pid=
-    grep -q "\[serve\] shutdown: drained" "$smoke/serve.log"
+    stop_serve ""
 
     # Live-ingest smoke: restart the daemon in live mode with one probe's
     # records withheld, feed them back through BOTH intake paths (corpus
@@ -94,21 +110,9 @@ if command -v curl >/dev/null 2>&1; then
     grep '"prb_id":6005' "$smoke/traceroutes.jsonl" >"$smoke/withheld.jsonl"
     head -n 200 "$smoke/withheld.jsonl" >"$smoke/post.jsonl"
     tail -n +201 "$smoke/withheld.jsonl" >"$smoke/append.jsonl"
-    : >"$smoke/ready-live"
-    target/debug/lastmile serve --traceroutes "$smoke/live.jsonl" \
-        --probes "$smoke/probes.json" --addr 127.0.0.1:0 \
-        --ready-file "$smoke/ready-live" --watch --watch-poll-ms 50 \
-        --reanalyze-debounce-ms 100 --live-spool "$smoke/spool.jsonl" \
-        >/dev/null 2>"$smoke/serve-live.log" &
-    serve_pid=$!
-    i=0
-    while [ ! -s "$smoke/ready-live" ]; do
-        i=$((i + 1))
-        [ "$i" -le 300 ] || { echo "live serve never became ready" >&2; cat "$smoke/serve-live.log" >&2; exit 1; }
-        kill -0 "$serve_pid" 2>/dev/null || { cat "$smoke/serve-live.log" >&2; exit 1; }
-        sleep 0.1
-    done
-    addr=$(head -n1 "$smoke/ready-live")
+    start_serve -live "live serve" --traceroutes "$smoke/live.jsonl" \
+        --probes "$smoke/probes.json" --watch --watch-poll-ms 50 \
+        --reanalyze-debounce-ms 100 --live-spool "$smoke/spool.jsonl"
     curl -sf "http://$addr/v1/classify" >"$smoke/baseline.json"
     cat "$smoke/append.jsonl" >>"$smoke/live.jsonl"
     # The POST returns only after the records hit the spool, so the union
@@ -130,10 +134,7 @@ if command -v curl >/dev/null 2>&1; then
         [ "$i" -le 600 ] || { echo "live /v1/classify never converged to cold union classify" >&2; cat "$smoke/serve-live.log" >&2; exit 1; }
         sleep 0.1
     done
-    kill "$serve_pid"
-    wait "$serve_pid"
-    serve_pid=
-    grep -q "\[serve\] shutdown: drained" "$smoke/serve-live.log"
+    stop_serve -live
 
     # Loadgen smoke: a tight heavy budget plus a slowed heavy handler
     # force real admission sheds; the loadgen binary itself exits
@@ -141,21 +142,9 @@ if command -v curl >/dev/null 2>&1; then
     # the accounting assertion. The burst report must show sheds (the
     # budget engaged) and the ladder report must carry rungs.
     echo "==> loadgen smoke (burst + ladder vs a budgeted daemon; shed accounting must balance)"
-    : >"$smoke/ready-lg"
-    target/debug/lastmile serve --traceroutes "$smoke/traceroutes.jsonl" \
-        --probes "$smoke/probes.json" --addr 127.0.0.1:0 \
-        --ready-file "$smoke/ready-lg" --serve-workers 2 \
-        --serve-budget-heavy 1 --serve-heavy-delay-ms 50 \
-        >/dev/null 2>"$smoke/serve-lg.log" &
-    serve_pid=$!
-    i=0
-    while [ ! -s "$smoke/ready-lg" ]; do
-        i=$((i + 1))
-        [ "$i" -le 300 ] || { echo "budgeted serve never became ready" >&2; cat "$smoke/serve-lg.log" >&2; exit 1; }
-        kill -0 "$serve_pid" 2>/dev/null || { cat "$smoke/serve-lg.log" >&2; exit 1; }
-        sleep 0.1
-    done
-    addr=$(head -n1 "$smoke/ready-lg")
+    start_serve -lg "budgeted serve" --traceroutes "$smoke/traceroutes.jsonl" \
+        --probes "$smoke/probes.json" --serve-workers 2 \
+        --serve-budget-heavy 1 --serve-heavy-delay-ms 50
     target/debug/lastmile loadgen --addr "$addr" --profile burst \
         --requests 16 --bursts 2 --out "$smoke/burst.json" 2>/dev/null
     grep -q '"shed": [1-9]' "$smoke/burst.json" || {
@@ -171,10 +160,7 @@ if command -v curl >/dev/null 2>&1; then
         cat "$smoke/ladder.json" >&2
         exit 1
     }
-    kill "$serve_pid"
-    wait "$serve_pid"
-    serve_pid=
-    grep -q "\[serve\] shutdown: drained" "$smoke/serve-lg.log"
+    stop_serve -lg
 
     # Ops-plane smoke: the daemon with the self-scraper and access log
     # armed, a loadgen burst to move the counters, then validate the
@@ -183,22 +169,10 @@ if command -v curl >/dev/null 2>&1; then
     # timeline must hold at least two samples, and every access-log
     # line must be a well-formed JSON object.
     echo "==> ops smoke (prom exposition + timeline + access log, all linted)"
-    : >"$smoke/ready-ops"
-    target/debug/lastmile serve --traceroutes "$smoke/traceroutes.jsonl" \
-        --probes "$smoke/probes.json" --addr 127.0.0.1:0 \
-        --ready-file "$smoke/ready-ops" --serve-workers 2 \
+    start_serve -ops "ops serve" --traceroutes "$smoke/traceroutes.jsonl" \
+        --probes "$smoke/probes.json" --serve-workers 2 \
         --serve-budget-heavy 1 --serve-heavy-delay-ms 50 \
-        --ops-sample-ms 100 --access-log "$smoke/access.jsonl" \
-        >/dev/null 2>"$smoke/serve-ops.log" &
-    serve_pid=$!
-    i=0
-    while [ ! -s "$smoke/ready-ops" ]; do
-        i=$((i + 1))
-        [ "$i" -le 300 ] || { echo "ops serve never became ready" >&2; cat "$smoke/serve-ops.log" >&2; exit 1; }
-        kill -0 "$serve_pid" 2>/dev/null || { cat "$smoke/serve-ops.log" >&2; exit 1; }
-        sleep 0.1
-    done
-    addr=$(head -n1 "$smoke/ready-ops")
+        --ops-sample-ms 100 --access-log "$smoke/access.jsonl"
     target/debug/lastmile loadgen --addr "$addr" --profile burst \
         --requests 16 --bursts 2 --out "$smoke/ops-burst.json" 2>/dev/null
     sleep 0.3
@@ -212,10 +186,7 @@ if command -v curl >/dev/null 2>&1; then
         echo "ops timeline too sparse ($samples samples)" >&2
         exit 1
     }
-    kill "$serve_pid"
-    wait "$serve_pid"
-    serve_pid=
-    grep -q "\[serve\] shutdown: drained" "$smoke/serve-ops.log"
+    stop_serve -ops
     [ -s "$smoke/access.jsonl" ] || { echo "access log is empty" >&2; exit 1; }
     target/debug/lastmile lint --access-log "$smoke/access.jsonl"
     smoke_cleanup
