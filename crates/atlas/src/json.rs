@@ -11,6 +11,11 @@
 //! converts losslessly to and from the internal
 //! [`TracerouteResult`] model. This keeps the reproduction's analysis
 //! pipeline wire-compatible: point it at real Atlas JSON and it parses.
+//!
+//! Records are read with [`decode_traceroute`]: one borrowed pass over
+//! the record bytes builds the model directly, and serde through
+//! [`AtlasTraceroute`] stays the reference. It decides every record the
+//! pass declines, so models and error texts are serde's either way.
 
 use crate::probe::ProbeId;
 use crate::traceroute::{Hop, Reply, TracerouteResult};
@@ -18,6 +23,8 @@ use lastmile_timebase::UnixTime;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::net::IpAddr;
+
+mod fast;
 
 /// One reply entry in the Atlas `result` array.
 #[derive(Clone, Debug, Default, Serialize, Deserialize, PartialEq)]
@@ -184,10 +191,85 @@ impl AtlasTraceroute {
     }
 }
 
+/// Which stage rejected a record in [`decode_traceroute`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum DecodeErrorKind {
+    /// Not valid JSON of the Atlas traceroute shape (includes invalid
+    /// UTF-8).
+    Json,
+    /// Valid JSON that does not convert to the internal model (bad
+    /// address, non-traceroute type).
+    Model,
+}
+
+/// Why [`decode_traceroute`] rejected a record; `detail` is serde's (or
+/// [`ConvertError`]'s) exact text.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct DecodeError {
+    /// The stage that rejected the record.
+    pub kind: DecodeErrorKind,
+    /// The rejecting stage's message.
+    pub detail: String,
+}
+
+impl fmt::Display for DecodeError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.detail)
+    }
+}
+
+impl std::error::Error for DecodeError {}
+
+/// Decode one framed Atlas traceroute into the internal model.
+///
+/// One borrowed pass over the bytes decodes every record it can prove
+/// serde would decode to the same model; it declines the rest (escapes,
+/// duplicate keys, malformed or unusual input: see the `fast` module),
+/// and those go through [`decode_with_serde`], whose answer stands. So
+/// every model, error kind and error detail is serde's by construction.
+pub fn decode_traceroute(bytes: &[u8]) -> Result<TracerouteResult, DecodeError> {
+    decode_traceroute_tallied(bytes, &mut 0)
+}
+
+/// [`decode_traceroute`], adding one to `fallbacks` for each record the
+/// fast pass declined and serde decided.
+pub fn decode_traceroute_tallied(
+    bytes: &[u8],
+    fallbacks: &mut u64,
+) -> Result<TracerouteResult, DecodeError> {
+    match fast::decode(bytes) {
+        Some(tr) => Ok(tr),
+        None => {
+            *fallbacks += 1;
+            decode_with_serde(bytes)
+        }
+    }
+}
+
+/// The fast pass alone: `Some` exactly when it accepts the record. For
+/// tests that the pass covers the canonical record shape.
+pub fn decode_fast(bytes: &[u8]) -> Option<TracerouteResult> {
+    fast::decode(bytes)
+}
+
+/// The reference decoder: UTF-8 check, `serde_json` into
+/// [`AtlasTraceroute`], then [`AtlasTraceroute::to_model`].
+pub fn decode_with_serde(bytes: &[u8]) -> Result<TracerouteResult, DecodeError> {
+    let json = |detail: String| DecodeError {
+        kind: DecodeErrorKind::Json,
+        detail,
+    };
+    let text = std::str::from_utf8(bytes).map_err(|e| json(e.to_string()))?;
+    let doc: AtlasTraceroute = serde_json::from_str(text).map_err(|e| json(e.to_string()))?;
+    doc.to_model().map_err(|e| DecodeError {
+        kind: DecodeErrorKind::Model,
+        detail: e.to_string(),
+    })
+}
+
 /// Parse one Atlas JSON document into the internal model.
 pub fn parse_traceroute(json: &str) -> Result<TracerouteResult, Box<dyn std::error::Error>> {
-    let doc: AtlasTraceroute = serde_json::from_str(json)?;
-    Ok(doc.to_model()?)
+    Ok(decode_traceroute(json.as_bytes())?)
 }
 
 /// Parse a JSON array of Atlas documents (the API's list form).
@@ -206,22 +288,10 @@ pub fn parse_traceroutes(json: &str) -> Result<Vec<TracerouteResult>, Box<dyn st
             return;
         }
         match frame {
-            crate::framing::Frame::Doc { offset, bytes } => {
-                let text = match std::str::from_utf8(bytes) {
-                    Ok(t) => t,
-                    Err(e) => {
-                        first_err = Some(format!("element at byte {offset}: {e}"));
-                        return;
-                    }
-                };
-                match serde_json::from_str::<AtlasTraceroute>(text).map_err(|e| e.to_string()) {
-                    Ok(doc) => match doc.to_model() {
-                        Ok(tr) => out.push(tr),
-                        Err(e) => first_err = Some(format!("element at byte {offset}: {e}")),
-                    },
-                    Err(e) => first_err = Some(format!("element at byte {offset}: {e}")),
-                }
-            }
+            crate::framing::Frame::Doc { offset, bytes } => match decode_traceroute(bytes) {
+                Ok(tr) => out.push(tr),
+                Err(e) => first_err = Some(format!("element at byte {offset}: {e}")),
+            },
             crate::framing::Frame::Junk { offset, reason, .. } => {
                 first_err = Some(format!("at byte {offset}: {reason}"))
             }

@@ -21,7 +21,8 @@
 //! * [`measurement`] — the built-in measurement catalogue and its
 //!   deterministic schedule (which traceroutes exist in a time range).
 //! * [`json`] — the Atlas API JSON format (`prb_id`, `msm_id`, `result`
-//!   arrays with `from`/`rtt` or `x: "*"` entries), round-trippable.
+//!   arrays with `from`/`rtt` or `x: "*"` entries), round-trippable;
+//!   records decode in one borrowed pass, with serde as the reference.
 //! * [`framing`] — incremental splitting of JSON Lines / JSON array
 //!   inputs into record-aligned document frames, for streaming ingest.
 //!

@@ -1,0 +1,499 @@
+//! Differential tests of the traceroute decoder against its serde
+//! oracle: on every input, generated or mutated, `decode_traceroute`
+//! must give exactly what `decode_with_serde` gives — the same model
+//! (RTTs compared bit for bit) or the same error kind and detail. And
+//! the fast pass must accept every canonical `to_atlas_json` record, so
+//! the decoder never silently runs at serde's speed.
+//!
+//! Each case draws one `u64` seed and generates everything from it; a
+//! failure prints that seed and the input (the vendored proptest does
+//! not shrink).
+
+use lastmile_atlas::json::{decode_fast, decode_traceroute, decode_with_serde, to_atlas_json};
+use lastmile_atlas::{Hop, ProbeId, Reply, TracerouteResult};
+use lastmile_timebase::UnixTime;
+use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+use std::net::IpAddr;
+
+/// A JSON document with numbers kept as their exact tokens, so a case
+/// can write any number spelling the wire allows.
+#[derive(Clone, Debug)]
+enum J {
+    Null,
+    Bool(bool),
+    Num(String),
+    Str(String),
+    Arr(Vec<J>),
+    Obj(Vec<(String, J)>),
+}
+
+fn from_value(v: &serde_json::Value) -> J {
+    use serde_json::Value;
+    match v {
+        Value::Null => J::Null,
+        Value::Bool(b) => J::Bool(*b),
+        Value::Number(_) => J::Num(v.to_string()),
+        Value::String(s) => J::Str(s.clone()),
+        Value::Array(items) => J::Arr(items.iter().map(from_value).collect()),
+        Value::Object(fields) => J::Obj(
+            fields
+                .iter()
+                .map(|(k, v)| (k.clone(), from_value(v)))
+                .collect(),
+        ),
+    }
+}
+
+fn pick<'a, T>(rng: &mut SmallRng, items: &'a [T]) -> &'a T {
+    &items[rng.gen_range(0..items.len())]
+}
+
+fn ip(rng: &mut SmallRng) -> IpAddr {
+    if rng.gen_bool(0.8) {
+        IpAddr::from(rng.gen::<u32>().to_be_bytes())
+    } else {
+        let mut octets = [0u8; 16];
+        for o in &mut octets {
+            *o = if rng.gen_bool(0.5) {
+                0
+            } else {
+                rng.gen_range(0..=255)
+            };
+        }
+        IpAddr::from(octets)
+    }
+}
+
+fn rtt(rng: &mut SmallRng) -> f64 {
+    match rng.gen_range(0..4) {
+        0 => rng.gen_range(0.0..200.0),
+        1 => f64::from(rng.gen_range(0u32..500)),
+        2 => rng.gen_range(0.0..1e-3),
+        _ => f64::from_bits(rng.gen::<u64>() >> 2), // any finite positive
+    }
+}
+
+/// A random traceroute: hop and reply counts vary, some replies time out.
+fn traceroute(rng: &mut SmallRng) -> TracerouteResult {
+    let hops = (0..rng.gen_range(0..12))
+        .map(|i| {
+            let addr = ip(rng);
+            Hop {
+                hop: rng.gen_range(1u8..=255).min(i + 1),
+                replies: (0..rng.gen_range(0..5))
+                    .map(|_| match rng.gen_range(0..5) {
+                        0 => Reply::timeout(),
+                        1 => Reply::answered(ip(rng), rtt(rng)),
+                        _ => Reply::answered(addr, rtt(rng)),
+                    })
+                    .collect(),
+            }
+        })
+        .collect();
+    TracerouteResult {
+        probe: ProbeId(rng.gen()),
+        msm_id: rng.gen(),
+        timestamp: UnixTime::from_secs(rng.gen_range(-1_000_000i64..4_000_000_000)),
+        dst: ip(rng),
+        src: ip(rng),
+        hops,
+    }
+}
+
+fn canonical(rng: &mut SmallRng) -> (TracerouteResult, String) {
+    let tr = traceroute(rng);
+    let json = to_atlas_json(&tr, ip(rng));
+    (tr, json)
+}
+
+/// Number spellings serde reads differently or not at all.
+const NUMBERS: &[&str] = &[
+    "0",
+    "-0",
+    "7",
+    "-3",
+    "255",
+    "256",
+    "300",
+    "-1",
+    "4294967296",
+    "1.0",
+    "-0.0",
+    "1e2",
+    "1E2",
+    "2.5e-3",
+    "1e400",
+    "-1e400",
+    "18446744073709551616",
+    "-9223372036854775809",
+    "007",
+    "1.",
+    ".5",
+    "-",
+    "1-2",
+    "1e",
+    "+1",
+    "0.1e+5",
+    "123456789012345678901234567890",
+];
+
+/// Strings that are not addresses, or only nearly.
+const STRINGS: &[&str] = &[
+    "*",
+    "",
+    "bogus",
+    "192.168.1.1 ",
+    "1.2.3",
+    "::1",
+    "traceroute",
+    "ping",
+    "ICMP",
+    "é",
+    "010.0.0.1",
+];
+
+fn random_value(rng: &mut SmallRng, depth: u32) -> J {
+    match rng.gen_range(0..if depth == 0 { 4 } else { 6 }) {
+        0 => J::Null,
+        1 => J::Bool(rng.gen()),
+        2 => J::Num(pick(rng, NUMBERS).to_string()),
+        3 => J::Str(pick(rng, STRINGS).to_string()),
+        4 => J::Arr(
+            (0..rng.gen_range(0..4))
+                .map(|_| random_value(rng, depth - 1))
+                .collect(),
+        ),
+        _ => J::Obj(
+            (0..rng.gen_range(0..4))
+                .map(|i| (format!("k{i}"), random_value(rng, depth - 1)))
+                .collect(),
+        ),
+    }
+}
+
+/// The `n`-th object of `doc` in depth-first order, if there is one.
+fn nth_object<'a>(doc: &'a mut J, n: &mut usize) -> Option<&'a mut Vec<(String, J)>> {
+    match doc {
+        J::Obj(fields) => {
+            if *n == 0 {
+                return Some(fields);
+            }
+            *n -= 1;
+            fields.iter_mut().find_map(|(_, v)| nth_object(v, n))
+        }
+        J::Arr(items) => items.iter_mut().find_map(|v| nth_object(v, n)),
+        _ => None,
+    }
+}
+
+fn count_objects(doc: &J) -> usize {
+    match doc {
+        J::Obj(fields) => 1 + fields.iter().map(|(_, v)| count_objects(v)).sum::<usize>(),
+        J::Arr(items) => items.iter().map(count_objects).sum(),
+        _ => 0,
+    }
+}
+
+/// One to three structural edits, each on a random object of the
+/// record: reordered, unknown, duplicate or missing keys, null and
+/// odd-typed values, and other number spellings for `rtt`. Some keep
+/// the record valid, some make it a typed error.
+fn vary(rng: &mut SmallRng, doc: &mut J) {
+    for _ in 0..rng.gen_range(1..=3) {
+        let mut n = rng.gen_range(0..count_objects(doc));
+        let fields = nth_object(doc, &mut n).expect("object index in range");
+        let member = (!fields.is_empty()).then(|| rng.gen_range(0..fields.len()));
+        match (rng.gen_range(0..6), member) {
+            (0, _) => {
+                for i in (1..fields.len()).rev() {
+                    fields.swap(i, rng.gen_range(0..=i));
+                }
+            }
+            (1, _) | (_, None) => {
+                let name = pick(rng, &["lts", "group_id", "extra", "k"]).to_string();
+                let value = random_value(rng, 3);
+                fields.insert(rng.gen_range(0..=fields.len()), (name, value));
+            }
+            (2, Some(i)) => {
+                let (key, mut value) = fields[i].clone();
+                if rng.gen_bool(0.5) {
+                    value = random_value(rng, 1);
+                }
+                fields.insert(rng.gen_range(0..=fields.len()), (key, value));
+            }
+            (3, Some(i)) => {
+                fields[i].1 = match rng.gen_range(0..4) {
+                    0 => J::Null,
+                    1 => J::Num(pick(rng, NUMBERS).to_string()),
+                    2 => J::Str(pick(rng, STRINGS).to_string()),
+                    _ => random_value(rng, 2),
+                }
+            }
+            (4, Some(i)) => drop(fields.remove(i)),
+            (_, Some(_)) => {
+                let token = J::Num(pick(rng, NUMBERS).to_string());
+                match fields.iter_mut().find(|(k, _)| k == "rtt") {
+                    Some((_, v)) => *v = token,
+                    None => fields.push(("rtt".into(), token)),
+                }
+            }
+        }
+    }
+}
+
+/// How much noise [`write`] adds, as chances: a whitespace run between
+/// tokens, a string character written as a `\u` escape, and a stray
+/// byte serde refuses (a form feed between tokens, a raw tab inside a
+/// string).
+#[derive(Clone, Copy)]
+struct Noise {
+    ws: f64,
+    escape: f64,
+    stray: f64,
+}
+
+fn noise(rng: &mut SmallRng) -> Noise {
+    Noise {
+        ws: *pick(rng, &[0.0, 0.0, 0.02, 0.2]),
+        escape: *pick(rng, &[0.0, 0.0, 0.002, 0.02]),
+        stray: *pick(rng, &[0.0, 0.0, 0.0, 0.002]),
+    }
+}
+
+fn write(rng: &mut SmallRng, doc: &J, noise: Noise, out: &mut String) {
+    let ws = |rng: &mut SmallRng, out: &mut String| {
+        while rng.gen_bool(noise.ws) {
+            out.push(*pick(rng, &[' ', '\t', '\n', '\r']));
+        }
+        if rng.gen_bool(noise.stray) {
+            out.push('\u{c}');
+        }
+    };
+    ws(rng, out);
+    match doc {
+        J::Null => out.push_str("null"),
+        J::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+        J::Num(tok) => out.push_str(tok),
+        J::Str(s) => write_str(rng, s, noise, out),
+        J::Arr(items) => {
+            out.push('[');
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                write(rng, item, noise, out);
+            }
+            ws(rng, out);
+            out.push(']');
+        }
+        J::Obj(fields) => {
+            out.push('{');
+            for (i, (key, value)) in fields.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                ws(rng, out);
+                write_str(rng, key, noise, out);
+                ws(rng, out);
+                out.push(':');
+                write(rng, value, noise, out);
+            }
+            ws(rng, out);
+            out.push('}');
+        }
+    }
+    ws(rng, out);
+}
+
+fn write_str(rng: &mut SmallRng, s: &str, noise: Noise, out: &mut String) {
+    out.push('"');
+    for c in s.chars() {
+        if rng.gen_bool(noise.stray) {
+            out.push('\t');
+        }
+        match c {
+            c if rng.gen_bool(noise.escape) => out.push_str(&format!("\\u{:04x}", c as u32)),
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+}
+
+/// Byte-level damage: flips, insertions, truncation, trailing bytes.
+fn damage(rng: &mut SmallRng, bytes: &mut Vec<u8>) {
+    for _ in 0..rng.gen_range(1..4) {
+        if bytes.is_empty() {
+            bytes.push(b'{');
+        }
+        let at = rng.gen_range(0..bytes.len());
+        match rng.gen_range(0..5) {
+            0 => bytes[at] ^= 1u8 << rng.gen_range(0..8),
+            1 => bytes.insert(at, *pick(rng, b"{}[]\",:\\ -.0e9nx\x00\xff\xc3")),
+            2 => bytes.truncate(at),
+            3 => {
+                let tail: &[&[u8]] = &[b" \n", b"x", b"}", b"\x0c", b" {}"];
+                bytes.extend_from_slice(pick::<&[u8]>(rng, tail));
+            }
+            _ => bytes[at] = rng.gen_range(0..=255),
+        }
+    }
+}
+
+/// The property: the decoder answers exactly as serde does. Models are
+/// compared through `Debug`, which tells `-0.0` from `0.0`.
+fn assert_matches_oracle(seed: u64, bytes: &[u8]) {
+    let got = decode_traceroute(bytes);
+    let want = decode_with_serde(bytes);
+    assert_eq!(
+        format!("{got:?}"),
+        format!("{want:?}"),
+        "seed {seed:#x}: decoder and serde disagree on {:?}",
+        String::from_utf8_lossy(bytes)
+    );
+}
+
+/// A canonical record with one to three structural edits, written with
+/// random noise.
+fn varied(seed: u64) -> Vec<u8> {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let (_, json) = canonical(&mut rng);
+    let mut doc = from_value(&serde_json::from_str(&json).unwrap());
+    vary(&mut rng, &mut doc);
+    let mut out = String::new();
+    let noise = noise(&mut rng);
+    write(&mut rng, &doc, noise, &mut out);
+    out.into_bytes()
+}
+
+/// A canonical or varied record with byte-level damage.
+fn damaged(seed: u64) -> Vec<u8> {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let (_, json) = canonical(&mut rng);
+    let mut bytes = if rng.gen_bool(0.5) {
+        varied(rng.gen())
+    } else {
+        json.into_bytes()
+    };
+    damage(&mut rng, &mut bytes);
+    bytes
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    #[test]
+    fn fast_pass_accepts_every_canonical_record(seed in any::<u64>()) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let (tr, json) = canonical(&mut rng);
+        let fast = decode_fast(json.as_bytes());
+        prop_assert!(fast.is_some(), "seed {seed:#x}: fast pass declined {json}");
+        prop_assert_eq!(
+            format!("{fast:?}"),
+            format!("{:?}", decode_with_serde(json.as_bytes()).ok()),
+            "seed {:#x}", seed
+        );
+        prop_assert_eq!(fast, Some(tr));
+    }
+
+    #[test]
+    fn varied_records_decode_as_serde_does(seed in any::<u64>()) {
+        assert_matches_oracle(seed, &varied(seed));
+    }
+
+    #[test]
+    fn damaged_records_decode_as_serde_does(seed in any::<u64>()) {
+        assert_matches_oracle(seed, &damaged(seed));
+    }
+}
+
+/// The generators must keep reaching every outcome, or the properties
+/// above would pass vacuously: records the fast pass decodes, records
+/// it declines that serde decodes, and records serde rejects.
+#[test]
+fn generators_reach_every_outcome() {
+    // (generator, minimum per outcome in 1000 seeds: fast, fallback ok,
+    // rejected). Damage mostly breaks the JSON, as it should.
+    type Generator = fn(u64) -> Vec<u8>;
+    let generators: [(&str, Generator, [u32; 3]); 2] = [
+        ("varied", varied, [100, 100, 200]),
+        ("damaged", damaged, [10, 1, 500]),
+    ];
+    for (name, make, min) in generators {
+        let mut seen = [0u32; 3];
+        for seed in 0..1000 {
+            let bytes = make(seed);
+            let outcome = match (decode_fast(&bytes), decode_with_serde(&bytes)) {
+                (Some(_), _) => 0,
+                (None, Ok(_)) => 1,
+                (None, Err(_)) => 2,
+            };
+            seen[outcome] += 1;
+        }
+        eprintln!("{name}: [fast, fallback ok, rejected] = {seen:?}");
+        assert!(
+            seen.iter().zip(min).all(|(n, m)| *n >= m),
+            "{name}: {seen:?} below {min:?}"
+        );
+    }
+}
+
+#[test]
+fn edge_cases_decode_as_serde_does() {
+    let mut rng = SmallRng::seed_from_u64(1);
+    let (_, json) = canonical(&mut rng);
+    let base = r#"{"fw":1,"af":4,"dst_addr":"1.2.3.4","src_addr":"10.0.0.1","from":"1.2.3.5","msm_id":5,"prb_id":6,"timestamp":7,"proto":"ICMP","type":"traceroute","result":[{"hop":1,"result":[{"from":"1.2.3.4","rtt":RTT}]}]}"#;
+    let mut cases: Vec<String> = NUMBERS.iter().map(|n| base.replace("RTT", n)).collect();
+    cases.extend([
+        base.replace("RTT", "1.5")
+            .replace("\"ICMP\"", "\"IC\\u004dP\""),
+        base.replace("RTT", "1.5")
+            .replace("\"fw\":1", "\"fw\":1,\"fw\":2"),
+        base.replace("RTT", "1.5").replace("traceroute", "ping"),
+        base.replace("RTT", "1.5")
+            .replace("1.2.3.4\",\"src", "nope\",\"src"),
+        base.replace("RTT", "1.5")
+            .replace("\"hop\":1", "\"hop\":300"),
+        base.replace("RTT", "null"),
+        base.replace("RTT", "1.5") + " \t\r\n",
+        base.replace("RTT", "1.5") + "\u{c}",
+        base.replace("RTT", "1.5") + "{}",
+        format!(
+            "{{\"deep\":{}{}}}",
+            "[".repeat(100_000),
+            "]".repeat(100_000)
+        ),
+        json.replacen(
+            '{',
+            &format!("{{\"deep\":{}1{},", "[".repeat(40), "]".repeat(40)),
+            1,
+        ),
+        json.replacen(
+            '{',
+            &format!("{{\"deep\":{}1{},", "[".repeat(200), "]".repeat(200)),
+            1,
+        ),
+        json.replacen('{', "{\"lts\":nul,", 1),
+        json.replacen('{', "{\"lts\":truex,", 1),
+        json.replacen('{', "{\"lts\":[fals],", 1),
+        json.replacen('{', "{\"lts\":nuLL,", 1),
+        json.replacen('{', "{\"lts\":[tRUE],", 1),
+        String::new(),
+        "[]".into(),
+    ]);
+    for case in &cases {
+        assert_matches_oracle(0, case.as_bytes());
+    }
+    // `-0` as an integer token is +0.0, as serde reads it.
+    let tr = decode_traceroute(base.replace("RTT", "-0").as_bytes()).unwrap();
+    assert_eq!(tr.hops[0].replies[0].rtt_ms.map(f64::to_bits), Some(0));
+    // A fraction-form `-0.0` keeps its sign.
+    let tr = decode_traceroute(base.replace("RTT", "-0.0").as_bytes()).unwrap();
+    assert_eq!(
+        tr.hops[0].replies[0].rtt_ms.map(f64::to_bits),
+        Some((-0.0f64).to_bits())
+    );
+}

@@ -40,6 +40,7 @@ pub fn ingest_traffic(summary: &IngestSummary) -> IngestStats {
         },
         frame_nanos: summary.frame_nanos,
         decode_nanos: summary.decode_nanos,
+        decode_fallbacks: summary.decode_fallbacks,
         wall_nanos: summary.wall_nanos,
         queue_max_depth: summary.queue_max_depth,
         ..IngestStats::default()

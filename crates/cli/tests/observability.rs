@@ -177,6 +177,9 @@ fn trace_stats_and_csv_artifacts() {
         assert!(max > 0, "latency.{hist}: {h:?}");
     }
     assert!(stats["ingest"]["queue_max_depth"].as_u64().is_some());
+    // The simulator writes canonical Atlas JSON, which the decoder's
+    // fast pass covers in full.
+    assert_eq!(stats["ingest"]["decode_fallbacks"].as_u64(), Some(0));
     // Every decoded record contributes one decode-latency sample.
     assert_eq!(
         stats["latency"]["decode"]["count"].as_u64().unwrap(),

@@ -17,7 +17,9 @@
 //! * SIGTERM drains in-flight requests AND any pending re-analysis
 //!   (epoch swap before snapshot re-persist), then exits 0;
 //! * every analysis decodes each record once: batch (cold, warm, cached
-//!   `--bgp`) and each live re-analysis pass over the union corpus.
+//!   `--bgp`) and each live re-analysis pass over the union corpus;
+//! * a POSTed record nested past the parser's recursion limit is
+//!   rejected as `json` and the daemon keeps serving.
 
 mod common;
 
@@ -850,6 +852,29 @@ fn each_record_is_decoded_once_per_analysis() {
         "live pass"
     );
 
+    let (stderr, ok) = terminate(child);
+    assert!(ok, "serve did not exit cleanly: {stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn deeply_nested_post_is_rejected_and_the_daemon_stays_up() {
+    let dir = std::env::temp_dir().join(format!("lastmile-serve-deep-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let spool = dir.join("spool.jsonl");
+    let (child, addr) = spawn_serve(&dir, &["--live-spool", spool.to_str().unwrap()]);
+    // 150,000 arrays deep: about 300 KB, far under the intake body cap
+    // but far past any recursion limit.
+    let depth = 150_000;
+    let body = format!("{{\"deep\":{}{}}}\n", "[".repeat(depth), "]".repeat(depth));
+    let (status, _, resp) = http_post(&addr, "/v1/traceroutes", body.as_bytes());
+    assert_eq!(status, 400, "{}", String::from_utf8_lossy(&resp));
+    let err: serde_json::Value =
+        serde_json::from_str(std::str::from_utf8(&resp).unwrap()).expect("reject doc");
+    assert_eq!(err["rejected"][0]["kind"].as_str(), Some("json"));
+    let (status, _, body) = http_get(&addr, "/healthz");
+    assert_eq!(status, 200);
+    assert_eq!(body, b"{\"status\":\"ok\"}\n");
     let (stderr, ok) = terminate(child);
     assert!(ok, "serve did not exit cleanly: {stderr}");
     std::fs::remove_dir_all(&dir).ok();

@@ -14,8 +14,9 @@
 //! ```text
 //!  workers ≥ 2:
 //!  file ──► framing loop ──► bounded batch queue ──► N parse workers
-//!           (DocSplitter,        (backpressure)        (serde + model
-//!            one thread)                                conversion,
+//!           (DocSplitter,        (backpressure)        (one-pass decode,
+//!            one thread)                                serde for what it
+//!                                                       declines,
 //!                                                       catch_unwind)
 //!                     ┌────────────────────────────────────┘
 //!                     ▼
@@ -34,6 +35,10 @@
 //!   plus the queues — never by the file. Framing, decode and delivery
 //!   are timed apart in both modes, so `frame_nanos` and `decode_nanos`
 //!   compare across worker counts.
+//! * **Decode** is [`lastmile_atlas::json::decode_traceroute`]: one
+//!   borrowed pass over the record bytes, with serde deciding only the
+//!   records that pass declines, so quarantine kinds and details are
+//!   serde's. [`IngestSummary::decode_fallbacks`] counts those records.
 //! * **Backpressure**: both queues are `sync_channel`s. A slow consumer
 //!   stalls the workers, which stall the framer, which stops reading.
 //! * **Determinism**: records are delivered to `on_record` in arrival
@@ -54,7 +59,7 @@
 //! quarantined records (sorted by byte offset), and per-stage timers.
 
 use lastmile_atlas::framing::{DocSplitter, Frame};
-use lastmile_atlas::json::AtlasTraceroute;
+use lastmile_atlas::json::{decode_traceroute_tallied, DecodeErrorKind};
 use lastmile_atlas::TracerouteResult;
 use lastmile_obs::{trace, Gauge, Histogram, LiveProgress};
 use std::io::Read;
@@ -119,6 +124,9 @@ pub struct IngestSummary {
     pub frame_nanos: u64,
     /// Nanoseconds spent parsing, summed across workers.
     pub decode_nanos: u64,
+    /// Records the decoder's fast pass declined and handed to serde
+    /// (quarantined ones included).
+    pub decode_fallbacks: u64,
     /// Elapsed time of the whole ingest.
     pub wall_nanos: u64,
     /// Deepest the bounded batch queue got, in batches (0 when decoding
@@ -298,14 +306,22 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Decode one framed record, adding its latency to `hist` when
-/// [`IngestOptions::record_latency`] asks for it; quarantines never
-/// escape as panics.
+/// What one decoding thread tallies besides its records: the latency
+/// histogram (only when [`IngestOptions::record_latency`] asks for it)
+/// and the fast-pass fallbacks.
+#[derive(Default)]
+struct DecodeTally {
+    hist: Histogram,
+    fallbacks: u64,
+}
+
+/// Decode one framed record into `tally`; quarantines never escape as
+/// panics.
 fn decode_record(
     offset: u64,
     bytes: &[u8],
     options: &IngestOptions,
-    hist: &mut Histogram,
+    tally: &mut DecodeTally,
 ) -> Result<TracerouteResult, Quarantined> {
     let t = options.record_latency.then(Instant::now);
     let quarantine = |kind: QuarantineKind, detail: String| Quarantined {
@@ -318,18 +334,20 @@ fn decode_record(
         if options.inject_panic_offset == Some(offset) {
             panic!("injected ingest panic at byte {offset}");
         }
-        let text = std::str::from_utf8(bytes)
-            .map_err(|e| quarantine(QuarantineKind::Json, e.to_string()))?;
-        let doc: AtlasTraceroute = serde_json::from_str(text)
-            .map_err(|e| quarantine(QuarantineKind::Json, e.to_string()))?;
-        doc.to_model()
-            .map_err(|e| quarantine(QuarantineKind::Model, e.to_string()))
+        decode_traceroute_tallied(bytes, &mut tally.fallbacks)
     }));
     if let Some(t) = t {
-        hist.record(elapsed_nanos(t));
+        tally.hist.record(elapsed_nanos(t));
     }
     match outcome {
-        Ok(result) => result,
+        Ok(Ok(tr)) => Ok(tr),
+        Ok(Err(e)) => Err(quarantine(
+            match e.kind {
+                DecodeErrorKind::Json => QuarantineKind::Json,
+                DecodeErrorKind::Model => QuarantineKind::Model,
+            },
+            e.detail,
+        )),
         Err(payload) => Err(quarantine(
             QuarantineKind::WorkerPanic,
             panic_message(payload.as_ref()),
@@ -422,6 +440,7 @@ fn ingest_inline(
 ) -> Result<IngestSummary, String> {
     let wall = Instant::now();
     let mut summary = IngestSummary::default();
+    let mut tally = DecodeTally::default();
     let mut outcomes = Vec::new();
     let framed = frame_loop(reader, options, |docs, junk| {
         if !docs.is_empty() {
@@ -430,7 +449,7 @@ fn ingest_inline(
             });
             let t = Instant::now();
             outcomes.extend(docs.iter().map(|(offset, bytes)| {
-                decode_record(*offset, bytes.as_slice(), options, &mut summary.decode_hist)
+                decode_record(*offset, bytes.as_slice(), options, &mut tally)
             }));
             summary.decode_nanos += elapsed_nanos(t);
         }
@@ -451,6 +470,8 @@ fn ingest_inline(
     })?;
     summary.bytes_read = framed.bytes_read;
     summary.frame_nanos = framed.frame_nanos;
+    summary.decode_hist = tally.hist;
+    summary.decode_fallbacks = tally.fallbacks;
     summary.quarantined.sort_by_key(|q| q.offset);
     summary.wall_nanos = elapsed_nanos(wall);
     Ok(summary)
@@ -471,6 +492,7 @@ fn ingest_workers(
     let (out_tx, out_rx) = mpsc::sync_channel::<Delivery>(options.queue_batches.max(1) + workers);
     let batch_queue = Mutex::new(batch_rx);
     let decode_nanos = AtomicU64::new(0);
+    let decode_fallbacks = AtomicU64::new(0);
     // Batch-queue depth: pushed by the framer, popped by workers.
     let queue_depth = Gauge::default();
     let decode_hist: Mutex<Histogram> = Mutex::new(Histogram::new());
@@ -521,12 +543,13 @@ fn ingest_workers(
             let out_tx = out_tx.clone();
             let batch_queue = &batch_queue;
             let decode_nanos = &decode_nanos;
+            let decode_fallbacks = &decode_fallbacks;
             let queue_depth = &queue_depth;
             let decode_hist = &decode_hist;
             std::thread::Builder::new()
                 .name(format!("ingest-parse-{worker}"))
                 .spawn_scoped(scope, move || {
-                    let mut local_hist = Histogram::new();
+                    let mut tally = DecodeTally::default();
                     loop {
                         // Blocking recv under the lock: the holder waits
                         // for a batch while the other workers wait for
@@ -534,11 +557,12 @@ fn ingest_workers(
                         // worker each.
                         let Ok(batch) = batch_queue.lock().expect("batch queue lock").recv() else {
                             // Framer done and queue drained; publish this
-                            // worker's latency samples.
+                            // worker's tally.
                             decode_hist
                                 .lock()
                                 .expect("decode histogram lock")
-                                .merge(&local_hist);
+                                .merge(&tally.hist);
+                            decode_fallbacks.fetch_add(tally.fallbacks, Ordering::Relaxed);
                             return;
                         };
                         queue_depth.dec();
@@ -552,8 +576,7 @@ fn ingest_workers(
                         let mut records = Vec::with_capacity(batch.len());
                         let mut quarantined = Vec::new();
                         for (offset, bytes) in &batch {
-                            match decode_record(*offset, bytes.as_slice(), options, &mut local_hist)
-                            {
+                            match decode_record(*offset, bytes.as_slice(), options, &mut tally) {
                                 Ok(tr) => records.push(tr),
                                 Err(q) => quarantined.push(q),
                             }
@@ -596,6 +619,7 @@ fn ingest_workers(
     summary.bytes_read = framed.bytes_read;
     summary.frame_nanos = framed.frame_nanos;
     summary.decode_nanos = decode_nanos.into_inner();
+    summary.decode_fallbacks = decode_fallbacks.into_inner();
     summary.queue_max_depth = queue_depth.high_water();
     summary.decode_hist = decode_hist.into_inner().expect("decode histogram lock");
     summary.quarantined.sort_by_key(|q| q.offset);
@@ -733,6 +757,92 @@ mod tests {
         for (a, b) in summary.quarantined.iter().zip(&quarantined) {
             assert_eq!((a.offset, a.kind), (b.offset, b.kind));
             assert_eq!(a.record, b.record);
+        }
+    }
+
+    /// A record nested far past any parser's recursion limit: 100,000
+    /// arrays deep, about 200 KB on one line.
+    fn deep_record() -> Vec<u8> {
+        let depth = 100_000;
+        format!("{{\"deep\":{}{}}}", "[".repeat(depth), "]".repeat(depth)).into_bytes()
+    }
+
+    #[test]
+    fn deeply_nested_record_is_quarantined_not_fatal() {
+        // Overflowing the stack aborts the process, which no test
+        // harness survives: the body runs in a child test process and
+        // the parent checks how it exited.
+        const CHILD: &str = "LASTMILE_INGEST_DEEP_CHILD";
+        if std::env::var_os(CHILD).is_none() {
+            let out = std::process::Command::new(std::env::current_exe().unwrap())
+                .args([
+                    "tests::deeply_nested_record_is_quarantined_not_fatal",
+                    "--exact",
+                    "--nocapture",
+                ])
+                .env(CHILD, "1")
+                .output()
+                .unwrap();
+            assert!(
+                out.status.success(),
+                "child test died ({}): {}",
+                out.status,
+                String::from_utf8_lossy(&out.stderr)
+            );
+            return;
+        }
+        let mut input = Vec::new();
+        input.extend_from_slice(tr_json(1, 1000).as_bytes());
+        input.push(b'\n');
+        let deep_offset = input.len() as u64;
+        input.extend_from_slice(&deep_record());
+        input.push(b'\n');
+        input.extend_from_slice(tr_json(2, 1001).as_bytes());
+        input.push(b'\n');
+        let mut probes = Vec::new();
+        let quarantined = ingest_slice(&input, |_, _, tr| probes.push(tr.probe.0));
+        assert_eq!(probes, vec![1, 2], "neighbours delivered");
+        assert_eq!(quarantined.len(), 1);
+        let q = &quarantined[0];
+        assert_eq!((q.offset, q.kind), (deep_offset, QuarantineKind::Json));
+        assert!(
+            q.detail.contains("recursion limit exceeded"),
+            "{}",
+            q.detail
+        );
+        // The worker pipeline quarantines it the same way.
+        let (seen, summary) = fingerprint(
+            &IngestOptions {
+                threads: 2,
+                ..IngestOptions::default()
+            },
+            &input,
+        );
+        assert_eq!(seen.len(), 2);
+        assert_eq!(summary.quarantined_of(QuarantineKind::Json), 1);
+    }
+
+    #[test]
+    fn fallbacks_count_the_records_the_fast_pass_declined() {
+        // Canonical records take the fast pass; an escaped string, a
+        // duplicate key and two malformed records go to serde.
+        let good = tr_json(1, 1000);
+        let escaped = good.replace("\"ICMP\"", "\"IC\\u004dP\"");
+        let duplicate = good.replace("\"fw\":5080", "\"fw\":5080,\"fw\":1");
+        let model_bad = good.replace("traceroute", "ping");
+        let input = format!("{good}\n{escaped}\n{duplicate}\nnot json\n{model_bad}\n{good}\n");
+        for threads in [1, 2] {
+            let options = IngestOptions {
+                threads,
+                ..IngestOptions::default()
+            };
+            let (seen, summary) = fingerprint(&options, input.as_bytes());
+            assert_eq!(summary.parsed, 4, "threads={threads}");
+            assert_eq!(seen.values().sum::<u64>(), 4);
+            assert_eq!(summary.skipped(), 2);
+            assert_eq!(summary.decode_fallbacks, 4, "threads={threads}");
+            let (_, clean) = fingerprint(&options, &lines_input(50));
+            assert_eq!(clean.decode_fallbacks, 0, "threads={threads}");
         }
     }
 

@@ -91,6 +91,9 @@ metrics! {
         group quarantined(QuarantineMetrics => QuarantineStats);
         counter frame_nanos("lastmile_run_ingest_frame_nanos_total", "Nanoseconds the ingest framing loop spent splitting records (one thread).");
         counter decode_nanos("lastmile_run_ingest_decode_nanos_total", "Nanoseconds spent decoding records, summed across parse workers.");
+        /// Nonzero means the decoder's fast pass met a record shape it
+        /// does not cover and serde decoded it at several times the cost.
+        counter decode_fallbacks("lastmile_run_ingest_decode_fallbacks_total", "Records the decoder's fast pass declined and handed to serde, quarantined ones included.");
         counter wall_nanos("lastmile_run_ingest_wall_nanos_total", "Elapsed wall nanoseconds of file ingest, summed across input files.");
         /// A queue pinned at its capacity means the parse workers are the
         /// bottleneck, a queue near zero means framing/IO is.
@@ -537,6 +540,7 @@ mod tests {
             },
             frame_nanos: 5,
             decode_nanos: 6,
+            decode_fallbacks: 7,
             wall_nanos: 500_000_000, // 0.5 s
             queue_max_depth: 3,
             ..IngestStats::default()
@@ -606,6 +610,7 @@ mod tests {
                 },
                 frame_nanos: 5,
                 decode_nanos: 6,
+                decode_fallbacks: 7,
                 wall_nanos: 1_000_000_000,
                 queue_max_depth: 3, // fetch_max, not a sum
             }
@@ -688,6 +693,7 @@ mod tests {
             "worker_panic",
             "frame_nanos",
             "decode_nanos",
+            "decode_fallbacks",
             "wall_nanos",
             "queue_max_depth",
             "latency",

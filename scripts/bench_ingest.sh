@@ -31,12 +31,18 @@ if [ "${BENCH_SMOKE:-0}" = "1" ]; then
     jsonl="$work/traceroutes.jsonl"
     array="$work/traceroutes.json"
     { printf '['; sed '$!s/$/,/' "$jsonl"; printf ']'; } >"$array"
-    # A corrupted copy exercises quarantine identity: a torn record and
-    # a non-JSON line spliced between intact records.
+    # A corrupted copy exercises quarantine identity: a torn record, a
+    # non-JSON line and a record nested 100,000 arrays deep (past the
+    # parser's recursion limit, so it must quarantine, not overflow the
+    # stack) spliced between intact records.
     corrupt="$work/corrupt.jsonl"
     {
         head -n 3 "$jsonl"
         printf '{"torn": \nnot json at all\n'
+        printf '{"deep":'
+        head -c 100000 /dev/zero | tr '\0' '['
+        head -c 100000 /dev/zero | tr '\0' ']'
+        printf '}\n'
         tail -n +4 "$jsonl"
     } >"$corrupt"
     for form in lines array corrupt; do
@@ -67,6 +73,10 @@ if [ "${BENCH_SMOKE:-0}" = "1" ]; then
     # the quarantine identity above is vacuous.
     [ -s "$work/q.corrupt.threads1.jsonl" ] || {
         echo "FAIL: corrupted corpus produced an empty quarantine dump" >&2
+        exit 1
+    }
+    grep -q '"kind":"json".*recursion limit exceeded' "$work/q.corrupt.threads1.jsonl" || {
+        echo "FAIL: the deeply nested record was not quarantined as json" >&2
         exit 1
     }
     echo "OK: ingest smoke passed (classify --json and quarantine byte-identical across modes)"
