@@ -14,6 +14,10 @@
 //! * zero worker panics, and the loadgen report's shed accounting is
 //!   consistent (`attempted == ok + shed + errors` — nonzero exit
 //!   otherwise).
+//!
+//! A second test pins the admission knee that DESIGN.md's ladder recipe
+//! shows: below the heavy budget's capacity nothing is shed; far above
+//! it the budget sheds and the achieved rate stays capped.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -415,5 +419,124 @@ fn classify_flood_sheds_heavy_while_cheap_and_intake_survive() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(out.status.success(), "serve did not exit cleanly: {stderr}");
     assert!(stderr.contains("[serve] shutdown: drained"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Check one ladder rung's ledger, `attempted == ok + shed + errors`,
+/// and return `(ok, shed, not_sent)`.
+fn rung_ledger(rung: &serde_json::Value) -> (u64, u64, u64) {
+    let field = |name: &str| {
+        rung[name]
+            .as_u64()
+            .unwrap_or_else(|| panic!("rung has no {name}: {rung}"))
+    };
+    let (ok, shed, errors) = (field("ok"), field("shed"), field("errors"));
+    assert_eq!(field("attempted"), ok + shed + errors, "{rung}");
+    (ok, shed, field("not_sent"))
+}
+
+#[test]
+fn ladder_shows_the_heavy_budget_knee() {
+    let dir = std::env::temp_dir().join(format!("lastmile-ladder-knee-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (_, err, ok) = run(&[
+        "simulate",
+        "--scenario",
+        "anchor",
+        "--out",
+        dir.to_str().unwrap(),
+        "--days",
+        "3",
+    ]);
+    assert!(ok, "simulate failed: {err}");
+
+    // One heavy slot (`--serve-budget-heavy 1`) held DELAY_MS per
+    // request caps heavy throughput at 1000 / DELAY_MS = 20 rps,
+    // whatever the offered rate.
+    const DELAY_MS: u64 = 50;
+    let capacity_rps = 1000.0 / DELAY_MS as f64;
+    let ready = dir.join("ready");
+    let mut child = Command::new(lastmile_bin())
+        .args([
+            "serve",
+            "--traceroutes",
+            dir.join("traceroutes.jsonl").to_str().unwrap(),
+            "--probes",
+            dir.join("probes.json").to_str().unwrap(),
+            "--addr",
+            "127.0.0.1:0",
+            "--ready-file",
+            ready.to_str().unwrap(),
+            "--serve-workers",
+            "2",
+            "--serve-budget-heavy",
+            "1",
+            "--serve-heavy-delay-ms",
+            &DELAY_MS.to_string(),
+        ])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn lastmile serve");
+    let addr = await_ready(&mut child, &ready);
+
+    // A low rung at a fifth of capacity (requests 250 ms apart, each
+    // holding the slot 50 ms) and a high rung at four times capacity:
+    // far enough apart that a stalled shared host cannot flip either.
+    let report_path = dir.join("ladder.json");
+    let (_, err, ok) = run(&[
+        "loadgen",
+        "--addr",
+        &addr,
+        "--profile",
+        "ladder",
+        "--mix",
+        "classify=1",
+        "--rates",
+        "4,80",
+        "--dwell-ms",
+        "2000",
+        "--out",
+        report_path.to_str().unwrap(),
+    ]);
+    assert!(ok, "loadgen failed: {err}");
+    let report: serde_json::Value =
+        serde_json::from_str(&std::fs::read_to_string(&report_path).unwrap())
+            .expect("ladder report");
+    let rungs = report["rungs"].as_array().expect("rungs");
+    assert_eq!(rungs.len(), 2, "{report}");
+    let (low, high) = (&rungs[0], &rungs[1]);
+
+    let (ok_low, shed_low, not_sent_low) = rung_ledger(low);
+    assert_eq!(shed_low, 0, "below capacity the budget shed: {low}");
+    assert_eq!(not_sent_low, 0, "{low}");
+    assert!(ok_low > 0, "{low}");
+
+    rung_ledger(high);
+    assert!(
+        high["shed_rate"].as_f64().unwrap() > 0.0,
+        "above capacity the budget never shed: {high}"
+    );
+    // 25% slack over the cap for timer and scheduling jitter; with the
+    // budget disengaged both workers run heavy requests and the rung
+    // achieves about twice the cap.
+    let achieved = high["achieved_rps"].as_f64().unwrap();
+    assert!(
+        achieved < capacity_rps * 1.25,
+        "achieved {achieved:.1} rps past the heavy budget's {capacity_rps} rps: {high}"
+    );
+
+    let ok = Command::new("kill")
+        .arg(child.id().to_string())
+        .status()
+        .expect("spawn kill")
+        .success();
+    assert!(ok, "kill failed");
+    let out = child.wait_with_output().expect("collect serve output");
+    assert!(
+        out.status.success(),
+        "serve did not exit cleanly: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -7,7 +7,7 @@ use lastmile_repro::netsim::TracerouteEngine;
 use lastmile_repro::netsim::World;
 use lastmile_repro::obs::trace;
 use lastmile_repro::runner::{
-    analyze_population_stored, eyeballs_from_ground_truth, run_survey, run_tasks, ProbeSelection,
+    analyze_population_with, eyeballs_from_ground_truth, run_survey, run_tasks, ProbeSelection,
     SurveyOptions,
 };
 use lastmile_repro::store::SeriesStore;
@@ -111,7 +111,7 @@ pub fn analyze_many(
         let _span = trace::span_with("population", |a| {
             a.u64("asn", u64::from(*asn)).str("period", period.label());
         });
-        analyze_population_stored(&engine, *asn, period, *cfg, selection, &store)
+        analyze_population_with(&engine, *asn, period, *cfg, selection, Some(&store))
     })
     .into_iter()
     .map(|r| r.unwrap_or_else(|e| panic!("population analysis panicked: {e}")))

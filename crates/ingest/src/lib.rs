@@ -504,13 +504,20 @@ fn ingest_workers(
         let framer = {
             let out_tx = out_tx.clone();
             let queue_depth = &queue_depth;
+            // Count the batch before sending it: a worker can take it and
+            // count the pop before `send` returns, and the gauges'
+            // saturating pop would then leave them one high for good.
             let push_batch = move |b: Batch| {
-                if batch_tx.send(b).is_err() {
-                    return false; // all workers are gone
-                }
                 queue_depth.inc();
                 if let Some(p) = &options.progress {
                     p.queue_push();
+                }
+                if batch_tx.send(b).is_err() {
+                    queue_depth.dec();
+                    if let Some(p) = &options.progress {
+                        p.queue_pop();
+                    }
+                    return false; // all workers are gone
                 }
                 true
             };

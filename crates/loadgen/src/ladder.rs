@@ -5,7 +5,8 @@
 //! shed rate. Stacked, the rungs trace the daemon's
 //! throughput-vs-latency curve: the knee is the first rung where
 //! achieved stops tracking offered and p99 (or the shed rate) takes
-//! off. This is the curve `BENCH_serve.json` records.
+//! off. DESIGN.md § "Admission control & load testing" has the recipe
+//! that shows it against a budgeted daemon.
 
 use crate::client::scrape_shed_counters;
 use crate::engine::run_open_loop;

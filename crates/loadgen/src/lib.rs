@@ -1,10 +1,9 @@
 //! `lastmile-loadgen`: an open-loop load generator for the `lastmile
 //! serve` daemon.
 //!
-//! `BENCH_serve.json` used to be produced by polite, mostly-sequential
-//! `curl` loops — a closed-loop client that slows down exactly when the
-//! server does, which is precisely how you *fail* to find a knee in the
-//! throughput-vs-latency curve. This crate drives the daemon the way
+//! A closed-loop client (a polite `curl` loop) slows down exactly when
+//! the server does, which is precisely how you *fail* to find a knee in
+//! the throughput-vs-latency curve. This crate drives the daemon the way
 //! real traffic does: requests are released on a wall-clock schedule
 //! regardless of how the previous ones are faring (open loop), over raw
 //! `std::net` TCP with the same one-request-per-connection HTTP/1.1

@@ -3,8 +3,10 @@
 # pipeline. For each rung of an AS-count ladder (16 / 40 / 100 ASes)
 # the script generates the corpus (`fleet gen`, snapshot primed), runs a
 # cold and a warm `classify` over it, scores the verdicts against the
-# ground-truth sidecar, and records wall times + the score document into
-# BENCH_fleet.json. Offline; uses only the repo's own binary.
+# ground-truth sidecar, and records wall times, the score document and
+# the cold and warm classify's --stats-out documents (per-layer nanos)
+# into BENCH_fleet.json under the shared "host" object of
+# scripts/bench_host.sh. Offline; uses only the repo's own binary.
 #
 # BENCH_SMOKE=1 runs a fast correctness-only pass instead: the 9-AS
 # scripts/fleet_smoke.json spec end-to-end with the scorer's CI gates
@@ -12,6 +14,7 @@
 # recorded and BENCH_fleet.json is not touched.
 set -eu
 cd "$(dirname "$0")/.."
+. ./scripts/bench_host.sh
 
 echo "==> cargo build --release -q -p lastmile-cli"
 cargo build --release -q -p lastmile-cli
@@ -46,6 +49,7 @@ run_rung() {
     t0=$(now_ms)
     "$bin" classify --traceroutes "$rung_dir/traceroutes.jsonl" \
         --probes "$rung_dir/probes.json" --start "$start" --end "$end" \
+        --stats-out "$rung_dir/stats_cold.json" \
         --json >"$rung_dir/classified.json" 2>/dev/null
     t1=$(now_ms)
     rung_cold_ms=$((t1 - t0))
@@ -54,6 +58,7 @@ run_rung() {
     "$bin" classify --traceroutes "$rung_dir/traceroutes.jsonl" \
         --probes "$rung_dir/probes.json" --start "$start" --end "$end" \
         --cache-dir "$rung_dir/cache" --cache ro \
+        --stats-out "$rung_dir/stats_warm.json" \
         --json >"$rung_dir/classified_warm.json" 2>/dev/null
     t1=$(now_ms)
     rung_warm_ms=$((t1 - t0))
@@ -106,11 +111,7 @@ cat >"$work/fleet_40as.json" <<'EOF'
 EOF
 
 out=BENCH_fleet.json
-cores=$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN 2>/dev/null || echo 0)
-rustc_version=$(rustc --version 2>/dev/null || echo unknown)
-timestamp=$(date -u +%Y-%m-%dT%H:%M:%SZ)
-printf '{\n  "bench": "fleet",\n  "host": {"cores": %s, "rustc": "%s", "timestamp_utc": "%s"},\n  "rungs": [\n' \
-    "$cores" "$rustc_version" "$timestamp" >"$out"
+printf '{\n  "bench": "fleet",\n  "host": %s,\n  "rungs": [\n' "$(host_json)" >"$out"
 first=1
 for rung in 16:$work/fleet_16as.json 40:$work/fleet_40as.json 100:scripts/fleet_100as.json; do
     ases=${rung%%:*}
@@ -122,7 +123,11 @@ for rung in 16:$work/fleet_16as.json 40:$work/fleet_40as.json 100:scripts/fleet_
     printf '    {"ases": %s, "probes": %s, "traceroutes": %s, "gen_ms": %s, "classify_cold_ms": %s, "classify_warm_ms": %s,\n     "score": ' \
         "$ases" "$rung_probes" "$rung_traceroutes" \
         "$rung_gen_ms" "$rung_cold_ms" "$rung_warm_ms" >>"$out"
-    tr -d '\n' <"$work/as$ases/score.json" | sed 's/  */ /g' >>"$out"
+    inline_json "$work/as$ases/score.json" >>"$out"
+    printf ',\n     "stats_cold": ' >>"$out"
+    inline_json "$work/as$ases/stats_cold.json" >>"$out"
+    printf ',\n     "stats_warm": ' >>"$out"
+    inline_json "$work/as$ases/stats_warm.json" >>"$out"
     printf '}' >>"$out"
 done
 printf '\n  ]\n}\n' >>"$out"

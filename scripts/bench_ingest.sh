@@ -3,11 +3,8 @@
 # (JSON Lines and top-level array) at --ingest-threads 1 (inline decode
 # on the framing thread), 2 and 3 (the worker pipeline, also on a
 # one-core host) and auto, collecting each run's --stats-out document
-# into BENCH_ingest.json. Offline; uses only the repo's own binary.
-#
-# The criterion benchmark (cargo bench -p lastmile-bench --bench ingest)
-# prices the raw decode loop in-process; this script records the same
-# comparison end-to-end through the CLI, stats plumbing included.
+# into BENCH_ingest.json under the shared "host" object of
+# scripts/bench_host.sh. Offline; uses only the repo's own binary.
 #
 # BENCH_SMOKE=1 runs a fast correctness-only pass instead: a one-day
 # corpus (plus a deliberately corrupted copy) is classified in every
@@ -17,6 +14,7 @@
 # the cross-mode identity check scripts/check.sh runs on every change.
 set -eu
 cd "$(dirname "$0")/.."
+. ./scripts/bench_host.sh
 
 echo "==> cargo build --release -q -p lastmile-cli"
 cargo build --release -q -p lastmile-cli
@@ -91,13 +89,7 @@ array="$work/traceroutes.json"
 { printf '['; sed '$!s/$/,/' "$jsonl"; printf ']'; } >"$array"
 
 out=BENCH_ingest.json
-# Host context, so numbers from different machines/toolchains are never
-# compared as if they were one series.
-cores=$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN 2>/dev/null || echo 0)
-rustc_version=$(rustc --version 2>/dev/null || echo unknown)
-timestamp=$(date -u +%Y-%m-%dT%H:%M:%SZ)
-printf '{\n  "bench": "ingest",\n  "host": {"cores": %s, "rustc": "%s", "timestamp_utc": "%s"},\n  "cases": [\n' \
-    "$cores" "$rustc_version" "$timestamp" >"$out"
+printf '{\n  "bench": "ingest",\n  "host": %s,\n  "cases": [\n' "$(host_json)" >"$out"
 first=1
 for form in lines array; do
     case $form in
@@ -112,7 +104,7 @@ for form in lines array; do
         [ "$first" -eq 1 ] || printf ',\n' >>"$out"
         first=0
         printf '    {"form": "%s", "mode": "%s", "stats": ' "$form" "$label" >>"$out"
-        tr -d '\n' <"$work/stats.json" >>"$out"
+        inline_json "$work/stats.json" >>"$out"
         printf '}' >>"$out"
     done
 done

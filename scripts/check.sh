@@ -11,11 +11,10 @@ cargo fmt --check
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-# Covers every [[bench]] target in crates/bench (components, figures,
-# ablations, executor, store, ingest, obs_overhead, serve);
-# scripts/bench_ingest.sh and scripts/bench_serve.sh run the ingest and
-# serving comparisons end-to-end and record BENCH_ingest.json /
-# BENCH_serve.json.
+# Covers both [[bench]] targets in crates/bench (executor,
+# obs_overhead). End-to-end numbers come from the benchmark package
+# (benchmark/, BENCHMARK.json); scripts/bench_ingest.sh and
+# scripts/bench_fleet.sh record BENCH_ingest.json / BENCH_fleet.json.
 echo "==> cargo build --workspace --benches --examples"
 cargo build --workspace --benches --examples
 

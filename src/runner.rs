@@ -85,50 +85,41 @@ pub fn analyze_population(
     cfg: PipelineConfig,
     selection: &ProbeSelection,
 ) -> PopulationAnalysis {
-    analyze_population_with(&TracerouteEngine::new(world), asn, period, cfg, selection)
+    analyze_population_with(
+        &TracerouteEngine::new(world),
+        asn,
+        period,
+        cfg,
+        selection,
+        None,
+    )
 }
 
-/// Like [`analyze_population`], reusing a prebuilt [`TracerouteEngine`].
-/// The survey executor builds one engine and shares it across workers
-/// and tasks instead of rebuilding it per population.
+/// Like [`analyze_population`], reusing a prebuilt [`TracerouteEngine`]
+/// and optionally backed by a [`SeriesStore`]. The survey executor builds
+/// one engine and shares it across workers and tasks instead of
+/// rebuilding it per population.
+///
+/// With a store, probes whose median series it has already computed for
+/// this period (or a covering superset) skip simulation and ingestion
+/// entirely — the stored series is sliced and fed ready-made. Probes the
+/// store cannot serve are simulated as usual, and their freshly built
+/// series are offered back to the store (a no-op in read-only mode).
+///
+/// The returned analysis — and therefore the survey report — is
+/// byte-identical with or without a store: the store holds full-bin
+/// medians only, refuses ranges that don't align with bin boundaries, and
+/// the period-scoped queuing-delay baseline is recomputed per call (§2.1
+/// computes the minimum median RTT separately for each measurement
+/// period). Only the ingest statistics differ: a served probe contributes
+/// zero `traceroutes_ingested`.
 pub fn analyze_population_with(
     engine: &TracerouteEngine,
     asn: Asn,
     period: &MeasurementPeriod,
     cfg: PipelineConfig,
     selection: &ProbeSelection,
-) -> PopulationAnalysis {
-    let mut pipeline = AsPipeline::new(cfg, period.range());
-    for probe in engine.world().probes_in(asn) {
-        if !selection.matches(probe) {
-            continue;
-        }
-        engine.for_each_traceroute(probe, &period.range(), |tr| pipeline.ingest(&tr));
-    }
-    pipeline.finish()
-}
-
-/// Like [`analyze_population_with`], backed by a [`SeriesStore`]: probes
-/// whose median series the store has already computed for this period (or
-/// a covering superset) skip simulation and ingestion entirely — the
-/// stored series is sliced and fed ready-made. Probes the store cannot
-/// serve are simulated as usual, and their freshly built series are
-/// offered back to the store (a no-op in read-only mode).
-///
-/// The returned analysis — and therefore the survey report — is
-/// byte-identical to the store-free path: the store holds full-bin
-/// medians only, refuses ranges that don't align with bin boundaries, and
-/// the period-scoped queuing-delay baseline is recomputed per call (§2.1
-/// computes the minimum median RTT separately for each measurement
-/// period). Only the ingest statistics differ: a served probe contributes
-/// zero `traceroutes_ingested`.
-pub fn analyze_population_stored(
-    engine: &TracerouteEngine,
-    asn: Asn,
-    period: &MeasurementPeriod,
-    cfg: PipelineConfig,
-    selection: &ProbeSelection,
-    store: &SeriesStore,
+    store: Option<&SeriesStore>,
 ) -> PopulationAnalysis {
     let range = period.range();
     let mut pipeline = AsPipeline::new(cfg, range);
@@ -137,25 +128,30 @@ pub fn analyze_population_stored(
         if !selection.matches(probe) {
             continue;
         }
-        let key = StoreKey::for_pipeline(probe.meta.id, &cfg);
-        match store.lookup(&key, &range) {
-            Lookup::Hit(pre) => pipeline.ingest_series(pre),
-            outcome => {
+        if let Some(store) = store {
+            let key = StoreKey::for_pipeline(probe.meta.id, &cfg);
+            match store.lookup(&key, &range) {
+                Lookup::Hit(pre) => {
+                    pipeline.ingest_series(pre);
+                    continue;
+                }
                 // A bypass (mode off / unaligned period) can never turn
                 // into an accepted insert, so only misses pay for series
                 // retention.
-                missed |= matches!(outcome, Lookup::Miss);
-                engine.for_each_traceroute(probe, &range, |tr| pipeline.ingest(&tr));
+                outcome => missed |= matches!(outcome, Lookup::Miss),
             }
         }
+        engine.for_each_traceroute(probe, &range, |tr| pipeline.ingest(&tr));
     }
     if missed {
         pipeline.retain_median_series(true);
     }
     let analysis = pipeline.finish();
-    for built in &analysis.built_series {
-        let key = StoreKey::for_pipeline(built.series.probe(), &cfg);
-        store.insert(&key, &range, built);
+    if let Some(store) = store {
+        for built in &analysis.built_series {
+            let key = StoreKey::for_pipeline(built.series.probe(), &cfg);
+            store.insert(&key, &range, built);
+        }
     }
     analysis
 }
@@ -233,23 +229,14 @@ pub fn run_survey(
         if options.inject_panic_asn == Some(asn) {
             panic!("injected survey panic for AS{asn}");
         }
-        let analysis = match &options.store {
-            Some(store) => analyze_population_stored(
-                &engine,
-                asn,
-                period,
-                options.pipeline,
-                &ProbeSelection::regular(),
-                store,
-            ),
-            None => analyze_population_with(
-                &engine,
-                asn,
-                period,
-                options.pipeline,
-                &ProbeSelection::regular(),
-            ),
-        };
+        let analysis = analyze_population_with(
+            &engine,
+            asn,
+            period,
+            options.pipeline,
+            &ProbeSelection::regular(),
+            options.store.as_deref(),
+        );
         if let Some(m) = &options.metrics {
             record_population_metrics(
                 m,
