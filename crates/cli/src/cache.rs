@@ -9,82 +9,13 @@
 //! snapshot.
 
 use crate::Flags;
-use lastmile_repro::core::pipeline::PipelineConfig;
-use lastmile_repro::core::series::ProbeSeriesBuilder;
-use lastmile_repro::ingest::{ingest_file, IngestOptions};
 use lastmile_repro::obs::{trace, RunMetrics, StageTimer, StoreStats};
-use lastmile_repro::store::{CacheMode, SeriesStore, StoreConfig, StoreKey};
-use lastmile_repro::timebase::TimeRange;
+use lastmile_repro::store::{CacheMode, SeriesStore, StoreConfig};
 use std::io::Read;
 use std::path::PathBuf;
 
 /// Snapshot file name inside `--cache-dir`.
 pub const SNAPSHOT_FILE: &str = "series.lmss";
-
-/// What [`prime_snapshot`] wrote.
-pub struct PrimeReport {
-    /// Per-probe series inserted into the snapshot.
-    pub series: usize,
-    /// Snapshot size on disk, bytes.
-    pub bytes: u64,
-    /// The snapshot path (`<cache-dir>/series.lmss`).
-    pub snapshot: PathBuf,
-}
-
-/// Prime a `--cache-dir` snapshot from an exported traceroute file, so a
-/// later `classify --cache-dir` over that file starts warm. The file is
-/// re-read through the same ingest path `classify` uses: the builders see
-/// exactly what a `--probes`/ASN-0 classify would feed them — no
-/// round-trip-fidelity assumption, and any export bug surfaces here as a
-/// quarantined record instead of a poisoned snapshot.
-///
-/// The window must be the exact window a warm classify will pass via
-/// `--start`/`--end` (the store only serves range-identical requests).
-pub fn prime_snapshot(
-    trs_path: &str,
-    cache_dir: &str,
-    window: &TimeRange,
-) -> Result<PrimeReport, String> {
-    let _span = trace::span("prime_cache");
-    let cfg = PipelineConfig::paper();
-    let store = SeriesStore::default();
-    let mut builders: std::collections::BTreeMap<_, ProbeSeriesBuilder> = Default::default();
-    let summary = ingest_file(trs_path, &IngestOptions::default(), |tr| {
-        builders
-            .entry(tr.probe)
-            .or_insert_with(|| {
-                ProbeSeriesBuilder::new(tr.probe, cfg.bin, cfg.min_traceroutes_per_bin)
-            })
-            .ingest(&tr);
-    })?;
-    if summary.skipped() > 0 {
-        return Err(format!(
-            "exported {trs_path} failed its own ingest: {} record(s) quarantined (first: {})",
-            summary.skipped(),
-            summary
-                .quarantined
-                .first()
-                .map(|q| q.detail.as_str())
-                .unwrap_or("?"),
-        ));
-    }
-    for (probe, builder) in builders {
-        let built = builder.finish_detailed();
-        store.insert(&StoreKey::for_pipeline(probe, &cfg), window, &built);
-    }
-    std::fs::create_dir_all(cache_dir)
-        .map_err(|e| format!("create --cache-dir {cache_dir}: {e}"))?;
-    let snapshot = std::path::Path::new(cache_dir).join(SNAPSHOT_FILE);
-    let fingerprint = file_fingerprint(trs_path)?;
-    let bytes = store
-        .save_snapshot(&snapshot, fingerprint)
-        .map_err(|e| format!("save cache snapshot {}: {e}", snapshot.display()))?;
-    Ok(PrimeReport {
-        series: store.len(),
-        bytes,
-        snapshot,
-    })
-}
 
 /// An active series cache: the (possibly snapshot-loaded) store plus
 /// where and how to persist it.
@@ -95,16 +26,21 @@ pub struct Cache {
     pub mode: CacheMode,
 }
 
-/// Build the cache from `--cache-dir DIR` and `--cache off|ro|rw`
-/// (default `rw`). Returns `None` when no `--cache-dir` was given.
-/// `fingerprint` identifies the data source (see [`file_fingerprint`]);
-/// it is computed lazily so an uncached run never pays for it.
+/// Build the cache from `--cache-dir DIR` and `--cache ro|rw` (default
+/// `rw`). Returns `None` when no `--cache-dir` was given: that run is
+/// uncached. `fingerprint` identifies the data source (see
+/// [`file_fingerprint`]); it is computed lazily so an uncached run never
+/// pays for it.
 pub fn from_flags(
     flags: &Flags,
     fingerprint: impl FnOnce() -> Result<u64, String>,
     metrics: Option<&RunMetrics>,
 ) -> Result<Option<Cache>, String> {
-    let mode: CacheMode = flags.parsed("cache")?.unwrap_or_default();
+    let mode: CacheMode = flags
+        .optional("cache")
+        .map(str::parse)
+        .transpose()?
+        .unwrap_or_default();
     let Some(dir) = flags.optional("cache-dir") else {
         if flags.optional("cache").is_some() {
             return Err("--cache needs --cache-dir".into());
@@ -113,26 +49,13 @@ pub fn from_flags(
     };
     std::fs::create_dir_all(dir).map_err(|e| format!("create --cache-dir {dir}: {e}"))?;
     let path = PathBuf::from(dir).join(SNAPSHOT_FILE);
-    let config = StoreConfig {
-        mode,
-        ..StoreConfig::default()
-    };
-    if mode == CacheMode::Off {
-        // Off mode neither loads nor persists, so the fingerprint (a
-        // full scan of the data file) is never computed.
-        return Ok(Some(Cache {
-            store: SeriesStore::new(config),
-            path,
-            fingerprint: 0,
-            mode,
-        }));
-    }
     let fingerprint = fingerprint()?;
     let span = trace::span_with("snapshot_load", |a| {
         a.str("path", path.display().to_string());
     });
     let load_timer = StageTimer::start();
-    let (store, bytes, error) = SeriesStore::load_snapshot_or_empty(&path, fingerprint, config);
+    let (store, bytes, error) =
+        SeriesStore::load_snapshot_or_empty(&path, fingerprint, StoreConfig { mode });
     drop(span);
     if let Some(m) = metrics {
         m.store.add(&StoreStats {
@@ -379,22 +302,5 @@ mod tests {
         assert_ne!(combine_fingerprints(1, 2), 1);
         assert_ne!(combine_fingerprints(1, 2), 2);
         assert_eq!(combine_fingerprints(1, 2), combine_fingerprints(1, 2));
-    }
-
-    #[test]
-    fn off_mode_never_computes_the_fingerprint() {
-        let dir = std::env::temp_dir().join("lastmile-cache-off-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let args: Vec<String> = ["--cache-dir", dir.to_str().unwrap(), "--cache", "off"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let flags = crate::Flags::parse(&args).unwrap();
-        // The fingerprint closure (a full data-file scan in real runs)
-        // must not run in off mode.
-        let cache = from_flags(&flags, || panic!("fingerprint computed in off mode"), None)
-            .unwrap()
-            .expect("cache-dir given");
-        assert_eq!(cache.mode, CacheMode::Off);
     }
 }

@@ -115,7 +115,6 @@ pub fn analyze_corpus(
     let probes = flags.optional("probes").map(load_probes).transpose()?;
     let bgp = flags.optional("bgp").map(load_table).transpose()?;
     let anchors_only = flags.switch("anchors-only");
-    let cache_engaged = cache.is_some_and(|c| c.mode != CacheMode::Off);
 
     // Probe → ASN routing.
     let probe_to_asn: Option<BTreeMap<ProbeId, Asn>> = probes.as_ref().map(|list| {
@@ -141,7 +140,7 @@ pub fn analyze_corpus(
     // was single-ASN, and live passes invalidate every probe with new
     // records before they read.
     let mut bgp_probe_asn: Option<BTreeMap<ProbeId, Option<Asn>>> =
-        (probes.is_none() && bgp.is_some() && cache_engaged).then(BTreeMap::new);
+        (probes.is_none() && bgp.is_some() && cache.is_some()).then(BTreeMap::new);
     let counters_before = cache.map(|c| c.store.counters());
     // Retaining built series costs memory; only pay when write-back can
     // accept them (rw mode, a bin-aligned window known before the read).

@@ -13,7 +13,6 @@
 //! The spec file is declarative JSON (see `FleetSpec`); validate it
 //! offline with `lastmile lint --fleet SPEC.json`.
 
-use crate::cache;
 use crate::Flags;
 use lastmile_repro::atlas::json::to_atlas_json;
 use lastmile_repro::netsim::fleet::{
@@ -23,7 +22,6 @@ use lastmile_repro::netsim::{SimProbe, TracerouteEngine};
 use lastmile_repro::obs::trace;
 use lastmile_repro::prefix::Asn;
 use lastmile_repro::runner::run_tasks;
-use lastmile_repro::store::CacheMode;
 use std::collections::BTreeMap;
 use std::io::Write;
 
@@ -194,11 +192,6 @@ fn gen(flags: &Flags) -> Result<(), String> {
     let out_dir = flags.required("out")?;
     let seed: u64 = flags.parsed("seed")?.unwrap_or(20200646);
     let threads: usize = flags.parsed("threads")?.unwrap_or(1).max(1);
-    let cache_dir = flags.optional("cache-dir");
-    let cache_mode: CacheMode = flags.parsed("cache")?.unwrap_or_default();
-    if cache_dir.is_none() && flags.optional("cache").is_some() {
-        return Err("--cache needs --cache-dir".into());
-    }
     std::fs::create_dir_all(out_dir).map_err(|e| format!("create {out_dir}: {e}"))?;
 
     let span = trace::span("fleet_build");
@@ -296,25 +289,6 @@ fn gen(flags: &Flags) -> Result<(), String> {
     eprintln!("[out] {trs_path} ({count} traceroutes)");
     drop(span);
 
-    // Optional warm-start snapshot, exactly like `simulate --cache-dir`.
-    if let Some(dir) = cache_dir {
-        if cache_mode == CacheMode::ReadWrite {
-            let report = cache::prime_snapshot(&trs_path, dir, &window)?;
-            eprintln!(
-                "[cache] primed {} ({} series, {} bytes; classify with --probes \
-                 and --start {} --end {} to hit it)",
-                report.snapshot.display(),
-                report.series,
-                report.bytes,
-                window.start().as_secs(),
-                window.end().as_secs()
-            );
-        } else {
-            eprintln!(
-                "[cache] --cache {cache_mode:?} given: fleet gen only primes in rw mode, skipping"
-            );
-        }
-    }
     Ok(())
 }
 

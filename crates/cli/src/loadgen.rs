@@ -2,17 +2,17 @@
 //! harness (`lastmile-loadgen`).
 //!
 //! ```text
-//! lastmile loadgen --addr HOST:PORT --profile burst|ladder|fanout ...
+//! lastmile loadgen --addr HOST:PORT [--profile ladder|burst] ...
 //! ```
 //!
-//! Profiles:
+//! Profiles, each over a weighted `--mix classify=4,series=1,intake=1`
+//! (default `classify=1`):
 //!
+//! * `ladder` (the default): `--rates 50,100,200` offered rates (rps),
+//!   `--dwell-ms` per rung — the throughput-vs-latency curve. One rate
+//!   sustained for a while is a one-rung ladder.
 //! * `burst`: `--requests N` connections released at once, `--bursts B`
 //!   times.
-//! * `ladder`: `--rates 50,100,200` offered rates (rps), `--dwell-ms`
-//!   per rung — the throughput-vs-latency curve.
-//! * `fanout`: `--rate RPS` sustained over `--duration-ms`, across a
-//!   weighted `--mix classify=4,series=1,intake=1`.
 //!
 //! Per-ASN endpoints (`classify_asn`, `series`) aim at `--asn`, or at
 //! the first row of the daemon's `/v1/populations` table when the flag
@@ -25,26 +25,22 @@
 
 use crate::Flags;
 use lastmile_repro::loadgen::{
-    discover_asn, resolve, run_burst, run_fanout, run_ladder, BurstConfig, Endpoint, FanoutConfig,
-    LadderConfig, LoadReport, Mix, Plan,
+    discover_asn, resolve, run_burst, run_ladder, BurstConfig, Endpoint, LadderConfig, LoadReport,
+    Mix, Plan,
 };
 use std::time::Duration;
 
 pub fn run(flags: &Flags) -> Result<(), String> {
     let addr_label = flags.required("addr")?.to_string();
     let addr = resolve(&addr_label)?;
-    let profile = flags.optional("profile").unwrap_or("fanout");
+    let profile = flags.optional("profile").unwrap_or("ladder");
     let timeout = Duration::from_millis(flags.parsed::<u64>("timeout-ms")?.unwrap_or(10_000));
     let concurrency = flags.parsed::<usize>("concurrency")?.unwrap_or(16);
 
+    // By default every profile hammers the heavy endpoint: that is
+    // where the knee is.
     let mix = match flags.optional("mix") {
         Some(spec) => Mix::parse(spec)?,
-        // Each profile's natural default: bursts and ladders hammer the
-        // heavy endpoint (that's where the knee is), fanout exercises
-        // the documented read mix.
-        None if profile == "fanout" => {
-            Mix::parse("classify=4,classify_asn=2,series=2,populations=1,healthz=1")?
-        }
         None => Mix::single(Endpoint::Classify),
     };
 
@@ -75,16 +71,7 @@ pub fn run(flags: &Flags) -> Result<(), String> {
             mix,
             plan,
         })?,
-        "fanout" => run_fanout(FanoutConfig {
-            addr,
-            addr_label,
-            rate: flags.parsed::<f64>("rate")?.unwrap_or(50.0),
-            duration: Duration::from_millis(flags.parsed::<u64>("duration-ms")?.unwrap_or(5_000)),
-            concurrency,
-            mix,
-            plan,
-        })?,
-        other => return Err(format!("unknown --profile {other} (burst|ladder|fanout)")),
+        other => return Err(format!("unknown --profile {other} (ladder|burst)")),
     };
 
     emit(flags, &report)?;

@@ -103,19 +103,18 @@ impl Flags {
 
 fn usage() -> &'static str {
     "usage:\n  \
-     lastmile classify --traceroutes FILE [--probes FILE [--anchors-only] | --bgp TABLE.csv] [--start UNIX --end UNIX] [--min-probes N] [--cache-dir DIR [--cache off|ro|rw]] [--ingest-threads N] [--quarantine FILE] [--json] [--stats | --stats-out FILE] [--populations-csv FILE] [--progress]\n  \
+     lastmile classify --traceroutes FILE [--probes FILE [--anchors-only] | --bgp TABLE.csv] [--start UNIX --end UNIX] [--min-probes N] [--cache-dir DIR [--cache ro|rw]] [--ingest-threads N] [--quarantine FILE] [--json] [--stats | --stats-out FILE] [--populations-csv FILE] [--progress]\n  \
      lastmile hygiene  --traceroutes FILE [classify flags except --json] [--threshold MS]\n  \
      lastmile throughput --cdn FILE.tsv --bgp TABLE.csv [--bin-minutes 15] [--view broadband|mobile|v4|v6] [--csv OUT]\n  \
-     lastmile simulate --scenario tokyo|fig1|anchor --out DIR [--seed N] [--days N] [--cache-dir DIR [--cache off|ro|rw]]\n  \
-     lastmile fleet gen --spec SPEC.json --out DIR [--seed N] [--threads N] [--probes-per-as N [--sample-mode biased|uniform] [--sample-seed N]]\n                       \
-[--cache-dir DIR [--cache off|ro|rw]]\n  \
+     lastmile simulate --scenario tokyo|fig1|anchor --out DIR [--seed N] [--days N]\n  \
+     lastmile fleet gen --spec SPEC.json --out DIR [--seed N] [--threads N] [--probes-per-as N [--sample-mode biased|uniform] [--sample-seed N]]\n  \
      lastmile fleet score --truth DIR/truth.json --classified FILE.json [--min-recall F] [--max-peering-fp N] [--json]\n  \
      lastmile serve    --traceroutes FILE [classify flags] [--addr HOST:PORT] [--serve-workers N] [--serve-queue N] [--retry-after SECS] [--ready-file FILE]\n                       \
 [--serve-budget-heavy N (0 = workers)]\n                       \
-[--watch [--watch-poll-ms MS] [--live-offset-file FILE]] [--live-spool FILE] [--reanalyze-debounce-ms MS]\n                       \
+[--watch [--watch-poll-ms MS]] [--live-spool FILE] [--reanalyze-debounce-ms MS]\n                       \
 [--ops-sample-ms MS (default 1000, 0 = off)] [--access-log FILE]\n  \
-     lastmile loadgen  --addr HOST:PORT --profile burst|ladder|fanout [--mix classify=4,series=1,...] [--concurrency N] [--timeout-ms MS]\n                       \
-[burst: --requests N --bursts B] [ladder: --rates 25,50,100 --dwell-ms MS] [fanout: --rate RPS --duration-ms MS]\n                       \
+     lastmile loadgen  --addr HOST:PORT [--profile ladder|burst] [--mix classify=4,series=1,...] [--concurrency N] [--timeout-ms MS]\n                       \
+[ladder: --rates 25,50,100 --dwell-ms MS] [burst: --requests N --bursts B]\n                       \
 [--asn N] [--post-file FILE.jsonl [--post-batch N]] [--out FILE] [--json]\n  \
      lastmile lint     [--prom FILE] [--access-log FILE] [--fleet SPEC.json] (validate Prometheus exposition / access-log JSON lines / fleet specs)\n\n\
      any subcommand also takes --trace FILE to write a Chrome/Perfetto trace of the run\n\
@@ -131,7 +130,7 @@ const ANALYSIS_FLAGS: &str = "traceroutes probes anchors-only bgp start end min-
 /// `--serve-*delay-ms` hooks slow handlers down for the load tests and
 /// stay out of [`usage`].
 const SERVE_FLAGS: &str = "addr serve-workers serve-queue retry-after serve-budget-heavy \
-    ready-file watch watch-poll-ms live-offset-file live-spool reanalyze-debounce-ms \
+    ready-file watch watch-poll-ms live-spool reanalyze-debounce-ms \
     ops-sample-ms access-log serve-delay-ms serve-heavy-delay-ms";
 
 /// The flags `cmd` (with its `fleet` action) accepts, `--trace` aside
@@ -142,15 +141,13 @@ fn accepted_flags(cmd: &str, action: Option<&str>) -> Option<impl Iterator<Item 
         ("classify", _) => &[ANALYSIS_FLAGS, "json"],
         ("hygiene", _) => &[ANALYSIS_FLAGS, "threshold"],
         ("serve", _) => &[ANALYSIS_FLAGS, "json", SERVE_FLAGS],
-        ("simulate", _) => &["scenario out seed days cache-dir cache"],
+        ("simulate", _) => &["scenario out seed days"],
         ("throughput", _) => &["cdn bgp bin-minutes view csv"],
-        ("fleet", Some("gen")) => {
-            &["spec out seed threads probes-per-as sample-mode sample-seed cache-dir cache"]
-        }
+        ("fleet", Some("gen")) => &["spec out seed threads probes-per-as sample-mode sample-seed"],
         ("fleet", Some("score")) => &["truth classified min-recall max-peering-fp json"],
         ("loadgen", _) => &[
             "addr profile mix concurrency timeout-ms requests bursts rates \
-            dwell-ms rate duration-ms asn post-file post-batch out json",
+            dwell-ms asn post-file post-batch out json",
         ],
         ("lint", _) => &["prom access-log fleet"],
         _ => return None,

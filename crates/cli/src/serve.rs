@@ -18,16 +18,17 @@
 //! # Live re-ingest
 //!
 //! With `--watch` and/or `--live-spool`, the daemon keeps ingesting
-//! after startup: `--watch` polls the corpus file for appended records,
-//! and `--live-spool FILE` enables `POST /v1/traceroutes` (accepted
-//! records are appended to the spool, which is part of the analysis
-//! corpus from startup). Either intake path marks the engine dirty;
-//! after a debounce window (`--reanalyze-debounce-ms`) the engine
-//! re-runs the analysis over the union corpus and publishes the result
-//! as a new **epoch**. A pass costs one decode of the whole union
-//! corpus, however few records were appended: the store spares only the
-//! per-probe series building of probes without new traceroutes (only
-//! those were not invalidated), and decode dominates the pass.
+//! after startup: `--watch` polls the corpus file for records appended
+//! past the length the startup analysis read, and `--live-spool FILE`
+//! enables `POST /v1/traceroutes` (accepted records are appended to the
+//! spool, which is part of the analysis corpus from startup). Either
+//! intake path marks the engine dirty; after a debounce window
+//! (`--reanalyze-debounce-ms`) the engine re-runs the analysis over the
+//! union corpus and publishes the result as a new **epoch**. A pass
+//! costs one decode of the whole union corpus, however few records were
+//! appended: the store spares only the per-probe series building of
+//! probes without new traceroutes (only those were not invalidated),
+//! and decode dominates the pass.
 //! Publishing is an RCU-style atomic snapshot swap. In-flight
 //! readers keep the epoch they started with (the `X-Epoch` header names
 //! it) and never block on re-analysis. At any instant `GET /v1/classify`
@@ -259,22 +260,8 @@ pub fn run(flags: &Flags) -> Result<(), String> {
     // daemon's cache and epoch cell through closures so `lastmile-live`
     // stays free of CLI types.
     let engine = if live_enabled {
-        let watcher = if watch {
-            let offset_file = flags
-                .optional("live-offset-file")
-                .map(std::path::PathBuf::from)
-                .or_else(|| {
-                    flags
-                        .optional("cache-dir")
-                        .map(|d| std::path::Path::new(d).join("live.offset"))
-                })
-                .unwrap_or_else(|| std::path::PathBuf::from(format!("{corpus}.offset")));
-            Some(AppendWatcher::new(&corpus, Some(offset_file), corpus_len0))
-        } else {
-            None
-        };
         let config = LiveConfig {
-            watcher,
+            watcher: watch.then(|| AppendWatcher::new(&corpus, corpus_len0)),
             poll_interval: Duration::from_millis(
                 flags.parsed::<u64>("watch-poll-ms")?.unwrap_or(200),
             ),

@@ -3,14 +3,12 @@
 //! the Tokyo scenario the CDN access logs (TSV) — so external tools (or
 //! the paper's original pipeline) can be pointed at the simulated data.
 
-use crate::cache;
 use crate::Flags;
 use lastmile_repro::atlas::json::to_atlas_json;
 use lastmile_repro::cdnlog::{CdnGeneratorConfig, CdnLogGenerator};
 use lastmile_repro::netsim::scenarios::{anchor, examples, tokyo};
 use lastmile_repro::netsim::{ServiceClass, TracerouteEngine, World};
 use lastmile_repro::obs::trace;
-use lastmile_repro::store::CacheMode;
 use lastmile_repro::timebase::{MeasurementPeriod, TimeRange};
 use std::io::Write;
 
@@ -22,23 +20,6 @@ pub fn run(flags: &Flags) -> Result<(), String> {
     if days <= 0 {
         return Err("--days must be positive".into());
     }
-    // `--cache-dir` primes a series snapshot alongside the export, so a
-    // later `classify --cache-dir` over the exported traceroutes starts
-    // warm. Only `rw` (the default) writes; `ro`/`off` skip priming.
-    //
-    // The primed snapshot targets `--probes`/ASN-0 classification, which
-    // ingests every traceroute of a probe — exactly what the builder
-    // below sees. A `--bgp` classify instead drops traceroutes with no
-    // routed public hop before ingest and mixes the table into its source
-    // fingerprint, so it reports the primed snapshot as a source mismatch
-    // and recomputes rather than serving series no cold `--bgp` run would
-    // build.
-    let cache_dir = flags.optional("cache-dir");
-    let cache_mode: CacheMode = flags.parsed("cache")?.unwrap_or_default();
-    if cache_dir.is_none() && flags.optional("cache").is_some() {
-        return Err("--cache needs --cache-dir".into());
-    }
-    let prime = cache_dir.is_some() && cache_mode == CacheMode::ReadWrite;
     std::fs::create_dir_all(out_dir).map_err(|e| format!("create {out_dir}: {e}"))?;
 
     let (world, default_period, with_cdn): (World, MeasurementPeriod, bool) = match scenario {
@@ -102,26 +83,6 @@ pub fn run(flags: &Flags) -> Result<(), String> {
     w.flush().map_err(|e| format!("flush {trs_path}: {e}"))?;
     eprintln!("[out] {trs_path} ({count} traceroutes)");
     drop(span);
-
-    if let Some(dir) = cache_dir {
-        if prime {
-            let report = cache::prime_snapshot(&trs_path, dir, &window)?;
-            eprintln!(
-                "[cache] primed {} ({} series, {} bytes; classify with \
-                 --probes (or no routing input) and --start {} --end {} to \
-                 hit it — --bgp runs use a different source id and recompute)",
-                report.snapshot.display(),
-                report.series,
-                report.bytes,
-                window.start().as_secs(),
-                window.end().as_secs()
-            );
-        } else {
-            eprintln!(
-                "[cache] --cache {cache_mode:?} given: simulate only primes in rw mode, skipping"
-            );
-        }
-    }
 
     // IPv6 built-ins, when any AS offers an IPv6 service. Kept in a
     // separate file: the paper's delay analysis is per-family (v6 rides

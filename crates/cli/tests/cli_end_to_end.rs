@@ -4,29 +4,7 @@
 
 mod common;
 
-use std::path::PathBuf;
-use std::process::Command;
-
-fn lastmile_bin() -> PathBuf {
-    // target/debug/lastmile next to the test binary's directory.
-    let mut path = std::env::current_exe().expect("test binary path");
-    path.pop(); // deps/
-    path.pop(); // debug/
-    path.push(format!("lastmile{}", std::env::consts::EXE_SUFFIX));
-    path
-}
-
-fn run(args: &[&str]) -> (String, String, bool) {
-    let out = Command::new(lastmile_bin())
-        .args(args)
-        .output()
-        .expect("spawn lastmile");
-    (
-        String::from_utf8_lossy(&out.stdout).into_owned(),
-        String::from_utf8_lossy(&out.stderr).into_owned(),
-        out.status.success(),
-    )
-}
+use common::run;
 
 #[test]
 fn simulate_then_classify_round_trip() {
@@ -174,8 +152,6 @@ fn bgp_classify_cache_is_isolated_and_round_trips() {
     let cache_dir = dir.join("cache");
     let dir_s = dir.to_str().unwrap();
 
-    // Simulate with --cache-dir: primes a --probes/ASN-0 snapshot and
-    // prints the aligned window to classify with.
     let (_, err, ok) = run(&[
         "simulate",
         "--scenario",
@@ -184,16 +160,12 @@ fn bgp_classify_cache_is_isolated_and_round_trips() {
         dir_s,
         "--days",
         "5",
-        "--cache-dir",
-        cache_dir.to_str().unwrap(),
     ]);
     assert!(ok, "simulate failed: {err}");
-    let grab = |marker: &str| -> String {
-        let at = err.find(marker).expect(marker) + marker.len();
-        err[at..].chars().take_while(char::is_ascii_digit).collect()
-    };
-    let start = grab("--start ");
-    let end = grab("--end ");
+    // The anchor scenario's period starts 2019-09-01: classify over its
+    // first five days, a midnight-aligned window the store can serve.
+    let start = "1567296000".to_string();
+    let end = (1_567_296_000 + 5 * 86_400).to_string();
 
     let trs = dir.join("traceroutes.jsonl");
     let trs = trs.to_str().unwrap();
@@ -211,6 +183,33 @@ fn bgp_classify_cache_is_isolated_and_round_trips() {
         &end,
         "--json",
     ];
+    let probes = dir.join("probes.json");
+    let probes = probes.to_str().unwrap();
+    let probes_args = [
+        "classify",
+        "--traceroutes",
+        trs,
+        "--probes",
+        probes,
+        "--start",
+        &start,
+        "--end",
+        &end,
+        "--json",
+    ];
+
+    // Prime a --probes snapshot with an rw classify run, the one writer.
+    let (probes_baseline, err, ok) = run(&probes_args);
+    assert!(ok, "uncached --probes classify failed: {err}");
+    let probes_cached: Vec<&str> = probes_args
+        .iter()
+        .copied()
+        .chain(["--cache-dir", cache_dir.to_str().unwrap()])
+        .collect();
+    let (primed, err, ok) = run(&probes_cached);
+    assert!(ok, "priming --probes classify failed: {err}");
+    assert!(err.contains("[cache] saved"), "{err}");
+    assert_eq!(primed, probes_baseline);
 
     // Baseline: --bgp classification without any cache.
     let (baseline, err, ok) = run(&bgp_args);
@@ -241,27 +240,6 @@ fn bgp_classify_cache_is_isolated_and_round_trips() {
 
     // And the --bgp snapshot must not leak into --probes classification:
     // its source id differs, so the probes run rejects and recomputes.
-    let probes = dir.join("probes.json");
-    let probes = probes.to_str().unwrap();
-    let probes_args = [
-        "classify",
-        "--traceroutes",
-        trs,
-        "--probes",
-        probes,
-        "--start",
-        &start,
-        "--end",
-        &end,
-        "--json",
-    ];
-    let (probes_baseline, _, ok) = run(&probes_args);
-    assert!(ok);
-    let probes_cached: Vec<&str> = probes_args
-        .iter()
-        .copied()
-        .chain(["--cache-dir", cache_dir.to_str().unwrap()])
-        .collect();
     let (probes_out, err, ok) = run(&probes_cached);
     assert!(ok, "cached --probes classify failed: {err}");
     assert!(
@@ -364,4 +342,59 @@ fn bad_usage_exits_nonzero() {
     assert!(!ok);
     let (_, _, ok) = run(&["simulate", "--scenario", "nope", "--out", "/tmp"]);
     assert!(!ok);
+    // Removed options fail loudly, before any input is read.
+    let (_, err, ok) = run(&[
+        "classify",
+        "--traceroutes",
+        "missing.jsonl",
+        "--cache-dir",
+        "missing-cache",
+        "--cache",
+        "off",
+    ]);
+    assert!(!ok);
+    assert!(err.contains("invalid cache mode off (ro|rw)"), "{err}");
+    let (_, err, ok) = run(&[
+        "simulate",
+        "--scenario",
+        "anchor",
+        "--out",
+        "/tmp",
+        "--cache-dir",
+        "c",
+    ]);
+    assert!(!ok);
+    assert!(
+        err.contains("unknown flag --cache-dir for simulate"),
+        "{err}"
+    );
+    let (_, err, ok) = run(&[
+        "fleet",
+        "gen",
+        "--spec",
+        "s.json",
+        "--out",
+        "/tmp",
+        "--cache-dir",
+        "c",
+    ]);
+    assert!(!ok);
+    assert!(
+        err.contains("unknown flag --cache-dir for fleet gen"),
+        "{err}"
+    );
+    let (_, err, ok) = run(&[
+        "loadgen",
+        "--addr",
+        "127.0.0.1:9",
+        "--asn",
+        "1",
+        "--profile",
+        "fanout",
+    ]);
+    assert!(!ok);
+    assert!(
+        err.contains("unknown --profile fanout (ladder|burst)"),
+        "{err}"
+    );
 }

@@ -3,29 +3,10 @@
 //! zero-re-ingest warm classification, and the truth-joined scorer with
 //! its CI gates.
 
+mod common;
+
+use common::run;
 use std::path::{Path, PathBuf};
-use std::process::Command;
-
-fn lastmile_bin() -> PathBuf {
-    // target/debug/lastmile next to the test binary's directory.
-    let mut path = std::env::current_exe().expect("test binary path");
-    path.pop(); // deps/
-    path.pop(); // debug/
-    path.push(format!("lastmile{}", std::env::consts::EXE_SUFFIX));
-    path
-}
-
-fn run(args: &[&str]) -> (String, String, bool) {
-    let out = Command::new(lastmile_bin())
-        .args(args)
-        .output()
-        .expect("spawn lastmile");
-    (
-        String::from_utf8_lossy(&out.stdout).into_owned(),
-        String::from_utf8_lossy(&out.stderr).into_owned(),
-        out.status.success(),
-    )
-}
 
 /// A fresh scratch dir per test (parallel tests must not collide).
 fn scratch(tag: &str) -> PathBuf {
@@ -134,7 +115,7 @@ fn fleet_corpus_is_byte_identical_across_threads_and_runs() {
 }
 
 #[test]
-fn fleet_gen_primes_cache_for_zero_reingest_warm_classify() {
+fn rw_classify_primes_cache_for_zero_reingest_warm_classify() {
     let dir = scratch("warm");
     let spec = write_spec(&dir);
     let world = dir.join("world");
@@ -148,12 +129,8 @@ fn fleet_gen_primes_cache_for_zero_reingest_warm_classify() {
         world.to_str().unwrap(),
         "--seed",
         "5",
-        "--cache-dir",
-        cache.to_str().unwrap(),
     ]);
     assert!(ok, "fleet gen failed: {err}");
-    assert!(err.contains("[cache] primed"), "{err}");
-    assert!(cache.join("series.lmss").exists());
 
     let (start, end) = truth_window(&world.join("truth.json"));
     let trs = world.join("traceroutes.jsonl");
@@ -180,6 +157,26 @@ fn fleet_gen_primes_cache_for_zero_reingest_warm_classify() {
     // Cold baseline: no cache flags at all.
     let (cold, err, ok) = classify(&[]);
     assert!(ok, "cold classify failed: {err}");
+
+    // Prime with an rw classify over the exported corpus, the one
+    // snapshot writer. The export must pass its own ingest: nothing is
+    // quarantined.
+    let quarantine = dir.join("quarantine.jsonl");
+    let (primed, err, ok) = classify(&[
+        "--cache-dir",
+        cache.to_str().unwrap(),
+        "--quarantine",
+        quarantine.to_str().unwrap(),
+    ]);
+    assert!(ok, "priming classify failed: {err}");
+    assert!(err.contains("[cache] saved"), "{err}");
+    assert!(cache.join("series.lmss").exists());
+    assert_eq!(
+        std::fs::read(&quarantine).unwrap(),
+        b"",
+        "exported corpus failed its own ingest"
+    );
+    assert_eq!(cold, primed, "priming verdicts must match cold verdicts");
 
     // Warm run against the primed snapshot, read-only: every series is a
     // hit, nothing is re-ingested, nothing is re-inserted — and the

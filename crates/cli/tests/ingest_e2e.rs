@@ -5,33 +5,15 @@
 //! one-pass analysis must also equal one that resolves its window before
 //! reading, whichever bounds the flags leave to the data span.
 
+mod common;
+
+use common::run;
 use lastmile_repro::core::pipeline::{AsPipeline, PipelineConfig, PopulationAnalysis};
 use lastmile_repro::ingest::{ingest_file, IngestOptions};
 use lastmile_repro::obs::RunMetrics;
 use lastmile_repro::runner::record_population_metrics;
 use lastmile_repro::timebase::{TimeRange, UnixTime};
 use std::path::PathBuf;
-use std::process::Command;
-
-fn lastmile_bin() -> PathBuf {
-    let mut path = std::env::current_exe().expect("test binary path");
-    path.pop(); // deps/
-    path.pop(); // debug/
-    path.push(format!("lastmile{}", std::env::consts::EXE_SUFFIX));
-    path
-}
-
-fn run(args: &[&str]) -> (String, String, bool) {
-    let out = Command::new(lastmile_bin())
-        .args(args)
-        .output()
-        .expect("spawn lastmile");
-    (
-        String::from_utf8_lossy(&out.stdout).into_owned(),
-        String::from_utf8_lossy(&out.stderr).into_owned(),
-        out.status.success(),
-    )
-}
 
 /// One synthetic Atlas traceroute line: probe `prb`, congestion-shaped
 /// RTT at the edge hop.

@@ -19,95 +19,13 @@
 //! shows: below the heavy budget's capacity nothing is shed; far above
 //! it the budget sheds and the achieved rate stays capped.
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
-use std::path::{Path, PathBuf};
+mod common;
+
+use common::{await_live_convergence, header, http_get, http_post, lastmile_bin, run};
+use std::io::Read;
+use std::path::Path;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
-
-fn lastmile_bin() -> PathBuf {
-    let mut path = std::env::current_exe().expect("test binary path");
-    path.pop(); // deps/
-    path.pop(); // debug/
-    path.push(format!("lastmile{}", std::env::consts::EXE_SUFFIX));
-    path
-}
-
-fn run(args: &[&str]) -> (String, String, bool) {
-    let out = Command::new(lastmile_bin())
-        .args(args)
-        .output()
-        .expect("spawn lastmile");
-    (
-        String::from_utf8_lossy(&out.stdout).into_owned(),
-        String::from_utf8_lossy(&out.stderr).into_owned(),
-        out.status.success(),
-    )
-}
-
-/// One blocking HTTP/1.1 GET; the server always closes the connection.
-fn http_get(addr: &str, target: &str) -> (u16, Vec<(String, String)>, Vec<u8>) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(60)))
-        .unwrap();
-    stream
-        .write_all(format!("GET {target} HTTP/1.1\r\nHost: lastmile\r\n\r\n").as_bytes())
-        .unwrap();
-    read_response(stream)
-}
-
-/// One blocking HTTP/1.1 POST with a `Content-Length` body.
-fn http_post(addr: &str, target: &str, body: &[u8]) -> (u16, Vec<(String, String)>, Vec<u8>) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(60)))
-        .unwrap();
-    stream
-        .write_all(
-            format!(
-                "POST {target} HTTP/1.1\r\nHost: lastmile\r\nContent-Length: {}\r\n\r\n",
-                body.len()
-            )
-            .as_bytes(),
-        )
-        .unwrap();
-    stream.write_all(body).unwrap();
-    read_response(stream)
-}
-
-fn read_response(mut stream: TcpStream) -> (u16, Vec<(String, String)>, Vec<u8>) {
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).expect("read response");
-    let pos = raw
-        .windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .unwrap_or_else(|| panic!("no head terminator in {:?}", String::from_utf8_lossy(&raw)));
-    let head = String::from_utf8_lossy(&raw[..pos]).into_owned();
-    let body = raw[pos + 4..].to_vec();
-    let mut lines = head.split("\r\n");
-    let status: u16 = lines
-        .next()
-        .and_then(|l| l.split(' ').nth(1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("bad status line in {head:?}"));
-    let headers = lines
-        .map(|l| {
-            let (k, v) = l
-                .split_once(':')
-                .unwrap_or_else(|| panic!("bad header {l:?}"));
-            (k.trim().to_ascii_lowercase(), v.trim().to_string())
-        })
-        .collect();
-    (status, headers, body)
-}
-
-fn header<'h>(headers: &'h [(String, String)], name: &str) -> Option<&'h str> {
-    headers
-        .iter()
-        .find(|(k, _)| k == name)
-        .map(|(_, v)| v.as_str())
-}
 
 /// GET with 503-retry: sheds under load are expected and carry a
 /// `Retry-After` hint; a well-behaved client honors it (capped, so the
@@ -137,31 +55,6 @@ fn get_with_retry(
             .and_then(|v| v.parse::<u64>().ok())
             .unwrap_or(1);
         std::thread::sleep(Duration::from_millis((hint * 1000).min(300)));
-    }
-}
-
-/// Poll `/metrics` until the live engine has analyzed every intake
-/// record, or panic after `deadline`.
-fn await_live_convergence(addr: &str, expect_ingested: u64, deadline: Duration) {
-    let started = Instant::now();
-    loop {
-        let (status, _, body) = http_get(addr, "/metrics");
-        assert_eq!(status, 200);
-        let doc: serde_json::Value =
-            serde_json::from_str(std::str::from_utf8(&body).unwrap()).expect("metrics doc");
-        let live = &doc["live"];
-        if live["records_ingested"].as_u64() == Some(expect_ingested)
-            && live["ingest_lag"].as_u64() == Some(0)
-            && live["reanalyses"].as_u64().unwrap_or(0) >= 1
-            && live["epoch"].as_u64().unwrap_or(0) >= 2
-        {
-            return;
-        }
-        assert!(
-            started.elapsed() < deadline,
-            "live intake never converged: {live}"
-        );
-        std::thread::sleep(Duration::from_millis(100));
     }
 }
 
@@ -270,8 +163,10 @@ fn classify_flood_sheds_heavy_while_cheap_and_intake_survive() {
         .expect("asn");
 
     // The flood: the real loadgen binary, open loop, heavy endpoint
-    // only, offered well above what one budgeted slot at 100ms/request
-    // can absorb (~10 rps).
+    // only, one ladder rung offered well above what one budgeted slot at
+    // 100ms/request can absorb (~10 rps). The ladder also reconciles its
+    // 503s against the server's shed counters; this test's own requests
+    // can only add to the server side.
     let flood_report = dir.join("flood.json");
     let flood = Command::new(lastmile_bin())
         .args([
@@ -279,12 +174,12 @@ fn classify_flood_sheds_heavy_while_cheap_and_intake_survive() {
             "--addr",
             &addr,
             "--profile",
-            "fanout",
+            "ladder",
             "--mix",
             "classify=1",
-            "--rate",
+            "--rates",
             "80",
-            "--duration-ms",
+            "--dwell-ms",
             "6000",
             "--concurrency",
             "8",

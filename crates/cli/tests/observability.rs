@@ -9,30 +9,10 @@
 //! `scripts/check.sh` runs this test as its observability smoke step, so
 //! the artefact validation needs no external tools (no jq).
 
+mod common;
+
+use common::run;
 use std::collections::{BTreeMap, BTreeSet};
-use std::path::PathBuf;
-use std::process::Command;
-
-fn lastmile_bin() -> PathBuf {
-    // target/debug/lastmile next to the test binary's directory.
-    let mut path = std::env::current_exe().expect("test binary path");
-    path.pop(); // deps/
-    path.pop(); // debug/
-    path.push(format!("lastmile{}", std::env::consts::EXE_SUFFIX));
-    path
-}
-
-fn run(args: &[&str]) -> (String, String, bool) {
-    let out = Command::new(lastmile_bin())
-        .args(args)
-        .output()
-        .expect("spawn lastmile");
-    (
-        String::from_utf8_lossy(&out.stdout).into_owned(),
-        String::from_utf8_lossy(&out.stderr).into_owned(),
-        out.status.success(),
-    )
-}
 
 fn keys(v: &serde_json::Value) -> Vec<&str> {
     v.as_object()

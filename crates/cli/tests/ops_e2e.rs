@@ -13,176 +13,10 @@
 //!   `_count` agrees with the JSON snapshot, fetched prom-first;
 //! * zero worker panics under all of it.
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
+mod common;
+
+use common::{header, http_get, http_get_with, http_post, spawn_serve, terminate};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
-
-fn lastmile_bin() -> PathBuf {
-    let mut path = std::env::current_exe().expect("test binary path");
-    path.pop(); // deps/
-    path.pop(); // debug/
-    path.push(format!("lastmile{}", std::env::consts::EXE_SUFFIX));
-    path
-}
-
-/// Simulate the anchor fixture into `dir`, returning the traceroute and
-/// probe file paths.
-fn fixture(dir: &Path) -> (PathBuf, PathBuf) {
-    let out = Command::new(lastmile_bin())
-        .args([
-            "simulate",
-            "--scenario",
-            "anchor",
-            "--out",
-            dir.to_str().unwrap(),
-            "--days",
-            "5",
-        ])
-        .output()
-        .expect("spawn simulate");
-    assert!(
-        out.status.success(),
-        "simulate failed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    (dir.join("traceroutes.jsonl"), dir.join("probes.json"))
-}
-
-/// Spawn `lastmile serve` and wait for the ready file, returning the
-/// child and the bound address.
-fn spawn_serve(dir: &Path, extra: &[&str]) -> (Child, String) {
-    let (trs, probes) = fixture(dir);
-    let ready = dir.join("ready");
-    let mut args = vec![
-        "serve".to_string(),
-        "--traceroutes".into(),
-        trs.to_str().unwrap().into(),
-        "--probes".into(),
-        probes.to_str().unwrap().into(),
-        "--addr".into(),
-        "127.0.0.1:0".into(),
-        "--ready-file".into(),
-        ready.to_str().unwrap().into(),
-    ];
-    args.extend(extra.iter().map(|s| s.to_string()));
-    let mut child = Command::new(lastmile_bin())
-        .args(&args)
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn lastmile serve");
-    let deadline = Instant::now() + Duration::from_secs(60);
-    let addr = loop {
-        if let Ok(contents) = std::fs::read_to_string(&ready) {
-            if contents.ends_with('\n') {
-                break contents.trim().to_string();
-            }
-        }
-        if let Some(status) = child.try_wait().expect("try_wait") {
-            let out = child.wait_with_output().expect("collect output");
-            panic!(
-                "serve exited before ready ({status}): {}",
-                String::from_utf8_lossy(&out.stderr)
-            );
-        }
-        assert!(Instant::now() < deadline, "serve never became ready");
-        std::thread::sleep(Duration::from_millis(20));
-    };
-    (child, addr)
-}
-
-/// SIGTERM the daemon and collect (stderr, success).
-fn terminate(child: Child) -> (String, bool) {
-    let ok = Command::new("kill")
-        .arg(child.id().to_string())
-        .status()
-        .expect("spawn kill")
-        .success();
-    assert!(ok, "kill failed");
-    let out = child.wait_with_output().expect("collect serve output");
-    (
-        String::from_utf8_lossy(&out.stderr).into_owned(),
-        out.status.success(),
-    )
-}
-
-/// One blocking HTTP/1.1 GET with optional extra header lines (each
-/// `"Name: value"`); the server closes, so the body runs to EOF.
-fn http_get_with(
-    addr: &str,
-    target: &str,
-    extra_headers: &[&str],
-) -> (u16, Vec<(String, String)>, Vec<u8>) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(60)))
-        .unwrap();
-    let mut request = format!("GET {target} HTTP/1.1\r\nHost: lastmile\r\n");
-    for line in extra_headers {
-        request.push_str(line);
-        request.push_str("\r\n");
-    }
-    request.push_str("\r\n");
-    stream.write_all(request.as_bytes()).unwrap();
-    read_response(stream)
-}
-
-fn http_get(addr: &str, target: &str) -> (u16, Vec<(String, String)>, Vec<u8>) {
-    http_get_with(addr, target, &[])
-}
-
-fn http_post(addr: &str, target: &str, body: &[u8]) -> (u16, Vec<(String, String)>, Vec<u8>) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(60)))
-        .unwrap();
-    stream
-        .write_all(
-            format!(
-                "POST {target} HTTP/1.1\r\nHost: lastmile\r\nContent-Length: {}\r\n\r\n",
-                body.len()
-            )
-            .as_bytes(),
-        )
-        .unwrap();
-    stream.write_all(body).unwrap();
-    read_response(stream)
-}
-
-fn read_response(mut stream: TcpStream) -> (u16, Vec<(String, String)>, Vec<u8>) {
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).expect("read response");
-    let pos = raw
-        .windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .unwrap_or_else(|| panic!("no head terminator in {:?}", String::from_utf8_lossy(&raw)));
-    let head = String::from_utf8_lossy(&raw[..pos]).into_owned();
-    let body = raw[pos + 4..].to_vec();
-    let mut lines = head.split("\r\n");
-    let status: u16 = lines
-        .next()
-        .and_then(|l| l.split(' ').nth(1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("bad status line in {head:?}"));
-    let headers = lines
-        .map(|l| {
-            let (k, v) = l
-                .split_once(':')
-                .unwrap_or_else(|| panic!("bad header {l:?}"));
-            (k.trim().to_ascii_lowercase(), v.trim().to_string())
-        })
-        .collect();
-    (status, headers, body)
-}
-
-fn header<'h>(headers: &'h [(String, String)], name: &str) -> Option<&'h str> {
-    headers
-        .iter()
-        .find(|(k, _)| k == name)
-        .map(|(_, v)| v.as_str())
-}
 
 fn metrics_json(addr: &str) -> serde_json::Value {
     let (status, _, body) = http_get(addr, "/metrics");

@@ -23,170 +23,13 @@
 
 mod common;
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
-use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
+use common::{
+    await_live_convergence, fixture, header, http_get, http_post, lastmile_bin, run, spawn_serve,
+    spawn_serve_over, terminate,
+};
+use std::path::Path;
+use std::process::Command;
 use std::time::{Duration, Instant};
-
-fn lastmile_bin() -> PathBuf {
-    let mut path = std::env::current_exe().expect("test binary path");
-    path.pop(); // deps/
-    path.pop(); // debug/
-    path.push(format!("lastmile{}", std::env::consts::EXE_SUFFIX));
-    path
-}
-
-fn run(args: &[&str]) -> (String, String, bool) {
-    let out = Command::new(lastmile_bin())
-        .args(args)
-        .output()
-        .expect("spawn lastmile");
-    (
-        String::from_utf8_lossy(&out.stdout).into_owned(),
-        String::from_utf8_lossy(&out.stderr).into_owned(),
-        out.status.success(),
-    )
-}
-
-/// Simulate the anchor fixture into `dir`, returning the traceroute and
-/// probe file paths.
-fn fixture(dir: &Path) -> (PathBuf, PathBuf) {
-    let (_, err, ok) = run(&[
-        "simulate",
-        "--scenario",
-        "anchor",
-        "--out",
-        dir.to_str().unwrap(),
-        "--days",
-        "5",
-    ]);
-    assert!(ok, "simulate failed: {err}");
-    (dir.join("traceroutes.jsonl"), dir.join("probes.json"))
-}
-
-/// Spawn `lastmile serve` with piped stderr and wait for the ready file
-/// to appear, returning the child and the bound address.
-fn spawn_serve(dir: &Path, extra: &[&str]) -> (Child, String) {
-    let (trs, probes) = fixture(dir);
-    let ready = dir.join("ready");
-    let mut args = vec![
-        "serve".to_string(),
-        "--traceroutes".into(),
-        trs.to_str().unwrap().into(),
-        "--probes".into(),
-        probes.to_str().unwrap().into(),
-        "--addr".into(),
-        "127.0.0.1:0".into(),
-        "--ready-file".into(),
-        ready.to_str().unwrap().into(),
-    ];
-    args.extend(extra.iter().map(|s| s.to_string()));
-    let mut child = Command::new(lastmile_bin())
-        .args(&args)
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn lastmile serve");
-    let deadline = Instant::now() + Duration::from_secs(60);
-    let addr = loop {
-        if let Ok(contents) = std::fs::read_to_string(&ready) {
-            if contents.ends_with('\n') {
-                break contents.trim().to_string();
-            }
-        }
-        if let Some(status) = child.try_wait().expect("try_wait") {
-            let out = child.wait_with_output().expect("collect output");
-            panic!(
-                "serve exited before ready ({status}): {}",
-                String::from_utf8_lossy(&out.stderr)
-            );
-        }
-        assert!(Instant::now() < deadline, "serve never became ready");
-        std::thread::sleep(Duration::from_millis(20));
-    };
-    (child, addr)
-}
-
-/// SIGTERM the daemon and collect (stderr, success).
-fn terminate(child: Child) -> (String, bool) {
-    let ok = Command::new("kill")
-        .arg(child.id().to_string())
-        .status()
-        .expect("spawn kill")
-        .success();
-    assert!(ok, "kill failed");
-    let out = child.wait_with_output().expect("collect serve output");
-    (
-        String::from_utf8_lossy(&out.stderr).into_owned(),
-        out.status.success(),
-    )
-}
-
-/// One blocking HTTP/1.1 GET; the server always closes the connection,
-/// so the body runs to EOF.
-fn http_get(addr: &str, target: &str) -> (u16, Vec<(String, String)>, Vec<u8>) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(60)))
-        .unwrap();
-    stream
-        .write_all(format!("GET {target} HTTP/1.1\r\nHost: lastmile\r\n\r\n").as_bytes())
-        .unwrap();
-    read_response(stream)
-}
-
-/// One blocking HTTP/1.1 POST with a `Content-Length` body.
-fn http_post(addr: &str, target: &str, body: &[u8]) -> (u16, Vec<(String, String)>, Vec<u8>) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(60)))
-        .unwrap();
-    stream
-        .write_all(
-            format!(
-                "POST {target} HTTP/1.1\r\nHost: lastmile\r\nContent-Length: {}\r\n\r\n",
-                body.len()
-            )
-            .as_bytes(),
-        )
-        .unwrap();
-    stream.write_all(body).unwrap();
-    read_response(stream)
-}
-
-fn read_response(mut stream: TcpStream) -> (u16, Vec<(String, String)>, Vec<u8>) {
-    let mut raw = Vec::new();
-    stream.read_to_end(&mut raw).expect("read response");
-    let pos = raw
-        .windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .unwrap_or_else(|| panic!("no head terminator in {:?}", String::from_utf8_lossy(&raw)));
-    let head = String::from_utf8_lossy(&raw[..pos]).into_owned();
-    let body = raw[pos + 4..].to_vec();
-    let mut lines = head.split("\r\n");
-    let status: u16 = lines
-        .next()
-        .and_then(|l| l.split(' ').nth(1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("bad status line in {head:?}"));
-    let headers = lines
-        .map(|l| {
-            let (k, v) = l
-                .split_once(':')
-                .unwrap_or_else(|| panic!("bad header {l:?}"));
-            (k.trim().to_ascii_lowercase(), v.trim().to_string())
-        })
-        .collect();
-    (status, headers, body)
-}
-
-fn header<'h>(headers: &'h [(String, String)], name: &str) -> Option<&'h str> {
-    headers
-        .iter()
-        .find(|(k, _)| k == name)
-        .map(|(_, v)| v.as_str())
-}
 
 /// Drop a CSV's trailing (timing) column, which legitimately differs
 /// between two runs over the same corpus.
@@ -412,32 +255,6 @@ fn append_file(path: &Path, bytes: &[u8]) {
     f.write_all(bytes).unwrap();
 }
 
-/// Poll `/metrics` until the `live` gauges say every ingested record has
-/// been analyzed (`ingest_lag == 0` after at least one re-analysis and
-/// `expect_ingested` intake records), or panic after `deadline`.
-fn await_live_convergence(addr: &str, expect_ingested: u64, deadline: Duration) {
-    let started = Instant::now();
-    loop {
-        let (status, _, body) = http_get(addr, "/metrics");
-        assert_eq!(status, 200);
-        let doc: serde_json::Value =
-            serde_json::from_str(std::str::from_utf8(&body).unwrap()).expect("metrics doc");
-        let live = &doc["live"];
-        if live["records_ingested"].as_u64() == Some(expect_ingested)
-            && live["ingest_lag"].as_u64() == Some(0)
-            && live["reanalyses"].as_u64().unwrap_or(0) >= 1
-            && live["epoch"].as_u64().unwrap_or(0) >= 2
-        {
-            return;
-        }
-        assert!(
-            started.elapsed() < deadline,
-            "live intake never converged: {live}"
-        );
-        std::thread::sleep(Duration::from_millis(100));
-    }
-}
-
 #[test]
 fn live_appends_and_posts_converge_to_cold_union_bytes() {
     let dir = std::env::temp_dir().join(format!("lastmile-serve-live-{}", std::process::id()));
@@ -467,18 +284,11 @@ fn live_appends_and_posts_converge_to_cold_union_bytes() {
     };
     std::fs::write(&corpus, join(&head)).unwrap();
 
-    let ready = dir.join("ready-live");
-    let mut child = std::process::Command::new(lastmile_bin())
-        .args([
-            "serve",
-            "--traceroutes",
-            corpus.to_str().unwrap(),
-            "--probes",
-            probes.to_str().unwrap(),
-            "--addr",
-            "127.0.0.1:0",
-            "--ready-file",
-            ready.to_str().unwrap(),
+    let (child, addr) = spawn_serve_over(
+        &corpus,
+        &probes,
+        &dir.join("ready-live"),
+        &[
             "--watch",
             "--watch-poll-ms",
             "50",
@@ -486,28 +296,8 @@ fn live_appends_and_posts_converge_to_cold_union_bytes() {
             "100",
             "--live-spool",
             spool.to_str().unwrap(),
-        ])
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn live serve");
-    let deadline = Instant::now() + Duration::from_secs(60);
-    let addr = loop {
-        if let Ok(contents) = std::fs::read_to_string(&ready) {
-            if contents.ends_with('\n') {
-                break contents.trim().to_string();
-            }
-        }
-        if let Some(status) = child.try_wait().expect("try_wait") {
-            let out = child.wait_with_output().expect("collect output");
-            panic!(
-                "serve exited before ready ({status}): {}",
-                String::from_utf8_lossy(&out.stderr)
-            );
-        }
-        assert!(Instant::now() < deadline, "serve never became ready");
-        std::thread::sleep(Duration::from_millis(20));
-    };
+        ],
+    );
 
     // Epoch 1 serves the head-only analysis.
     let (status, headers, baseline) = http_get(&addr, "/v1/classify");
@@ -682,11 +472,65 @@ fn sigterm_drains_pending_reanalysis_before_snapshot_persist() {
         swap_at < last_persist_at,
         "snapshot persisted before the drained epoch swap: {stderr}"
     );
-    // The watcher's resume offset survived shutdown next to the cache.
-    assert!(
-        cache_dir.join("live.offset").exists(),
-        "offset sidecar missing"
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn restart_reanalyses_nothing_the_startup_analysis_covered() {
+    let dir = std::env::temp_dir().join(format!("lastmile-serve-restart-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let watch = [
+        "--watch",
+        "--watch-poll-ms",
+        "50",
+        "--reanalyze-debounce-ms",
+        "50",
+    ];
+    let (child, addr) = spawn_serve(&dir, &watch);
+    let corpus = dir.join("traceroutes.jsonl");
+    let probes = dir.join("probes.json");
+    let all = std::fs::read_to_string(&corpus).unwrap();
+    let last_line = format!("{}\n", all.lines().next_back().expect("nonempty corpus"));
+
+    // One append the running daemon picks up and re-analyses.
+    append_file(&corpus, last_line.as_bytes());
+    await_live_convergence(&addr, 1, Duration::from_secs(60));
+    let (stderr, ok) = terminate(child);
+    assert!(ok, "serve did not exit cleanly: {stderr}");
+
+    // Another append while the daemon is down, then a restart: its
+    // startup analysis reads the whole grown corpus, so the watcher has
+    // nothing left to signal.
+    append_file(&corpus, last_line.as_bytes());
+    let (child, addr) = spawn_serve_over(&corpus, &probes, &dir.join("ready"), &watch);
+    std::thread::sleep(Duration::from_millis(1500));
+    let (status, _, body) = http_get(&addr, "/metrics");
+    assert_eq!(status, 200);
+    let doc: serde_json::Value =
+        serde_json::from_str(std::str::from_utf8(&body).unwrap()).expect("metrics doc");
+    let live = &doc["live"];
+    assert_eq!(live["watch_appends"].as_u64(), Some(0), "{live}");
+    assert_eq!(live["reanalyses"].as_u64(), Some(0), "{live}");
+    let (status, headers, body) = http_get(&addr, "/v1/classify");
+    assert_eq!(status, 200);
+    assert_eq!(header(&headers, "x-epoch"), Some("1"));
+    let (cold, err, ok) = run(&[
+        "classify",
+        "--traceroutes",
+        corpus.to_str().unwrap(),
+        "--probes",
+        probes.to_str().unwrap(),
+        "--json",
+    ]);
+    assert!(ok, "cold classify failed: {err}");
+    assert_eq!(
+        body,
+        cold.as_bytes(),
+        "restarted daemon diverged from cold classify over the grown corpus"
     );
+    let (stderr, ok) = terminate(child);
+    assert!(ok, "serve did not exit cleanly: {stderr}");
+    assert!(!stderr.contains("[live] epoch"), "{stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -882,14 +726,16 @@ fn deeply_nested_post_is_rejected_and_the_daemon_stays_up() {
 
 #[test]
 fn removed_serve_knobs_fail_loudly() {
-    // The fast-lane queue and the cheap and intake budgets are no longer
-    // settable. Followed by a plain value, each used to parse as an
-    // ignored value flag; now `serve` refuses to start. The corpus path
-    // does not exist, so a daemon that did start fails on it instead.
+    // The fast-lane queue, the cheap and intake budgets and the watcher's
+    // offset sidecar are no longer settable. Followed by a plain value,
+    // each used to parse as an ignored value flag; now `serve` refuses
+    // to start. The corpus path does not exist, so a daemon that did
+    // start fails on it instead.
     for knob in [
         "--serve-fastlane-queue",
         "--serve-budget-cheap",
         "--serve-budget-intake",
+        "--live-offset-file",
     ] {
         let out = Command::new(lastmile_bin())
             .args(["serve", "--traceroutes", "missing.jsonl", knob, "2"])

@@ -194,8 +194,7 @@ impl LiveEngine {
     }
 
     /// Stop the engine: an in-flight re-analysis finishes, one final
-    /// pass drains any still-pending signals, the watcher offset is
-    /// persisted, and the thread joins.
+    /// pass drains any still-pending signals, and the thread joins.
     pub fn shutdown(mut self) {
         self.shutdown_inner();
     }
@@ -285,9 +284,6 @@ fn engine_loop(
     if pending {
         eprintln!("[live] draining pending re-analysis before shutdown");
         run_reanalysis(shared, invalidate, &mut reanalyze);
-    }
-    if let Some(w) = &watcher {
-        w.persist_offset();
     }
 }
 

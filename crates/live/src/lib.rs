@@ -11,9 +11,10 @@
 //!   epoch.
 //! * [`watch::AppendWatcher`] — polls the corpus file's length and
 //!   identity (`(dev, inode)` where available), slurps
-//!   newline-terminated appended bytes from a persisted resume offset,
-//!   and falls back to a full re-ingest on truncation/rotation —
-//!   including rename-rotation to a same-or-longer replacement.
+//!   newline-terminated bytes appended past the length the startup
+//!   analysis read, and falls back to a full re-ingest on
+//!   truncation/rotation — including rename-rotation to a
+//!   same-or-longer replacement.
 //! * [`engine::LiveEngine`] — the scheduler thread: watcher polls and
 //!   `POST /v1/traceroutes` notifications mark probes dirty, a debounce
 //!   window coalesces bursts, then one re-analysis pass invalidates the

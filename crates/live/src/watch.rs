@@ -10,15 +10,16 @@
 //! rotation-in-place) it resets to offset zero and re-reads, signalling
 //! the caller to fall back to a full re-ingest.
 //!
-//! The consumed offset is persisted to a sidecar file after every
-//! slurp, so a restarted daemon resumes where it left off instead of
-//! re-signalling work it already analyzed.
+//! A watcher starts at the newline-aligned length the caller's startup
+//! analysis read ([`newline_aligned_len`]): a restarted daemon analyses
+//! the whole corpus at startup, so nothing before that length is ever
+//! re-signalled.
 //!
 //! Length alone cannot catch a rotation that swaps in a file at least
 //! as long as the consumed offset, so the watcher also tracks the
-//! file's identity — `(dev, inode)` on Unix — per poll and across
-//! restarts (persisted next to the offset): any identity change reads
-//! as a truncation and triggers the same full re-ingest fallback.
+//! file's identity — `(dev, inode)` on Unix — per poll: any identity
+//! change reads as a truncation and triggers the same full re-ingest
+//! fallback.
 
 use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
@@ -60,47 +61,21 @@ pub struct AppendWatcher {
     /// Identity of the file the offset refers to (`None` until the
     /// file has been observed).
     identity: FileIdentity,
-    offset_file: Option<PathBuf>,
 }
 
 impl AppendWatcher {
-    /// Watch `path`, resuming from the offset persisted in
-    /// `offset_file` when one is present and plausible: it must be ≤
-    /// `fallback_offset` (the corpus length the caller's startup
-    /// analysis covered), and when the sidecar also recorded the
-    /// file's identity, that identity must still match the file on
-    /// disk (the file was replaced while the daemon was down
-    /// otherwise). A persisted offset *behind* the fallback is
-    /// honoured — the overlap is re-signalled, which is harmless
-    /// (re-analysis is idempotent).
-    pub fn new(
-        path: impl Into<PathBuf>,
-        offset_file: Option<PathBuf>,
-        fallback_offset: u64,
-    ) -> AppendWatcher {
+    /// Watch `path` from byte `start`: the newline-aligned corpus length
+    /// the caller's startup analysis covered.
+    pub fn new(path: impl Into<PathBuf>, start: u64) -> AppendWatcher {
         let path = path.into();
         let identity = std::fs::metadata(&path)
             .ok()
             .as_ref()
             .and_then(file_identity);
-        let offset = offset_file
-            .as_deref()
-            .and_then(load_offset)
-            .filter(|(o, persisted_identity)| {
-                *o <= fallback_offset
-                    && match (persisted_identity, identity) {
-                        (Some(was), Some(now)) => *was == now,
-                        // Either side unknown: length is all we have.
-                        _ => true,
-                    }
-            })
-            .map(|(o, _)| o)
-            .unwrap_or(fallback_offset);
         AppendWatcher {
             path,
-            offset,
+            offset: start,
             identity,
-            offset_file,
         }
     }
 
@@ -152,19 +127,6 @@ impl AppendWatcher {
         WatchPoll::Appended(bytes[..consumed].to_vec())
     }
 
-    /// Persist the consumed offset — and, where known, the identity of
-    /// the file it refers to — (best-effort; a failure only costs a
-    /// harmless overlap re-signal after a restart).
-    pub fn persist_offset(&self) {
-        if let Some(file) = &self.offset_file {
-            let line = match self.identity {
-                Some((dev, ino)) => format!("{} {dev} {ino}\n", self.offset),
-                None => format!("{}\n", self.offset),
-            };
-            let _ = std::fs::write(file, line);
-        }
-    }
-
     /// Read `[offset, len)` from the file (clamped to `len` even if the
     /// file grew between the stat and the read, keeping the slurp
     /// newline-aligned with what the stat promised).
@@ -176,11 +138,9 @@ impl AppendWatcher {
         Ok(bytes)
     }
 
-    /// Advance past the newline-terminated prefix of `bytes` and
-    /// persist the new offset.
+    /// Advance past the newline-terminated prefix of `bytes`.
     fn advance(&mut self, bytes: &[u8]) {
         self.offset += consumed_len(bytes) as u64;
-        self.persist_offset();
     }
 }
 
@@ -193,25 +153,10 @@ fn consumed_len(bytes: &[u8]) -> usize {
         .map_or(0, |pos| pos + 1)
 }
 
-/// The offset (and file identity, when the sidecar recorded one)
-/// persisted in `path`, if readable. The identity-less single-token
-/// form is accepted for sidecars written where identities are
-/// unavailable.
-fn load_offset(path: &Path) -> Option<(u64, FileIdentity)> {
-    let contents = std::fs::read_to_string(path).ok()?;
-    let mut tokens = contents.split_whitespace();
-    let offset = tokens.next()?.parse().ok()?;
-    let identity = match (tokens.next(), tokens.next()) {
-        (Some(dev), Some(ino)) => Some((dev.parse().ok()?, ino.parse().ok()?)),
-        _ => None,
-    };
-    Some((offset, identity))
-}
-
 /// The length of the newline-terminated prefix of the file at `path`
 /// (0 on any I/O error or when the file holds no newline at all).
 ///
-/// `serve --watch` uses this for the watcher's fallback start offset:
+/// `serve --watch` uses this for the watcher's start offset:
 /// a collector append can be mid-record when the daemon starts, and a
 /// bare `metadata().len()` would then park the offset inside that
 /// record, making the first poll deliver a record *tail* that gets
@@ -278,7 +223,7 @@ mod tests {
         let dir = TempDir::new("newline");
         let corpus = dir.path("corpus.jsonl");
         append(&corpus, b"one\n");
-        let mut w = AppendWatcher::new(&corpus, None, 4);
+        let mut w = AppendWatcher::new(&corpus, 4);
         assert_eq!(w.poll(), WatchPoll::Unchanged);
         // A partial line is held back...
         append(&corpus, b"tw");
@@ -300,7 +245,7 @@ mod tests {
         let dir = TempDir::new("trunc");
         let corpus = dir.path("corpus.jsonl");
         append(&corpus, b"aaa\nbbb\n");
-        let mut w = AppendWatcher::new(&corpus, None, 8);
+        let mut w = AppendWatcher::new(&corpus, 8);
         // Rotation: replaced by a shorter file with different content.
         std::fs::write(&corpus, b"ccc\n").unwrap();
         assert_eq!(w.poll(), WatchPoll::Truncated(b"ccc\n".to_vec()));
@@ -315,7 +260,7 @@ mod tests {
         let dir = TempDir::new("empty");
         let corpus = dir.path("corpus.jsonl");
         append(&corpus, b"aaa\n");
-        let mut w = AppendWatcher::new(&corpus, None, 4);
+        let mut w = AppendWatcher::new(&corpus, 4);
         std::fs::write(&corpus, b"").unwrap();
         assert_eq!(w.poll(), WatchPoll::Truncated(Vec::new()));
         assert_eq!(w.offset(), 0);
@@ -324,36 +269,8 @@ mod tests {
     #[test]
     fn missing_file_reads_as_unchanged() {
         let dir = TempDir::new("missing");
-        let mut w = AppendWatcher::new(dir.path("nope.jsonl"), None, 0);
+        let mut w = AppendWatcher::new(dir.path("nope.jsonl"), 0);
         assert_eq!(w.poll(), WatchPoll::Unchanged);
-    }
-
-    #[test]
-    fn offset_persists_and_resumes() {
-        let dir = TempDir::new("resume");
-        let corpus = dir.path("corpus.jsonl");
-        let sidecar = dir.path("corpus.offset");
-        append(&corpus, b"one\n");
-        let mut w = AppendWatcher::new(&corpus, Some(sidecar.clone()), 4);
-        append(&corpus, b"two\n");
-        assert_eq!(w.poll(), WatchPoll::Appended(b"two\n".to_vec()));
-        drop(w);
-        // A new watcher (same sidecar) resumes past both lines even
-        // with a stale fallback.
-        let mut w = AppendWatcher::new(&corpus, Some(sidecar.clone()), 8);
-        assert_eq!(w.offset(), 8);
-        assert_eq!(w.poll(), WatchPoll::Unchanged);
-        // A persisted offset beyond the fallback (file replaced while
-        // down) is discarded in favour of the fallback.
-        std::fs::write(&sidecar, b"9999\n").unwrap();
-        let w = AppendWatcher::new(&corpus, Some(sidecar.clone()), 8);
-        assert_eq!(w.offset(), 8);
-        // A persisted offset behind the fallback is honoured (overlap
-        // re-signals are harmless).
-        std::fs::write(&sidecar, b"4\n").unwrap();
-        let mut w = AppendWatcher::new(&corpus, Some(sidecar), 8);
-        assert_eq!(w.offset(), 4);
-        assert_eq!(w.poll(), WatchPoll::Appended(b"two\n".to_vec()));
     }
 
     #[cfg(unix)]
@@ -362,7 +279,7 @@ mod tests {
         let dir = TempDir::new("rotate-id");
         let corpus = dir.path("corpus.jsonl");
         append(&corpus, b"aaa\nbbb\n");
-        let mut w = AppendWatcher::new(&corpus, None, 8);
+        let mut w = AppendWatcher::new(&corpus, 8);
         assert_eq!(w.poll(), WatchPoll::Unchanged);
         // Rotation via rename: the replacement is exactly as long as
         // the consumed offset, so a length-only check would see
@@ -380,30 +297,6 @@ mod tests {
         assert_eq!(w.poll(), WatchPoll::Truncated(b"eee\nfff\nggg\n".to_vec()));
         append(&corpus, b"hhh\n");
         assert_eq!(w.poll(), WatchPoll::Appended(b"hhh\n".to_vec()));
-    }
-
-    #[cfg(unix)]
-    #[test]
-    fn persisted_offset_for_a_replaced_file_is_discarded() {
-        let dir = TempDir::new("rotate-resume");
-        let corpus = dir.path("corpus.jsonl");
-        let sidecar = dir.path("corpus.offset");
-        append(&corpus, b"one\ntwo\n");
-        let mut w = AppendWatcher::new(&corpus, Some(sidecar.clone()), 4);
-        assert_eq!(w.poll(), WatchPoll::Appended(b"two\n".to_vec()));
-        drop(w);
-        // Replace the corpus (same length) while "down": the sidecar's
-        // recorded identity no longer matches, so the offset is
-        // discarded in favour of the fallback.
-        let staging = dir.path("corpus.jsonl.new");
-        std::fs::write(&staging, b"XXX\nYYY\n").unwrap();
-        std::fs::rename(&staging, &corpus).unwrap();
-        let w = AppendWatcher::new(&corpus, Some(sidecar.clone()), 0);
-        assert_eq!(w.offset(), 0, "stale offset must not survive a swap");
-        // Same file still in place: the persisted offset is honoured.
-        w.persist_offset();
-        let w = AppendWatcher::new(&corpus, Some(sidecar), 8);
-        assert_eq!(w.offset(), 0);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Property-based tests for the append watcher: the delivered byte
 //! stream must be invariant to how appends are chunked and to watcher
-//! restarts that resume from the persisted offset, and
-//! truncation/rotation must recover to exactly the new file content.
+//! restarts, and truncation/rotation must recover to exactly the new
+//! file content.
 
-use lastmile_live::{AppendWatcher, WatchPoll};
+use lastmile_live::{newline_aligned_len, AppendWatcher, WatchPoll};
 use proptest::prelude::*;
 use std::io::Write;
 use std::path::PathBuf;
@@ -67,8 +67,9 @@ proptest! {
 
     /// However the appended bytes are chunked — including cuts in the
     /// middle of a line — and however often the watcher is torn down
-    /// and rebuilt from its persisted offset, the concatenation of
-    /// delivered deltas is exactly the corpus bytes, each exactly once.
+    /// and rebuilt the way a restarted daemon builds it, the delivered
+    /// deltas plus what each restart's startup analysis read are
+    /// exactly the corpus bytes, each exactly once.
     #[test]
     fn chunked_appends_and_restarts_deliver_every_byte_exactly_once(
         lines in arb_lines(12, 1..24),
@@ -77,11 +78,10 @@ proptest! {
     ) {
         let dir = TempDir::new("chunks");
         let corpus = dir.path("corpus.jsonl");
-        let sidecar = dir.path("corpus.offset");
         std::fs::write(&corpus, b"").unwrap();
         let content = content_of(&lines);
 
-        let mut watcher = AppendWatcher::new(&corpus, Some(sidecar.clone()), 0);
+        let mut watcher = AppendWatcher::new(&corpus, 0);
         let mut delivered: Vec<u8> = Vec::new();
         let mut at = 0;
         let mut step_index = 0;
@@ -95,18 +95,18 @@ proptest! {
                 WatchPoll::Appended(bytes) => delivered.extend_from_slice(&bytes),
                 WatchPoll::Truncated(_) => prop_assert!(false, "append misread as truncation"),
             }
-            // Periodic restart: the replacement watcher must resume
-            // from the sidecar, not re-deliver or skip.
+            // Periodic restart: the startup analysis reads the corpus up
+            // to its last newline, and the replacement watcher starts
+            // there, so nothing is re-delivered or skipped.
             if step_index % restart_every == 0 {
-                // The engine persists the offset at shutdown; mirror it
-                // so the replacement watcher resumes exactly.
-                watcher.persist_offset();
+                let analysed = newline_aligned_len(&corpus);
+                prop_assert!(analysed >= watcher.offset());
+                delivered.extend_from_slice(&content[watcher.offset() as usize..analysed as usize]);
                 drop(watcher);
-                let len_now = std::fs::metadata(&corpus).unwrap().len();
-                watcher = AppendWatcher::new(&corpus, Some(sidecar.clone()), len_now);
-                // The persisted offset is never past the last newline,
-                // so a fresh watcher can still see the partial tail.
-                prop_assert!(watcher.offset() <= len_now);
+                watcher = AppendWatcher::new(&corpus, analysed);
+                // Never past the last newline, so a fresh watcher can
+                // still see the partial tail.
+                prop_assert!(analysed <= std::fs::metadata(&corpus).unwrap().len());
             }
         }
         // Final poll flushes any terminated tail.
@@ -138,7 +138,7 @@ proptest! {
             old.extend_from_slice(b"padpadpad\n");
         }
         std::fs::write(&corpus, &old).unwrap();
-        let mut watcher = AppendWatcher::new(&corpus, None, old.len() as u64);
+        let mut watcher = AppendWatcher::new(&corpus, old.len() as u64);
         prop_assert_eq!(watcher.poll(), WatchPoll::Unchanged);
 
         std::fs::write(&corpus, &new).unwrap();

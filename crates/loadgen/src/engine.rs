@@ -1,5 +1,5 @@
-//! The open-loop dispatch engine shared by the ladder and fanout
-//! profiles (bursts are simpler and spawn directly).
+//! The open-loop dispatch engine behind each ladder rung (bursts are
+//! simpler and spawn directly).
 //!
 //! A fixed pool of client threads drains a bounded job channel; a
 //! dispatcher releases jobs on the wall-clock schedule `interval = 1 /

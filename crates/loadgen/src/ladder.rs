@@ -227,6 +227,70 @@ mod tests {
     }
 
     #[test]
+    fn a_rung_splits_traffic_by_weight() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        listener.set_nonblocking(true).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let stop = Arc::new(AtomicBool::new(false));
+        let stop2 = Arc::clone(&stop);
+        let server = std::thread::spawn(move || {
+            while !stop2.load(Ordering::Relaxed) {
+                match listener.accept() {
+                    Ok((mut stream, _)) => {
+                        std::thread::spawn(move || {
+                            let mut buf = [0u8; 2048];
+                            let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
+                            let _ = stream.read(&mut buf);
+                            let _ =
+                                stream.write_all(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok");
+                        });
+                    }
+                    Err(_) => std::thread::sleep(Duration::from_millis(1)),
+                }
+            }
+        });
+        let report = run_ladder(LadderConfig {
+            addr,
+            addr_label: addr.to_string(),
+            rates: vec![80.0],
+            dwell: Duration::from_millis(300),
+            concurrency: 8,
+            mix: Mix::parse("healthz=3,intake=1").unwrap(),
+            plan: Plan {
+                post_body: b"{\"x\":1}\n".to_vec(),
+                timeout: Duration::from_secs(2),
+                ..Plan::default()
+            },
+        })
+        .expect("ladder runs");
+        stop.store(true, Ordering::Relaxed);
+        server.join().unwrap();
+        assert!(report.consistent);
+        // 80 rps × 0.3 s = 24 arrivals, split 3:1.
+        let scheduled = report.totals.attempted + report.totals.not_sent;
+        assert_eq!(scheduled, 24);
+        let healthz = &report.endpoints["healthz"];
+        let intake = &report.endpoints["intake"];
+        assert_eq!(healthz.attempted + healthz.not_sent, 18);
+        assert_eq!(intake.attempted + intake.not_sent, 6);
+    }
+
+    #[test]
+    fn ladder_refuses_intake_without_a_body() {
+        let config = LadderConfig {
+            addr: "127.0.0.1:1".parse().unwrap(),
+            addr_label: "x".into(),
+            rates: vec![10.0],
+            dwell: Duration::from_millis(10),
+            concurrency: 1,
+            mix: Mix::single(Endpoint::Intake),
+            plan: Plan::default(),
+        };
+        let err = run_ladder(config).expect_err("must refuse");
+        assert!(err.contains("intake"), "{err}");
+    }
+
+    #[test]
     fn ladder_rejects_bad_rates() {
         let plan = Plan::default();
         let base = LadderConfig {

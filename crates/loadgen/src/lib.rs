@@ -10,18 +10,18 @@
 //! subset the daemon speaks. No external dependencies beyond the
 //! workspace's vendored `serde`.
 //!
-//! Three profiles:
+//! Two profiles, each driving a weighted endpoint [`mix`](mix::Mix)
+//! (which may include `POST /v1/traceroutes` intake racing live
+//! re-analysis):
 //!
-//! * [`burst`] — N connections released at once, repeated B times: the
-//!   thundering-herd shape that exercises the accept queue and the
-//!   fast lane.
 //! * [`ladder`] — stepped arrival rates (open loop, fixed worker pool,
 //!   client-side drops counted as `not_sent`), dwelling at each rung
 //!   and recording offered vs achieved rate, latency percentiles, and
-//!   shed rate per rung: the throughput-vs-latency curve.
-//! * [`fanout`] — a weighted endpoint [`mix`](mix::Mix) (including
-//!   `POST /v1/traceroutes` intake floods racing live re-analysis)
-//!   sustained at one rate: the cost-class starvation probe.
+//!   shed rate per rung: the throughput-vs-latency curve. One rung is
+//!   one rate sustained for one dwell.
+//! * [`burst`] — N connections released at once, repeated B times: the
+//!   thundering-herd shape that exercises the accept queue and the
+//!   fast lane.
 //!
 //! Every profile reports per-endpoint log-linear latency histograms
 //! (reusing [`lastmile_obs`]'s), plus shed accounting that must satisfy
@@ -30,7 +30,6 @@
 
 pub mod burst;
 pub mod client;
-pub mod fanout;
 pub mod ladder;
 pub mod mix;
 pub mod report;
@@ -39,7 +38,6 @@ mod engine;
 
 pub use burst::{run_burst, BurstConfig};
 pub use client::{discover_asn, one_shot, resolve, scrape_shed_counters, Outcome, ShedCounters};
-pub use fanout::{run_fanout, FanoutConfig};
 pub use ladder::{run_ladder, LadderConfig};
 pub use mix::{Endpoint, Mix, Plan};
 pub use report::{BurstReport, LoadReport, RungReport, ShedReconciliation, Tally, TallySummary};

@@ -1,6 +1,6 @@
 //! Weighted endpoint mixes, scheduled deterministically.
 //!
-//! A fanout run needs "1 part classify, 4 parts series, 2 parts
+//! A load run may need "1 part classify, 4 parts series, 2 parts
 //! intake"-style traffic. Rather than an RNG (whose seed would have to
 //! be plumbed, logged, and defended), the schedule is *smooth weighted
 //! round-robin*: each pick adds every endpoint's weight to its credit,

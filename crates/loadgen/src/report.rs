@@ -254,7 +254,7 @@ pub struct BurstReport {
 /// The top-level JSON document one profile run produces.
 #[derive(Clone, Debug, Default, Serialize)]
 pub struct LoadReport {
-    /// `burst` / `ladder` / `fanout`.
+    /// `burst` / `ladder`.
     pub profile: String,
     /// Daemon address driven.
     pub addr: String,
@@ -382,7 +382,7 @@ mod tests {
             .get_mut(Endpoint::Series)
             .record(&ok_outcome(5_000, 2));
         let report = LoadReport {
-            profile: "fanout".into(),
+            profile: "ladder".into(),
             addr: "127.0.0.1:1".into(),
             mix: "series=1".into(),
             concurrency: 4,

@@ -38,7 +38,6 @@ fn run_metrics() -> RunMetrics {
             misses: 202,
             bypasses: 203,
             inserts: 204,
-            evictions: 205,
             snapshot_bytes_written: 206,
             snapshot_bytes_read: 207,
             snapshot_save_nanos: 208,
@@ -262,5 +261,5 @@ fn every_declared_metric_is_in_json_and_exposition() {
     v.group("run", &[], |v| run.visit(v));
     v.group("serve", &[], |v| serve.visit(v));
     v.group("live", &[], |v| live.visit(v));
-    assert_eq!(seen, 41 + 28 + 12, "run + serve + live declarations");
+    assert_eq!(seen, 40 + 28 + 12, "run + serve + live declarations");
 }

@@ -57,7 +57,6 @@ metrics! {
         counter misses("lastmile_run_store_lookups_total" {result: "miss"});
         counter bypasses("lastmile_run_store_lookups_total" {result: "bypass"});
         counter inserts("lastmile_run_store_inserts_total", "Series-store entries inserted.");
-        counter evictions("lastmile_run_store_evictions_total", "Series-store entries evicted.");
         counter snapshot_bytes_written("lastmile_run_store_snapshot_bytes_total" {direction: "written"}, "Series-store snapshot bytes by direction.");
         counter snapshot_bytes_read("lastmile_run_store_snapshot_bytes_total" {direction: "read"});
         counter snapshot_save_nanos("lastmile_run_store_snapshot_save_nanos_total", "Nanoseconds spent saving series-store snapshots.");
@@ -515,7 +514,6 @@ mod tests {
             misses: 2,
             bypasses: 1,
             inserts: 2,
-            evictions: 1,
             ..StoreStats::default()
         });
         m.store.add(&StoreStats {
@@ -589,7 +587,6 @@ mod tests {
                 misses: 2,
                 bypasses: 1,
                 inserts: 2,
-                evictions: 1,
                 snapshot_bytes_written: 100,
                 snapshot_bytes_read: 80,
                 snapshot_save_nanos: 11,
@@ -677,7 +674,6 @@ mod tests {
             "misses",
             "bypasses",
             "inserts",
-            "evictions",
             "snapshot_bytes_written",
             "snapshot_bytes_read",
             "snapshot_save_nanos",

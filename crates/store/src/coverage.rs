@@ -35,12 +35,6 @@ impl Coverage {
         Ok(Coverage { intervals })
     }
 
-    /// Total covered bins across all intervals: the cost-aware eviction
-    /// policy's measure of how much recomputation losing an entry costs.
-    pub fn total_bins(&self) -> u64 {
-        self.intervals.iter().map(|&(s, e)| (e - s) as u64).sum()
-    }
-
     /// Whether `[span.start, span.end)` is entirely covered. The empty
     /// span is trivially covered.
     pub fn contains_span(&self, span: &std::ops::Range<i64>) -> bool {
@@ -113,14 +107,6 @@ mod tests {
         assert!(c.contains_span(&(5..5)), "empty span is trivially covered");
         assert!(Coverage::default().contains_span(&(3..3)));
         assert!(!Coverage::default().contains_span(&(3..4)));
-    }
-
-    #[test]
-    fn total_bins_sums_disjoint_intervals() {
-        assert_eq!(Coverage::default().total_bins(), 0);
-        assert_eq!(cov(&[(0, 10)]).total_bins(), 10);
-        assert_eq!(cov(&[(0, 10), (20, 25)]).total_bins(), 15);
-        assert_eq!(cov(&[(-10, -2)]).total_bins(), 8);
     }
 
     #[test]

@@ -37,7 +37,7 @@
 //!
 //! ## Concurrency
 //!
-//! Entries are spread over `shards` independent `RwLock`-protected maps
+//! Entries are spread over 16 independent `RwLock`-protected maps
 //! (key-hash addressed), so survey workers contend only when touching the
 //! same shard. Lookups take the read lock; inserts the write lock of one
 //! shard. No lock is held across shards, and snapshot save takes the read
@@ -100,11 +100,10 @@ impl StoreKey {
     }
 }
 
-/// How a run may use a store.
+/// How a run may use a store. A run that should not cache at all has
+/// no store.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum CacheMode {
-    /// No caching: lookups bypass, inserts are dropped.
-    Off,
     /// Serve hits, never mutate (`--cache ro`).
     ReadOnly,
     /// Serve hits and memoize fresh builds (`--cache rw`).
@@ -117,37 +116,21 @@ impl std::str::FromStr for CacheMode {
 
     fn from_str(s: &str) -> Result<CacheMode, String> {
         match s {
-            "off" => Ok(CacheMode::Off),
             "ro" => Ok(CacheMode::ReadOnly),
             "rw" => Ok(CacheMode::ReadWrite),
-            other => Err(format!("invalid cache mode {other} (off|ro|rw)")),
+            other => Err(format!("invalid cache mode {other} (ro|rw)")),
         }
     }
 }
+
+/// Number of `RwLock` shards a store spreads its entries over.
+const SHARDS: usize = 16;
 
 /// Store construction parameters.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct StoreConfig {
-    /// Number of `RwLock` shards (rounded up to at least 1).
-    pub shards: usize,
-    /// Soft cap on the total entry count; `0` means unbounded. When a
-    /// shard overflows its share, the resident with the fewest covered
-    /// bins — the cheapest to recompute — is evicted (ties break on key
-    /// order; the victim is simply recomputed on next use, so eviction
-    /// can never change results).
-    pub max_entries: usize,
     /// Usage mode.
     pub mode: CacheMode,
-}
-
-impl Default for StoreConfig {
-    fn default() -> StoreConfig {
-        StoreConfig {
-            shards: 16,
-            max_entries: 0,
-            mode: CacheMode::ReadWrite,
-        }
-    }
 }
 
 /// One probe's memoized state.
@@ -169,19 +152,9 @@ pub enum Lookup {
     Hit(PrebuiltSeries),
     /// Not (fully) computed yet — build it and [`SeriesStore::insert`] it.
     Miss,
-    /// The store cannot serve this request (unaligned range, or mode
-    /// `Off`); build without inserting.
+    /// The store cannot serve this request (unaligned range); build
+    /// without inserting.
     Bypass,
-}
-
-/// Outcome of [`SeriesStore::insert`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct InsertOutcome {
-    /// Whether the series was stored (false in `ro`/`off` mode or for an
-    /// unaligned range).
-    pub inserted: bool,
-    /// Resident entries evicted to make room.
-    pub evicted: u64,
 }
 
 /// Lifetime counters of one store (monotonic, relaxed).
@@ -191,19 +164,17 @@ pub struct StoreCounters {
     pub misses: u64,
     pub bypasses: u64,
     pub inserts: u64,
-    pub evictions: u64,
 }
 
 /// The concurrent, sharded series store. Share between threads by
 /// reference (or `Arc`); all methods take `&self`.
 pub struct SeriesStore {
-    shards: Vec<RwLock<HashMap<StoreKey, Entry>>>,
+    shards: [RwLock<HashMap<StoreKey, Entry>>; SHARDS],
     config: StoreConfig,
     hits: AtomicU64,
     misses: AtomicU64,
     bypasses: AtomicU64,
     inserts: AtomicU64,
-    evictions: AtomicU64,
 }
 
 impl std::fmt::Debug for SeriesStore {
@@ -225,15 +196,13 @@ impl Default for SeriesStore {
 impl SeriesStore {
     /// An empty store.
     pub fn new(config: StoreConfig) -> SeriesStore {
-        let shards = config.shards.max(1);
         SeriesStore {
-            shards: (0..shards).map(|_| RwLock::new(HashMap::new())).collect(),
-            config: StoreConfig { shards, ..config },
+            shards: std::array::from_fn(|_| RwLock::default()),
+            config,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             bypasses: AtomicU64::new(0),
             inserts: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
         }
     }
 
@@ -262,7 +231,6 @@ impl SeriesStore {
             misses: self.misses.load(Ordering::Relaxed),
             bypasses: self.bypasses.load(Ordering::Relaxed),
             inserts: self.inserts.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
         }
     }
 
@@ -308,14 +276,14 @@ impl SeriesStore {
         mix(u64::from(key.probe.0));
         mix(key.bin_width_secs as u64);
         mix(u64::from(key.min_traceroutes_per_bin));
-        &self.shards[(h % self.shards.len() as u64) as usize]
+        &self.shards[(h % SHARDS as u64) as usize]
     }
 
     /// Fetch the series for `range` if the store has computed it (or a
     /// superset of it) before.
     pub fn lookup(&self, key: &StoreKey, range: &TimeRange) -> Lookup {
         let bin = key.bin();
-        if self.config.mode == CacheMode::Off || !bin.is_aligned(range) {
+        if !bin.is_aligned(range) {
             self.bypasses.fetch_add(1, Ordering::Relaxed);
             return Lookup::Bypass;
         }
@@ -349,11 +317,12 @@ impl SeriesStore {
     /// Memoize a freshly built series for `range`. The series must have
     /// been built from exactly the traceroutes of `range` with the key's
     /// binning parameters; overlapping inserts must agree on shared bins
-    /// (true for any deterministic source).
-    pub fn insert(&self, key: &StoreKey, range: &TimeRange, built: &BuiltSeries) -> InsertOutcome {
+    /// (true for any deterministic source). Returns whether the series
+    /// was stored: `false` in `ro` mode or for an unaligned range.
+    pub fn insert(&self, key: &StoreKey, range: &TimeRange, built: &BuiltSeries) -> bool {
         let bin = key.bin();
         if self.config.mode != CacheMode::ReadWrite || !bin.is_aligned(range) {
-            return InsertOutcome::default();
+            return false;
         }
         assert_eq!(
             built.series.probe(),
@@ -366,53 +335,26 @@ impl SeriesStore {
             "series bin width differs from store key"
         );
         let span = bin.index_span(range);
-        let mut evicted = 0u64;
-        {
-            let mut shard = self.shard(key).write().expect("store shard poisoned");
-            let entry = shard.entry(*key).or_insert_with(|| Entry {
-                series: ProbeSeries::from_parts(key.probe, bin, Default::default()),
-                discarded: BTreeSet::new(),
-                covered: Coverage::default(),
-            });
-            // Defensive slice: only bins of `range` may enter under this
-            // coverage claim.
-            let mut medians: std::collections::BTreeMap<BinIndex, f64> =
-                entry.series.iter_bins().collect();
-            medians.extend(built.series.slice(range).iter_bins());
-            entry.series = ProbeSeries::from_parts(key.probe, bin, medians);
-            entry
-                .discarded
-                .extend(built.discarded_bins.iter().filter(|b| span.contains(b)));
-            if !span.is_empty() {
-                entry.covered.add(span.start, span.end);
-            }
-
-            // Soft capacity: cost-aware eviction. The victim is the
-            // resident with the fewest covered bins — the cheapest to
-            // recompute on its next use — never the entry just written;
-            // ties break on key order so eviction is deterministic.
-            if self.config.max_entries > 0 {
-                let cap = self.config.max_entries.div_ceil(self.shards.len()).max(1);
-                while shard.len() > cap {
-                    let Some(victim) = shard
-                        .iter()
-                        .filter(|(k, _)| *k != key)
-                        .min_by_key(|(k, e)| (e.covered.total_bins(), **k))
-                        .map(|(k, _)| *k)
-                    else {
-                        break;
-                    };
-                    shard.remove(&victim);
-                    evicted += 1;
-                }
-            }
+        let mut shard = self.shard(key).write().expect("store shard poisoned");
+        let entry = shard.entry(*key).or_insert_with(|| Entry {
+            series: ProbeSeries::from_parts(key.probe, bin, Default::default()),
+            discarded: BTreeSet::new(),
+            covered: Coverage::default(),
+        });
+        // Defensive slice: only bins of `range` may enter under this
+        // coverage claim.
+        let mut medians: std::collections::BTreeMap<BinIndex, f64> =
+            entry.series.iter_bins().collect();
+        medians.extend(built.series.slice(range).iter_bins());
+        entry.series = ProbeSeries::from_parts(key.probe, bin, medians);
+        entry
+            .discarded
+            .extend(built.discarded_bins.iter().filter(|b| span.contains(b)));
+        if !span.is_empty() {
+            entry.covered.add(span.start, span.end);
         }
         self.inserts.fetch_add(1, Ordering::Relaxed);
-        self.evictions.fetch_add(evicted, Ordering::Relaxed);
-        InsertOutcome {
-            inserted: true,
-            evicted,
-        }
+        true
     }
 
     /// Write the whole store to `path` as a versioned snapshot, atomically
@@ -526,8 +468,7 @@ mod tests {
         let store = SeriesStore::default();
         let range = aligned(0, 4);
         assert!(matches!(store.lookup(&key(1), &range), Lookup::Miss));
-        let outcome = store.insert(&key(1), &range, &built(1, &[(0, 5.0), (2, 7.5)], &[1]));
-        assert!(outcome.inserted);
+        assert!(store.insert(&key(1), &range, &built(1, &[(0, 5.0), (2, 7.5)], &[1])));
         match store.lookup(&key(1), &range) {
             Lookup::Hit(pre) => {
                 assert_eq!(pre.traceroutes_ingested, 0);
@@ -597,8 +538,7 @@ mod tests {
         let store = SeriesStore::default();
         let unaligned = TimeRange::new(UnixTime::from_secs(100), UnixTime::from_secs(7200));
         assert!(matches!(store.lookup(&key(1), &unaligned), Lookup::Bypass));
-        let outcome = store.insert(&key(1), &unaligned, &built(1, &[(0, 5.0)], &[]));
-        assert!(!outcome.inserted);
+        assert!(!store.insert(&key(1), &unaligned, &built(1, &[(0, 5.0)], &[])));
         assert_eq!(store.len(), 0);
         assert_eq!(store.counters().bypasses, 1);
     }
@@ -658,106 +598,28 @@ mod tests {
             42,
             StoreConfig {
                 mode: CacheMode::ReadOnly,
-                ..StoreConfig::default()
             },
         )
         .unwrap();
         assert!(matches!(ro.lookup(&key(1), &range), Lookup::Hit(_)));
-        assert!(
-            !ro.insert(&key(2), &range, &built(2, &[(0, 1.0)], &[]))
-                .inserted
-        );
+        assert!(!ro.insert(&key(2), &range, &built(2, &[(0, 1.0)], &[])));
         assert_eq!(ro.len(), 1);
     }
 
     #[test]
-    fn off_mode_bypasses_everything() {
-        let store = SeriesStore::new(StoreConfig {
-            mode: CacheMode::Off,
-            ..StoreConfig::default()
-        });
-        let range = aligned(0, 4);
-        assert!(matches!(store.lookup(&key(1), &range), Lookup::Bypass));
-        assert!(
-            !store
-                .insert(&key(1), &range, &built(1, &[(0, 5.0)], &[]))
-                .inserted
-        );
-    }
-
-    #[test]
-    fn capacity_cap_evicts_and_counts() {
-        let store = SeriesStore::new(StoreConfig {
-            shards: 1,
-            max_entries: 2,
-            mode: CacheMode::ReadWrite,
-        });
-        let range = aligned(0, 2);
-        for p in 1..=5u32 {
-            store.insert(&key(p), &range, &built(p, &[(0, f64::from(p))], &[]));
-        }
-        assert_eq!(store.len(), 2);
-        assert_eq!(store.counters().evictions, 3);
-        // Evicted probes miss (recompute), resident ones still hit.
-        let hits = (1..=5u32)
-            .filter(|&p| matches!(store.lookup(&key(p), &range), Lookup::Hit(_)))
-            .count();
-        assert_eq!(hits, 2);
-    }
-
-    #[test]
-    fn eviction_is_cost_aware_heavy_coverage_survives() {
-        let store = SeriesStore::new(StoreConfig {
-            shards: 1,
-            max_entries: 2,
-            mode: CacheMode::ReadWrite,
-        });
-        // Probe 1 carries a week of coverage (336 bins); the rest carry
-        // 2 bins each. Under pressure the cheap entries must be the
-        // victims, never the expensive one.
-        let heavy = aligned(0, 336);
-        store.insert(&key(1), &heavy, &built(1, &[(0, 1.0)], &[]));
-        for p in 2..=6u32 {
-            store.insert(
-                &key(p),
-                &aligned(0, 2),
-                &built(p, &[(0, f64::from(p))], &[]),
-            );
-        }
-        assert_eq!(store.len(), 2);
-        assert_eq!(store.counters().evictions, 4);
-        assert!(
-            matches!(store.lookup(&key(1), &heavy), Lookup::Hit(_)),
-            "heavily-covered series evicted under pressure"
-        );
-        // The other survivor is the last writer (never its own victim);
-        // everything between was evicted cheapest-first.
-        assert!(matches!(
-            store.lookup(&key(6), &aligned(0, 2)),
-            Lookup::Hit(_)
-        ));
-        for p in 2..=5u32 {
-            assert!(
-                matches!(store.lookup(&key(p), &aligned(0, 2)), Lookup::Miss),
-                "probe {p} should have been evicted"
-            );
-        }
-    }
-
-    #[test]
     fn cache_mode_parses() {
-        assert_eq!("off".parse::<CacheMode>().unwrap(), CacheMode::Off);
         assert_eq!("ro".parse::<CacheMode>().unwrap(), CacheMode::ReadOnly);
         assert_eq!("rw".parse::<CacheMode>().unwrap(), CacheMode::ReadWrite);
+        assert_eq!(
+            "off".parse::<CacheMode>().unwrap_err(),
+            "invalid cache mode off (ro|rw)"
+        );
         assert!("banana".parse::<CacheMode>().is_err());
     }
 
     #[test]
     fn concurrent_mixed_use_is_safe_and_deterministic() {
-        let store = SeriesStore::new(StoreConfig {
-            shards: 4,
-            ..StoreConfig::default()
-        });
+        let store = SeriesStore::default();
         let range = aligned(0, 48);
         std::thread::scope(|scope| {
             for t in 0..8u32 {

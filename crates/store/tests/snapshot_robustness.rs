@@ -91,7 +91,7 @@ fn build_store(ops: &[InsertOp]) -> SeriesStore {
             series: ProbeSeries::from_parts(ProbeId(op.probe), bin, medians),
             discarded_bins: op.discarded.clone(),
         };
-        assert!(store.insert(&key, &range, &built).inserted);
+        assert!(store.insert(&key, &range, &built));
     }
     store
 }

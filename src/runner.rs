@@ -365,7 +365,6 @@ pub fn store_traffic_since(before: StoreCounters, after: StoreCounters) -> Store
         misses: after.misses - before.misses,
         bypasses: after.bypasses - before.bypasses,
         inserts: after.inserts - before.inserts,
-        evictions: after.evictions - before.evictions,
         ..StoreStats::default()
     }
 }
