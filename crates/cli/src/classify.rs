@@ -38,13 +38,12 @@ pub type Analyses = Vec<(Asn, PopulationAnalysis)>;
 ///
 /// With `--cache-dir` the per-probe median series are served from /
 /// memoized into a `lastmile-store` snapshot: a probe whose series the
-/// cache already holds for the whole analysis window skips ingestion
+/// cache holds for exactly this analysis window skips ingestion
 /// entirely, and freshly built series are written back (`--cache rw`, the
 /// default). The classification output is byte-identical either way. The
-/// cache only engages when the window is known before the file is read
-/// and aligned to bin boundaries — pass explicit midnight-aligned
-/// `--start` AND `--end`. A window with a bound left to the data span is
-/// never served or memoized; its probes count as store bypasses.
+/// cache only engages when the window is known before the file is read —
+/// pass `--start` AND `--end`. A window with a bound left to the data
+/// span is never served or memoized; its probes count as store bypasses.
 ///
 /// Under per-traceroute ASN attribution (`--bgp` without `--probes`) a
 /// probe can legitimately split across AS pipelines, but the store holds
@@ -143,9 +142,8 @@ pub fn analyze_corpus(
         (probes.is_none() && bgp.is_some() && cache.is_some()).then(BTreeMap::new);
     let counters_before = cache.map(|c| c.store.counters());
     // Retaining built series costs memory; only pay when write-back can
-    // accept them (rw mode, a bin-aligned window known before the read).
-    let retain = cache.is_some_and(|c| c.mode == CacheMode::ReadWrite)
-        && known_window.is_some_and(|w| cfg.bin.is_aligned(&w));
+    // accept them (rw mode, a window known before the read).
+    let retain = cache.is_some_and(|c| c.mode == CacheMode::ReadWrite) && known_window.is_some();
     let (bound_start, bound_end) = (start.map(UnixTime::from_secs), end.map(UnixTime::from_secs));
     let new_pipeline = move || {
         let mut p = AsPipeline::with_bounds(cfg, bound_start, bound_end);
@@ -160,7 +158,7 @@ pub fn analyze_corpus(
     // exclude as they stream; a bound left to the data span excludes
     // nothing, so it is closed after the read. With a cache, a probe is
     // looked up on its first routed traceroute
-    // (`Some` = served). A served probe's series covers the whole window:
+    // (`Some` = served). A served probe's series was built over this window:
     // its traceroutes are skipped and the prebuilt series is fed to its
     // population after the stream. Only a window known before the read
     // can be served.
@@ -203,7 +201,7 @@ pub fn analyze_corpus(
                         .lookup(&StoreKey::for_pipeline(tr.probe, &cfg), &window)
                     {
                         Lookup::Hit(pre) => Some((asn, pre)),
-                        Lookup::Miss | Lookup::Bypass => None,
+                        Lookup::Miss => None,
                     }
                 });
                 if served.is_some() {

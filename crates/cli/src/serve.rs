@@ -50,8 +50,8 @@ use crate::stats::{emit_stats, wants_stats};
 use crate::Flags;
 use lastmile_repro::core::pipeline::PopulationAnalysis;
 use lastmile_repro::live::{
-    intake_body, newline_aligned_len, AppendWatcher, Epoch, LiveConfig, LiveEngine, LiveHandle,
-    Spool,
+    intake_body, newline_aligned_len, AppendWatcher, Epoch, Invalidation, LiveConfig, LiveEngine,
+    LiveHandle, Spool,
 };
 use lastmile_repro::obs::ops::{TimelineSampler, TIMELINE_METRICS};
 use lastmile_repro::obs::{
@@ -257,7 +257,7 @@ pub fn run(flags: &Flags) -> Result<(), String> {
         .store(epoch.generation(), Ordering::Relaxed);
 
     // The live engine: watcher + debounced re-analysis, wired to this
-    // daemon's cache and epoch cell through closures so `lastmile-live`
+    // daemon's cache and epoch cell through one closure so `lastmile-live`
     // stays free of CLI types.
     let engine = if live_enabled {
         let config = LiveConfig {
@@ -270,24 +270,6 @@ pub fn run(flags: &Flags) -> Result<(), String> {
             ),
             telemetry: Some(Arc::clone(&telemetry)),
         };
-        let invalidate = {
-            let cache = cache.clone();
-            Box::new(move |probes: &[lastmile_repro::atlas::ProbeId]| {
-                if let Some(c) = &cache {
-                    for probe in probes {
-                        c.store.invalidate_probe(*probe);
-                    }
-                }
-            })
-        };
-        let invalidate_all = {
-            let cache = cache.clone();
-            Box::new(move || {
-                if let Some(c) = &cache {
-                    c.store.clear();
-                }
-            })
-        };
         let reanalyze = {
             let flags = flags.clone();
             let paths = paths.clone();
@@ -295,7 +277,19 @@ pub fn run(flags: &Flags) -> Result<(), String> {
             let epoch = Arc::clone(&epoch);
             let live_metrics = Arc::clone(&live_metrics);
             let analyzed_lens = Arc::clone(&analyzed_lens);
-            Box::new(move || -> Result<(), String> {
+            Box::new(move |invalidation: &Invalidation| -> Result<(), String> {
+                // Invalidate on the engine thread, before this pass
+                // reads: the entries dropped here were built from bytes
+                // that predate the intake (or a truncation).
+                if let Some(c) = &cache {
+                    if invalidation.all {
+                        c.store.clear();
+                    } else {
+                        for probe in &invalidation.probes {
+                            c.store.invalidate_probe(*probe);
+                        }
+                    }
+                }
                 // Lengths before the read: append-only files mean the
                 // analysis covers at least these bytes, so the shutdown
                 // persist can stamp a fingerprint iff the files still
@@ -333,8 +327,6 @@ pub fn run(flags: &Flags) -> Result<(), String> {
         Some(LiveEngine::start(
             config,
             Arc::clone(&live_metrics),
-            invalidate,
-            invalidate_all,
             reanalyze,
         ))
     } else {
@@ -613,12 +605,7 @@ fn metrics_response(req: &Request, state: &ServeState) -> Response {
         None => req
             .header("accept")
             .is_some_and(|a| a.contains("text/plain")),
-        Some(other) => {
-            return Response::json(
-                400,
-                format!("{{\"error\":\"unknown format {other:?} (json|prom)\"}}\n"),
-            )
-        }
+        Some(other) => return bad_request(format!("unknown format {other:?} (json|prom)")),
     };
     if prom_wanted {
         Response::prom(
@@ -647,13 +634,10 @@ fn ops_timeline(req: &Request, state: &ServeState) -> Response {
         .filter(|m| !m.is_empty())
         .unwrap_or("request_rate");
     if OpsTimeline::metric_index(metric).is_none() {
-        return Response::json(
-            400,
-            format!(
-                "{{\"error\":\"unknown metric {metric:?} (one of: {})\"}}\n",
-                TIMELINE_METRICS.join(", ")
-            ),
-        );
+        return bad_request(format!(
+            "unknown metric {metric:?} (one of: {})",
+            TIMELINE_METRICS.join(", ")
+        ));
     }
     let (from, to) = match (
         query_bound(req, "from", i64::MIN),
@@ -750,11 +734,18 @@ fn ingest(req: &Request, state: &ServeState) -> Response {
     resp.endpoint(ServeEndpoint::Ingest)
 }
 
+/// A 400 whose `{"error": ...}` body is encoded by serde_json, so a
+/// message that quotes client input stays one parseable document.
+fn bad_request(message: String) -> Response {
+    let body = serde_json::json!({ "error": message });
+    Response::json(400, format!("{body}\n"))
+}
+
 /// Parse the `{asn}` path segment (`0` is the "all probes" population).
 fn parse_asn(segment: &str) -> Result<Asn, Response> {
     segment
         .parse::<Asn>()
-        .map_err(|_| Response::json(400, format!("{{\"error\":\"invalid asn {segment:?}\"}}\n")))
+        .map_err(|_| bad_request(format!("invalid asn {segment:?}")))
 }
 
 fn classify_one(segment: &str, state: &ServeState) -> Response {
@@ -778,7 +769,7 @@ fn query_bound(req: &Request, key: &str, default: i64) -> Result<i64, Response> 
         None | Some("") => Ok(default),
         Some(v) => v
             .parse::<i64>()
-            .map_err(|_| Response::json(400, format!("{{\"error\":\"invalid {key}={v:?}\"}}\n"))),
+            .map_err(|_| bad_request(format!("invalid {key}={v:?}"))),
     }
 }
 
@@ -828,10 +819,7 @@ fn populations(req: &Request, state: &ServeState) -> Response {
             body.push('\n');
             Response::json(200, body)
         }
-        Some(other) => Response::json(
-            400,
-            format!("{{\"error\":\"unknown format {other:?} (json|csv)\"}}\n"),
-        ),
+        Some(other) => bad_request(format!("unknown format {other:?} (json|csv)")),
     };
     with_epoch(resp.endpoint(ServeEndpoint::Populations), generation)
 }

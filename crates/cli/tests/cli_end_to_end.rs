@@ -163,7 +163,8 @@ fn bgp_classify_cache_is_isolated_and_round_trips() {
     ]);
     assert!(ok, "simulate failed: {err}");
     // The anchor scenario's period starts 2019-09-01: classify over its
-    // first five days, a midnight-aligned window the store can serve.
+    // first five days, a window given whole by --start AND --end, which
+    // the store can serve.
     let start = "1567296000".to_string();
     let end = (1_567_296_000 + 5 * 86_400).to_string();
 
@@ -210,6 +211,54 @@ fn bgp_classify_cache_is_isolated_and_round_trips() {
     assert!(ok, "priming --probes classify failed: {err}");
     assert!(err.contains("[cache] saved"), "{err}");
     assert_eq!(primed, probes_baseline);
+
+    // The store answers only the window it was primed with: an ro run
+    // over a one-day-shorter window misses every probe and rebuilds,
+    // byte-identical to an uncached run over that window.
+    let primed_stats: serde_json::Value = {
+        let path = dir.join("primed-stats.json");
+        let args: Vec<&str> = probes_cached
+            .iter()
+            .copied()
+            .chain(["--cache", "ro", "--stats-out", path.to_str().unwrap()])
+            .collect();
+        let (_, err, ok) = run(&args);
+        assert!(ok, "ro --probes classify failed: {err}");
+        serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap()
+    };
+    let probe_count = primed_stats["store"]["hits"].as_u64().unwrap();
+    assert!(probe_count > 0, "{primed_stats}");
+    let sub_end = (1_567_296_000 + 4 * 86_400).to_string();
+    let sub_args: Vec<&str> = probes_args
+        .iter()
+        .map(|&a| if a == end { sub_end.as_str() } else { a })
+        .collect();
+    let (sub_baseline, err, ok) = run(&sub_args);
+    assert!(ok, "uncached sub-window classify failed: {err}");
+    let sub_stats_path = dir.join("sub-stats.json");
+    let sub_cached: Vec<&str> = sub_args
+        .iter()
+        .copied()
+        .chain([
+            "--cache-dir",
+            cache_dir.to_str().unwrap(),
+            "--cache",
+            "ro",
+            "--stats-out",
+            sub_stats_path.to_str().unwrap(),
+        ])
+        .collect();
+    let (sub_out, err, ok) = run(&sub_cached);
+    assert!(ok, "ro sub-window classify failed: {err}");
+    assert_eq!(sub_out, sub_baseline, "ro sub-window output diverges");
+    let sub_stats: serde_json::Value =
+        serde_json::from_str(&std::fs::read_to_string(&sub_stats_path).unwrap()).unwrap();
+    assert_eq!(sub_stats["store"]["hits"].as_u64(), Some(0), "{sub_stats}");
+    assert_eq!(
+        sub_stats["store"]["misses"].as_u64(),
+        Some(probe_count),
+        "{sub_stats}"
+    );
 
     // Baseline: --bgp classification without any cache.
     let (baseline, err, ok) = run(&bgp_args);

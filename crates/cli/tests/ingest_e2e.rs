@@ -313,5 +313,36 @@ fn one_pass_matches_resolving_the_window_first() {
         );
     }
 
+    // The mid-bin flag window is memoized as it was built: an rw run
+    // primes it, and an ro run serves every probe from it.
+    let (want_json, _) = reference(&trs, Some(flag_start), Some(flag_end));
+    let (start_s, end_s) = (flag_start.to_string(), flag_end.to_string());
+    let cache_dir = dir.join("cache");
+    for mode in ["rw", "ro"] {
+        let (stdout, err, ok) = run(&[
+            "classify",
+            "--traceroutes",
+            trs.to_str().unwrap(),
+            "--start",
+            &start_s,
+            "--end",
+            &end_s,
+            "--json",
+            "--cache-dir",
+            cache_dir.to_str().unwrap(),
+            "--cache",
+            mode,
+            "--stats-out",
+            stats_path.to_str().unwrap(),
+        ]);
+        assert!(ok, "cached classify --cache {mode} failed: {err}");
+        assert_eq!(stdout, want_json, "classify --json under --cache {mode}");
+    }
+    let warm: serde_json::Value =
+        serde_json::from_str(&std::fs::read_to_string(&stats_path).unwrap()).unwrap();
+    assert_eq!(warm["store"]["misses"].as_u64(), Some(0), "{warm}");
+    assert_eq!(warm["store"]["bypasses"].as_u64(), Some(0), "{warm}");
+    assert!(warm["store"]["hits"].as_u64().unwrap() > 0, "{warm}");
+
     std::fs::remove_dir_all(&dir).ok();
 }

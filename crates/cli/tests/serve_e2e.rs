@@ -128,8 +128,23 @@ fn concurrent_responses_match_batch_output() {
         points.len() - 1,
         "from= is inclusive-exclusive"
     );
-    let (status, _, _) = http_get(&addr, &format!("/v1/series/{asn}?from=banana"));
-    assert_eq!(status, 400);
+    // Every 400 that quotes client input is still one JSON document
+    // whose error names that input.
+    for (path, input) in [
+        ("/v1/classify/abc".to_string(), "abc"),
+        (format!("/v1/series/{asn}?from=banana"), "banana"),
+        ("/v1/populations?format=xml".to_string(), "xml"),
+        ("/metrics?format=xml".to_string(), "xml"),
+        ("/v1/ops/timeline?metric=nope".to_string(), "nope"),
+    ] {
+        let (status, _, body) = http_get(&addr, &path);
+        assert_eq!(status, 400, "{path}");
+        let body = String::from_utf8(body).unwrap();
+        let doc: serde_json::Value =
+            serde_json::from_str(&body).unwrap_or_else(|e| panic!("{path}: {e}: {body}"));
+        let error = doc["error"].as_str().expect("error string");
+        assert!(error.contains(input), "{path}: {error}");
+    }
 
     // Without --live-spool, POST intake is explicitly disabled (409,
     // not 404: the endpoint exists, the daemon just has nowhere durable

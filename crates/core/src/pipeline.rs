@@ -87,7 +87,7 @@ pub struct PopulationStats {
 }
 
 /// A per-probe median series handed to the pipeline ready-made — either
-/// sliced out of a `lastmile-store` cache (zero traceroutes consumed) or
+/// served by a `lastmile-store` cache (zero traceroutes consumed) or
 /// built externally from a traceroute stream. The attached statistics let
 /// the pipeline report the same [`PopulationStats`] a raw ingest would.
 #[derive(Clone, Debug)]
@@ -162,7 +162,7 @@ impl AsPipeline {
     /// Feed one probe's series ready-made instead of its raw traceroutes.
     ///
     /// Panics if the pipeline's period has an open bound (a prebuilt
-    /// series is sliced to a period known up front), if the series' bin
+    /// series is built over a period known up front), if the series' bin
     /// width differs from the pipeline's, or if the probe was already fed
     /// (raw or prebuilt) — mixing sources for one probe would corrupt the
     /// analysis silently.

@@ -18,7 +18,7 @@
 use crate::estimator::last_mile_samples;
 use lastmile_atlas::{ProbeId, TracerouteResult};
 use lastmile_stats::median_in_place;
-use lastmile_timebase::{BinIndex, BinSpec, TimeRange, UnixTime};
+use lastmile_timebase::{BinIndex, BinSpec, UnixTime};
 use std::collections::BTreeMap;
 
 /// Accumulates one probe's last-mile samples into time bins.
@@ -186,19 +186,6 @@ impl ProbeSeries {
     /// view used by the series store's snapshot codec.
     pub fn iter_bins(&self) -> impl Iterator<Item = (BinIndex, f64)> + '_ {
         self.medians.iter().map(|(&b, &v)| (b, v))
-    }
-
-    /// Restrict the series to the bins whose start instant falls inside
-    /// `range`. For bin-aligned ranges (every paper period is) this is
-    /// exactly the series a fresh build over `range` would produce, since
-    /// a bin's median depends only on that bin's traceroutes.
-    pub fn slice(&self, range: &TimeRange) -> ProbeSeries {
-        let span = self.bin.index_span(range);
-        ProbeSeries {
-            probe: self.probe,
-            bin: self.bin,
-            medians: self.medians.range(span).map(|(&b, &v)| (b, v)).collect(),
-        }
     }
 
     /// The minimum median RTT of the period — the propagation-delay

@@ -10,7 +10,6 @@ use lastmile_repro::runner::{
     analyze_population_with, eyeballs_from_ground_truth, run_survey, run_tasks, ProbeSelection,
     SurveyOptions,
 };
-use lastmile_repro::store::SeriesStore;
 use lastmile_repro::timebase::MeasurementPeriod;
 use std::io::Write;
 use std::sync::OnceLock;
@@ -94,24 +93,22 @@ impl Ctx {
 /// Jobs run on [`run_tasks`], the work-stealing executor, so a worker
 /// that lands on a probe-heavy population simply takes fewer jobs —
 /// static chunking let one heavy chunk bound the whole run. All workers
-/// share one traceroute engine and one in-memory series store:
-/// experiments that analyse the same probes under several periods or
-/// selections (fig4's per-period Tokyo splits, fig8's longitudinal
-/// windows) simulate and bin each probe once and serve the rest from the
-/// store. Results come back in job order regardless of scheduling.
+/// share one traceroute engine. No series store: every caller's jobs
+/// (fig1, fig2, fig5, fig7) are distinct (AS, period) pairs over
+/// disjoint periods, so no probe's window is ever asked for twice.
+/// Results come back in job order regardless of scheduling.
 pub fn analyze_many(
     world: &World,
     jobs: &[(u32, MeasurementPeriod, ProbeSelection)],
     cfg: &PipelineConfig,
 ) -> Vec<PopulationAnalysis> {
     let engine = TracerouteEngine::new(world);
-    let store = SeriesStore::default();
     run_tasks(0, "analysis", jobs.len(), |i| {
         let (asn, period, selection) = &jobs[i];
         let _span = trace::span_with("population", |a| {
             a.u64("asn", u64::from(*asn)).str("period", period.label());
         });
-        analyze_population_with(&engine, *asn, period, *cfg, selection, Some(&store))
+        analyze_population_with(&engine, *asn, period, *cfg, selection, None)
     })
     .into_iter()
     .map(|r| r.unwrap_or_else(|e| panic!("population analysis panicked: {e}")))

@@ -14,9 +14,11 @@
 //! holding intake back.
 //!
 //! Intake paths never invalidate the memoizing store themselves — they
-//! *record* dirty probes in the engine state, and each re-analysis pass
-//! snapshots-and-clears that set (under the same lock that clears the
-//! dirty window) and invalidates it just before reading the corpus.
+//! *record* dirty probes (or, on truncation, "everything") in the engine
+//! state, and each re-analysis pass snapshots-and-clears that record
+//! (under the same lock that clears the dirty window) and hands it to
+//! the re-analysis closure, which invalidates just before reading the
+//! corpus.
 //! Invalidating from the intake thread would race an in-flight
 //! analysis: the analysis could insert a series built from bytes read
 //! *before* the append, after the invalidation, resurrecting a stale
@@ -38,14 +40,22 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
-/// Invalidate the memoized series of specific probes (fresh records
-/// arrived for them).
-pub type InvalidateFn = Box<dyn Fn(&[ProbeId]) + Send>;
-/// Invalidate everything (corpus truncated/rotated: full re-ingest).
-pub type InvalidateAllFn = Box<dyn Fn() + Send>;
-/// Re-run the analysis over the union corpus and publish the next
-/// epoch. Runs on the engine thread only.
-pub type ReanalyzeFn = Box<dyn FnMut() -> Result<(), String> + Send>;
+/// What a re-analysis pass must invalidate before it reads.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Invalidation {
+    /// Probes with intake since the last pass (fresh records arrived
+    /// for them). May repeat.
+    pub probes: Vec<ProbeId>,
+    /// The corpus was truncated/rotated: every memoized series is
+    /// suspect, since the bytes it was built from may be gone.
+    pub all: bool,
+}
+
+/// Invalidate what the pass was handed, re-run the analysis over the
+/// union corpus and publish the next epoch. Runs on the engine thread
+/// only, so the invalidation is sequenced after every earlier pass's
+/// inserts and before this pass's read.
+pub type ReanalyzeFn = Box<dyn FnMut(&Invalidation) -> Result<(), String> + Send>;
 
 /// Scheduling knobs for [`LiveEngine::start`].
 pub struct LiveConfig {
@@ -97,7 +107,8 @@ struct EngineState {
     /// the next pass invalidates them before it reads. May repeat.
     dirty_probes: Vec<ProbeId>,
     /// Intake paths that signalled since the last pass; cleared with the
-    /// dirty state so each epoch record attributes its own window.
+    /// dirty state so each epoch record attributes its own window. A
+    /// watcher truncation also makes the next pass invalidate everything.
     triggers: Triggers,
     shutdown: bool,
 }
@@ -156,8 +167,6 @@ impl LiveEngine {
     pub fn start(
         config: LiveConfig,
         metrics: Arc<LiveMetrics>,
-        invalidate: InvalidateFn,
-        invalidate_all: InvalidateAllFn,
         reanalyze: ReanalyzeFn,
     ) -> LiveEngine {
         let shared = Arc::new(Shared {
@@ -175,9 +184,7 @@ impl LiveEngine {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name("live-engine".into())
-                .spawn(move || {
-                    engine_loop(&shared, config, &invalidate, &invalidate_all, reanalyze)
-                })
+                .spawn(move || engine_loop(&shared, config, reanalyze))
                 .expect("spawn live engine")
         };
         LiveEngine {
@@ -220,13 +227,7 @@ impl Drop for LiveEngine {
     }
 }
 
-fn engine_loop(
-    shared: &Shared,
-    config: LiveConfig,
-    invalidate: &InvalidateFn,
-    invalidate_all: &InvalidateAllFn,
-    mut reanalyze: ReanalyzeFn,
-) {
+fn engine_loop(shared: &Shared, config: LiveConfig, mut reanalyze: ReanalyzeFn) {
     let mut watcher = config.watcher;
     let debounce = config.debounce;
     loop {
@@ -264,7 +265,7 @@ fn engine_loop(
             break;
         }
         if let Some(w) = watcher.as_mut() {
-            process_poll(w.poll(), shared, invalidate_all);
+            process_poll(w.poll(), shared);
         }
         let due = {
             let state = shared.state.lock().expect("live state poisoned");
@@ -272,7 +273,7 @@ fn engine_loop(
             state.dirty_since.is_some_and(|t| now >= t + debounce)
         };
         if due {
-            run_reanalysis(shared, invalidate, &mut reanalyze);
+            run_reanalysis(shared, &mut reanalyze);
         }
     }
     // Drain: signals accepted before shutdown must reach an epoch
@@ -283,12 +284,12 @@ fn engine_loop(
     };
     if pending {
         eprintln!("[live] draining pending re-analysis before shutdown");
-        run_reanalysis(shared, invalidate, &mut reanalyze);
+        run_reanalysis(shared, &mut reanalyze);
     }
 }
 
 /// Feed one watcher poll outcome into the dirty state.
-fn process_poll(poll: WatchPoll, shared: &Shared, invalidate_all: &InvalidateAllFn) {
+fn process_poll(poll: WatchPoll, shared: &Shared) {
     match poll {
         WatchPoll::Unchanged => {}
         WatchPoll::Appended(bytes) => {
@@ -327,11 +328,8 @@ fn process_poll(poll: WatchPoll, shared: &Shared, invalidate_all: &InvalidateAll
                 .metrics
                 .watch_truncations
                 .fetch_add(1, Ordering::Relaxed);
-            // Every memoized series is suspect: the bytes they were
-            // built from may be gone. Clearing on the engine thread is
-            // race-free — inserts only happen in re-analysis passes,
-            // which are sequenced on this same thread.
-            invalidate_all();
+            // The trigger also tells the next pass to invalidate every
+            // memoized series before it reads.
             mark_dirty_probes(shared, &[], |t| t.watch_truncation = true);
         }
     }
@@ -345,28 +343,29 @@ fn mark_dirty_probes(shared: &Shared, probes: &[ProbeId], set_trigger: impl Fn(&
 }
 
 /// Run one re-analysis pass: snapshot-and-clear the dirty state (so
-/// signals landing mid-analysis re-arm it), invalidate the dirty
-/// probes' memoized series, then re-read and publish. Invalidation
-/// happens here — on the engine thread, after any prior pass's inserts
-/// and before this pass's read — never on the intake threads (see the
+/// signals landing mid-analysis re-arm it) and hand it to the closure,
+/// which invalidates, then re-reads and publishes. Invalidation happens
+/// there — on the engine thread, after any prior pass's inserts and
+/// before this pass's read — never on the intake threads (see the
 /// module docs for the resurrection race that ordering prevents).
-fn run_reanalysis(shared: &Shared, invalidate: &InvalidateFn, reanalyze: &mut ReanalyzeFn) {
+fn run_reanalysis(shared: &Shared, reanalyze: &mut ReanalyzeFn) {
     let m = &shared.metrics;
     // The base records_ingested this pass covers: everything counted
     // before the files are re-read (later arrivals re-arm the window).
     let base = m.records_ingested.load(Ordering::Relaxed);
-    let (dirty, triggers) = {
+    let (invalidation, triggers) = {
         let mut state = shared.state.lock().expect("live state poisoned");
         state.dirty_since = None;
         let triggers = std::mem::take(&mut state.triggers);
-        (std::mem::take(&mut state.dirty_probes), triggers)
+        let invalidation = Invalidation {
+            probes: std::mem::take(&mut state.dirty_probes),
+            all: triggers.watch_truncation,
+        };
+        (invalidation, triggers)
     };
-    if !dirty.is_empty() {
-        invalidate(&dirty);
-    }
     let started = Instant::now();
     let _span = trace::span("live_reanalyze");
-    let outcome = reanalyze();
+    let outcome = reanalyze(&invalidation);
     let pass_nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
     let error = match &outcome {
         Ok(()) => {
@@ -389,7 +388,7 @@ fn run_reanalysis(shared: &Shared, invalidate: &InvalidateFn, reanalyze: &mut Re
             epoch: m.epoch.load(Ordering::Relaxed),
             trigger: triggers.label(),
             records_ingested: base,
-            probes_invalidated: dirty.len() as u64,
+            probes_invalidated: invalidation.probes.len() as u64,
             pass_nanos,
             swap_nanos: m.swap_nanos.load(Ordering::Relaxed),
             outcome: if error.is_empty() {
@@ -426,9 +425,7 @@ mod tests {
                 telemetry: None,
             },
             Arc::clone(&metrics),
-            Box::new(|_| {}),
-            Box::new(|| {}),
-            Box::new(move || {
+            Box::new(move |_| {
                 runs2.fetch_add(1, Ordering::SeqCst);
                 Ok(())
             }),
@@ -485,12 +482,11 @@ mod tests {
         // The regression this pins: POST intake must NOT invalidate the
         // store from the worker thread (an in-flight analysis could
         // re-insert a stale series after that). Instead the probes are
-        // recorded, and the pass invalidates them itself right before
-        // it reads — strictly ordered before the re-analysis closure.
-        let events = Arc::new(std::sync::Mutex::new(Vec::<String>::new()));
+        // recorded, and the pass hands them to the re-analysis closure,
+        // which invalidates right before it reads.
+        let passes = Arc::new(std::sync::Mutex::new(Vec::<Invalidation>::new()));
         let metrics = Arc::new(LiveMetrics::new());
-        let ev_inv = Arc::clone(&events);
-        let ev_run = Arc::clone(&events);
+        let seen = Arc::clone(&passes);
         let engine = LiveEngine::start(
             LiveConfig {
                 watcher: None,
@@ -501,13 +497,8 @@ mod tests {
                 telemetry: None,
             },
             metrics,
-            Box::new(move |probes: &[ProbeId]| {
-                let ids: Vec<u32> = probes.iter().map(|p| p.0).collect();
-                ev_inv.lock().unwrap().push(format!("invalidate:{ids:?}"));
-            }),
-            Box::new(|| {}),
-            Box::new(move || {
-                ev_run.lock().unwrap().push("reanalyze".into());
+            Box::new(move |invalidation| {
+                seen.lock().unwrap().push(invalidation.clone());
                 Ok(())
             }),
         );
@@ -516,14 +507,60 @@ mod tests {
         handle.notify_dirty_probes(&[ProbeId(9), ProbeId(7)]);
         std::thread::sleep(Duration::from_millis(50));
         assert!(
-            events.lock().unwrap().is_empty(),
+            passes.lock().unwrap().is_empty(),
             "intake must only record dirty probes, never invalidate inline"
         );
         engine.shutdown();
         assert_eq!(
-            *events.lock().unwrap(),
-            vec!["invalidate:[7, 9, 7]".to_string(), "reanalyze".to_string()],
-            "one coalesced invalidation, strictly before the pass reads"
+            *passes.lock().unwrap(),
+            vec![Invalidation {
+                probes: vec![ProbeId(7), ProbeId(9), ProbeId(7)],
+                all: false,
+            }],
+            "one coalesced invalidation, handed to the pass that reads"
+        );
+    }
+
+    #[test]
+    fn truncation_makes_the_next_pass_clear_everything() {
+        let dir =
+            std::env::temp_dir().join(format!("lastmile-engine-trunc-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let corpus = dir.join("corpus.jsonl");
+        std::fs::write(&corpus, b"aaa\nbbb\n").unwrap();
+        let passes = Arc::new(std::sync::Mutex::new(Vec::<Invalidation>::new()));
+        let metrics = Arc::new(LiveMetrics::new());
+        let seen = Arc::clone(&passes);
+        let engine = LiveEngine::start(
+            LiveConfig {
+                watcher: Some(AppendWatcher::new(&corpus, 8)),
+                poll_interval: Duration::from_millis(5),
+                // Only the shutdown drain runs the pass: deterministic.
+                debounce: Duration::from_secs(600),
+                telemetry: None,
+            },
+            Arc::clone(&metrics),
+            Box::new(move |invalidation| {
+                seen.lock().unwrap().push(invalidation.clone());
+                Ok(())
+            }),
+        );
+        std::fs::write(&corpus, b"ccc\n").unwrap();
+        wait_until("truncation observed", Duration::from_secs(5), || {
+            metrics.watch_truncations.load(Ordering::Relaxed) == 1
+        });
+        assert!(
+            passes.lock().unwrap().is_empty(),
+            "the poll only records the truncation"
+        );
+        engine.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(
+            *passes.lock().unwrap(),
+            vec![Invalidation {
+                probes: Vec::new(),
+                all: true,
+            }]
         );
     }
 
@@ -541,9 +578,7 @@ mod tests {
                 telemetry: Some(Arc::clone(&telemetry)),
             },
             Arc::clone(&metrics),
-            Box::new(|_| {}),
-            Box::new(|| {}),
-            Box::new(move || {
+            Box::new(move |_| {
                 runs2.fetch_add(1, Ordering::SeqCst);
                 Err("boom".to_string())
             }),
@@ -581,9 +616,7 @@ mod tests {
                 telemetry: Some(Arc::clone(&telemetry)),
             },
             Arc::clone(&metrics),
-            Box::new(|_| {}),
-            Box::new(|| {}),
-            Box::new(move || {
+            Box::new(move |_| {
                 // Mimic the real closure: publishing bumps the epoch.
                 epoch.epoch.fetch_add(1, Ordering::Relaxed);
                 Ok(())

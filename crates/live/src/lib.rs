@@ -33,7 +33,7 @@ pub mod epoch;
 pub mod intake;
 pub mod watch;
 
-pub use engine::{LiveConfig, LiveEngine, LiveHandle};
+pub use engine::{Invalidation, LiveConfig, LiveEngine, LiveHandle};
 pub use epoch::Epoch;
 pub use intake::{intake_body, IntakeOutcome, Spool};
 pub use watch::{newline_aligned_len, AppendWatcher, WatchPoll};

@@ -142,10 +142,9 @@ impl FleetSpec {
     }
 
     /// The measurement window: `days` days from Sunday 2019-09-01 UTC
-    /// midnight. Anchoring at a bin- and day-aligned instant keeps warm
-    /// `--cache-dir` runs engaged (the store only caches bin-aligned
-    /// windows) and guarantees any window ≥ 7 days contains a weekend —
-    /// which the weekly-only adversarial ASes need.
+    /// midnight. Anchoring at a day-aligned instant guarantees any
+    /// window ≥ 7 days contains a weekend — which the weekly-only
+    /// adversarial ASes need.
     pub fn window(&self) -> TimeRange {
         let start = CivilDate::new(2019, 9, 1).midnight();
         TimeRange::new(start, start + i64::from(self.days) * 86_400)

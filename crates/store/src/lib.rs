@@ -1,39 +1,34 @@
 //! # lastmile-store
 //!
-//! A concurrent, sharded store of per-probe binned median-RTT series.
+//! A concurrent, sharded memo of per-probe binned median-RTT series.
 //!
-//! Every (AS, period, selection) analysis bins the same probe's
-//! traceroutes into the same epoch-aligned 30-minute bins; a bin's median
-//! depends only on that bin's traceroutes, never on the surrounding
-//! measurement period. The store exploits that: it memoizes each probe's
-//! [`ProbeSeries`] keyed by [`StoreKey`] — `(probe, bin width, sanity
-//! threshold)` — together with the *bin-index coverage* of what has been
-//! computed, and answers any sub-range of the covered horizon by slicing.
-//! Overlapping periods, sliding longitudinal windows, and repeated survey
-//! runs therefore pay the simulation/binning cost once per probe instead
-//! of once per (run × probe).
+//! Every analysis bins each probe's traceroutes into its [`BuiltSeries`]
+//! over one window. The store memoizes that result keyed by
+//! ([`StoreKey`], window) — `(probe, bin width, sanity threshold)` plus
+//! the exact window the series was built over — and a lookup hits only
+//! when an insert recorded that same window. A hit hands the series back
+//! as it was built: no merge, no slice. Repeated runs over one window
+//! (a re-run of `classify`, a warm survey) therefore pay the binning
+//! cost once per probe instead of once per run.
 //!
 //! Only the *median* series is stored. The paper's queuing-delay baseline
 //! ("the minimum median RTT is computed separately for each measurement
-//! period", §2.1) is period-scoped, so it must be — and is — recomputed
-//! from each slice by the pipeline, which keeps reports byte-identical to
-//! a cache-free run.
+//! period", §2.1) is recomputed from it by the pipeline, which keeps
+//! reports byte-identical to a cache-free run.
 //!
 //! ## Correctness rules
 //!
-//! * A lookup or insert whose range is not aligned to bin boundaries is a
-//!   [`Lookup::Bypass`]: a partial edge bin would yield a median computed
-//!   from a subset of the bin's traceroutes, which is *not* the full-bin
-//!   median the store promises. Every paper period is midnight-aligned,
-//!   so in practice only hand-picked custom windows bypass.
+//! * A window need not sit on bin boundaries: a partial edge bin is
+//!   exactly what a build over that same window produces, and no other
+//!   window is ever served from the entry.
 //! * A store is valid for exactly **one data source** (one simulated
 //!   world, or one traceroute file): the key does not identify the
 //!   source. On-disk snapshots carry a caller-supplied 64-bit source
 //!   fingerprint and refuse to load under a different one
 //!   ([`SnapshotError::SourceMismatch`]).
 //! * A hit reports `traceroutes_ingested = 0` but reproduces the sanity
-//!   filter's discarded-bin count for the requested range exactly, so
-//!   pipeline statistics stay meaningful warm or cold.
+//!   filter's discarded-bin count of the build, so pipeline statistics
+//!   stay meaningful warm or cold.
 //!
 //! ## Concurrency
 //!
@@ -51,16 +46,14 @@
 //! (bad magic, version or fingerprint mismatch, truncation, checksum
 //! failure) that callers degrade to an empty store + recomputation.
 
-mod coverage;
 pub mod snapshot;
 
-use coverage::Coverage;
 use lastmile_atlas::ProbeId;
 use lastmile_core::pipeline::{PipelineConfig, PrebuiltSeries};
 use lastmile_core::series::{BuiltSeries, ProbeSeries};
-use lastmile_timebase::{BinIndex, BinSpec, TimeRange};
+use lastmile_timebase::{BinSpec, TimeRange, UnixTime};
 pub use snapshot::SnapshotError;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::RwLock;
@@ -133,28 +126,22 @@ pub struct StoreConfig {
     pub mode: CacheMode,
 }
 
-/// One probe's memoized state.
+/// One memoized build: the series of one (key, window) and how many
+/// bins the sanity filter discarded while building it.
 #[derive(Clone, Debug)]
 struct Entry {
-    /// Full-horizon median series (union of everything computed so far).
     series: ProbeSeries,
-    /// Bin indices the sanity filter discarded, within the covered
-    /// horizon — kept so hits report the same statistics as fresh builds.
-    discarded: BTreeSet<BinIndex>,
-    /// Which bin-index intervals have been computed.
-    covered: Coverage,
+    discarded: u64,
 }
 
 /// Outcome of [`SeriesStore::lookup`].
 #[derive(Debug)]
 pub enum Lookup {
-    /// The requested range is fully covered; here is the slice.
+    /// An insert recorded this exact window; here is its series.
     Hit(PrebuiltSeries),
-    /// Not (fully) computed yet — build it and [`SeriesStore::insert`] it.
+    /// Not computed for this window — build it and
+    /// [`SeriesStore::insert`] it.
     Miss,
-    /// The store cannot serve this request (unaligned range); build
-    /// without inserting.
-    Bypass,
 }
 
 /// Lifetime counters of one store (monotonic, relaxed).
@@ -169,7 +156,7 @@ pub struct StoreCounters {
 /// The concurrent, sharded series store. Share between threads by
 /// reference (or `Arc`); all methods take `&self`.
 pub struct SeriesStore {
-    shards: [RwLock<HashMap<StoreKey, Entry>>; SHARDS],
+    shards: [RwLock<HashMap<(StoreKey, TimeRange), Entry>>; SHARDS],
     config: StoreConfig,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -211,7 +198,7 @@ impl SeriesStore {
         self.config
     }
 
-    /// Total resident entries (probes × parameterisations).
+    /// Total resident entries (probes × parameterisations × windows).
     pub fn len(&self) -> usize {
         self.shards
             .iter()
@@ -235,17 +222,17 @@ impl SeriesStore {
     }
 
     /// Drop every memoized entry for `probe`, across all
-    /// parameterisations. The live re-ingest engine calls this when a
-    /// freshly ingested traceroute touches a probe: any resident series
-    /// for that probe is stale (its source bins changed), so the next
-    /// lookup must miss and rebuild from the full record set. Returns
-    /// the number of entries removed.
+    /// parameterisations and windows. The live re-ingest engine calls
+    /// this when a freshly ingested traceroute touches a probe: any
+    /// resident series for that probe is stale (its source bins
+    /// changed), so the next lookup must miss and rebuild from the full
+    /// record set. Returns the number of entries removed.
     pub fn invalidate_probe(&self, probe: ProbeId) -> u64 {
         let mut removed = 0u64;
         for shard in &self.shards {
             let mut shard = shard.write().expect("store shard poisoned");
             let before = shard.len();
-            shard.retain(|key, _| key.probe != probe);
+            shard.retain(|(key, _), _| key.probe != probe);
             removed += (before - shard.len()) as u64;
         }
         removed
@@ -263,7 +250,7 @@ impl SeriesStore {
         removed
     }
 
-    fn shard(&self, key: &StoreKey) -> &RwLock<HashMap<StoreKey, Entry>> {
+    fn shard(&self, key: &StoreKey) -> &RwLock<HashMap<(StoreKey, TimeRange), Entry>> {
         // FNV-1a over the key fields: deterministic, cheap, and spreads
         // consecutive probe ids across shards.
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -279,27 +266,19 @@ impl SeriesStore {
         &self.shards[(h % SHARDS as u64) as usize]
     }
 
-    /// Fetch the series for `range` if the store has computed it (or a
-    /// superset of it) before.
+    /// Fetch the series an earlier insert recorded for exactly `range`.
     pub fn lookup(&self, key: &StoreKey, range: &TimeRange) -> Lookup {
-        let bin = key.bin();
-        if !bin.is_aligned(range) {
-            self.bypasses.fetch_add(1, Ordering::Relaxed);
-            return Lookup::Bypass;
-        }
-        let span = bin.index_span(range);
         let shard = self.shard(key).read().expect("store shard poisoned");
-        match shard.get(key) {
-            Some(entry) if entry.covered.contains_span(&span) => {
+        match shard.get(&(*key, *range)) {
+            Some(entry) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                let discarded = entry.discarded.range(span.clone()).count() as u64;
                 Lookup::Hit(PrebuiltSeries {
-                    series: entry.series.slice(range),
-                    bins_discarded_sanity: discarded,
+                    series: entry.series.clone(),
+                    bins_discarded_sanity: entry.discarded,
                     traceroutes_ingested: 0,
                 })
             }
-            _ => {
+            None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
                 Lookup::Miss
             }
@@ -309,19 +288,18 @@ impl SeriesStore {
     /// Count `n` lookups that could not be asked as bypasses: the caller
     /// had to read its data before the range was known (a file run whose
     /// window comes from the data span), so the store could not serve
-    /// them — exactly what [`Lookup::Bypass`] reports.
+    /// them.
     pub fn count_bypasses(&self, n: u64) {
         self.bypasses.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Memoize a freshly built series for `range`. The series must have
-    /// been built from exactly the traceroutes of `range` with the key's
-    /// binning parameters; overlapping inserts must agree on shared bins
-    /// (true for any deterministic source). Returns whether the series
-    /// was stored: `false` in `ro` mode or for an unaligned range.
+    /// Memoize a freshly built series for `range`, as it was built. The
+    /// series must have been built from exactly the traceroutes of
+    /// `range` with the key's binning parameters; a later insert of the
+    /// same window replaces it. Returns whether the series was stored:
+    /// `false` in `ro` mode or for an empty window.
     pub fn insert(&self, key: &StoreKey, range: &TimeRange, built: &BuiltSeries) -> bool {
-        let bin = key.bin();
-        if self.config.mode != CacheMode::ReadWrite || !bin.is_aligned(range) {
+        if self.config.mode != CacheMode::ReadWrite || range.start() >= range.end() {
             return false;
         }
         assert_eq!(
@@ -334,33 +312,22 @@ impl SeriesStore {
             key.bin_width_secs,
             "series bin width differs from store key"
         );
-        let span = bin.index_span(range);
-        let mut shard = self.shard(key).write().expect("store shard poisoned");
-        let entry = shard.entry(*key).or_insert_with(|| Entry {
-            series: ProbeSeries::from_parts(key.probe, bin, Default::default()),
-            discarded: BTreeSet::new(),
-            covered: Coverage::default(),
-        });
-        // Defensive slice: only bins of `range` may enter under this
-        // coverage claim.
-        let mut medians: std::collections::BTreeMap<BinIndex, f64> =
-            entry.series.iter_bins().collect();
-        medians.extend(built.series.slice(range).iter_bins());
-        entry.series = ProbeSeries::from_parts(key.probe, bin, medians);
-        entry
-            .discarded
-            .extend(built.discarded_bins.iter().filter(|b| span.contains(b)));
-        if !span.is_empty() {
-            entry.covered.add(span.start, span.end);
-        }
+        let entry = Entry {
+            series: built.series.clone(),
+            discarded: built.discarded_bins.len() as u64,
+        };
+        self.shard(key)
+            .write()
+            .expect("store shard poisoned")
+            .insert((*key, *range), entry);
         self.inserts.fetch_add(1, Ordering::Relaxed);
         true
     }
 
     /// Write the whole store to `path` as a versioned snapshot, atomically
     /// (temp file in the same directory, then rename). Returns the bytes
-    /// written. Entry order in the file is sorted by key, so the same
-    /// store state always produces the same bytes.
+    /// written. Entry order in the file is sorted by key, then window, so
+    /// the same store state always produces the same bytes.
     pub fn save_snapshot(
         &self,
         path: &Path,
@@ -369,17 +336,17 @@ impl SeriesStore {
         let mut entries: Vec<snapshot::SnapshotEntry> = Vec::new();
         for shard in &self.shards {
             let shard = shard.read().expect("store shard poisoned");
-            for (key, entry) in shard.iter() {
+            for ((key, window), entry) in shard.iter() {
                 entries.push(snapshot::SnapshotEntry {
                     key: *key,
-                    covered: entry.covered.intervals().to_vec(),
-                    discarded: entry.discarded.iter().copied().collect(),
+                    window: (window.start().as_secs(), window.end().as_secs()),
+                    discarded: entry.discarded,
                     bins: entry.series.iter_bins().map(|(b, _)| b).collect(),
                     values: entry.series.iter_bins().map(|(_, v)| v).collect(),
                 });
             }
         }
-        entries.sort_by_key(|e| e.key);
+        entries.sort_by_key(|e| (e.key, e.window));
         snapshot::write_snapshot(path, source_fingerprint, &entries)
     }
 
@@ -404,17 +371,19 @@ impl SeriesStore {
                 .copied()
                 .zip(e.values.iter().copied())
                 .collect();
+            let window = TimeRange::new(
+                UnixTime::from_secs(e.window.0),
+                UnixTime::from_secs(e.window.1),
+            );
             let entry = Entry {
                 series: ProbeSeries::from_parts(e.key.probe, bin, medians),
-                discarded: e.discarded.into_iter().collect(),
-                covered: Coverage::from_sorted_intervals(e.covered)
-                    .map_err(SnapshotError::Corrupt)?,
+                discarded: e.discarded,
             };
             store
                 .shard(&e.key)
                 .write()
                 .expect("store shard poisoned")
-                .insert(e.key, entry);
+                .insert((e.key, window), entry);
         }
         Ok((store, bytes))
     }
@@ -483,64 +452,41 @@ mod tests {
     }
 
     #[test]
-    fn sub_range_slicing_is_free_after_first_computation() {
+    fn hits_only_its_own_window_aligned_or_not() {
         let store = SeriesStore::default();
-        store.insert(
-            &key(1),
-            &aligned(0, 10),
-            &built(1, &[(0, 5.0), (4, 9.0), (9, 6.0)], &[2, 7]),
-        );
-        // Any aligned sub-range hits, with range-scoped statistics.
-        match store.lookup(&key(1), &aligned(4, 8)) {
-            Lookup::Hit(pre) => {
-                let got: Vec<(i64, f64)> = pre.series.iter_bins().collect();
-                assert_eq!(got, vec![(4, 9.0)]);
-                assert_eq!(pre.bins_discarded_sanity, 1, "only bin 7 is in range");
+        let whole = aligned(0, 10);
+        // A window starting mid-bin: its partial first bin is part of
+        // the build, and is served back as built.
+        let mid = TimeRange::new(UnixTime::from_secs(900), UnixTime::from_secs(18_000));
+        store.insert(&key(1), &whole, &built(1, &[(0, 5.0), (4, 9.0)], &[2, 7]));
+        store.insert(&key(1), &mid, &built(1, &[(0, 4.0), (4, 9.0)], &[7]));
+        assert_eq!(store.len(), 2);
+        for (range, bins, discarded) in [
+            (whole, vec![(0, 5.0), (4, 9.0)], 2),
+            (mid, vec![(0, 4.0), (4, 9.0)], 1),
+        ] {
+            match store.lookup(&key(1), &range) {
+                Lookup::Hit(pre) => {
+                    let got: Vec<(i64, f64)> = pre.series.iter_bins().collect();
+                    assert_eq!(got, bins);
+                    assert_eq!(pre.bins_discarded_sanity, discarded);
+                }
+                other => panic!("expected hit for {range:?}, got {other:?}"),
             }
-            other => panic!("expected hit, got {other:?}"),
         }
-        // A range poking past the coverage misses.
-        assert!(matches!(
-            store.lookup(&key(1), &aligned(4, 11)),
-            Lookup::Miss
-        ));
+        // A sub-window, a superset and an overlapping window all miss.
+        for range in [aligned(4, 8), aligned(0, 11), aligned(2, 12)] {
+            assert!(matches!(store.lookup(&key(1), &range), Lookup::Miss));
+        }
+        let c = store.counters();
+        assert_eq!((c.hits, c.misses, c.bypasses), (2, 3, 0));
     }
 
     #[test]
-    fn disjoint_ranges_merge_and_gap_misses() {
+    fn empty_window_is_never_stored() {
         let store = SeriesStore::default();
-        store.insert(&key(1), &aligned(0, 2), &built(1, &[(0, 5.0)], &[]));
-        store.insert(&key(1), &aligned(6, 8), &built(1, &[(6, 6.0)], &[]));
-        assert!(matches!(
-            store.lookup(&key(1), &aligned(0, 2)),
-            Lookup::Hit(_)
-        ));
-        assert!(matches!(
-            store.lookup(&key(1), &aligned(6, 8)),
-            Lookup::Hit(_)
-        ));
-        // The gap is not covered.
-        assert!(matches!(
-            store.lookup(&key(1), &aligned(0, 8)),
-            Lookup::Miss
-        ));
-        // Filling the gap bridges the intervals.
-        store.insert(&key(1), &aligned(2, 6), &built(1, &[(3, 4.0)], &[]));
-        assert!(matches!(
-            store.lookup(&key(1), &aligned(0, 8)),
-            Lookup::Hit(_)
-        ));
-        assert_eq!(store.len(), 1);
-    }
-
-    #[test]
-    fn unaligned_ranges_bypass_both_ways() {
-        let store = SeriesStore::default();
-        let unaligned = TimeRange::new(UnixTime::from_secs(100), UnixTime::from_secs(7200));
-        assert!(matches!(store.lookup(&key(1), &unaligned), Lookup::Bypass));
-        assert!(!store.insert(&key(1), &unaligned, &built(1, &[(0, 5.0)], &[])));
-        assert_eq!(store.len(), 0);
-        assert_eq!(store.counters().bypasses, 1);
+        assert!(!store.insert(&key(1), &aligned(4, 4), &built(1, &[], &[])));
+        assert!(store.is_empty());
     }
 
     #[test]

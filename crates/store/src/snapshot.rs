@@ -4,7 +4,7 @@
 //! ```text
 //! offset  size  field
 //!      0     4  magic  b"LMSS"
-//!      4     4  format version, u32 LE (currently 1)
+//!      4     4  format version, u32 LE (currently 2)
 //!      8     8  source fingerprint, u64 LE (caller-chosen data-source id)
 //!     16     8  payload length, u64 LE
 //!     24     4  payload CRC-32 (IEEE), u32 LE
@@ -13,17 +13,21 @@
 //!
 //! The payload is a u64 entry count followed by one record per entry,
 //! sorted by [`StoreKey`] so identical store states produce identical
-//! bytes. Each record stores the key, the covered intervals, the
-//! discarded-bin indices, and the median series in *columnar* form — all
-//! bin indices, then all values (f64 bit patterns, so RTTs survive the
-//! round trip bit-for-bit):
+//! bytes (then by window). Each record stores the key, the window the
+//! series was built over, the discarded-bin count, and the median series
+//! in *columnar* form — all bin indices, then all values (f64 bit
+//! patterns, so RTTs survive the round trip bit-for-bit):
 //!
 //! ```text
 //! u32 probe · i64 bin_width_secs · u32 min_traceroutes_per_bin
-//! u32 n_covered  · n × (i64 start, i64 end)
-//! u64 n_discarded· n × i64
+//! i64 window start · i64 window end   (unix seconds, start < end)
+//! u64 discarded-bin count
 //! u64 n_bins     · n × i64 (bin index)  · n × u64 (f64 bits)
 //! ```
+//!
+//! Version 1 (per-probe coverage intervals and discarded-bin indices)
+//! is refused as [`SnapshotError::UnsupportedVersion`]; the run
+//! recomputes.
 //!
 //! Writes are atomic: the snapshot is assembled in a uniquely named temp
 //! file next to the target (pid + sequence suffix, so concurrent writers
@@ -41,7 +45,7 @@ use std::path::Path;
 /// File magic: "Last-Mile Series Snapshot".
 pub const MAGIC: [u8; 4] = *b"LMSS";
 /// Current format version.
-pub const VERSION: u32 = 1;
+pub const VERSION: u32 = 2;
 /// Bytes before the payload.
 pub const HEADER_LEN: usize = 28;
 
@@ -49,10 +53,11 @@ pub const HEADER_LEN: usize = 28;
 #[derive(Clone, Debug, PartialEq)]
 pub struct SnapshotEntry {
     pub key: StoreKey,
-    /// Covered bin-index intervals (sorted, disjoint, non-adjacent).
-    pub covered: Vec<(i64, i64)>,
-    /// Sanity-discarded bin indices (sorted ascending).
-    pub discarded: Vec<i64>,
+    /// The window the series was built over, `(start, end)` in unix
+    /// seconds.
+    pub window: (i64, i64),
+    /// How many bins the sanity filter discarded in the build.
+    pub discarded: u64,
     /// Bin indices of the median series (sorted ascending).
     pub bins: Vec<i64>,
     /// Median values, parallel to `bins`.
@@ -150,15 +155,9 @@ fn encode_payload(entries: &[SnapshotEntry]) -> Vec<u8> {
         out.extend_from_slice(&e.key.probe.0.to_le_bytes());
         out.extend_from_slice(&e.key.bin_width_secs.to_le_bytes());
         out.extend_from_slice(&e.key.min_traceroutes_per_bin.to_le_bytes());
-        out.extend_from_slice(&(e.covered.len() as u32).to_le_bytes());
-        for &(s, end) in &e.covered {
-            out.extend_from_slice(&s.to_le_bytes());
-            out.extend_from_slice(&end.to_le_bytes());
-        }
-        out.extend_from_slice(&(e.discarded.len() as u64).to_le_bytes());
-        for &b in &e.discarded {
-            out.extend_from_slice(&b.to_le_bytes());
-        }
+        out.extend_from_slice(&e.window.0.to_le_bytes());
+        out.extend_from_slice(&e.window.1.to_le_bytes());
+        out.extend_from_slice(&e.discarded.to_le_bytes());
         out.extend_from_slice(&(e.bins.len() as u64).to_le_bytes());
         for &b in &e.bins {
             out.extend_from_slice(&b.to_le_bytes());
@@ -240,22 +239,13 @@ fn decode_payload(payload: &[u8]) -> Result<Vec<SnapshotEntry>, SnapshotError> {
             probe,
         };
 
-        let n_covered = r.u32()? as usize;
-        let mut covered = Vec::with_capacity(n_covered.min(1 << 16));
-        for _ in 0..n_covered {
-            covered.push((r.i64()?, r.i64()?));
-        }
-
-        let n_discarded = r.count(8)?;
-        let mut discarded = Vec::with_capacity(n_discarded);
-        for _ in 0..n_discarded {
-            discarded.push(r.i64()?);
-        }
-        if discarded.windows(2).any(|w| w[0] >= w[1]) {
+        let window = (r.i64()?, r.i64()?);
+        if window.0 >= window.1 {
             return Err(SnapshotError::Corrupt(format!(
-                "discarded bins of probe {probe} not strictly ascending"
+                "empty or inverted window {window:?} of probe {probe}"
             )));
         }
+        let discarded = r.u64()?;
 
         let n_bins = r.count(16)?; // bin index + value
         let mut bins = Vec::with_capacity(n_bins);
@@ -274,7 +264,7 @@ fn decode_payload(payload: &[u8]) -> Result<Vec<SnapshotEntry>, SnapshotError> {
 
         entries.push(SnapshotEntry {
             key,
-            covered,
+            window,
             discarded,
             bins,
             values,
@@ -394,8 +384,8 @@ mod tests {
                     min_traceroutes_per_bin: 3,
                     probe: ProbeId(7),
                 },
-                covered: vec![(0, 48), (96, 144)],
-                discarded: vec![3, 40],
+                window: (0, 48 * 1800),
+                discarded: 2,
                 bins: vec![0, 1, 47, 100],
                 values: vec![5.25, 6.5, 0.1, 9.75],
             },
@@ -405,8 +395,8 @@ mod tests {
                     min_traceroutes_per_bin: 3,
                     probe: ProbeId(9),
                 },
-                covered: vec![],
-                discarded: vec![],
+                window: (900, 7200),
+                discarded: 0,
                 bins: vec![],
                 values: vec![],
             },
@@ -454,6 +444,18 @@ mod tests {
             Err(SnapshotError::BadMagic)
         ));
 
+        // A version-1 file (coverage intervals) is refused, not parsed.
+        let mut bad = good.clone();
+        bad[4..8].copy_from_slice(&1u32.to_le_bytes());
+        std::fs::write(&path, &bad).unwrap();
+        assert!(matches!(
+            read_snapshot(&path, 1),
+            Err(SnapshotError::UnsupportedVersion {
+                found: 1,
+                supported: 2
+            })
+        ));
+
         // Wrong version.
         let mut bad = good.clone();
         bad[4] = 99;
@@ -497,25 +499,40 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn structural_corruption_is_caught_after_checksum() {
-        // Hand-build a payload with an absurd entry count and a valid
-        // checksum: the count guard must reject it without allocating.
-        let mut payload = Vec::new();
-        payload.extend_from_slice(&u64::MAX.to_le_bytes());
+    /// A file around `payload` with a valid header and checksum.
+    fn file_with_payload(payload: &[u8]) -> Vec<u8> {
         let mut file = Vec::new();
         file.extend_from_slice(&MAGIC);
         file.extend_from_slice(&VERSION.to_le_bytes());
         file.extend_from_slice(&7u64.to_le_bytes());
         file.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        file.extend_from_slice(&crc32(&payload).to_le_bytes());
-        file.extend_from_slice(&payload);
+        file.extend_from_slice(&crc32(payload).to_le_bytes());
+        file.extend_from_slice(payload);
+        file
+    }
+
+    #[test]
+    fn structural_corruption_is_caught_after_checksum() {
+        // Hand-build a payload with an absurd entry count and a valid
+        // checksum: the count guard must reject it without allocating.
         let path = tmp_path("absurd-count.bin");
-        std::fs::write(&path, &file).unwrap();
+        std::fs::write(&path, file_with_payload(&u64::MAX.to_le_bytes())).unwrap();
         assert!(matches!(
             read_snapshot(&path, 7),
             Err(SnapshotError::Truncated { .. })
         ));
+
+        // An empty or inverted window is corrupt, whatever the checksum.
+        for window in [(3600, 3600), (7200, 3600)] {
+            let mut entries = sample_entries();
+            entries[1].window = window;
+            let path = tmp_path("bad-window.bin");
+            std::fs::write(&path, file_with_payload(&encode_payload(&entries))).unwrap();
+            assert!(matches!(
+                read_snapshot(&path, 7),
+                Err(SnapshotError::Corrupt(_))
+            ));
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! corruption.
 //!
 //! The contract under test: a saved store always loads back exactly
-//! (bit-for-bit medians, same coverage, same discarded bins), the byte
+//! (bit-for-bit medians, same windows, same discarded-bin counts), the byte
 //! format is canonical (save ∘ load ∘ save is the identity on files), and
 //! *any* single-byte corruption or truncation is rejected with a typed
 //! [`SnapshotError`] — never silently absorbed — after which the caller
@@ -99,8 +99,8 @@ fn build_store(ops: &[InsertOp]) -> SeriesStore {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Round trip: load(save(store)) serves every aligned lookup the
-    /// original served, bit for bit, and re-saving yields the identical
+    /// Round trip: load(save(store)) serves every lookup the original
+    /// served, bit for bit, and re-saving yields the identical
     /// file (the format is canonical).
     #[test]
     fn roundtrip_is_exact_and_canonical(ops in prop::collection::vec(insert_op(), 0..12)) {

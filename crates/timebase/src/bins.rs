@@ -120,14 +120,6 @@ impl BinSpec {
         first..last_exclusive.max(first)
     }
 
-    /// Whether both endpoints of `range` sit exactly on bin boundaries.
-    /// Aligned ranges partition into whole bins, which is what makes a
-    /// cached full-bin median series safe to slice down to the range.
-    pub fn is_aligned(&self, range: &TimeRange) -> bool {
-        range.start().as_secs().rem_euclid(self.width_secs) == 0
-            && range.end().as_secs().rem_euclid(self.width_secs) == 0
-    }
-
     /// Iterate bin start instants inside `range`.
     pub fn starts_in(&self, range: &TimeRange) -> impl Iterator<Item = UnixTime> + use<> {
         let w = self.width_secs;

@@ -12,8 +12,10 @@
 #
 # BENCH_SMOKE=1 runs a fast correctness-only pass instead: the 9-AS
 # scripts/fleet_smoke.json spec end-to-end with the scorer's CI gates
-# armed (recall >= 0.7, zero peering false positives). No timings are
-# recorded and BENCH_fleet.json is not touched.
+# armed (recall >= 0.7, zero peering false positives), and the warm
+# run's --stats-out must show it was served by the store (no miss, no
+# bypass, at least one hit). No timings are recorded and
+# BENCH_fleet.json is not touched.
 set -eu
 cd "$(dirname "$0")/.."
 . ./scripts/bench_host.sh
@@ -86,7 +88,19 @@ if [ "${BENCH_SMOKE:-0}" = "1" ]; then
     "$bin" fleet score --truth "$work/smoke/truth.json" \
         --classified "$work/smoke/classified.json" \
         --min-recall 0.7 --max-peering-fp 0 >/dev/null
-    echo "OK: fleet smoke passed (gen deterministic corpus, warm==cold classify, score gates green)"
+    # Equal bytes alone would also pass a store that misses everything.
+    store_count() {
+        { grep -o "\"$1\": *[0-9]*" "$work/smoke/stats_warm.json" || echo missing; } |
+            head -n1 | grep -o '[0-9a-z]*$'
+    }
+    hits=$(store_count hits)
+    misses=$(store_count misses)
+    bypasses=$(store_count bypasses)
+    if [ "$misses" != 0 ] || [ "$bypasses" != 0 ] || [ "$hits" = 0 ] || [ "$hits" = missing ]; then
+        echo "FAIL: smoke warm classify not served by the store (hits=$hits misses=$misses bypasses=$bypasses)" >&2
+        exit 1
+    fi
+    echo "OK: fleet smoke passed (gen deterministic corpus, warm==cold classify, warm served by the store ($hits hits), score gates green)"
     exit 0
 fi
 

@@ -36,7 +36,7 @@ BENCH_SMOKE=1 sh scripts/bench_ingest.sh
 
 # Fleet smoke: generate a small scenario fleet from the checked-in spec
 # (deterministic corpus + primed snapshot), classify it cold and warm
-# (byte-identical), and score the verdicts against the ground-truth
+# (byte-identical, the warm run served by the store), and score the verdicts against the ground-truth
 # sidecar with the CI gates armed — recall >= 0.7 on the planted
 # congested ASes, zero false positives on the adversarial
 # peering-congestion ASes.

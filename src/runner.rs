@@ -101,18 +101,17 @@ pub fn analyze_population(
 /// rebuilding it per population.
 ///
 /// With a store, probes whose median series it has already computed for
-/// this period (or a covering superset) skip simulation and ingestion
-/// entirely — the stored series is sliced and fed ready-made. Probes the
-/// store cannot serve are simulated as usual, and their freshly built
-/// series are offered back to the store (a no-op in read-only mode).
+/// exactly this period skip simulation and ingestion entirely — the
+/// stored series is fed ready-made. Probes the store cannot serve are
+/// simulated as usual, and their freshly built series are offered back
+/// to the store (a no-op in read-only mode).
 ///
 /// The returned analysis — and therefore the survey report — is
-/// byte-identical with or without a store: the store holds full-bin
-/// medians only, refuses ranges that don't align with bin boundaries, and
-/// the period-scoped queuing-delay baseline is recomputed per call (§2.1
-/// computes the minimum median RTT separately for each measurement
-/// period). Only the ingest statistics differ: a served probe contributes
-/// zero `traceroutes_ingested`.
+/// byte-identical with or without a store: a hit is the series a build
+/// over this period produced, and the period-scoped queuing-delay
+/// baseline is recomputed per call (§2.1 computes the minimum median RTT
+/// separately for each measurement period). Only the ingest statistics
+/// differ: a served probe contributes zero `traceroutes_ingested`.
 pub fn analyze_population_with(
     engine: &TracerouteEngine,
     asn: Asn,
@@ -123,28 +122,19 @@ pub fn analyze_population_with(
 ) -> PopulationAnalysis {
     let range = period.range();
     let mut pipeline = AsPipeline::new(cfg, range);
-    let mut missed = false;
     for probe in engine.world().probes_in(asn) {
         if !selection.matches(probe) {
             continue;
         }
         if let Some(store) = store {
             let key = StoreKey::for_pipeline(probe.meta.id, &cfg);
-            match store.lookup(&key, &range) {
-                Lookup::Hit(pre) => {
-                    pipeline.ingest_series(pre);
-                    continue;
-                }
-                // A bypass (mode off / unaligned period) can never turn
-                // into an accepted insert, so only misses pay for series
-                // retention.
-                outcome => missed |= matches!(outcome, Lookup::Miss),
+            if let Lookup::Hit(pre) = store.lookup(&key, &range) {
+                pipeline.ingest_series(pre);
+                continue;
             }
+            pipeline.retain_median_series(true);
         }
         engine.for_each_traceroute(probe, &range, |tr| pipeline.ingest(&tr));
-    }
-    if missed {
-        pipeline.retain_median_series(true);
     }
     let analysis = pipeline.finish();
     if let Some(store) = store {

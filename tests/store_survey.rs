@@ -4,9 +4,10 @@
 //!
 //! * **Byte identity** — the `SurveyReport` is identical whether the
 //!   store is absent, cold, warm, or loaded from an on-disk snapshot, at
-//!   every thread count. The store holds full-bin medians only and the
-//!   period-scoped queuing-delay baseline is recomputed per slice, so
-//!   caching cannot change a single value.
+//!   every thread count. The store hands back the median series built
+//!   over exactly the requested period and the period-scoped
+//!   queuing-delay baseline is recomputed per call, so caching cannot
+//!   change a single value.
 //! * **Zero re-ingest when warm** — a warm run over stored probes
 //!   consumes no traceroutes at all (`RunMetrics.traceroutes_ingested ==
 //!   0`, `store.hits > 0`, `store.misses == 0`).
