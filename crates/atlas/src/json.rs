@@ -16,6 +16,11 @@
 //! the record bytes builds the model directly, and serde through
 //! [`AtlasTraceroute`] stays the reference. It decides every record the
 //! pass declines, so models and error texts are serde's either way.
+//!
+//! Records are written with [`write_traceroute`]: one pass from the
+//! model straight into the caller's buffer. Serde through
+//! [`AtlasTraceroute::from_model`] is its reference encoder, kept as the
+//! test oracle the written bytes must equal.
 
 use crate::probe::ProbeId;
 use crate::traceroute::{Hop, Reply, TracerouteResult};
@@ -151,6 +156,9 @@ impl AtlasTraceroute {
 
     /// Build the wire format from the internal model. `public_addr` fills
     /// the Atlas `from` field (the probe's public address).
+    ///
+    /// With `serde_json::to_string` this is the reference encoder that
+    /// [`write_traceroute`] is tested against byte for byte.
     pub fn from_model(tr: &TracerouteResult, public_addr: IpAddr) -> AtlasTraceroute {
         AtlasTraceroute {
             fw: 5080,
@@ -310,10 +318,86 @@ pub fn parse_traceroutes(json: &str) -> Result<Vec<TracerouteResult>, Box<dyn st
     Ok(out)
 }
 
-/// Serialise one internal traceroute to Atlas JSON.
+/// Append one internal traceroute to `out` as a compact Atlas JSON
+/// record; `public_addr` fills the Atlas `from` field.
+///
+/// One pass writes numbers and addresses straight into `out`: the bytes
+/// are exactly serde's for [`AtlasTraceroute::from_model`] (field order,
+/// `{"x":"*"}` timeouts, RTTs as `{:?}` when finite and `null`
+/// otherwise), with no intermediate document. Addresses never need JSON
+/// escaping, so none is done. A reply's address is formatted once and
+/// reused while the following replies repeat it, as they usually do
+/// within a hop.
+pub fn write_traceroute(tr: &TracerouteResult, public_addr: IpAddr, out: &mut String) {
+    use std::fmt::Write;
+    // `fmt::Write` into a `String` cannot fail.
+    let _ = write!(
+        out,
+        "{{\"fw\":5080,\"af\":{},\"dst_addr\":\"{}\",\"src_addr\":\"{}\",\"from\":\"{public_addr}\",\
+         \"msm_id\":{},\"prb_id\":{},\"timestamp\":{},\"proto\":\"ICMP\",\"type\":\"traceroute\",\"result\":[",
+        if tr.dst.is_ipv4() { 4 } else { 6 },
+        tr.dst,
+        tr.src,
+        tr.msm_id,
+        tr.probe.0,
+        tr.timestamp.as_secs(),
+    );
+    // `{"from":"<address>","rtt":` for the last answered reply's address.
+    let mut head = String::new();
+    let mut head_addr = None;
+    for (i, hop) in tr.hops.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let ttl = 64 - hop.hop.min(63);
+        out.push_str("{\"hop\":");
+        push_u8(out, hop.hop);
+        out.push_str(",\"result\":[");
+        for (j, reply) in hop.replies.iter().enumerate() {
+            if j > 0 {
+                out.push(',');
+            }
+            let (Some(from), Some(rtt)) = (reply.from, reply.rtt_ms) else {
+                out.push_str("{\"x\":\"*\"}");
+                continue;
+            };
+            if head_addr != Some(from) {
+                head.clear();
+                let _ = write!(head, "{{\"from\":\"{from}\",\"rtt\":");
+                head_addr = Some(from);
+            }
+            out.push_str(&head);
+            if rtt.is_finite() {
+                let _ = write!(out, "{rtt:?}");
+            } else {
+                out.push_str("null");
+            }
+            out.push_str(",\"size\":28,\"ttl\":");
+            push_u8(out, ttl);
+            out.push('}');
+        }
+        out.push_str("]}");
+    }
+    out.push_str("]}");
+}
+
+/// Append `n` in decimal, as `{}` writes it.
+fn push_u8(out: &mut String, n: u8) {
+    if n >= 100 {
+        out.push(char::from(b'0' + n / 100));
+    }
+    if n >= 10 {
+        out.push(char::from(b'0' + n / 10 % 10));
+    }
+    out.push(char::from(b'0' + n % 10));
+}
+
+/// Serialise one internal traceroute to Atlas JSON: [`write_traceroute`]
+/// into a fresh string.
 pub fn to_atlas_json(tr: &TracerouteResult, public_addr: IpAddr) -> String {
-    serde_json::to_string(&AtlasTraceroute::from_model(tr, public_addr))
-        .expect("traceroute serialization cannot fail")
+    let mut out = String::new();
+    write_traceroute(tr, public_addr, &mut out);
+    out
 }
 
 #[cfg(test)]

@@ -22,7 +22,8 @@
 //!   deterministic schedule (which traceroutes exist in a time range).
 //! * [`json`] — the Atlas API JSON format (`prb_id`, `msm_id`, `result`
 //!   arrays with `from`/`rtt` or `x: "*"` entries), round-trippable;
-//!   records decode in one borrowed pass, with serde as the reference.
+//!   records decode in one borrowed pass and are written in one direct
+//!   pass, with serde as the reference both ways.
 //! * [`framing`] — incremental splitting of JSON Lines / JSON array
 //!   inputs into record-aligned document frames, for streaming ingest.
 //!

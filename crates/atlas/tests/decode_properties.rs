@@ -1,15 +1,20 @@
-//! Differential tests of the traceroute decoder against its serde
-//! oracle: on every input, generated or mutated, `decode_traceroute`
-//! must give exactly what `decode_with_serde` gives — the same model
-//! (RTTs compared bit for bit) or the same error kind and detail. And
-//! the fast pass must accept every canonical `to_atlas_json` record, so
-//! the decoder never silently runs at serde's speed.
+//! Differential tests of the traceroute decoder and writer against
+//! their serde oracles: on every input, generated or mutated,
+//! `decode_traceroute` must give exactly what `decode_with_serde` gives —
+//! the same model (RTTs compared bit for bit) or the same error kind and
+//! detail. `write_traceroute` must write exactly the bytes serde writes
+//! for `AtlasTraceroute::from_model`. And the fast pass must accept every
+//! canonical written record, so the decoder never silently runs at
+//! serde's speed.
 //!
 //! Each case draws one `u64` seed and generates everything from it; a
 //! failure prints that seed and the input (the vendored proptest does
 //! not shrink).
 
-use lastmile_atlas::json::{decode_fast, decode_traceroute, decode_with_serde, to_atlas_json};
+use lastmile_atlas::json::{
+    decode_fast, decode_traceroute, decode_with_serde, to_atlas_json, write_traceroute,
+    AtlasTraceroute,
+};
 use lastmile_atlas::{Hop, ProbeId, Reply, TracerouteResult};
 use lastmile_timebase::UnixTime;
 use proptest::prelude::*;
@@ -106,6 +111,20 @@ fn canonical(rng: &mut SmallRng) -> (TracerouteResult, String) {
     let tr = traceroute(rng);
     let json = to_atlas_json(&tr, ip(rng));
     (tr, json)
+}
+
+/// The property: `write_traceroute` appends exactly the bytes serde
+/// writes for the wire-shaped document. `case` names the input on
+/// failure (a seed, or an edge case's label).
+fn assert_writes_as_serde(case: &str, tr: &TracerouteResult, public_addr: IpAddr) {
+    let want = serde_json::to_string(&AtlasTraceroute::from_model(tr, public_addr)).unwrap();
+    let mut got = String::from("kept\n");
+    write_traceroute(tr, public_addr, &mut got);
+    assert_eq!(
+        got.strip_prefix("kept\n"),
+        Some(want.as_str()),
+        "{case}: writer and serde disagree"
+    );
 }
 
 /// Number spellings serde reads differently or not at all.
@@ -400,6 +419,13 @@ proptest! {
     }
 
     #[test]
+    fn written_records_are_serdes_bytes(seed in any::<u64>()) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let tr = traceroute(&mut rng);
+        assert_writes_as_serde(&format!("seed {seed:#x}"), &tr, ip(&mut rng));
+    }
+
+    #[test]
     fn varied_records_decode_as_serde_does(seed in any::<u64>()) {
         assert_matches_oracle(seed, &varied(seed));
     }
@@ -496,4 +522,78 @@ fn edge_cases_decode_as_serde_does() {
         tr.hops[0].replies[0].rtt_ms.map(f64::to_bits),
         Some((-0.0f64).to_bits())
     );
+}
+
+#[test]
+fn edge_cases_write_as_serde_does() {
+    let addr = |s: &str| s.parse::<IpAddr>().unwrap();
+    let (v4, v6, mapped) = (
+        addr("192.0.2.1"),
+        addr("2001:db8::1"),
+        addr("::ffff:192.0.2.7"),
+    );
+    let rtts = [
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        -0.0,
+        0.0,
+        5e-324,
+        f64::MIN_POSITIVE,
+        1e-7,
+        0.1,
+        1e15,
+        1e16,
+        1e21,
+        f64::MAX,
+        -3.25,
+    ];
+    let record = |dst: IpAddr, src: IpAddr, hops: Vec<Hop>| TracerouteResult {
+        probe: ProbeId(u32::MAX),
+        msm_id: 0,
+        timestamp: UnixTime::from_secs(-1),
+        dst,
+        src,
+        hops,
+    };
+    // Every RTT edge, both half-answered shapes and a timeout, at TTL
+    // edges: hop 0, the saturation point 63/64 and the top of `u8`.
+    let replies: Vec<Reply> = rtts
+        .iter()
+        .map(|&rtt| Reply::answered(v4, rtt))
+        .chain([
+            Reply::timeout(),
+            Reply {
+                from: Some(v6),
+                rtt_ms: None,
+            },
+            Reply {
+                from: None,
+                rtt_ms: Some(1.5),
+            },
+            Reply::answered(mapped, 2.5),
+        ])
+        .collect();
+    let hops: Vec<Hop> = [0u8, 1, 62, 63, 64, 65, 200, 255]
+        .iter()
+        .map(|&hop| Hop {
+            hop,
+            replies: replies.clone(),
+        })
+        .collect();
+    let empty_replies = vec![Hop {
+        hop: 1,
+        replies: Vec::new(),
+    }];
+    let cases = [
+        ("rtt and ttl edges", record(v4, v4, hops.clone()), v4),
+        ("no hops", record(v4, v4, Vec::new()), v4),
+        ("empty reply list", record(v4, v4, empty_replies), v4),
+        ("ipv6", record(v6, v6, hops.clone()), v6),
+        ("ipv4-mapped", record(mapped, mapped, hops), mapped),
+        ("mixed families", record(v6, v4, Vec::new()), mapped),
+    ];
+    for (name, tr, public_addr) in &cases {
+        assert_writes_as_serde(name, tr, *public_addr);
+    }
 }

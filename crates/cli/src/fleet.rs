@@ -14,14 +14,15 @@
 //! offline with `lastmile lint --fleet SPEC.json`.
 
 use crate::Flags;
-use lastmile_repro::atlas::json::to_atlas_json;
+use lastmile_repro::atlas::json::write_traceroute;
 use lastmile_repro::netsim::fleet::{
     build_fleet, select_probes, ClassMix, FleetLabel, FleetScenario, FleetSpec, SampleMode,
 };
 use lastmile_repro::netsim::{SimProbe, TracerouteEngine};
 use lastmile_repro::obs::trace;
 use lastmile_repro::prefix::Asn;
-use lastmile_repro::runner::run_tasks;
+use lastmile_repro::runner::{run_tasks, worker_count};
+use lastmile_repro::timebase::TimeRange;
 use std::collections::BTreeMap;
 use std::io::Write;
 
@@ -191,7 +192,7 @@ fn gen(flags: &Flags) -> Result<(), String> {
     let spec = load_spec(flags.required("spec")?)?;
     let out_dir = flags.required("out")?;
     let seed: u64 = flags.parsed("seed")?.unwrap_or(20200646);
-    let threads: usize = flags.parsed("threads")?.unwrap_or(1).max(1);
+    let threads = worker_count(flags.parsed("threads")?.unwrap_or(0));
     std::fs::create_dir_all(out_dir).map_err(|e| format!("create {out_dir}: {e}"))?;
 
     let span = trace::span("fleet_build");
@@ -256,10 +257,10 @@ fn gen(flags: &Flags) -> Result<(), String> {
     eprintln!("[out] {truth_path} ({} ASes)", scenario.truth.len());
     drop(span);
 
-    // Traceroutes, probe-major. Rendering parallelizes over probes in
-    // chunks of `--threads` (bounding how much rendered text is held at
-    // once), but the file is assembled strictly in probe order — thread
-    // count can never move a byte.
+    // Traceroutes, probe-major. Probes are simulated and rendered in
+    // parallel in chunks of `--threads` (bounding how much rendered text
+    // is held at once), but the file is assembled strictly in probe
+    // order — thread count can never move a byte.
     let span = trace::span("fleet_export_traceroutes");
     let trs_path = format!("{out_dir}/traceroutes.jsonl");
     let file = std::fs::File::create(&trs_path).map_err(|e| format!("create {trs_path}: {e}"))?;
@@ -268,15 +269,7 @@ fn gen(flags: &Flags) -> Result<(), String> {
     let mut count = 0usize;
     for chunk in probes.chunks(threads) {
         let rendered = run_tasks(threads, "fleet-render", chunk.len(), |i| {
-            let probe = chunk[i];
-            let mut buf = String::new();
-            let mut n = 0usize;
-            engine.for_each_traceroute(probe, &window, |tr| {
-                buf.push_str(&to_atlas_json(&tr, probe.meta.public_addr));
-                buf.push('\n');
-                n += 1;
-            });
-            (buf, n)
+            render_probe(&engine, chunk[i], &window)
         });
         for outcome in rendered {
             let (buf, n) = outcome.map_err(|e| format!("render traceroutes: {e}"))?;
@@ -290,6 +283,33 @@ fn gen(flags: &Flags) -> Result<(), String> {
     drop(span);
 
     Ok(())
+}
+
+/// One probe's traceroutes over `window` as JSON Lines, and how many.
+/// Simulating and rendering are separate `--trace` spans
+/// (`simulate_probe`, then `render_probe` with its `records` and
+/// `bytes`), so the trace shows where generation time goes.
+fn render_probe(
+    engine: &TracerouteEngine,
+    probe: &SimProbe,
+    window: &TimeRange,
+) -> (String, usize) {
+    let traceroutes = engine.probe_traceroutes(probe, window);
+    let span = trace::span_with("render_probe", |a| {
+        a.u64("probe", u64::from(probe.meta.id.0))
+            .u64("records", traceroutes.len() as u64);
+    });
+    let mut buf = String::new();
+    for tr in &traceroutes {
+        write_traceroute(tr, probe.meta.public_addr, &mut buf);
+        buf.push('\n');
+    }
+    if let Some(span) = span {
+        span.end_with(|a| {
+            a.u64("bytes", buf.len() as u64);
+        });
+    }
+    (buf, traceroutes.len())
 }
 
 /// The class name `classify` should print for ASes of a label.

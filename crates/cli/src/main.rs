@@ -107,7 +107,7 @@ fn usage() -> &'static str {
      lastmile hygiene  --traceroutes FILE [classify flags except --json] [--threshold MS]\n  \
      lastmile throughput --cdn FILE.tsv --bgp TABLE.csv [--bin-minutes 15] [--view broadband|mobile|v4|v6] [--csv OUT]\n  \
      lastmile simulate --scenario tokyo|fig1|anchor --out DIR [--seed N] [--days N]\n  \
-     lastmile fleet gen --spec SPEC.json --out DIR [--seed N] [--threads N] [--probes-per-as N [--sample-mode biased|uniform] [--sample-seed N]]\n  \
+     lastmile fleet gen --spec SPEC.json --out DIR [--seed N] [--threads N (default 0 = one per core)] [--probes-per-as N [--sample-mode biased|uniform] [--sample-seed N]]\n  \
      lastmile fleet score --truth DIR/truth.json --classified FILE.json [--min-recall F] [--max-peering-fp N] [--json]\n  \
      lastmile serve    --traceroutes FILE [classify flags] [--addr HOST:PORT] [--serve-workers N] [--serve-queue N] [--retry-after SECS] [--ready-file FILE]\n                       \
 [--serve-budget-heavy N (0 = workers)]\n                       \

@@ -4,7 +4,7 @@
 //! the paper's original pipeline) can be pointed at the simulated data.
 
 use crate::Flags;
-use lastmile_repro::atlas::json::to_atlas_json;
+use lastmile_repro::atlas::json::write_traceroute;
 use lastmile_repro::cdnlog::{CdnGeneratorConfig, CdnLogGenerator};
 use lastmile_repro::netsim::scenarios::{anchor, examples, tokyo};
 use lastmile_repro::netsim::{ServiceClass, TracerouteEngine, World};
@@ -60,27 +60,11 @@ pub fn run(flags: &Flags) -> Result<(), String> {
     eprintln!("[out] {table_path}");
     drop(span);
 
-    // Traceroutes, streamed to JSON Lines.
+    // Traceroutes as JSON Lines.
     let span = trace::span("export_traceroutes");
-    let trs_path = format!("{out_dir}/traceroutes.jsonl");
-    let file = std::fs::File::create(&trs_path).map_err(|e| format!("create {trs_path}: {e}"))?;
-    let mut w = std::io::BufWriter::new(file);
     let engine = TracerouteEngine::new(&world);
-    let mut count = 0usize;
-    for probe in world.probes() {
-        let mut failed = None;
-        engine.for_each_traceroute(probe, &window, |tr| {
-            let line = to_atlas_json(&tr, probe.meta.public_addr);
-            if let Err(e) = writeln!(w, "{line}") {
-                failed = Some(e);
-            }
-            count += 1;
-        });
-        if let Some(e) = failed {
-            return Err(format!("write {trs_path}: {e}"));
-        }
-    }
-    w.flush().map_err(|e| format!("flush {trs_path}: {e}"))?;
+    let trs_path = format!("{out_dir}/traceroutes.jsonl");
+    let count = export_traceroutes(&trs_path, &engine, &window, false)?;
     eprintln!("[out] {trs_path} ({count} traceroutes)");
     drop(span);
 
@@ -90,23 +74,7 @@ pub fn run(flags: &Flags) -> Result<(), String> {
     if world.ases().iter().any(|a| a.v6_prefix.is_some()) {
         let _span = trace::span("export_traceroutes_v6");
         let v6_path = format!("{out_dir}/traceroutes_v6.jsonl");
-        let file = std::fs::File::create(&v6_path).map_err(|e| format!("create {v6_path}: {e}"))?;
-        let mut w = std::io::BufWriter::new(file);
-        let mut v6_count = 0usize;
-        for probe in world.probes() {
-            let mut failed = None;
-            engine.for_each_traceroute_v6(probe, &window, |tr| {
-                let line = to_atlas_json(&tr, probe.meta.public_addr);
-                if let Err(e) = writeln!(w, "{line}") {
-                    failed = Some(e);
-                }
-                v6_count += 1;
-            });
-            if let Some(e) = failed {
-                return Err(format!("write {v6_path}: {e}"));
-            }
-        }
-        w.flush().map_err(|e| format!("flush {v6_path}: {e}"))?;
+        let v6_count = export_traceroutes(&v6_path, &engine, &window, true)?;
         eprintln!("[out] {v6_path} ({v6_count} traceroutes)");
     }
 
@@ -136,4 +104,75 @@ pub fn run(flags: &Flags) -> Result<(), String> {
         eprintln!("[out] {cdn_path} ({lines} records)");
     }
     Ok(())
+}
+
+/// Export every probe's traceroutes over `window` (the IPv6 built-ins
+/// when `v6`) to the file `path` as JSON Lines; how many.
+fn export_traceroutes(
+    path: &str,
+    engine: &TracerouteEngine,
+    window: &TimeRange,
+    v6: bool,
+) -> Result<usize, String> {
+    let file = std::fs::File::create(path).map_err(|e| format!("create {path}: {e}"))?;
+    write_traceroutes(std::io::BufWriter::new(file), engine, window, v6)
+        .map_err(|e| format!("write {path}: {e}"))
+}
+
+/// [`export_traceroutes`] into `w`, through one reused line buffer. The
+/// first write error ends the export and is the one returned.
+fn write_traceroutes(
+    mut w: impl Write,
+    engine: &TracerouteEngine,
+    window: &TimeRange,
+    v6: bool,
+) -> std::io::Result<usize> {
+    let mut line = String::new();
+    let mut count = 0usize;
+    for probe in engine.world().probes() {
+        let traceroutes = if v6 {
+            engine.probe_traceroutes_v6(probe, window)
+        } else {
+            engine.probe_traceroutes(probe, window)
+        };
+        for tr in &traceroutes {
+            line.clear();
+            write_traceroute(tr, probe.meta.public_addr, &mut line);
+            line.push('\n');
+            w.write_all(line.as_bytes())?;
+        }
+        count += traceroutes.len();
+    }
+    w.flush()?;
+    Ok(count)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A sink whose every write fails, with the failure's number.
+    struct Failing(u32);
+
+    impl Write for Failing {
+        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+            self.0 += 1;
+            Err(std::io::Error::other(format!("failure {}", self.0)))
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn the_first_write_error_ends_the_export() {
+        let world = anchor::anchor_world(1);
+        let engine = TracerouteEngine::new(&world);
+        let start = MeasurementPeriod::september_2019().start();
+        let window = TimeRange::new(start, start + 86_400);
+        let mut sink = Failing(0);
+        let err = write_traceroutes(&mut sink, &engine, &window, false).unwrap_err();
+        assert_eq!(err.to_string(), "failure 1");
+        assert_eq!(sink.0, 1, "the export wrote on after its first failure");
+    }
 }

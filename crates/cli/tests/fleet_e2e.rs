@@ -1,5 +1,6 @@
 //! End-to-end tests of the `lastmile fleet` subcommand: spec linting,
-//! byte-exact determinism of generated corpora, snapshot priming for
+//! byte-exact determinism of generated corpora (and golden digests of
+//! `fleet gen` and `simulate` output), snapshot priming for
 //! zero-re-ingest warm classification, and the truth-joined scorer with
 //! its CI gates.
 
@@ -112,6 +113,81 @@ fn fleet_corpus_is_byte_identical_across_threads_and_runs() {
     let a = std::fs::read(dir.join("a/traceroutes.jsonl")).unwrap();
     let d = std::fs::read(other.join("traceroutes.jsonl")).unwrap();
     assert!(a != d, "different seeds must move the corpus");
+}
+
+/// FNV-1a (64-bit) of a file's bytes: a dependency-free content digest.
+fn fnv1a(path: &Path) -> u64 {
+    std::fs::read(path)
+        .unwrap()
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
+/// Generated records are pinned byte for byte across builds, not only
+/// across runs of one binary: a digest that moves means `fleet gen` or
+/// `simulate` now writes different bytes. Change a pinned value only
+/// with an intended change of the output.
+#[test]
+fn generated_corpora_match_their_golden_digests() {
+    let dir = scratch("golden");
+    let spec = write_spec(&dir);
+    let (fleet, anchor, tokyo) = (dir.join("fleet"), dir.join("anchor"), dir.join("tokyo"));
+    let runs: [&[&str]; 3] = [
+        &[
+            "fleet",
+            "gen",
+            "--spec",
+            spec.to_str().unwrap(),
+            "--out",
+            fleet.to_str().unwrap(),
+            "--seed",
+            "11",
+            "--threads",
+            "2",
+        ],
+        &[
+            "simulate",
+            "--scenario",
+            "anchor",
+            "--out",
+            anchor.to_str().unwrap(),
+            "--days",
+            "2",
+        ],
+        &[
+            "simulate",
+            "--scenario",
+            "tokyo",
+            "--out",
+            tokyo.to_str().unwrap(),
+            "--days",
+            "1",
+        ],
+    ];
+    for args in runs {
+        let (_, err, ok) = run(args);
+        assert!(ok, "{args:?} failed: {err}");
+    }
+    let pinned = [
+        (fleet.join("traceroutes.jsonl"), 0x2f26_2ab8_8307_9510),
+        (anchor.join("traceroutes.jsonl"), 0x6032_8eb7_4ce0_e2f1),
+        (tokyo.join("traceroutes_v6.jsonl"), 0xf854_1efb_b8e0_03e3),
+    ];
+    let moved: Vec<String> = pinned
+        .iter()
+        .filter_map(|(path, want)| {
+            let got = fnv1a(path);
+            (got != *want).then(|| format!("{}: {got:#018x}, pinned {want:#018x}", path.display()))
+        })
+        .collect();
+    assert!(
+        moved.is_empty(),
+        "generated bytes moved:\n{}",
+        moved.join("\n")
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

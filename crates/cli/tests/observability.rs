@@ -4,7 +4,9 @@
 //! JSON, balanced begin/end per thread, one span per pipeline stage and
 //! per population), the stats JSON matches its golden key set, the CSV
 //! mirrors the population table — and that classification stdout stays
-//! byte-identical across ingest thread counts with tracing on.
+//! byte-identical across ingest thread counts with tracing on. `fleet
+//! gen --trace` is checked to book simulating and rendering each probe
+//! to separate spans.
 //!
 //! `scripts/check.sh` runs this test as its observability smoke step, so
 //! the artefact validation needs no external tools (no jq).
@@ -230,6 +232,113 @@ fn trace_stats_and_csv_artifacts() {
         assert!(ok, "classify {extra:?} failed: {err}");
         assert_eq!(stdout, stdout_base, "output diverges under {extra:?}");
     }
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// One closed span of a Chrome trace.
+struct Span {
+    name: String,
+    /// The span open around it on its thread, if any.
+    parent: Option<String>,
+    begin_args: serde_json::Value,
+    end_args: serde_json::Value,
+}
+
+/// Every span of a Chrome trace, checking begin/end balance per thread.
+fn closed_spans(trace: &serde_json::Value) -> Vec<Span> {
+    let mut open: BTreeMap<u64, Vec<(String, serde_json::Value)>> = BTreeMap::new();
+    let mut spans = Vec::new();
+    for ev in trace["traceEvents"].as_array().expect("traceEvents array") {
+        let tid = ev["tid"].as_u64().unwrap_or(0);
+        match ev["ph"].as_str().expect("event ph") {
+            "B" => open.entry(tid).or_default().push((
+                ev["name"].as_str().expect("B name").to_string(),
+                ev["args"].clone(),
+            )),
+            "E" => {
+                let stack = open.entry(tid).or_default();
+                let (name, begin_args) = stack.pop().expect("E without B");
+                assert_eq!(ev["name"].as_str(), Some(name.as_str()), "E closes {name}");
+                spans.push(Span {
+                    name,
+                    parent: stack.last().map(|(n, _)| n.clone()),
+                    begin_args,
+                    end_args: ev["args"].clone(),
+                });
+            }
+            _ => {}
+        }
+    }
+    for (tid, stack) in &open {
+        assert!(stack.is_empty(), "thread {tid} has unclosed spans");
+    }
+    spans
+}
+
+#[test]
+fn fleet_gen_trace_separates_simulation_from_rendering() {
+    let dir = std::env::temp_dir().join(format!("lastmile-obs-fleet-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let spec = dir.join("spec.json");
+    std::fs::write(
+        &spec,
+        r#"{"name": "obs", "days": 5, "classes": {"severe": 1, "clean": 1},
+            "probes_per_as": {"min": 3, "max": 3}}"#,
+    )
+    .unwrap();
+    let out = dir.join("fleet");
+    let trace_path = dir.join("trace.json");
+    let (_, err, ok) = run(&[
+        "fleet",
+        "gen",
+        "--spec",
+        spec.to_str().unwrap(),
+        "--out",
+        out.to_str().unwrap(),
+        "--threads",
+        "2",
+        "--trace",
+        trace_path.to_str().unwrap(),
+    ]);
+    assert!(ok, "fleet gen failed: {err}");
+    let trace: serde_json::Value =
+        serde_json::from_str(&std::fs::read_to_string(&trace_path).unwrap())
+            .expect("trace file is valid JSON");
+    let spans = closed_spans(&trace);
+    let probes = |name: &str| -> BTreeSet<u64> {
+        spans
+            .iter()
+            .filter(|s| s.name == name)
+            .map(|s| s.begin_args["probe"].as_u64().expect("probe arg"))
+            .collect()
+    };
+    // Every emitted probe is simulated, then rendered, in sibling spans:
+    // rendering time is never booked as simulation.
+    let simulated = probes("simulate_probe");
+    assert_eq!(simulated.len(), 6, "{simulated:?}");
+    assert_eq!(probes("render_probe"), simulated);
+    for s in spans.iter().filter(|s| s.name.ends_with("_probe")) {
+        assert!(
+            !matches!(s.parent.as_deref(), Some("simulate_probe" | "render_probe")),
+            "{} nested in {:?}",
+            s.name,
+            s.parent
+        );
+    }
+    // The render spans account for every record and byte written.
+    let sum = |key: &str, args: fn(&Span) -> &serde_json::Value| -> u64 {
+        spans
+            .iter()
+            .filter(|s| s.name == "render_probe")
+            .map(|s| args(s)[key].as_u64().expect("render_probe arg"))
+            .sum()
+    };
+    let corpus = std::fs::read(out.join("traceroutes.jsonl")).unwrap();
+    let lines = corpus.iter().filter(|&&b| b == b'\n').count() as u64;
+    assert!(lines > 0);
+    assert_eq!(sum("records", |s| &s.begin_args), lines);
+    assert_eq!(sum("bytes", |s| &s.end_args), corpus.len() as u64);
 
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -522,6 +522,18 @@ pub struct SpanGuard<'t> {
     name: &'static str,
 }
 
+impl SpanGuard<'_> {
+    /// Close the span now, with arguments on its end event: for values
+    /// known only once the work is done. Trace viewers merge them with
+    /// the begin event's arguments.
+    pub fn end_with(self, build: impl FnOnce(&mut ArgSet)) {
+        let mut args = ArgSet::default();
+        build(&mut args);
+        self.tracer.push(EventKind::End, self.name, args.0);
+        std::mem::forget(self);
+    }
+}
+
 impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
         self.tracer.push(EventKind::End, self.name, Vec::new());
@@ -651,6 +663,24 @@ mod tests {
             .filter(|e| e["name"] == "thread_name")
             .collect();
         assert_eq!(names.len(), 2);
+    }
+
+    #[test]
+    fn end_with_closes_once_with_end_args() {
+        let tracer = Tracer::new();
+        let span = tracer.span_with("render", |a| {
+            a.u64("records", 3);
+        });
+        span.end_with(|a| {
+            a.u64("bytes", 42);
+        });
+        let events = parse_events(&drain_to_string(&tracer));
+        let render: Vec<_> = events.iter().filter(|e| e["name"] == "render").collect();
+        assert_eq!(render.len(), 2, "{render:?}");
+        assert_eq!(render[0]["ph"], "B");
+        assert_eq!(render[0]["args"]["records"], 3);
+        assert_eq!(render[1]["ph"], "E");
+        assert_eq!(render[1]["args"]["bytes"], 42);
     }
 
     #[test]

@@ -283,6 +283,15 @@ pub fn run_survey(
     report
 }
 
+/// The workers a `--threads`-style count asks for: itself, or for `0`
+/// one per available core (4 when that is unknown).
+pub fn worker_count(threads: usize) -> usize {
+    match threads {
+        0 => std::thread::available_parallelism().map_or(4, |n| n.get()),
+        n => n,
+    }
+}
+
 /// The workspace's one parallel executor: run `tasks` indexed tasks on
 /// `threads` scoped workers (`0` = one per available core, never more
 /// workers than tasks) named `{name}-{i}`.
@@ -298,11 +307,7 @@ pub fn run_tasks<T: Send>(
     tasks: usize,
     task: impl Fn(usize) -> T + Sync,
 ) -> Vec<Result<T, String>> {
-    let threads = match threads {
-        0 => std::thread::available_parallelism().map_or(4, |n| n.get()),
-        n => n,
-    }
-    .min(tasks);
+    let threads = worker_count(threads).min(tasks);
     let cursor = AtomicUsize::new(0);
     let mut results: Vec<Option<Result<T, String>>> = (0..tasks).map(|_| None).collect();
     std::thread::scope(|scope| {
