@@ -16,6 +16,9 @@
 //! the record bytes builds the model directly, and serde through
 //! [`AtlasTraceroute`] stays the reference. It decides every record the
 //! pass declines, so models and error texts are serde's either way.
+//! [`decode_last_mile`] reads only a record's [`LastMile`] row, the two
+//! hops the analysis uses, by the same rule: what its pass declines
+//! takes the projection of serde's model, and serde's error.
 //!
 //! Records are written with [`write_traceroute`]: one pass from the
 //! model straight into the caller's buffer. Serde through
@@ -23,7 +26,7 @@
 //! test oracle the written bytes must equal.
 
 use crate::probe::ProbeId;
-use crate::traceroute::{Hop, Reply, TracerouteResult};
+use crate::traceroute::{Hop, LastMile, Reply, TracerouteResult};
 use lastmile_timebase::UnixTime;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -258,6 +261,41 @@ pub fn decode_traceroute_tallied(
 /// tests that the pass covers the canonical record shape.
 pub fn decode_fast(bytes: &[u8]) -> Option<TracerouteResult> {
     fast::decode(bytes)
+}
+
+/// Decode one framed Atlas traceroute to its [`LastMile`] row: exactly
+/// `decode_traceroute(bytes).map(|t| LastMile::of(&t))`, without
+/// building the model.
+///
+/// One borrowed pass accepts exactly the records the full fast pass
+/// accepts, with the same checks, but builds no hop: it parses reply
+/// addresses only up to the first public hop and RTTs only of the two
+/// hops it keeps (see the `fast` module). The records it declines go to
+/// [`decode_with_serde`], and the row is the projection of serde's
+/// model, so error kinds and details are serde's too.
+pub fn decode_last_mile(bytes: &[u8]) -> Result<LastMile, DecodeError> {
+    decode_last_mile_tallied(bytes, &mut 0)
+}
+
+/// [`decode_last_mile`], adding one to `fallbacks` for each record its
+/// pass declined and serde decided.
+pub fn decode_last_mile_tallied(
+    bytes: &[u8],
+    fallbacks: &mut u64,
+) -> Result<LastMile, DecodeError> {
+    match fast::decode_last_mile(bytes) {
+        Some(row) => Ok(row),
+        None => {
+            *fallbacks += 1;
+            decode_with_serde(bytes).map(|tr| LastMile::of(&tr))
+        }
+    }
+}
+
+/// The last-mile pass alone: `Some` exactly when it accepts the record.
+/// For tests that it accepts what the full fast pass accepts.
+pub fn decode_last_mile_fast(bytes: &[u8]) -> Option<LastMile> {
+    fast::decode_last_mile(bytes)
 }
 
 /// The reference decoder: UTF-8 check, `serde_json` into

@@ -17,13 +17,15 @@
 //!
 //! * [`probe`] — probe identity: hardware version (v1/v2/v3), anchor flag,
 //!   AS and country, public address, geographic tag.
-//! * [`traceroute`] — measurement results: hops, replies, timeouts.
+//! * [`traceroute`] — measurement results: hops, replies, timeouts, and
+//!   the last-mile row ([`LastMile`]) the analysis reads from each.
 //! * [`measurement`] — the built-in measurement catalogue and its
 //!   deterministic schedule (which traceroutes exist in a time range).
 //! * [`json`] — the Atlas API JSON format (`prb_id`, `msm_id`, `result`
 //!   arrays with `from`/`rtt` or `x: "*"` entries), round-trippable;
-//!   records decode in one borrowed pass and are written in one direct
-//!   pass, with serde as the reference both ways.
+//!   records decode in one borrowed pass (to the full model, or only to
+//!   their [`LastMile`] row) and are written in one direct pass, with
+//!   serde as the reference both ways.
 //! * [`framing`] — incremental splitting of JSON Lines / JSON array
 //!   inputs into record-aligned document frames, for streaming ingest.
 //!
@@ -50,4 +52,4 @@ pub mod traceroute;
 
 pub use measurement::{BuiltinCatalogue, MeasurementId, ScheduledRun, TargetKind};
 pub use probe::{Probe, ProbeId, ProbeVersion};
-pub use traceroute::{Hop, Reply, TracerouteResult};
+pub use traceroute::{Hop, LastMile, Reply, TracerouteResult};

@@ -4,8 +4,9 @@
 //! packets, each answered by a reply carrying a source address and an RTT,
 //! or lost (`*`). The paper's last-mile estimator (in `lastmile-core`)
 //! needs the *last private* and *first public* hops with their reply RTTs;
-//! this module provides the result model and those hop-classification
-//! accessors.
+//! this module provides the result model, those hop-classification
+//! accessors, and [`LastMile`], the projection of a result onto exactly
+//! those two hops.
 
 use crate::probe::ProbeId;
 use lastmile_prefix::special;
@@ -130,6 +131,59 @@ impl TracerouteResult {
     /// responding private hop and a following public hop exist.
     pub fn has_last_mile_span(&self) -> bool {
         self.last_private_hop().is_some() && self.first_public_hop().is_some()
+    }
+}
+
+/// The part of one traceroute the last-mile estimator reads (§2.1):
+/// the RTTs of the last private hop and of the first public hop, and
+/// the first public hop's address (the ISP edge that BGP attribution
+/// routes on).
+///
+/// [`LastMile::of`] projects a decoded [`TracerouteResult`];
+/// [`crate::json::decode_last_mile`] reads the same row straight from
+/// the wire bytes.
+#[derive(Clone, Debug, PartialEq)]
+pub struct LastMile {
+    /// The probe that ran the measurement.
+    pub probe: ProbeId,
+    /// Measurement start time.
+    pub timestamp: UnixTime,
+    /// The first public hop's address, if any hop is public.
+    pub edge: Option<IpAddr>,
+    /// The last private hop's RTTs, then the first public hop's, each in
+    /// reply order. Empty unless the traceroute has both hops.
+    pub rtts: Vec<f64>,
+    /// How many of `rtts` are the private hop's.
+    pub private: usize,
+}
+
+impl LastMile {
+    /// The projection of a decoded traceroute.
+    pub fn of(tr: &TracerouteResult) -> LastMile {
+        let mut rtts = Vec::new();
+        let mut private = 0;
+        if let (Some(near), Some(far)) = (tr.last_private_hop(), tr.first_public_hop()) {
+            rtts.extend(near.rtts());
+            private = rtts.len();
+            rtts.extend(far.rtts());
+        }
+        LastMile {
+            probe: tr.probe,
+            timestamp: tr.timestamp,
+            edge: tr.edge_address(),
+            rtts,
+            private,
+        }
+    }
+
+    /// The last private hop's RTTs.
+    pub fn private_rtts(&self) -> &[f64] {
+        &self.rtts[..self.private]
+    }
+
+    /// The first public hop's RTTs.
+    pub fn public_rtts(&self) -> &[f64] {
+        &self.rtts[self.private..]
     }
 }
 
@@ -262,6 +316,28 @@ mod tests {
         let dead = hop(2, None, &[]);
         assert!(!dead.responded());
         assert!(!dead.is_private() && !dead.is_public());
+    }
+
+    #[test]
+    fn last_mile_keeps_the_two_hops_around_the_edge() {
+        let t = tr(vec![
+            hop(1, Some("192.168.1.1"), &[0.5, 0.6]),
+            hop(2, Some("100.64.0.1"), &[2.0, 2.5, 2.25]),
+            hop(3, None, &[]),
+            hop(4, Some("20.0.0.1"), &[6.0]),
+            hop(5, Some("10.255.0.1"), &[9.0]),
+        ]);
+        let row = LastMile::of(&t);
+        assert_eq!(row.edge, Some(ip("20.0.0.1")));
+        assert_eq!(row.private_rtts(), &[2.0, 2.5, 2.25]);
+        assert_eq!(row.public_rtts(), &[6.0]);
+        // Without a private hop before the edge the row keeps no RTTs,
+        // but still names the edge.
+        let anchor = LastMile::of(&tr(vec![hop(1, Some("20.0.0.1"), &[0.3])]));
+        assert_eq!(anchor.edge, Some(ip("20.0.0.1")));
+        assert!(anchor.rtts.is_empty() && anchor.private == 0);
+        let private_only = LastMile::of(&tr(vec![hop(1, Some("192.168.1.1"), &[0.5])]));
+        assert_eq!((private_only.edge, private_only.rtts.len()), (None, 0));
     }
 
     #[test]

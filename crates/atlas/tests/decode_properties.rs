@@ -7,15 +7,20 @@
 //! canonical written record, so the decoder never silently runs at
 //! serde's speed.
 //!
+//! The last-mile decoder is held to the same oracle through the model:
+//! `decode_last_mile(b)` must equal `decode_traceroute(b)` projected
+//! with `LastMile::of`, row or error, and its pass must accept exactly
+//! the records the full fast pass accepts.
+//!
 //! Each case draws one `u64` seed and generates everything from it; a
 //! failure prints that seed and the input (the vendored proptest does
 //! not shrink).
 
 use lastmile_atlas::json::{
-    decode_fast, decode_traceroute, decode_with_serde, to_atlas_json, write_traceroute,
-    AtlasTraceroute,
+    decode_fast, decode_last_mile, decode_last_mile_fast, decode_traceroute, decode_with_serde,
+    to_atlas_json, write_traceroute, AtlasTraceroute,
 };
-use lastmile_atlas::{Hop, ProbeId, Reply, TracerouteResult};
+use lastmile_atlas::{Hop, LastMile, ProbeId, Reply, TracerouteResult};
 use lastmile_timebase::UnixTime;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -55,8 +60,22 @@ fn pick<'a, T>(rng: &mut SmallRng, items: &'a [T]) -> &'a T {
     &items[rng.gen_range(0..items.len())]
 }
 
+/// Addresses a home path shows before the ISP edge: private, CGN,
+/// link-local and unique-local ones.
+const PRIVATE: &[&str] = &[
+    "192.168.1.1",
+    "10.0.0.1",
+    "172.16.5.4",
+    "100.64.0.1",
+    "169.254.1.1",
+    "fd00::1",
+    "fe80::1",
+];
+
 fn ip(rng: &mut SmallRng) -> IpAddr {
-    if rng.gen_bool(0.8) {
+    if rng.gen_bool(0.3) {
+        pick(rng, PRIVATE).parse().unwrap()
+    } else if rng.gen_bool(0.8) {
         IpAddr::from(rng.gen::<u32>().to_be_bytes())
     } else {
         let mut octets = [0u8; 16];
@@ -401,8 +420,49 @@ fn damaged(seed: u64) -> Vec<u8> {
     bytes
 }
 
+/// The last-mile property: the row decoder answers exactly as the
+/// model decoder projected with `LastMile::of` (compared through
+/// `Debug`, so `-0.0` and `0.0` differ), and its pass accepts exactly
+/// the records the full fast pass accepts.
+fn assert_projects_the_model(case: &str, bytes: &[u8]) {
+    let got = decode_last_mile(bytes);
+    let want = decode_traceroute(bytes).map(|t| LastMile::of(&t));
+    assert_eq!(
+        format!("{got:?}"),
+        format!("{want:?}"),
+        "{case}: last-mile decoder and projected model disagree on {:?}",
+        String::from_utf8_lossy(bytes)
+    );
+    assert_eq!(
+        decode_last_mile_fast(bytes).is_some(),
+        decode_fast(bytes).is_some(),
+        "{case}: the two fast passes accept different records: {:?}",
+        String::from_utf8_lossy(bytes)
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    #[test]
+    fn canonical_records_project_as_the_model(seed in any::<u64>()) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let (tr, json) = canonical(&mut rng);
+        let case = format!("seed {seed:#x}");
+        assert_projects_the_model(&case, json.as_bytes());
+        let row = decode_last_mile_fast(json.as_bytes());
+        prop_assert_eq!(row, Some(LastMile::of(&tr)), "{}", case);
+    }
+
+    #[test]
+    fn varied_records_project_as_the_model(seed in any::<u64>()) {
+        assert_projects_the_model(&format!("seed {seed:#x}"), &varied(seed));
+    }
+
+    #[test]
+    fn damaged_records_project_as_the_model(seed in any::<u64>()) {
+        assert_projects_the_model(&format!("seed {seed:#x}"), &damaged(seed));
+    }
 
     #[test]
     fn fast_pass_accepts_every_canonical_record(seed in any::<u64>()) {
@@ -465,6 +525,181 @@ fn generators_reach_every_outcome() {
             "{name}: {seen:?} below {min:?}"
         );
     }
+    // The canonical generator must reach every row shape the projection
+    // distinguishes: no edge, an edge without a private hop before it,
+    // and both hops (rows with RTTs).
+    let mut shapes = [0u32; 3];
+    for seed in 0..1000 {
+        let (tr, _) = canonical(&mut SmallRng::seed_from_u64(seed));
+        let row = LastMile::of(&tr);
+        shapes[match (row.edge, row.rtts.is_empty()) {
+            (None, _) => 0,
+            (Some(_), true) => 1,
+            (Some(_), false) => 2,
+        }] += 1;
+    }
+    eprintln!("canonical rows: [no edge, edge only, both hops] = {shapes:?}");
+    assert!(shapes.iter().all(|&n| n >= 100), "{shapes:?}");
+}
+
+/// A record around `hops`, the text of its `result` array.
+fn with_hops(hops: &str) -> String {
+    format!(
+        r#"{{"fw":1,"af":4,"dst_addr":"1.2.3.4","src_addr":"10.0.0.1","from":"1.2.3.5","msm_id":5,"prb_id":6,"timestamp":7,"proto":"ICMP","type":"traceroute","result":[{hops}]}}"#
+    )
+}
+
+/// A hop of `n` replies from `from`, each with RTT token `rtt`.
+fn hop_json(hop: u8, from: &str, rtts: &[&str]) -> String {
+    let replies: Vec<String> = rtts
+        .iter()
+        .map(|rtt| format!(r#"{{"from":"{from}","rtt":{rtt},"size":28,"ttl":64}}"#))
+        .collect();
+    format!(r#"{{"hop":{hop},"result":[{}]}}"#, replies.join(","))
+}
+
+#[test]
+fn last_mile_edge_cases_project_as_the_model() {
+    let private = |rtts: &[&str]| hop_json(1, "192.168.1.1", rtts);
+    let public = |rtts: &[&str]| hop_json(2, "20.0.0.1", rtts);
+    let later = |rtts: &[&str]| hop_json(3, "20.0.1.1", rtts);
+    let many: Vec<&str> = (0..300).map(|i| ["1.5", "2", "0.25"][i % 3]).collect();
+    let mut cases: Vec<(String, String)> = vec![
+        (
+            "300 private replies".into(),
+            with_hops(&format!("{},{}", private(&many), public(&["9.5", "9"]))),
+        ),
+        (
+            "300 public replies".into(),
+            with_hops(&format!("{},{}", private(&["1"]), public(&many))),
+        ),
+        (
+            "duplicate rtt".into(),
+            with_hops(&format!(
+                r#"{},{{"hop":2,"result":[{{"from":"20.0.0.1","rtt":5,"rtt":6}}]}}"#,
+                private(&["1"])
+            )),
+        ),
+        (
+            "no private hop".into(),
+            with_hops(&format!("{},{}", public(&["1", "2"]), later(&["3"]))),
+        ),
+        (
+            "private hops only".into(),
+            with_hops(&format!(
+                "{},{}",
+                private(&["1"]),
+                hop_json(2, "10.1.1.1", &["2"])
+            )),
+        ),
+        ("no public hop: no hops".into(), with_hops("")),
+        (
+            "no public hop: timeouts".into(),
+            with_hops(&format!(
+                r#"{},{{"hop":2,"result":[{{"x":"*"}},{{"x":"*"}}]}}"#,
+                private(&["1"])
+            )),
+        ),
+    ];
+    // RTT spellings the plain form excludes, in each kept hop and past
+    // the edge, where they are parsed only to be checked.
+    for rtt in ["1e400", "-0", "2.", "3E1", "-0.0", "1e", "-", "007"] {
+        for (at, hops) in [
+            (
+                "private",
+                format!("{},{}", private(&[rtt, "1"]), public(&["5"])),
+            ),
+            (
+                "public",
+                format!("{},{}", private(&["1"]), public(&["5", rtt])),
+            ),
+            (
+                "past the edge",
+                format!("{},{},{}", private(&["1"]), public(&["5"]), later(&[rtt])),
+            ),
+        ] {
+            cases.push((format!("rtt {rtt} in the {at} hop"), with_hops(&hops)));
+        }
+    }
+    // An unparsable and an escaped `from`, before and after the edge: the
+    // first makes a timeout wherever it is, the second makes the fast
+    // passes decline.
+    for from in ["bogus", r"20.0.0.\u0031", "192.168.1.1 "] {
+        let odd = |hop: u8| hop_json(hop, from, &["4"]);
+        for (at, hops) in [
+            (
+                "before the edge",
+                format!("{},{},{}", private(&["1"]), odd(2), public(&["5"])),
+            ),
+            ("at the edge", format!("{},{}", private(&["1"]), odd(2))),
+            (
+                "past the edge",
+                format!("{},{},{}", private(&["1"]), public(&["5"]), odd(3)),
+            ),
+        ] {
+            cases.push((format!("from {from:?} {at}"), with_hops(&hops)));
+        }
+    }
+    for (case, json) in &cases {
+        assert_projects_the_model(case, json.as_bytes());
+    }
+    let row = |name: &str| {
+        let (_, json) = cases.iter().find(|(case, _)| case == name).expect(name);
+        decode_last_mile(json.as_bytes()).expect(name)
+    };
+    // Counts past 255 are kept whole.
+    let many_private = row("300 private replies");
+    assert_eq!((many_private.private, many_private.rtts.len()), (300, 302));
+    assert_eq!(row("300 public replies").public_rtts().len(), 300);
+    // `-0` in a kept hop is +0.0, as serde reads an integer token; `1e400`
+    // is infinite, as serde's `f64` parse reads it.
+    assert_eq!(
+        row("rtt -0 in the public hop").public_rtts()[1].to_bits(),
+        0
+    );
+    assert_eq!(
+        row("rtt 1e400 in the private hop").private_rtts()[0],
+        f64::INFINITY
+    );
+    // An escaped edge address is the edge all the same.
+    assert_eq!(
+        row(r#"from "20.0.0.\\u0031" at the edge"#).edge,
+        Some("20.0.0.1".parse().unwrap())
+    );
+}
+
+/// A hand-written fixture in the public RIPE Atlas traceroute result
+/// format (<https://atlas.ripe.net/docs/apis/result-format/>): reply keys
+/// in Atlas order (`from, ttl, size, rtt`), `lts`, `endtime` and
+/// `paris_id`, `err`, `late`, `dup` and `icmpext` members, 3-decimal
+/// RTTs, and IPv4 and IPv6 paths with and without a last-mile span.
+const ATLAS_FIXTURE: &str = include_str!("fixtures/atlas_result_format.jsonl");
+
+#[test]
+fn atlas_format_fixture_decodes_the_same_through_both_passes() {
+    let mut declined = [0usize; 2];
+    let mut spans = 0;
+    for (i, line) in ATLAS_FIXTURE.lines().enumerate() {
+        let case = format!("fixture line {}", i + 1);
+        let model = decode_traceroute(line.as_bytes()).expect(&case);
+        let row = decode_last_mile(line.as_bytes()).expect(&case);
+        assert_eq!(row, LastMile::of(&model), "{case}");
+        assert_projects_the_model(&case, line.as_bytes());
+        declined[0] += usize::from(decode_fast(line.as_bytes()).is_none());
+        declined[1] += usize::from(decode_last_mile_fast(line.as_bytes()).is_none());
+        spans += usize::from(!row.rtts.is_empty());
+    }
+    eprintln!("fixture records declined: [full pass, last-mile pass] = {declined:?}");
+    // Unknown members are skipped, never declined: both passes take
+    // every record themselves.
+    assert_eq!(declined, [0, 0]);
+    assert_eq!(spans, 3, "three records have a private hop before the edge");
+    // The first record's rows, by hand: the CGN hop (one timeout) is the
+    // last private hop, and the edge's three 3-decimal RTTs follow.
+    let row = decode_last_mile(ATLAS_FIXTURE.lines().next().unwrap().as_bytes()).unwrap();
+    assert_eq!(row.edge, Some("81.2.69.142".parse().unwrap()));
+    assert_eq!(row.rtts, vec![7.118, 6.904, 9.872, 10.013, 9.551]);
+    assert_eq!(row.private, 2);
 }
 
 #[test]

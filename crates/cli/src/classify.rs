@@ -10,22 +10,68 @@ use crate::input::{
 use crate::progress::Heartbeat;
 use crate::stats::{emit_stats, wants_stats};
 use crate::Flags;
-use lastmile_repro::atlas::ProbeId;
+use lastmile_repro::atlas::{LastMile, ProbeId};
 use lastmile_repro::core::pipeline::{
     AsPipeline, PipelineConfig, PopulationAnalysis, PrebuiltSeries,
 };
-use lastmile_repro::ingest::ingest_file;
+use lastmile_repro::ingest::fold_file;
 use lastmile_repro::obs::{trace, LiveProgress, RunMetrics, StageTimer};
 use lastmile_repro::prefix::Asn;
 use lastmile_repro::runner::{record_population_metrics, store_traffic_since};
 use lastmile_repro::store::{CacheMode, Lookup, StoreKey};
 use lastmile_repro::timebase::UnixTime;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// One [`PopulationAnalysis`] per ASN, in ASN order.
 pub type Analyses = Vec<(Asn, PopulationAnalysis)>;
+
+/// What one ingest worker folds the corpus rows it decoded into; the
+/// workers' folds merge into one after the read.
+#[derive(Default)]
+struct Fold {
+    /// Earliest and latest timestamps of every decoded row.
+    data_span: Option<(UnixTime, UnixTime)>,
+    /// Per-AS pipelines fed the routed rows (except served probes').
+    pipelines: BTreeMap<Asn, AsPipeline>,
+    /// Every routed probe, when a cache is engaged.
+    routed: BTreeMap<ProbeId, Sight>,
+}
+
+/// A routed probe, as one worker saw it.
+struct Sight {
+    /// The one ASN all its routed rows went to; `None` once they split.
+    asn: Option<Asn>,
+    /// Whether the cache serves it (decided once, for every worker).
+    served: bool,
+}
+
+impl Fold {
+    /// Take over `other`'s rows, counts and sightings.
+    fn merge(&mut self, other: Fold) {
+        if let Some((lo, hi)) = other.data_span {
+            self.data_span = Some(
+                self.data_span
+                    .map_or((lo, hi), |(a, b)| (a.min(lo), b.max(hi))),
+            );
+        }
+        for (asn, pipeline) in other.pipelines {
+            match self.pipelines.entry(asn) {
+                Entry::Occupied(mut e) => e.get_mut().merge(pipeline),
+                Entry::Vacant(e) => drop(e.insert(pipeline)),
+            }
+        }
+        for (probe, sight) in other.routed {
+            match self.routed.entry(probe) {
+                Entry::Occupied(mut e) if e.get().asn != sight.asn => e.get_mut().asn = None,
+                Entry::Occupied(_) => {}
+                Entry::Vacant(e) => drop(e.insert(sight)),
+            }
+        }
+    }
+}
 
 /// The one start-up analysis of `classify`, `hygiene` and `serve`:
 /// stream the corpus `paths` once (in order, as if concatenated),
@@ -129,17 +175,6 @@ pub fn analyze_corpus(
         cfg.min_probes_per_bin = min_probes.min(cfg.min_probes_per_bin);
     }
 
-    // Under per-traceroute attribution with the cache engaged, each
-    // probe's edge ASN. A probe whose routed traceroutes disagree
-    // (`None`) must never be inserted into the cache: its traceroutes
-    // split across AS pipelines, and each pipeline's partial series under
-    // one store key would poison the snapshot. Serving needs no such
-    // check: a hit under the snapshot's source fingerprint (which mixes
-    // in the table) was inserted from this same corpus, where the probe
-    // was single-ASN, and live passes invalidate every probe with new
-    // records before they read.
-    let mut bgp_probe_asn: Option<BTreeMap<ProbeId, Option<Asn>>> =
-        (probes.is_none() && bgp.is_some() && cache.is_some()).then(BTreeMap::new);
     let counters_before = cache.map(|c| c.store.counters());
     // Retaining built series costs memory; only pay when write-back can
     // accept them (rw mode, a window known before the read).
@@ -151,68 +186,78 @@ pub fn analyze_corpus(
         p
     };
 
-    // One read: track the data span and route into per-AS pipelines.
-    // Probe metadata wins; otherwise the BGP table maps the first public
-    // hop (the paper's ISP edge) to its origin ASN; otherwise everything
-    // is one population (ASN 0). Pipelines drop what the flag bounds
-    // exclude as they stream; a bound left to the data span excludes
-    // nothing, so it is closed after the read. With a cache, a probe is
-    // looked up on its first routed traceroute
-    // (`Some` = served). A served probe's series was built over this window:
-    // its traceroutes are skipped and the prebuilt series is fed to its
-    // population after the stream. Only a window known before the read
-    // can be served.
-    let mut data_span: Option<(UnixTime, UnixTime)> = None;
-    let mut pipelines: BTreeMap<Asn, AsPipeline> = BTreeMap::new();
-    let mut looked_up: BTreeMap<ProbeId, Option<(Asn, PrebuiltSeries)>> = BTreeMap::new();
+    // One read. Each ingest worker decodes records to their last-mile
+    // rows and folds them into its own [`Fold`]: the data span, and
+    // per-AS pipelines the row is routed into. Probe metadata wins;
+    // otherwise the BGP table maps the first public hop (the paper's ISP
+    // edge) to its origin ASN; otherwise everything is one population
+    // (ASN 0). Pipelines drop what the flag bounds exclude as they
+    // stream; a bound left to the data span excludes nothing, so it is
+    // closed after the read, once the workers' folds are merged.
+    //
+    // With a cache, a probe is looked up once, on its first routed row
+    // in any worker (`served`, shared; `Some` = served), so the store's
+    // counters are the same at any thread count. A served probe's
+    // series was built over this window: its rows are skipped, never
+    // binned, and the prebuilt series is fed to its population after the
+    // read. Only a window known before the read can be served.
+    let served: Mutex<BTreeMap<ProbeId, Option<(Asn, PrebuiltSeries)>>> =
+        Mutex::new(BTreeMap::new());
+    let fold_row = |fold: &mut Fold, row: LastMile| {
+        let t = row.timestamp;
+        fold.data_span = Some(
+            fold.data_span
+                .map_or((t, t), |(lo, hi)| (lo.min(t), hi.max(t))),
+        );
+        let asn = match (&probe_to_asn, &bgp) {
+            (Some(map), _) => match map.get(&row.probe) {
+                Some(&asn) => asn,
+                None => return, // unknown or filtered probe
+            },
+            (None, Some(table)) => match row.edge.and_then(|a| table.lookup(a)) {
+                Some((_, &asn)) => asn,
+                None => return, // no public hop or unrouted edge
+            },
+            (None, None) => 0,
+        };
+        if let Some(c) = cache {
+            let sight = fold.routed.entry(row.probe).or_insert_with(|| Sight {
+                asn: Some(asn),
+                served: known_window.is_some_and(|window| {
+                    let mut served = served.lock().expect("served-probe table lock");
+                    let decision = served.entry(row.probe).or_insert_with(|| {
+                        match c
+                            .store
+                            .lookup(&StoreKey::for_pipeline(row.probe, &cfg), &window)
+                        {
+                            Lookup::Hit(pre) => Some((asn, pre)),
+                            Lookup::Miss => None,
+                        }
+                    });
+                    decision.is_some()
+                }),
+            });
+            if sight.asn != Some(asn) {
+                sight.asn = None;
+            }
+            if sight.served {
+                return;
+            }
+        }
+        fold.pipelines
+            .entry(asn)
+            .or_insert_with(new_pipeline)
+            .ingest_row(&row);
+    };
+    let mut read = Fold::default();
     let mut parsed = 0u64;
     let mut quarantined_all = Vec::new();
     let ingest_timer = StageTimer::start();
     for path in paths {
-        let summary = ingest_file(path, &ingest_opts, |tr| {
-            let t = tr.timestamp;
-            data_span = Some(data_span.map_or((t, t), |(lo, hi)| (lo.min(t), hi.max(t))));
-            let asn = match (&probe_to_asn, &bgp) {
-                (Some(map), _) => match map.get(&tr.probe) {
-                    Some(&asn) => asn,
-                    None => return, // unknown or filtered probe
-                },
-                (None, Some(table)) => match tr.edge_address().and_then(|a| table.lookup(a)) {
-                    Some((_, &asn)) => asn,
-                    None => return, // no public hop or unrouted edge
-                },
-                (None, None) => 0,
-            };
-            if let Some(attribution) = bgp_probe_asn.as_mut() {
-                attribution
-                    .entry(tr.probe)
-                    .and_modify(|e| {
-                        if *e != Some(asn) {
-                            *e = None;
-                        }
-                    })
-                    .or_insert(Some(asn));
-            }
-            if let Some(c) = cache {
-                let served = looked_up.entry(tr.probe).or_insert_with(|| {
-                    let window = known_window?;
-                    match c
-                        .store
-                        .lookup(&StoreKey::for_pipeline(tr.probe, &cfg), &window)
-                    {
-                        Lookup::Hit(pre) => Some((asn, pre)),
-                        Lookup::Miss => None,
-                    }
-                });
-                if served.is_some() {
-                    return;
-                }
-            }
-            pipelines
-                .entry(asn)
-                .or_insert_with(new_pipeline)
-                .ingest(&tr);
-        })?;
+        let (summary, folds) = fold_file(path, &ingest_opts, Fold::default, fold_row)?;
+        for fold in folds {
+            read.merge(fold);
+        }
         parsed += summary.parsed;
         if let Some(m) = metrics {
             m.ingest.add(&ingest_traffic(&summary));
@@ -220,23 +265,35 @@ pub fn analyze_corpus(
         }
         quarantined_all.extend(summary.quarantined);
     }
-    // Whether a probe's series may be cached at all: always, except under
-    // per-traceroute attribution, where only single-ASN probes qualify.
-    let cacheable = |probe: ProbeId| match &bgp_probe_asn {
-        Some(attribution) => matches!(attribution.get(&probe), Some(Some(_))),
-        None => true,
-    };
-    let mut unasked = 0u64;
-    for (probe, served) in looked_up {
-        match served {
-            Some((asn, pre)) => pipelines
+    let Fold {
+        data_span,
+        mut pipelines,
+        routed,
+    } = read;
+    // Whether a probe's series may be cached at all: only when all its
+    // routed rows went to one ASN. Under probe metadata or ASN 0 that
+    // holds for every probe; under per-traceroute BGP attribution a
+    // probe's rows can split across AS pipelines, and each pipeline's
+    // partial series under the store's one key per probe would poison
+    // the snapshot. Serving needs no such check: a hit under the
+    // snapshot's source fingerprint (which mixes in the table) was
+    // inserted from this same corpus, where the probe was single-ASN,
+    // and live passes invalidate every probe with new records before
+    // they read.
+    let cacheable = |probe: ProbeId| matches!(routed.get(&probe), Some(Sight { asn: Some(_), .. }));
+    for (_, decision) in served.into_inner().expect("served-probe table lock") {
+        if let Some((asn, pre)) = decision {
+            pipelines
                 .entry(asn)
                 .or_insert_with(new_pipeline)
-                .ingest_series(pre),
-            None if known_window.is_none() && cacheable(probe) => unasked += 1,
-            None => {}
+                .ingest_series(pre);
         }
     }
+    let unasked = if known_window.is_none() {
+        routed.keys().filter(|&&probe| cacheable(probe)).count() as u64
+    } else {
+        0
+    };
     if let Some(m) = metrics {
         m.stage_nanos
             .ingest

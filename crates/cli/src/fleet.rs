@@ -192,7 +192,7 @@ fn gen(flags: &Flags) -> Result<(), String> {
     let spec = load_spec(flags.required("spec")?)?;
     let out_dir = flags.required("out")?;
     let seed: u64 = flags.parsed("seed")?.unwrap_or(20200646);
-    let threads = worker_count(flags.parsed("threads")?.unwrap_or(0));
+    let threads = worker_count(flags.thread_count("threads")?.unwrap_or(0));
     std::fs::create_dir_all(out_dir).map_err(|e| format!("create {out_dir}: {e}"))?;
 
     let span = trace::span("fleet_build");

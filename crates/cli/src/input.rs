@@ -2,8 +2,8 @@
 //! from disk.
 //!
 //! Traceroute decode goes through `lastmile-ingest` (one framing loop,
-//! decoding inline at `--ingest-threads 1` or feeding parallel parse
-//! workers over bounded queues); this module owns the flag plumbing
+//! decoding and folding inline at `--ingest-threads 1` or feeding a
+//! worker pool over a bounded queue); this module owns the flag plumbing
 //! (`--ingest-threads`, `--quarantine`) and the adapters between
 //! [`IngestSummary`] and the CLI's metrics and triage outputs.
 
@@ -13,15 +13,17 @@ use lastmile_repro::atlas::{Probe, ProbeId};
 use lastmile_repro::ingest::{IngestOptions, IngestSummary, Quarantined};
 use lastmile_repro::obs::{IngestStats, QuarantineStats};
 use lastmile_repro::prefix::Asn;
+use lastmile_repro::runner::worker_count;
 use lastmile_repro::timebase::{TimeRange, UnixTime};
 use std::collections::BTreeMap;
 use std::io::Write;
 
 /// Ingest tuning from the command line: `--ingest-threads N` (0 = one
-/// worker per core, the default; 1 decodes inline).
+/// worker per core, the default; 1 decodes inline), resolved here, once,
+/// by [`worker_count`].
 pub fn ingest_options(flags: &Flags) -> Result<IngestOptions, String> {
     Ok(IngestOptions {
-        threads: flags.parsed::<usize>("ingest-threads")?.unwrap_or(0),
+        threads: worker_count(flags.thread_count("ingest-threads")?.unwrap_or(0)),
         ..IngestOptions::default()
     })
 }
@@ -40,6 +42,7 @@ pub fn ingest_traffic(summary: &IngestSummary) -> IngestStats {
         },
         frame_nanos: summary.frame_nanos,
         decode_nanos: summary.decode_nanos,
+        fold_nanos: summary.fold_nanos,
         decode_fallbacks: summary.decode_fallbacks,
         wall_nanos: summary.wall_nanos,
         queue_max_depth: summary.queue_max_depth,
@@ -276,7 +279,14 @@ mod tests {
         assert_eq!(opts.threads, 3);
         let flags = crate::Flags::parse(&[]).unwrap();
         let opts = ingest_options(&flags).unwrap();
-        assert_eq!(opts.threads, 0, "default is auto");
+        assert_eq!(opts.threads, worker_count(0), "default is one per core");
+        let over = (lastmile_repro::runner::MAX_WORKERS + 1).to_string();
+        let args = ["--ingest-threads".to_string(), over.clone()];
+        let err = ingest_options(&crate::Flags::parse(&args).unwrap()).unwrap_err();
+        assert!(
+            err.starts_with(&format!("--ingest-threads {over} ")),
+            "{err}"
+        );
     }
 
     #[test]

@@ -90,6 +90,17 @@ impl Flags {
         }
     }
 
+    /// An optional thread-count flag, refused above
+    /// [`lastmile_repro::runner::MAX_WORKERS`] before any thread starts:
+    /// a mistyped count is a usage error, not a failed spawn.
+    pub fn thread_count(&self, name: &str) -> Result<Option<usize>, String> {
+        let max = lastmile_repro::runner::MAX_WORKERS;
+        match self.parsed::<usize>(name)? {
+            Some(n) if n > max => Err(format!("--{name} {n} is above the limit of {max}")),
+            n => Ok(n),
+        }
+    }
+
     /// Whether a boolean switch is present.
     pub fn switch(&self, name: &str) -> bool {
         self.switches.iter().any(|s| s == name)
@@ -167,9 +178,15 @@ fn check_flags(cmd: &str, action: Option<&str>, flags: &Flags) -> Result<(), Str
             let subcommand = action.map_or(cmd.to_string(), |action| format!("{cmd} {action}"));
             Err(format!("unknown flag --{name} for {subcommand}"))
         }
-        None => Ok(()),
+        // Thread counts are checked here, before any thread starts.
+        None => THREAD_FLAGS
+            .iter()
+            .try_for_each(|name| flags.thread_count(name).map(drop)),
     }
 }
+
+/// The flags that set how many threads a subcommand starts.
+const THREAD_FLAGS: [&str; 3] = ["ingest-threads", "serve-workers", "threads"];
 
 /// How often the `--trace` stream drains ring buffers to disk. Long
 /// commands (a `serve` daemon running for days) persist spans as they
@@ -297,6 +314,24 @@ mod tests {
     }
 
     #[test]
+    fn thread_counts_are_bounded_by_name() {
+        let max = lastmile_repro::runner::MAX_WORKERS;
+        let f = parse(&["--ingest-threads", &max.to_string()]).unwrap();
+        assert_eq!(f.thread_count("ingest-threads").unwrap(), Some(max));
+        assert_eq!(f.thread_count("threads").unwrap(), None);
+        let f = parse(&["--ingest-threads", "100000"]).unwrap();
+        assert_eq!(
+            f.thread_count("ingest-threads").unwrap_err(),
+            format!("--ingest-threads 100000 is above the limit of {max}")
+        );
+        let f = parse(&["--serve-workers", "-1"]).unwrap();
+        assert_eq!(
+            f.thread_count("serve-workers").unwrap_err(),
+            "invalid value for --serve-workers: -1"
+        );
+    }
+
+    #[test]
     fn bad_parse_is_an_error() {
         let f = parse(&["--seed", "banana"]).unwrap();
         assert!(f.parsed::<u64>("seed").is_err());
@@ -378,6 +413,11 @@ mod tests {
             "unknown flag --json for fleet gen"
         );
         assert!(check_flags("fleet", Some("score"), &parse(&["--json"]).unwrap()).is_ok());
+        // A thread count past the limit is a usage error naming its flag.
+        let f = parse(&["--traceroutes", "a.jsonl", "--ingest-threads", "99999"]).unwrap();
+        assert!(check_flags("classify", None, &f)
+            .unwrap_err()
+            .starts_with("--ingest-threads 99999 is above the limit"));
         // Unknown subcommands and actions are left to dispatch.
         assert!(check_flags("nonsense", None, &f).is_ok());
     }

@@ -369,7 +369,7 @@ pub fn run(flags: &Flags) -> Result<(), String> {
             .optional("addr")
             .unwrap_or("127.0.0.1:8437")
             .to_string(),
-        workers: flags.parsed::<usize>("serve-workers")?.unwrap_or(4),
+        workers: flags.thread_count("serve-workers")?.unwrap_or(4),
         queue: flags.parsed::<usize>("serve-queue")?.unwrap_or(16),
         retry_after_secs: flags.parsed::<u64>("retry-after")?.unwrap_or(1),
         budget_heavy: flags.parsed::<usize>("serve-budget-heavy")?.unwrap_or(0),

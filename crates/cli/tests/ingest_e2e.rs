@@ -92,6 +92,58 @@ fn reports_are_byte_identical_across_thread_counts_and_forms() {
 }
 
 #[test]
+fn store_counters_are_the_same_at_any_thread_count() {
+    // Workers bin their own rows, but each probe is looked up in the
+    // series store once, whichever worker sees it first: a warm run
+    // counts one hit per probe, and no miss, at any thread count.
+    let dir = std::env::temp_dir().join(format!("lastmile-ingest-store-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let (jsonl, _) = write_dataset(&dir);
+    let cache = dir.join("cache");
+    let stats = dir.join("stats.json");
+    let classify = |mode: &str, threads: &str| {
+        let args = [
+            "classify",
+            "--traceroutes",
+            jsonl.to_str().unwrap(),
+            "--min-probes",
+            "1",
+            "--start",
+            "0",
+            "--end",
+            "86400",
+            "--cache-dir",
+            cache.to_str().unwrap(),
+            "--cache",
+            mode,
+            "--ingest-threads",
+            threads,
+            "--stats-out",
+            stats.to_str().unwrap(),
+            "--json",
+        ];
+        let (stdout, err, ok) = run(&args);
+        assert!(
+            ok,
+            "classify --cache {mode} --ingest-threads {threads}: {err}"
+        );
+        let doc: serde_json::Value =
+            serde_json::from_str(&std::fs::read_to_string(&stats).unwrap()).unwrap();
+        let count = |name: &str| doc["store"][name].as_u64().unwrap();
+        (stdout, [count("hits"), count("misses"), count("inserts")])
+    };
+    let (cold, counts) = classify("rw", "3");
+    assert_eq!(counts, [0, 3, 3], "one miss and one insert per probe");
+    for threads in ["1", "2", "3", "4"] {
+        let (warm, counts) = classify("ro", threads);
+        assert_eq!(warm, cold, "threads={threads}");
+        assert_eq!(counts, [3, 0, 0], "threads={threads}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn removed_ingest_serial_switch_fails_loudly() {
     let dir = std::env::temp_dir().join(format!("lastmile-ingest-flag-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();

@@ -16,31 +16,22 @@
 //! median-of-216-samples binning absorbs these, so they are deliberately
 //! kept rather than clamped.
 
-use lastmile_atlas::TracerouteResult;
+use lastmile_atlas::{LastMile, TracerouteResult};
 
 /// Maximum samples a single traceroute can contribute (3 × 3).
 pub const MAX_SAMPLES_PER_TRACEROUTE: usize = 9;
 
-/// The pairwise last-mile RTT samples of one traceroute.
+/// The pairwise last-mile RTT samples of one traceroute: each public RTT
+/// minus each private one, public-major.
 ///
 /// Returns an empty vector when the traceroute has no usable last-mile
 /// span (see module docs).
 pub fn last_mile_samples(tr: &TracerouteResult) -> Vec<f64> {
-    let Some(private_hop) = tr.last_private_hop() else {
-        return Vec::new();
-    };
-    let Some(public_hop) = tr.first_public_hop() else {
-        return Vec::new();
-    };
-    let private: Vec<f64> = private_hop.rtts().collect();
-    let public: Vec<f64> = public_hop.rtts().collect();
-    let mut samples = Vec::with_capacity(private.len() * public.len());
-    for &pu in &public {
-        for &pr in &private {
-            samples.push(pu - pr);
-        }
-    }
-    samples
+    let row = LastMile::of(tr);
+    row.public_rtts()
+        .iter()
+        .flat_map(|&pu| row.private_rtts().iter().map(move |&pr| pu - pr))
+        .collect()
 }
 
 /// Running tallies over many traceroutes, for data-quality reporting.

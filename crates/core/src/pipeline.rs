@@ -15,7 +15,7 @@
 use crate::aggregate::{aggregate_median, AggregatedSignal};
 use crate::detect::{detect, CongestionClass, Detection};
 use crate::series::{BuiltSeries, ProbeSeries, ProbeSeriesBuilder, QueuingDelaySeries};
-use lastmile_atlas::{ProbeId, TracerouteResult};
+use lastmile_atlas::{LastMile, ProbeId, TracerouteResult};
 use lastmile_obs::{trace, Histogram};
 use lastmile_timebase::{BinSpec, TimeRange, UnixTime};
 use std::collections::BTreeMap;
@@ -186,11 +186,18 @@ impl AsPipeline {
         self.prebuilt.insert(probe, pre.series);
     }
 
-    /// Ingest one traceroute. Traceroutes outside the period are counted
-    /// and dropped (period boundaries are exact, §2's dates are UTC).
+    /// Ingest one traceroute: [`AsPipeline::ingest_row`] of its last-mile
+    /// row.
     pub fn ingest(&mut self, tr: &TracerouteResult) {
+        self.ingest_row(&LastMile::of(tr));
+    }
+
+    /// Ingest one traceroute's last-mile row. Traceroutes outside the
+    /// period are counted and dropped (period boundaries are exact, §2's
+    /// dates are UTC).
+    pub fn ingest_row(&mut self, row: &LastMile) {
         self.ingested += 1;
-        let t = tr.timestamp;
+        let t = row.timestamp;
         if self.start.is_some_and(|s| t < s) || self.end.is_some_and(|e| t >= e) {
             self.ignored_out_of_period += 1;
             return;
@@ -201,11 +208,52 @@ impl AsPipeline {
         );
         let cfg = &self.cfg;
         self.builders
-            .entry(tr.probe)
+            .entry(row.probe)
             .or_insert_with(|| {
-                ProbeSeriesBuilder::new(tr.probe, cfg.bin, cfg.min_traceroutes_per_bin)
+                ProbeSeriesBuilder::new(row.probe, cfg.bin, cfg.min_traceroutes_per_bin)
             })
-            .ingest(tr);
+            .ingest_row(row);
+    }
+
+    /// Take over everything `other` was fed, as if it had been fed to
+    /// this pipeline after its own input: counters add up, and a probe
+    /// both fed keeps both feeds ([`ProbeSeriesBuilder::absorb`] moves
+    /// the columns). This is how pipelines filled on separate ingest
+    /// threads become one. Panics unless both were built over the same
+    /// bounds, or if a probe was fed prebuilt to one and in any form to
+    /// the other.
+    pub fn merge(&mut self, other: AsPipeline) {
+        assert!(
+            (self.start, self.end) == (other.start, other.end),
+            "merging pipelines over different periods"
+        );
+        self.ingested += other.ingested;
+        self.ignored_out_of_period += other.ignored_out_of_period;
+        self.prebuilt_discarded += other.prebuilt_discarded;
+        self.retain_median_series |= other.retain_median_series;
+        if let Some((lo, hi)) = other.fed_span {
+            self.fed_span = Some(
+                self.fed_span
+                    .map_or((lo, hi), |(a, b)| (a.min(lo), b.max(hi))),
+            );
+        }
+        for (probe, builder) in other.builders {
+            assert!(
+                !self.prebuilt.contains_key(&probe),
+                "probe {probe:?} fed twice (raw and prebuilt)"
+            );
+            match self.builders.entry(probe) {
+                std::collections::btree_map::Entry::Occupied(mut e) => e.get_mut().absorb(builder),
+                std::collections::btree_map::Entry::Vacant(e) => drop(e.insert(builder)),
+            }
+        }
+        for (probe, series) in other.prebuilt {
+            assert!(
+                !self.builders.contains_key(&probe) && !self.prebuilt.contains_key(&probe),
+                "probe {probe:?} fed twice (raw and/or prebuilt)"
+            );
+            self.prebuilt.insert(probe, series);
+        }
     }
 
     /// Number of traceroutes dropped for being outside the period.
@@ -492,6 +540,47 @@ mod tests {
             s.series_hist.count(),
             6,
             "one series-build latency sample per probe fed"
+        );
+    }
+
+    #[test]
+    fn merged_pipelines_analyse_as_one() {
+        // One feed, split record by record across three pipelines that
+        // are then merged: the analysis and counters of one pipeline fed
+        // everything.
+        let mut records = Vec::new();
+        for probe in 1..=4 {
+            for bin in 0..(15 * 48) {
+                let phase = core::f64::consts::TAU * bin as f64 / 48.0;
+                let rtt = 5.0 + 1.0 + phase.sin();
+                records.extend((0..3).map(|i| tr(probe, bin * 1800 + i * 400, rtt)));
+            }
+        }
+        records.push(tr(1, -100, 5.0));
+        let mut whole = AsPipeline::new(PipelineConfig::paper(), period_15d());
+        let mut parts: Vec<AsPipeline> = (0..3)
+            .map(|_| AsPipeline::new(PipelineConfig::paper(), period_15d()))
+            .collect();
+        for (i, record) in records.iter().enumerate() {
+            whole.ingest(record);
+            parts[i % 3].ingest(record);
+        }
+        let mut merged = parts.remove(0);
+        for part in parts {
+            merged.merge(part);
+        }
+        let (merged, whole) = (merged.finish(), whole.finish());
+        assert_eq!(merged.aggregated, whole.aggregated);
+        assert_eq!(merged.probe_series, whole.probe_series);
+        assert_eq!(merged.stats.traceroutes_ingested, records.len() as u64);
+        assert_eq!(merged.stats.traceroutes_out_of_period, 1);
+        assert_eq!(
+            merged.stats.bins_discarded_sanity,
+            whole.stats.bins_discarded_sanity
+        );
+        assert_eq!(
+            merged.detection.map(|d| d.daily_amplitude_ms),
+            whole.detection.map(|d| d.daily_amplitude_ms)
         );
     }
 

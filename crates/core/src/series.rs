@@ -15,25 +15,43 @@
 //!   [`QueuingDelaySeries`] whose "lowest point is set to zero and other
 //!   values correspond to delay increase in milliseconds".
 
-use crate::estimator::last_mile_samples;
-use lastmile_atlas::{ProbeId, TracerouteResult};
+use lastmile_atlas::{LastMile, ProbeId, TracerouteResult};
 use lastmile_stats::median_in_place;
 use lastmile_timebase::{BinIndex, BinSpec, UnixTime};
 use std::collections::BTreeMap;
 
-/// Accumulates one probe's last-mile samples into time bins.
+/// Accumulates one probe's last-mile rows, to be binned on finish.
+///
+/// The builder stores columns, not samples: one row per traceroute
+/// (its bin and how many private and public RTTs it kept) and one flat
+/// RTT column those counts index into. The §2.1 pairwise samples are
+/// expanded bin by bin only when the bin's median is computed, so a
+/// traceroute costs its RTTs, not the product of them. Builders of one
+/// probe filled on different threads merge with
+/// [`ProbeSeriesBuilder::absorb`], which moves their columns instead of
+/// copying them.
 #[derive(Clone, Debug)]
 pub struct ProbeSeriesBuilder {
     probe: ProbeId,
     bin: BinSpec,
     min_traceroutes: usize,
-    bins: BTreeMap<BinIndex, BinAccum>,
+    /// Column sets in feed order: one per builder absorbed.
+    parts: Vec<Columns>,
 }
 
 #[derive(Clone, Debug, Default)]
-struct BinAccum {
-    samples: Vec<f64>,
-    traceroutes: usize,
+struct Columns {
+    rows: Vec<Row>,
+    /// Each row's private RTTs then its public ones, row after row.
+    rtts: Vec<f64>,
+}
+
+/// One traceroute in the columns.
+#[derive(Clone, Copy, Debug)]
+struct Row {
+    bin: BinIndex,
+    private: u32,
+    public: u32,
 }
 
 impl ProbeSeriesBuilder {
@@ -49,7 +67,7 @@ impl ProbeSeriesBuilder {
             probe,
             bin,
             min_traceroutes,
-            bins: BTreeMap::new(),
+            parts: Vec::new(),
         }
     }
 
@@ -58,24 +76,43 @@ impl ProbeSeriesBuilder {
         self.probe
     }
 
-    /// Ingest one traceroute. Traceroutes from other probes are rejected
-    /// with a panic (routing them is the caller's job and mixing probes
-    /// would corrupt the series silently).
+    /// Ingest one traceroute: [`ProbeSeriesBuilder::ingest_row`] of its
+    /// last-mile row.
     pub fn ingest(&mut self, tr: &TracerouteResult) {
-        assert_eq!(tr.probe, self.probe, "traceroute from wrong probe");
-        let accum = self
-            .bins
-            .entry(self.bin.bin_index(tr.timestamp))
-            .or_default();
-        // Every traceroute counts toward the sanity threshold, with or
-        // without usable samples: the probe was demonstrably online.
-        accum.traceroutes += 1;
-        accum.samples.extend(last_mile_samples(tr));
+        self.ingest_row(&LastMile::of(tr));
     }
 
-    /// Number of bins currently holding data (before filtering).
-    pub fn raw_bin_count(&self) -> usize {
-        self.bins.len()
+    /// Ingest one traceroute's last-mile row. Rows from other probes are
+    /// rejected with a panic (routing them is the caller's job and mixing
+    /// probes would corrupt the series silently).
+    pub fn ingest_row(&mut self, row: &LastMile) {
+        assert_eq!(row.probe, self.probe, "traceroute from wrong probe");
+        if self.parts.is_empty() {
+            self.parts.push(Columns::default());
+        }
+        let part = self.parts.last_mut().expect("a part was just ensured");
+        let count = |n: usize| u32::try_from(n).expect("a hop's replies fit in u32");
+        // Every traceroute counts toward the sanity threshold, with or
+        // without usable samples: the probe was demonstrably online.
+        part.rows.push(Row {
+            bin: self.bin.bin_index(row.timestamp),
+            private: count(row.private),
+            public: count(row.rtts.len() - row.private),
+        });
+        part.rtts.extend_from_slice(&row.rtts);
+    }
+
+    /// Take over `other`'s traceroutes, fed to it after this builder's:
+    /// its columns are moved, not copied. Panics unless both builders
+    /// are for the same probe with the same binning.
+    pub fn absorb(&mut self, other: ProbeSeriesBuilder) {
+        assert_eq!(other.probe, self.probe, "builders of different probes");
+        assert_eq!(
+            (other.bin, other.min_traceroutes),
+            (self.bin, self.min_traceroutes),
+            "builders with different binning"
+        );
+        self.parts.extend(other.parts);
     }
 
     /// Apply the sanity filter and compute per-bin medians.
@@ -96,15 +133,41 @@ impl ProbeSeriesBuilder {
     /// *indices* of the discarded bins rather than only their count. The
     /// series store persists these so a cache hit can reproduce the same
     /// sanity-filter statistics as a fresh build.
+    ///
+    /// Rows are grouped by bin with a stable sort, so each bin's samples
+    /// come out in feed order, each traceroute's in the order
+    /// [`crate::estimator::last_mile_samples`] gives them.
     pub fn finish_detailed(self) -> BuiltSeries {
+        // (bin, the row's RTTs, how many of them are private), feed order.
+        let mut rows: Vec<(BinIndex, &[f64], usize)> = Vec::new();
+        for part in &self.parts {
+            let mut rtts = &part.rtts[..];
+            rows.extend(part.rows.iter().map(|row| {
+                let private = row.private as usize;
+                let (own, rest) = rtts.split_at(private + row.public as usize);
+                rtts = rest;
+                (row.bin, own, private)
+            }));
+        }
+        rows.sort_by_key(|&(bin, _, _)| bin);
+
         let mut medians = BTreeMap::new();
         let mut discarded_bins = Vec::new();
-        for (bin, mut accum) in self.bins {
-            if accum.traceroutes < self.min_traceroutes {
+        let mut samples = Vec::new();
+        for group in rows.chunk_by(|a, b| a.0 == b.0) {
+            let bin = group[0].0;
+            if group.len() < self.min_traceroutes {
                 discarded_bins.push(bin); // disconnected probe: discard the whole bin
                 continue;
             }
-            if let Some(m) = median_in_place(&mut accum.samples) {
+            samples.clear();
+            for &(_, rtts, private) in group {
+                let (near, far) = rtts.split_at(private);
+                for &pu in far {
+                    samples.extend(near.iter().map(|&pr| pu - pr));
+                }
+            }
+            if let Some(m) = median_in_place(&mut samples) {
                 medians.insert(bin, m);
             }
         }
@@ -381,6 +444,46 @@ mod tests {
         assert!(q.is_empty());
         assert_eq!(q.max_delay(), None);
         assert_eq!(q.fraction_above(0.0), 0.0);
+    }
+
+    #[test]
+    fn absorbed_builders_bin_as_one_fed_in_order() {
+        // Two halves of one probe's feed, built apart and merged, give
+        // the series and discarded bins of one builder fed everything.
+        let feed: Vec<TracerouteResult> = (0..40)
+            .map(|i| tr(1, i * 250, 5.0 + (i % 7) as f64))
+            .collect();
+        let mut whole = ProbeSeriesBuilder::paper(ProbeId(1));
+        feed.iter().for_each(|t| whole.ingest(t));
+        let mut front = ProbeSeriesBuilder::paper(ProbeId(1));
+        let mut back = ProbeSeriesBuilder::paper(ProbeId(1));
+        for (i, t) in feed.iter().enumerate() {
+            if i % 3 == 0 {
+                front.ingest(t)
+            } else {
+                back.ingest(t)
+            }
+        }
+        front.absorb(back);
+        assert_eq!(front.finish_detailed(), whole.finish_detailed());
+    }
+
+    #[test]
+    fn a_hop_of_many_replies_expands_every_sample() {
+        // 300 private replies × 2 public ones: 600 samples, none lost to
+        // a narrow count.
+        let mut b = ProbeSeriesBuilder::new(ProbeId(1), BinSpec::thirty_minutes(), 1);
+        let mut rtts = vec![1.0; 300];
+        rtts.extend([2.0, 4.0]);
+        b.ingest_row(&LastMile {
+            probe: ProbeId(1),
+            timestamp: UnixTime::from_secs(0),
+            edge: Some(ip("20.0.0.1")),
+            rtts,
+            private: 300,
+        });
+        // Samples are 300 × 1.0 and 300 × 3.0: the median is 2.0.
+        assert_eq!(b.finish().iter().next().unwrap().1, 2.0);
     }
 
     #[test]

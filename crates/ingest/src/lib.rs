@@ -9,62 +9,72 @@
 //! decoded without ever holding the whole file, fast enough that cold
 //! runs are not bound by a single parsing core, and without letting one
 //! poisoned record kill the run. This crate does exactly that, with one
-//! framing loop feeding one of two sinks:
+//! framing loop feeding one pool of workers that each decode a record
+//! and fold it into their own state:
 //!
 //! ```text
 //!  workers ≥ 2:
-//!  file ──► framing loop ──► bounded batch queue ──► N parse workers
-//!           (DocSplitter,        (backpressure)        (one-pass decode,
-//!            one thread)                                serde for what it
-//!                                                       declines,
-//!                                                       catch_unwind)
+//!  file ──► framing loop ──► bounded batch queue ──► N workers, each:
+//!           (DocSplitter,        (backpressure)        decode (one pass,
+//!            caller thread,                            serde for what it
+//!            junk → quarantine)                        declines,
+//!                                                      catch_unwind), then
+//!                                                      fold into its own S
 //!                     ┌────────────────────────────────────┘
 //!                     ▼
-//!           bounded result queue ──► caller thread (`on_record`,
-//!                                    quarantine collection)
+//!           join: N states S (+ quarantine) ──► caller merges them once
 //!
 //!  workers ≤ 1 (inline), and every `ingest_slice`:
-//!  file ──► framing loop ──► decode each chunk's frames ──► `on_record`
+//!  file ──► framing loop ──► decode each chunk's frames ──► fold into S
 //!           (DocSplitter)     (same decode, catch_unwind)
 //!           └──────────────── all on the caller thread ──────────────┘
 //! ```
 //!
+//! * **Rows**: the engine is generic over what a record decodes to (a
+//!   [`Row`]): the full [`TracerouteResult`], or the [`LastMile`] row the
+//!   analysis reads, which decodes without building hops. There is no
+//!   result queue and no consumer thread: a record is folded (routed and
+//!   binned, for the CLI's analysis) by the worker that decoded it, and
+//!   freed there. [`fold_reader`] hands the caller one state per worker.
 //! * **Framing** reuses [`lastmile_atlas::framing::DocSplitter`]: JSON
 //!   Lines and top-level JSON arrays are split into record-aligned byte
 //!   frames incrementally, so peak memory is bounded by the chunk size
-//!   plus the queues — never by the file. Framing, decode and delivery
-//!   are timed apart in both modes, so `frame_nanos` and `decode_nanos`
-//!   compare across worker counts.
-//! * **Decode** is [`lastmile_atlas::json::decode_traceroute`]: one
-//!   borrowed pass over the record bytes, with serde deciding only the
-//!   records that pass declines, so quarantine kinds and details are
-//!   serde's. [`IngestSummary::decode_fallbacks`] counts those records.
-//! * **Backpressure**: both queues are `sync_channel`s. A slow consumer
-//!   stalls the workers, which stall the framer, which stops reading.
-//! * **Determinism**: records are delivered to `on_record` in arrival
-//!   order, which varies with thread count — by design. Every consumer
-//!   in this workspace accumulates per-probe/per-bin multisets (min,
-//!   max, medians, maps keyed by probe), which are order-independent
-//!   reductions, so reports are byte-identical at any `threads` value.
-//!   The CLI's end-to-end tests pin this.
+//!   plus the queue — never by the file. Framing, decode and fold are
+//!   timed apart in both modes, so `frame_nanos`, `decode_nanos` and
+//!   `fold_nanos` compare across worker counts.
+//! * **Decode** is [`lastmile_atlas::json::decode_traceroute`] or
+//!   [`lastmile_atlas::json::decode_last_mile`]: one borrowed pass over
+//!   the record bytes, with serde deciding only the records that pass
+//!   declines, so quarantine kinds and details are serde's.
+//!   [`IngestSummary::decode_fallbacks`] counts those records.
+//! * **Backpressure**: the batch queue is a `sync_channel`. Slow workers
+//!   stall the framer, which stops reading.
+//! * **Determinism**: which worker folds which record varies with thread
+//!   count and scheduling — by design. Every state in this workspace
+//!   accumulates per-probe/per-bin multisets (min, max, medians, maps
+//!   keyed by probe), which are order-independent reductions, so reports
+//!   are byte-identical at any `threads` value. The CLI's end-to-end
+//!   tests pin this.
 //! * **Quarantine**: a malformed record is captured — offset, raw bytes,
 //!   and a typed reason ([`QuarantineKind`]: framing / JSON / model
 //!   conversion / worker panic) — not just counted, so `--quarantine`
 //!   can reproduce the bad records for offline triage. A record that
-//!   panics its worker is caught by a per-record `catch_unwind` and
+//!   panics its decoder is caught by a per-record `catch_unwind` and
 //!   quarantined like any other.
 //!
-//! `on_record` runs on the caller's thread, so consumers need no
-//! locking; [`ingest_file`] returns an [`IngestSummary`] with counts,
-//! quarantined records (sorted by byte offset), and per-stage timers.
+//! [`ingest_file`] keeps the model-per-record interface over the same
+//! engine: its workers fold batches of [`TracerouteResult`]s into one
+//! bounded channel, and `on_record` runs on the caller's thread.
 
 use lastmile_atlas::framing::{DocSplitter, Frame};
-use lastmile_atlas::json::{decode_traceroute_tallied, DecodeErrorKind};
-use lastmile_atlas::TracerouteResult;
+use lastmile_atlas::json::{
+    decode_last_mile_tallied, decode_traceroute_tallied, DecodeError, DecodeErrorKind,
+};
+use lastmile_atlas::{LastMile, TracerouteResult};
 use lastmile_obs::{trace, Gauge, Histogram, LiveProgress};
 use std::io::Read;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Instant;
 
@@ -113,7 +123,7 @@ pub struct Quarantined {
 /// What one ingest did: delivered/quarantined counts, bytes, timers.
 #[derive(Debug, Default)]
 pub struct IngestSummary {
-    /// Records decoded and delivered to `on_record`.
+    /// Records decoded and folded (or delivered).
     pub parsed: u64,
     /// Bytes read from the input.
     pub bytes_read: u64,
@@ -122,8 +132,11 @@ pub struct IngestSummary {
     /// Nanoseconds the framing loop spent splitting (one thread;
     /// excludes IO, decode and queue blocking).
     pub frame_nanos: u64,
-    /// Nanoseconds spent parsing, summed across workers.
+    /// Nanoseconds spent decoding, summed across workers.
     pub decode_nanos: u64,
+    /// Nanoseconds spent folding decoded rows into the workers' states,
+    /// summed across workers.
+    pub fold_nanos: u64,
     /// Records the decoder's fast pass declined and handed to serde
     /// (quarantined ones included).
     pub decode_fallbacks: u64,
@@ -131,7 +144,7 @@ pub struct IngestSummary {
     pub wall_nanos: u64,
     /// Deepest the bounded batch queue got, in batches (0 when decoding
     /// inline, which has no queue). Pinned at `queue_batches` means the
-    /// parse workers are the bottleneck; near zero means framing/IO is.
+    /// workers are the bottleneck; near zero means framing/IO is.
     pub queue_max_depth: u64,
     /// Per-record decode latency, collected only when
     /// [`IngestOptions::record_latency`] is set; empty otherwise.
@@ -153,15 +166,15 @@ impl IngestSummary {
 /// Ingest tuning. Peak memory is bounded regardless of file size: every
 /// in-flight batch pins the read-chunk buffer(s) its records point into
 /// (records are `(chunk, range)` slices, not copies), so the worker
-/// pipeline holds at most roughly `(queue_batches + threads + 1) ×
-/// chunk_bytes` at once; inline decode holds one chunk.
+/// pool holds at most roughly `(queue_batches + threads + 1) ×
+/// chunk_bytes` of input at once; inline decode holds one chunk.
 #[derive(Clone, Debug)]
 pub struct IngestOptions {
-    /// Parse worker threads; `0` (the default) means one per available
-    /// core, like the survey executor. A count that resolves to one or
+    /// Workers; `0` (the default) means one per available core, as
+    /// [`worker_count`] resolves it. A count that resolves to one or
     /// fewer (`1`, or `0` on a one-core host) decodes inline on the
     /// calling thread: there a worker would only add queue hand-offs on
-    /// top of one core's parsing.
+    /// top of one core's parsing. At most [`MAX_WORKERS`].
     pub threads: usize,
     /// Records per batch handed to a worker.
     pub batch_records: usize,
@@ -198,6 +211,42 @@ impl Default for IngestOptions {
     }
 }
 
+/// The most workers a thread count may ask for. Far above any core
+/// count this workspace runs on; a count past it is a mistyped flag,
+/// refused before any thread starts.
+pub const MAX_WORKERS: usize = 256;
+
+/// The workers a `--threads`-style count asks for: itself, or for `0`
+/// one per available core (4 when that is unknown). Both the ingest
+/// pool and the survey executor resolve their counts here.
+pub fn worker_count(threads: usize) -> usize {
+    match threads {
+        0 => std::thread::available_parallelism().map_or(4, |n| n.get()),
+        n => n,
+    }
+}
+
+/// What a framed record decodes to: the full model or the last-mile
+/// row. Both decoders accept and reject the same records, with the same
+/// quarantine kinds and details.
+pub trait Row: Sized + Send {
+    /// Decode one framed record, adding one to `fallbacks` when serde
+    /// had to decide it.
+    fn decode(bytes: &[u8], fallbacks: &mut u64) -> Result<Self, DecodeError>;
+}
+
+impl Row for TracerouteResult {
+    fn decode(bytes: &[u8], fallbacks: &mut u64) -> Result<Self, DecodeError> {
+        decode_traceroute_tallied(bytes, fallbacks)
+    }
+}
+
+impl Row for LastMile {
+    fn decode(bytes: &[u8], fallbacks: &mut u64) -> Result<Self, DecodeError> {
+        decode_last_mile_tallied(bytes, fallbacks)
+    }
+}
+
 /// Bytes of one framed record on its way to decode.
 ///
 /// The framing loop reads each chunk into an `Arc<Vec<u8>>`; the
@@ -230,12 +279,6 @@ impl RecordBytes {
 /// Framed records, each with its byte offset.
 type Batch = Vec<(u64, RecordBytes)>;
 
-/// One decoded batch travelling back to the caller.
-enum Delivery {
-    Records(Vec<TracerouteResult>),
-    Quarantined(Quarantined),
-}
-
 /// Ingest a traceroute file (JSON Lines or a top-level JSON array),
 /// calling `on_record` on the caller's thread for each decoded record.
 /// Delivery order is unspecified under more than one worker; see the
@@ -251,49 +294,102 @@ pub fn ingest_file(
 
 /// [`ingest_file`] over any reader (the file-free entry point tests and
 /// benchmarks use).
+///
+/// The engine runs on a scoped thread whose workers fold decoded records
+/// into batches and send each full batch over one bounded channel; the
+/// calling thread drains it into `on_record`, so memory stays bounded
+/// and `on_record` needs no `Send`.
 pub fn ingest_reader(
     reader: impl Read + Send,
     options: &IngestOptions,
     mut on_record: impl FnMut(TracerouteResult),
 ) -> Result<IngestSummary, String> {
+    let batch_records = options.batch_records.max(1);
+    let (tx, rx) = mpsc::sync_channel::<Vec<TracerouteResult>>(options.queue_batches.max(1));
+    std::thread::scope(|scope| {
+        let engine = std::thread::Builder::new()
+            .name("ingest".into())
+            .spawn_scoped(scope, move || {
+                // A send fails only once the caller stopped draining,
+                // which it does only by unwinding.
+                let (summary, rest) = fold_reader(reader, options, Vec::new, |batch, tr| {
+                    batch.push(tr);
+                    if batch.len() >= batch_records {
+                        let _ = tx.send(std::mem::take(batch));
+                    }
+                })?;
+                for batch in rest.into_iter().filter(|b| !b.is_empty()) {
+                    let _ = tx.send(batch);
+                }
+                Ok(summary)
+            })
+            .map_err(|e| format!("spawn ingest thread: {e}"))?;
+        for batch in rx {
+            batch.into_iter().for_each(&mut on_record);
+        }
+        engine
+            .join()
+            .unwrap_or_else(|payload| resume_unwind(payload))
+    })
+}
+
+/// [`fold_reader`] over a file.
+pub fn fold_file<R: Row, S: Send>(
+    path: &str,
+    options: &IngestOptions,
+    init: impl Fn() -> S + Sync,
+    fold: impl Fn(&mut S, R) + Sync,
+) -> Result<(IngestSummary, Vec<S>), String> {
+    let file = std::fs::File::open(path).map_err(|e| format!("open {path}: {e}"))?;
+    fold_reader(file, options, init, fold).map_err(|e| format!("{path}: {e}"))
+}
+
+/// The engine: frame `reader` on the calling thread, decode each record
+/// as `R` on [`IngestOptions::threads`] workers (or inline), and fold
+/// each row into the state of the thread that decoded it. Returns one
+/// state per worker, made by `init`, for the caller to merge; which
+/// state a record lands in is unspecified.
+///
+/// A thread count above [`MAX_WORKERS`], or a worker that cannot be
+/// spawned, is an error; no record is folded then.
+pub fn fold_reader<R: Row, S: Send>(
+    reader: impl Read,
+    options: &IngestOptions,
+    init: impl Fn() -> S + Sync,
+    fold: impl Fn(&mut S, R) + Sync,
+) -> Result<(IngestSummary, Vec<S>), String> {
     let _span = trace::span("ingest");
-    let available = std::thread::available_parallelism().map_or(4, |n| n.get());
-    let workers = resolve_threads(options.threads, available);
+    let workers = worker_count(options.threads);
+    if workers > MAX_WORKERS {
+        return Err(format!(
+            "{workers} ingest threads asked for; at most {MAX_WORKERS}"
+        ));
+    }
     if workers <= 1 {
-        ingest_inline(reader, options, |_, _, tr| on_record(tr))
+        let mut state = init();
+        let summary = fold_inline(reader, options, |_, _, row| fold(&mut state, row))?;
+        Ok((summary, vec![state]))
     } else {
-        ingest_workers(reader, options, workers, on_record)
+        fold_workers(reader, options, workers, init, fold)
     }
 }
 
 /// Incremental feed entry point for live intake: frame and decode one
 /// standalone byte slice (an appended corpus delta or a `POST
 /// /v1/traceroutes` body) with exactly the framing and quarantine
-/// semantics of [`ingest_file`]. Each decoded record is delivered, in
+/// semantics of [`fold_reader`]. Each decoded row is delivered, in
 /// input order, with its byte offset within the slice and its raw framed
 /// bytes, so callers can spool accepted records verbatim. Decoded inline
-/// — live intake chunks are small, and the worker pipeline's spawn cost
+/// — live intake chunks are small, and the worker pool's spawn cost
 /// would dominate. Returns the quarantined records, sorted by offset.
-pub fn ingest_slice(
+pub fn ingest_slice<R: Row>(
     bytes: &[u8],
-    on_record: impl FnMut(u64, &[u8], TracerouteResult),
+    on_record: impl FnMut(u64, &[u8], R),
 ) -> Vec<Quarantined> {
     let _span = trace::span("ingest_slice");
-    ingest_inline(bytes, &IngestOptions::default(), on_record)
+    fold_inline(bytes, &IngestOptions::default(), on_record)
         .expect("reading a byte slice cannot fail")
         .quarantined
-}
-
-/// Parse workers for a requested count, `0` meaning one per available
-/// core. One or fewer means decode inline: on a single core a worker
-/// only adds queue hand-offs (the one-worker pipeline measured ~25%
-/// slower than decoding on the framing thread).
-fn resolve_threads(requested: usize, available: usize) -> usize {
-    if requested == 0 {
-        available
-    } else {
-        requested
-    }
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -306,23 +402,84 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// What one decoding thread tallies besides its records: the latency
-/// histogram (only when [`IngestOptions::record_latency`] asks for it)
-/// and the fast-pass fallbacks.
+/// What one decoding thread tallies besides its rows: counts, timers,
+/// its quarantine, the latency histogram (only when
+/// [`IngestOptions::record_latency`] asks for it) and the fast-pass
+/// fallbacks.
 #[derive(Default)]
-struct DecodeTally {
-    hist: Histogram,
+struct Tally {
+    parsed: u64,
+    decode_nanos: u64,
+    fold_nanos: u64,
     fallbacks: u64,
+    hist: Histogram,
+    quarantined: Vec<Quarantined>,
 }
 
-/// Decode one framed record into `tally`; quarantines never escape as
-/// panics.
-fn decode_record(
+impl Tally {
+    /// Add `other`'s counts and quarantine to this tally.
+    fn merge(&mut self, other: Tally) {
+        self.parsed += other.parsed;
+        self.decode_nanos += other.decode_nanos;
+        self.fold_nanos += other.fold_nanos;
+        self.fallbacks += other.fallbacks;
+        self.hist.merge(&other.hist);
+        self.quarantined.extend(other.quarantined);
+    }
+
+    /// Decode `docs` into `rows` (offset, raw index, row), quarantining
+    /// what fails, timed as decode.
+    fn decode<R: Row>(
+        &mut self,
+        docs: &[(u64, RecordBytes)],
+        options: &IngestOptions,
+        rows: &mut Vec<(usize, R)>,
+    ) {
+        if docs.is_empty() {
+            return;
+        }
+        let _span = trace::span_with("decode_batch", |a| {
+            a.u64("records", docs.len() as u64);
+        });
+        let t = Instant::now();
+        for (i, (offset, bytes)) in docs.iter().enumerate() {
+            match decode_record(*offset, bytes.as_slice(), options, self) {
+                Ok(row) => rows.push((i, row)),
+                Err(q) => self.quarantined.push(q),
+            }
+        }
+        self.decode_nanos += elapsed_nanos(t);
+        self.parsed += rows.len() as u64;
+        if let Some(p) = &options.progress {
+            p.records.fetch_add(rows.len() as u64, Ordering::Relaxed);
+        }
+    }
+
+    /// Summarize this tally with the framing loop's numbers.
+    fn into_summary(mut self, framed: Framed, wall: Instant) -> IngestSummary {
+        self.quarantined.sort_by_key(|q| q.offset);
+        IngestSummary {
+            parsed: self.parsed,
+            bytes_read: framed.bytes_read,
+            quarantined: self.quarantined,
+            frame_nanos: framed.frame_nanos,
+            decode_nanos: self.decode_nanos,
+            fold_nanos: self.fold_nanos,
+            decode_fallbacks: self.fallbacks,
+            wall_nanos: elapsed_nanos(wall),
+            queue_max_depth: 0,
+            decode_hist: self.hist,
+        }
+    }
+}
+
+/// Decode one framed record; quarantines never escape as panics.
+fn decode_record<R: Row>(
     offset: u64,
     bytes: &[u8],
     options: &IngestOptions,
-    tally: &mut DecodeTally,
-) -> Result<TracerouteResult, Quarantined> {
+    tally: &mut Tally,
+) -> Result<R, Quarantined> {
     let t = options.record_latency.then(Instant::now);
     let quarantine = |kind: QuarantineKind, detail: String| Quarantined {
         offset,
@@ -334,13 +491,13 @@ fn decode_record(
         if options.inject_panic_offset == Some(offset) {
             panic!("injected ingest panic at byte {offset}");
         }
-        decode_traceroute_tallied(bytes, &mut tally.fallbacks)
+        R::decode(bytes, &mut tally.fallbacks)
     }));
     if let Some(t) = t {
         tally.hist.record(elapsed_nanos(t));
     }
     match outcome {
-        Ok(Ok(tr)) => Ok(tr),
+        Ok(Ok(row)) => Ok(row),
         Ok(Err(e)) => Err(quarantine(
             match e.kind {
                 DecodeErrorKind::Json => QuarantineKind::Json,
@@ -365,12 +522,11 @@ struct Framed {
 /// The one framing loop: read a chunk, split it into documents and junk
 /// with a [`DocSplitter`], and hand both to `sink`, which drains what it
 /// takes. Only the split is timed as framing — whatever the sink does (a
-/// queue send blocked by backpressure, an inline decode) is not. `sink`
-/// returns `false` to stop early (the pipeline's consumers are gone).
+/// queue send blocked by backpressure, an inline decode) is not.
 fn frame_loop(
     mut reader: impl Read,
     options: &IngestOptions,
-    mut sink: impl FnMut(&mut Batch, &mut Vec<Quarantined>) -> bool,
+    mut sink: impl FnMut(&mut Batch, &mut Vec<Quarantined>),
 ) -> Result<Framed, String> {
     let mut framed = Framed::default();
     let mut splitter = DocSplitter::new();
@@ -424,214 +580,163 @@ fn frame_loop(
             splitter.feed(&chunk, &mut handle);
         }
         framed.frame_nanos += elapsed_nanos(t);
-        if !sink(&mut docs, &mut junk) || n == 0 {
+        sink(&mut docs, &mut junk);
+        if n == 0 {
             return Ok(framed);
         }
     }
 }
 
 /// Inline decode: the framing loop's sink decodes each chunk's documents
-/// on the calling thread, then delivers them with their offsets and raw
-/// framed bytes. Decode is timed apart from framing and delivery.
-fn ingest_inline(
+/// on the calling thread, then hands each row to `on_row` with its
+/// offset and raw framed bytes, in input order. Decode is timed apart
+/// from framing and from `on_row` (the fold).
+fn fold_inline<R: Row>(
     reader: impl Read,
     options: &IngestOptions,
-    mut on_record: impl FnMut(u64, &[u8], TracerouteResult),
+    mut on_row: impl FnMut(u64, &[u8], R),
 ) -> Result<IngestSummary, String> {
     let wall = Instant::now();
-    let mut summary = IngestSummary::default();
-    let mut tally = DecodeTally::default();
-    let mut outcomes = Vec::new();
+    let mut tally = Tally::default();
+    let mut rows = Vec::new();
     let framed = frame_loop(reader, options, |docs, junk| {
-        if !docs.is_empty() {
-            let _span = trace::span_with("decode_batch", |a| {
-                a.u64("records", docs.len() as u64);
-            });
-            let t = Instant::now();
-            outcomes.extend(docs.iter().map(|(offset, bytes)| {
-                decode_record(*offset, bytes.as_slice(), options, &mut tally)
-            }));
-            summary.decode_nanos += elapsed_nanos(t);
+        tally.decode(docs, options, &mut rows);
+        let t = Instant::now();
+        for (i, row) in rows.drain(..) {
+            let (offset, bytes) = &docs[i];
+            on_row(*offset, bytes.as_slice(), row);
         }
-        for ((offset, bytes), outcome) in docs.drain(..).zip(outcomes.drain(..)) {
-            match outcome {
-                Ok(tr) => {
-                    summary.parsed += 1;
-                    if let Some(p) = &options.progress {
-                        p.records.fetch_add(1, Ordering::Relaxed);
-                    }
-                    on_record(offset, bytes.as_slice(), tr);
-                }
-                Err(q) => summary.quarantined.push(q),
-            }
-        }
-        summary.quarantined.append(junk);
-        true
+        tally.fold_nanos += elapsed_nanos(t);
+        docs.clear();
+        tally.quarantined.append(junk);
     })?;
-    summary.bytes_read = framed.bytes_read;
-    summary.frame_nanos = framed.frame_nanos;
-    summary.decode_hist = tally.hist;
-    summary.decode_fallbacks = tally.fallbacks;
-    summary.quarantined.sort_by_key(|q| q.offset);
-    summary.wall_nanos = elapsed_nanos(wall);
-    Ok(summary)
+    Ok(tally.into_summary(framed, wall))
 }
 
-/// The worker pipeline: the framing loop on its own thread → bounded
-/// batch queue → `workers` parse workers → bounded result queue → caller
-/// thread.
-fn ingest_workers(
-    reader: impl Read + Send,
+/// The worker pool: `workers` scoped workers each take batches off the
+/// bounded queue, decode them and fold the rows into their own state,
+/// while the calling thread runs the framing loop and fills the queue.
+fn fold_workers<R: Row, S: Send>(
+    reader: impl Read,
     options: &IngestOptions,
     workers: usize,
-    mut on_record: impl FnMut(TracerouteResult),
-) -> Result<IngestSummary, String> {
+    init: impl Fn() -> S + Sync,
+    fold: impl Fn(&mut S, R) + Sync,
+) -> Result<(IngestSummary, Vec<S>), String> {
     let wall = Instant::now();
     let batch_records = options.batch_records.max(1);
     let (batch_tx, batch_rx) = mpsc::sync_channel::<Batch>(options.queue_batches.max(1));
-    let (out_tx, out_rx) = mpsc::sync_channel::<Delivery>(options.queue_batches.max(1) + workers);
     let batch_queue = Mutex::new(batch_rx);
-    let decode_nanos = AtomicU64::new(0);
-    let decode_fallbacks = AtomicU64::new(0);
     // Batch-queue depth: pushed by the framer, popped by workers.
     let queue_depth = Gauge::default();
-    let decode_hist: Mutex<Histogram> = Mutex::new(Histogram::new());
 
-    let mut summary = IngestSummary::default();
-    let framed = std::thread::scope(|scope| {
-        // Framer: batch the documents for the workers. Junk frames go
-        // straight to the result queue as quarantine.
-        let framer = {
-            let out_tx = out_tx.clone();
-            let queue_depth = &queue_depth;
-            // Count the batch before sending it: a worker can take it and
-            // count the pop before `send` returns, and the gauges'
-            // saturating pop would then leave them one high for good.
-            let push_batch = move |b: Batch| {
-                queue_depth.inc();
-                if let Some(p) = &options.progress {
-                    p.queue_push();
-                }
-                if batch_tx.send(b).is_err() {
-                    queue_depth.dec();
-                    if let Some(p) = &options.progress {
-                        p.queue_pop();
-                    }
-                    return false; // all workers are gone
-                }
-                true
-            };
-            std::thread::Builder::new()
-                .name("ingest-frame".into())
-                .spawn_scoped(scope, move || {
-                    let mut batch: Batch = Vec::with_capacity(batch_records);
-                    let framed = frame_loop(reader, options, |docs, junk| {
-                        for doc in docs.drain(..) {
-                            batch.push(doc);
-                            if batch.len() >= batch_records
-                                && !push_batch(std::mem::take(&mut batch))
-                            {
-                                return false;
-                            }
-                        }
-                        junk.drain(..)
-                            .all(|q| out_tx.send(Delivery::Quarantined(q)).is_ok())
-                    });
-                    if !batch.is_empty() {
-                        push_batch(batch);
-                    }
-                    framed // dropping the senders lets the pipeline drain
-                })
-                .expect("spawn ingest framer thread")
-        };
-
-        // Parse workers: steal batches until the framer hangs up.
+    std::thread::scope(|scope| {
+        let (init, fold, queue_depth) = (&init, &fold, &queue_depth);
+        let batch_queue = &batch_queue;
+        let mut handles = Vec::with_capacity(workers);
         for worker in 0..workers {
-            let out_tx = out_tx.clone();
-            let batch_queue = &batch_queue;
-            let decode_nanos = &decode_nanos;
-            let decode_fallbacks = &decode_fallbacks;
-            let queue_depth = &queue_depth;
-            let decode_hist = &decode_hist;
-            std::thread::Builder::new()
+            let spawned = std::thread::Builder::new()
                 .name(format!("ingest-parse-{worker}"))
                 .spawn_scoped(scope, move || {
-                    let mut tally = DecodeTally::default();
+                    let mut state = init();
+                    let mut tally = Tally::default();
+                    let mut rows = Vec::new();
+                    // A fold that panics stops folding, but the worker
+                    // keeps draining batches, so the framer never blocks
+                    // on a queue nobody reads; the panic resumes at join.
+                    let mut failed = None;
                     loop {
                         // Blocking recv under the lock: the holder waits
-                        // for a batch while the other workers wait for
-                        // the lock, which hands batches to exactly one
-                        // worker each.
-                        let Ok(batch) = batch_queue.lock().expect("batch queue lock").recv() else {
-                            // Framer done and queue drained; publish this
-                            // worker's tally.
-                            decode_hist
-                                .lock()
-                                .expect("decode histogram lock")
-                                .merge(&tally.hist);
-                            decode_fallbacks.fetch_add(tally.fallbacks, Ordering::Relaxed);
-                            return;
+                        // for a batch while the other workers wait for the
+                        // lock, which hands batches to exactly one worker
+                        // each. The guard drops at the end of this
+                        // statement, before the batch is decoded.
+                        let received = batch_queue.lock().expect("batch queue lock").recv();
+                        let Ok(batch) = received else {
+                            break;
                         };
                         queue_depth.dec();
                         if let Some(p) = &options.progress {
                             p.queue_pop();
                         }
-                        let span = trace::span_with("decode_batch", |a| {
-                            a.u64("records", batch.len() as u64);
-                        });
+                        tally.decode(&batch, options, &mut rows);
                         let t = Instant::now();
-                        let mut records = Vec::with_capacity(batch.len());
-                        let mut quarantined = Vec::new();
-                        for (offset, bytes) in &batch {
-                            match decode_record(*offset, bytes.as_slice(), options, &mut tally) {
-                                Ok(tr) => records.push(tr),
-                                Err(q) => quarantined.push(q),
-                            }
+                        if failed.is_none() {
+                            let folded = catch_unwind(AssertUnwindSafe(|| {
+                                for (_, row) in rows.drain(..) {
+                                    fold(&mut state, row);
+                                }
+                            }));
+                            failed = folded.err();
                         }
-                        decode_nanos.fetch_add(elapsed_nanos(t), Ordering::Relaxed);
-                        drop(span);
-                        if !records.is_empty() && out_tx.send(Delivery::Records(records)).is_err() {
-                            return;
-                        }
-                        for q in quarantined {
-                            if out_tx.send(Delivery::Quarantined(q)).is_err() {
-                                return;
-                            }
-                        }
+                        rows.clear();
+                        tally.fold_nanos += elapsed_nanos(t);
                     }
-                })
-                .expect("spawn ingest parse worker");
-        }
-        // The caller keeps no sender: the drain below ends exactly when
-        // the framer and every worker have hung up.
-        drop(out_tx);
-
-        for delivery in out_rx.iter() {
-            match delivery {
-                Delivery::Records(records) => {
-                    summary.parsed += records.len() as u64;
-                    if let Some(p) = &options.progress {
-                        p.records.fetch_add(records.len() as u64, Ordering::Relaxed);
+                    match failed {
+                        Some(payload) => resume_unwind(payload),
+                        None => (state, tally),
                     }
-                    for tr in records {
-                        on_record(tr);
-                    }
+                });
+            match spawned {
+                Ok(handle) => handles.push(handle),
+                Err(e) => {
+                    // Hanging up the queue ends the workers already
+                    // spawned; the scope joins them.
+                    drop(batch_tx);
+                    return Err(format!("spawn ingest worker {worker}: {e}"));
                 }
-                Delivery::Quarantined(q) => summary.quarantined.push(q),
             }
         }
-        framer.join().expect("ingest framer thread panicked")
-    })?;
 
-    summary.bytes_read = framed.bytes_read;
-    summary.frame_nanos = framed.frame_nanos;
-    summary.decode_nanos = decode_nanos.into_inner();
-    summary.decode_fallbacks = decode_fallbacks.into_inner();
-    summary.queue_max_depth = queue_depth.high_water();
-    summary.decode_hist = decode_hist.into_inner().expect("decode histogram lock");
-    summary.quarantined.sort_by_key(|q| q.offset);
-    summary.wall_nanos = elapsed_nanos(wall);
-    Ok(summary)
+        // The framer, on this thread: batch the documents for the
+        // workers. Count a batch before sending it: a worker can take it
+        // and count the pop before `send` returns, and the gauges'
+        // saturating pop would then leave them one high for good.
+        let push_batch = |b: Batch| {
+            queue_depth.inc();
+            if let Some(p) = &options.progress {
+                p.queue_push();
+            }
+            // Fails only once every worker is gone, which happens only
+            // by unwinding: the join below resumes the panic.
+            if batch_tx.send(b).is_err() {
+                queue_depth.dec();
+                if let Some(p) = &options.progress {
+                    p.queue_pop();
+                }
+            }
+        };
+        let mut framer_tally = Tally::default();
+        let mut batch: Batch = Vec::with_capacity(batch_records);
+        let framed = frame_loop(reader, options, |docs, junk| {
+            for doc in docs.drain(..) {
+                batch.push(doc);
+                if batch.len() >= batch_records {
+                    push_batch(std::mem::replace(
+                        &mut batch,
+                        Vec::with_capacity(batch_records),
+                    ));
+                }
+            }
+            framer_tally.quarantined.append(junk);
+        });
+        if !batch.is_empty() {
+            push_batch(batch);
+        }
+        // Hanging up lets the workers drain the queue and finish.
+        drop(batch_tx);
+        let mut states = Vec::with_capacity(workers);
+        for handle in handles {
+            let (state, tally) = handle
+                .join()
+                .unwrap_or_else(|payload| resume_unwind(payload));
+            states.push(state);
+            framer_tally.merge(tally);
+        }
+        let mut summary = framer_tally.into_summary(framed?, wall);
+        summary.queue_max_depth = queue_depth.high_water();
+        Ok((summary, states))
+    })
 }
 
 fn elapsed_nanos(since: Instant) -> u64 {
@@ -699,7 +804,7 @@ mod tests {
     fn ingest_slice_delivers_raw_bytes_and_matches_reader_semantics() {
         let input = lines_input(5);
         let mut records: Vec<(u64, Vec<u8>, u32)> = Vec::new();
-        let quarantined = ingest_slice(&input, |offset, raw, tr| {
+        let quarantined = ingest_slice(&input, |offset, raw, tr: TracerouteResult| {
             records.push((offset, raw.to_vec(), tr.probe.0));
         });
         assert!(quarantined.is_empty());
@@ -720,14 +825,14 @@ mod tests {
             chunk_bytes: 97,
             ..IngestOptions::default()
         };
-        ingest_inline(&input[..], &options, |offset, raw, tr| {
+        fold_inline(&input[..], &options, |offset, raw, tr: TracerouteResult| {
             chunked.push((offset, raw.to_vec(), tr.probe.0));
         })
         .unwrap();
         assert_eq!(chunked, records);
         // A top-level array frames too (same DocSplitter).
         let mut n = 0;
-        assert!(ingest_slice(&array_input(3), |_, _, _| n += 1).is_empty());
+        assert!(ingest_slice(&array_input(3), |_, _, _: LastMile| n += 1).is_empty());
         assert_eq!(n, 3);
     }
 
@@ -741,7 +846,7 @@ mod tests {
         input.extend_from_slice(tr_json(2, 1001).as_bytes());
         input.push(b'\n');
         let mut accepted = 0;
-        let quarantined = ingest_slice(&input, |_, _, _| accepted += 1);
+        let quarantined = ingest_slice(&input, |_, _, _: LastMile| accepted += 1);
         assert_eq!(accepted, 2);
         assert_eq!(quarantined.len(), 2);
         // Sorted by offset; kinds match the batch ingest taxonomy.
@@ -807,7 +912,7 @@ mod tests {
         input.extend_from_slice(tr_json(2, 1001).as_bytes());
         input.push(b'\n');
         let mut probes = Vec::new();
-        let quarantined = ingest_slice(&input, |_, _, tr| probes.push(tr.probe.0));
+        let quarantined = ingest_slice(&input, |_, _, row: LastMile| probes.push(row.probe.0));
         assert_eq!(probes, vec![1, 2], "neighbours delivered");
         assert_eq!(quarantined.len(), 1);
         let q = &quarantined[0];
@@ -983,22 +1088,60 @@ mod tests {
     }
 
     #[test]
-    fn at_most_one_resolved_worker_decodes_inline() {
-        // (requested threads, available cores) -> decodes inline?
-        for (requested, available, inline) in [
-            (0, 1, true), // auto on a one-core host
-            (0, 2, false),
-            (0, 8, false),
-            (1, 1, true), // one worker is never worth a queue
-            (1, 8, true),
-            (2, 1, false), // an explicit count >= 2 keeps the workers
-            (4, 8, false),
-        ] {
-            assert_eq!(
-                resolve_threads(requested, available) <= 1,
-                inline,
-                "threads={requested} on {available} cores"
-            );
+    fn zero_threads_resolve_to_the_cores_and_counts_are_bounded() {
+        let cores = std::thread::available_parallelism().map_or(4, |n| n.get());
+        assert_eq!(worker_count(0), cores);
+        for n in [1, 2, 3, MAX_WORKERS, MAX_WORKERS + 1] {
+            assert_eq!(worker_count(n), n);
+        }
+        // A count past the ceiling fails before any thread starts: the
+        // reader is never read.
+        struct Untouched;
+        impl Read for Untouched {
+            fn read(&mut self, _: &mut [u8]) -> std::io::Result<usize> {
+                panic!("read before the thread count was checked");
+            }
+        }
+        let options = IngestOptions {
+            threads: MAX_WORKERS + 1,
+            ..IngestOptions::default()
+        };
+        let err = fold_reader(Untouched, &options, || (), |_, _: LastMile| {}).unwrap_err();
+        assert!(err.contains(&MAX_WORKERS.to_string()), "{err}");
+    }
+
+    #[test]
+    fn workers_fold_last_mile_rows_into_their_own_states() {
+        // Each worker's state is a per-probe count; merged, they equal
+        // the inline run's one state, whatever the split.
+        let input = lines_input(300);
+        let count = |threads| {
+            let options = IngestOptions {
+                threads,
+                batch_records: 7,
+                ..IngestOptions::default()
+            };
+            let (summary, states) = fold_reader(
+                Cursor::new(input.clone()),
+                &options,
+                BTreeMap::<u32, u64>::new,
+                |seen, row: LastMile| *seen.entry(row.probe.0).or_default() += 1,
+            )
+            .unwrap();
+            let mut merged = BTreeMap::new();
+            for state in &states {
+                for (probe, n) in state {
+                    *merged.entry(*probe).or_insert(0) += n;
+                }
+            }
+            (summary.parsed, states.len(), merged)
+        };
+        let (parsed, states, inline) = count(1);
+        assert_eq!((parsed, states, inline.len()), (300, 1, 300));
+        for threads in [2, 3] {
+            let (parsed, states, merged) = count(threads);
+            assert_eq!((parsed, states), (300, threads), "threads={threads}");
+            assert_eq!(merged, inline, "threads={threads}");
         }
     }
 
@@ -1010,14 +1153,22 @@ mod tests {
             record_latency: true,
             ..IngestOptions::default()
         };
-        let (_, summary) = fingerprint(&options, &lines_input(200));
+        let input = lines_input(200);
+        let (summary, _) = fold_reader(
+            Cursor::new(input),
+            &options,
+            Vec::new,
+            |rows, row: LastMile| rows.push(row),
+        )
+        .unwrap();
         assert_eq!(summary.parsed, 200);
-        assert!(summary.frame_nanos > 0 && summary.decode_nanos > 0);
+        assert!(summary.frame_nanos > 0 && summary.decode_nanos > 0 && summary.fold_nanos > 0);
         assert!(
-            summary.frame_nanos + summary.decode_nanos <= summary.wall_nanos,
-            "frame {} + decode {} > wall {}",
+            summary.frame_nanos + summary.decode_nanos + summary.fold_nanos <= summary.wall_nanos,
+            "frame {} + decode {} + fold {} > wall {}",
             summary.frame_nanos,
             summary.decode_nanos,
+            summary.fold_nanos,
             summary.wall_nanos
         );
         assert!(summary.decode_hist.sum() <= summary.decode_nanos);

@@ -33,7 +33,7 @@
 //! reflects every accepted record, never a mix.
 
 use crate::watch::{AppendWatcher, WatchPoll};
-use lastmile_atlas::ProbeId;
+use lastmile_atlas::{LastMile, ProbeId};
 use lastmile_ingest::ingest_slice;
 use lastmile_obs::{trace, EpochRecord, EpochTelemetry, LiveMetrics};
 use std::sync::atomic::Ordering;
@@ -297,7 +297,7 @@ fn process_poll(poll: WatchPoll, shared: &Shared) {
                 a.u64("bytes", bytes.len() as u64);
             });
             let mut probes = Vec::new();
-            let quarantined = ingest_slice(&bytes, |_, _, tr| probes.push(tr.probe));
+            let quarantined = ingest_slice(&bytes, |_, _, row: LastMile| probes.push(row.probe));
             let m = &shared.metrics;
             m.watch_appends.fetch_add(1, Ordering::Relaxed);
             m.watch_quarantined

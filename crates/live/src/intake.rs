@@ -1,15 +1,15 @@
 //! POST intake: validate a request body and spool accepted records.
 //!
-//! `POST /v1/traceroutes` bodies are framed and decoded by
-//! [`lastmile_ingest::ingest_slice`] — the same framing and quarantine
-//! taxonomy as batch ingest, verbatim. Accepted records are appended to
+//! `POST /v1/traceroutes` bodies are framed and decoded to their
+//! last-mile rows by [`lastmile_ingest::ingest_slice`] — the same
+//! framing, decoder and quarantine taxonomy as batch ingest, verbatim. Accepted records are appended to
 //! the **spool**: a JSON Lines file that is part of the daemon's union
 //! corpus from startup, so every re-analysis (and any later cold
 //! `classify` over corpus + spool) sees POSTed records exactly as
 //! file-appended ones. Rejected records never touch the spool; they go
 //! back to the client with their quarantine kind/detail.
 
-use lastmile_atlas::ProbeId;
+use lastmile_atlas::{LastMile, ProbeId};
 use lastmile_ingest::{ingest_slice, Quarantined};
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -77,9 +77,9 @@ pub struct IntakeOutcome {
 pub fn intake_body(body: &[u8], spool: &Spool) -> std::io::Result<IntakeOutcome> {
     let mut raw: Vec<Vec<u8>> = Vec::new();
     let mut probes = Vec::new();
-    let rejected = ingest_slice(body, |_, bytes, tr| {
+    let rejected = ingest_slice(body, |_, bytes, row: LastMile| {
         raw.push(bytes.to_vec());
-        probes.push(tr.probe);
+        probes.push(row.probe);
     });
     if !raw.is_empty() {
         let slices: Vec<&[u8]> = raw.iter().map(|r| r.as_slice()).collect();

@@ -54,6 +54,7 @@ fn run_metrics() -> RunMetrics {
             },
             frame_nanos: 307,
             decode_nanos: 308,
+            fold_nanos: 312,
             decode_fallbacks: 311,
             wall_nanos: 1_250_000_000,
             queue_max_depth: 310,
@@ -261,5 +262,5 @@ fn every_declared_metric_is_in_json_and_exposition() {
     v.group("run", &[], |v| run.visit(v));
     v.group("serve", &[], |v| serve.visit(v));
     v.group("live", &[], |v| live.visit(v));
-    assert_eq!(seen, 40 + 28 + 12, "run + serve + live declarations");
+    assert_eq!(seen, 41 + 28 + 12, "run + serve + live declarations");
 }

@@ -90,6 +90,7 @@ metrics! {
         group quarantined(QuarantineMetrics => QuarantineStats);
         counter frame_nanos("lastmile_run_ingest_frame_nanos_total", "Nanoseconds the ingest framing loop spent splitting records (one thread).");
         counter decode_nanos("lastmile_run_ingest_decode_nanos_total", "Nanoseconds spent decoding records, summed across parse workers.");
+        counter fold_nanos("lastmile_run_ingest_fold_nanos_total", "Nanoseconds ingest workers spent folding decoded records into their own state (routing and binning), summed across workers.");
         /// Nonzero means the decoder's fast pass met a record shape it
         /// does not cover and serde decoded it at several times the cost.
         counter decode_fallbacks("lastmile_run_ingest_decode_fallbacks_total", "Records the decoder's fast pass declined and handed to serde, quarantined ones included.");
@@ -538,6 +539,7 @@ mod tests {
             },
             frame_nanos: 5,
             decode_nanos: 6,
+            fold_nanos: 8,
             decode_fallbacks: 7,
             wall_nanos: 500_000_000, // 0.5 s
             queue_max_depth: 3,
@@ -607,6 +609,7 @@ mod tests {
                 },
                 frame_nanos: 5,
                 decode_nanos: 6,
+                fold_nanos: 8,
                 decode_fallbacks: 7,
                 wall_nanos: 1_000_000_000,
                 queue_max_depth: 3, // fetch_max, not a sum
@@ -689,6 +692,7 @@ mod tests {
             "worker_panic",
             "frame_nanos",
             "decode_nanos",
+            "fold_nanos",
             "decode_fallbacks",
             "wall_nanos",
             "queue_max_depth",

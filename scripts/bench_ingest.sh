@@ -8,8 +8,9 @@
 #
 # BENCH_SMOKE=1 runs a fast correctness-only pass instead: a one-day
 # corpus (plus a deliberately corrupted copy) is classified in every
-# form × mode combination and each worker mode's --json output and
-# quarantine dump must be byte-identical to the inline (threads1) run.
+# form × routing (--probes, --bgp, none) × mode combination and each
+# worker mode's --json output and quarantine dump must be byte-identical
+# to the inline (threads1) run of the same form and routing.
 # No timings are recorded and BENCH_ingest.json is not touched — this is
 # the cross-mode identity check scripts/check.sh runs on every change.
 set -eu
@@ -43,41 +44,53 @@ if [ "${BENCH_SMOKE:-0}" = "1" ]; then
         printf '}\n'
         tail -n +4 "$jsonl"
     } >"$corrupt"
+    # Routing runs in the ingest workers, so each form is classified
+    # under every routing mode: probe metadata, the BGP table simulate
+    # writes (per-record ASN from the first public hop), and none (one
+    # population, ASN 0).
     for form in lines array corrupt; do
         case $form in
             lines) file=$jsonl ;;
             array) file=$array ;;
             corrupt) file=$corrupt ;;
         esac
-        for mode in 1 2 3 0; do
-            label="threads$mode"
-            echo "==> smoke: classify $form $label"
-            "$bin" classify --traceroutes "$file" --probes "$work/probes.json" \
-                --ingest-threads "$mode" --json --quarantine "$work/q.$form.$label.jsonl" \
-                >"$work/out.$form.$label.json" 2>/dev/null
-            if [ "$label" != threads1 ]; then
-                cmp "$work/out.$form.threads1.json" "$work/out.$form.$label.json" || {
-                    echo "FAIL: $form $label classify --json differs from threads1" >&2
-                    exit 1
-                }
-                cmp "$work/q.$form.threads1.jsonl" "$work/q.$form.$label.jsonl" || {
-                    echo "FAIL: $form $label quarantine dump differs from threads1" >&2
-                    exit 1
-                }
-            fi
+        for routing in probes bgp none; do
+            case $routing in
+                probes) route="--probes $work/probes.json" ;;
+                bgp) route="--bgp $work/bgp.csv" ;;
+                none) route="" ;;
+            esac
+            for mode in 1 2 3 0; do
+                label="$routing.threads$mode"
+                echo "==> smoke: classify $form $label"
+                # shellcheck disable=SC2086 # $route is a flag and its value
+                "$bin" classify --traceroutes "$file" $route \
+                    --ingest-threads "$mode" --json --quarantine "$work/q.$form.$label.jsonl" \
+                    >"$work/out.$form.$label.json" 2>/dev/null
+                if [ "$mode" != 1 ]; then
+                    cmp "$work/out.$form.$routing.threads1.json" "$work/out.$form.$label.json" || {
+                        echo "FAIL: $form $label classify --json differs from threads1" >&2
+                        exit 1
+                    }
+                    cmp "$work/q.$form.$routing.threads1.jsonl" "$work/q.$form.$label.jsonl" || {
+                        echo "FAIL: $form $label quarantine dump differs from threads1" >&2
+                        exit 1
+                    }
+                fi
+            done
         done
     done
     # The corrupted corpus must actually have quarantined something, or
     # the quarantine identity above is vacuous.
-    [ -s "$work/q.corrupt.threads1.jsonl" ] || {
+    [ -s "$work/q.corrupt.probes.threads1.jsonl" ] || {
         echo "FAIL: corrupted corpus produced an empty quarantine dump" >&2
         exit 1
     }
-    grep -q '"kind":"json".*recursion limit exceeded' "$work/q.corrupt.threads1.jsonl" || {
+    grep -q '"kind":"json".*recursion limit exceeded' "$work/q.corrupt.probes.threads1.jsonl" || {
         echo "FAIL: the deeply nested record was not quarantined as json" >&2
         exit 1
     }
-    echo "OK: ingest smoke passed (classify --json and quarantine byte-identical across modes)"
+    echo "OK: ingest smoke passed (classify --json and quarantine byte-identical across modes and routings)"
     exit 0
 fi
 

@@ -283,14 +283,9 @@ pub fn run_survey(
     report
 }
 
-/// The workers a `--threads`-style count asks for: itself, or for `0`
-/// one per available core (4 when that is unknown).
-pub fn worker_count(threads: usize) -> usize {
-    match threads {
-        0 => std::thread::available_parallelism().map_or(4, |n| n.get()),
-        n => n,
-    }
-}
+/// The one resolver of `--threads`-style counts, shared with the ingest
+/// worker pool (which sits below this crate); see its docs.
+pub use lastmile_ingest::{worker_count, MAX_WORKERS};
 
 /// The workspace's one parallel executor: run `tasks` indexed tasks on
 /// `threads` scoped workers (`0` = one per available core, never more
