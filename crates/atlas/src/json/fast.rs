@@ -19,11 +19,28 @@
 //! The two passes share every one of those checks, so each accepts
 //! exactly the records the other does.
 //!
-//! Most of the cost is walking the record, so the walk takes the
-//! spellings writers emit without scanning: keys in the usual order are
-//! matched byte for byte, and so are whole replies in the two compact
-//! key orders (see [`Cursor::compact_reply`]). Any other spelling takes
-//! the general walk, with the same checks.
+//! Most of the cost is walking the record, so the walk reads the
+//! spellings writers emit straight off the bytes. Every other spelling
+//! falls through to the general path, inside the same pass and with the
+//! same checks:
+//! - Keys in the usual order are matched byte for byte, and so are whole
+//!   replies in the two compact key orders (see [`Cursor::compact_reply`]).
+//! - An integer field whose value is a run of at most 19 digits that ends
+//!   the number token is read from the digits ([`Cursor::short_digits`]).
+//!   Whitespace before it, a sign, a longer run or any `.eE+-` after the
+//!   digits makes it a token, classified as serde classifies it.
+//! - Number tokens stay bytes: integer forms are read from the digits,
+//!   and only a float form becomes `&str`, for the `f64` parse. Their
+//!   digit runs, and the bodies of strings, are scanned 8 bytes per step
+//!   ([`digit_run`], [`special_lanes`]).
+//! - An address that is a strict dotted quad is read by [`dotted_quad`];
+//!   every other spelling, IPv6 and near-quads alike, goes to
+//!   `str::parse`.
+//!
+//! What is left per record is the walk itself (key and literal compares,
+//! the scans, the range checks), the `f64` parse of each RTT the pass
+//! keeps (about a fifth of a last-mile decode on the benchmark corpus),
+//! and the row's two allocations.
 //!
 //! The last-mile pass builds no hop or reply. It parses reply addresses
 //! only up to the first public hop: past it an unparsable `from` could
@@ -38,7 +55,7 @@ use crate::probe::ProbeId;
 use crate::traceroute::{Hop, LastMile, Reply, TracerouteResult};
 use lastmile_prefix::special;
 use lastmile_timebase::UnixTime;
-use std::net::IpAddr;
+use std::net::{IpAddr, Ipv4Addr};
 use std::ops::Range;
 
 /// Deepest nesting (counting the record's own object as 1) an unknown
@@ -52,6 +69,10 @@ const HOPS_RESERVED: usize = 16;
 
 /// Replies per hop: Atlas sends three packets per TTL.
 const REPLIES_RESERVED: usize = 3;
+
+/// RTT tokens the last-mile pass reserves up front: the replies of the
+/// hops up to the edge, which home paths reach within a few hops.
+const EDGE_RTTS_RESERVED: usize = 4 * REPLIES_RESERVED;
 
 /// Decode `bytes` if this pass can prove the result equals serde's.
 pub(super) fn decode(bytes: &[u8]) -> Option<TracerouteResult> {
@@ -79,7 +100,10 @@ pub(super) fn decode(bytes: &[u8]) -> Option<TracerouteResult> {
 /// equals the projection of serde's model.
 pub(super) fn decode_last_mile(bytes: &[u8]) -> Option<LastMile> {
     let mut cursor = Cursor { bytes, pos: 0 };
-    let mut scan = EdgeScan::default();
+    let mut scan = EdgeScan {
+        rtts: Vec::with_capacity(EDGE_RTTS_RESERVED),
+        ..EdgeScan::default()
+    };
     let head = cursor.traceroute(|c| scan.hop(c))?;
     cursor.end()?;
     let (edge, rtts, private) = scan.finish()?;
@@ -134,10 +158,12 @@ impl Num {
 }
 
 /// A number token's text, scanned with serde's character class
-/// `-?[0-9.eE+-]*`, and how it reads.
+/// `-?[0-9.eE+-]*`, and how it reads. The text is ASCII by construction,
+/// so it stays bytes: integers are read from the digits, and only an
+/// `f64` parse sees it as `&str`.
 #[derive(Clone, Copy)]
 struct Token<'a> {
-    text: &'a str,
+    text: &'a [u8],
     /// Anything but digits follows the sign: serde reads an `f64`.
     is_float: bool,
     /// The form `-?[0-9]+(\.[0-9]+)?`, whose value [`Token::num`]
@@ -150,16 +176,21 @@ impl Token<'_> {
     /// no `f64` parse accepts it either.
     fn num(self) -> Option<Num> {
         if !self.is_float {
-            let int = if self.text.starts_with('-') {
-                self.text.parse().ok().map(Num::I)
-            } else {
-                unsigned_digits(self.text).map(Num::U)
+            let int = match self.text {
+                [b'-', digits @ ..] => unsigned_digits(digits)
+                    .and_then(|v| 0i64.checked_sub_unsigned(v))
+                    .map(Num::I),
+                digits => unsigned_digits(digits).map(Num::U),
             };
             if int.is_some() {
                 return int;
             }
         }
-        self.text.parse().ok().map(Num::F)
+        std::str::from_utf8(self.text)
+            .ok()?
+            .parse()
+            .ok()
+            .map(Num::F)
     }
 
     /// The value of an RTT: as serde reads it into an `f64` field.
@@ -169,11 +200,64 @@ impl Token<'_> {
 }
 
 /// A run of ASCII digits as a `u64`, as `str::parse` reads it; `None`
-/// on overflow.
-fn unsigned_digits(digits: &str) -> Option<u64> {
-    digits.bytes().try_fold(0u64, |n, d| {
+/// when empty or on overflow.
+fn unsigned_digits(digits: &[u8]) -> Option<u64> {
+    if digits.is_empty() {
+        return None;
+    }
+    digits.iter().try_fold(0u64, |n, &d| {
         n.checked_mul(10)?.checked_add(u64::from(d - b'0'))
     })
+}
+
+/// One in each byte lane of a scan word.
+const LANES: u64 = 0x0101_0101_0101_0101;
+
+/// How many ASCII digits `bytes` starts with, found 8 bytes per step
+/// with safe `u64` arithmetic, as `memscan` scans: written RTTs carry
+/// 16–17 significant digits.
+fn digit_run(bytes: &[u8]) -> usize {
+    run(bytes, non_digit_lanes, u8::is_ascii_digit)
+}
+
+/// How many leading bytes of `bytes` are in a class, found 8 bytes per
+/// step: `outside` gives the exact lane mask of a word's bytes outside
+/// the class, `inside` tests one byte of the tail.
+fn run(bytes: &[u8], outside: impl Fn(u64) -> u64, inside: impl Fn(&u8) -> bool) -> usize {
+    let mut n = 0;
+    for chunk in bytes.chunks_exact(memscan::WORD_BYTES) {
+        let lanes = outside(memscan::load_word(chunk));
+        if lanes != 0 {
+            return n + memscan::first_lane(lanes);
+        }
+        n += memscan::WORD_BYTES;
+    }
+    n + bytes[n..].iter().take_while(|b| inside(b)).count()
+}
+
+/// A byte a string holds without ending or leaving the plain form.
+fn plain_string_byte(&b: &u8) -> bool {
+    !matches!(b, b'"' | b'\\' | 0..=0x1f | 0x80..)
+}
+
+/// Exact per-lane mask of the bytes of `w` that end or interrupt a
+/// plain string: `"`, `\`, control bytes and non-ASCII bytes. A lane
+/// below 0x80 gains bit 7 from `+ 0x60` exactly when it is at least
+/// 0x20.
+fn special_lanes(w: u64) -> u64 {
+    let low = w & (LANES * 0x7F);
+    memscan::quote_lanes(w)
+        | memscan::backslash_lanes(w)
+        | ((w | !(low + LANES * 0x60)) & (LANES * 0x80))
+}
+
+/// Exact per-lane mask (the high bit of each lane) of the bytes of `w`
+/// outside `0-9`. A lane below 0x80 gains bit 7 from `+ 0x50` exactly
+/// when it is at least `0`, and from `+ 0x46` exactly when it is past
+/// `9`; neither sum carries into the next lane.
+fn non_digit_lanes(w: u64) -> u64 {
+    let low = w & (LANES * 0x7F);
+    (w | !(low + LANES * 0x50) | (low + LANES * 0x46)) & (LANES * 0x80)
 }
 
 /// Required top-level fields, one bit each.
@@ -205,9 +289,42 @@ const HEAD_KEYS: &[&[u8]] = &[
     b"result",
 ];
 
-/// An address string, parsed as `str::parse` does.
+/// An address string, parsed as `str::parse` does: a strict dotted
+/// quad is read straight off the bytes, and every other spelling goes
+/// to `str::parse`.
 fn parse_address(text: &[u8]) -> Option<IpAddr> {
-    std::str::from_utf8(text).ok()?.parse().ok()
+    match dotted_quad(text) {
+        Some(v4) => Some(IpAddr::V4(v4)),
+        None => std::str::from_utf8(text).ok()?.parse().ok(),
+    }
+}
+
+/// `text` if it is the one IPv4 spelling `str::parse` accepts: four
+/// octets of 1–3 digits joined by dots, none with a leading zero or
+/// above 255. `None` for every other text, address or not.
+fn dotted_quad(text: &[u8]) -> Option<Ipv4Addr> {
+    let mut octets = [0u8; 4];
+    let mut rest = text;
+    for (i, octet) in octets.iter_mut().enumerate() {
+        if i > 0 {
+            rest = rest.strip_prefix(b".")?;
+        }
+        let len = rest
+            .iter()
+            .take(4)
+            .take_while(|b| b.is_ascii_digit())
+            .count();
+        let digits = &rest[..len];
+        if !(1..=3).contains(&len) || (len > 1 && digits[0] == b'0') {
+            return None;
+        }
+        let value = digits
+            .iter()
+            .fold(0u16, |n, &d| n * 10 + u16::from(d - b'0'));
+        *octet = u8::try_from(value).ok()?;
+        rest = &rest[len..];
+    }
+    rest.is_empty().then_some(Ipv4Addr::from(octets))
 }
 
 /// The address of `text`, reusing `last`'s parse while the bytes repeat:
@@ -289,13 +406,17 @@ impl<'a> Cursor<'a> {
 
     /// A string with no escape and no control byte, as raw bytes. Its
     /// contents must be UTF-8 (serde reads the whole record as `&str`).
-    /// Keys and addresses end within a few bytes, so a byte loop finds
-    /// the close quote; only a non-ASCII string pays for a word scan and
-    /// the full UTF-8 check.
+    /// The body is scanned a word at a time up to its first special
+    /// byte; only a non-ASCII string pays for the full UTF-8 check.
     fn string(&mut self) -> Option<&'a [u8]> {
         self.punct(b'"')?;
+        self.string_body()
+    }
+
+    /// [`Cursor::string`] after its opening quote.
+    fn string_body(&mut self) -> Option<&'a [u8]> {
         let start = self.pos;
-        let mut end = start;
+        let mut end = start + run(&self.bytes[start..], special_lanes, plain_string_byte);
         loop {
             match *self.bytes.get(end)? {
                 b'"' => break,
@@ -322,7 +443,9 @@ impl<'a> Cursor<'a> {
         Some(body)
     }
 
-    /// A number token, not yet parsed.
+    /// A number token, not yet parsed. Its usual spellings, digits with
+    /// at most one dot, are scanned a word at a time; whatever else of
+    /// the class follows is scanned byte by byte.
     fn token(&mut self) -> Option<Token<'a>> {
         let b = self.peek()?;
         if b != b'-' && !b.is_ascii_digit() {
@@ -331,7 +454,13 @@ impl<'a> Cursor<'a> {
         let start = self.pos;
         self.pos += usize::from(b == b'-');
         let unsigned_from = self.pos;
-        let (mut dots, mut exponent) = (0u32, false);
+        self.pos += digit_run(&self.bytes[self.pos..]);
+        let mut dots = 0u32;
+        if self.bytes.get(self.pos) == Some(&b'.') {
+            dots = 1;
+            self.pos += 1 + digit_run(&self.bytes[self.pos + 1..]);
+        }
+        let mut exponent = false;
         while let Some(&b) = self.bytes.get(self.pos) {
             match b {
                 b'0'..=b'9' => {}
@@ -347,18 +476,41 @@ impl<'a> Cursor<'a> {
             && dots <= 1
             && unsigned.first().is_some_and(u8::is_ascii_digit)
             && unsigned.last().is_some_and(u8::is_ascii_digit);
-        // The token is ASCII by construction.
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).ok()?;
         Some(Token {
-            text,
+            text: &self.bytes[start..self.pos],
             is_float: exponent || dots > 0,
             is_plain,
         })
     }
 
-    /// A number, classified exactly as serde does.
+    /// A number, classified exactly as serde does. A run of at most 19
+    /// digits at the cursor that ends the token is read straight off the
+    /// bytes: it always fits the `u64` serde reads. Any other spelling
+    /// (whitespace first, a sign, a longer run, a float) is a token.
     fn number(&mut self) -> Option<Num> {
-        self.token()?.num()
+        self.short_digits()
+            .map(Num::U)
+            .or_else(|| self.token()?.num())
+    }
+
+    /// The value of a run of 1–19 digits at the cursor that no byte of
+    /// `[0-9.eE+-]` follows; `None`, consuming nothing, otherwise.
+    fn short_digits(&mut self) -> Option<u64> {
+        let rest = &self.bytes[self.pos..];
+        let mut value = 0u64;
+        let mut len = 0;
+        while let Some(&d @ b'0'..=b'9') = rest.get(len) {
+            if len == 19 {
+                return None;
+            }
+            value = value * 10 + u64::from(d - b'0');
+            len += 1;
+        }
+        if len == 0 || matches!(rest.get(len), Some(b'.' | b'e' | b'E' | b'+' | b'-')) {
+            return None;
+        }
+        self.pos += len;
+        Some(value)
     }
 
     /// Walk an object's members: `member` gets each key with the cursor
@@ -561,11 +713,13 @@ impl<'a> Cursor<'a> {
         self.any_reply()
     }
 
-    /// Consume `lit` if the bytes at the cursor are exactly it.
-    fn lit(&mut self, lit: &[u8]) -> Option<()> {
+    /// Consume `lit` if the bytes at the cursor are exactly it. Its
+    /// length is a constant, so the compare compiles to a few loads.
+    #[inline(always)]
+    fn lit<const N: usize>(&mut self, lit: &[u8; N]) -> Option<()> {
         self.bytes[self.pos..]
             .starts_with(lit)
-            .then(|| self.pos += lit.len())
+            .then(|| self.pos += N)
     }
 
     /// A reply in one of the compact spellings writers emit, matched
@@ -579,8 +733,8 @@ impl<'a> Cursor<'a> {
         if self.lit(br#"{"x":"*"}"#).is_some() {
             return Some((None, None));
         }
-        self.lit(br#"{"from":"#)?;
-        let from = self.string()?;
+        self.lit(br#"{"from":""#)?;
+        let from = self.string_body()?;
         let rtt = if self.lit(br#","rtt":"#).is_some() {
             let rtt = self.token()?;
             self.lit(br#","size":"#)?;
@@ -716,5 +870,140 @@ impl<'a> EdgeScan<'a> {
             rtts.push(token.rtt()?);
         }
         Some((self.edge, rtts, self.private.len()))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    /// Bytes that border the digit class, non-ASCII ones, and structural
+    /// ones; `None` ends the slice instead.
+    const ENDS: [Option<u8>; 8] = [
+        None,
+        Some(b'/'),
+        Some(b':'),
+        Some(b'.'),
+        Some(b'e'),
+        Some(b'"'),
+        Some(0x80 | b'5'),
+        Some(0xff),
+    ];
+
+    #[test]
+    fn lane_masks_are_exact_for_every_byte_in_every_lane() {
+        for b in 0..=255u8 {
+            for lane in 0..memscan::WORD_BYTES {
+                let mut word = *b"55555555";
+                word[lane] = b;
+                let w = u64::from_le_bytes(word);
+                let outside = |inside: bool| if inside { 0 } else { memscan::lane_bit(lane) };
+                assert_eq!(
+                    non_digit_lanes(w),
+                    outside(b.is_ascii_digit()),
+                    "{b:#04x} in lane {lane}"
+                );
+                assert_eq!(
+                    special_lanes(w),
+                    outside(plain_string_byte(&b)),
+                    "{b:#04x} in lane {lane}"
+                );
+            }
+        }
+    }
+
+    /// A text of 1–5 parts of 0–4 digits joined by dots. Half the parts
+    /// are a number up to 300 written plainly, so quads, valid or one
+    /// octet off, come up often.
+    fn digits_and_dots(seed: u64) -> String {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let parts = [1, 2, 3, 4, 4, 4, 4, 5][rng.gen_range(0..8usize)];
+        let parts: Vec<String> = (0..parts)
+            .map(|_| {
+                if rng.gen_bool(0.5) {
+                    rng.gen_range(0..=300u32).to_string()
+                } else {
+                    (0..rng.gen_range(0..=4))
+                        .map(|_| char::from(b'0' + rng.gen_range(0..10u8)))
+                        .collect()
+                }
+            })
+            .collect();
+        parts.join(".")
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        #[test]
+        fn dotted_quads_read_as_str_parse_does(seed in any::<u64>()) {
+            let text = digits_and_dots(seed);
+            // Digits and dots spell no IPv6 address, so `str::parse`
+            // accepts exactly the quads the reader must answer for.
+            prop_assert_eq!(
+                dotted_quad(text.as_bytes()).map(IpAddr::V4),
+                text.parse::<IpAddr>().ok(),
+                "seed {:#x}: {:?}", seed, text
+            );
+        }
+    }
+
+    /// The property above must see quads the reader reads.
+    #[test]
+    fn digit_and_dot_texts_reach_quads() {
+        let quads = (0..1000)
+            .filter(|&seed| dotted_quad(digits_and_dots(seed).as_bytes()).is_some())
+            .count();
+        assert!(quads >= 50, "{quads} of 1000");
+    }
+
+    #[test]
+    fn digit_runs_end_at_the_first_non_digit_at_every_offset() {
+        for start in 0..=memscan::WORD_BYTES {
+            for len in 0..=3 * memscan::WORD_BYTES + 1 {
+                for end in ENDS {
+                    let mut bytes = vec![b'x'; start];
+                    bytes.extend((0..len).map(|i| b'0' + (i % 10) as u8));
+                    if let Some(b) = end {
+                        bytes.push(b);
+                        bytes.extend_from_slice(b"12345678");
+                    }
+                    assert_eq!(
+                        digit_run(&bytes[start..]),
+                        len,
+                        "start {start}, {len} digits, then {end:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn string_bodies_end_at_the_first_special_byte_at_every_offset() {
+        let filler = b"1.2.3.4 ::ffff ICMP";
+        for start in 0..=memscan::WORD_BYTES {
+            for len in 0..=3 * memscan::WORD_BYTES + 1 {
+                for stop in [
+                    None,
+                    Some(b'"'),
+                    Some(b'\\'),
+                    Some(0),
+                    Some(0x1f),
+                    Some(0xc3),
+                ] {
+                    let mut bytes = vec![b'"'; start];
+                    bytes.extend((0..len).map(|i| filler[i % filler.len()]));
+                    if let Some(b) = stop {
+                        bytes.push(b);
+                        bytes.extend_from_slice(b"abcdefgh");
+                    }
+                    let got = run(&bytes[start..], special_lanes, plain_string_byte);
+                    assert_eq!(got, len, "start {start}, {len} bytes, then {stop:?}");
+                }
+            }
+        }
     }
 }

@@ -175,6 +175,14 @@ const NUMBERS: &[&str] = &[
     "+1",
     "0.1e+5",
     "123456789012345678901234567890",
+    "4294967295",
+    "18446744073709551615",
+    "9223372036854775807",
+    "9223372036854775808",
+    "-9223372036854775808",
+    "1234567890123456789",
+    "0000000000000000000028",
+    "00",
 ];
 
 /// Strings that are not addresses, or only nearly.
@@ -190,6 +198,12 @@ const STRINGS: &[&str] = &[
     "ICMP",
     "é",
     "010.0.0.1",
+    "01.2.3.4",
+    "1.2.3.256",
+    "1.2.3.4.5",
+    "1..2.3",
+    "1.2.3.",
+    "::ffff:1.2.3.4",
 ];
 
 fn random_value(rng: &mut SmallRng, depth: u32) -> J {
@@ -383,13 +397,13 @@ fn damage(rng: &mut SmallRng, bytes: &mut Vec<u8>) {
 
 /// The property: the decoder answers exactly as serde does. Models are
 /// compared through `Debug`, which tells `-0.0` from `0.0`.
-fn assert_matches_oracle(seed: u64, bytes: &[u8]) {
+fn assert_matches_oracle(case: &str, bytes: &[u8]) {
     let got = decode_traceroute(bytes);
     let want = decode_with_serde(bytes);
     assert_eq!(
         format!("{got:?}"),
         format!("{want:?}"),
-        "seed {seed:#x}: decoder and serde disagree on {:?}",
+        "{case}: decoder and serde disagree on {:?}",
         String::from_utf8_lossy(bytes)
     );
 }
@@ -487,12 +501,12 @@ proptest! {
 
     #[test]
     fn varied_records_decode_as_serde_does(seed in any::<u64>()) {
-        assert_matches_oracle(seed, &varied(seed));
+        assert_matches_oracle(&format!("seed {seed:#x}"), &varied(seed));
     }
 
     #[test]
     fn damaged_records_decode_as_serde_does(seed in any::<u64>()) {
-        assert_matches_oracle(seed, &damaged(seed));
+        assert_matches_oracle(&format!("seed {seed:#x}"), &damaged(seed));
     }
 }
 
@@ -668,6 +682,88 @@ fn last_mile_edge_cases_project_as_the_model() {
     );
 }
 
+/// Every integer field of the record, head, hop and reply, at its
+/// maximum, one past it, with leading zeros, as `-0` and after
+/// whitespace; the reply fields in both compact key orders. Both
+/// decoders must answer as serde does, and the fast passes must take
+/// every spelling serde accepts themselves.
+#[test]
+fn integer_fields_decode_as_serde_does() {
+    let record = r#"{"fw":FW,"af":AF,"dst_addr":"1.2.3.4","src_addr":"10.0.0.1","from":"1.2.3.5","msm_id":MSM,"prb_id":PRB,"timestamp":TS,"proto":"ICMP","type":"traceroute","result":[{"hop":1,"result":[{"from":"192.168.1.1","rtt":1.5,"size":28,"ttl":64}]},{"hop":HOP,"result":[REPLY]}]}"#;
+    let orders = [
+        (
+            "crate order",
+            r#"{"from":"20.0.0.1","rtt":2.5,"size":SIZE,"ttl":TTL}"#,
+        ),
+        (
+            "Atlas order",
+            r#"{"from":"20.0.0.1","ttl":TTL,"size":SIZE,"rtt":2.5}"#,
+        ),
+    ];
+    let fields = [
+        ("fw", "FW", "4294967295", "4294967296"),
+        ("af", "AF", "255", "256"),
+        ("msm_id", "MSM", "4294967295", "4294967296"),
+        ("prb_id", "PRB", "4294967295", "4294967296"),
+        (
+            "timestamp",
+            "TS",
+            "9223372036854775807",
+            "9223372036854775808",
+        ),
+        ("hop", "HOP", "255", "256"),
+        ("size", "SIZE", "4294967295", "4294967296"),
+        ("ttl", "TTL", "255", "256"),
+    ];
+    let defaults = [
+        ("FW", "5080"),
+        ("AF", "4"),
+        ("MSM", "5"),
+        ("PRB", "6"),
+        ("TS", "7"),
+        ("HOP", "2"),
+        ("SIZE", "28"),
+        ("TTL", "62"),
+    ];
+    let fill = |reply: &str, slot: &str, value: &str| {
+        let json = record.replace("REPLY", reply).replace(slot, value);
+        defaults
+            .iter()
+            .fold(json, |json, (slot, default)| json.replace(slot, default))
+    };
+    for (order, reply) in orders {
+        for (field, slot, max, over) in fields {
+            let mut spellings = vec![
+                ("max", max, true),
+                ("max + 1", over, false),
+                ("leading zeros", "0007", true),
+                ("-0", "-0", true),
+                ("whitespace first", " \t\n\r7", true),
+            ];
+            if field == "timestamp" {
+                spellings.push(("min", "-9223372036854775808", true));
+                spellings.push(("min - 1", "-9223372036854775809", false));
+            }
+            for (name, value, accepted) in spellings {
+                let case = format!("{field} {name} ({order})");
+                let json = fill(reply, slot, value);
+                assert_matches_oracle(&case, json.as_bytes());
+                assert_projects_the_model(&case, json.as_bytes());
+                assert_eq!(
+                    decode_fast(json.as_bytes()).is_some(),
+                    accepted,
+                    "{case}: {json}"
+                );
+                assert_eq!(
+                    decode_with_serde(json.as_bytes()).is_ok(),
+                    accepted,
+                    "{case}: {json}"
+                );
+            }
+        }
+    }
+}
+
 /// A hand-written fixture in the public RIPE Atlas traceroute result
 /// format (<https://atlas.ripe.net/docs/apis/result-format/>): reply keys
 /// in Atlas order (`from, ttl, size, rtt`), `lts`, `endtime` and
@@ -745,8 +841,8 @@ fn edge_cases_decode_as_serde_does() {
         String::new(),
         "[]".into(),
     ]);
-    for case in &cases {
-        assert_matches_oracle(0, case.as_bytes());
+    for (i, case) in cases.iter().enumerate() {
+        assert_matches_oracle(&format!("edge case {i}"), case.as_bytes());
     }
     // `-0` as an integer token is +0.0, as serde reads it.
     let tr = decode_traceroute(base.replace("RTT", "-0").as_bytes()).unwrap();

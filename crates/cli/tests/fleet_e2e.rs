@@ -10,11 +10,33 @@ use common::run;
 use std::path::{Path, PathBuf};
 
 /// A fresh scratch dir per test (parallel tests must not collide).
-fn scratch(tag: &str) -> PathBuf {
+fn scratch(tag: &str) -> Scratch {
     let dir = std::env::temp_dir().join(format!("lastmile-fleet-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
-    dir
+    Scratch(dir)
+}
+
+/// A scratch dir, removed when the test that made it ends. A failed
+/// test keeps it, and names it, for a look at what the run left.
+struct Scratch(PathBuf);
+
+impl std::ops::Deref for Scratch {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            eprintln!("kept scratch dir {}", self.0.display());
+        } else {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
 }
 
 /// A small spec covering a persistent, a clean, and an adversarial AS.
@@ -187,7 +209,6 @@ fn generated_corpora_match_their_golden_digests() {
         "generated bytes moved:\n{}",
         moved.join("\n")
     );
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -18,8 +18,22 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo build --workspace --benches --examples"
 cargo build --workspace --benches --examples
 
-echo "==> cargo test -q --workspace"
-cargo test -q --workspace
+# The suite gets a temp dir of its own, so a per-process scratch dir
+# (lastmile-*-<pid>) that a test leaves behind shows, and fails the
+# gate. A failing suite keeps the dir for a look at what it left.
+echo "==> cargo test -q --workspace (TMPDIR checked for scratch leaks)"
+test_tmp=$(mktemp -d)
+TMPDIR=$test_tmp cargo test -q --workspace || {
+    echo "test scratch kept in $test_tmp" >&2
+    exit 1
+}
+leaks=$(find "$test_tmp" -mindepth 1 -maxdepth 1 -name 'lastmile-*' | grep -E '/lastmile-.*-[0-9]+$' || true)
+rm -rf "$test_tmp"
+if [ -n "$leaks" ]; then
+    echo "tests left scratch dirs behind:" >&2
+    echo "$leaks" >&2
+    exit 1
+fi
 
 # The end-to-end benchmark is a package of its own (outside the
 # workspace); its unit tests include the check that the metrics its
