@@ -209,8 +209,7 @@ mod tests {
 
     #[test]
     fn fingerprint_tracks_content_not_name() {
-        let dir = std::env::temp_dir().join("lastmile-cache-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = crate::Scratch::new("cache-test");
         let a = dir.join("a.jsonl");
         let b = dir.join("b.jsonl");
         std::fs::write(&a, "same bytes").unwrap();

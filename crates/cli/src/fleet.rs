@@ -23,8 +23,10 @@ use lastmile_repro::obs::trace;
 use lastmile_repro::prefix::Asn;
 use lastmile_repro::runner::{run_tasks, worker_count};
 use lastmile_repro::timebase::TimeRange;
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::io::Write;
+use std::sync::{Condvar, Mutex, PoisonError};
 
 pub fn run(action: Option<&str>, flags: &Flags) -> Result<(), String> {
     match action {
@@ -257,59 +259,182 @@ fn gen(flags: &Flags) -> Result<(), String> {
     eprintln!("[out] {truth_path} ({} ASes)", scenario.truth.len());
     drop(span);
 
-    // Traceroutes, probe-major. Probes are simulated and rendered in
-    // parallel in chunks of `--threads` (bounding how much rendered text
-    // is held at once), but the file is assembled strictly in probe
-    // order — thread count can never move a byte.
+    // Traceroutes, probe-major, in one pass of the executor. Each worker
+    // simulates and renders the probe it claims into a buffer it reuses,
+    // waits for the probe's turn, and appends the buffer to the file
+    // itself: the file is assembled strictly in probe order, so thread
+    // count can never move a byte, and at most one rendered probe per
+    // worker is held at once.
     let span = trace::span("fleet_export_traceroutes");
     let trs_path = format!("{out_dir}/traceroutes.jsonl");
     let file = std::fs::File::create(&trs_path).map_err(|e| format!("create {trs_path}: {e}"))?;
-    let mut w = std::io::BufWriter::new(file);
     let engine = TracerouteEngine::new(&scenario.world);
-    let mut count = 0usize;
-    for chunk in probes.chunks(threads) {
-        let rendered = run_tasks(threads, "fleet-render", chunk.len(), |i| {
-            render_probe(&engine, chunk[i], &window)
-        });
-        for outcome in rendered {
-            let (buf, n) = outcome.map_err(|e| format!("render traceroutes: {e}"))?;
-            w.write_all(buf.as_bytes())
-                .map_err(|e| format!("write {trs_path}: {e}"))?;
-            count += n;
+    let order = InOrder::new(std::io::BufWriter::new(file));
+    let rendered = run_tasks(threads, "fleet-render", probes.len(), |i| {
+        let turn = order.turn(i);
+        RENDERED.with_borrow_mut(|buf| {
+            buf.clear();
+            let records = render_probe(&engine, probes[i], &window, buf);
+            let span = trace::span_with("write_probe", |a| {
+                a.u64("probe", u64::from(probes[i].meta.id.0))
+                    .u64("bytes", buf.len() as u64);
+            });
+            turn.append(buf.as_bytes());
+            drop(span);
+            records
+        })
+    });
+    let mut w = match order.finish() {
+        Ok(w) => w,
+        Err(Failure::Write(e)) => return Err(format!("write {trs_path}: {e}")),
+        Err(Failure::Render(i)) => {
+            let why = rendered[i].as_ref().err().map_or("", String::as_str);
+            return Err(format!("render traceroutes: {why}"));
         }
-    }
+    };
     w.flush().map_err(|e| format!("flush {trs_path}: {e}"))?;
+    // With no failure in the pass, every probe rendered.
+    let count: usize = rendered.into_iter().flatten().sum();
     eprintln!("[out] {trs_path} ({count} traceroutes)");
     drop(span);
 
     Ok(())
 }
 
-/// One probe's traceroutes over `window` as JSON Lines, and how many.
-/// Simulating and rendering are separate `--trace` spans
+thread_local! {
+    /// A `fleet gen` worker's render buffer, reused from probe to probe.
+    static RENDERED: RefCell<String> = const { RefCell::new(String::new()) };
+}
+
+/// Appends to `W` in task order from the executor's workers: task `i`
+/// appends once tasks `0..i` have appended (or failed), and the first
+/// failure in that order stops every later append.
+struct InOrder<W> {
+    state: Mutex<Order<W>>,
+    turn_passed: Condvar,
+}
+
+struct Order<W> {
+    /// The task whose turn it is.
+    next: usize,
+    out: W,
+    failure: Option<Failure>,
+}
+
+/// Why an ordered pass stopped appending.
+enum Failure {
+    /// The first append that failed.
+    Write(std::io::Error),
+    /// Task `i` ended (panicked) without appending.
+    Render(usize),
+}
+
+/// Task `i`'s place in an [`InOrder`]. Dropping it without
+/// [`Turn::append`] (a panic on the way) still waits for the turn and
+/// passes it on, so no later task waits forever.
+struct Turn<'a, W: Write> {
+    order: &'a InOrder<W>,
+    /// `None` once the turn is passed on.
+    task: Option<usize>,
+}
+
+impl<W: Write> InOrder<W> {
+    fn new(out: W) -> Self {
+        InOrder {
+            state: Mutex::new(Order {
+                next: 0,
+                out,
+                failure: None,
+            }),
+            turn_passed: Condvar::new(),
+        }
+    }
+
+    fn turn(&self, task: usize) -> Turn<'_, W> {
+        Turn {
+            order: self,
+            task: Some(task),
+        }
+    }
+
+    /// The writer, or the first failure in task order.
+    fn finish(self) -> Result<W, Failure> {
+        let order = self
+            .state
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner);
+        match order.failure {
+            None => Ok(order.out),
+            Some(failure) => Err(failure),
+        }
+    }
+}
+
+impl<W: Write> Turn<'_, W> {
+    /// Wait for this task's turn, append `bytes` unless an earlier task
+    /// failed, and pass the turn on.
+    fn append(mut self, bytes: &[u8]) {
+        self.pass(Some(bytes));
+    }
+
+    fn pass(&mut self, bytes: Option<&[u8]>) {
+        let Some(task) = self.task.take() else {
+            return;
+        };
+        let InOrder { state, turn_passed } = self.order;
+        // Passing a turn runs in `drop`, so it must not panic, and every
+        // update under the lock leaves the order valid: recover a
+        // poisoned lock.
+        let mut order = state.lock().unwrap_or_else(PoisonError::into_inner);
+        while order.next != task {
+            order = turn_passed
+                .wait(order)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        if order.failure.is_none() {
+            order.failure = match bytes {
+                Some(bytes) => order.out.write_all(bytes).err().map(Failure::Write),
+                None => Some(Failure::Render(task)),
+            };
+        }
+        order.next += 1;
+        drop(order);
+        turn_passed.notify_all();
+    }
+}
+
+impl<W: Write> Drop for Turn<'_, W> {
+    fn drop(&mut self) {
+        self.pass(None);
+    }
+}
+
+/// Append one probe's traceroutes over `window` to `buf` as JSON Lines;
+/// how many. Simulating and rendering are separate `--trace` spans
 /// (`simulate_probe`, then `render_probe` with its `records` and
 /// `bytes`), so the trace shows where generation time goes.
 fn render_probe(
     engine: &TracerouteEngine,
     probe: &SimProbe,
     window: &TimeRange,
-) -> (String, usize) {
+    buf: &mut String,
+) -> usize {
     let traceroutes = engine.probe_traceroutes(probe, window);
     let span = trace::span_with("render_probe", |a| {
         a.u64("probe", u64::from(probe.meta.id.0))
             .u64("records", traceroutes.len() as u64);
     });
-    let mut buf = String::new();
+    let start = buf.len();
     for tr in &traceroutes {
-        write_traceroute(tr, probe.meta.public_addr, &mut buf);
+        write_traceroute(tr, probe.meta.public_addr, buf);
         buf.push('\n');
     }
     if let Some(span) = span {
         span.end_with(|a| {
-            a.u64("bytes", buf.len() as u64);
+            a.u64("bytes", (buf.len() - start) as u64);
         });
     }
-    (buf, traceroutes.len())
+    traceroutes.len()
 }
 
 /// The class name `classify` should print for ASes of a label.
@@ -551,6 +676,84 @@ fn score(flags: &Flags) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A writer that fails its `fail_at`-th write (counting from 1) and
+    /// every one after, numbering the failures.
+    struct FailsFrom {
+        fail_at: u32,
+        writes: u32,
+        kept: Vec<u8>,
+    }
+
+    impl Write for FailsFrom {
+        fn write(&mut self, bytes: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            if self.writes >= self.fail_at {
+                return Err(std::io::Error::other(format!("write {}", self.writes)));
+            }
+            self.kept.extend_from_slice(bytes);
+            Ok(bytes.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// What an ordered pass appended, or its failure, and each task's
+    /// outcome.
+    type Pass = (Result<Vec<u8>, Failure>, Vec<Result<(), String>>);
+
+    /// Run `tasks` tasks on 3 workers, each appending its index and a
+    /// newline in order; task `panics_at` panics before appending.
+    fn ordered_pass(tasks: usize, panics_at: Option<usize>) -> Pass {
+        let order = InOrder::new(Vec::new());
+        let outcomes = run_tasks(3, "ordered-test", tasks, |i| {
+            let turn = order.turn(i);
+            // Later tasks often finish first.
+            std::thread::sleep(std::time::Duration::from_micros(((tasks - i) * 50) as u64));
+            if Some(i) == panics_at {
+                panic!("task {i} failed");
+            }
+            turn.append(format!("{i}\n").as_bytes());
+        });
+        (order.finish(), outcomes)
+    }
+
+    #[test]
+    fn ordered_appends_land_in_task_order() {
+        let (out, outcomes) = ordered_pass(40, None);
+        let want: String = (0..40).map(|i| format!("{i}\n")).collect();
+        assert_eq!(String::from_utf8(out.ok().unwrap()).unwrap(), want);
+        assert!(outcomes.iter().all(Result::is_ok));
+    }
+
+    #[test]
+    fn a_panicking_task_ends_the_pass_without_stalling_later_ones() {
+        let (out, outcomes) = ordered_pass(40, Some(7));
+        assert!(matches!(out, Err(Failure::Render(7))));
+        assert_eq!(outcomes[7].as_ref().unwrap_err(), "task 7 failed");
+        assert_eq!(outcomes.iter().filter(|o| o.is_err()).count(), 1);
+    }
+
+    #[test]
+    fn the_first_write_error_ends_the_pass() {
+        let order = InOrder::new(FailsFrom {
+            fail_at: 5,
+            writes: 0,
+            kept: Vec::new(),
+        });
+        run_tasks(3, "ordered-test", 20, |i| {
+            order.turn(i).append(format!("{i}\n").as_bytes());
+        });
+        let state = order.state.into_inner().unwrap();
+        let Some(Failure::Write(e)) = &state.failure else {
+            panic!("the pass hid its write error");
+        };
+        assert_eq!(e.to_string(), "write 5");
+        // Every turn passed, and no append was tried after the failure.
+        assert_eq!((state.next, state.out.writes), (20, 5));
+        assert_eq!(state.out.kept, b"0\n1\n2\n3\n");
+    }
 
     #[test]
     fn example_spec_round_trips() {

@@ -248,8 +248,7 @@ mod tests {
             }],
         };
         let json = to_atlas_json(&tr, "20.0.0.1".parse().unwrap());
-        let dir = std::env::temp_dir().join("lastmile-cli-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = crate::Scratch::new("cli-test");
 
         let opts = IngestOptions::default();
 
@@ -291,8 +290,7 @@ mod tests {
 
     #[test]
     fn probe_errors_are_located() {
-        let dir = std::env::temp_dir().join("lastmile-cli-probe-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = crate::Scratch::new("cli-probe-test");
         let path = dir.join("probes.json");
         let good = serde_json::to_string(&probe(1, 10, false)).unwrap();
         std::fs::write(&path, format!("[\n{good},\n{{\"id\": \"oops\"}}\n]")).unwrap();

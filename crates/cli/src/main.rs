@@ -275,6 +275,37 @@ fn main() -> ExitCode {
     }
 }
 
+/// A scratch directory of this process's tests, `lastmile-TAG-PID` in
+/// the temp dir, removed when dropped.
+#[cfg(test)]
+pub(crate) struct Scratch(std::path::PathBuf);
+
+#[cfg(test)]
+impl Scratch {
+    pub(crate) fn new(tag: &str) -> Scratch {
+        let dir = std::env::temp_dir().join(format!("lastmile-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        Scratch(dir)
+    }
+}
+
+#[cfg(test)]
+impl std::ops::Deref for Scratch {
+    type Target = std::path::Path;
+
+    fn deref(&self) -> &std::path::Path {
+        &self.0
+    }
+}
+
+#[cfg(test)]
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::{accepted_flags, check_flags, usage, Flags};

@@ -1,13 +1,17 @@
 //! End-to-end tests of the `lastmile fleet` subcommand: spec linting,
 //! byte-exact determinism of generated corpora (and golden digests of
 //! `fleet gen` and `simulate` output), snapshot priming for
-//! zero-re-ingest warm classification, and the truth-joined scorer with
-//! its CI gates.
+//! zero-re-ingest warm classification, the truth-joined scorer with
+//! its CI gates, and `fleet gen`'s failure and streaming paths (a full
+//! disk, a FIFO into `classify`).
 
 mod common;
 
-use common::run;
+use common::{lastmile_bin, run};
+use std::fs::File;
 use std::path::{Path, PathBuf};
+use std::process::{Child, Command, ExitStatus, Stdio};
+use std::time::{Duration, Instant};
 
 /// A fresh scratch dir per test (parallel tests must not collide).
 fn scratch(tag: &str) -> Scratch {
@@ -400,5 +404,128 @@ fn fleet_score_joins_truth_and_enforces_gates() {
     assert!(
         stdout.contains("severe"),
         "matrix must print even on gate failure"
+    );
+}
+
+/// `fleet gen --spec SPEC --out OUT --seed 7 --threads 2` as an
+/// unstarted command, its stderr into `err`.
+fn gen_command(spec: &Path, out: &Path, err: &Path) -> Command {
+    let mut cmd = Command::new(lastmile_bin());
+    cmd.args(["fleet", "gen", "--spec"])
+        .arg(spec)
+        .arg("--out")
+        .arg(out)
+        .args(["--seed", "7", "--threads", "2"])
+        .stdout(Stdio::null())
+        .stderr(File::create(err).unwrap());
+    cmd
+}
+
+/// Wait for every child to exit; past `limit`, kill them all and fail.
+fn finish_within<const N: usize>(limit: Duration, mut children: [Child; N]) -> [ExitStatus; N] {
+    let deadline = Instant::now() + limit;
+    let mut statuses = [None; N];
+    while statuses.iter().any(Option::is_none) {
+        for (child, status) in children.iter_mut().zip(&mut statuses) {
+            if status.is_none() {
+                *status = child.try_wait().expect("try_wait");
+            }
+        }
+        if statuses.iter().any(Option::is_none) && Instant::now() > deadline {
+            for child in &mut children {
+                let _ = child.kill();
+                let _ = child.wait();
+            }
+            panic!("still running after {limit:?}: {statuses:?}");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    statuses.map(|s| s.expect("exited"))
+}
+
+/// A failed append ends `fleet gen` with the error, naming the file,
+/// and no worker is left waiting for its turn: the run exits.
+#[test]
+fn fleet_gen_exits_with_the_write_error_when_the_corpus_cannot_be_written() {
+    let dir = scratch("full");
+    let spec = write_spec(&dir);
+    let out = dir.join("out");
+    std::fs::create_dir_all(&out).unwrap();
+    let trs = out.join("traceroutes.jsonl");
+    std::os::unix::fs::symlink("/dev/full", &trs).unwrap();
+    let err_path = dir.join("gen.err");
+    let gen = gen_command(&spec, &out, &err_path).spawn().unwrap();
+    let [status] = finish_within(Duration::from_secs(120), [gen]);
+    let err = std::fs::read_to_string(&err_path).unwrap();
+    assert!(
+        !status.success(),
+        "fleet gen into /dev/full succeeded: {err}"
+    );
+    assert!(err.contains(&format!("write {}: ", trs.display())), "{err}");
+}
+
+/// `fleet gen` streams its corpus through a FIFO at
+/// `OUT/traceroutes.jsonl` into `classify`, which reads it as it is
+/// written, and the verdicts are byte-identical to `classify` over the
+/// same corpus on disk: a streamed run is the same computation.
+#[test]
+fn classify_over_a_fifo_from_fleet_gen_matches_the_file_on_disk() {
+    let dir = scratch("fifo");
+    let spec = write_spec(&dir);
+    let (disk, streamed) = (dir.join("disk"), dir.join("streamed"));
+    let gen = gen_command(&spec, &disk, &dir.join("disk.err"))
+        .spawn()
+        .unwrap();
+    let [status] = finish_within(Duration::from_secs(120), [gen]);
+    assert!(status.success(), "fleet gen to disk failed");
+    let (start, end) = truth_window(&disk.join("truth.json"));
+    // Both runs read the on-disk probe metadata: the streamed gen writes
+    // an identical copy, but classify may start before it is complete.
+    let classify = |traceroutes: &Path, out: &Path| {
+        let mut cmd = Command::new(lastmile_bin());
+        cmd.args(["classify", "--traceroutes"])
+            .arg(traceroutes)
+            .arg("--probes")
+            .arg(disk.join("probes.json"))
+            .args(["--start", &start.to_string(), "--end", &end.to_string()])
+            .arg("--json")
+            .stdout(File::create(out).unwrap())
+            .stderr(Stdio::null());
+        cmd
+    };
+    let from_disk = dir.join("disk.json");
+    let child = classify(&disk.join("traceroutes.jsonl"), &from_disk)
+        .spawn()
+        .unwrap();
+    let [status] = finish_within(Duration::from_secs(120), [child]);
+    assert!(status.success(), "classify over the file failed");
+
+    std::fs::create_dir_all(&streamed).unwrap();
+    let fifo = streamed.join("traceroutes.jsonl");
+    let made = Command::new("mkfifo").arg(&fifo).status().unwrap();
+    assert!(made.success(), "mkfifo failed");
+    let from_fifo = dir.join("fifo.json");
+    let gen_err = dir.join("streamed.err");
+    let gen = gen_command(&spec, &streamed, &gen_err).spawn().unwrap();
+    let reader = classify(&fifo, &from_fifo).spawn().unwrap();
+    let [gen_status, classify_status] = finish_within(Duration::from_secs(120), [gen, reader]);
+    let err = std::fs::read_to_string(&gen_err).unwrap();
+    assert!(
+        gen_status.success(),
+        "fleet gen into the FIFO failed: {err}"
+    );
+    assert!(classify_status.success(), "classify over the FIFO failed");
+    let (want, got) = (
+        std::fs::read(&from_disk).unwrap(),
+        std::fs::read(&from_fifo).unwrap(),
+    );
+    assert!(!want.is_empty());
+    assert!(
+        want == got,
+        "classify over the FIFO differs from over the file"
+    );
+    assert_eq!(
+        std::fs::read(streamed.join("probes.json")).unwrap(),
+        std::fs::read(disk.join("probes.json")).unwrap()
     );
 }

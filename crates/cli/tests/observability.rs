@@ -326,19 +326,32 @@ fn fleet_gen_trace_separates_simulation_from_rendering() {
             s.parent
         );
     }
-    // The render spans account for every record and byte written.
-    let sum = |key: &str, args: fn(&Span) -> &serde_json::Value| -> u64 {
+    // Each probe waits for its turn and appends its records in exactly
+    // one write span of its own.
+    let writes = spans.iter().filter(|s| s.name == "write_probe").count();
+    assert_eq!(writes, simulated.len());
+    assert_eq!(probes("write_probe"), simulated);
+    // The render spans account for every record and byte written, and
+    // the write spans for every byte appended.
+    let sum = |name: &str, key: &str, args: fn(&Span) -> &serde_json::Value| -> u64 {
         spans
             .iter()
-            .filter(|s| s.name == "render_probe")
-            .map(|s| args(s)[key].as_u64().expect("render_probe arg"))
+            .filter(|s| s.name == name)
+            .map(|s| args(s)[key].as_u64().expect("span arg"))
             .sum()
     };
     let corpus = std::fs::read(out.join("traceroutes.jsonl")).unwrap();
     let lines = corpus.iter().filter(|&&b| b == b'\n').count() as u64;
     assert!(lines > 0);
-    assert_eq!(sum("records", |s| &s.begin_args), lines);
-    assert_eq!(sum("bytes", |s| &s.end_args), corpus.len() as u64);
+    assert_eq!(sum("render_probe", "records", |s| &s.begin_args), lines);
+    assert_eq!(
+        sum("render_probe", "bytes", |s| &s.end_args),
+        corpus.len() as u64
+    );
+    assert_eq!(
+        sum("write_probe", "bytes", |s| &s.begin_args),
+        corpus.len() as u64
+    );
 
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -407,6 +407,37 @@ impl SeriesStore {
     }
 }
 
+/// A scratch directory of this process's tests, `lastmile-TAG-PID` in
+/// the temp dir, removed when dropped.
+#[cfg(test)]
+pub(crate) struct Scratch(std::path::PathBuf);
+
+#[cfg(test)]
+impl Scratch {
+    pub(crate) fn new(tag: &str) -> Scratch {
+        let dir = std::env::temp_dir().join(format!("lastmile-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        Scratch(dir)
+    }
+}
+
+#[cfg(test)]
+impl std::ops::Deref for Scratch {
+    type Target = std::path::Path;
+
+    fn deref(&self) -> &std::path::Path {
+        &self.0
+    }
+}
+
+#[cfg(test)]
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -534,8 +565,7 @@ mod tests {
         let rw = SeriesStore::default();
         let range = aligned(0, 4);
         rw.insert(&key(1), &range, &built(1, &[(0, 5.0)], &[]));
-        let dir = std::env::temp_dir().join("lastmile-store-ro-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = Scratch::new("store-ro-test");
         let path = dir.join("snap.bin");
         rw.save_snapshot(&path, 42).unwrap();
 

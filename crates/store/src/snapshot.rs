@@ -403,10 +403,9 @@ mod tests {
         ]
     }
 
-    fn tmp_path(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join("lastmile-snapshot-tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(name)
+    /// A scratch dir of its own for one test's snapshot files.
+    fn scratch(test: &str) -> crate::Scratch {
+        crate::Scratch::new(&format!("snapshot-{test}"))
     }
 
     #[test]
@@ -421,7 +420,8 @@ mod tests {
 
     #[test]
     fn roundtrip_preserves_everything_bitwise() {
-        let path = tmp_path("roundtrip.bin");
+        let dir = scratch("roundtrip");
+        let path = dir.join("roundtrip.bin");
         let entries = sample_entries();
         let written = write_snapshot(&path, 0xFEED, &entries).unwrap();
         let (loaded, read) = read_snapshot(&path, 0xFEED).unwrap();
@@ -431,7 +431,8 @@ mod tests {
 
     #[test]
     fn header_rejections_are_typed() {
-        let path = tmp_path("typed.bin");
+        let dir = scratch("typed");
+        let path = dir.join("typed.bin");
         write_snapshot(&path, 1, &sample_entries()).unwrap();
         let good = std::fs::read(&path).unwrap();
 
@@ -494,7 +495,7 @@ mod tests {
 
         // Missing file is an Io error.
         assert!(matches!(
-            read_snapshot(&tmp_path("does-not-exist.bin"), 1),
+            read_snapshot(&dir.join("does-not-exist.bin"), 1),
             Err(SnapshotError::Io(_))
         ));
     }
@@ -515,7 +516,8 @@ mod tests {
     fn structural_corruption_is_caught_after_checksum() {
         // Hand-build a payload with an absurd entry count and a valid
         // checksum: the count guard must reject it without allocating.
-        let path = tmp_path("absurd-count.bin");
+        let dir = scratch("corrupt");
+        let path = dir.join("absurd-count.bin");
         std::fs::write(&path, file_with_payload(&u64::MAX.to_le_bytes())).unwrap();
         assert!(matches!(
             read_snapshot(&path, 7),
@@ -526,7 +528,7 @@ mod tests {
         for window in [(3600, 3600), (7200, 3600)] {
             let mut entries = sample_entries();
             entries[1].window = window;
-            let path = tmp_path("bad-window.bin");
+            let path = dir.join("bad-window.bin");
             std::fs::write(&path, file_with_payload(&encode_payload(&entries))).unwrap();
             assert!(matches!(
                 read_snapshot(&path, 7),
@@ -537,8 +539,9 @@ mod tests {
 
     #[test]
     fn deterministic_bytes_for_same_entries() {
-        let a = tmp_path("det-a.bin");
-        let b = tmp_path("det-b.bin");
+        let dir = scratch("det");
+        let a = dir.join("det-a.bin");
+        let b = dir.join("det-b.bin");
         write_snapshot(&a, 5, &sample_entries()).unwrap();
         write_snapshot(&b, 5, &sample_entries()).unwrap();
         assert_eq!(std::fs::read(&a).unwrap(), std::fs::read(&b).unwrap());
@@ -546,7 +549,8 @@ mod tests {
 
     #[test]
     fn no_temp_file_left_behind() {
-        let path = tmp_path("clean.bin");
+        let dir = scratch("clean");
+        let path = dir.join("clean.bin");
         write_snapshot(&path, 1, &sample_entries()).unwrap();
         let leftovers: Vec<String> = std::fs::read_dir(path.parent().unwrap())
             .unwrap()
@@ -562,7 +566,8 @@ mod tests {
         // Writers racing on the same target must each use their own temp
         // file: whichever rename lands last, the result is one of the
         // written states in full, never an interleaving.
-        let path = tmp_path("race.bin");
+        let dir = scratch("race");
+        let path = dir.join("race.bin");
         let variants: Vec<Vec<SnapshotEntry>> = (0..8u32)
             .map(|i| {
                 let mut entries = sample_entries();

@@ -15,20 +15,43 @@ use lastmile_store::{CacheMode, Lookup, SeriesStore, StoreConfig, StoreKey};
 use lastmile_timebase::{BinSpec, TimeRange, UnixTime};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 const FINGERPRINT: u64 = 0xF00D_F00D;
 
-fn scratch_file(tag: &str) -> PathBuf {
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join("lastmile-snapshot-robustness");
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(format!(
-        "{tag}-{}-{}.lmss",
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ))
+/// A scratch file of this process, removed when dropped.
+struct ScratchFile(PathBuf);
+
+impl ScratchFile {
+    fn new(tag: &str) -> ScratchFile {
+        static SEQ: AtomicU64 = AtomicU64::new(0);
+        ScratchFile(std::env::temp_dir().join(format!(
+            "lastmile-snapshot-{tag}-{}-{}.lmss",
+            std::process::id(),
+            SEQ.fetch_add(1, Ordering::Relaxed)
+        )))
+    }
+}
+
+impl std::ops::Deref for ScratchFile {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl AsRef<Path> for ScratchFile {
+    fn as_ref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for ScratchFile {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
+    }
 }
 
 /// One synthetic insert: a probe, an aligned bin span, and which bins of
@@ -105,7 +128,7 @@ proptest! {
     #[test]
     fn roundtrip_is_exact_and_canonical(ops in prop::collection::vec(insert_op(), 0..12)) {
         let store = build_store(&ops);
-        let path = scratch_file("roundtrip");
+        let path = ScratchFile::new("roundtrip");
         store.save_snapshot(&path, FINGERPRINT).unwrap();
         let (loaded, _) =
             SeriesStore::load_snapshot(&path, FINGERPRINT, StoreConfig::default()).unwrap();
@@ -134,11 +157,9 @@ proptest! {
         }
 
         // Canonical bytes: saving the loaded store reproduces the file.
-        let path2 = scratch_file("canonical");
+        let path2 = ScratchFile::new("canonical");
         loaded.save_snapshot(&path2, FINGERPRINT).unwrap();
         prop_assert_eq!(std::fs::read(&path).unwrap(), std::fs::read(&path2).unwrap());
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(&path2);
     }
 
     /// Any single corrupted byte makes the load fail with a typed error —
@@ -150,7 +171,7 @@ proptest! {
         bit in 0u8..8,
     ) {
         let store = build_store(&ops);
-        let path = scratch_file("flip");
+        let path = ScratchFile::new("flip");
         store.save_snapshot(&path, FINGERPRINT).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
         let pos = (pos_seed % bytes.len() as u64) as usize;
@@ -165,7 +186,6 @@ proptest! {
         prop_assert!(empty.is_empty());
         prop_assert_eq!(read, 0);
         prop_assert!(err.is_some());
-        let _ = std::fs::remove_file(&path);
     }
 
     /// Any strict prefix of a snapshot is rejected (truncated download,
@@ -176,7 +196,7 @@ proptest! {
         cut_seed in any::<u64>(),
     ) {
         let store = build_store(&ops);
-        let path = scratch_file("cut");
+        let path = ScratchFile::new("cut");
         store.save_snapshot(&path, FINGERPRINT).unwrap();
         let bytes = std::fs::read(&path).unwrap();
         let cut = (cut_seed % bytes.len() as u64) as usize;
@@ -186,7 +206,6 @@ proptest! {
             "prefix of {} bytes accepted",
             cut
         );
-        let _ = std::fs::remove_file(&path);
     }
 }
 
@@ -199,7 +218,7 @@ fn typed_errors_for_the_named_failure_modes() {
         medians: vec![(0, 5.0), (3, 7.25)],
         discarded: vec![2],
     }]);
-    let path = scratch_file("typed");
+    let path = ScratchFile::new("typed");
     store.save_snapshot(&path, FINGERPRINT).unwrap();
     let good = std::fs::read(&path).unwrap();
 
@@ -249,5 +268,4 @@ fn typed_errors_for_the_named_failure_modes() {
     assert!(err.is_some());
     assert!(empty.is_empty());
     assert_eq!(empty.config().mode, CacheMode::ReadWrite);
-    let _ = std::fs::remove_file(&path);
 }

@@ -21,7 +21,7 @@ use lastmile_repro::obs::{RunMetrics, RunMetricsSnapshot};
 use lastmile_repro::runner::{eyeballs_from_ground_truth, run_survey, SurveyOptions};
 use lastmile_repro::store::{SeriesStore, SnapshotError, StoreConfig};
 use lastmile_repro::timebase::MeasurementPeriod;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 const WORLD_SEED: u64 = 11;
@@ -61,10 +61,36 @@ fn run_with(
     (fingerprint(&report), metrics.snapshot())
 }
 
-fn snapshot_path(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("lastmile-store-survey-test");
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(format!("{tag}-{}.lmss", std::process::id()))
+/// A snapshot file of this process, removed when dropped.
+struct ScratchFile(PathBuf);
+
+impl ScratchFile {
+    fn new(tag: &str) -> ScratchFile {
+        ScratchFile(std::env::temp_dir().join(format!(
+            "lastmile-store-survey-{tag}-{}.lmss",
+            std::process::id()
+        )))
+    }
+}
+
+impl std::ops::Deref for ScratchFile {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl AsRef<Path> for ScratchFile {
+    fn as_ref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for ScratchFile {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
+    }
 }
 
 #[test]
@@ -107,7 +133,7 @@ fn warm_survey_skips_all_ingest_and_reports_identically() {
     }
 
     // Disk round trip: save, load into a fresh store, run again.
-    let path = snapshot_path("roundtrip");
+    let path = ScratchFile::new("roundtrip");
     store.save_snapshot(&path, WORLD_SEED).unwrap();
     let (loaded, _) =
         SeriesStore::load_snapshot(&path, WORLD_SEED, StoreConfig::default()).unwrap();
@@ -128,7 +154,6 @@ fn warm_survey_skips_all_ingest_and_reports_identically() {
         assert_eq!(disk_m.traceroutes_ingested, 0, "{threads} threads");
         assert_eq!(disk_m.store.misses, 0, "{threads} threads");
     }
-    let _ = std::fs::remove_file(&path);
 }
 
 #[test]
@@ -139,7 +164,7 @@ fn foreign_snapshot_is_refused_and_survey_recomputes() {
     // Build and save a store under the true world seed.
     let store = Arc::new(SeriesStore::default());
     run_with(&scenario, 2, Some(Arc::clone(&store)));
-    let path = snapshot_path("foreign");
+    let path = ScratchFile::new("foreign");
     store.save_snapshot(&path, WORLD_SEED).unwrap();
 
     // A different source fingerprint must be refused, typed.
@@ -165,5 +190,4 @@ fn foreign_snapshot_is_refused_and_survey_recomputes() {
     assert_eq!(recomputed, plain);
     assert!(m.traceroutes_ingested > 0, "recomputation ingests");
     assert!(m.store.inserts > 0, "and refills the store");
-    let _ = std::fs::remove_file(&path);
 }
