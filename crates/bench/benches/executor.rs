@@ -51,7 +51,7 @@ fn task_costs(scenario: &SurveyScenario, periods: &[MeasurementPeriod]) -> Vec<(
             let asn = a.config.asn;
             let t = Instant::now();
             black_box(analyze_population_with(
-                &engine, asn, period, cfg, &selection, None,
+                &engine, asn, period, cfg, &selection,
             ));
             costs.push((asn, t.elapsed()));
         }

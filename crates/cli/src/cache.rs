@@ -23,7 +23,6 @@ pub struct Cache {
     pub store: SeriesStore,
     pub path: PathBuf,
     pub fingerprint: u64,
-    pub mode: CacheMode,
 }
 
 /// Build the cache from `--cache-dir DIR` and `--cache ro|rw` (default
@@ -77,7 +76,6 @@ pub fn from_flags(
         store,
         path,
         fingerprint,
-        mode,
     }))
 }
 
@@ -93,7 +91,7 @@ impl Cache {
     /// the store now reflects — the shutdown persist recomputes it over
     /// the final corpus and stamps that instead.
     pub fn persist_as(&self, fingerprint: u64, metrics: Option<&RunMetrics>) -> Result<(), String> {
-        if self.mode != CacheMode::ReadWrite {
+        if self.store.config().mode != CacheMode::ReadWrite {
             return Ok(());
         }
         let span = trace::span_with("snapshot_save", |a| {

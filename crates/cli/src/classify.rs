@@ -15,10 +15,10 @@ use lastmile_repro::core::pipeline::{
     AsPipeline, PipelineConfig, PopulationAnalysis, PrebuiltSeries,
 };
 use lastmile_repro::ingest::fold_file;
-use lastmile_repro::obs::{trace, LiveProgress, RunMetrics, StageTimer};
+use lastmile_repro::obs::{trace, LiveProgress, RunMetrics, StageTimer, StoreStats};
 use lastmile_repro::prefix::Asn;
-use lastmile_repro::runner::{record_population_metrics, store_traffic_since};
-use lastmile_repro::store::{CacheMode, Lookup, StoreKey};
+use lastmile_repro::runner::record_population_metrics;
+use lastmile_repro::store::{CacheMode, Lookup, StoreCounters, StoreKey};
 use lastmile_repro::timebase::UnixTime;
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
@@ -178,7 +178,8 @@ pub fn analyze_corpus(
     let counters_before = cache.map(|c| c.store.counters());
     // Retaining built series costs memory; only pay when write-back can
     // accept them (rw mode, a window known before the read).
-    let retain = cache.is_some_and(|c| c.mode == CacheMode::ReadWrite) && known_window.is_some();
+    let retain = cache.is_some_and(|c| c.store.config().mode == CacheMode::ReadWrite)
+        && known_window.is_some();
     let (bound_start, bound_end) = (start.map(UnixTime::from_secs), end.map(UnixTime::from_secs));
     let new_pipeline = move || {
         let mut p = AsPipeline::with_bounds(cfg, bound_start, bound_end);
@@ -377,6 +378,17 @@ pub fn analyze_corpus(
         }
     }
     Ok(results)
+}
+
+/// The store traffic between two counter readings, as an obs delta.
+fn store_traffic_since(before: StoreCounters, after: StoreCounters) -> StoreStats {
+    StoreStats {
+        hits: after.hits - before.hits,
+        misses: after.misses - before.misses,
+        bypasses: after.bypasses - before.bypasses,
+        inserts: after.inserts - before.inserts,
+        ..StoreStats::default()
+    }
 }
 
 /// One ASN's classification document. Shared by `classify --json` and

@@ -200,8 +200,18 @@ fn bgp_classify_cache_is_isolated_and_round_trips() {
     ];
 
     // Prime a --probes snapshot with an rw classify run, the one writer.
-    let (probes_baseline, err, ok) = run(&probes_args);
+    let stats_of = |path: &std::path::Path| -> serde_json::Value {
+        serde_json::from_str(&std::fs::read_to_string(path).unwrap()).unwrap()
+    };
+    let uncached_stats_path = dir.join("uncached-stats.json");
+    let uncached_args: Vec<&str> = probes_args
+        .iter()
+        .copied()
+        .chain(["--stats-out", uncached_stats_path.to_str().unwrap()])
+        .collect();
+    let (probes_baseline, err, ok) = run(&uncached_args);
     assert!(ok, "uncached --probes classify failed: {err}");
+    let uncached_stats = stats_of(&uncached_stats_path);
     let probes_cached: Vec<&str> = probes_args
         .iter()
         .copied()
@@ -212,9 +222,9 @@ fn bgp_classify_cache_is_isolated_and_round_trips() {
     assert!(err.contains("[cache] saved"), "{err}");
     assert_eq!(primed, probes_baseline);
 
-    // The store answers only the window it was primed with: an ro run
-    // over a one-day-shorter window misses every probe and rebuilds,
-    // byte-identical to an uncached run over that window.
+    // A warm ro run over the primed window is served whole: no probe
+    // misses, no traceroute is binned, and the filter statistics are
+    // replayed from the snapshot.
     let primed_stats: serde_json::Value = {
         let path = dir.join("primed-stats.json");
         let args: Vec<&str> = probes_cached
@@ -222,12 +232,26 @@ fn bgp_classify_cache_is_isolated_and_round_trips() {
             .copied()
             .chain(["--cache", "ro", "--stats-out", path.to_str().unwrap()])
             .collect();
-        let (_, err, ok) = run(&args);
+        let (out, err, ok) = run(&args);
         assert!(ok, "ro --probes classify failed: {err}");
-        serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap()
+        assert_eq!(out, probes_baseline, "warm ro --probes output diverges");
+        stats_of(&path)
     };
     let probe_count = primed_stats["store"]["hits"].as_u64().unwrap();
     assert!(probe_count > 0, "{primed_stats}");
+    assert_eq!(primed_stats["store"]["misses"].as_u64(), Some(0));
+    assert_eq!(primed_stats["traceroutes_ingested"].as_u64(), Some(0));
+    assert!(uncached_stats["traceroutes_ingested"].as_u64().unwrap() > 0);
+    for key in [
+        "bins_discarded_sanity",
+        "welch_segments",
+        "populations_analyzed",
+    ] {
+        assert_eq!(primed_stats[key], uncached_stats[key], "{key}");
+    }
+    // The store answers only the window it was primed with: an ro run
+    // over a one-day-shorter window misses every probe and rebuilds,
+    // byte-identical to an uncached run over that window.
     let sub_end = (1_567_296_000 + 4 * 86_400).to_string();
     let sub_args: Vec<&str> = probes_args
         .iter()

@@ -86,10 +86,11 @@ pub struct PopulationStats {
     pub detect_nanos: u64,
 }
 
-/// A per-probe median series handed to the pipeline ready-made — either
-/// served by a `lastmile-store` cache (zero traceroutes consumed) or
-/// built externally from a traceroute stream. The attached statistics let
-/// the pipeline report the same [`PopulationStats`] a raw ingest would.
+/// A per-probe median series handed to the pipeline ready-made, as a
+/// `lastmile-store` cache serves it: no traceroute is consumed, so a
+/// served probe adds nothing to `traceroutes_ingested`. The discarded-bin
+/// count lets the pipeline report the sanity-filter statistics a raw
+/// ingest would.
 #[derive(Clone, Debug)]
 pub struct PrebuiltSeries {
     /// The probe's binned median-RTT series, already restricted to the
@@ -98,9 +99,6 @@ pub struct PrebuiltSeries {
     /// Bins the sanity filter discarded while building it (within the
     /// period).
     pub bins_discarded_sanity: u64,
-    /// Traceroutes consumed to build it. `0` for a cache hit — that is
-    /// exactly what the warm-store acceptance counters assert on.
-    pub traceroutes_ingested: u64,
 }
 
 /// Streams traceroutes of a probe population into an analysis.
@@ -181,7 +179,6 @@ impl AsPipeline {
             !self.builders.contains_key(&probe) && !self.prebuilt.contains_key(&probe),
             "probe {probe:?} fed twice (raw and/or prebuilt)"
         );
-        self.ingested += pre.traceroutes_ingested;
         self.prebuilt_discarded += pre.bins_discarded_sanity;
         self.prebuilt.insert(probe, pre.series);
     }

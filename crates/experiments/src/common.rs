@@ -88,29 +88,71 @@ impl Ctx {
     }
 }
 
-/// Analyse several (ASN, period, selection) populations in parallel.
+/// Analyse several (ASN, period, selection) populations in parallel on
+/// `threads` workers (`0` = one per core).
 ///
 /// Jobs run on [`run_tasks`], the work-stealing executor, so a worker
 /// that lands on a probe-heavy population simply takes fewer jobs —
 /// static chunking let one heavy chunk bound the whole run. All workers
-/// share one traceroute engine. No series store: every caller's jobs
-/// (fig1, fig2, fig5, fig7) are distinct (AS, period) pairs over
-/// disjoint periods, so no probe's window is ever asked for twice.
-/// Results come back in job order regardless of scheduling.
+/// share one traceroute engine. Results come back in job order
+/// regardless of scheduling.
 pub fn analyze_many(
+    threads: usize,
     world: &World,
     jobs: &[(u32, MeasurementPeriod, ProbeSelection)],
     cfg: &PipelineConfig,
 ) -> Vec<PopulationAnalysis> {
     let engine = TracerouteEngine::new(world);
-    run_tasks(0, "analysis", jobs.len(), |i| {
+    run_tasks(threads, "analysis", jobs.len(), |i| {
         let (asn, period, selection) = &jobs[i];
         let _span = trace::span_with("population", |a| {
             a.u64("asn", u64::from(*asn)).str("period", period.label());
         });
-        analyze_population_with(&engine, *asn, period, *cfg, selection, None)
+        analyze_population_with(&engine, *asn, period, *cfg, selection)
     })
     .into_iter()
     .map(|r| r.unwrap_or_else(|e| panic!("population analysis panicked: {e}")))
     .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lastmile_repro::netsim::scenarios::tokyo::{tokyo_world, ISP_A_ASN, ISP_B_ASN, ISP_C_ASN};
+    use std::collections::HashMap;
+
+    #[test]
+    fn analyze_many_runs_on_the_threads_it_is_given() {
+        let tracer = trace::install();
+        let world = tokyo_world(1);
+        let period = MeasurementPeriod::tokyo_cdn_2019();
+        let jobs: Vec<_> = [ISP_A_ASN, ISP_B_ASN, ISP_C_ASN]
+            .into_iter()
+            .map(|asn| (asn, period, ProbeSelection::in_area("Tokyo")))
+            .collect();
+        let analyses = analyze_many(1, &world, &jobs, &PipelineConfig::paper());
+        assert_eq!(analyses.len(), jobs.len());
+
+        let mut json = Vec::new();
+        tracer.drain_chrome_json(&mut json).unwrap();
+        let doc: serde_json::Value =
+            serde_json::from_str(std::str::from_utf8(&json).unwrap()).unwrap();
+        let events = doc["traceEvents"].as_array().unwrap();
+        let thread_names: HashMap<u64, &str> = events
+            .iter()
+            .filter(|e| e["name"] == "thread_name")
+            .map(|e| {
+                (
+                    e["tid"].as_u64().unwrap(),
+                    e["args"]["name"].as_str().unwrap(),
+                )
+            })
+            .collect();
+        let threads: Vec<&str> = events
+            .iter()
+            .filter(|e| e["name"] == "population" && e["ph"] == "B")
+            .map(|e| thread_names[&e["tid"].as_u64().unwrap()])
+            .collect();
+        assert_eq!(threads, vec!["analysis-0"; jobs.len()]);
+    }
 }

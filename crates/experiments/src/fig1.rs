@@ -27,7 +27,7 @@ pub fn run(ctx: &Ctx) {
         })
         .collect();
     eprintln!("[fig1] analysing {} populations...", jobs.len());
-    let analyses = analyze_many(&world, &jobs, &PipelineConfig::paper());
+    let analyses = analyze_many(ctx.threads, &world, &jobs, &PipelineConfig::paper());
 
     let mut rows = Vec::new();
     println!("Figure 1 — weekly aggregated queuing delay (ms)\n");

@@ -25,7 +25,7 @@ pub fn run(ctx: &Ctx) {
         })
         .collect();
     eprintln!("[fig2] analysing {} populations...", jobs.len());
-    let analyses = analyze_many(&world, &jobs, &PipelineConfig::paper());
+    let analyses = analyze_many(ctx.threads, &world, &jobs, &PipelineConfig::paper());
 
     let mut rows = Vec::new();
     println!("Figure 2 — Welch periodograms (peak-to-peak amplitude, ms)\n");

@@ -24,7 +24,7 @@ pub fn run(ctx: &Ctx) {
         .map(|&(_, asn)| (asn, period, ProbeSelection::in_area("Tokyo")))
         .collect();
     eprintln!("[fig5] analysing the Tokyo populations...");
-    let analyses = analyze_many(&world, &jobs, &PipelineConfig::paper());
+    let analyses = analyze_many(ctx.threads, &world, &jobs, &PipelineConfig::paper());
 
     let mut rows = Vec::new();
     let mut max_rows = Vec::new();

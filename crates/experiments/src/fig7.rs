@@ -27,7 +27,7 @@ pub fn run(ctx: &Ctx) {
         .map(|&(_, asn)| (asn, period, ProbeSelection::in_area("Tokyo")))
         .collect();
     eprintln!("[fig7] analysing delay and generating CDN logs...");
-    let analyses = analyze_many(&world, &jobs, &PipelineConfig::paper());
+    let analyses = analyze_many(ctx.threads, &world, &jobs, &PipelineConfig::paper());
 
     let mut rows = Vec::new();
     println!("Figure 7 — delay vs throughput\n");

@@ -23,6 +23,8 @@ mod fig9;
 mod summary;
 
 use common::Ctx;
+use lastmile_repro::netsim::scenarios::survey::MIN_SURVEY_ASES;
+use lastmile_repro::runner::MAX_WORKERS;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -31,41 +33,10 @@ fn main() {
         std::process::exit(2);
     };
 
-    let mut ctx = Ctx::default();
-    let mut it = args[1..].iter();
-    while let Some(flag) = it.next() {
-        let value = || {
-            it.clone()
-                .next()
-                .unwrap_or_else(|| {
-                    eprintln!("missing value for {flag}");
-                    std::process::exit(2);
-                })
-                .clone()
-        };
-        match flag.as_str() {
-            "--seed" => {
-                ctx.seed = value().parse().expect("--seed takes an integer");
-                it.next();
-            }
-            "--scale" => {
-                ctx.survey_ases = value().parse().expect("--scale takes an integer");
-                it.next();
-            }
-            "--out" => {
-                ctx.out_dir = value();
-                it.next();
-            }
-            "--threads" => {
-                ctx.threads = value().parse().expect("--threads takes an integer");
-                it.next();
-            }
-            other => {
-                eprintln!("unknown flag {other}");
-                std::process::exit(2);
-            }
-        }
-    }
+    let ctx = parse_args(&args[1..]).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
     std::fs::create_dir_all(&ctx.out_dir).expect("create output directory");
 
     let started = std::time::Instant::now();
@@ -98,4 +69,112 @@ fn main() {
         }
     }
     eprintln!("\n[{cmd} done in {:.1}s]", started.elapsed().as_secs_f64());
+}
+
+/// The harness options after the subcommand. A malformed or missing
+/// value, an unknown flag, a survey scale below [`MIN_SURVEY_ASES`] or a
+/// thread count above [`MAX_WORKERS`] is a usage error, reported before
+/// any work starts.
+fn parse_args(args: &[String]) -> Result<Ctx, String> {
+    fn parsed<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
+        value
+            .parse()
+            .map_err(|_| format!("invalid value for {flag}: {value}"))
+    }
+    let mut ctx = Ctx::default();
+    let mut it = args.iter();
+    while let Some(flag) = it.next() {
+        let mut value = || it.next().ok_or_else(|| format!("missing value for {flag}"));
+        match flag.as_str() {
+            "--seed" => ctx.seed = parsed(flag, value()?)?,
+            "--scale" => {
+                ctx.survey_ases = parsed(flag, value()?)?;
+                if ctx.survey_ases < MIN_SURVEY_ASES {
+                    return Err(format!(
+                        "--scale {} is below the minimum of {MIN_SURVEY_ASES}",
+                        ctx.survey_ases
+                    ));
+                }
+            }
+            "--out" => ctx.out_dir = value()?.clone(),
+            "--threads" => {
+                ctx.threads = parsed(flag, value()?)?;
+                if ctx.threads > MAX_WORKERS {
+                    return Err(format!(
+                        "--threads {} is above the limit of {MAX_WORKERS}",
+                        ctx.threads
+                    ));
+                }
+            }
+            other => return Err(format!("unknown flag {other}")),
+        }
+    }
+    Ok(ctx)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Ctx, String> {
+        let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+        parse_args(&args)
+    }
+
+    fn error(args: &[&str]) -> String {
+        parse(args).err().expect("arguments are refused")
+    }
+
+    #[test]
+    fn flags_set_the_context() {
+        let ctx = parse(&[
+            "--seed",
+            "7",
+            "--scale",
+            "24",
+            "--out",
+            "dir",
+            "--threads",
+            "2",
+        ])
+        .unwrap();
+        assert_eq!(
+            (ctx.seed, ctx.survey_ases, ctx.out_dir.as_str(), ctx.threads),
+            (7, 24, "dir", 2)
+        );
+        let ctx = parse(&[]).unwrap();
+        assert_eq!((ctx.seed, ctx.survey_ases, ctx.threads), (20200427, 646, 0));
+    }
+
+    #[test]
+    fn malformed_values_are_errors() {
+        assert_eq!(error(&["--seed", "x"]), "invalid value for --seed: x");
+        assert_eq!(error(&["--scale", "-3"]), "invalid value for --scale: -3");
+        assert_eq!(
+            error(&["--threads", "two"]),
+            "invalid value for --threads: two"
+        );
+        assert_eq!(error(&["--out"]), "missing value for --out");
+        assert_eq!(error(&["--verbose"]), "unknown flag --verbose");
+    }
+
+    #[test]
+    fn survey_scale_has_a_floor() {
+        let ctx = parse(&["--scale", &MIN_SURVEY_ASES.to_string()]).unwrap();
+        assert_eq!(ctx.survey_ases, MIN_SURVEY_ASES);
+        assert_eq!(
+            error(&["--scale", "8"]),
+            format!("--scale 8 is below the minimum of {MIN_SURVEY_ASES}")
+        );
+    }
+
+    #[test]
+    fn thread_counts_are_bounded() {
+        let ctx = parse(&["--threads", &MAX_WORKERS.to_string()]).unwrap();
+        assert_eq!(ctx.threads, MAX_WORKERS);
+        assert_eq!(
+            error(&["--threads", "100000"]),
+            format!("--threads 100000 is above the limit of {MAX_WORKERS}")
+        );
+    }
 }

@@ -41,12 +41,17 @@ pub const COUNTRIES: [&str; 98] = [
     "OM", "BH",
 ];
 
+/// The fewest ASes a survey may have: below it the scaled class counts
+/// cannot plant every class.
+pub const MIN_SURVEY_ASES: usize = 20;
+
 /// Survey generation parameters.
 #[derive(Clone, Debug)]
 pub struct SurveyConfig {
     /// World seed.
     pub seed: u64,
-    /// Number of monitored ASes (paper: 646). Class counts scale with it.
+    /// Number of monitored ASes (paper: 646, at least
+    /// [`MIN_SURVEY_ASES`]). Class counts scale with it.
     pub n_ases: usize,
     /// Cap on probes per AS (simulation cost control; every AS keeps the
     /// paper's ≥ 3 minimum).
@@ -117,8 +122,8 @@ struct Plan {
 /// Build the survey world. The lockdown window is April 2020.
 pub fn survey_world(cfg: &SurveyConfig) -> SurveyScenario {
     assert!(
-        cfg.n_ases >= 20,
-        "survey needs at least 20 ASes to be meaningful"
+        cfg.n_ases >= MIN_SURVEY_ASES,
+        "survey needs at least {MIN_SURVEY_ASES} ASes to be meaningful"
     );
     let n = cfg.n_ases;
     let scale = n as f64 / 646.0;

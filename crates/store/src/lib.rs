@@ -1,6 +1,6 @@
 //! # lastmile-store
 //!
-//! A concurrent, sharded memo of per-probe binned median-RTT series.
+//! A memo of per-probe binned median-RTT series.
 //!
 //! Every analysis bins each probe's traceroutes into its [`BuiltSeries`]
 //! over one window. The store memoizes that result keyed by
@@ -8,8 +8,10 @@
 //! the exact window the series was built over — and a lookup hits only
 //! when an insert recorded that same window. A hit hands the series back
 //! as it was built: no merge, no slice. Repeated runs over one window
-//! (a re-run of `classify`, a warm survey) therefore pay the binning
-//! cost once per probe instead of once per run.
+//! (a re-run of `classify`, a live pass) therefore pay the binning
+//! cost once per probe instead of once per run. The one caller is the
+//! CLI's `--cache-dir` path (`classify`, `hygiene`, `serve` start-up and
+//! its live re-analysis passes).
 //!
 //! Only the *median* series is stored. The paper's queuing-delay baseline
 //! ("the minimum median RTT is computed separately for each measurement
@@ -26,17 +28,18 @@
 //!   source. On-disk snapshots carry a caller-supplied 64-bit source
 //!   fingerprint and refuse to load under a different one
 //!   ([`SnapshotError::SourceMismatch`]).
-//! * A hit reports `traceroutes_ingested = 0` but reproduces the sanity
-//!   filter's discarded-bin count of the build, so pipeline statistics
-//!   stay meaningful warm or cold.
+//! * A hit consumes no traceroute but reproduces the sanity filter's
+//!   discarded-bin count of the build, so pipeline statistics stay
+//!   meaningful warm or cold.
 //!
 //! ## Concurrency
 //!
-//! Entries are spread over 16 independent `RwLock`-protected maps
-//! (key-hash addressed), so survey workers contend only when touching the
-//! same shard. Lookups take the read lock; inserts the write lock of one
-//! shard. No lock is held across shards, and snapshot save takes the read
-//! locks one shard at a time.
+//! Every entry sits in one `RwLock`-protected map, and all methods take
+//! `&self`, so a store is safe to share between threads. Nothing
+//! contends on it in practice: `classify` looks probes up under its own
+//! probe-table lock and inserts on one thread after the read, the live
+//! engine invalidates and clears on its one thread, and snapshots load
+//! and save on one thread.
 //!
 //! ## Persistence
 //!
@@ -56,7 +59,7 @@ pub use snapshot::SnapshotError;
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::RwLock;
+use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Identity of one memoized series: the probe plus every binning
 /// parameter that shapes its values. Two analyses with different bin
@@ -116,9 +119,6 @@ impl std::str::FromStr for CacheMode {
     }
 }
 
-/// Number of `RwLock` shards a store spreads its entries over.
-const SHARDS: usize = 16;
-
 /// Store construction parameters.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct StoreConfig {
@@ -133,6 +133,9 @@ struct Entry {
     series: ProbeSeries,
     discarded: u64,
 }
+
+/// Every memoized build, by key and window.
+type Entries = HashMap<(StoreKey, TimeRange), Entry>;
 
 /// Outcome of [`SeriesStore::lookup`].
 #[derive(Debug)]
@@ -153,10 +156,10 @@ pub struct StoreCounters {
     pub inserts: u64,
 }
 
-/// The concurrent, sharded series store. Share between threads by
-/// reference (or `Arc`); all methods take `&self`.
+/// The series store. Share between threads by reference (or `Arc`); all
+/// methods take `&self`.
 pub struct SeriesStore {
-    shards: [RwLock<HashMap<(StoreKey, TimeRange), Entry>>; SHARDS],
+    entries: RwLock<Entries>,
     config: StoreConfig,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -184,7 +187,7 @@ impl SeriesStore {
     /// An empty store.
     pub fn new(config: StoreConfig) -> SeriesStore {
         SeriesStore {
-            shards: std::array::from_fn(|_| RwLock::default()),
+            entries: RwLock::default(),
             config,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -200,10 +203,7 @@ impl SeriesStore {
 
     /// Total resident entries (probes × parameterisations × windows).
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.read().expect("store shard poisoned").len())
-            .sum()
+        self.read().len()
     }
 
     /// Whether no entry is resident.
@@ -228,54 +228,37 @@ impl SeriesStore {
     /// changed), so the next lookup must miss and rebuild from the full
     /// record set. Returns the number of entries removed.
     pub fn invalidate_probe(&self, probe: ProbeId) -> u64 {
-        let mut removed = 0u64;
-        for shard in &self.shards {
-            let mut shard = shard.write().expect("store shard poisoned");
-            let before = shard.len();
-            shard.retain(|(key, _), _| key.probe != probe);
-            removed += (before - shard.len()) as u64;
-        }
-        removed
+        let mut entries = self.write();
+        let before = entries.len();
+        entries.retain(|(key, _), _| key.probe != probe);
+        (before - entries.len()) as u64
     }
 
     /// Drop every memoized entry (full re-ingest fallback after corpus
     /// truncation/rotation). Returns the number of entries removed.
     pub fn clear(&self) -> u64 {
-        let mut removed = 0u64;
-        for shard in &self.shards {
-            let mut shard = shard.write().expect("store shard poisoned");
-            removed += shard.len() as u64;
-            shard.clear();
-        }
+        let mut entries = self.write();
+        let removed = entries.len() as u64;
+        entries.clear();
         removed
     }
 
-    fn shard(&self, key: &StoreKey) -> &RwLock<HashMap<(StoreKey, TimeRange), Entry>> {
-        // FNV-1a over the key fields: deterministic, cheap, and spreads
-        // consecutive probe ids across shards.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x1000_0000_01b3);
-            }
-        };
-        mix(u64::from(key.probe.0));
-        mix(key.bin_width_secs as u64);
-        mix(u64::from(key.min_traceroutes_per_bin));
-        &self.shards[(h % SHARDS as u64) as usize]
+    fn read(&self) -> RwLockReadGuard<'_, Entries> {
+        self.entries.read().expect("store lock poisoned")
+    }
+
+    fn write(&self) -> RwLockWriteGuard<'_, Entries> {
+        self.entries.write().expect("store lock poisoned")
     }
 
     /// Fetch the series an earlier insert recorded for exactly `range`.
     pub fn lookup(&self, key: &StoreKey, range: &TimeRange) -> Lookup {
-        let shard = self.shard(key).read().expect("store shard poisoned");
-        match shard.get(&(*key, *range)) {
+        match self.read().get(&(*key, *range)) {
             Some(entry) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 Lookup::Hit(PrebuiltSeries {
                     series: entry.series.clone(),
                     bins_discarded_sanity: entry.discarded,
-                    traceroutes_ingested: 0,
                 })
             }
             None => {
@@ -316,10 +299,7 @@ impl SeriesStore {
             series: built.series.clone(),
             discarded: built.discarded_bins.len() as u64,
         };
-        self.shard(key)
-            .write()
-            .expect("store shard poisoned")
-            .insert((*key, *range), entry);
+        self.write().insert((*key, *range), entry);
         self.inserts.fetch_add(1, Ordering::Relaxed);
         true
     }
@@ -333,19 +313,17 @@ impl SeriesStore {
         path: &Path,
         source_fingerprint: u64,
     ) -> Result<u64, SnapshotError> {
-        let mut entries: Vec<snapshot::SnapshotEntry> = Vec::new();
-        for shard in &self.shards {
-            let shard = shard.read().expect("store shard poisoned");
-            for ((key, window), entry) in shard.iter() {
-                entries.push(snapshot::SnapshotEntry {
-                    key: *key,
-                    window: (window.start().as_secs(), window.end().as_secs()),
-                    discarded: entry.discarded,
-                    bins: entry.series.iter_bins().map(|(b, _)| b).collect(),
-                    values: entry.series.iter_bins().map(|(_, v)| v).collect(),
-                });
-            }
-        }
+        let mut entries: Vec<snapshot::SnapshotEntry> = self
+            .read()
+            .iter()
+            .map(|((key, window), entry)| snapshot::SnapshotEntry {
+                key: *key,
+                window: (window.start().as_secs(), window.end().as_secs()),
+                discarded: entry.discarded,
+                bins: entry.series.iter_bins().map(|(b, _)| b).collect(),
+                values: entry.series.iter_bins().map(|(_, v)| v).collect(),
+            })
+            .collect();
         entries.sort_by_key(|e| (e.key, e.window));
         snapshot::write_snapshot(path, source_fingerprint, &entries)
     }
@@ -362,7 +340,8 @@ impl SeriesStore {
         config: StoreConfig,
     ) -> Result<(SeriesStore, u64), SnapshotError> {
         let (entries, bytes) = snapshot::read_snapshot(path, source_fingerprint)?;
-        let store = SeriesStore::new(config);
+        let mut store = SeriesStore::new(config);
+        let map = store.entries.get_mut().expect("store lock poisoned");
         for e in entries {
             let bin = BinSpec::new(e.key.bin_width_secs);
             let medians = e
@@ -379,11 +358,7 @@ impl SeriesStore {
                 series: ProbeSeries::from_parts(e.key.probe, bin, medians),
                 discarded: e.discarded,
             };
-            store
-                .shard(&e.key)
-                .write()
-                .expect("store shard poisoned")
-                .insert((e.key, window), entry);
+            map.insert((e.key, window), entry);
         }
         Ok((store, bytes))
     }
@@ -471,7 +446,6 @@ mod tests {
         assert!(store.insert(&key(1), &range, &built(1, &[(0, 5.0), (2, 7.5)], &[1])));
         match store.lookup(&key(1), &range) {
             Lookup::Hit(pre) => {
-                assert_eq!(pre.traceroutes_ingested, 0);
                 assert_eq!(pre.bins_discarded_sanity, 1);
                 let got: Vec<(i64, f64)> = pre.series.iter_bins().collect();
                 assert_eq!(got, vec![(0, 5.0), (2, 7.5)]);

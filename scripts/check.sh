@@ -62,6 +62,26 @@ BENCH_SMOKE=1 sh scripts/bench_ingest.sh
 echo "==> fleet smoke (BENCH_SMOKE=1 scripts/bench_fleet.sh)"
 BENCH_SMOKE=1 sh scripts/bench_fleet.sh
 
+# Experiments smoke: fig3 (the §3 survey, on run_survey) at the
+# smallest survey scale and fig5 (three Tokyo populations, on
+# analyze_many) must print the same stdout and write the same CSVs at
+# --threads 1 and --threads 2. About 40 s on 2 cores, nearly all of it
+# fig3's survey; a failure keeps the outputs for a look.
+echo "==> experiments smoke (fig3 --scale 20 + fig5, --threads 1 vs 2)"
+exp=$(mktemp -d)
+for t in 1 2; do
+    mkdir "$exp/t$t"
+    for fig in fig3 fig5; do
+        target/debug/experiments "$fig" --scale 20 --threads "$t" --out "$exp/t$t" \
+            >"$exp/t$t/$fig.out" 2>/dev/null
+    done
+done
+diff -r "$exp/t1" "$exp/t2" || {
+    echo "experiments output differs across --threads; kept in $exp" >&2
+    exit 1
+}
+rm -rf "$exp"
+
 # Observability smoke: simulate a small fixture and classify it with
 # --trace/--stats-out/--populations-csv, validating the artefacts (valid
 # trace JSON, balanced spans, golden stats key set) in-process — no jq.
@@ -213,4 +233,4 @@ else
     echo "==> serve smoke skipped (curl not found)"
 fi
 
-echo "OK: fmt, clippy, benches, tests, benchmark, observability, fleet, serve, loadgen and ops smoke all green"
+echo "OK: fmt, clippy, benches, tests, benchmark, experiments, observability, fleet, serve, loadgen and ops smoke all green"

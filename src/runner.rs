@@ -25,10 +25,8 @@ use lastmile_netsim::scenarios::AsGroundTruth;
 use lastmile_netsim::{SimProbe, TracerouteEngine, World};
 use lastmile_obs::{
     trace, LiveProgress, PopulationRow, RunMetrics, RunMetricsSnapshot, StageNanos, StageTimer,
-    StoreStats,
 };
 use lastmile_prefix::Asn;
-use lastmile_store::{Lookup, SeriesStore, StoreCounters, StoreKey};
 use lastmile_timebase::MeasurementPeriod;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -85,65 +83,33 @@ pub fn analyze_population(
     cfg: PipelineConfig,
     selection: &ProbeSelection,
 ) -> PopulationAnalysis {
-    analyze_population_with(
-        &TracerouteEngine::new(world),
-        asn,
-        period,
-        cfg,
-        selection,
-        None,
-    )
+    analyze_population_with(&TracerouteEngine::new(world), asn, period, cfg, selection)
 }
 
-/// Like [`analyze_population`], reusing a prebuilt [`TracerouteEngine`]
-/// and optionally backed by a [`SeriesStore`]. The survey executor builds
-/// one engine and shares it across workers and tasks instead of
-/// rebuilding it per population.
+/// Like [`analyze_population`], reusing a prebuilt [`TracerouteEngine`].
+/// The survey executor and the experiments harness build one engine and
+/// share it across workers and tasks instead of rebuilding it per
+/// population.
 ///
-/// With a store, probes whose median series it has already computed for
-/// exactly this period skip simulation and ingestion entirely — the
-/// stored series is fed ready-made. Probes the store cannot serve are
-/// simulated as usual, and their freshly built series are offered back
-/// to the store (a no-op in read-only mode).
-///
-/// The returned analysis — and therefore the survey report — is
-/// byte-identical with or without a store: a hit is the series a build
-/// over this period produced, and the period-scoped queuing-delay
-/// baseline is recomputed per call (§2.1 computes the minimum median RTT
-/// separately for each measurement period). Only the ingest statistics
-/// differ: a served probe contributes zero `traceroutes_ingested`.
+/// Every probe of the selection is simulated and ingested: the
+/// simulated survey has no series store. Memoizing per-probe series is
+/// the CLI's business (`--cache-dir` on a traceroute corpus), where a
+/// re-run over the same window is the common case.
 pub fn analyze_population_with(
     engine: &TracerouteEngine,
     asn: Asn,
     period: &MeasurementPeriod,
     cfg: PipelineConfig,
     selection: &ProbeSelection,
-    store: Option<&SeriesStore>,
 ) -> PopulationAnalysis {
     let range = period.range();
     let mut pipeline = AsPipeline::new(cfg, range);
     for probe in engine.world().probes_in(asn) {
-        if !selection.matches(probe) {
-            continue;
-        }
-        if let Some(store) = store {
-            let key = StoreKey::for_pipeline(probe.meta.id, &cfg);
-            if let Lookup::Hit(pre) = store.lookup(&key, &range) {
-                pipeline.ingest_series(pre);
-                continue;
-            }
-            pipeline.retain_median_series(true);
-        }
-        engine.for_each_traceroute(probe, &range, |tr| pipeline.ingest(&tr));
-    }
-    let analysis = pipeline.finish();
-    if let Some(store) = store {
-        for built in &analysis.built_series {
-            let key = StoreKey::for_pipeline(built.series.probe(), &cfg);
-            store.insert(&key, &range, built);
+        if selection.matches(probe) {
+            engine.for_each_traceroute(probe, &range, |tr| pipeline.ingest(&tr));
         }
     }
-    analysis
+    pipeline.finish()
 }
 
 /// Survey driver options.
@@ -156,14 +122,6 @@ pub struct SurveyOptions {
     /// Metrics sink: when set, every worker accumulates pipeline
     /// counters and stage timings into it (see `lastmile-obs`).
     pub metrics: Option<Arc<RunMetrics>>,
-    /// Series store: when set, workers serve per-probe median series
-    /// from it instead of re-simulating stored probes, and memoize fresh
-    /// builds (subject to the store's [`CacheMode`]). The report stays
-    /// byte-identical with or without a store; its lookup/insert traffic
-    /// for this run is added to `metrics` when both are set.
-    ///
-    /// [`CacheMode`]: lastmile_store::CacheMode
-    pub store: Option<Arc<SeriesStore>>,
     /// Live gauges for a `--progress` heartbeat: the survey sets
     /// `populations_total` up front and bumps `populations_done` as
     /// tasks complete.
@@ -203,7 +161,6 @@ pub fn run_survey(
     let run_timer = StageTimer::start();
     let asns: Vec<Asn> = world.ases().iter().map(|a| a.config.asn).collect();
     let engine = TracerouteEngine::new(world);
-    let store_counters_before = options.store.as_ref().map(|s| s.counters());
     let tasks = asns.len() * periods.len();
     let task_of = |i: usize| (asns[i / periods.len()], &periods[i % periods.len()]);
     if let Some(p) = &options.progress {
@@ -225,7 +182,6 @@ pub fn run_survey(
             period,
             options.pipeline,
             &ProbeSelection::regular(),
-            options.store.as_deref(),
         );
         if let Some(m) = &options.metrics {
             record_population_metrics(
@@ -275,9 +231,6 @@ pub fn run_survey(
         report.push_failure(f);
     }
     if let Some(m) = &options.metrics {
-        if let (Some(store), Some(before)) = (&options.store, store_counters_before) {
-            m.store.add(&store_traffic_since(before, store.counters()));
-        }
         m.set_wall(&run_timer);
     }
     report
@@ -345,17 +298,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         s.clone()
     } else {
         "panic with non-string payload".to_string()
-    }
-}
-
-/// The store traffic between two counter readings, as an obs delta.
-pub fn store_traffic_since(before: StoreCounters, after: StoreCounters) -> StoreStats {
-    StoreStats {
-        hits: after.hits - before.hits,
-        misses: after.misses - before.misses,
-        bypasses: after.bypasses - before.bypasses,
-        inserts: after.inserts - before.inserts,
-        ..StoreStats::default()
     }
 }
 
