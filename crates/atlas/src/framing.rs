@@ -587,13 +587,6 @@ impl DocSplitter {
             State::Separators | State::Closed { .. } => {}
         }
     }
-
-    /// Frame a complete in-memory input in one call.
-    pub fn split_all(input: &[u8], emit: &mut dyn FnMut(Frame<'_>)) {
-        let mut splitter = DocSplitter::new();
-        splitter.feed(input, emit);
-        splitter.finish(emit);
-    }
 }
 
 /// Strip surrounding ASCII whitespace (covers the `\r` of CRLF input).

@@ -7,78 +7,63 @@
 //! and joins the thread, printing one final line so short runs still get
 //! a summary.
 
-use lastmile_repro::obs::LiveProgress;
-use std::sync::atomic::{AtomicBool, Ordering};
+use lastmile_repro::obs::{LiveProgress, Ticker};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Handle to the heartbeat thread; stops and joins on drop.
-pub struct Heartbeat {
-    stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
+pub struct Heartbeat(Option<Ticker<Beat>>);
+
+/// What the heartbeat carries from one line to the next.
+struct Beat {
+    progress: Arc<LiveProgress>,
+    started: Instant,
+    last_records: u64,
+    last_tick: Instant,
 }
 
 impl Heartbeat {
     /// Spawn the heartbeat over `progress`.
     pub fn start(progress: Arc<LiveProgress>) -> Heartbeat {
-        let stop = Arc::new(AtomicBool::new(false));
-        let handle = {
-            let stop = Arc::clone(&stop);
-            std::thread::Builder::new()
-                .name("progress".into())
-                .spawn(move || beat(&progress, &stop))
-                .expect("spawn progress heartbeat")
+        let started = Instant::now();
+        let beat = Beat {
+            progress,
+            started,
+            last_records: 0,
+            last_tick: started,
         };
-        Heartbeat {
-            stop,
-            handle: Some(handle),
-        }
+        let ticker = Ticker::start("progress", Duration::from_secs(1), beat, Beat::report);
+        Heartbeat(Some(ticker))
     }
 }
 
 impl Drop for Heartbeat {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
+        if let Some(ticker) = self.0.take() {
+            ticker.stop().report();
         }
     }
 }
 
-fn beat(progress: &LiveProgress, stop: &AtomicBool) {
-    let started = Instant::now();
-    let mut last_records = 0u64;
-    let mut last_tick = started;
-    loop {
-        // Sleep in short slices so Drop joins promptly.
-        for _ in 0..10 {
-            if stop.load(Ordering::Relaxed) {
-                report(progress, started, last_records, last_tick);
-                return;
-            }
-            std::thread::sleep(Duration::from_millis(100));
-        }
-        let now = Instant::now();
-        last_records = report(progress, started, last_records, last_tick);
-        last_tick = now;
+impl Beat {
+    /// Print one progress line, with the record rate since the last.
+    fn report(&mut self) {
+        let progress = &self.progress;
+        let bytes = progress.bytes_read.load(Ordering::Relaxed);
+        let records = progress.records.load(Ordering::Relaxed);
+        let depth = progress.queue_depth.load(Ordering::Relaxed);
+        let done = progress.populations_done.load(Ordering::Relaxed);
+        let total = progress.populations_total.load(Ordering::Relaxed);
+        let interval = self.last_tick.elapsed().as_secs_f64().max(1e-9);
+        let rate = (records.saturating_sub(self.last_records)) as f64 / interval;
+        eprintln!(
+            "[progress +{:.1}s] {:.1} MiB read, {records} records ({rate:.0}/s), \
+             queue depth {depth}, populations {done}/{total}",
+            self.started.elapsed().as_secs_f64(),
+            bytes as f64 / (1024.0 * 1024.0),
+        );
+        self.last_records = records;
+        self.last_tick = Instant::now();
     }
-}
-
-/// Print one progress line; returns the record count it reported so the
-/// next tick can compute a rate over the delta.
-fn report(progress: &LiveProgress, started: Instant, last_records: u64, last_tick: Instant) -> u64 {
-    let bytes = progress.bytes_read.load(Ordering::Relaxed);
-    let records = progress.records.load(Ordering::Relaxed);
-    let depth = progress.queue_depth.load(Ordering::Relaxed);
-    let done = progress.populations_done.load(Ordering::Relaxed);
-    let total = progress.populations_total.load(Ordering::Relaxed);
-    let interval = last_tick.elapsed().as_secs_f64().max(1e-9);
-    let rate = (records.saturating_sub(last_records)) as f64 / interval;
-    eprintln!(
-        "[progress +{:.1}s] {:.1} MiB read, {records} records ({rate:.0}/s), \
-         queue depth {depth}, populations {done}/{total}",
-        started.elapsed().as_secs_f64(),
-        bytes as f64 / (1024.0 * 1024.0),
-    );
-    records
 }

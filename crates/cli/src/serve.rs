@@ -53,10 +53,10 @@ use lastmile_repro::live::{
     intake_body, newline_aligned_len, AppendWatcher, Epoch, Invalidation, LiveConfig, LiveEngine,
     LiveHandle, Spool,
 };
-use lastmile_repro::obs::ops::{TimelineSampler, TIMELINE_METRICS};
+use lastmile_repro::obs::ops::{now_unix_ms, TimelineSampler, TIMELINE_METRICS};
 use lastmile_repro::obs::{
     prom, EpochTelemetry, LiveMetrics, LiveMetricsSnapshot, OpsTimeline, RunMetrics,
-    RunMetricsSnapshot, ServeEndpoint, ServeMetrics, ServeMetricsSnapshot, StageTimer,
+    RunMetricsSnapshot, ServeEndpoint, ServeMetrics, ServeMetricsSnapshot, StageTimer, Ticker,
 };
 use lastmile_repro::prefix::Asn;
 use lastmile_repro::serve::http::{Request, Response};
@@ -64,9 +64,9 @@ use lastmile_repro::serve::server::Handler;
 use lastmile_repro::serve::{signal, AccessLog, Server, ServerConfig};
 use serde::Serialize;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, SystemTime, UNIX_EPOCH};
+use std::time::Duration;
 
 /// One fully-rendered analysis generation: everything a request needs,
 /// immutable once published. Re-analysis builds the next one off to the
@@ -268,7 +268,7 @@ pub fn run(flags: &Flags) -> Result<(), String> {
             debounce: Duration::from_millis(
                 flags.parsed::<u64>("reanalyze-debounce-ms")?.unwrap_or(250),
             ),
-            telemetry: Some(Arc::clone(&telemetry)),
+            telemetry: Arc::clone(&telemetry),
         };
         let reanalyze = {
             let flags = flags.clone();
@@ -378,6 +378,18 @@ pub fn run(flags: &Flags) -> Result<(), String> {
     let server = Server::bind(config.clone(), Arc::clone(&serve_metrics))
         .map_err(|e| format!("bind {}: {e}", config.addr))?;
     let addr = server.local_addr();
+    // SIGTERM/SIGINT stop the server from a detached thread that blocks
+    // until the signal arrives; armed before the ready file announces
+    // the daemon.
+    signal::install().map_err(|e| format!("install signal handlers: {e}"))?;
+    let stop = server.stop_handle();
+    std::thread::Builder::new()
+        .name("signal-wait".into())
+        .spawn(move || {
+            signal::wait();
+            stop.stop();
+        })
+        .expect("spawn signal waiter");
     eprintln!(
         "[serve] listening on {addr} ({} workers, queue {}, {} population(s){})",
         config.workers.max(1),
@@ -398,36 +410,26 @@ pub fn run(flags: &Flags) -> Result<(), String> {
     // timeline ring every `--ops-sample-ms` (default 1s; 0 disables).
     let sample_ms = flags.parsed::<u64>("ops-sample-ms")?.unwrap_or(1000);
     let sampler = if sample_ms > 0 {
-        let timeline = Arc::clone(&timeline);
-        let serve_metrics = Arc::clone(&serve_metrics);
-        let live_metrics = Arc::clone(&live_metrics);
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = Arc::clone(&stop);
-        let handle = std::thread::Builder::new()
-            .name("ops-sampler".into())
-            .spawn(move || {
-                sampler_loop(
-                    &timeline,
-                    &serve_metrics,
-                    &live_metrics,
-                    sample_ms,
-                    &stop_flag,
-                )
-            })
-            .map_err(|e| format!("spawn ops sampler: {e}"))?;
-        Some((stop, handle))
+        let (timeline, live, serve) = (timeline, live_metrics, Arc::clone(&serve_metrics));
+        // One sample now, then one per tick (see [`TimelineSampler`]
+        // for how rates and levels are read).
+        let sample = move |sampler: &mut TimelineSampler| {
+            timeline.push(sampler.sample(&serve.snapshot(), &live.snapshot(), now_unix_ms()));
+        };
+        let mut sampler = TimelineSampler::default();
+        sample(&mut sampler);
+        let period = Duration::from_millis(sample_ms.max(10));
+        Some(Ticker::start("ops-sampler", period, sampler, sample))
     } else {
         None
     };
 
-    signal::install();
     let handler: Arc<Handler> = Arc::new(move |req: &Request| route(req, &state));
     let run_result = server
-        .run(handler, signal::flag())
+        .run(handler)
         .map_err(|e| format!("serve on {addr}: {e}"));
-    if let Some((stop, handle)) = sampler {
-        stop.store(true, Ordering::Relaxed);
-        let _ = handle.join();
+    if let Some(sampler) = sampler {
+        sampler.stop();
     }
     run_result?;
     // Drain the live engine BEFORE reporting/persisting: a re-analysis
@@ -511,34 +513,6 @@ fn render_one(asn: Asn, a: &PopulationAnalysis) -> String {
 /// (and the consistency tests) can tell which generation they observed.
 fn with_epoch(resp: Response, generation: u64) -> Response {
     resp.header("X-Epoch", generation.to_string())
-}
-
-/// The self-scrape sampler: every `sample_ms`, snapshot the metrics
-/// and push one timeline sample into the ring (see
-/// [`TimelineSampler`] for how rates and levels are read). Sleeps in
-/// short steps so shutdown stays prompt at long intervals.
-fn sampler_loop(
-    timeline: &OpsTimeline,
-    serve: &ServeMetrics,
-    live: &LiveMetrics,
-    sample_ms: u64,
-    stop: &AtomicBool,
-) {
-    let interval = Duration::from_millis(sample_ms.max(10));
-    let mut sampler = TimelineSampler::default();
-    while !stop.load(Ordering::Relaxed) {
-        let unix_ms = SystemTime::now()
-            .duration_since(UNIX_EPOCH)
-            .map(|d| d.as_millis() as u64)
-            .unwrap_or(0);
-        timeline.push(sampler.sample(&serve.snapshot(), &live.snapshot(), unix_ms));
-        let mut slept = Duration::ZERO;
-        while slept < interval && !stop.load(Ordering::Relaxed) {
-            let step = Duration::from_millis(20).min(interval - slept);
-            std::thread::sleep(step);
-            slept += step;
-        }
-    }
 }
 
 fn route(req: &Request, state: &ServeState) -> Response {

@@ -19,7 +19,9 @@
 //! * every analysis decodes each record once: batch (cold, warm, cached
 //!   `--bgp`) and each live re-analysis pass over the union corpus;
 //! * a POSTed record nested past the parser's recursion limit is
-//!   rejected as `json` and the daemon keeps serving.
+//!   rejected as `json` and the daemon keeps serving;
+//! * an idle daemon sleeps: its threads wake only to work or to stop
+//!   (Linux, where `/proc` counts the wakeups).
 
 mod common;
 
@@ -736,6 +738,48 @@ fn deeply_nested_post_is_rejected_and_the_daemon_stays_up() {
     assert_eq!(body, b"{\"status\":\"ok\"}\n");
     let (stderr, ok) = terminate(child);
     assert!(ok, "serve did not exit cleanly: {stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Voluntary context switches summed over every thread of `pid`: how
+/// often its threads went to sleep, so how often they had woken.
+#[cfg(target_os = "linux")]
+fn voluntary_switches(pid: u32) -> u64 {
+    std::fs::read_dir(format!("/proc/{pid}/task"))
+        .expect("the daemon's task dir")
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("status")).ok())
+        .filter_map(|status| {
+            status
+                .lines()
+                .find_map(|line| line.strip_prefix("voluntary_ctxt_switches:"))
+                .and_then(|n| n.trim().parse::<u64>().ok())
+        })
+        .sum()
+}
+
+#[test]
+#[cfg(target_os = "linux")]
+fn idle_daemon_wakes_only_for_work() {
+    let dir = std::env::temp_dir().join(format!("lastmile-serve-idle-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let spool = dir.join("spool.jsonl");
+    // Live intake armed and the ops sampler at its default period: every
+    // background thread of the daemon is running.
+    let (child, addr) = spawn_serve(&dir, &["--live-spool", spool.to_str().unwrap()]);
+    // One answered request: the acceptor and workers are up and parked.
+    let (status, _, _) = http_get(&addr, "/healthz");
+    assert_eq!(status, 200);
+    let before = voluntary_switches(child.id());
+    std::thread::sleep(Duration::from_secs(2));
+    let wakeups = voluntary_switches(child.id()).saturating_sub(before);
+    let (stderr, ok) = terminate(child);
+    assert!(ok, "serve did not exit cleanly: {stderr}");
+    // The sampler ticks twice in 2 s; a polling acceptor would add
+    // hundreds.
+    assert!(
+        wakeups <= 12,
+        "{wakeups} voluntary context switches in 2 s idle"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -35,10 +35,10 @@
 use crate::watch::{AppendWatcher, WatchPoll};
 use lastmile_atlas::{LastMile, ProbeId};
 use lastmile_ingest::ingest_slice;
-use lastmile_obs::{trace, EpochRecord, EpochTelemetry, LiveMetrics};
+use lastmile_obs::{ops::now_unix_ms, trace, EpochRecord, EpochTelemetry, LiveMetrics};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
+use std::time::{Duration, Instant};
 
 /// What a re-analysis pass must invalidate before it reads.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -67,8 +67,8 @@ pub struct LiveConfig {
     /// it triggers.
     pub debounce: Duration,
     /// Epoch telemetry ring every re-analysis pass records into (the
-    /// `/v1/ops/epochs` flight recorder). `None` disables recording.
-    pub telemetry: Option<Arc<EpochTelemetry>>,
+    /// `/v1/ops/epochs` flight recorder).
+    pub telemetry: Arc<EpochTelemetry>,
 }
 
 /// Which intake paths signalled since the last pass snapshot-and-clear;
@@ -115,7 +115,7 @@ struct EngineState {
 
 struct Shared {
     metrics: Arc<LiveMetrics>,
-    telemetry: Option<Arc<EpochTelemetry>>,
+    telemetry: Arc<EpochTelemetry>,
     state: Mutex<EngineState>,
     cond: Condvar,
 }
@@ -380,29 +380,24 @@ fn run_reanalysis(shared: &Shared, reanalyze: &mut ReanalyzeFn) {
             e.clone()
         }
     };
-    if let Some(telemetry) = &shared.telemetry {
-        // Epoch and swap nanos are read *after* the pass: the reanalyze
-        // closure published them (on success), so the record names the
-        // epoch this pass produced.
-        telemetry.record(EpochRecord {
-            epoch: m.epoch.load(Ordering::Relaxed),
-            trigger: triggers.label(),
-            records_ingested: base,
-            probes_invalidated: invalidation.probes.len() as u64,
-            pass_nanos,
-            swap_nanos: m.swap_nanos.load(Ordering::Relaxed),
-            outcome: if error.is_empty() {
-                "published".to_string()
-            } else {
-                "error".to_string()
-            },
-            error,
-            unix_ms: SystemTime::now()
-                .duration_since(UNIX_EPOCH)
-                .map(|d| d.as_millis() as u64)
-                .unwrap_or(0),
-        });
-    }
+    // Epoch and swap nanos are read *after* the pass: the reanalyze
+    // closure published them (on success), so the record names the
+    // epoch this pass produced.
+    shared.telemetry.record(EpochRecord {
+        epoch: m.epoch.load(Ordering::Relaxed),
+        trigger: triggers.label(),
+        records_ingested: base,
+        probes_invalidated: invalidation.probes.len() as u64,
+        pass_nanos,
+        swap_nanos: m.swap_nanos.load(Ordering::Relaxed),
+        outcome: if error.is_empty() {
+            "published".to_string()
+        } else {
+            "error".to_string()
+        },
+        error,
+        unix_ms: now_unix_ms(),
+    });
 }
 
 #[cfg(test)]
@@ -422,7 +417,7 @@ mod tests {
                 watcher,
                 poll_interval: Duration::from_millis(5),
                 debounce: Duration::from_millis(debounce_ms),
-                telemetry: None,
+                telemetry: Arc::new(EpochTelemetry::new()),
             },
             Arc::clone(&metrics),
             Box::new(move |_| {
@@ -494,7 +489,7 @@ mod tests {
                 // Never due on its own: the pass runs only at the
                 // shutdown drain, so the assertions are deterministic.
                 debounce: Duration::from_secs(600),
-                telemetry: None,
+                telemetry: Arc::new(EpochTelemetry::new()),
             },
             metrics,
             Box::new(move |invalidation| {
@@ -537,7 +532,7 @@ mod tests {
                 poll_interval: Duration::from_millis(5),
                 // Only the shutdown drain runs the pass: deterministic.
                 debounce: Duration::from_secs(600),
-                telemetry: None,
+                telemetry: Arc::new(EpochTelemetry::new()),
             },
             Arc::clone(&metrics),
             Box::new(move |invalidation| {
@@ -575,7 +570,7 @@ mod tests {
                 watcher: None,
                 poll_interval: Duration::from_millis(5),
                 debounce: Duration::from_millis(10),
-                telemetry: Some(Arc::clone(&telemetry)),
+                telemetry: Arc::clone(&telemetry),
             },
             Arc::clone(&metrics),
             Box::new(move |_| {
@@ -613,7 +608,7 @@ mod tests {
                 poll_interval: Duration::from_millis(5),
                 // Only the shutdown drain runs the pass: deterministic.
                 debounce: Duration::from_secs(600),
-                telemetry: Some(Arc::clone(&telemetry)),
+                telemetry: Arc::clone(&telemetry),
             },
             Arc::clone(&metrics),
             Box::new(move |_| {

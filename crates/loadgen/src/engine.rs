@@ -94,66 +94,12 @@ fn worker(addr: SocketAddr, plan: &Plan, rx: &Mutex<Receiver<Job>>) -> EndpointT
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::{Read, Write};
-    use std::net::TcpListener;
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
-    /// Tiny threaded fake server answering 200 to everything, counting
-    /// connections, until dropped.
-    struct FakeServer {
-        addr: SocketAddr,
-        served: Arc<AtomicU64>,
-        stop: Arc<AtomicBool>,
-        join: Option<std::thread::JoinHandle<()>>,
-    }
-
-    impl FakeServer {
-        fn start() -> FakeServer {
-            let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-            listener.set_nonblocking(true).unwrap();
-            let addr = listener.local_addr().unwrap();
-            let served = Arc::new(AtomicU64::new(0));
-            let stop = Arc::new(AtomicBool::new(false));
-            let (served2, stop2) = (Arc::clone(&served), Arc::clone(&stop));
-            let join = std::thread::spawn(move || {
-                while !stop2.load(Ordering::Relaxed) {
-                    match listener.accept() {
-                        Ok((mut stream, _)) => {
-                            let served = Arc::clone(&served2);
-                            std::thread::spawn(move || {
-                                let mut buf = [0u8; 2048];
-                                let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
-                                let _ = stream.read(&mut buf);
-                                let _ = stream
-                                    .write_all(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok");
-                                served.fetch_add(1, Ordering::Relaxed);
-                            });
-                        }
-                        Err(_) => std::thread::sleep(Duration::from_millis(1)),
-                    }
-                }
-            });
-            FakeServer {
-                addr,
-                served,
-                stop,
-                join: Some(join),
-            }
-        }
-    }
-
-    impl Drop for FakeServer {
-        fn drop(&mut self) {
-            self.stop.store(true, Ordering::Relaxed);
-            if let Some(join) = self.join.take() {
-                join.join().ok();
-            }
-        }
-    }
+    use crate::fake_server::FakeServer;
+    use std::sync::atomic::Ordering;
 
     #[test]
     fn open_loop_attempts_the_scheduled_count_and_stays_consistent() {
-        let server = FakeServer::start();
+        let server = FakeServer::ok();
         let mut mix = Mix::single(Endpoint::Healthz);
         let plan = Plan {
             timeout: Duration::from_secs(2),

@@ -109,35 +109,13 @@ pub fn run_ladder(config: LadderConfig) -> Result<LoadReport, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fake_server::{FakeServer, OK};
     use crate::mix::Endpoint;
-    use std::io::{Read, Write};
-    use std::net::TcpListener;
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
 
     #[test]
     fn ladder_reports_one_rung_per_rate() {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        listener.set_nonblocking(true).unwrap();
-        let addr = listener.local_addr().unwrap();
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        let server = std::thread::spawn(move || {
-            while !stop2.load(Ordering::Relaxed) {
-                match listener.accept() {
-                    Ok((mut stream, _)) => {
-                        std::thread::spawn(move || {
-                            let mut buf = [0u8; 1024];
-                            let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
-                            let _ = stream.read(&mut buf);
-                            let _ =
-                                stream.write_all(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok");
-                        });
-                    }
-                    Err(_) => std::thread::sleep(Duration::from_millis(1)),
-                }
-            }
-        });
+        let server = FakeServer::ok();
+        let addr = server.addr;
         let report = run_ladder(LadderConfig {
             addr,
             addr_label: addr.to_string(),
@@ -151,8 +129,6 @@ mod tests {
             },
         })
         .expect("ladder runs");
-        stop.store(true, Ordering::Relaxed);
-        server.join().unwrap();
         assert_eq!(report.profile, "ladder");
         assert_eq!(report.rungs.len(), 2);
         assert!(report.consistent);
@@ -177,33 +153,15 @@ mod tests {
         // schema (static counters) and everything else with 200: zero
         // client-side sheds against a zero server-side delta must
         // reconcile as consistent, with per-rung deltas recorded.
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        listener.set_nonblocking(true).unwrap();
-        let addr = listener.local_addr().unwrap();
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        let server = std::thread::spawn(move || {
-            while !stop2.load(Ordering::Relaxed) {
-                match listener.accept() {
-                    Ok((mut stream, _)) => {
-                        std::thread::spawn(move || {
-                            let mut buf = [0u8; 1024];
-                            let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
-                            let n = stream.read(&mut buf).unwrap_or(0);
-                            let head = String::from_utf8_lossy(&buf[..n]).to_string();
-                            let response: &[u8] = if head.starts_with("GET /metrics") {
-                                b"HTTP/1.1 200 OK\r\n\r\n{\"serve\":{\"rejected_busy\":2,\"admission\":{\
-                                  \"cheap\":{\"shed\":1},\"heavy\":{\"shed\":0},\"intake\":{\"shed\":0}}}}\n"
-                            } else {
-                                b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok"
-                            };
-                            let _ = stream.write_all(response);
-                        });
-                    }
-                    Err(_) => std::thread::sleep(Duration::from_millis(1)),
-                }
+        let server = FakeServer::start(|head| {
+            if head.starts_with("GET /metrics") {
+                b"HTTP/1.1 200 OK\r\n\r\n{\"serve\":{\"rejected_busy\":2,\"admission\":{\
+                  \"cheap\":{\"shed\":1},\"heavy\":{\"shed\":0},\"intake\":{\"shed\":0}}}}\n"
+            } else {
+                OK
             }
         });
+        let addr = server.addr;
         let report = run_ladder(LadderConfig {
             addr,
             addr_label: addr.to_string(),
@@ -217,8 +175,6 @@ mod tests {
             },
         })
         .expect("ladder runs");
-        stop.store(true, Ordering::Relaxed);
-        server.join().unwrap();
         let check = report.shed_check.expect("reconciliation ran");
         assert!(check.consistent, "{check:?}");
         assert_eq!(check.client_shed, 0);
@@ -228,27 +184,8 @@ mod tests {
 
     #[test]
     fn a_rung_splits_traffic_by_weight() {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        listener.set_nonblocking(true).unwrap();
-        let addr = listener.local_addr().unwrap();
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
-        let server = std::thread::spawn(move || {
-            while !stop2.load(Ordering::Relaxed) {
-                match listener.accept() {
-                    Ok((mut stream, _)) => {
-                        std::thread::spawn(move || {
-                            let mut buf = [0u8; 2048];
-                            let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
-                            let _ = stream.read(&mut buf);
-                            let _ =
-                                stream.write_all(b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n\r\nok");
-                        });
-                    }
-                    Err(_) => std::thread::sleep(Duration::from_millis(1)),
-                }
-            }
-        });
+        let server = FakeServer::ok();
+        let addr = server.addr;
         let report = run_ladder(LadderConfig {
             addr,
             addr_label: addr.to_string(),
@@ -263,8 +200,6 @@ mod tests {
             },
         })
         .expect("ladder runs");
-        stop.store(true, Ordering::Relaxed);
-        server.join().unwrap();
         assert!(report.consistent);
         // 80 rps × 0.3 s = 24 arrivals, split 3:1.
         let scheduled = report.totals.attempted + report.totals.not_sent;

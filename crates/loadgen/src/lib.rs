@@ -35,6 +35,8 @@ pub mod mix;
 pub mod report;
 
 mod engine;
+#[cfg(test)]
+mod fake_server;
 
 pub use burst::{run_burst, BurstConfig};
 pub use client::{discover_asn, one_shot, resolve, scrape_shed_counters, Outcome, ShedCounters};

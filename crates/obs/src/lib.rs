@@ -28,6 +28,8 @@
 //!   `--stats`, optional CSV via the CLI).
 //! * [`LiveProgress`] — live gauges (bytes, records, queue depth,
 //!   populations done/total) feeding the CLI's `--progress` heartbeat.
+//! * [`Ticker`] — the stoppable periodic thread behind that heartbeat,
+//!   the trace stream's drains and `serve`'s ops sampler.
 
 #[macro_use]
 pub mod registry;
@@ -35,6 +37,7 @@ pub mod registry;
 pub mod hist;
 pub mod ops;
 pub mod prom;
+pub mod ticker;
 pub mod trace;
 
 #[cfg(test)]
@@ -43,6 +46,7 @@ mod golden;
 pub use hist::{AtomicHistogram, Histogram, HistogramSummary};
 pub use ops::{EpochRecord, EpochTelemetry, OpsTimeline, TimelinePoint, TimelineSample};
 pub use registry::{Gauge, HistogramSnapshot, Kind, Metric, Prom, Value, Visitor};
+pub use ticker::Ticker;
 
 use serde::Serialize;
 use std::sync::atomic::{AtomicU64, Ordering};

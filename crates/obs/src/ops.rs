@@ -23,7 +23,15 @@ use crate::{LiveMetricsSnapshot, Metric, ServeMetricsSnapshot, Visitor};
 use serde::Serialize;
 use std::collections::VecDeque;
 use std::sync::Mutex;
-use std::time::Instant;
+use std::time::{Instant, SystemTime, UNIX_EPOCH};
+
+/// Milliseconds since the unix epoch, for stamping samples and records.
+pub fn now_unix_ms() -> u64 {
+    SystemTime::now()
+        .duration_since(UNIX_EPOCH)
+        .map(|d| d.as_millis() as u64)
+        .unwrap_or(0)
+}
 
 /// How a timeline series reads its declared metric.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -37,6 +37,7 @@
 //! form (header + everything undrained + footer) for short runs and
 //! tests.
 
+use crate::Ticker;
 use std::cell::RefCell;
 use std::io::Write;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -449,16 +450,19 @@ fn json<T: serde::Serialize + ?Sized>(v: &T) -> serde_json::Value {
     serde_json::to_value(v)
 }
 
-/// A background thread that drains the installed global tracer to a file
-/// every `every`, so long-running processes persist spans incrementally
-/// instead of losing the oldest to ring wrap-around at exit.
+/// A background [`Ticker`] that drains the installed global tracer to a
+/// file every `every`, so long-running processes persist spans
+/// incrementally instead of losing the oldest to ring wrap-around at
+/// exit.
 ///
-/// [`TraceStream::finish`] stops the thread, drains whatever the caller
+/// [`TraceStream::finish`] stops the ticker, drains whatever the caller
 /// recorded since the last tick, and completes the document — call it
 /// after worker pools have quiesced for a loss-free tail.
 pub struct TraceStream {
-    stop: Arc<AtomicBool>,
-    handle: std::thread::JoinHandle<std::io::Result<()>>,
+    tracer: &'static Tracer,
+    /// The sink, or the first drain error (after which ticks stop
+    /// draining and `finish` reports it).
+    ticker: Ticker<std::io::Result<TraceSink<std::io::BufWriter<std::fs::File>>>>,
 }
 
 impl TraceStream {
@@ -477,41 +481,24 @@ impl TraceStream {
         every: Duration,
     ) -> std::io::Result<TraceStream> {
         let file = std::fs::File::create(path)?;
-        let mut sink = TraceSink::new(std::io::BufWriter::new(file))?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = stop.clone();
-        let handle = std::thread::Builder::new()
-            .name("trace-stream".into())
-            .spawn(move || {
-                // Wake every 25 ms to notice `stop` promptly; drain on
-                // the `every` cadence.
-                let tick = Duration::from_millis(25).min(every);
-                let mut since_drain = Duration::ZERO;
-                while !stop_flag.load(Ordering::Acquire) {
-                    std::thread::sleep(tick);
-                    since_drain += tick;
-                    if since_drain >= every {
-                        since_drain = Duration::ZERO;
-                        tracer.drain_into(&mut sink)?;
-                    }
+        let sink = TraceSink::new(std::io::BufWriter::new(file))?;
+        let ticker = Ticker::start("trace-stream", every, Ok(sink), move |sink| {
+            if let Ok(s) = sink {
+                if let Err(e) = tracer.drain_into(s) {
+                    *sink = Err(e);
                 }
-                // Final drain after the caller quiesced, then the footer.
-                tracer.drain_into(&mut sink)?;
-                sink.finish()?;
-                Ok(())
-            })
-            .expect("spawn trace-stream thread");
-        Ok(TraceStream { stop, handle })
+            }
+        });
+        Ok(TraceStream { tracer, ticker })
     }
 
     /// Stop the periodic drain, flush everything recorded so far, and
     /// complete the trace document.
     pub fn finish(self) -> std::io::Result<()> {
-        self.stop.store(true, Ordering::Release);
-        match self.handle.join() {
-            Ok(result) => result,
-            Err(_) => Err(std::io::Error::other("trace-stream thread panicked")),
-        }
+        let mut sink = self.ticker.stop()?;
+        self.tracer.drain_into(&mut sink)?;
+        sink.finish()?;
+        Ok(())
     }
 }
 

@@ -20,7 +20,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{SystemTime, UNIX_EPOCH};
 
 /// Bound on records buffered between workers and the writer thread.
 /// At ~200 bytes/record this caps the backlog near 200 KiB.
@@ -114,14 +113,6 @@ fn push_str_field(out: &mut String, key: &str, value: &str) {
         }
     }
     out.push('"');
-}
-
-/// Milliseconds since the unix epoch, for stamping records.
-pub fn now_unix_ms() -> u64 {
-    SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .map(|d| d.as_millis() as u64)
-        .unwrap_or(0)
 }
 
 /// Handle to the access-log writer. Share via `Arc`.

@@ -12,14 +12,17 @@
 //! * [`server`] — bounded-concurrency serving: a fixed worker pool
 //!   (`serve-0` … `serve-N-1`) fed by a bounded accept queue; a full
 //!   queue answers `503` + `Retry-After` immediately instead of
-//!   buffering without bound; shutdown drains queued and in-flight
-//!   requests before [`Server::run`] returns. On top of the queue,
-//!   cost-aware admission control: requests are classified
+//!   buffering without bound; the acceptor blocks in `accept`, and
+//!   [`server::StopHandle::stop`] wakes it, after which queued and
+//!   in-flight requests drain before [`Server::run`] returns. On top of
+//!   the queue, cost-aware admission control: requests are classified
 //!   ([`CostClass`]) and each class has a concurrency budget, so an
 //!   expensive-endpoint flood sheds fast 503s (adaptive `Retry-After`,
 //!   class named in the body) instead of occupying every worker.
-//! * [`signal`] — SIGTERM/SIGINT latched into a flag the accept loop
-//!   polls (hand-declared `signal(2)`, no libc crate).
+//! * [`signal`] — SIGTERM/SIGINT written to a self-pipe that
+//!   [`signal::wait`] blocks on (hand-declared `signal(2)` and
+//!   `write(2)`, no libc crate); the caller then stops the server
+//!   through its [`server::StopHandle`].
 //! * [`access`] — structured JSON access logs: one object per request
 //!   through a bounded non-blocking writer that drops-and-counts under
 //!   pressure, joinable with trace spans by `X-Request-Id`.

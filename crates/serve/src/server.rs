@@ -18,10 +18,15 @@
 //! through a dedicated fast lane first: a single thread that serves
 //! `GET /healthz` and `GET /metrics` under a tight timeout, so a flood
 //! of expensive classify/ingest work can never blind health probes;
-//! anything else overflowing gets the same 503. Graceful shutdown stops
-//! the acceptor, drops both queues' senders, and joins the workers —
-//! which drain every connection already queued (and the one they are
-//! serving) before exiting.
+//! anything else overflowing gets the same 503.
+//!
+//! The acceptor blocks in `accept`, so an idle server never wakes.
+//! [`StopHandle::stop`] latches the stop flag and then connects once to
+//! the listener; the blocked `accept` returns, and the acceptor drops
+//! that connection uncounted and stops. Graceful shutdown then drops
+//! both queues' senders and joins the workers, which drain every
+//! connection already queued (and the one they are serving) before
+//! exiting.
 //!
 //! Every connection, on either lane, is served by one function,
 //! `serve_connection`: read the head, stamp the request id and trace
@@ -47,9 +52,9 @@
 //! a heavy budget left at 0 resolves to `workers` too — so the default
 //! daemon sheds only on queue overflow.
 
-use crate::access::{now_unix_ms, AccessLog, AccessRecord};
+use crate::access::{AccessLog, AccessRecord};
 use crate::http::{parse_request_head, read_body, ParseError, Request, Response};
-use lastmile_obs::{trace, AdmissionClassMetrics, ServeMetrics};
+use lastmile_obs::{ops::now_unix_ms, trace, AdmissionClassMetrics, ServeMetrics};
 use std::io::Read;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
@@ -161,9 +166,9 @@ pub fn adaptive_retry_after(base: u64, occupancy: u64, capacity: u64) -> u64 {
 /// read or write side of a connection.
 const IO_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// Accept-poll interval: how promptly the acceptor notices the shutdown
-/// flag while idle.
-const ACCEPT_POLL: Duration = Duration::from_millis(5);
+/// Pause after a failed `accept` (fd exhaustion, say), so a persistent
+/// error cannot spin the acceptor.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(5);
 
 /// Read/write timeout on the fast lane: tight, so one slow-loris
 /// connection can't park the single thread that keeps health probes
@@ -177,35 +182,67 @@ const FASTLANE_QUEUE: usize = 32;
 /// A bound listener plus its pool configuration. `bind` then `run`.
 pub struct Server {
     listener: TcpListener,
-    local_addr: SocketAddr,
     config: ServerConfig,
     metrics: Arc<ServeMetrics>,
+    stop: StopHandle,
+}
+
+/// Stops a [`Server`] from any thread: [`StopHandle::stop`] latches the
+/// stop flag, then connects once to the listener so the acceptor's
+/// blocked `accept` returns and sees it.
+#[derive(Clone, Debug)]
+pub struct StopHandle {
+    stopped: Arc<AtomicBool>,
+    /// The listener's bound address. A wildcard one (`0.0.0.0`, `::`)
+    /// reaches the local host when connected to, on Linux and the BSDs.
+    addr: SocketAddr,
+}
+
+impl StopHandle {
+    /// Make [`Server::run`] stop accepting, drain and return. Safe to
+    /// call more than once, and before or after `run`.
+    pub fn stop(&self) {
+        self.stopped.store(true, Ordering::Release);
+        // The acceptor drops this connection uncounted. It fails only
+        // when the listener is already closed, and then nobody waits.
+        let _ = TcpStream::connect(self.addr);
+    }
 }
 
 impl Server {
     /// Bind `config.addr` (no traffic is accepted until [`Server::run`]).
     pub fn bind(config: ServerConfig, metrics: Arc<ServeMetrics>) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
-        let local_addr = listener.local_addr()?;
+        let addr = listener.local_addr()?;
+        let stop = StopHandle {
+            stopped: Arc::default(),
+            addr,
+        };
         Ok(Server {
             listener,
-            local_addr,
             config,
             metrics,
+            stop,
         })
     }
 
     /// The bound address — the actual port when `addr` ended in `:0`.
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.stop.addr
     }
 
-    /// Serve until `shutdown` turns true, then drain and return.
+    /// The handle that stops [`Server::run`].
+    pub fn stop_handle(&self) -> StopHandle {
+        self.stop.clone()
+    }
+
+    /// Serve until [`StopHandle::stop`], then drain and return.
     ///
-    /// Blocks the calling thread (it becomes the acceptor). On
-    /// shutdown: stop accepting, close the queue, join the workers once
-    /// every queued and in-flight connection has been answered.
-    pub fn run(self, handler: Arc<Handler>, shutdown: &AtomicBool) -> std::io::Result<()> {
+    /// Blocks the calling thread (it becomes the acceptor, waiting in
+    /// `accept`). On stop: stop accepting, close the queue, join the
+    /// workers once every queued and in-flight connection has been
+    /// answered.
+    pub fn run(self, handler: Arc<Handler>) -> std::io::Result<()> {
         let workers = self.config.workers.max(1);
         let queue = self.config.queue.max(1);
         let heavy = match self.config.budget_heavy {
@@ -230,7 +267,6 @@ impl Server {
             },
             access: self.config.access_log.as_deref(),
         };
-        self.listener.set_nonblocking(true)?;
         let (tx, rx) = std::sync::mpsc::sync_channel::<TcpStream>(queue);
         let (ftx, frx) = std::sync::mpsc::sync_channel::<TcpStream>(FASTLANE_QUEUE);
         let (pool, fast) = (Mutex::new(rx), Mutex::new(frx));
@@ -245,8 +281,12 @@ impl Server {
                     .spawn_scoped(scope, move || worker_loop(rx, lane, handler, ctx))
                     .expect("spawn serve worker");
             }
-            while !shutdown.load(Ordering::Acquire) {
+            let stopped = &*self.stop.stopped;
+            while !stopped.load(Ordering::Acquire) {
                 match self.listener.accept() {
+                    // The stop's wake connection, or a client racing the
+                    // stop: dropped unserved and uncounted.
+                    Ok(_) if stopped.load(Ordering::Acquire) => break,
                     Ok((stream, _peer)) => {
                         self.metrics.accepted.fetch_add(1, Ordering::Relaxed);
                         // Gauge before send: a worker may dequeue (and
@@ -288,14 +328,11 @@ impl Server {
                             }
                         }
                     }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(ACCEPT_POLL);
-                    }
                     Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                     // Transient per-connection accept failures (peer
                     // reset mid-handshake, fd pressure) shouldn't kill
                     // the daemon.
-                    Err(_) => std::thread::sleep(ACCEPT_POLL),
+                    Err(_) => std::thread::sleep(ACCEPT_ERROR_BACKOFF),
                 }
             }
             trace::instant_with("serve_shutdown", |a| {
@@ -742,15 +779,14 @@ mod tests {
     ) -> (
         SocketAddr,
         Arc<ServeMetrics>,
-        Arc<AtomicBool>,
+        StopHandle,
         std::thread::JoinHandle<std::io::Result<()>>,
     ) {
         let metrics = Arc::new(ServeMetrics::new());
         let server = Server::bind(config, Arc::clone(&metrics)).expect("bind");
         let addr = server.local_addr();
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let flag = Arc::clone(&shutdown);
-        let join = std::thread::spawn(move || server.run(handler, &flag));
+        let shutdown = server.stop_handle();
+        let join = std::thread::spawn(move || server.run(handler));
         (addr, metrics, shutdown, join)
     }
 
@@ -777,7 +813,7 @@ mod tests {
                 });
             }
         });
-        shutdown.store(true, Ordering::Release);
+        shutdown.stop();
         join.join().unwrap().unwrap();
         let s = metrics.snapshot();
         assert_eq!(s.requests, 8);
@@ -785,6 +821,32 @@ mod tests {
         assert_eq!(s.latency.classify.count, 8);
         assert_eq!(s.in_flight, 0);
         assert_eq!(s.queue_depth, 0);
+    }
+
+    #[test]
+    fn stop_wakes_an_idle_acceptor_and_the_wake_is_not_counted() {
+        // Loopback and wildcard binds: the wake connection must reach
+        // the listener either way.
+        for addr in ["127.0.0.1:0", "0.0.0.0:0"] {
+            let handler: Arc<Handler> = Arc::new(|_req: &Request| Response::text(200, "ok"));
+            let config = ServerConfig {
+                addr: addr.into(),
+                ..ServerConfig::default()
+            };
+            let (_addr, metrics, shutdown, join) = spawn_server(config, handler);
+            // Let the acceptor block in `accept` with no client at all.
+            std::thread::sleep(Duration::from_millis(50));
+            let started = Instant::now();
+            shutdown.stop();
+            join.join().unwrap().unwrap();
+            let took = started.elapsed();
+            assert!(took < Duration::from_secs(1), "{addr}: stop took {took:?}");
+            let s = metrics.snapshot();
+            assert_eq!(s.accepted, 0, "{addr}: the wake connection was counted");
+            assert_eq!(s.requests, 0);
+            // A second stop, after `run` returned, is harmless.
+            shutdown.stop();
+        }
     }
 
     #[test]
@@ -848,7 +910,7 @@ mod tests {
             let (status, _, _) = read_response(stream);
             assert_eq!(status, 200);
         }
-        shutdown.store(true, Ordering::Release);
+        shutdown.stop();
         join.join().unwrap().unwrap();
         let s = metrics.snapshot();
         assert_eq!(s.rejected_busy, 1);
@@ -878,7 +940,7 @@ mod tests {
         let (status, _, body) = get(addr, "/ok");
         assert_eq!(status, 200);
         assert_eq!(body, "fine");
-        shutdown.store(true, Ordering::Release);
+        shutdown.stop();
         join.join().unwrap().unwrap();
         assert_eq!(metrics.snapshot().worker_panics, 1);
     }
@@ -903,7 +965,7 @@ mod tests {
         let (status, _, body) = read_response(stream);
         assert_eq!(status, 200);
         assert_eq!(body, "path=/lf-only");
-        shutdown.store(true, Ordering::Release);
+        shutdown.stop();
         join.join().unwrap().unwrap();
         assert_eq!(metrics.snapshot().requests, 1);
     }
@@ -950,7 +1012,7 @@ mod tests {
         write!(stream, "utter nonsense\r\n\r\n").unwrap();
         let (status, _, _) = read_response(stream);
         assert_eq!(status, 400);
-        shutdown.store(true, Ordering::Release);
+        shutdown.stop();
         join.join().unwrap().unwrap();
     }
 
@@ -1040,7 +1102,7 @@ mod tests {
             let (status, _, _) = read_response(stream);
             assert_eq!(status, 200);
         }
-        shutdown.store(true, Ordering::Release);
+        shutdown.stop();
         join.join().unwrap().unwrap();
         let s = metrics.snapshot();
         assert_eq!(s.fastlane_hits, 3);
@@ -1133,7 +1195,7 @@ mod tests {
         for stream in [slow_a, slow_b] {
             assert_eq!(read_response(stream).0, 200);
         }
-        shutdown.store(true, Ordering::Release);
+        shutdown.stop();
         join.join().unwrap().unwrap();
         let s = metrics.snapshot();
         assert_eq!(s.worker_panics, 1);
@@ -1221,7 +1283,7 @@ mod tests {
             generated.contains('-') && generated.len() > 10,
             "{generated}"
         );
-        shutdown.store(true, Ordering::Release);
+        shutdown.stop();
         join.join().unwrap().unwrap();
         let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
         let lines: Vec<&str> = text.lines().collect();
@@ -1291,7 +1353,7 @@ mod tests {
         gate_tx.send(()).unwrap();
         let (status, _, _) = read_response(heavy_a);
         assert_eq!(status, 200);
-        shutdown.store(true, Ordering::Release);
+        shutdown.stop();
         join.join().unwrap().unwrap();
         let text = String::from_utf8(buf.lock().unwrap().clone()).unwrap();
         let shed_line = text
@@ -1371,7 +1433,7 @@ mod tests {
         gate_tx.send(()).unwrap();
         let (status, _, _) = read_response(heavy_a);
         assert_eq!(status, 200);
-        shutdown.store(true, Ordering::Release);
+        shutdown.stop();
         join.join().unwrap().unwrap();
         let s = metrics.snapshot();
         assert_eq!(s.admission.heavy.budget, 1);

@@ -1,12 +1,16 @@
-//! SIGTERM / SIGINT → one shared "shut down" flag, without a libc
-//! dependency: `signal(2)` is declared by hand and the handler does the
-//! only thing that is async-signal-safe here — a relaxed store into a
-//! static atomic the accept loop polls.
+//! SIGTERM / SIGINT → a blocking [`wait`], without a libc dependency.
+//! `signal(2)` and `write(2)` are declared by hand, and the handler
+//! does one async-signal-safe thing: it writes a byte to a self-pipe
+//! whose read end [`wait`] blocks on. No thread polls for the signal.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::io::{PipeReader, Read};
+use std::sync::atomic::{AtomicI32, Ordering};
+use std::sync::OnceLock;
 
-/// Set by the signal handler; read by [`requested`].
-static SHUTDOWN: AtomicBool = AtomicBool::new(false);
+/// The self-pipe's write end, for the handler (-1 until [`install`]).
+static WAKE_FD: AtomicI32 = AtomicI32::new(-1);
+/// The self-pipe's read end, for [`wait`].
+static WAKE: OnceLock<PipeReader> = OnceLock::new();
 
 #[cfg(unix)]
 mod ffi {
@@ -16,8 +20,10 @@ mod ffi {
     extern "C" {
         /// POSIX `signal(2)`. Fine here: the handler is re-armed by
         /// default on every platform this builds for, and even one
-        /// delivery is enough to latch the flag.
+        /// delivery is enough to wake [`super::wait`].
         pub fn signal(signum: i32, handler: SigHandler) -> usize;
+        /// POSIX `write(2)`, async-signal-safe.
+        pub fn write(fd: i32, buf: *const u8, count: usize) -> isize;
     }
 
     pub const SIGINT: i32 = 2;
@@ -26,45 +32,73 @@ mod ffi {
 
 #[cfg(unix)]
 extern "C" fn on_signal(_signum: i32) {
-    SHUTDOWN.store(true, Ordering::Relaxed);
-}
-
-/// Install handlers for SIGINT and SIGTERM that latch the shutdown
-/// flag. Idempotent; call once before the accept loop.
-pub fn install() {
-    #[cfg(unix)]
+    // One byte per signal; the pipe would fill only after 64 KiB of
+    // signals that nobody waited for.
+    // SAFETY: `write(2)` is async-signal-safe. The handler is installed
+    // only after `WAKE_FD` holds the pipe's write end, which is never
+    // closed, and the one-byte buffer lives across the call.
     unsafe {
-        ffi::signal(ffi::SIGINT, on_signal);
-        ffi::signal(ffi::SIGTERM, on_signal);
+        ffi::write(WAKE_FD.load(Ordering::Relaxed), [1u8].as_ptr(), 1);
     }
 }
 
-/// True once a shutdown signal was delivered (or [`request`] was
-/// called).
-pub fn requested() -> bool {
-    SHUTDOWN.load(Ordering::Relaxed)
+/// Open the self-pipe and install handlers for SIGINT and SIGTERM.
+/// Idempotent; call once before [`wait`].
+pub fn install() -> std::io::Result<()> {
+    #[cfg(unix)]
+    {
+        use std::os::fd::IntoRawFd;
+        let (reader, writer) = std::io::pipe()?;
+        if WAKE.set(reader).is_ok() {
+            WAKE_FD.store(writer.into_raw_fd(), Ordering::Relaxed);
+            // SAFETY: `on_signal` matches `sighandler_t` and does only
+            // async-signal-safe work.
+            unsafe {
+                ffi::signal(ffi::SIGINT, on_signal);
+                ffi::signal(ffi::SIGTERM, on_signal);
+            }
+        }
+    }
+    Ok(())
 }
 
-/// The flag itself — hand to [`crate::Server::run`] as its shutdown
-/// condition.
-pub fn flag() -> &'static AtomicBool {
-    &SHUTDOWN
+/// Block until SIGINT or SIGTERM arrives after [`install`]. Without
+/// handlers (not installed, or not a unix target) it never returns.
+pub fn wait() {
+    match WAKE.get() {
+        Some(mut reader) => {
+            let _ = reader.read_exact(&mut [0u8]);
+        }
+        None => loop {
+            std::thread::park();
+        },
+    }
 }
 
-/// Latch the flag from ordinary code (tests, an admin endpoint).
-pub fn request() {
-    SHUTDOWN.store(true, Ordering::Relaxed);
-}
-
-#[cfg(test)]
+#[cfg(all(test, unix))]
 mod tests {
     use super::*;
+    use std::time::Duration;
+
+    extern "C" {
+        /// C `raise(3)`: deliver a signal to the calling thread.
+        fn raise(signum: i32) -> i32;
+    }
 
     #[test]
-    fn request_latches_flag() {
-        // `requested()` may already be true if another test in this
-        // binary sent a signal; only the latch direction is guaranteed.
-        request();
-        assert!(requested());
+    fn wait_returns_once_sigterm_arrives() {
+        install().expect("self-pipe");
+        let (woke, woken) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            wait();
+            woke.send(()).unwrap();
+        });
+        assert!(woken.recv_timeout(Duration::from_millis(50)).is_err());
+        // SAFETY: `raise(3)` takes a signal number and has no memory
+        // preconditions; SIGTERM runs the handler installed above.
+        assert_eq!(unsafe { raise(ffi::SIGTERM) }, 0);
+        woken
+            .recv_timeout(Duration::from_secs(5))
+            .expect("wait() returned after SIGTERM");
     }
 }

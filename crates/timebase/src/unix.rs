@@ -71,12 +71,6 @@ impl UnixTime {
     pub fn start_of_day(self) -> UnixTime {
         UnixTime(self.days_since_epoch() * SECS_PER_DAY)
     }
-
-    /// Saturating addition of a number of seconds.
-    #[inline]
-    pub fn saturating_add_secs(self, secs: i64) -> UnixTime {
-        UnixTime(self.0.saturating_add(secs))
-    }
 }
 
 impl Add<i64> for UnixTime {

@@ -136,7 +136,12 @@ if command -v curl >/dev/null 2>&1; then
         --probes "$smoke/probes.json"
     curl -sf "http://$addr/healthz" | grep -q '"status": *"ok"'
     curl -sf "http://$addr/v1/classify" | grep -q '"class"'
+    # The idle daemon must stop within 2 s of SIGTERM: the stop wakes
+    # the acceptor blocked in accept, with no poll to wait out.
+    stop_started=$(date +%s%N)
     stop_serve ""
+    stop_ms=$((($(date +%s%N) - stop_started) / 1000000))
+    [ "$stop_ms" -le 2000 ] || { echo "idle serve took $stop_ms ms to stop (limit 2000)" >&2; exit 1; }
 
     # Live-ingest smoke: restart the daemon in live mode with one probe's
     # records withheld, feed them back through BOTH intake paths (corpus
