@@ -122,7 +122,7 @@ fn usage() -> &'static str {
      lastmile fleet score --truth DIR/truth.json --classified FILE.json [--min-recall F] [--max-peering-fp N] [--json]\n  \
      lastmile serve    --traceroutes FILE [classify flags] [--addr HOST:PORT] [--serve-workers N] [--serve-queue N] [--retry-after SECS] [--ready-file FILE]\n                       \
 [--serve-budget-heavy N (0 = workers)]\n                       \
-[--watch [--watch-poll-ms MS]] [--live-spool FILE] [--reanalyze-debounce-ms MS]\n                       \
+[--watch [--watch-poll-ms MS (min 10)]] [--live-spool FILE]\n                       \
 [--ops-sample-ms MS (default 1000, 0 = off)] [--access-log FILE]\n  \
      lastmile loadgen  --addr HOST:PORT [--profile ladder|burst] [--mix classify=4,series=1,...] [--concurrency N] [--timeout-ms MS]\n                       \
 [ladder: --rates 25,50,100 --dwell-ms MS] [burst: --requests N --bursts B]\n                       \
@@ -141,7 +141,7 @@ const ANALYSIS_FLAGS: &str = "traceroutes probes anchors-only bgp start end min-
 /// `--serve-*delay-ms` hooks slow handlers down for the load tests and
 /// stay out of [`usage`].
 const SERVE_FLAGS: &str = "addr serve-workers serve-queue retry-after serve-budget-heavy \
-    ready-file watch watch-poll-ms live-spool reanalyze-debounce-ms \
+    ready-file watch watch-poll-ms live-spool \
     ops-sample-ms access-log serve-delay-ms serve-heavy-delay-ms";
 
 /// The flags `cmd` (with its `fleet` action) accepts, `--trace` aside

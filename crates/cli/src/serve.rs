@@ -22,24 +22,25 @@
 //! past the length the startup analysis read, and `--live-spool FILE`
 //! enables `POST /v1/traceroutes` (accepted records are appended to the
 //! spool, which is part of the analysis corpus from startup). Either
-//! intake path marks the engine dirty; after a debounce window
-//! (`--reanalyze-debounce-ms`) the engine re-runs the analysis over the
-//! union corpus and publishes the result as a new **epoch**. A pass
-//! costs one decode of the whole union corpus, however few records were
-//! appended: the store spares only the per-probe series building of
-//! probes without new traceroutes (only those were not invalidated),
-//! and decode dominates the pass.
+//! intake path hands its records to the engine through one call; after
+//! a fixed [`REANALYZE_DEBOUNCE`] window the engine re-runs the
+//! analysis over the union corpus and publishes the result as a new
+//! **epoch**. A pass costs one decode of the whole union corpus, however
+//! few records were appended: the store spares only the per-probe series
+//! building of probes without new traceroutes (only those were not
+//! invalidated), and decode dominates the pass.
 //! Publishing is an RCU-style atomic snapshot swap. In-flight
 //! readers keep the epoch they started with (the `X-Epoch` header names
 //! it) and never block on re-analysis. At any instant `GET /v1/classify`
 //! is byte-identical to a cold `classify --json` over corpus + spool.
 //!
-//! Shutdown drains queued and in-flight requests AND any pending
-//! re-analysis (so the last accepted appends reach the store), then
-//! re-persists the series-cache snapshot stamped with the final union
-//! corpus fingerprint — but only if the corpus still ends where the
-//! last analysis read it (see [`persist_live_snapshot`]); otherwise the
-//! snapshot is skipped and the next start recomputes cold.
+//! Shutdown drains queued and in-flight requests, polls the watcher
+//! once more, and drains any pending re-analysis (so the last accepted
+//! appends reach the store), then re-persists the series-cache snapshot
+//! stamped with the final union corpus fingerprint — but only if the
+//! corpus still ends where the last analysis read it (see
+//! [`persist_live_snapshot`]); otherwise the snapshot is skipped and the
+//! next start recomputes cold.
 
 use crate::cache::Cache;
 use crate::classify::{
@@ -50,8 +51,8 @@ use crate::stats::{emit_stats, wants_stats};
 use crate::Flags;
 use lastmile_repro::core::pipeline::PopulationAnalysis;
 use lastmile_repro::live::{
-    intake_body, newline_aligned_len, AppendWatcher, Epoch, Invalidation, LiveConfig, LiveEngine,
-    LiveHandle, Spool,
+    intake_body, newline_aligned_len, AppendWatcher, Epoch, Invalidation, LiveEngine, LiveHandle,
+    Source, Spool,
 };
 use lastmile_repro::obs::ops::{now_unix_ms, TimelineSampler, TIMELINE_METRICS};
 use lastmile_repro::obs::{
@@ -67,6 +68,11 @@ use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
+
+/// How long the live engine waits after the first intake before it runs
+/// a pass: intake landing inside the window joins that pass, and a POST's
+/// acknowledgement reaches its client before the pass it triggered starts.
+const REANALYZE_DEBOUNCE: Duration = Duration::from_millis(250);
 
 /// One fully-rendered analysis generation: everything a request needs,
 /// immutable once published. Re-analysis builds the next one off to the
@@ -256,20 +262,10 @@ pub fn run(flags: &Flags) -> Result<(), String> {
         .epoch
         .store(epoch.generation(), Ordering::Relaxed);
 
-    // The live engine: watcher + debounced re-analysis, wired to this
-    // daemon's cache and epoch cell through one closure so `lastmile-live`
-    // stays free of CLI types.
+    // The live engine: debounced re-analysis, wired to this daemon's
+    // cache and epoch cell through one closure so `lastmile-live` stays
+    // free of CLI types.
     let engine = if live_enabled {
-        let config = LiveConfig {
-            watcher: watch.then(|| AppendWatcher::new(&corpus, corpus_len0)),
-            poll_interval: Duration::from_millis(
-                flags.parsed::<u64>("watch-poll-ms")?.unwrap_or(200),
-            ),
-            debounce: Duration::from_millis(
-                flags.parsed::<u64>("reanalyze-debounce-ms")?.unwrap_or(250),
-            ),
-            telemetry: Arc::clone(&telemetry),
-        };
         let reanalyze = {
             let flags = flags.clone();
             let paths = paths.clone();
@@ -325,12 +321,27 @@ pub fn run(flags: &Flags) -> Result<(), String> {
             })
         };
         Some(LiveEngine::start(
-            config,
+            REANALYZE_DEBOUNCE,
             Arc::clone(&live_metrics),
+            Arc::clone(&telemetry),
             reanalyze,
         ))
     } else {
         None
+    };
+    // The corpus watcher: one more intake producer, polled on its own
+    // ticker every `--watch-poll-ms` (at least 10 ms, so 0 cannot spin).
+    let watcher = match &engine {
+        Some(engine) if watch => {
+            let poll_ms = flags.parsed::<u64>("watch-poll-ms")?.unwrap_or(200);
+            let period = Duration::from_millis(poll_ms.max(10));
+            let handle = engine.handle();
+            let watcher = AppendWatcher::new(&corpus, corpus_len0);
+            Some(Ticker::start("live-watch", period, watcher, move |w| {
+                handle.poll_watcher(w)
+            }))
+        }
+        _ => None,
     };
 
     let state = Arc::new(ServeState {
@@ -432,11 +443,16 @@ pub fn run(flags: &Flags) -> Result<(), String> {
         sampler.stop();
     }
     run_result?;
-    // Drain the live engine BEFORE reporting/persisting: a re-analysis
-    // in flight (or pending behind the debounce) finishes and swaps its
-    // epoch, so the persisted snapshot below reflects every accepted
-    // append — never a mix of epochs.
+    // Drain live intake BEFORE reporting/persisting: stop the watcher's
+    // ticker and poll once more, so an append that landed after its last
+    // tick still counts; then a re-analysis in flight finishes and a
+    // pending one (even mid-debounce) runs and swaps its epoch, so the
+    // persisted snapshot below reflects every accepted append — never a
+    // mix of epochs.
     if let Some(engine) = engine {
+        if let Some(watcher) = watcher {
+            engine.handle().poll_watcher(&mut watcher.stop());
+        }
         engine.shutdown();
     }
     let served = serve_metrics.requests.load(Ordering::Relaxed);
@@ -682,12 +698,10 @@ fn ingest(req: &Request, state: &ServeState) -> Response {
                         } else {
                             lm.posts_accepted
                                 .fetch_add(outcome.accepted, Ordering::Relaxed);
-                            lm.records_ingested
-                                .fetch_add(outcome.accepted, Ordering::Relaxed);
                             // The spool append above is durable, so the
                             // engine's next pass is guaranteed to read
                             // these records after it invalidates.
-                            handle.notify_dirty_probes(&outcome.probes);
+                            handle.intake(Source::Post, outcome.accepted, &outcome.probes);
                             let body = serde_json::json!({
                                 "accepted": outcome.accepted,
                                 "rejected": rejected,

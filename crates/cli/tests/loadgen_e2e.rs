@@ -139,8 +139,6 @@ fn classify_flood_sheds_heavy_while_cheap_and_intake_survive() {
             "1",
             "--serve-heavy-delay-ms",
             "100",
-            "--reanalyze-debounce-ms",
-            "100",
             "--live-spool",
             spool.to_str().unwrap(),
         ])

@@ -54,8 +54,6 @@ fn ops_plane_joins_timeline_epochs_access_log_and_prom() {
             "--watch",
             "--watch-poll-ms",
             "50",
-            "--reanalyze-debounce-ms",
-            "100",
             "--live-spool",
             spool.to_str().unwrap(),
             "--ops-sample-ms",

@@ -309,8 +309,6 @@ fn live_appends_and_posts_converge_to_cold_union_bytes() {
             "--watch",
             "--watch-poll-ms",
             "50",
-            "--reanalyze-debounce-ms",
-            "100",
             "--live-spool",
             spool.to_str().unwrap(),
         ],
@@ -435,16 +433,15 @@ fn sigterm_drains_pending_reanalysis_before_snapshot_persist() {
     let dir = std::env::temp_dir().join(format!("lastmile-serve-drain-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let cache_dir = dir.join("cache");
-    // A huge debounce guarantees the re-analysis is still PENDING when
-    // SIGTERM lands; the engine must run it during shutdown (draining
-    // the swap) before the snapshot re-persist.
+    // A watcher that polls once a minute has not seen the append when
+    // SIGTERM lands: only its final poll at shutdown finds it, which
+    // leaves the re-analysis PENDING, so the engine must run it during
+    // shutdown (draining the swap) before the snapshot re-persist.
     let (child, addr) = spawn_serve(
         &dir,
         &[
             "--watch",
             "--watch-poll-ms",
-            "50",
-            "--reanalyze-debounce-ms",
             "60000",
             "--cache-dir",
             cache_dir.to_str().unwrap(),
@@ -454,23 +451,11 @@ fn sigterm_drains_pending_reanalysis_before_snapshot_persist() {
     let all = std::fs::read_to_string(&corpus).unwrap();
     let last_line = all.lines().next_back().expect("nonempty corpus");
     append_file(&corpus, format!("{last_line}\n").as_bytes());
-
-    // Wait until the watcher has seen the append (dirty window open).
-    let started = Instant::now();
-    loop {
-        let (_, _, body) = http_get(&addr, "/metrics");
-        let doc: serde_json::Value =
-            serde_json::from_str(std::str::from_utf8(&body).unwrap()).unwrap();
-        if doc["live"]["watch_appends"].as_u64().unwrap_or(0) >= 1 {
-            break;
-        }
-        assert!(
-            started.elapsed() < Duration::from_secs(30),
-            "watcher never saw the append: {}",
-            doc["live"]
-        );
-        std::thread::sleep(Duration::from_millis(50));
-    }
+    let (_, _, body) = http_get(&addr, "/metrics");
+    let doc: serde_json::Value =
+        serde_json::from_str(std::str::from_utf8(&body).unwrap()).expect("metrics doc");
+    let live = &doc["live"];
+    assert_eq!(live["watch_appends"].as_u64(), Some(0), "{live}");
 
     let (stderr, ok) = terminate(child);
     assert!(ok, "serve did not exit cleanly: {stderr}");
@@ -496,13 +481,7 @@ fn sigterm_drains_pending_reanalysis_before_snapshot_persist() {
 fn restart_reanalyses_nothing_the_startup_analysis_covered() {
     let dir = std::env::temp_dir().join(format!("lastmile-serve-restart-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let watch = [
-        "--watch",
-        "--watch-poll-ms",
-        "50",
-        "--reanalyze-debounce-ms",
-        "50",
-    ];
+    let watch = ["--watch", "--watch-poll-ms", "50"];
     let (child, addr) = spawn_serve(&dir, &watch);
     let corpus = dir.join("traceroutes.jsonl");
     let probes = dir.join("probes.json");
@@ -783,18 +762,51 @@ fn idle_daemon_wakes_only_for_work() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// CPU time (user + system, in 1/100 s ticks) the process has used so far.
+#[cfg(target_os = "linux")]
+fn cpu_ticks(pid: u32) -> u64 {
+    let stat = std::fs::read_to_string(format!("/proc/{pid}/stat")).expect("read stat");
+    // Fields after the parenthesised command name start at field 3;
+    // utime and stime are fields 14 and 15.
+    let rest = &stat[stat.rfind(')').expect("stat comm") + 1..];
+    let fields: Vec<&str> = rest.split_whitespace().collect();
+    fields[11].parse::<u64>().unwrap() + fields[12].parse::<u64>().unwrap()
+}
+
+#[test]
+#[cfg(target_os = "linux")]
+fn a_zero_watch_poll_does_not_spin() {
+    let dir = std::env::temp_dir().join(format!("lastmile-serve-poll0-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (child, addr) = spawn_serve(&dir, &["--watch", "--watch-poll-ms", "0"]);
+    let (status, _, _) = http_get(&addr, "/healthz");
+    assert_eq!(status, 200);
+    let before = cpu_ticks(child.id());
+    std::thread::sleep(Duration::from_secs(2));
+    let used = cpu_ticks(child.id()).saturating_sub(before);
+    let (stderr, ok) = terminate(child);
+    assert!(ok, "serve did not exit cleanly: {stderr}");
+    // A watcher polling with no pause burns a whole core: ~200 ticks.
+    assert!(
+        used <= 40,
+        "{used} CPU ticks in 2 s idle with --watch-poll-ms 0"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn removed_serve_knobs_fail_loudly() {
-    // The fast-lane queue, the cheap and intake budgets and the watcher's
-    // offset sidecar are no longer settable. Followed by a plain value,
-    // each used to parse as an ignored value flag; now `serve` refuses
-    // to start. The corpus path does not exist, so a daemon that did
+    // The fast-lane queue, the cheap and intake budgets, the watcher's
+    // offset sidecar and the re-analysis debounce are no longer
+    // settable. Followed by a plain value, each used to parse as an
+    // ignored value flag; now `serve` refuses to start. The corpus path does not exist, so a daemon that did
     // start fails on it instead.
     for knob in [
         "--serve-fastlane-queue",
         "--serve-budget-cheap",
         "--serve-budget-intake",
         "--live-offset-file",
+        "--reanalyze-debounce-ms",
     ] {
         let out = Command::new(lastmile_bin())
             .args(["serve", "--traceroutes", "missing.jsonl", knob, "2"])

@@ -1,24 +1,28 @@
 //! The debounced re-analysis scheduler.
 //!
-//! One engine thread owns the corpus watcher and the re-analysis
-//! closure. Intake events — watcher appends, `POST /v1/traceroutes`
-//! notifications — mark the engine dirty; the first mark starts a
-//! debounce window, and the re-analysis runs once the window closes, so
-//! a burst of appends coalesces into one recompute instead of N. The
-//! deadline is anchored to the *first* signal (not pushed by later
-//! ones), so a continuous stream cannot starve re-analysis forever.
+//! One engine thread owns the re-analysis closure. Intake producers —
+//! the corpus watcher's ticker and the `POST /v1/traceroutes` handler —
+//! hand what they accepted to [`LiveHandle::intake`], which marks the
+//! engine dirty. The first intake opens a debounce window and the pass
+//! runs once the window closes, so a burst of intake coalesces into one
+//! recompute instead of N. The deadline is anchored to the *first*
+//! intake (not pushed by later ones), so a continuous stream cannot
+//! starve re-analysis. The engine thread sleeps only on its condvar:
+//! until intake or shutdown while clean, until the deadline while
+//! dirty.
 //!
-//! Dirty state is cleared *before* the closure runs: signals landing
-//! mid-analysis re-arm the window and trigger another pass, which is
-//! how readers converge on the union corpus without the engine ever
-//! holding intake back.
+//! Dirty state is cleared *before* the closure runs: intake landing
+//! mid-analysis opens the next window and triggers another pass, which
+//! is how readers converge on the union corpus without the engine ever
+//! holding intake back. [`LiveHandle::intake`] counts the records under
+//! the lock that the pass clears the dirty state under, so each pass
+//! covers exactly the records counted before it started.
 //!
 //! Intake paths never invalidate the memoizing store themselves — they
 //! *record* dirty probes (or, on truncation, "everything") in the engine
 //! state, and each re-analysis pass snapshots-and-clears that record
-//! (under the same lock that clears the dirty window) and hands it to
-//! the re-analysis closure, which invalidates just before reading the
-//! corpus.
+//! and hands it to the re-analysis closure, which invalidates just
+//! before reading the corpus.
 //! Invalidating from the intake thread would race an in-flight
 //! analysis: the analysis could insert a series built from bytes read
 //! *before* the append, after the invalidation, resurrecting a stale
@@ -27,17 +31,18 @@
 //! engine thread, so a dirty probe is always recomputed from bytes
 //! that include its append.
 //!
-//! Shutdown drains: [`LiveEngine::shutdown`] lets an in-flight
-//! re-analysis finish, then runs one final pass if signals are still
-//! pending — so the epoch the daemon re-persists its cache under
-//! reflects every accepted record, never a mix.
+//! Shutdown drains: once the caller has stopped its intake producers,
+//! [`LiveEngine::shutdown`] lets an in-flight re-analysis finish, then
+//! runs one final pass at once if intake is still pending — so the
+//! epoch the daemon re-persists its cache under reflects every accepted
+//! record, never a mix.
 
 use crate::watch::{AppendWatcher, WatchPoll};
 use lastmile_atlas::{LastMile, ProbeId};
 use lastmile_ingest::ingest_slice;
 use lastmile_obs::{ops::now_unix_ms, trace, EpochRecord, EpochTelemetry, LiveMetrics};
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// What a re-analysis pass must invalidate before it reads.
@@ -57,21 +62,20 @@ pub struct Invalidation {
 /// inserts and before this pass's read.
 pub type ReanalyzeFn = Box<dyn FnMut(&Invalidation) -> Result<(), String> + Send>;
 
-/// Scheduling knobs for [`LiveEngine::start`].
-pub struct LiveConfig {
-    /// Corpus append watcher (absent when only POST intake is enabled).
-    pub watcher: Option<AppendWatcher>,
-    /// Watcher poll cadence.
-    pub poll_interval: Duration,
-    /// Quiet window between the first intake signal and the re-analysis
-    /// it triggers.
-    pub debounce: Duration,
-    /// Epoch telemetry ring every re-analysis pass records into (the
-    /// `/v1/ops/epochs` flight recorder).
-    pub telemetry: Arc<EpochTelemetry>,
+/// The intake path behind one [`LiveHandle::intake`] call; each epoch
+/// record names the sources its pass covers.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Source {
+    /// Records the corpus watcher found appended.
+    WatchAppend,
+    /// The watched corpus was truncated or rotated: the next pass
+    /// invalidates every memoized series.
+    WatchTruncation,
+    /// Records accepted by `POST /v1/traceroutes`.
+    Post,
 }
 
-/// Which intake paths signalled since the last pass snapshot-and-clear;
+/// Which intake paths delivered since the last pass snapshot-and-clear;
 /// rendered into the epoch record's `trigger` field.
 #[derive(Clone, Copy, Default)]
 struct Triggers {
@@ -81,32 +85,35 @@ struct Triggers {
 }
 
 impl Triggers {
+    fn set(&mut self, source: Source) {
+        match source {
+            Source::WatchAppend => self.watch_append = true,
+            Source::WatchTruncation => self.watch_truncation = true,
+            Source::Post => self.post = true,
+        }
+    }
+
+    /// The delivering paths, `+`-joined. Every pass has at least one:
+    /// only intake makes the engine dirty.
     fn label(self) -> String {
-        let mut parts = Vec::new();
-        if self.watch_append {
-            parts.push("watch_append");
-        }
-        if self.watch_truncation {
-            parts.push("watch_truncation");
-        }
-        if self.post {
-            parts.push("post");
-        }
-        if parts.is_empty() {
-            "drain".to_string()
-        } else {
-            parts.join("+")
-        }
+        let parts = [
+            (self.watch_append, "watch_append"),
+            (self.watch_truncation, "watch_truncation"),
+            (self.post, "post"),
+        ];
+        let named: Vec<&str> = parts.iter().filter(|p| p.0).map(|p| p.1).collect();
+        named.join("+")
     }
 }
 
+#[derive(Default)]
 struct EngineState {
-    /// When the current dirty window opened (None: clean).
+    /// When the current debounce window opened (None: clean).
     dirty_since: Option<Instant>,
     /// Probes with intake since the last re-analysis *started reading*;
     /// the next pass invalidates them before it reads. May repeat.
     dirty_probes: Vec<ProbeId>,
-    /// Intake paths that signalled since the last pass; cleared with the
+    /// Intake paths that delivered since the last pass; cleared with the
     /// dirty state so each epoch record attributes its own window. A
     /// watcher truncation also makes the next pass invalidate everything.
     triggers: Triggers,
@@ -120,39 +127,83 @@ struct Shared {
     cond: Condvar,
 }
 
-/// Cloneable signalling endpoint for intake paths outside the engine
-/// thread (the `POST /v1/traceroutes` handler).
+impl Shared {
+    fn lock(&self) -> MutexGuard<'_, EngineState> {
+        self.state.lock().expect("live state poisoned")
+    }
+}
+
+/// Cloneable intake endpoint for the producers outside the engine
+/// thread: the watcher's ticker and the `POST /v1/traceroutes` handler.
 #[derive(Clone)]
 pub struct LiveHandle {
     shared: Arc<Shared>,
 }
 
 impl LiveHandle {
-    /// The engine's metrics (shared with `/metrics`).
-    pub fn metrics(&self) -> &Arc<LiveMetrics> {
-        &self.shared.metrics
-    }
-
-    /// Mark the engine dirty (opens the debounce window if closed) and
-    /// wake it.
-    pub fn notify_dirty(&self) {
-        self.notify_dirty_probes(&[]);
-    }
-
-    /// [`LiveHandle::notify_dirty`], additionally recording the probes
-    /// whose memoized series the next re-analysis pass must invalidate
-    /// before it reads the corpus. The caller must have durably
-    /// appended the probes' records (spool/corpus) *before* calling:
-    /// the recording happens-before the pass's snapshot-and-clear,
-    /// which happens-before its read, so the recomputed series always
-    /// covers the append.
-    pub fn notify_dirty_probes(&self, probes: &[ProbeId]) {
-        let mut state = self.shared.state.lock().expect("live state poisoned");
+    /// Hand `records` accepted records of `probes` to the engine: count
+    /// them in `live.records_ingested`, record the probes whose memoized
+    /// series the next pass must invalidate, note `source` in that
+    /// pass's trigger, open the debounce window if it is closed, and
+    /// wake the engine — all under the lock the pass takes them under.
+    /// The caller must have durably appended the
+    /// records (spool/corpus) *before* calling: the recording
+    /// happens-before the pass's snapshot-and-clear, which
+    /// happens-before its read, so the recomputed series always covers
+    /// the append.
+    pub fn intake(&self, source: Source, records: u64, probes: &[ProbeId]) {
+        let mut state = self.shared.lock();
+        self.shared
+            .metrics
+            .records_ingested
+            .fetch_add(records, Ordering::Relaxed);
         state.dirty_probes.extend_from_slice(probes);
-        state.triggers.post = true;
+        state.triggers.set(source);
         state.dirty_since.get_or_insert_with(Instant::now);
         drop(state);
         self.shared.cond.notify_one();
+    }
+
+    /// Poll `watcher` once and hand what it found to
+    /// [`LiveHandle::intake`]: the appended records' probes, or a
+    /// truncation.
+    pub fn poll_watcher(&self, watcher: &mut AppendWatcher) {
+        let m = &self.shared.metrics;
+        match watcher.poll() {
+            WatchPoll::Unchanged => {}
+            WatchPoll::Appended(bytes) => {
+                let _span = trace::span_with("live_watch_append", |a| {
+                    a.u64("bytes", bytes.len() as u64);
+                });
+                let mut probes = Vec::new();
+                let quarantined =
+                    ingest_slice(&bytes, |_, _, row: LastMile| probes.push(row.probe));
+                m.watch_appends.fetch_add(1, Ordering::Relaxed);
+                m.watch_quarantined
+                    .fetch_add(quarantined.len() as u64, Ordering::Relaxed);
+                for q in &quarantined {
+                    eprintln!(
+                        "[live] watch: quarantined record at byte {} ({}): {}",
+                        q.offset,
+                        q.kind.name(),
+                        q.detail
+                    );
+                }
+                if !probes.is_empty() {
+                    self.intake(Source::WatchAppend, probes.len() as u64, &probes);
+                }
+            }
+            WatchPoll::Truncated(len) => {
+                let _span = trace::span_with("live_watch_truncation", |a| {
+                    a.u64("bytes", len);
+                });
+                eprintln!(
+                    "[live] watch: corpus truncated/rotated; falling back to full re-ingest ({len} bytes)"
+                );
+                m.watch_truncations.fetch_add(1, Ordering::Relaxed);
+                self.intake(Source::WatchTruncation, 0, &[]);
+            }
+        }
     }
 }
 
@@ -163,28 +214,26 @@ pub struct LiveEngine {
 }
 
 impl LiveEngine {
-    /// Spawn the engine thread.
+    /// Spawn the engine thread. A pass runs `debounce` after the intake
+    /// that opens its window and records into `telemetry` (the
+    /// `/v1/ops/epochs` flight recorder).
     pub fn start(
-        config: LiveConfig,
+        debounce: Duration,
         metrics: Arc<LiveMetrics>,
+        telemetry: Arc<EpochTelemetry>,
         reanalyze: ReanalyzeFn,
     ) -> LiveEngine {
         let shared = Arc::new(Shared {
             metrics,
-            telemetry: config.telemetry.clone(),
-            state: Mutex::new(EngineState {
-                dirty_since: None,
-                dirty_probes: Vec::new(),
-                triggers: Triggers::default(),
-                shutdown: false,
-            }),
+            telemetry,
+            state: Mutex::default(),
             cond: Condvar::new(),
         });
         let thread = {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name("live-engine".into())
-                .spawn(move || engine_loop(&shared, config, reanalyze))
+                .spawn(move || engine_loop(&shared, debounce, reanalyze))
                 .expect("spawn live engine")
         };
         LiveEngine {
@@ -193,7 +242,7 @@ impl LiveEngine {
         }
     }
 
-    /// A signalling handle for other threads.
+    /// An intake handle for other threads.
     pub fn handle(&self) -> LiveHandle {
         LiveHandle {
             shared: Arc::clone(&self.shared),
@@ -201,7 +250,9 @@ impl LiveEngine {
     }
 
     /// Stop the engine: an in-flight re-analysis finishes, one final
-    /// pass drains any still-pending signals, and the thread joins.
+    /// pass drains any still-pending intake, and the thread joins. Stop
+    /// the intake producers first: intake after this call may miss the
+    /// final epoch.
     pub fn shutdown(mut self) {
         self.shutdown_inner();
     }
@@ -210,10 +261,7 @@ impl LiveEngine {
         let Some(thread) = self.thread.take() else {
             return;
         };
-        {
-            let mut state = self.shared.state.lock().expect("live state poisoned");
-            state.shutdown = true;
-        }
+        self.shared.lock().shutdown = true;
         self.shared.cond.notify_one();
         if thread.join().is_err() {
             eprintln!("[live] engine thread panicked during shutdown");
@@ -227,142 +275,58 @@ impl Drop for LiveEngine {
     }
 }
 
-fn engine_loop(shared: &Shared, config: LiveConfig, mut reanalyze: ReanalyzeFn) {
-    let mut watcher = config.watcher;
-    let debounce = config.debounce;
+/// Run each pass once its debounce window closes; after shutdown, run
+/// what is pending at once, then return.
+fn engine_loop(shared: &Shared, debounce: Duration, mut reanalyze: ReanalyzeFn) {
+    let mut state = shared.lock();
     loop {
-        // Sleep until a signal, the watcher poll, or the debounce
-        // deadline — whichever is nearest.
-        let shutdown = {
-            let mut state = shared.state.lock().expect("live state poisoned");
-            if !state.shutdown {
-                let now = Instant::now();
-                let until_deadline = state.dirty_since.map(|t| {
-                    (t + debounce)
-                        .checked_duration_since(now)
-                        .unwrap_or(Duration::ZERO)
-                });
-                let sleep = match (until_deadline, watcher.is_some()) {
-                    (Some(d), true) => d.min(config.poll_interval),
-                    (Some(d), false) => d,
-                    (None, true) => config.poll_interval,
-                    // Nothing to poll, nothing pending: wait for a
-                    // notify (bounded, for robustness against a lost
-                    // wakeup).
-                    (None, false) => Duration::from_secs(3600),
-                };
-                if !sleep.is_zero() {
-                    let (guard, _) = shared
-                        .cond
-                        .wait_timeout(state, sleep)
-                        .expect("live state poisoned");
-                    state = guard;
-                }
+        let Some(since) = state.dirty_since else {
+            if state.shutdown {
+                return;
             }
-            state.shutdown
+            state = shared.cond.wait(state).expect("live state poisoned");
+            continue;
         };
-        if shutdown {
-            break;
+        let left = (since + debounce).saturating_duration_since(Instant::now());
+        if state.shutdown {
+            // Intake accepted before shutdown must reach an epoch before
+            // the daemon re-persists its snapshot.
+            eprintln!("[live] draining pending re-analysis before shutdown");
+        } else if !left.is_zero() {
+            state = shared
+                .cond
+                .wait_timeout(state, left)
+                .expect("live state poisoned")
+                .0;
+            continue;
         }
-        if let Some(w) = watcher.as_mut() {
-            process_poll(w.poll(), shared);
-        }
-        let due = {
-            let state = shared.state.lock().expect("live state poisoned");
-            let now = Instant::now();
-            state.dirty_since.is_some_and(|t| now >= t + debounce)
-        };
-        if due {
-            run_reanalysis(shared, &mut reanalyze);
-        }
+        state = run_reanalysis(shared, state, &mut reanalyze);
     }
-    // Drain: signals accepted before shutdown must reach an epoch
-    // before the daemon re-persists its snapshot.
-    let pending = {
-        let state = shared.state.lock().expect("live state poisoned");
-        state.dirty_since.is_some()
-    };
-    if pending {
-        eprintln!("[live] draining pending re-analysis before shutdown");
-        run_reanalysis(shared, &mut reanalyze);
-    }
-}
-
-/// Feed one watcher poll outcome into the dirty state.
-fn process_poll(poll: WatchPoll, shared: &Shared) {
-    match poll {
-        WatchPoll::Unchanged => {}
-        WatchPoll::Appended(bytes) => {
-            let _span = trace::span_with("live_watch_append", |a| {
-                a.u64("bytes", bytes.len() as u64);
-            });
-            let mut probes = Vec::new();
-            let quarantined = ingest_slice(&bytes, |_, _, row: LastMile| probes.push(row.probe));
-            let m = &shared.metrics;
-            m.watch_appends.fetch_add(1, Ordering::Relaxed);
-            m.watch_quarantined
-                .fetch_add(quarantined.len() as u64, Ordering::Relaxed);
-            for q in &quarantined {
-                eprintln!(
-                    "[live] watch: quarantined record at byte {} ({}): {}",
-                    q.offset,
-                    q.kind.name(),
-                    q.detail
-                );
-            }
-            if !probes.is_empty() {
-                m.records_ingested
-                    .fetch_add(probes.len() as u64, Ordering::Relaxed);
-                mark_dirty_probes(shared, &probes, |t| t.watch_append = true);
-            }
-        }
-        WatchPoll::Truncated(bytes) => {
-            let _span = trace::span_with("live_watch_truncation", |a| {
-                a.u64("bytes", bytes.len() as u64);
-            });
-            eprintln!(
-                "[live] watch: corpus truncated/rotated; falling back to full re-ingest ({} bytes)",
-                bytes.len()
-            );
-            shared
-                .metrics
-                .watch_truncations
-                .fetch_add(1, Ordering::Relaxed);
-            // The trigger also tells the next pass to invalidate every
-            // memoized series before it reads.
-            mark_dirty_probes(shared, &[], |t| t.watch_truncation = true);
-        }
-    }
-}
-
-fn mark_dirty_probes(shared: &Shared, probes: &[ProbeId], set_trigger: impl Fn(&mut Triggers)) {
-    let mut state = shared.state.lock().expect("live state poisoned");
-    state.dirty_probes.extend_from_slice(probes);
-    set_trigger(&mut state.triggers);
-    state.dirty_since.get_or_insert_with(Instant::now);
 }
 
 /// Run one re-analysis pass: snapshot-and-clear the dirty state (so
-/// signals landing mid-analysis re-arm it) and hand it to the closure,
-/// which invalidates, then re-reads and publishes. Invalidation happens
-/// there — on the engine thread, after any prior pass's inserts and
-/// before this pass's read — never on the intake threads (see the
+/// intake landing mid-analysis opens the next window), release the lock
+/// and hand the snapshot to the closure, which invalidates, then
+/// re-reads and publishes; return the lock retaken. Invalidation
+/// happens there — on the engine thread, after any prior pass's inserts
+/// and before this pass's read — never on the intake threads (see the
 /// module docs for the resurrection race that ordering prevents).
-fn run_reanalysis(shared: &Shared, reanalyze: &mut ReanalyzeFn) {
+fn run_reanalysis<'a>(
+    shared: &'a Shared,
+    mut state: MutexGuard<'a, EngineState>,
+    reanalyze: &mut ReanalyzeFn,
+) -> MutexGuard<'a, EngineState> {
     let m = &shared.metrics;
-    // The base records_ingested this pass covers: everything counted
-    // before the files are re-read (later arrivals re-arm the window).
+    // The records this pass covers: intake counts them under this lock,
+    // so the count and the probes taken below describe the same intake.
     let base = m.records_ingested.load(Ordering::Relaxed);
-    let (invalidation, triggers) = {
-        let mut state = shared.state.lock().expect("live state poisoned");
-        state.dirty_since = None;
-        let triggers = std::mem::take(&mut state.triggers);
-        let invalidation = Invalidation {
-            probes: std::mem::take(&mut state.dirty_probes),
-            all: triggers.watch_truncation,
-        };
-        (invalidation, triggers)
+    state.dirty_since = None;
+    let triggers = std::mem::take(&mut state.triggers);
+    let invalidation = Invalidation {
+        probes: std::mem::take(&mut state.dirty_probes),
+        all: triggers.watch_truncation,
     };
+    drop(state);
     let started = Instant::now();
     let _span = trace::span("live_reanalyze");
     let outcome = reanalyze(&invalidation);
@@ -398,77 +362,186 @@ fn run_reanalysis(shared: &Shared, reanalyze: &mut ReanalyzeFn) {
         error,
         unix_ms: now_unix_ms(),
     });
+    shared.lock()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use crate::intake::tests::record;
+    use crate::watch::tests::TempDir;
+    use lastmile_obs::Ticker;
+    use std::sync::mpsc::{channel, Receiver, Sender};
 
-    fn counting_engine(
-        watcher: Option<AppendWatcher>,
-        debounce_ms: u64,
-    ) -> (LiveEngine, Arc<AtomicU64>, Arc<LiveMetrics>) {
-        let runs = Arc::new(AtomicU64::new(0));
-        let metrics = Arc::new(LiveMetrics::new());
-        let runs2 = Arc::clone(&runs);
-        let engine = LiveEngine::start(
-            LiveConfig {
-                watcher,
-                poll_interval: Duration::from_millis(5),
-                debounce: Duration::from_millis(debounce_ms),
-                telemetry: Arc::new(EpochTelemetry::new()),
-            },
-            Arc::clone(&metrics),
-            Box::new(move |_| {
-                runs2.fetch_add(1, Ordering::SeqCst);
-                Ok(())
-            }),
-        );
-        (engine, runs, metrics)
+    /// An engine with no debounce whose passes each log their
+    /// invalidation and bump the epoch like the real closure, then wait
+    /// for the test to release them, so a test can land intake while a
+    /// pass is held.
+    struct Gated {
+        engine: LiveEngine,
+        metrics: Arc<LiveMetrics>,
+        telemetry: Arc<EpochTelemetry>,
+        passes: Arc<Mutex<Vec<Invalidation>>>,
+        /// One message per pass, sent as it starts.
+        started: Receiver<()>,
+        /// Each message lets one held pass finish; dropping it lets
+        /// every pass run through.
+        release: Sender<()>,
     }
 
-    fn wait_until(what: &str, deadline: Duration, reached: impl Fn() -> bool) {
-        let t0 = Instant::now();
-        while !reached() {
-            assert!(t0.elapsed() < deadline, "never reached: {what}");
-            std::thread::sleep(Duration::from_millis(2));
+    impl Gated {
+        fn start() -> Gated {
+            let metrics = Arc::new(LiveMetrics::new());
+            let telemetry = Arc::new(EpochTelemetry::new());
+            let passes = Arc::new(Mutex::new(Vec::new()));
+            let (started_tx, started) = channel();
+            let (release, released) = channel();
+            let (seen, epoch) = (Arc::clone(&passes), Arc::clone(&metrics));
+            let engine = LiveEngine::start(
+                Duration::ZERO,
+                Arc::clone(&metrics),
+                Arc::clone(&telemetry),
+                Box::new(move |invalidation: &Invalidation| {
+                    seen.lock().unwrap().push(invalidation.clone());
+                    let _ = started_tx.send(());
+                    let _ = released.recv();
+                    epoch.epoch.fetch_add(1, Ordering::Relaxed);
+                    Ok(())
+                }),
+            );
+            Gated {
+                engine,
+                metrics,
+                telemetry,
+                passes,
+                started,
+                release,
+            }
         }
+
+        /// Wait until the next pass has started and is held.
+        fn held(&self) {
+            self.started
+                .recv_timeout(Duration::from_secs(10))
+                .expect("a pass started");
+        }
+
+        /// Let every pass run through, shut down (draining) and return
+        /// what each pass was handed.
+        fn finish(self) -> (Vec<Invalidation>, Arc<LiveMetrics>, Arc<EpochTelemetry>) {
+            drop(self.release);
+            self.engine.shutdown();
+            let passes = self.passes.lock().unwrap().clone();
+            (passes, self.metrics, self.telemetry)
+        }
+    }
+
+    fn probes(ids: &[u32]) -> Vec<ProbeId> {
+        ids.iter().copied().map(ProbeId).collect()
     }
 
     #[test]
     fn burst_of_signals_coalesces_into_one_reanalysis() {
-        let (engine, runs, metrics) = counting_engine(None, 40);
-        let handle = engine.handle();
-        for _ in 0..5 {
-            handle.notify_dirty();
-            std::thread::sleep(Duration::from_millis(2));
+        let gated = Gated::start();
+        let handle = gated.engine.handle();
+        handle.intake(Source::Post, 1, &probes(&[1]));
+        gated.held();
+        // Five intakes while the first pass is held: one more pass
+        // covers them all.
+        for probe in 10..15 {
+            handle.intake(Source::Post, 1, &probes(&[probe]));
         }
-        wait_until("debounced re-analysis", Duration::from_secs(5), || {
-            runs.load(Ordering::SeqCst) == 1
-        });
-        // Quiet afterwards: no further runs.
-        std::thread::sleep(Duration::from_millis(100));
-        assert_eq!(runs.load(Ordering::SeqCst), 1);
-        assert_eq!(metrics.reanalyses.load(Ordering::Relaxed), 1);
-        engine.shutdown();
+        gated.release.send(()).unwrap();
+        gated.held();
+        gated.release.send(()).unwrap();
+        let (passes, metrics, _) = gated.finish();
         assert_eq!(
-            runs.load(Ordering::SeqCst),
-            1,
+            passes,
+            vec![
+                Invalidation {
+                    probes: probes(&[1]),
+                    all: false,
+                },
+                Invalidation {
+                    probes: probes(&[10, 11, 12, 13, 14]),
+                    all: false,
+                },
+            ],
             "clean shutdown re-runs nothing"
         );
+        assert_eq!(metrics.reanalyses.load(Ordering::Relaxed), 2);
+        assert_eq!(metrics.snapshot().ingest_lag, 0);
     }
 
     #[test]
     fn shutdown_drains_a_pending_window() {
-        // Debounce far in the future: the signal is pending, never due.
-        let (engine, runs, _metrics) = counting_engine(None, 60_000);
-        engine.handle().notify_dirty();
+        // An hour-long window: the intake is pending, never due, so the
+        // pass runs only as the shutdown drain.
+        let passes = Arc::new(Mutex::new(Vec::new()));
+        let seen = Arc::clone(&passes);
+        let metrics = Arc::new(LiveMetrics::new());
+        let engine = LiveEngine::start(
+            Duration::from_secs(3600),
+            Arc::clone(&metrics),
+            Arc::new(EpochTelemetry::new()),
+            Box::new(move |invalidation: &Invalidation| {
+                seen.lock().unwrap().push(invalidation.clone());
+                Ok(())
+            }),
+        );
+        let handle = engine.handle();
+        handle.intake(Source::Post, 1, &probes(&[7]));
+        handle.intake(Source::Post, 2, &probes(&[9, 7]));
+        assert!(passes.lock().unwrap().is_empty(), "the window is open");
         engine.shutdown();
         assert_eq!(
-            runs.load(Ordering::SeqCst),
-            1,
-            "pending signal must drain through one final re-analysis"
+            *passes.lock().unwrap(),
+            vec![Invalidation {
+                probes: probes(&[7, 9, 7]),
+                all: false,
+            }],
+            "pending intake must drain through one final re-analysis"
+        );
+        assert_eq!(metrics.snapshot().ingest_lag, 0);
+    }
+
+    #[test]
+    fn intake_inside_the_window_runs_as_one_timed_pass() {
+        // A short window: the pass must fire by itself once it closes,
+        // carrying every intake that landed inside it.
+        let debounce = Duration::from_millis(200);
+        let passes = Arc::new(Mutex::new(Vec::new()));
+        let (seen, (ran, runs)) = (Arc::clone(&passes), channel());
+        let engine = LiveEngine::start(
+            debounce,
+            Arc::new(LiveMetrics::new()),
+            Arc::new(EpochTelemetry::new()),
+            Box::new(move |invalidation: &Invalidation| {
+                seen.lock().unwrap().push(invalidation.clone());
+                ran.send(Instant::now()).unwrap();
+                Ok(())
+            }),
+        );
+        let handle = engine.handle();
+        let opened = Instant::now();
+        for probe in 1..=4 {
+            handle.intake(Source::Post, 1, &probes(&[probe]));
+        }
+        let ran_at = runs
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the window closed without a pass");
+        assert!(
+            ran_at >= opened + debounce,
+            "the pass ran inside its window"
+        );
+        engine.shutdown();
+        assert_eq!(runs.try_iter().count(), 0, "no second pass");
+        assert_eq!(
+            *passes.lock().unwrap(),
+            vec![Invalidation {
+                probes: probes(&[1, 2, 3, 4]),
+                all: false,
+            }]
         );
     }
 
@@ -479,79 +552,44 @@ mod tests {
         // re-insert a stale series after that). Instead the probes are
         // recorded, and the pass hands them to the re-analysis closure,
         // which invalidates right before it reads.
-        let passes = Arc::new(std::sync::Mutex::new(Vec::<Invalidation>::new()));
-        let metrics = Arc::new(LiveMetrics::new());
-        let seen = Arc::clone(&passes);
-        let engine = LiveEngine::start(
-            LiveConfig {
-                watcher: None,
-                poll_interval: Duration::from_millis(5),
-                // Never due on its own: the pass runs only at the
-                // shutdown drain, so the assertions are deterministic.
-                debounce: Duration::from_secs(600),
-                telemetry: Arc::new(EpochTelemetry::new()),
-            },
-            metrics,
-            Box::new(move |invalidation| {
-                seen.lock().unwrap().push(invalidation.clone());
-                Ok(())
-            }),
-        );
-        let handle = engine.handle();
-        handle.notify_dirty_probes(&[ProbeId(7)]);
-        handle.notify_dirty_probes(&[ProbeId(9), ProbeId(7)]);
-        std::thread::sleep(Duration::from_millis(50));
-        assert!(
-            passes.lock().unwrap().is_empty(),
+        let gated = Gated::start();
+        let handle = gated.engine.handle();
+        handle.intake(Source::Post, 1, &probes(&[1]));
+        gated.held();
+        handle.intake(Source::Post, 1, &probes(&[7]));
+        handle.intake(Source::Post, 2, &probes(&[9, 7]));
+        assert_eq!(
+            gated.passes.lock().unwrap().len(),
+            1,
             "intake must only record dirty probes, never invalidate inline"
         );
-        engine.shutdown();
+        gated.release.send(()).unwrap();
+        gated.held();
+        let (passes, _, _) = gated.finish();
         assert_eq!(
-            *passes.lock().unwrap(),
-            vec![Invalidation {
-                probes: vec![ProbeId(7), ProbeId(9), ProbeId(7)],
+            passes[1],
+            Invalidation {
+                probes: probes(&[7, 9, 7]),
                 all: false,
-            }],
+            },
             "one coalesced invalidation, handed to the pass that reads"
         );
     }
 
     #[test]
     fn truncation_makes_the_next_pass_clear_everything() {
-        let dir =
-            std::env::temp_dir().join(format!("lastmile-engine-trunc-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let corpus = dir.join("corpus.jsonl");
+        let dir = TempDir::new("engine-trunc");
+        let corpus = dir.path("corpus.jsonl");
         std::fs::write(&corpus, b"aaa\nbbb\n").unwrap();
-        let passes = Arc::new(std::sync::Mutex::new(Vec::<Invalidation>::new()));
-        let metrics = Arc::new(LiveMetrics::new());
-        let seen = Arc::clone(&passes);
-        let engine = LiveEngine::start(
-            LiveConfig {
-                watcher: Some(AppendWatcher::new(&corpus, 8)),
-                poll_interval: Duration::from_millis(5),
-                // Only the shutdown drain runs the pass: deterministic.
-                debounce: Duration::from_secs(600),
-                telemetry: Arc::new(EpochTelemetry::new()),
-            },
-            Arc::clone(&metrics),
-            Box::new(move |invalidation| {
-                seen.lock().unwrap().push(invalidation.clone());
-                Ok(())
-            }),
-        );
+        let mut watcher = AppendWatcher::new(&corpus, 8);
+        let gated = Gated::start();
         std::fs::write(&corpus, b"ccc\n").unwrap();
-        wait_until("truncation observed", Duration::from_secs(5), || {
-            metrics.watch_truncations.load(Ordering::Relaxed) == 1
-        });
-        assert!(
-            passes.lock().unwrap().is_empty(),
-            "the poll only records the truncation"
-        );
-        engine.shutdown();
-        let _ = std::fs::remove_dir_all(&dir);
+        gated.engine.handle().poll_watcher(&mut watcher);
+        gated.held();
+        let (passes, metrics, _) = gated.finish();
+        assert_eq!(metrics.watch_truncations.load(Ordering::Relaxed), 1);
         assert_eq!(
-            *passes.lock().unwrap(),
+            passes,
             vec![Invalidation {
                 probes: Vec::new(),
                 all: true,
@@ -560,35 +598,87 @@ mod tests {
     }
 
     #[test]
+    fn an_append_after_the_last_tick_reaches_the_drained_pass() {
+        let dir = TempDir::new("engine-final-poll");
+        let corpus = dir.path("corpus.jsonl");
+        std::fs::write(&corpus, b"").unwrap();
+        let gated = Gated::start();
+        // The daemon's shutdown order: a ticker that has not ticked yet
+        // when the append lands, stopped, one last poll, then the drain.
+        let handle = gated.engine.handle();
+        let ticker = Ticker::start(
+            "live-watch-test",
+            Duration::from_secs(3600),
+            AppendWatcher::new(&corpus, 0),
+            move |w| handle.poll_watcher(w),
+        );
+        std::fs::write(&corpus, format!("{}\n", record(42))).unwrap();
+        gated.engine.handle().poll_watcher(&mut ticker.stop());
+        let (passes, metrics, telemetry) = gated.finish();
+        assert_eq!(
+            passes,
+            vec![Invalidation {
+                probes: probes(&[42]),
+                all: false,
+            }]
+        );
+        let live = metrics.snapshot();
+        assert_eq!((live.records_ingested, live.ingest_lag), (1, 0));
+        assert_eq!(telemetry.snapshot()[0].trigger, "watch_append");
+    }
+
+    #[test]
+    fn ingest_lag_reaches_zero_under_concurrent_intake() {
+        let metrics = Arc::new(LiveMetrics::new());
+        let engine = LiveEngine::start(
+            Duration::ZERO,
+            Arc::clone(&metrics),
+            Arc::new(EpochTelemetry::new()),
+            Box::new(|_| Ok(())),
+        );
+        let producers: Vec<_> = (0..4u32)
+            .map(|t| {
+                let handle = engine.handle();
+                std::thread::spawn(move || {
+                    for i in 0..500u32 {
+                        handle.intake(Source::Post, u64::from(i % 3 + 1), &probes(&[t, i]));
+                    }
+                })
+            })
+            .collect();
+        for producer in producers {
+            producer.join().unwrap();
+        }
+        engine.shutdown();
+        let live = metrics.snapshot();
+        let per_producer: u64 = (0..500u64).map(|i| i % 3 + 1).sum();
+        assert_eq!(live.records_ingested, 4 * per_producer);
+        assert_eq!(live.ingest_lag, 0, "{live:?}");
+    }
+
+    #[test]
     fn reanalysis_errors_count_and_do_not_hot_loop() {
-        let runs = Arc::new(AtomicU64::new(0));
         let metrics = Arc::new(LiveMetrics::new());
         let telemetry = Arc::new(EpochTelemetry::new());
-        let runs2 = Arc::clone(&runs);
+        let (ran, runs) = channel();
         let engine = LiveEngine::start(
-            LiveConfig {
-                watcher: None,
-                poll_interval: Duration::from_millis(5),
-                debounce: Duration::from_millis(10),
-                telemetry: Arc::clone(&telemetry),
-            },
+            Duration::ZERO,
             Arc::clone(&metrics),
+            Arc::clone(&telemetry),
             Box::new(move |_| {
-                runs2.fetch_add(1, Ordering::SeqCst);
+                ran.send(()).unwrap();
                 Err("boom".to_string())
             }),
         );
-        engine.handle().notify_dirty();
-        wait_until("failed re-analysis", Duration::from_secs(5), || {
-            runs.load(Ordering::SeqCst) >= 1
-        });
-        std::thread::sleep(Duration::from_millis(100));
-        assert_eq!(runs.load(Ordering::SeqCst), 1, "an error must not hot-loop");
+        engine.handle().intake(Source::Post, 1, &probes(&[1]));
+        runs.recv_timeout(Duration::from_secs(10))
+            .expect("failed re-analysis");
+        // An error clears the dirty state like a success, so nothing is
+        // pending and the shutdown drain runs no pass.
+        engine.shutdown();
+        assert_eq!(runs.try_iter().count(), 0, "an error must not hot-loop");
         assert_eq!(metrics.reanalysis_errors.load(Ordering::Relaxed), 1);
         assert_eq!(metrics.reanalyses.load(Ordering::Relaxed), 0);
-        // The drain pass at shutdown is skipped when nothing is pending.
-        engine.shutdown();
-        assert_eq!(runs.load(Ordering::SeqCst), 1);
         // The failed pass left a structured record in the telemetry ring.
         let records = telemetry.snapshot();
         assert_eq!(records.len(), 1);
@@ -599,35 +689,26 @@ mod tests {
 
     #[test]
     fn epoch_telemetry_attributes_triggers_per_pass() {
-        let metrics = Arc::new(LiveMetrics::new());
-        let telemetry = Arc::new(EpochTelemetry::new());
-        let epoch = Arc::clone(&metrics);
-        let engine = LiveEngine::start(
-            LiveConfig {
-                watcher: None,
-                poll_interval: Duration::from_millis(5),
-                // Only the shutdown drain runs the pass: deterministic.
-                debounce: Duration::from_secs(600),
-                telemetry: Arc::clone(&telemetry),
-            },
-            Arc::clone(&metrics),
-            Box::new(move |_| {
-                // Mimic the real closure: publishing bumps the epoch.
-                epoch.epoch.fetch_add(1, Ordering::Relaxed);
-                Ok(())
-            }),
-        );
-        let handle = engine.handle();
-        handle.notify_dirty_probes(&[ProbeId(7), ProbeId(9)]);
-        engine.shutdown();
+        let gated = Gated::start();
+        let handle = gated.engine.handle();
+        handle.intake(Source::Post, 2, &probes(&[7, 9]));
+        gated.held();
+        handle.intake(Source::WatchAppend, 3, &probes(&[3, 3, 4]));
+        handle.intake(Source::Post, 1, &probes(&[5]));
+        let (_, _, telemetry) = gated.finish();
         let records = telemetry.snapshot();
-        assert_eq!(records.len(), 1, "one drain pass, one record");
-        let r = &records[0];
-        assert_eq!(r.trigger, "post");
-        assert_eq!(r.probes_invalidated, 2);
-        assert_eq!(r.outcome, "published");
-        assert_eq!(r.epoch, 1, "records the epoch the pass produced");
-        assert!(r.unix_ms > 0);
-        assert_eq!(r.error, "");
+        assert_eq!(records.len(), 2, "one record per pass");
+        let (first, second) = (&records[0], &records[1]);
+        assert_eq!(first.trigger, "post");
+        assert_eq!(first.probes_invalidated, 2);
+        assert_eq!(first.records_ingested, 2);
+        assert_eq!(first.outcome, "published");
+        assert_eq!(first.epoch, 1, "records the epoch the pass produced");
+        assert!(first.unix_ms > 0);
+        assert_eq!(first.error, "");
+        assert_eq!(second.trigger, "watch_append+post");
+        assert_eq!(second.probes_invalidated, 4);
+        assert_eq!(second.records_ingested, 6);
+        assert_eq!(second.epoch, 2);
     }
 }

@@ -93,13 +93,14 @@ pub fn intake_body(body: &[u8], spool: &Spool) -> std::io::Result<IntakeOutcome>
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use lastmile_atlas::json::to_atlas_json;
     use lastmile_atlas::{Hop, Reply, TracerouteResult};
     use lastmile_timebase::UnixTime;
 
-    fn record(probe: u32) -> String {
+    /// One valid Atlas traceroute line (no newline) from `probe`.
+    pub(crate) fn record(probe: u32) -> String {
         let tr = TracerouteResult {
             probe: ProbeId(probe),
             msm_id: 5001,

@@ -15,12 +15,14 @@
 //!   analysis read, and falls back to a full re-ingest on
 //!   truncation/rotation — including rename-rotation to a
 //!   same-or-longer replacement.
-//! * [`engine::LiveEngine`] — the scheduler thread: watcher polls and
-//!   `POST /v1/traceroutes` notifications mark probes dirty, a debounce
-//!   window coalesces bursts, then one re-analysis pass invalidates the
-//!   dirty probes' memoized series (on the engine thread, so an
-//!   in-flight pass can never resurrect a stale entry) and publishes
-//!   the next epoch. Shutdown drains: a pending re-analysis completes
+//! * [`engine::LiveEngine`] — the scheduler thread. Intake enters
+//!   through one call, [`engine::LiveHandle::intake`], from the watcher
+//!   (polled on the caller's `obs::Ticker`) and from
+//!   `POST /v1/traceroutes`. A debounce window coalesces bursts, then
+//!   one re-analysis pass invalidates the dirty probes' memoized series
+//!   (on the engine thread, so an in-flight pass can never resurrect a
+//!   stale entry) and publishes the next epoch. Shutdown drains: after
+//!   the caller's last watcher poll, a pending re-analysis completes
 //!   before the engine joins, so the snapshot the daemon re-persists
 //!   never mixes epochs.
 //!
@@ -33,7 +35,7 @@ pub mod epoch;
 pub mod intake;
 pub mod watch;
 
-pub use engine::{Invalidation, LiveConfig, LiveEngine, LiveHandle};
+pub use engine::{Invalidation, LiveEngine, LiveHandle, Source};
 pub use epoch::Epoch;
 pub use intake::{intake_body, IntakeOutcome, Spool};
 pub use watch::{newline_aligned_len, AppendWatcher, WatchPoll};

@@ -7,8 +7,9 @@
 //! newline** — a partial tail line stays on disk for the next poll, so
 //! a record mid-append is never framed early and arbitrary append
 //! chunkings converge on the same byte stream. On shrink (truncation or
-//! rotation-in-place) it resets to offset zero and re-reads, signalling
-//! the caller to fall back to a full re-ingest.
+//! rotation-in-place) it moves to the replacement's newline-aligned
+//! length without reading its records, signalling the caller to fall
+//! back to a full re-ingest.
 //!
 //! A watcher starts at the newline-aligned length the caller's startup
 //! analysis read ([`newline_aligned_len`]): a restarted daemon analyses
@@ -47,11 +48,11 @@ pub enum WatchPoll {
     Unchanged,
     /// Newline-terminated bytes appended since the last poll.
     Appended(Vec<u8>),
-    /// The file shrank (truncation/rotation). Offset was reset; the
-    /// carried bytes are the file's content from the start up to its
-    /// last newline. The caller must treat this as a full re-ingest
+    /// The file shrank or was replaced (truncation/rotation). The
+    /// watcher moved to the replacement's newline-aligned length, which
+    /// this carries. The caller must treat this as a full re-ingest
     /// (every memoized series is suspect).
-    Truncated(Vec<u8>),
+    Truncated(u64),
 }
 
 /// Polls one append-only corpus file; see the module docs.
@@ -104,12 +105,12 @@ impl AppendWatcher {
         self.identity = identity;
         if rotated || len < self.offset {
             // Truncated or rotated: everything we thought we had
-            // consumed may be gone. Start over.
-            self.offset = 0;
-            let bytes = self.read_new_bytes(len).unwrap_or_default();
-            self.advance(&bytes);
-            let consumed = consumed_len(&bytes);
-            return WatchPoll::Truncated(bytes[..consumed].to_vec());
+            // consumed may be gone, and the caller re-reads the
+            // replacement in full. Resume after its last newline.
+            self.offset = std::fs::File::open(&self.path)
+                .and_then(|file| aligned_prefix(file, len))
+                .unwrap_or(0);
+            return WatchPoll::Truncated(self.offset);
         }
         if len == self.offset {
             return WatchPoll::Unchanged;
@@ -123,7 +124,7 @@ impl AppendWatcher {
             // Only a partial line so far; wait for its newline.
             return WatchPoll::Unchanged;
         }
-        self.advance(&bytes);
+        self.offset += consumed as u64;
         WatchPoll::Appended(bytes[..consumed].to_vec())
     }
 
@@ -136,11 +137,6 @@ impl AppendWatcher {
         let mut bytes = Vec::with_capacity((len - self.offset) as usize);
         file.take(len - self.offset).read_to_end(&mut bytes)?;
         Ok(bytes)
-    }
-
-    /// Advance past the newline-terminated prefix of `bytes`.
-    fn advance(&mut self, bytes: &[u8]) {
-        self.offset += consumed_len(bytes) as u64;
     }
 }
 
@@ -164,42 +160,49 @@ fn consumed_len(bytes: &[u8]) -> usize {
 /// the framing the watcher itself uses; the partial record is simply
 /// redelivered whole once its newline lands.
 pub fn newline_aligned_len(path: impl AsRef<Path>) -> u64 {
-    fn aligned(path: &Path) -> std::io::Result<u64> {
-        let mut file = std::fs::File::open(path)?;
-        let len = file.metadata()?.len();
-        let mut buf = [0u8; 64 * 1024];
-        let mut end = len;
-        // Scan backwards a chunk at a time for the last newline.
-        while end > 0 {
-            let start = end.saturating_sub(buf.len() as u64);
-            let chunk = &mut buf[..(end - start) as usize];
-            file.seek(SeekFrom::Start(start))?;
-            file.read_exact(chunk)?;
-            if let Some(pos) = chunk.iter().rposition(|&b| b == b'\n') {
-                return Ok(start + pos as u64 + 1);
-            }
-            end = start;
+    std::fs::File::open(path)
+        .and_then(|file| {
+            let len = file.metadata()?.len();
+            aligned_prefix(file, len)
+        })
+        .unwrap_or(0)
+}
+
+/// The length of the newline-terminated prefix of `file`'s first `len`
+/// bytes, scanning backwards a chunk at a time.
+fn aligned_prefix(mut file: std::fs::File, len: u64) -> std::io::Result<u64> {
+    let mut buf = [0u8; 64 * 1024];
+    let mut end = len;
+    while end > 0 {
+        let start = end.saturating_sub(buf.len() as u64);
+        let chunk = &mut buf[..(end - start) as usize];
+        file.seek(SeekFrom::Start(start))?;
+        file.read_exact(chunk)?;
+        if let Some(pos) = chunk.iter().rposition(|&b| b == b'\n') {
+            return Ok(start + pos as u64 + 1);
         }
-        Ok(0)
+        end = start;
     }
-    aligned(path.as_ref()).unwrap_or(0)
+    Ok(0)
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::io::Write;
 
-    struct TempDir(PathBuf);
+    /// A per-process scratch dir, removed on drop so a failed assertion
+    /// leaks nothing.
+    pub(crate) struct TempDir(PathBuf);
     impl TempDir {
-        fn new(tag: &str) -> TempDir {
+        pub(crate) fn new(tag: &str) -> TempDir {
             let dir =
                 std::env::temp_dir().join(format!("lastmile-watch-{tag}-{}", std::process::id()));
             let _ = std::fs::remove_dir_all(&dir);
             std::fs::create_dir_all(&dir).unwrap();
             TempDir(dir)
         }
-        fn path(&self, name: &str) -> PathBuf {
+        pub(crate) fn path(&self, name: &str) -> PathBuf {
             self.0.join(name)
         }
     }
@@ -241,18 +244,21 @@ mod tests {
     }
 
     #[test]
-    fn truncation_resets_and_redelivers_from_zero() {
+    fn truncation_resumes_after_the_replacements_last_newline() {
         let dir = TempDir::new("trunc");
         let corpus = dir.path("corpus.jsonl");
         append(&corpus, b"aaa\nbbb\n");
         let mut w = AppendWatcher::new(&corpus, 8);
-        // Rotation: replaced by a shorter file with different content.
-        std::fs::write(&corpus, b"ccc\n").unwrap();
-        assert_eq!(w.poll(), WatchPoll::Truncated(b"ccc\n".to_vec()));
+        // Rotation: replaced by a shorter file with different content,
+        // its last record still mid-write.
+        std::fs::write(&corpus, b"ccc\npa").unwrap();
+        assert_eq!(w.poll(), WatchPoll::Truncated(4));
         assert_eq!(w.offset(), 4);
-        // Appends after the rotation resume normal delivery.
-        append(&corpus, b"ddd\n");
-        assert_eq!(w.poll(), WatchPoll::Appended(b"ddd\n".to_vec()));
+        // Appends after the rotation resume normal delivery, the partial
+        // record whole: the file is its first 4 bytes plus the delta.
+        append(&corpus, b"rt\n");
+        assert_eq!(w.poll(), WatchPoll::Appended(b"part\n".to_vec()));
+        assert_eq!(std::fs::read(&corpus).unwrap(), b"ccc\npart\n");
     }
 
     #[test]
@@ -262,7 +268,7 @@ mod tests {
         append(&corpus, b"aaa\n");
         let mut w = AppendWatcher::new(&corpus, 4);
         std::fs::write(&corpus, b"").unwrap();
-        assert_eq!(w.poll(), WatchPoll::Truncated(Vec::new()));
+        assert_eq!(w.poll(), WatchPoll::Truncated(0));
         assert_eq!(w.offset(), 0);
     }
 
@@ -288,13 +294,13 @@ mod tests {
         let staging = dir.path("corpus.jsonl.new");
         std::fs::write(&staging, b"ccc\nddd\n").unwrap();
         std::fs::rename(&staging, &corpus).unwrap();
-        assert_eq!(w.poll(), WatchPoll::Truncated(b"ccc\nddd\n".to_vec()));
+        assert_eq!(w.poll(), WatchPoll::Truncated(8));
         assert_eq!(w.offset(), 8);
         // And a *longer* replacement is caught too.
         let staging = dir.path("corpus.jsonl.new");
         std::fs::write(&staging, b"eee\nfff\nggg\n").unwrap();
         std::fs::rename(&staging, &corpus).unwrap();
-        assert_eq!(w.poll(), WatchPoll::Truncated(b"eee\nfff\nggg\n".to_vec()));
+        assert_eq!(w.poll(), WatchPoll::Truncated(12));
         append(&corpus, b"hhh\n");
         assert_eq!(w.poll(), WatchPoll::Appended(b"hhh\n".to_vec()));
     }

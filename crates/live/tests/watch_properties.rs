@@ -117,10 +117,10 @@ proptest! {
         prop_assert_eq!(watcher.offset(), std::fs::metadata(&corpus).unwrap().len());
     }
 
-    /// Rotation to a shorter file: the watcher resets, redelivers the
-    /// replacement content from byte zero, and subsequent appends
-    /// continue normally — so `truncation view + later deltas` is
-    /// exactly the final file.
+    /// Rotation to a shorter file: the watcher reports the replacement's
+    /// newline-aligned length and resumes there, and subsequent appends
+    /// continue normally — so the replacement's first `len` bytes plus
+    /// the later deltas are exactly the final file.
     #[test]
     fn truncation_recovers_to_the_replacement_content(
         old_lines in arb_lines(10, 1..8),
@@ -142,10 +142,12 @@ proptest! {
         prop_assert_eq!(watcher.poll(), WatchPoll::Unchanged);
 
         std::fs::write(&corpus, &new).unwrap();
-        let mut view = match watcher.poll() {
-            WatchPoll::Truncated(bytes) => bytes,
+        let len = match watcher.poll() {
+            WatchPoll::Truncated(len) => len as usize,
             other => panic!("expected truncation, got {other:?}"),
         };
+        prop_assert_eq!(len, new.len());
+        let mut view = std::fs::read(&corpus).unwrap()[..len].to_vec();
         for line in &later_lines {
             let mut delta = line.clone();
             delta.push(b'\n');

@@ -356,8 +356,7 @@ pub struct EpochRecord {
     /// Epoch generation this pass published (unchanged on error).
     pub epoch: u64,
     /// What woke the pass: `watch_append`, `watch_truncation`, `post`,
-    /// combinations joined with `+`, or `drain` when nothing specific
-    /// was pending (e.g. a shutdown flush).
+    /// or the intake paths it coalesced joined with `+`.
     pub trigger: String,
     /// Total records live-ingested when the pass started.
     pub records_ingested: u64,

@@ -155,7 +155,7 @@ if command -v curl >/dev/null 2>&1; then
     tail -n +201 "$smoke/withheld.jsonl" >"$smoke/append.jsonl"
     start_serve -live "live serve" --traceroutes "$smoke/live.jsonl" \
         --probes "$smoke/probes.json" --watch --watch-poll-ms 50 \
-        --reanalyze-debounce-ms 100 --live-spool "$smoke/spool.jsonl"
+        --live-spool "$smoke/spool.jsonl"
     curl -sf "http://$addr/v1/classify" >"$smoke/baseline.json"
     cat "$smoke/append.jsonl" >>"$smoke/live.jsonl"
     # The POST returns only after the records hit the spool, so the union
