@@ -80,17 +80,12 @@ pub fn from_flags(
 }
 
 impl Cache {
-    /// Persist the store back to the snapshot (no-op unless `rw`).
-    pub fn persist(&self, metrics: Option<&RunMetrics>) -> Result<(), String> {
-        self.persist_as(self.fingerprint, metrics)
-    }
-
-    /// [`Cache::persist`], stamping the snapshot with a caller-supplied
-    /// source fingerprint. A live daemon's corpus grows while it runs,
-    /// so the fingerprint computed at startup no longer names the bytes
-    /// the store now reflects — the shutdown persist recomputes it over
-    /// the final corpus and stamps that instead.
-    pub fn persist_as(&self, fingerprint: u64, metrics: Option<&RunMetrics>) -> Result<(), String> {
+    /// Persist the store back to the snapshot (no-op unless `rw`),
+    /// stamped with the source `fingerprint`: [`Cache::fingerprint`] for
+    /// the corpus the cache was opened over. A live daemon's corpus grows
+    /// while it runs, so its shutdown persist stamps a fingerprint of the
+    /// final corpus instead.
+    pub fn persist(&self, fingerprint: u64, metrics: Option<&RunMetrics>) -> Result<(), String> {
         if self.store.config().mode != CacheMode::ReadWrite {
             return Ok(());
         }

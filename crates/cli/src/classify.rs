@@ -11,14 +11,13 @@ use crate::progress::Heartbeat;
 use crate::stats::{emit_stats, wants_stats};
 use crate::Flags;
 use lastmile_repro::atlas::{LastMile, ProbeId};
-use lastmile_repro::core::pipeline::{
-    AsPipeline, PipelineConfig, PopulationAnalysis, PrebuiltSeries,
-};
+use lastmile_repro::core::pipeline::{AsPipeline, PipelineConfig, PopulationAnalysis};
+use lastmile_repro::core::series::BuiltSeries;
 use lastmile_repro::ingest::fold_file;
-use lastmile_repro::obs::{trace, LiveProgress, RunMetrics, StageTimer, StoreStats};
+use lastmile_repro::obs::{trace, LiveProgress, RunMetrics, StageTimer};
 use lastmile_repro::prefix::Asn;
 use lastmile_repro::runner::record_population_metrics;
-use lastmile_repro::store::{CacheMode, Lookup, StoreCounters, StoreKey};
+use lastmile_repro::store::{CacheMode, Lookup, StoreKey};
 use lastmile_repro::timebase::UnixTime;
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
@@ -108,7 +107,7 @@ pub fn analyze_paths(
     let cache = cache::from_flags(flags, || corpus_fingerprint(flags, paths), metrics)?;
     let results = analyze_corpus(flags, paths, metrics, cache.as_ref())?;
     if let Some(c) = &cache {
-        c.persist(metrics)?;
+        c.persist(c.fingerprint, metrics)?;
     }
     Ok((results, cache))
 }
@@ -175,7 +174,6 @@ pub fn analyze_corpus(
         cfg.min_probes_per_bin = min_probes.min(cfg.min_probes_per_bin);
     }
 
-    let counters_before = cache.map(|c| c.store.counters());
     // Retaining built series costs memory; only pay when write-back can
     // accept them (rw mode, a window known before the read).
     let retain = cache.is_some_and(|c| c.store.config().mode == CacheMode::ReadWrite)
@@ -197,13 +195,13 @@ pub fn analyze_corpus(
     // closed after the read, once the workers' folds are merged.
     //
     // With a cache, a probe is looked up once, on its first routed row
-    // in any worker (`served`, shared; `Some` = served), so the store's
-    // counters are the same at any thread count. A served probe's
-    // series was built over this window: its rows are skipped, never
-    // binned, and the prebuilt series is fed to its population after the
-    // read. Only a window known before the read can be served.
-    let served: Mutex<BTreeMap<ProbeId, Option<(Asn, PrebuiltSeries)>>> =
-        Mutex::new(BTreeMap::new());
+    // in any worker (`served`, shared; `Some` = served), and the lookup
+    // is counted there as a store hit or miss, so the counts are the
+    // same at any thread count. A served probe's series was built over
+    // this window: its rows are skipped, never binned, and the prebuilt
+    // series is fed to its population after the read. Only a window
+    // known before the read can be served.
+    let served: Mutex<BTreeMap<ProbeId, Option<(Asn, BuiltSeries)>>> = Mutex::new(BTreeMap::new());
     let fold_row = |fold: &mut Fold, row: LastMile| {
         let t = row.timestamp;
         fold.data_span = Some(
@@ -227,13 +225,21 @@ pub fn analyze_corpus(
                 served: known_window.is_some_and(|window| {
                     let mut served = served.lock().expect("served-probe table lock");
                     let decision = served.entry(row.probe).or_insert_with(|| {
-                        match c
-                            .store
-                            .lookup(&StoreKey::for_pipeline(row.probe, &cfg), &window)
-                        {
+                        let key = StoreKey::for_pipeline(row.probe, &cfg);
+                        let decision = match c.store.lookup(&key, &window) {
                             Lookup::Hit(pre) => Some((asn, pre)),
                             Lookup::Miss => None,
+                        };
+                        if let Some(m) = metrics {
+                            let s = &m.store;
+                            let counter = if decision.is_some() {
+                                &s.hits
+                            } else {
+                                &s.misses
+                            };
+                            counter.fetch_add(1, Ordering::Relaxed);
                         }
+                        decision
                     });
                     decision.is_some()
                 }),
@@ -290,12 +296,15 @@ pub fn analyze_corpus(
                 .ingest_series(pre);
         }
     }
+    // Probes looked up under no window (it was resolved only after the
+    // read) are ones the store could not serve: bypasses.
     let unasked = if known_window.is_none() {
         routed.keys().filter(|&&probe| cacheable(probe)).count() as u64
     } else {
         0
     };
     if let Some(m) = metrics {
+        m.store.bypasses.fetch_add(unasked, Ordering::Relaxed);
         m.stage_nanos
             .ingest
             .fetch_add(ingest_timer.elapsed_nanos(), Ordering::Relaxed);
@@ -354,9 +363,7 @@ pub fn analyze_corpus(
         .collect();
 
     if let Some(c) = cache {
-        // Probes looked up under no window (it was resolved only after
-        // the read) are ones the store could not serve: bypasses.
-        c.store.count_bypasses(unasked);
+        let mut inserts = 0;
         for (_, analysis) in &results {
             for built in &analysis.built_series {
                 // A multi-ASN probe's series here is the partial view of
@@ -365,30 +372,15 @@ pub fn analyze_corpus(
                 if !cacheable(built.series.probe()) {
                     continue;
                 }
-                c.store.insert(
-                    &StoreKey::for_pipeline(built.series.probe(), &cfg),
-                    &window,
-                    built,
-                );
+                let key = StoreKey::for_pipeline(built.series.probe(), &cfg);
+                inserts += u64::from(c.store.insert(&key, &window, built));
             }
         }
-        if let (Some(m), Some(before)) = (metrics, counters_before) {
-            m.store
-                .add(&store_traffic_since(before, c.store.counters()));
+        if let Some(m) = metrics {
+            m.store.inserts.fetch_add(inserts, Ordering::Relaxed);
         }
     }
     Ok(results)
-}
-
-/// The store traffic between two counter readings, as an obs delta.
-fn store_traffic_since(before: StoreCounters, after: StoreCounters) -> StoreStats {
-    StoreStats {
-        hits: after.hits - before.hits,
-        misses: after.misses - before.misses,
-        bypasses: after.bypasses - before.bypasses,
-        inserts: after.inserts - before.inserts,
-        ..StoreStats::default()
-    }
 }
 
 /// One ASN's classification document. Shared by `classify --json` and

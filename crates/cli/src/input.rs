@@ -69,23 +69,30 @@ pub fn create_parent_dirs(flag: &str, path: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Write quarantined records as a JSON Lines triage dump: one document
-/// per record with its byte offset, typed kind, error detail, and the
-/// raw record bytes (lossily decoded). Records arrive sorted by offset,
-/// so the dump is deterministic for a given input.
+/// One quarantined record as a document: its byte offset, typed kind,
+/// error detail, and the raw record bytes (lossily decoded). The
+/// `--quarantine` dump and a rejected POST's `rejected` list both carry
+/// it.
+pub fn quarantine_doc(q: &Quarantined) -> serde_json::Value {
+    serde_json::json!({
+        "offset": q.offset,
+        "kind": q.kind.name(),
+        "detail": q.detail,
+        "record": String::from_utf8_lossy(&q.record).into_owned(),
+    })
+}
+
+/// Write quarantined records as a JSON Lines triage dump, one
+/// [`quarantine_doc`] per line. Records arrive sorted by offset, so the
+/// dump is deterministic for a given input.
 pub fn write_quarantine(path: &str, quarantined: &[Quarantined]) -> Result<(), String> {
     create_parent_dirs("quarantine", path)?;
     let file =
         std::fs::File::create(path).map_err(|e| format!("create --quarantine {path}: {e}"))?;
     let mut w = std::io::BufWriter::new(file);
     for q in quarantined {
-        let doc = serde_json::json!({
-            "offset": q.offset,
-            "kind": q.kind.name(),
-            "detail": q.detail,
-            "record": String::from_utf8_lossy(&q.record).into_owned(),
-        });
-        writeln!(w, "{doc}").map_err(|e| format!("write --quarantine {path}: {e}"))?;
+        writeln!(w, "{}", quarantine_doc(q))
+            .map_err(|e| format!("write --quarantine {path}: {e}"))?;
     }
     w.flush()
         .map_err(|e| format!("write --quarantine {path}: {e}"))?;

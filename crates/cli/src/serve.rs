@@ -46,7 +46,7 @@ use crate::cache::Cache;
 use crate::classify::{
     analyze_corpus, analyze_paths, classification_doc, classification_json, corpus_fingerprint,
 };
-use crate::input::{create_parent_dirs, flag_window};
+use crate::input::{create_parent_dirs, flag_window, quarantine_doc};
 use crate::stats::{emit_stats, wants_stats};
 use crate::Flags;
 use lastmile_repro::core::pipeline::PopulationAnalysis;
@@ -461,7 +461,7 @@ pub fn run(flags: &Flags) -> Result<(), String> {
         if live_enabled {
             persist_live_snapshot(c, flags, &paths, &analyzed_lens, &metrics)?;
         } else {
-            c.persist(Some(&metrics))?;
+            c.persist(c.fingerprint, Some(&metrics))?;
         }
     }
     if wants_stats(flags) {
@@ -514,7 +514,7 @@ fn persist_live_snapshot(
     if corpus_lens(paths).as_ref() != Some(&expected) {
         return skip("corpus changed while fingerprinting");
     }
-    cache.persist_as(fingerprint, Some(metrics))
+    cache.persist(fingerprint, Some(metrics))
 }
 
 /// Pretty-print one ASN's document with a trailing newline (the same
@@ -675,18 +675,8 @@ fn ingest(req: &Request, state: &ServeState) -> Response {
                     Err(e) => Response::json(500, format!("{{\"error\":\"spool write: {e}\"}}\n")),
                     Ok(outcome) => {
                         let lm = &state.live_metrics;
-                        let rejected: Vec<serde_json::Value> = outcome
-                            .rejected
-                            .iter()
-                            .map(|q| {
-                                serde_json::json!({
-                                    "offset": q.offset,
-                                    "kind": q.kind.name(),
-                                    "detail": q.detail,
-                                    "record": String::from_utf8_lossy(&q.record).into_owned(),
-                                })
-                            })
-                            .collect();
+                        let rejected: Vec<serde_json::Value> =
+                            outcome.rejected.iter().map(quarantine_doc).collect();
                         lm.posts_rejected
                             .fetch_add(rejected.len() as u64, Ordering::Relaxed);
                         if outcome.accepted == 0 {

@@ -5,10 +5,37 @@
 mod common;
 
 use common::run;
+use std::path::{Path, PathBuf};
+
+/// A scratch dir of this process, removed when the test that made it
+/// ends, whether or not it passed.
+struct Scratch(PathBuf);
+
+impl Scratch {
+    fn new(tag: &str) -> Scratch {
+        let dir = std::env::temp_dir().join(format!("lastmile-e2e-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        Scratch(dir)
+    }
+}
+
+impl std::ops::Deref for Scratch {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
 
 #[test]
 fn simulate_then_classify_round_trip() {
-    let dir = std::env::temp_dir().join(format!("lastmile-e2e-{}", std::process::id()));
+    let dir = Scratch::new("classify");
     let dir_s = dir.to_str().unwrap();
 
     // Export 5 days of the anchor scenario (ISP_D: planted Severe).
@@ -95,13 +122,11 @@ fn simulate_then_classify_round_trip() {
         from_file["traceroutes_ingested"],
         stats["traceroutes_ingested"]
     );
-
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn simulate_then_throughput_round_trip() {
-    let dir = std::env::temp_dir().join(format!("lastmile-e2e-thr-{}", std::process::id()));
+    let dir = Scratch::new("thr");
     let dir_s = dir.to_str().unwrap();
     let (_, err, ok) = run(&[
         "simulate",
@@ -142,13 +167,11 @@ fn simulate_then_throughput_round_trip() {
     assert!(ok);
     assert!(stdout.contains("AS64611"), "{stdout}");
     assert!(!stdout.contains("AS64511"), "{stdout}");
-
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn bgp_classify_cache_is_isolated_and_round_trips() {
-    let dir = std::env::temp_dir().join(format!("lastmile-e2e-bgp-{}", std::process::id()));
+    let dir = Scratch::new("bgp");
     let cache_dir = dir.join("cache");
     let dir_s = dir.to_str().unwrap();
 
@@ -320,8 +343,6 @@ fn bgp_classify_cache_is_isolated_and_round_trips() {
         "--bgp snapshot not rejected under --probes: {err}"
     );
     assert_eq!(probes_out, probes_baseline);
-
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -332,54 +353,92 @@ fn bgp_cache_excludes_multi_asn_probes() {
     // single-homed. The cache must memoize only probe 2; caching probe
     // 1's per-pipeline partial series under one key would poison the
     // snapshot and make warm runs diverge.
-    let dir = std::env::temp_dir().join(format!("lastmile-e2e-multiasn-{}", std::process::id()));
+    let dir = Scratch::new("multiasn");
     let (trs, bgp) = common::write_multi_asn_fixture(&dir);
+    let stats_path = dir.join("stats.json");
 
-    let cache_dir = dir.join("cache");
-    let base_args = [
-        "classify",
-        "--traceroutes",
-        trs.to_str().unwrap(),
-        "--bgp",
-        bgp.to_str().unwrap(),
-        "--start",
-        "0",
-        "--end",
-        "86400",
-        "--min-probes",
-        "1",
-        "--json",
-    ];
-    let (baseline, err, ok) = run(&base_args);
-    assert!(ok, "uncached classify failed: {err}");
+    for threads in ["1", "2", "3"] {
+        let cache_dir = dir.join(format!("cache-t{threads}"));
+        let run_args = [
+            "classify",
+            "--traceroutes",
+            trs.to_str().unwrap(),
+            "--bgp",
+            bgp.to_str().unwrap(),
+            "--start",
+            "0",
+            "--min-probes",
+            "1",
+            "--json",
+            "--ingest-threads",
+            threads,
+            "--stats-out",
+            stats_path.to_str().unwrap(),
+        ];
+        let windowed: Vec<&str> = run_args.iter().copied().chain(["--end", "86400"]).collect();
+        let cached: Vec<&str> = windowed
+            .iter()
+            .copied()
+            .chain(["--cache-dir", cache_dir.to_str().unwrap()])
+            .collect();
+        // Runs `args` and returns its stdout, stderr and the store's
+        // (hits, misses, bypasses, inserts) from `--stats-out`.
+        let run_counted = |args: &[&str], what: &str| {
+            let (out, err, ok) = run(args);
+            assert!(
+                ok,
+                "{what} classify at --ingest-threads {threads} failed: {err}"
+            );
+            let stats: serde_json::Value =
+                serde_json::from_str(&std::fs::read_to_string(&stats_path).unwrap()).unwrap();
+            let store = ["hits", "misses", "bypasses", "inserts"].map(|k| {
+                stats["store"][k]
+                    .as_u64()
+                    .unwrap_or_else(|| panic!("{stats}"))
+            });
+            (out, err, store)
+        };
 
-    let cached_args: Vec<&str> = base_args
-        .iter()
-        .copied()
-        .chain(["--cache-dir", cache_dir.to_str().unwrap()])
-        .collect();
-    let (cold, err, ok) = run(&cached_args);
-    assert!(ok, "cold cached classify failed: {err}");
-    assert_eq!(cold, baseline, "cold cached output diverges");
-    // Only the single-ASN probe may be memoized.
-    assert!(
-        err.contains("(1 series"),
-        "expected exactly probe 2 in the snapshot: {err}"
-    );
+        let (baseline, _, store) = run_counted(&windowed, "uncached");
+        assert_eq!(store, [0, 0, 0, 0], "uncached, --ingest-threads {threads}");
 
-    let (warm, err, ok) = run(&cached_args);
-    assert!(ok, "warm cached classify failed: {err}");
-    assert!(err.contains("[cache] loaded"), "no snapshot served: {err}");
-    assert_eq!(warm, baseline, "warm cached output diverges");
+        // Both probes are looked up and miss; only probe 2 is memoized.
+        let (cold, err, store) = run_counted(&cached, "cold cached");
+        assert_eq!(cold, baseline, "cold cached output diverges");
+        assert!(
+            err.contains("(1 series"),
+            "expected exactly probe 2 in the snapshot: {err}"
+        );
+        assert_eq!(store, [0, 2, 0, 1], "cold rw, --ingest-threads {threads}");
 
-    std::fs::remove_dir_all(&dir).ok();
+        // Probe 2 is served; probe 1 misses again and is never inserted.
+        let (warm, err, store) = run_counted(&cached, "warm cached");
+        assert!(err.contains("[cache] loaded"), "no snapshot served: {err}");
+        assert_eq!(warm, baseline, "warm cached output diverges");
+        assert_eq!(store, [1, 1, 0, 0], "warm rw, --ingest-threads {threads}");
+
+        let ro: Vec<&str> = cached.iter().copied().chain(["--cache", "ro"]).collect();
+        let (warm_ro, _, store) = run_counted(&ro, "warm ro");
+        assert_eq!(warm_ro, baseline, "warm ro output diverges");
+        assert_eq!(store, [1, 1, 0, 0], "warm ro, --ingest-threads {threads}");
+
+        // With `--end` left to the data span the store cannot be asked:
+        // the one cacheable probe (2) is a bypass.
+        let open: Vec<&str> = run_args
+            .iter()
+            .copied()
+            .chain(["--cache-dir", cache_dir.to_str().unwrap()])
+            .collect();
+        let (_, _, store) = run_counted(&open, "open-ended");
+        assert_eq!(store, [0, 0, 1, 0], "open end, --ingest-threads {threads}");
+    }
 }
 
 #[test]
 fn empty_flag_window_fails_before_reading_the_corpus() {
     // The corpus does not exist: the window check must come first, with
     // or without a cache (whose fingerprint would read the corpus).
-    let dir = std::env::temp_dir().join(format!("lastmile-e2e-window-{}", std::process::id()));
+    let dir = Scratch::new("window");
     let missing = dir.join("missing.jsonl");
     let cache_dir = dir.join("cache");
     for sub in ["classify", "hygiene", "serve"] {
@@ -404,7 +463,6 @@ fn empty_flag_window_fails_before_reading_the_corpus() {
             );
         }
     }
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

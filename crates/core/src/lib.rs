@@ -55,6 +55,6 @@ pub use aggregate::AggregatedSignal;
 pub use detect::{detect, CongestionClass, Detection};
 pub use estimator::last_mile_samples;
 pub use hygiene::{advise, HygieneAdvisory};
-pub use pipeline::{AsPipeline, PipelineConfig, PopulationAnalysis, PrebuiltSeries};
+pub use pipeline::{AsPipeline, PipelineConfig, PopulationAnalysis};
 pub use report::{AsClassification, SurveyReport};
 pub use series::{BuiltSeries, ProbeSeries, ProbeSeriesBuilder, QueuingDelaySeries};

@@ -14,7 +14,7 @@
 
 use crate::aggregate::{aggregate_median, AggregatedSignal};
 use crate::detect::{detect, CongestionClass, Detection};
-use crate::series::{BuiltSeries, ProbeSeries, ProbeSeriesBuilder, QueuingDelaySeries};
+use crate::series::{BuiltSeries, ProbeSeriesBuilder, QueuingDelaySeries};
 use lastmile_atlas::{LastMile, ProbeId, TracerouteResult};
 use lastmile_obs::{trace, Histogram};
 use lastmile_timebase::{BinSpec, TimeRange, UnixTime};
@@ -86,21 +86,6 @@ pub struct PopulationStats {
     pub detect_nanos: u64,
 }
 
-/// A per-probe median series handed to the pipeline ready-made, as a
-/// `lastmile-store` cache serves it: no traceroute is consumed, so a
-/// served probe adds nothing to `traceroutes_ingested`. The discarded-bin
-/// count lets the pipeline report the sanity-filter statistics a raw
-/// ingest would.
-#[derive(Clone, Debug)]
-pub struct PrebuiltSeries {
-    /// The probe's binned median-RTT series, already restricted to the
-    /// pipeline's measurement period and sanity-filtered.
-    pub series: ProbeSeries,
-    /// Bins the sanity filter discarded while building it (within the
-    /// period).
-    pub bins_discarded_sanity: u64,
-}
-
 /// Streams traceroutes of a probe population into an analysis.
 pub struct AsPipeline {
     cfg: PipelineConfig,
@@ -111,8 +96,7 @@ pub struct AsPipeline {
     /// Earliest and latest timestamps of the in-period traceroutes fed.
     fed_span: Option<(UnixTime, UnixTime)>,
     builders: BTreeMap<ProbeId, ProbeSeriesBuilder>,
-    prebuilt: BTreeMap<ProbeId, ProbeSeries>,
-    prebuilt_discarded: u64,
+    prebuilt: BTreeMap<ProbeId, BuiltSeries>,
     retain_median_series: bool,
     ingested: u64,
     ignored_out_of_period: usize,
@@ -142,7 +126,6 @@ impl AsPipeline {
             fed_span: None,
             builders: BTreeMap::new(),
             prebuilt: BTreeMap::new(),
-            prebuilt_discarded: 0,
             retain_median_series: false,
             ingested: 0,
             ignored_out_of_period: 0,
@@ -157,14 +140,18 @@ impl AsPipeline {
         self.retain_median_series = on;
     }
 
-    /// Feed one probe's series ready-made instead of its raw traceroutes.
+    /// Feed one probe's series ready-made instead of its raw traceroutes,
+    /// as a `lastmile-store` cache serves it: no traceroute is consumed,
+    /// so a served probe adds nothing to `traceroutes_ingested`, and its
+    /// discarded-bin count joins the sanity-filter statistics as a raw
+    /// build's would.
     ///
     /// Panics if the pipeline's period has an open bound (a prebuilt
     /// series is built over a period known up front), if the series' bin
     /// width differs from the pipeline's, or if the probe was already fed
     /// (raw or prebuilt) — mixing sources for one probe would corrupt the
     /// analysis silently.
-    pub fn ingest_series(&mut self, pre: PrebuiltSeries) {
+    pub fn ingest_series(&mut self, pre: BuiltSeries) {
         assert!(
             self.start.is_some() && self.end.is_some(),
             "a prebuilt series needs the period known up front"
@@ -179,8 +166,7 @@ impl AsPipeline {
             !self.builders.contains_key(&probe) && !self.prebuilt.contains_key(&probe),
             "probe {probe:?} fed twice (raw and/or prebuilt)"
         );
-        self.prebuilt_discarded += pre.bins_discarded_sanity;
-        self.prebuilt.insert(probe, pre.series);
+        self.prebuilt.insert(probe, pre);
     }
 
     /// Ingest one traceroute: [`AsPipeline::ingest_row`] of its last-mile
@@ -226,7 +212,6 @@ impl AsPipeline {
         );
         self.ingested += other.ingested;
         self.ignored_out_of_period += other.ignored_out_of_period;
-        self.prebuilt_discarded += other.prebuilt_discarded;
         self.retain_median_series |= other.retain_median_series;
         if let Some((lo, hi)) = other.fed_span {
             self.fed_span = Some(
@@ -244,12 +229,12 @@ impl AsPipeline {
                 std::collections::btree_map::Entry::Vacant(e) => drop(e.insert(builder)),
             }
         }
-        for (probe, series) in other.prebuilt {
+        for (probe, pre) in other.prebuilt {
             assert!(
                 !self.builders.contains_key(&probe) && !self.prebuilt.contains_key(&probe),
                 "probe {probe:?} fed twice (raw and/or prebuilt)"
             );
-            self.prebuilt.insert(probe, series);
+            self.prebuilt.insert(probe, pre);
         }
     }
 
@@ -293,7 +278,6 @@ impl AsPipeline {
         let mut stats = PopulationStats {
             traceroutes_ingested: self.ingested,
             traceroutes_out_of_period: self.ignored_out_of_period as u64,
-            bins_discarded_sanity: self.prebuilt_discarded,
             ..PopulationStats::default()
         };
 
@@ -305,15 +289,15 @@ impl AsPipeline {
         // series arrived.
         enum Source {
             Raw(ProbeSeriesBuilder),
-            Pre(ProbeSeries),
+            Pre(BuiltSeries),
         }
         let mut merged: BTreeMap<ProbeId, Source> = self
             .builders
             .into_iter()
             .map(|(probe, b)| (probe, Source::Raw(b)))
             .collect();
-        for (probe, series) in self.prebuilt {
-            let clash = merged.insert(probe, Source::Pre(series));
+        for (probe, pre) in self.prebuilt {
+            let clash = merged.insert(probe, Source::Pre(pre));
             assert!(
                 clash.is_none(),
                 "probe {probe:?} fed twice (raw and prebuilt)"
@@ -325,18 +309,15 @@ impl AsPipeline {
             .into_values()
             .map(|src| {
                 let t_probe = Instant::now();
-                let q = match src {
-                    Source::Raw(b) => {
-                        let built = b.finish_detailed();
-                        stats.bins_discarded_sanity += built.discarded_bins.len() as u64;
-                        let q = built.series.queuing_delay();
-                        if retain {
-                            built_series.push(built);
-                        }
-                        q
-                    }
-                    Source::Pre(series) => series.queuing_delay(),
+                let (built, raw) = match src {
+                    Source::Raw(b) => (b.finish_detailed(), true),
+                    Source::Pre(pre) => (pre, false),
                 };
+                stats.bins_discarded_sanity += built.discarded_bins;
+                let q = built.series.queuing_delay();
+                if raw && retain {
+                    built_series.push(built);
+                }
                 stats.series_hist.record(elapsed_nanos(t_probe));
                 q
             })

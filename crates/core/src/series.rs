@@ -117,22 +117,13 @@ impl ProbeSeriesBuilder {
 
     /// Apply the sanity filter and compute per-bin medians.
     pub fn finish(self) -> ProbeSeries {
-        self.finish_with_stats().0
+        self.finish_detailed().series
     }
 
-    /// Like [`ProbeSeriesBuilder::finish`], also reporting how many bins
-    /// the sanity filter discarded (§2's "discard traceroutes in bins
-    /// that have less than 3 traceroutes").
-    pub fn finish_with_stats(self) -> (ProbeSeries, u64) {
-        let built = self.finish_detailed();
-        let discarded = built.discarded_bins.len() as u64;
-        (built.series, discarded)
-    }
-
-    /// Like [`ProbeSeriesBuilder::finish_with_stats`], but reporting the
-    /// *indices* of the discarded bins rather than only their count. The
-    /// series store persists these so a cache hit can reproduce the same
-    /// sanity-filter statistics as a fresh build.
+    /// Like [`ProbeSeriesBuilder::finish`], also counting the bins the
+    /// sanity filter discarded (§2's "discard traceroutes in bins that
+    /// have less than 3 traceroutes"). The series store keeps that count
+    /// with the series, so a hit reports the statistics of a fresh build.
     ///
     /// Rows are grouped by bin with a stable sort, so each bin's samples
     /// come out in feed order, each traceroute's in the order
@@ -152,12 +143,12 @@ impl ProbeSeriesBuilder {
         rows.sort_by_key(|&(bin, _, _)| bin);
 
         let mut medians = BTreeMap::new();
-        let mut discarded_bins = Vec::new();
+        let mut discarded_bins = 0;
         let mut samples = Vec::new();
         for group in rows.chunk_by(|a, b| a.0 == b.0) {
             let bin = group[0].0;
             if group.len() < self.min_traceroutes {
-                discarded_bins.push(bin); // disconnected probe: discard the whole bin
+                discarded_bins += 1; // disconnected probe: discard the whole bin
                 continue;
             }
             samples.clear();
@@ -182,16 +173,17 @@ impl ProbeSeriesBuilder {
     }
 }
 
-/// A freshly built [`ProbeSeries`] together with the bins the sanity
-/// filter discarded — everything a series cache needs to answer later
-/// requests with the exact statistics of a fresh build.
+/// A built [`ProbeSeries`] together with how many bins the sanity
+/// filter discarded: the one value a build returns, the series store
+/// holds and a store hit hands back, so a hit reports the statistics of
+/// a fresh build.
 #[derive(Clone, Debug, PartialEq)]
 pub struct BuiltSeries {
     /// The surviving per-bin medians.
     pub series: ProbeSeries,
-    /// Indices of bins dropped by the sanity filter (held data, but fewer
-    /// than the minimum traceroutes).
-    pub discarded_bins: Vec<BinIndex>,
+    /// Bins dropped by the sanity filter (held data, but fewer than the
+    /// minimum traceroutes).
+    pub discarded_bins: u64,
 }
 
 /// One probe's median last-mile RTT per time bin.

@@ -392,7 +392,9 @@ pub fn ingest_slice<R: Row>(
         .quarantined
 }
 
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+/// The message of a caught panic's payload: its `&str` or `String`, or
+/// a placeholder for any other payload.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

@@ -3,15 +3,22 @@
 //! A memo of per-probe binned median-RTT series.
 //!
 //! Every analysis bins each probe's traceroutes into its [`BuiltSeries`]
-//! over one window. The store memoizes that result keyed by
-//! ([`StoreKey`], window) — `(probe, bin width, sanity threshold)` plus
-//! the exact window the series was built over — and a lookup hits only
-//! when an insert recorded that same window. A hit hands the series back
-//! as it was built: no merge, no slice. Repeated runs over one window
-//! (a re-run of `classify`, a live pass) therefore pay the binning
-//! cost once per probe instead of once per run. The one caller is the
-//! CLI's `--cache-dir` path (`classify`, `hygiene`, `serve` start-up and
-//! its live re-analysis passes).
+//! over one window: the median series plus the count of bins the sanity
+//! filter discarded. That one value is what a build returns, what the
+//! store holds and what a hit hands back, keyed by ([`StoreKey`], window)
+//! — `(probe, bin width, sanity threshold)` plus the exact window the
+//! series was built over. A lookup hits only when an insert recorded
+//! that same window, and a hit returns the value as it was built: no
+//! merge, no slice. Repeated runs over one window (a re-run of
+//! `classify`, a live pass) therefore pay the binning cost once per
+//! probe instead of once per run. The one caller is the CLI's
+//! `--cache-dir` path (`classify`, `hygiene`, `serve` start-up and its
+//! live re-analysis passes).
+//!
+//! The store only stores: it keeps no traffic counters. [`Lookup`] and
+//! [`SeriesStore::insert`]'s result tell the caller what happened, and
+//! the caller counts it (`classify` adds the run's hits, misses,
+//! bypasses and inserts to its `RunMetrics.store`).
 //!
 //! Only the *median* series is stored. The paper's queuing-delay baseline
 //! ("the minimum median RTT is computed separately for each measurement
@@ -52,13 +59,12 @@
 pub mod snapshot;
 
 use lastmile_atlas::ProbeId;
-use lastmile_core::pipeline::{PipelineConfig, PrebuiltSeries};
+use lastmile_core::pipeline::PipelineConfig;
 use lastmile_core::series::{BuiltSeries, ProbeSeries};
 use lastmile_timebase::{BinSpec, TimeRange, UnixTime};
 pub use snapshot::SnapshotError;
 use std::collections::HashMap;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Identity of one memoized series: the probe plus every binning
@@ -88,11 +94,6 @@ impl StoreKey {
     /// The key a pipeline with this configuration would use for `probe`.
     pub fn for_pipeline(probe: ProbeId, cfg: &PipelineConfig) -> StoreKey {
         StoreKey::new(probe, cfg.bin, cfg.min_traceroutes_per_bin)
-    }
-
-    /// The bin specification.
-    pub fn bin(&self) -> BinSpec {
-        BinSpec::new(self.bin_width_secs)
     }
 }
 
@@ -126,34 +127,17 @@ pub struct StoreConfig {
     pub mode: CacheMode,
 }
 
-/// One memoized build: the series of one (key, window) and how many
-/// bins the sanity filter discarded while building it.
-#[derive(Clone, Debug)]
-struct Entry {
-    series: ProbeSeries,
-    discarded: u64,
-}
-
 /// Every memoized build, by key and window.
-type Entries = HashMap<(StoreKey, TimeRange), Entry>;
+type Entries = HashMap<(StoreKey, TimeRange), BuiltSeries>;
 
 /// Outcome of [`SeriesStore::lookup`].
 #[derive(Debug)]
 pub enum Lookup {
     /// An insert recorded this exact window; here is its series.
-    Hit(PrebuiltSeries),
+    Hit(BuiltSeries),
     /// Not computed for this window — build it and
     /// [`SeriesStore::insert`] it.
     Miss,
-}
-
-/// Lifetime counters of one store (monotonic, relaxed).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StoreCounters {
-    pub hits: u64,
-    pub misses: u64,
-    pub bypasses: u64,
-    pub inserts: u64,
 }
 
 /// The series store. Share between threads by reference (or `Arc`); all
@@ -161,10 +145,6 @@ pub struct StoreCounters {
 pub struct SeriesStore {
     entries: RwLock<Entries>,
     config: StoreConfig,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    bypasses: AtomicU64,
-    inserts: AtomicU64,
 }
 
 impl std::fmt::Debug for SeriesStore {
@@ -172,7 +152,6 @@ impl std::fmt::Debug for SeriesStore {
         f.debug_struct("SeriesStore")
             .field("entries", &self.len())
             .field("config", &self.config)
-            .field("counters", &self.counters())
             .finish()
     }
 }
@@ -189,10 +168,6 @@ impl SeriesStore {
         SeriesStore {
             entries: RwLock::default(),
             config,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            bypasses: AtomicU64::new(0),
-            inserts: AtomicU64::new(0),
         }
     }
 
@@ -209,16 +184,6 @@ impl SeriesStore {
     /// Whether no entry is resident.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Lifetime counters.
-    pub fn counters(&self) -> StoreCounters {
-        StoreCounters {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            bypasses: self.bypasses.load(Ordering::Relaxed),
-            inserts: self.inserts.load(Ordering::Relaxed),
-        }
     }
 
     /// Drop every memoized entry for `probe`, across all
@@ -254,26 +219,9 @@ impl SeriesStore {
     /// Fetch the series an earlier insert recorded for exactly `range`.
     pub fn lookup(&self, key: &StoreKey, range: &TimeRange) -> Lookup {
         match self.read().get(&(*key, *range)) {
-            Some(entry) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Lookup::Hit(PrebuiltSeries {
-                    series: entry.series.clone(),
-                    bins_discarded_sanity: entry.discarded,
-                })
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                Lookup::Miss
-            }
+            Some(built) => Lookup::Hit(built.clone()),
+            None => Lookup::Miss,
         }
-    }
-
-    /// Count `n` lookups that could not be asked as bypasses: the caller
-    /// had to read its data before the range was known (a file run whose
-    /// window comes from the data span), so the store could not serve
-    /// them.
-    pub fn count_bypasses(&self, n: u64) {
-        self.bypasses.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Memoize a freshly built series for `range`, as it was built. The
@@ -295,12 +243,7 @@ impl SeriesStore {
             key.bin_width_secs,
             "series bin width differs from store key"
         );
-        let entry = Entry {
-            series: built.series.clone(),
-            discarded: built.discarded_bins.len() as u64,
-        };
-        self.write().insert((*key, *range), entry);
-        self.inserts.fetch_add(1, Ordering::Relaxed);
+        self.write().insert((*key, *range), built.clone());
         true
     }
 
@@ -316,12 +259,12 @@ impl SeriesStore {
         let mut entries: Vec<snapshot::SnapshotEntry> = self
             .read()
             .iter()
-            .map(|((key, window), entry)| snapshot::SnapshotEntry {
+            .map(|((key, window), built)| snapshot::SnapshotEntry {
                 key: *key,
                 window: (window.start().as_secs(), window.end().as_secs()),
-                discarded: entry.discarded,
-                bins: entry.series.iter_bins().map(|(b, _)| b).collect(),
-                values: entry.series.iter_bins().map(|(_, v)| v).collect(),
+                discarded: built.discarded_bins,
+                bins: built.series.iter_bins().map(|(b, _)| b).collect(),
+                values: built.series.iter_bins().map(|(_, v)| v).collect(),
             })
             .collect();
         entries.sort_by_key(|e| (e.key, e.window));
@@ -354,11 +297,11 @@ impl SeriesStore {
                 UnixTime::from_secs(e.window.0),
                 UnixTime::from_secs(e.window.1),
             );
-            let entry = Entry {
+            let built = BuiltSeries {
                 series: ProbeSeries::from_parts(e.key.probe, bin, medians),
-                discarded: e.discarded,
+                discarded_bins: e.discarded,
             };
-            map.insert((e.key, window), entry);
+            map.insert((e.key, window), built);
         }
         Ok((store, bytes))
     }
@@ -426,11 +369,11 @@ mod tests {
         )
     }
 
-    fn built(probe: u32, bins: &[(i64, f64)], discarded: &[i64]) -> BuiltSeries {
+    fn built(probe: u32, bins: &[(i64, f64)], discarded: u64) -> BuiltSeries {
         let medians: BTreeMap<i64, f64> = bins.iter().copied().collect();
         BuiltSeries {
             series: ProbeSeries::from_parts(ProbeId(probe), BinSpec::thirty_minutes(), medians),
-            discarded_bins: discarded.to_vec(),
+            discarded_bins: discarded,
         }
     }
 
@@ -443,17 +386,16 @@ mod tests {
         let store = SeriesStore::default();
         let range = aligned(0, 4);
         assert!(matches!(store.lookup(&key(1), &range), Lookup::Miss));
-        assert!(store.insert(&key(1), &range, &built(1, &[(0, 5.0), (2, 7.5)], &[1])));
+        assert!(store.insert(&key(1), &range, &built(1, &[(0, 5.0), (2, 7.5)], 1)));
         match store.lookup(&key(1), &range) {
             Lookup::Hit(pre) => {
-                assert_eq!(pre.bins_discarded_sanity, 1);
+                assert_eq!(pre.discarded_bins, 1);
                 let got: Vec<(i64, f64)> = pre.series.iter_bins().collect();
                 assert_eq!(got, vec![(0, 5.0), (2, 7.5)]);
             }
             other => panic!("expected hit, got {other:?}"),
         }
-        let c = store.counters();
-        assert_eq!((c.hits, c.misses, c.inserts), (1, 1, 1));
+        assert_eq!(store.len(), 1);
     }
 
     #[test]
@@ -463,8 +405,8 @@ mod tests {
         // A window starting mid-bin: its partial first bin is part of
         // the build, and is served back as built.
         let mid = TimeRange::new(UnixTime::from_secs(900), UnixTime::from_secs(18_000));
-        store.insert(&key(1), &whole, &built(1, &[(0, 5.0), (4, 9.0)], &[2, 7]));
-        store.insert(&key(1), &mid, &built(1, &[(0, 4.0), (4, 9.0)], &[7]));
+        assert!(store.insert(&key(1), &whole, &built(1, &[(0, 5.0), (4, 9.0)], 2)));
+        assert!(store.insert(&key(1), &mid, &built(1, &[(0, 4.0), (4, 9.0)], 1)));
         assert_eq!(store.len(), 2);
         for (range, bins, discarded) in [
             (whole, vec![(0, 5.0), (4, 9.0)], 2),
@@ -474,7 +416,7 @@ mod tests {
                 Lookup::Hit(pre) => {
                     let got: Vec<(i64, f64)> = pre.series.iter_bins().collect();
                     assert_eq!(got, bins);
-                    assert_eq!(pre.bins_discarded_sanity, discarded);
+                    assert_eq!(pre.discarded_bins, discarded);
                 }
                 other => panic!("expected hit for {range:?}, got {other:?}"),
             }
@@ -483,14 +425,12 @@ mod tests {
         for range in [aligned(4, 8), aligned(0, 11), aligned(2, 12)] {
             assert!(matches!(store.lookup(&key(1), &range), Lookup::Miss));
         }
-        let c = store.counters();
-        assert_eq!((c.hits, c.misses, c.bypasses), (2, 3, 0));
     }
 
     #[test]
     fn empty_window_is_never_stored() {
         let store = SeriesStore::default();
-        assert!(!store.insert(&key(1), &aligned(4, 4), &built(1, &[], &[])));
+        assert!(!store.insert(&key(1), &aligned(4, 4), &built(1, &[], 0)));
         assert!(store.is_empty());
     }
 
@@ -498,10 +438,10 @@ mod tests {
     fn invalidate_probe_drops_every_parameterisation_of_that_probe_only() {
         let store = SeriesStore::default();
         let range = aligned(0, 4);
-        store.insert(&key(1), &range, &built(1, &[(0, 5.0)], &[]));
+        store.insert(&key(1), &range, &built(1, &[(0, 5.0)], 0));
         let alt = StoreKey::new(ProbeId(1), BinSpec::thirty_minutes(), 5);
-        store.insert(&alt, &range, &built(1, &[(0, 5.0)], &[]));
-        store.insert(&key(2), &range, &built(2, &[(0, 6.0)], &[]));
+        store.insert(&alt, &range, &built(1, &[(0, 5.0)], 0));
+        store.insert(&key(2), &range, &built(2, &[(0, 6.0)], 0));
         assert_eq!(store.len(), 3);
         assert_eq!(store.invalidate_probe(ProbeId(1)), 2);
         assert_eq!(store.len(), 1);
@@ -517,8 +457,8 @@ mod tests {
     fn clear_empties_the_store() {
         let store = SeriesStore::default();
         let range = aligned(0, 4);
-        store.insert(&key(1), &range, &built(1, &[(0, 5.0)], &[]));
-        store.insert(&key(2), &range, &built(2, &[(0, 6.0)], &[]));
+        store.insert(&key(1), &range, &built(1, &[(0, 5.0)], 0));
+        store.insert(&key(2), &range, &built(2, &[(0, 6.0)], 0));
         assert_eq!(store.clear(), 2);
         assert!(store.is_empty());
         assert!(matches!(store.lookup(&key(1), &range), Lookup::Miss));
@@ -528,7 +468,7 @@ mod tests {
     fn keys_isolate_binning_parameters() {
         let store = SeriesStore::default();
         let range = aligned(0, 4);
-        store.insert(&key(1), &range, &built(1, &[(0, 5.0)], &[]));
+        store.insert(&key(1), &range, &built(1, &[(0, 5.0)], 0));
         // Same probe, different sanity threshold: separate entry.
         let other = StoreKey::new(ProbeId(1), BinSpec::thirty_minutes(), 5);
         assert!(matches!(store.lookup(&other, &range), Lookup::Miss));
@@ -538,7 +478,7 @@ mod tests {
     fn read_only_serves_hits_but_never_mutates() {
         let rw = SeriesStore::default();
         let range = aligned(0, 4);
-        rw.insert(&key(1), &range, &built(1, &[(0, 5.0)], &[]));
+        rw.insert(&key(1), &range, &built(1, &[(0, 5.0)], 0));
         let dir = Scratch::new("store-ro-test");
         let path = dir.join("snap.bin");
         rw.save_snapshot(&path, 42).unwrap();
@@ -552,7 +492,7 @@ mod tests {
         )
         .unwrap();
         assert!(matches!(ro.lookup(&key(1), &range), Lookup::Hit(_)));
-        assert!(!ro.insert(&key(2), &range, &built(2, &[(0, 1.0)], &[])));
+        assert!(!ro.insert(&key(2), &range, &built(2, &[(0, 1.0)], 0)));
         assert_eq!(ro.len(), 1);
     }
 
@@ -586,7 +526,7 @@ mod tests {
                                 store.insert(
                                     &key(probe),
                                     &range,
-                                    &built(probe, &[(0, f64::from(probe)), (5, 1.0)], &[]),
+                                    &built(probe, &[(0, f64::from(probe)), (5, 1.0)], 0),
                                 );
                             }
                         }

@@ -54,15 +54,15 @@ impl Drop for ScratchFile {
     }
 }
 
-/// One synthetic insert: a probe, an aligned bin span, and which bins of
-/// the span carry medians / were discarded.
+/// One synthetic insert: a probe, an aligned bin span, which bins of the
+/// span carry medians, and how many bins were discarded.
 #[derive(Clone, Debug)]
 struct InsertOp {
     probe: u32,
     start_bin: i64,
     len: i64,
     medians: Vec<(i64, f64)>,
-    discarded: Vec<i64>,
+    discarded: u64,
 }
 
 fn insert_op() -> impl Strategy<Value = InsertOp> {
@@ -71,9 +71,9 @@ fn insert_op() -> impl Strategy<Value = InsertOp> {
         -20i64..80,
         1i64..24,
         prop::collection::vec((0u32..64, any::<u32>()), 0..12),
-        prop::collection::vec(0u32..64, 0..4),
+        0u64..4,
     )
-        .prop_map(|(probe, start_bin, len, raw_bins, raw_discarded)| {
+        .prop_map(|(probe, start_bin, len, raw_bins, discarded)| {
             // Bin offsets land inside the span via modulo; BTree
             // collections dedupe and sort them. Medians derive from the
             // raw u32s (NaN is not a legal median).
@@ -86,16 +86,12 @@ fn insert_op() -> impl Strategy<Value = InsertOp> {
                     )
                 })
                 .collect();
-            let discarded: std::collections::BTreeSet<i64> = raw_discarded
-                .into_iter()
-                .map(|off| start_bin + i64::from(off) % len)
-                .collect();
             InsertOp {
                 probe,
                 start_bin,
                 len,
                 medians: medians.into_iter().collect(),
-                discarded: discarded.into_iter().collect(),
+                discarded,
             }
         })
 }
@@ -112,7 +108,7 @@ fn build_store(ops: &[InsertOp]) -> SeriesStore {
         let medians: BTreeMap<i64, f64> = op.medians.iter().copied().collect();
         let built = BuiltSeries {
             series: ProbeSeries::from_parts(ProbeId(op.probe), bin, medians),
-            discarded_bins: op.discarded.clone(),
+            discarded_bins: op.discarded,
         };
         assert!(store.insert(&key, &range, &built));
     }
@@ -149,7 +145,7 @@ proptest! {
                     let b_bins: Vec<(i64, u64)> =
                         b.series.iter_bins().map(|(i, v)| (i, v.to_bits())).collect();
                     prop_assert_eq!(a_bins, b_bins);
-                    prop_assert_eq!(a.bins_discarded_sanity, b.bins_discarded_sanity);
+                    prop_assert_eq!(a.discarded_bins, b.discarded_bins);
                 }
                 (a, b) => prop_assert!(false, "lookup diverged: {:?} vs {:?}", a, b),
             }
@@ -215,7 +211,7 @@ fn typed_errors_for_the_named_failure_modes() {
         start_bin: 0,
         len: 8,
         medians: vec![(0, 5.0), (3, 7.25)],
-        discarded: vec![2],
+        discarded: 1,
     }]);
     let path = ScratchFile::new("typed");
     store.save_snapshot(&path, FINGERPRINT).unwrap();

@@ -68,6 +68,7 @@ BENCH_SMOKE=1 sh scripts/bench_fleet.sh
 # --threads 1 and --threads 2. About 40 s on 2 cores, nearly all of it
 # fig3's survey; a failure keeps the outputs for a look.
 echo "==> experiments smoke (fig3 --scale 20 + fig5, --threads 1 vs 2)"
+cargo build -q -p lastmile-experiments
 exp=$(mktemp -d)
 for t in 1 2; do
     mkdir "$exp/t$t"

@@ -21,6 +21,7 @@ use lastmile_core::detect::CongestionClass;
 use lastmile_core::pipeline::{AsPipeline, PipelineConfig, PopulationAnalysis};
 use lastmile_core::report::{AsClassification, SurveyFailure, SurveyReport};
 use lastmile_eyeball::{EyeballEntry, EyeballRegistry};
+use lastmile_ingest::panic_message;
 use lastmile_netsim::scenarios::AsGroundTruth;
 use lastmile_netsim::{SimProbe, TracerouteEngine, World};
 use lastmile_obs::{
@@ -289,16 +290,6 @@ pub fn run_tasks<T: Send>(
         .into_iter()
         .map(|r| r.expect("every task ran"))
         .collect()
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "panic with non-string payload".to_string()
-    }
 }
 
 /// Accumulate one population's [`PopulationStats`] into the run metrics,
