@@ -35,26 +35,17 @@ pub fn from_flags(
     fingerprint: impl FnOnce() -> Result<u64, String>,
     metrics: Option<&RunMetrics>,
 ) -> Result<Option<Cache>, String> {
-    let mode: CacheMode = flags
-        .optional("cache")
-        .map(str::parse)
-        .transpose()?
-        .unwrap_or_default();
-    let Some(dir) = flags.optional("cache-dir") else {
-        if flags.optional("cache").is_some() {
-            return Err("--cache needs --cache-dir".into());
-        }
+    let Some(mut cache) = unloaded(flags)? else {
         return Ok(None);
     };
-    std::fs::create_dir_all(dir).map_err(|e| format!("create --cache-dir {dir}: {e}"))?;
-    let path = PathBuf::from(dir).join(SNAPSHOT_FILE);
-    let fingerprint = fingerprint()?;
+    let path = &cache.path;
+    cache.fingerprint = fingerprint()?;
     let span = trace::span_with("snapshot_load", |a| {
         a.str("path", path.display().to_string());
     });
     let load_timer = StageTimer::start();
     let (store, bytes, error) =
-        SeriesStore::load_snapshot_or_empty(&path, fingerprint, StoreConfig { mode });
+        SeriesStore::load_snapshot_or_empty(path, cache.fingerprint, cache.store.config());
     drop(span);
     if let Some(m) = metrics {
         m.store.add(&StoreStats {
@@ -72,10 +63,31 @@ pub fn from_flags(
         ),
         None => {}
     }
+    cache.store = store;
+    Ok(Some(cache))
+}
+
+/// The `--cache-dir` cache with an empty store and no snapshot read: a
+/// live daemon's, which consults no store while it runs and fills it
+/// only at shutdown. Its `fingerprint` is 0 until then; the shutdown
+/// persist stamps the final corpus's.
+pub fn unloaded(flags: &Flags) -> Result<Option<Cache>, String> {
+    let mode: CacheMode = flags
+        .optional("cache")
+        .map(str::parse)
+        .transpose()?
+        .unwrap_or_default();
+    let Some(dir) = flags.optional("cache-dir") else {
+        if flags.optional("cache").is_some() {
+            return Err("--cache needs --cache-dir".into());
+        }
+        return Ok(None);
+    };
+    std::fs::create_dir_all(dir).map_err(|e| format!("create --cache-dir {dir}: {e}"))?;
     Ok(Some(Cache {
-        store,
-        path,
-        fingerprint,
+        store: SeriesStore::new(StoreConfig { mode }),
+        path: PathBuf::from(dir).join(SNAPSHOT_FILE),
+        fingerprint: 0,
     }))
 }
 

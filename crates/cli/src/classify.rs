@@ -13,29 +13,110 @@ use crate::Flags;
 use lastmile_repro::atlas::{LastMile, ProbeId};
 use lastmile_repro::core::pipeline::{AsPipeline, PipelineConfig, PopulationAnalysis};
 use lastmile_repro::core::series::BuiltSeries;
-use lastmile_repro::ingest::fold_file;
+use lastmile_repro::ingest::{fold_reader, ingest_slice, IngestSummary, Quarantined};
+use lastmile_repro::live::newline_aligned_len;
 use lastmile_repro::obs::{trace, LiveProgress, RunMetrics, StageTimer};
-use lastmile_repro::prefix::Asn;
+use lastmile_repro::prefix::{Asn, PrefixTrie};
 use lastmile_repro::runner::record_population_metrics;
 use lastmile_repro::store::{CacheMode, Lookup, StoreKey};
-use lastmile_repro::timebase::UnixTime;
+use lastmile_repro::timebase::{TimeRange, UnixTime};
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
+use std::io::{Read, Seek, SeekFrom};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 
 /// One [`PopulationAnalysis`] per ASN, in ASN order.
 pub type Analyses = Vec<(Asn, PopulationAnalysis)>;
 
-/// What one ingest worker folds the corpus rows it decoded into; the
-/// workers' folds merge into one after the read.
+/// What the flags fix before a corpus is read: the window bounds, how a
+/// row is routed to its population, and the pipeline each population
+/// streams into.
+struct Routing {
+    start: Option<i64>,
+    end: Option<i64>,
+    /// The window, when `--start` and `--end` give it before the read.
+    known_window: Option<TimeRange>,
+    /// Probe → ASN from `--probes` metadata.
+    probe_to_asn: Option<BTreeMap<ProbeId, Asn>>,
+    /// Edge address → origin ASN from `--bgp`.
+    bgp: Option<PrefixTrie<Asn>>,
+    cfg: PipelineConfig,
+    /// Pipelines keep each raw-built series for store write-back.
+    retain: bool,
+    /// Record every routed probe's ASNs ([`Fold::routed`]): a store is
+    /// engaged, and only single-ASN probes may enter it.
+    track_routes: bool,
+}
+
+impl Routing {
+    /// `retain` only when write-back can accept the built series: a
+    /// read-write store and a window known before the read.
+    fn from_flags(flags: &Flags, cache: Option<&Cache>, live: bool) -> Result<Routing, String> {
+        let known_window = flag_window(flags)?;
+        let anchors_only = flags.switch("anchors-only");
+        let probe_to_asn = flags
+            .optional("probes")
+            .map(load_probes)
+            .transpose()?
+            .map(|list| {
+                group_by_asn(&list, anchors_only)
+                    .into_iter()
+                    .flat_map(|(asn, ids)| ids.into_iter().map(move |id| (id, asn)))
+                    .collect()
+            });
+        let mut cfg = PipelineConfig::paper();
+        if let Some(min_probes) = flags.parsed::<usize>("min-probes")? {
+            cfg.min_probes = min_probes;
+            cfg.min_probes_per_bin = min_probes.min(cfg.min_probes_per_bin);
+        }
+        Ok(Routing {
+            start: flags.parsed::<i64>("start")?,
+            end: flags.parsed::<i64>("end")?,
+            known_window,
+            probe_to_asn,
+            bgp: flags.optional("bgp").map(load_table).transpose()?,
+            cfg,
+            retain: !live
+                && cache.is_some_and(|c| c.store.config().mode == CacheMode::ReadWrite)
+                && known_window.is_some(),
+            track_routes: cache.is_some(),
+        })
+    }
+
+    /// The population of `row`: probe metadata wins; otherwise the BGP
+    /// table maps the first public hop (the paper's ISP edge) to its
+    /// origin ASN; otherwise everything is one population (ASN 0).
+    /// `None` for an unknown or filtered probe, or a row with no public
+    /// hop or an unrouted edge.
+    fn route(&self, row: &LastMile) -> Option<Asn> {
+        match (&self.probe_to_asn, &self.bgp) {
+            (Some(map), _) => map.get(&row.probe).copied(),
+            (None, Some(table)) => row.edge.and_then(|a| table.lookup(a)).map(|(_, &asn)| asn),
+            (None, None) => Some(0),
+        }
+    }
+
+    /// A population's pipeline. It drops what the flag bounds exclude as
+    /// it streams; a bound left to the data span excludes nothing, so it
+    /// is closed at analysis.
+    fn pipeline(&self) -> AsPipeline {
+        let bound = |secs: Option<i64>| secs.map(UnixTime::from_secs);
+        let mut p = AsPipeline::with_bounds(self.cfg, bound(self.start), bound(self.end));
+        p.retain_median_series(self.retain);
+        p
+    }
+}
+
+/// What the corpus rows were folded into: each ingest worker folds into
+/// its own, and the workers' folds merge into one after the read.
 #[derive(Default)]
 struct Fold {
     /// Earliest and latest timestamps of every decoded row.
     data_span: Option<(UnixTime, UnixTime)>,
     /// Per-AS pipelines fed the routed rows (except served probes').
     pipelines: BTreeMap<Asn, AsPipeline>,
-    /// Every routed probe, when a cache is engaged.
+    /// Every routed probe, when a store is engaged.
     routed: BTreeMap<ProbeId, Sight>,
 }
 
@@ -51,10 +132,7 @@ impl Fold {
     /// Take over `other`'s rows, counts and sightings.
     fn merge(&mut self, other: Fold) {
         if let Some((lo, hi)) = other.data_span {
-            self.data_span = Some(
-                self.data_span
-                    .map_or((lo, hi), |(a, b)| (a.min(lo), b.max(hi))),
-            );
+            self.data_span = widen(widen(self.data_span, lo), hi);
         }
         for (asn, pipeline) in other.pipelines {
             match self.pipelines.entry(asn) {
@@ -70,16 +148,451 @@ impl Fold {
             }
         }
     }
+
+    /// Fold one decoded row: widen the data span, route the row and feed
+    /// it to its population's pipeline — unless its probe is served, as
+    /// `serves` decides on the probe's first routed row (only asked when
+    /// a store is engaged).
+    fn fold_row(&mut self, routing: &Routing, row: &LastMile, serves: impl FnOnce(Asn) -> bool) {
+        self.data_span = widen(self.data_span, row.timestamp);
+        let Some(asn) = routing.route(row) else {
+            return;
+        };
+        if routing.track_routes {
+            let sight = self.routed.entry(row.probe).or_insert_with(|| Sight {
+                asn: Some(asn),
+                served: serves(asn),
+            });
+            if sight.asn != Some(asn) {
+                sight.asn = None;
+            }
+            if sight.served {
+                return;
+            }
+        }
+        self.pipelines
+            .entry(asn)
+            .or_insert_with(|| routing.pipeline())
+            .ingest_row(row);
+    }
 }
 
-/// The one start-up analysis of `classify`, `hygiene` and `serve`:
-/// stream the corpus `paths` once (in order, as if concatenated),
-/// decoding each record once, and return one [`PopulationAnalysis`] per
-/// ASN (ASN 0 = "all probes" when no metadata is given) plus the active
-/// series cache (when `--cache-dir` was given), whose snapshot is
-/// already persisted — the `serve` daemon keeps it for re-analysis and
-/// re-persists it at shutdown. When `metrics` is given, pipeline
-/// counters and stage timings are accumulated into it.
+/// `span` widened to take in `t`.
+fn widen(span: Option<(UnixTime, UnixTime)>, t: UnixTime) -> Option<(UnixTime, UnixTime)> {
+    Some(span.map_or((t, t), |(lo, hi)| (lo.min(t), hi.max(t))))
+}
+
+/// The bytes of a watched file past its last newline: a last record
+/// whose newline has not landed yet, decoded but never folded, since
+/// its line may still grow ([`Corpus::read_tail`]).
+#[derive(Default)]
+struct Tail {
+    /// The bytes it covers (0: no tail).
+    len: u64,
+    /// The record's row, when the bytes decode.
+    rows: Vec<LastMile>,
+    /// The record, when they do not, at its offset in the file.
+    quarantined: Vec<Quarantined>,
+}
+
+/// A corpus of one or more traceroute files read into per-population
+/// columns: the one read behind `classify`, `hygiene` and `serve`
+/// start-up. [`Corpus::analyze`] borrows it, so a live daemon keeps it
+/// and folds each pass's rows in ([`Corpus::fold_rows`]) instead of
+/// reading the files again.
+pub struct Corpus {
+    routing: Routing,
+    fold: Fold,
+    /// Each file's quarantined records, in file order.
+    quarantined: Vec<Vec<Quarantined>>,
+    /// Records decoded by the read.
+    parsed: u64,
+    /// The watched file's provisional last record, analysed with the
+    /// folded rows.
+    tail: Tail,
+}
+
+impl Corpus {
+    /// Stream `paths` once, in order, as if concatenated, decoding each
+    /// record once. Each ingest worker decodes records to their last-mile
+    /// rows and folds them into its own [`Fold`].
+    ///
+    /// `bounds` makes this a live read: each file is read only up to its
+    /// bound (so bytes appended during the read are left to live intake),
+    /// every row is folded, and no store is consulted — a live daemon
+    /// writes its store only at shutdown. Otherwise each file is read to
+    /// its end, and with a `cache` a probe is looked up once, on its
+    /// first routed row in any worker, counted there as a store hit or
+    /// miss (so the counts are the same at any thread count). A served
+    /// probe's series was built over this window: its rows are skipped,
+    /// never binned, and the prebuilt series is fed to its population
+    /// after the read. Only a window known before the read can be served.
+    pub fn read(
+        flags: &Flags,
+        paths: &[String],
+        bounds: Option<&[u64]>,
+        metrics: Option<&RunMetrics>,
+        cache: Option<&Cache>,
+        progress: Option<Arc<LiveProgress>>,
+    ) -> Result<Corpus, String> {
+        let routing = Routing::from_flags(flags, cache, bounds.is_some())?;
+        let lookups = cache.filter(|_| bounds.is_none());
+        let mut ingest_opts = ingest_options(flags)?;
+        ingest_opts.progress = progress;
+        ingest_opts.record_latency = metrics.is_some();
+        let served: Mutex<BTreeMap<ProbeId, Option<(Asn, BuiltSeries)>>> =
+            Mutex::new(BTreeMap::new());
+        let serves = |probe: ProbeId, asn: Asn| {
+            let (Some(c), Some(window)) = (lookups, routing.known_window) else {
+                return false;
+            };
+            let mut served = served.lock().expect("served-probe table lock");
+            let decision = served.entry(probe).or_insert_with(|| {
+                let key = StoreKey::for_pipeline(probe, &routing.cfg);
+                let decision = match c.store.lookup(&key, &window) {
+                    Lookup::Hit(pre) => Some((asn, pre)),
+                    Lookup::Miss => None,
+                };
+                if let Some(m) = metrics {
+                    let s = &m.store;
+                    let counter = if decision.is_some() {
+                        &s.hits
+                    } else {
+                        &s.misses
+                    };
+                    counter.fetch_add(1, Ordering::Relaxed);
+                }
+                decision
+            });
+            decision.is_some()
+        };
+        let fold_row = |fold: &mut Fold, row: LastMile| {
+            fold.fold_row(&routing, &row, |asn| serves(row.probe, asn))
+        };
+        let mut read = Fold::default();
+        let mut parsed = 0u64;
+        let mut quarantined = Vec::new();
+        let ingest_timer = StageTimer::start();
+        for (i, path) in paths.iter().enumerate() {
+            let file = std::fs::File::open(path).map_err(|e| format!("open {path}: {e}"))?;
+            let bound = bounds.map_or(u64::MAX, |b| b[i]);
+            let (summary, folds) =
+                fold_reader(file.take(bound), &ingest_opts, Fold::default, fold_row)
+                    .map_err(|e| format!("{path}: {e}"))?;
+            for fold in folds {
+                read.merge(fold);
+            }
+            parsed += summary.parsed;
+            if let Some(m) = metrics {
+                m.ingest.add(&ingest_traffic(&summary));
+                m.latency.decode.merge(&summary.decode_hist);
+            }
+            quarantined.push(summary.quarantined);
+        }
+        if bounds.is_some() {
+            // A live read's columns are kept and fed more rows.
+            read.pipelines.values_mut().for_each(AsPipeline::seal);
+        }
+        for (_, decision) in served.into_inner().expect("served-probe table lock") {
+            if let Some((asn, pre)) = decision {
+                read.pipelines
+                    .entry(asn)
+                    .or_insert_with(|| routing.pipeline())
+                    .ingest_series(pre);
+            }
+        }
+        let corpus = Corpus {
+            routing,
+            fold: read,
+            quarantined,
+            parsed,
+            tail: Tail::default(),
+        };
+        if let Some(m) = metrics {
+            // Probes looked up under no window (it was resolved only
+            // after the read) are ones the store could not serve:
+            // bypasses.
+            if lookups.is_some() && corpus.routing.known_window.is_none() {
+                let unasked = corpus.cacheable().count() as u64;
+                m.store.bypasses.fetch_add(unasked, Ordering::Relaxed);
+            }
+            m.stage_nanos
+                .ingest
+                .fetch_add(ingest_timer.elapsed_nanos(), Ordering::Relaxed);
+        }
+        eprintln!(
+            "[input] {parsed} traceroutes parsed, {} skipped",
+            corpus.quarantined.iter().map(Vec::len).sum::<usize>()
+        );
+        Ok(corpus)
+    }
+
+    /// Records the read decoded, a provisional tail's included.
+    pub fn records_read(&self) -> u64 {
+        self.parsed + self.tail.rows.len() as u64
+    }
+
+    /// The bytes the provisional tail covers past the folded ones.
+    pub fn tail_len(&self) -> u64 {
+        self.tail.len
+    }
+
+    /// Replace the provisional tail with the bytes of the first (watched)
+    /// file past `from`, when they hold no newline: a last record whose
+    /// newline has not landed, which a cold read of the file decodes but
+    /// the watcher leaves until it does. Its row is analysed and never
+    /// folded, so when the watcher delivers the finished line, the next
+    /// tail read drops it. Bytes holding a newline are records the
+    /// watcher has yet to deliver, and an unreadable file is the
+    /// watcher's to report: neither keeps a tail. Returns the records
+    /// decoded, which `metrics` counts.
+    pub fn read_tail(&mut self, path: &str, from: u64, metrics: Option<&RunMetrics>) -> u64 {
+        self.tail = Tail::default();
+        if newline_aligned_len(path) > from {
+            return 0;
+        }
+        let mut bytes = Vec::new();
+        let read = std::fs::File::open(path).and_then(|mut file| {
+            let len = file.metadata()?.len();
+            file.seek(SeekFrom::Start(from))?;
+            file.take(len.saturating_sub(from)).read_to_end(&mut bytes)
+        });
+        if read.is_err() || bytes.is_empty() || bytes.contains(&b'\n') {
+            return 0;
+        }
+        let mut rows = Vec::new();
+        let mut quarantined = ingest_slice(&bytes, |_, _, row: LastMile| rows.push(row));
+        for q in &mut quarantined {
+            q.offset += from;
+        }
+        let summary = IngestSummary {
+            parsed: rows.len() as u64,
+            bytes_read: bytes.len() as u64,
+            quarantined,
+            ..IngestSummary::default()
+        };
+        if let Some(m) = metrics {
+            m.ingest.add(&ingest_traffic(&summary));
+        }
+        self.tail = Tail {
+            len: summary.bytes_read,
+            rows,
+            quarantined: summary.quarantined,
+        };
+        summary.parsed
+    }
+
+    /// The probes whose series may be cached at all: those whose routed
+    /// rows all went to one ASN. Under probe metadata or ASN 0 that holds
+    /// for every probe; under per-traceroute BGP attribution a probe's
+    /// rows can split across AS pipelines, and each pipeline's partial
+    /// series under the store's one key per probe would poison the
+    /// snapshot. Serving needs no such check: a hit under the snapshot's
+    /// source fingerprint (which mixes in the table) was inserted from
+    /// this same corpus, where the probe was single-ASN.
+    fn cacheable(&self) -> impl Iterator<Item = ProbeId> + '_ {
+        self.fold
+            .routed
+            .iter()
+            .filter(|(_, sight)| sight.asn.is_some())
+            .map(|(&probe, _)| probe)
+    }
+
+    /// Fold rows that live intake decoded, as if the files had held them
+    /// all along; `quarantined` are the records intake quarantined in the
+    /// first (watched) file, at offsets in it. Returns the records
+    /// folded, which `metrics` counts as the pass's decoded records.
+    pub fn fold_rows(
+        &mut self,
+        rows: Vec<LastMile>,
+        quarantined: Vec<Quarantined>,
+        metrics: &RunMetrics,
+    ) -> u64 {
+        let timer = StageTimer::start();
+        for row in &rows {
+            self.fold.fold_row(&self.routing, row, |_| false);
+        }
+        let summary = IngestSummary {
+            parsed: rows.len() as u64,
+            quarantined,
+            ..IngestSummary::default()
+        };
+        metrics.ingest.add(&ingest_traffic(&summary));
+        metrics
+            .stage_nanos
+            .ingest
+            .fetch_add(timer.elapsed_nanos(), Ordering::Relaxed);
+        self.quarantined[0].extend(summary.quarantined);
+        summary.parsed
+    }
+
+    /// Write the `--quarantine` dump, when asked for: every file's
+    /// quarantined records, in file order.
+    pub fn write_quarantine(&self, flags: &Flags) -> Result<(), String> {
+        let Some(qpath) = flags.optional("quarantine") else {
+            return Ok(());
+        };
+        let (watched, rest) = self.quarantined.split_first().expect("one list per file");
+        let all = watched
+            .iter()
+            .chain(&self.tail.quarantined)
+            .chain(rest.iter().flatten());
+        write_quarantine(qpath, all.clone())?;
+        eprintln!(
+            "[input] {} quarantined record(s) written to {qpath}",
+            all.count()
+        );
+        Ok(())
+    }
+
+    /// Analyse every population over the window: the flag bounds, with a
+    /// side left open closed at the data span. A provisional tail is
+    /// analysed as if folded. When `metrics` is given, pipeline counters
+    /// and stage timings are accumulated into it.
+    pub fn analyze(
+        &self,
+        metrics: Option<&RunMetrics>,
+        progress: Option<&LiveProgress>,
+    ) -> Result<Analyses, String> {
+        let routing = &self.routing;
+        let tail = &self.tail.rows[..];
+        let span = tail
+            .iter()
+            .fold(self.fold.data_span, |span, row| widen(span, row.timestamp));
+        let tail_asn = tail.first().and_then(|row| routing.route(row));
+        let fresh = tail_asn
+            .filter(|asn| !self.fold.pipelines.contains_key(asn))
+            .map(|asn| (asn, routing.pipeline()));
+        let mut pipelines: BTreeMap<Asn, &AsPipeline> = self
+            .fold
+            .pipelines
+            .iter()
+            .map(|(&asn, p)| (asn, p))
+            .collect();
+        if let Some((asn, p)) = &fresh {
+            pipelines.insert(*asn, p);
+        }
+        let window = resolve_window(
+            routing.start,
+            routing.end,
+            span.map(|(lo, _)| lo),
+            span.map(|(_, hi)| hi),
+        )?;
+        // The population table keys on (ASN, period); a file run has no
+        // named measurement period, so the analysis window stands in.
+        let window_label = format!("{}..{}", window.start().as_secs(), window.end().as_secs());
+        if let Some(p) = progress {
+            p.populations_total
+                .store(pipelines.len() as u64, Ordering::Relaxed);
+        }
+        Ok(pipelines
+            .into_iter()
+            .map(|(asn, p)| {
+                let span = trace::span_with("population", |a| {
+                    a.u64("asn", u64::from(asn))
+                        .str("period", window_label.as_str());
+                });
+                let extra = if Some(asn) == tail_asn { tail } else { &[] };
+                let analysis = p.finish_in_with(window, extra);
+                if let Some(m) = metrics {
+                    // Streaming interleaves populations, so ingest time
+                    // is accounted once, by the read; per-task wall =
+                    // pipeline stages.
+                    let s = &analysis.stats;
+                    record_population_metrics(
+                        m,
+                        asn,
+                        &window_label,
+                        &analysis,
+                        s.series_nanos + s.aggregate_nanos + s.detect_nanos,
+                    );
+                }
+                drop(span);
+                if let Some(p) = progress {
+                    p.populations_done.fetch_add(1, Ordering::Relaxed);
+                }
+                (asn, analysis)
+            })
+            .collect())
+    }
+
+    /// Memoize the retained series of `results` — every cacheable probe's
+    /// — into `cache` under the window known before the read.
+    fn insert_series(&self, cache: &Cache, results: &Analyses, metrics: Option<&RunMetrics>) {
+        let Some(window) = self.routing.known_window else {
+            return;
+        };
+        let cacheable: Vec<ProbeId> = self.cacheable().collect();
+        let mut inserts = 0;
+        for built in results.iter().flat_map(|(_, a)| &a.built_series) {
+            // A multi-ASN probe's series here is the partial view of one
+            // pipeline; inserting it would claim full-window coverage for
+            // a subset of the probe's traceroutes.
+            let probe = built.series.probe();
+            if cacheable.binary_search(&probe).is_ok() {
+                let key = StoreKey::for_pipeline(probe, &self.routing.cfg);
+                inserts += u64::from(cache.store.insert(&key, &window, built));
+            }
+        }
+        if let Some(m) = metrics {
+            m.store.inserts.fetch_add(inserts, Ordering::Relaxed);
+        }
+    }
+
+    /// Replace everything `cache` holds with the current window's series
+    /// of every cacheable probe: a live daemon's shutdown write-back. No
+    /// entry built before intake survives, in any window; with a window
+    /// left to the data span nothing is memoized, as in `classify`. The
+    /// provisional tail is folded first: nothing follows it any more.
+    pub fn refill(&mut self, cache: &Cache) -> Result<(), String> {
+        for row in std::mem::take(&mut self.tail).rows {
+            self.fold.fold_row(&self.routing, &row, |_| false);
+        }
+        cache.store.clear();
+        if self.routing.known_window.is_none() {
+            return Ok(());
+        }
+        for p in self.fold.pipelines.values_mut() {
+            p.retain_median_series(true);
+        }
+        let results = self.analyze(None, None)?;
+        self.insert_series(cache, &results, None);
+        Ok(())
+    }
+}
+
+/// Read `paths` (up to `bounds`, when given: see [`Corpus::read`]),
+/// write the `--quarantine` dump and analyse: the start-up of every
+/// subcommand, and a live rebuild. A live read under `--watch` also
+/// takes the watched file's provisional tail past its bound
+/// ([`Corpus::read_tail`]). `--progress` gauges are shared with the
+/// ingest workers; the heartbeat thread lives for the read and the
+/// analysis.
+pub fn read_and_analyze(
+    flags: &Flags,
+    paths: &[String],
+    bounds: Option<&[u64]>,
+    metrics: Option<&RunMetrics>,
+    cache: Option<&Cache>,
+) -> Result<(Corpus, Analyses), String> {
+    let progress = flags
+        .switch("progress")
+        .then(|| Arc::new(LiveProgress::default()));
+    let _heartbeat = progress.clone().map(Heartbeat::start);
+    let mut corpus = Corpus::read(flags, paths, bounds, metrics, cache, progress.clone())?;
+    if let (Some(bounds), true) = (bounds, flags.switch("watch")) {
+        corpus.read_tail(&paths[0], bounds[0], metrics);
+    }
+    corpus.write_quarantine(flags)?;
+    let results = corpus.analyze(metrics, progress.as_deref())?;
+    Ok((corpus, results))
+}
+
+/// The one start-up analysis of `classify`, `hygiene` and a non-live
+/// `serve`: read the corpus `paths` once ([`read_and_analyze`]) and
+/// return one [`PopulationAnalysis`] per ASN (ASN 0 = "all probes" when
+/// no metadata is given) plus the active series cache (when
+/// `--cache-dir` was given), whose snapshot is already persisted.
 ///
 /// With `--cache-dir` the per-probe median series are served from /
 /// memoized into a `lastmile-store` snapshot: a probe whose series the
@@ -105,8 +618,9 @@ pub fn analyze_paths(
     // An empty flag window fails before the fingerprint reads the corpus.
     flag_window(flags)?;
     let cache = cache::from_flags(flags, || corpus_fingerprint(flags, paths), metrics)?;
-    let results = analyze_corpus(flags, paths, metrics, cache.as_ref())?;
+    let (corpus, results) = read_and_analyze(flags, paths, None, metrics, cache.as_ref())?;
     if let Some(c) = &cache {
+        corpus.insert_series(c, &results, metrics);
         c.persist(c.fingerprint, metrics)?;
     }
     Ok((results, cache))
@@ -129,258 +643,6 @@ pub fn corpus_fingerprint(flags: &Flags, paths: &[String]) -> Result<u64, String
         f = cache::combine_fingerprints(f, cache::file_fingerprint(table_path)?);
     }
     Ok(f)
-}
-
-/// The core analysis over a corpus of one or more traceroute files
-/// (streamed in order, as if concatenated), decoding each record once.
-/// Serves from / memoizes into `cache` when one is given, but neither
-/// builds nor persists it — a long-lived caller (the `serve` daemon's
-/// re-analysis engine) owns the cache across many calls and persists
-/// once at shutdown.
-pub fn analyze_corpus(
-    flags: &Flags,
-    paths: &[String],
-    metrics: Option<&RunMetrics>,
-    cache: Option<&Cache>,
-) -> Result<Analyses, String> {
-    let known_window = flag_window(flags)?;
-    let start = flags.parsed::<i64>("start")?;
-    let end = flags.parsed::<i64>("end")?;
-    let mut ingest_opts = ingest_options(flags)?;
-    // `--progress` gauges are shared with the ingest workers; the
-    // heartbeat thread lives for the whole analysis and is stopped and
-    // joined when this function returns.
-    let progress = flags
-        .switch("progress")
-        .then(|| Arc::new(LiveProgress::default()));
-    let _heartbeat = progress.clone().map(Heartbeat::start);
-    ingest_opts.progress = progress.clone();
-    ingest_opts.record_latency = metrics.is_some();
-    let probes = flags.optional("probes").map(load_probes).transpose()?;
-    let bgp = flags.optional("bgp").map(load_table).transpose()?;
-    let anchors_only = flags.switch("anchors-only");
-
-    // Probe → ASN routing.
-    let probe_to_asn: Option<BTreeMap<ProbeId, Asn>> = probes.as_ref().map(|list| {
-        group_by_asn(list, anchors_only)
-            .into_iter()
-            .flat_map(|(asn, ids)| ids.into_iter().map(move |id| (id, asn)))
-            .collect()
-    });
-
-    let mut cfg = PipelineConfig::paper();
-    if let Some(min_probes) = flags.parsed::<usize>("min-probes")? {
-        cfg.min_probes = min_probes;
-        cfg.min_probes_per_bin = min_probes.min(cfg.min_probes_per_bin);
-    }
-
-    // Retaining built series costs memory; only pay when write-back can
-    // accept them (rw mode, a window known before the read).
-    let retain = cache.is_some_and(|c| c.store.config().mode == CacheMode::ReadWrite)
-        && known_window.is_some();
-    let (bound_start, bound_end) = (start.map(UnixTime::from_secs), end.map(UnixTime::from_secs));
-    let new_pipeline = move || {
-        let mut p = AsPipeline::with_bounds(cfg, bound_start, bound_end);
-        p.retain_median_series(retain);
-        p
-    };
-
-    // One read. Each ingest worker decodes records to their last-mile
-    // rows and folds them into its own [`Fold`]: the data span, and
-    // per-AS pipelines the row is routed into. Probe metadata wins;
-    // otherwise the BGP table maps the first public hop (the paper's ISP
-    // edge) to its origin ASN; otherwise everything is one population
-    // (ASN 0). Pipelines drop what the flag bounds exclude as they
-    // stream; a bound left to the data span excludes nothing, so it is
-    // closed after the read, once the workers' folds are merged.
-    //
-    // With a cache, a probe is looked up once, on its first routed row
-    // in any worker (`served`, shared; `Some` = served), and the lookup
-    // is counted there as a store hit or miss, so the counts are the
-    // same at any thread count. A served probe's series was built over
-    // this window: its rows are skipped, never binned, and the prebuilt
-    // series is fed to its population after the read. Only a window
-    // known before the read can be served.
-    let served: Mutex<BTreeMap<ProbeId, Option<(Asn, BuiltSeries)>>> = Mutex::new(BTreeMap::new());
-    let fold_row = |fold: &mut Fold, row: LastMile| {
-        let t = row.timestamp;
-        fold.data_span = Some(
-            fold.data_span
-                .map_or((t, t), |(lo, hi)| (lo.min(t), hi.max(t))),
-        );
-        let asn = match (&probe_to_asn, &bgp) {
-            (Some(map), _) => match map.get(&row.probe) {
-                Some(&asn) => asn,
-                None => return, // unknown or filtered probe
-            },
-            (None, Some(table)) => match row.edge.and_then(|a| table.lookup(a)) {
-                Some((_, &asn)) => asn,
-                None => return, // no public hop or unrouted edge
-            },
-            (None, None) => 0,
-        };
-        if let Some(c) = cache {
-            let sight = fold.routed.entry(row.probe).or_insert_with(|| Sight {
-                asn: Some(asn),
-                served: known_window.is_some_and(|window| {
-                    let mut served = served.lock().expect("served-probe table lock");
-                    let decision = served.entry(row.probe).or_insert_with(|| {
-                        let key = StoreKey::for_pipeline(row.probe, &cfg);
-                        let decision = match c.store.lookup(&key, &window) {
-                            Lookup::Hit(pre) => Some((asn, pre)),
-                            Lookup::Miss => None,
-                        };
-                        if let Some(m) = metrics {
-                            let s = &m.store;
-                            let counter = if decision.is_some() {
-                                &s.hits
-                            } else {
-                                &s.misses
-                            };
-                            counter.fetch_add(1, Ordering::Relaxed);
-                        }
-                        decision
-                    });
-                    decision.is_some()
-                }),
-            });
-            if sight.asn != Some(asn) {
-                sight.asn = None;
-            }
-            if sight.served {
-                return;
-            }
-        }
-        fold.pipelines
-            .entry(asn)
-            .or_insert_with(new_pipeline)
-            .ingest_row(&row);
-    };
-    let mut read = Fold::default();
-    let mut parsed = 0u64;
-    let mut quarantined_all = Vec::new();
-    let ingest_timer = StageTimer::start();
-    for path in paths {
-        let (summary, folds) = fold_file(path, &ingest_opts, Fold::default, fold_row)?;
-        for fold in folds {
-            read.merge(fold);
-        }
-        parsed += summary.parsed;
-        if let Some(m) = metrics {
-            m.ingest.add(&ingest_traffic(&summary));
-            m.latency.decode.merge(&summary.decode_hist);
-        }
-        quarantined_all.extend(summary.quarantined);
-    }
-    let Fold {
-        data_span,
-        mut pipelines,
-        routed,
-    } = read;
-    // Whether a probe's series may be cached at all: only when all its
-    // routed rows went to one ASN. Under probe metadata or ASN 0 that
-    // holds for every probe; under per-traceroute BGP attribution a
-    // probe's rows can split across AS pipelines, and each pipeline's
-    // partial series under the store's one key per probe would poison
-    // the snapshot. Serving needs no such check: a hit under the
-    // snapshot's source fingerprint (which mixes in the table) was
-    // inserted from this same corpus, where the probe was single-ASN,
-    // and live passes invalidate every probe with new records before
-    // they read.
-    let cacheable = |probe: ProbeId| matches!(routed.get(&probe), Some(Sight { asn: Some(_), .. }));
-    for (_, decision) in served.into_inner().expect("served-probe table lock") {
-        if let Some((asn, pre)) = decision {
-            pipelines
-                .entry(asn)
-                .or_insert_with(new_pipeline)
-                .ingest_series(pre);
-        }
-    }
-    // Probes looked up under no window (it was resolved only after the
-    // read) are ones the store could not serve: bypasses.
-    let unasked = if known_window.is_none() {
-        routed.keys().filter(|&&probe| cacheable(probe)).count() as u64
-    } else {
-        0
-    };
-    if let Some(m) = metrics {
-        m.store.bypasses.fetch_add(unasked, Ordering::Relaxed);
-        m.stage_nanos
-            .ingest
-            .fetch_add(ingest_timer.elapsed_nanos(), Ordering::Relaxed);
-    }
-    eprintln!(
-        "[input] {parsed} traceroutes parsed, {} skipped",
-        quarantined_all.len()
-    );
-    if let Some(qpath) = flags.optional("quarantine") {
-        write_quarantine(qpath, &quarantined_all)?;
-        eprintln!(
-            "[input] {} quarantined record(s) written to {qpath}",
-            quarantined_all.len()
-        );
-    }
-    let window = resolve_window(
-        start,
-        end,
-        data_span.map(|(lo, _)| lo),
-        data_span.map(|(_, hi)| hi),
-    )?;
-
-    // The population table keys on (ASN, period); a file run has no
-    // named measurement period, so the analysis window stands in.
-    let window_label = format!("{}..{}", window.start().as_secs(), window.end().as_secs());
-    if let Some(p) = &progress {
-        p.populations_total
-            .store(pipelines.len() as u64, Ordering::Relaxed);
-    }
-    let results: Analyses = pipelines
-        .into_iter()
-        .map(|(asn, p)| {
-            let span = trace::span_with("population", |a| {
-                a.u64("asn", u64::from(asn))
-                    .str("period", window_label.as_str());
-            });
-            let analysis = p.finish_in(window);
-            if let Some(m) = metrics {
-                // Streaming interleaves populations, so ingest time is
-                // accounted once above; per-task wall = pipeline stages.
-                let s = &analysis.stats;
-                record_population_metrics(
-                    m,
-                    asn,
-                    &window_label,
-                    &analysis,
-                    s.series_nanos + s.aggregate_nanos + s.detect_nanos,
-                );
-            }
-            drop(span);
-            if let Some(p) = &progress {
-                p.populations_done.fetch_add(1, Ordering::Relaxed);
-            }
-            (asn, analysis)
-        })
-        .collect();
-
-    if let Some(c) = cache {
-        let mut inserts = 0;
-        for (_, analysis) in &results {
-            for built in &analysis.built_series {
-                // A multi-ASN probe's series here is the partial view of
-                // one pipeline; inserting it would claim full-window
-                // coverage for a subset of the probe's traceroutes.
-                if !cacheable(built.series.probe()) {
-                    continue;
-                }
-                let key = StoreKey::for_pipeline(built.series.probe(), &cfg);
-                inserts += u64::from(c.store.insert(&key, &window, built));
-            }
-        }
-        if let Some(m) = metrics {
-            m.store.inserts.fetch_add(inserts, Ordering::Relaxed);
-        }
-    }
-    Ok(results)
 }
 
 /// One ASN's classification document. Shared by `classify --json` and
@@ -455,4 +717,111 @@ pub fn run(flags: &Flags) -> Result<(), String> {
         emit_stats(flags, m)?;
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Scratch;
+    use lastmile_repro::live::newline_aligned_len;
+    use std::io::Write;
+    use std::sync::atomic::AtomicBool;
+
+    /// Record `i` of a three-probe corpus: probes 1–3 each measure every
+    /// 200 s, so every 30-minute bin holds nine traceroutes per probe.
+    fn record(i: u64) -> String {
+        format!(
+            r#"{{"fw":5020,"af":4,"dst_addr":"20.99.0.1","src_addr":"192.168.1.10","from":"20.0.0.1","msm_id":5001,"prb_id":{},"timestamp":{},"proto":"ICMP","type":"traceroute","result":[{{"hop":1,"result":[{{"from":"192.168.1.1","rtt":1.0}}]}},{{"hop":2,"result":[{{"from":"20.0.0.1","rtt":{}}}]}}]}}"#,
+            1 + i % 3,
+            (i / 3) * 200,
+            5.0 + (i % 17) as f64
+        ) + "\n"
+    }
+
+    fn flags(path: &std::path::Path) -> Flags {
+        let args = ["--traceroutes", path.to_str().unwrap(), "--min-probes", "1"];
+        Flags::parse(&args.map(String::from)).unwrap()
+    }
+
+    #[test]
+    fn a_tail_without_newline_is_analysed_and_never_folded() {
+        let dir = Scratch::new("tail");
+        let path = dir.join("corpus.jsonl");
+        let body: String = (0..300).map(record).collect();
+        // Two days past the rest, so it widens the window.
+        let last = record(3000);
+        std::fs::write(&path, format!("{body}{}", last.trim_end())).unwrap();
+        let paths = [path.display().to_string()];
+        let len = newline_aligned_len(&path);
+        assert_eq!(len, body.len() as u64);
+        let json = |c: &Corpus| classification_json(&c.analyze(None, None).unwrap());
+        let read = |bound: Option<&[u64]>| {
+            Corpus::read(&flags(&path), &paths, bound, None, None, None).unwrap()
+        };
+        let mut live = read(Some(&[len]));
+        let folded = json(&live);
+        assert_eq!(live.read_tail(&paths[0], len, None), 1);
+        assert_eq!(live.tail_len(), last.len() as u64 - 1);
+        assert_eq!(live.records_read(), 301);
+        // A cold read of the file decodes the unterminated record too.
+        let cold = json(&read(None));
+        assert_eq!(json(&live), cold);
+        assert_ne!(folded, cold, "the last record changes nothing");
+        // Once its newline lands, the bytes are the watcher's to deliver:
+        // the tail is dropped, and the folded columns never held it.
+        std::fs::write(&path, format!("{body}{last}")).unwrap();
+        assert_eq!(live.read_tail(&paths[0], len, None), 0);
+        assert_eq!(live.tail_len(), 0);
+        assert_eq!(json(&live), folded);
+    }
+
+    #[test]
+    fn a_bounded_read_folds_exactly_the_bytes_before_its_bound() {
+        let dir = Scratch::new("bounded-read");
+        let path = dir.join("corpus.jsonl");
+        std::fs::write(&path, (0..300).map(record).collect::<String>()).unwrap();
+        // A collector keeps appending while the bound is taken and the
+        // read runs.
+        let stop = AtomicBool::new(false);
+        let (len, corpus) = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let mut file = std::fs::OpenOptions::new()
+                    .append(true)
+                    .open(&path)
+                    .unwrap();
+                for i in 300..20_000 {
+                    if stop.load(Ordering::Relaxed) {
+                        break;
+                    }
+                    file.write_all(record(i).as_bytes()).unwrap();
+                }
+            });
+            let len = newline_aligned_len(&path);
+            let paths = [path.display().to_string()];
+            let corpus = Corpus::read(&flags(&path), &paths, Some(&[len]), None, None, None);
+            stop.store(true, Ordering::Relaxed);
+            (len, corpus.unwrap())
+        });
+        std::fs::OpenOptions::new()
+            .append(true)
+            .open(&path)
+            .unwrap()
+            .write_all(record(20_000).as_bytes())
+            .unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        let prefix = &bytes[..len as usize];
+        assert!(bytes.len() > prefix.len(), "the file grew past the bound");
+        let records = prefix.iter().filter(|&&b| b == b'\n').count() as u64;
+        assert!(records >= 300);
+        assert_eq!(corpus.records_read(), records);
+
+        // The analysis equals a whole read of exactly `[0, len)`.
+        let whole = dir.join("prefix.jsonl");
+        std::fs::write(&whole, prefix).unwrap();
+        let paths = [whole.display().to_string()];
+        let expected = Corpus::read(&flags(&whole), &paths, None, None, None, None).unwrap();
+        let json = |c: &Corpus| classification_json(&c.analyze(None, None).unwrap());
+        assert_eq!(json(&corpus), json(&expected));
+        assert!(json(&expected).contains("\"probes\": 3"));
+    }
 }

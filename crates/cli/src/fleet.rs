@@ -410,31 +410,33 @@ impl<W: Write> Drop for Turn<'_, W> {
 }
 
 /// Append one probe's traceroutes over `window` to `buf` as JSON Lines;
-/// how many. Simulating and rendering are separate `--trace` spans
-/// (`simulate_probe`, then `render_probe` with its `records` and
-/// `bytes`), so the trace shows where generation time goes.
+/// how many. Each traceroute is written as it is simulated, so no
+/// probe's models are held at once. The `render_probe` span covers both
+/// (the `simulate_probe` span nests inside it) and names its `records`
+/// and `bytes` on its end.
 fn render_probe(
     engine: &TracerouteEngine,
     probe: &SimProbe,
     window: &TimeRange,
     buf: &mut String,
 ) -> usize {
-    let traceroutes = engine.probe_traceroutes(probe, window);
     let span = trace::span_with("render_probe", |a| {
-        a.u64("probe", u64::from(probe.meta.id.0))
-            .u64("records", traceroutes.len() as u64);
+        a.u64("probe", u64::from(probe.meta.id.0));
     });
     let start = buf.len();
-    for tr in &traceroutes {
-        write_traceroute(tr, probe.meta.public_addr, buf);
+    let mut records = 0;
+    engine.for_each_traceroute(probe, window, |tr| {
+        write_traceroute(&tr, probe.meta.public_addr, buf);
         buf.push('\n');
-    }
+        records += 1;
+    });
     if let Some(span) = span {
         span.end_with(|a| {
-            a.u64("bytes", (buf.len() - start) as u64);
+            a.u64("records", records as u64)
+                .u64("bytes", (buf.len() - start) as u64);
         });
     }
-    traceroutes.len()
+    records
 }
 
 /// The class name `classify` should print for ASes of a label.

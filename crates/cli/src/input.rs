@@ -83,9 +83,13 @@ pub fn quarantine_doc(q: &Quarantined) -> serde_json::Value {
 }
 
 /// Write quarantined records as a JSON Lines triage dump, one
-/// [`quarantine_doc`] per line. Records arrive sorted by offset, so the
-/// dump is deterministic for a given input.
-pub fn write_quarantine(path: &str, quarantined: &[Quarantined]) -> Result<(), String> {
+/// [`quarantine_doc`] per line. Records arrive sorted by offset within
+/// each file, files in corpus order, so the dump is deterministic for a
+/// given input.
+pub fn write_quarantine<'q>(
+    path: &str,
+    quarantined: impl IntoIterator<Item = &'q Quarantined>,
+) -> Result<(), String> {
     create_parent_dirs("quarantine", path)?;
     let file =
         std::fs::File::create(path).map_err(|e| format!("create --quarantine {path}: {e}"))?;

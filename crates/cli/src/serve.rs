@@ -19,40 +19,50 @@
 //!
 //! With `--watch` and/or `--live-spool`, the daemon keeps ingesting
 //! after startup: `--watch` polls the corpus file for records appended
-//! past the length the startup analysis read, and `--live-spool FILE`
+//! past the length the startup read covered, and `--live-spool FILE`
 //! enables `POST /v1/traceroutes` (accepted records are appended to the
 //! spool, which is part of the analysis corpus from startup). Either
-//! intake path hands its records to the engine through one call; after
-//! a fixed [`REANALYZE_DEBOUNCE`] window the engine re-runs the
-//! analysis over the union corpus and publishes the result as a new
-//! **epoch**. A pass costs one decode of the whole union corpus, however
-//! few records were appended: the store spares only the per-probe series
-//! building of probes without new traceroutes (only those were not
-//! invalidated), and decode dominates the pass.
+//! intake path decodes its records once and hands the rows to the engine
+//! through one call; after a fixed [`REANALYZE_DEBOUNCE`] window the
+//! engine folds them into the columns the startup read kept (a
+//! [`Corpus`]), re-runs series → aggregate → detect over those columns
+//! and publishes the result as a new **epoch**. A pass decodes nothing
+//! it has already read, so its cost follows the appended records and the
+//! series building, not the corpus size. Only a truncated or rotated
+//! corpus makes a pass re-read the files, each up to the length the
+//! taken intake reaches. Every live read of a file is bounded so: the
+//! startup read stops where the watcher starts, so an append landing
+//! mid-startup is folded once, by the first poll. A watched last line
+//! with no newline yet, which the watcher leaves and a cold read
+//! decodes, is analysed as a provisional tail and read afresh by each
+//! pass ([`Corpus::read_tail`]). `--probes` and `--bgp` are read by the
+//! startup read and by a rebuild only.
 //! Publishing is an RCU-style atomic snapshot swap. In-flight
 //! readers keep the epoch they started with (the `X-Epoch` header names
 //! it) and never block on re-analysis. At any instant `GET /v1/classify`
 //! is byte-identical to a cold `classify --json` over corpus + spool.
 //!
-//! Shutdown drains queued and in-flight requests, polls the watcher
-//! once more, and drains any pending re-analysis (so the last accepted
-//! appends reach the store), then re-persists the series-cache snapshot
-//! stamped with the final union corpus fingerprint — but only if the
-//! corpus still ends where the last analysis read it (see
-//! [`persist_live_snapshot`]); otherwise the snapshot is skipped and the
-//! next start recomputes cold.
+//! A live daemon consults no series store while it runs (so it refuses
+//! `--cache ro`). Shutdown
+//! drains queued and in-flight requests, polls the watcher once more,
+//! and drains any pending re-analysis, then refills the store with the
+//! current window's series and persists the snapshot stamped with the
+//! final union corpus fingerprint — but only if the corpus still ends
+//! where the last analysis covered it (see [`persist_live_snapshot`]);
+//! otherwise the snapshot is skipped and the next start recomputes cold.
 
-use crate::cache::Cache;
+use crate::cache::{self, Cache};
 use crate::classify::{
-    analyze_corpus, analyze_paths, classification_doc, classification_json, corpus_fingerprint,
+    analyze_paths, classification_doc, classification_json, corpus_fingerprint, read_and_analyze,
+    Analyses, Corpus,
 };
 use crate::input::{create_parent_dirs, flag_window, quarantine_doc};
 use crate::stats::{emit_stats, wants_stats};
 use crate::Flags;
 use lastmile_repro::core::pipeline::PopulationAnalysis;
 use lastmile_repro::live::{
-    intake_body, newline_aligned_len, AppendWatcher, Epoch, Invalidation, LiveEngine, LiveHandle,
-    Source, Spool,
+    intake_body, newline_aligned_len, AppendWatcher, Batch, Epoch, LiveEngine, LiveHandle, Source,
+    Spool,
 };
 use lastmile_repro::obs::ops::{now_unix_ms, TimelineSampler, TIMELINE_METRICS};
 use lastmile_repro::obs::{
@@ -63,6 +73,7 @@ use lastmile_repro::prefix::Asn;
 use lastmile_repro::serve::http::{Request, Response};
 use lastmile_repro::serve::server::Handler;
 use lastmile_repro::serve::{signal, AccessLog, Server, ServerConfig};
+use lastmile_repro::store::CacheMode;
 use serde::Serialize;
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
@@ -73,6 +84,10 @@ use std::time::Duration;
 /// a pass: intake landing inside the window joins that pass, and a POST's
 /// acknowledgement reaches its client before the pass it triggered starts.
 const REANALYZE_DEBOUNCE: Duration = Duration::from_millis(250);
+
+/// Why a live daemon refuses `--cache ro`.
+const RO_LIVE_CACHE: &str = "--cache ro does nothing in a live daemon (--watch/--live-spool): \
+     it reads no snapshot and saves one only at shutdown, under --cache rw";
 
 /// One fully-rendered analysis generation: everything a request needs,
 /// immutable once published. Re-analysis builds the next one off to the
@@ -203,14 +218,68 @@ fn publish_snapshot(
     generation
 }
 
+/// A live daemon's kept ingest state, shared by its passes and its
+/// shutdown write-back.
+struct Kept {
+    /// The merged read plus every row folded since; `None` after a
+    /// rebuild failed, until one succeeds.
+    corpus: Option<Corpus>,
+    /// How far into each union file the kept columns reach: the bounds
+    /// of the startup read, advanced by every taken hand-off. A watched
+    /// file's provisional tail ([`Corpus::read_tail`]) reaches past it.
+    lens: Vec<u64>,
+}
+
+impl Kept {
+    /// Fold one taken batch into the kept columns, read the watched
+    /// file's tail afresh and analyse them; returns the records decoded
+    /// (folded, plus the tail's) and the analyses. A rotated corpus, or
+    /// a rebuild that failed before, re-reads the files up to the lengths
+    /// every taken hand-off reaches and drops the batch's rows, which
+    /// those bytes hold.
+    fn pass(
+        &mut self,
+        flags: &Flags,
+        paths: &[String],
+        cache: Option<&Cache>,
+        batch: Batch,
+        run: &RunMetrics,
+    ) -> Result<(u64, Analyses), String> {
+        if let Some(len) = batch.watched_len {
+            self.lens[0] = len;
+        }
+        if let Some(len) = batch.spool_len {
+            self.lens[1] = len;
+        }
+        match self.corpus.as_mut() {
+            Some(corpus) if !batch.rebuild => {
+                let mut decoded = corpus.fold_rows(batch.rows, batch.quarantined, run);
+                if flags.switch("watch") {
+                    decoded += corpus.read_tail(&paths[0], self.lens[0], Some(run));
+                }
+                corpus.write_quarantine(flags)?;
+                Ok((decoded, corpus.analyze(Some(run), None)?))
+            }
+            _ => {
+                self.corpus = None;
+                let (corpus, results) =
+                    read_and_analyze(flags, paths, Some(&self.lens), Some(run), cache)?;
+                let read = corpus.records_read();
+                self.corpus = Some(corpus);
+                Ok((read, results))
+            }
+        }
+    }
+}
+
 pub fn run(flags: &Flags) -> Result<(), String> {
     let corpus = flags.required("traceroutes")?.to_string();
     // An empty flag window fails before anything opens the corpus.
     flag_window(flags)?;
     let watch = flags.switch("watch");
-    // The corpus length BEFORE the startup analysis reads it: appends
-    // that land mid-analysis stay beyond the watcher's start offset and
-    // get picked up by the first poll instead of being silently skipped.
+    // Where the watcher starts, measured BEFORE the startup read: the
+    // read stops here, and appends that land mid-read are left to the
+    // first poll instead of being folded twice or silently skipped.
     // Newline-aligned, not a bare metadata length: a collector append
     // can be mid-record right now, and an offset inside that record
     // would make the watcher's first poll frame the record's tail as
@@ -230,18 +299,37 @@ pub fn run(flags: &Flags) -> Result<(), String> {
     if let Some(s) = &spool {
         paths.push(s.path().display().to_string());
     }
-    // The union-corpus file lengths the memoizing store is known to
-    // reflect: seeded before the startup fingerprint/analysis read the
-    // files, replaced by each successful re-analysis with the lengths
-    // *it* read, and cleared (`None`) by a failed one. The shutdown
-    // persist only stamps a fingerprint while the files still have
-    // exactly these lengths — see [`persist_live_snapshot`].
-    let analyzed_lens = Arc::new(Mutex::new(corpus_lens(&paths)));
 
     // Metrics are always collected: `/metrics` serves them.
     let metrics = Arc::new(RunMetrics::new());
     let run_timer = StageTimer::start();
-    let (results, cache) = analyze_paths(flags, &paths, Some(&metrics))?;
+    let (results, cache, kept) = if live_enabled {
+        // Every live read of a file stops at a recorded length: the
+        // watcher's start offset for a watched corpus, else the length
+        // each file has now.
+        let mut lens = file_lens(&paths)?;
+        if watch {
+            lens[0] = corpus_len0;
+        }
+        let cache = cache::unloaded(flags)?;
+        if cache
+            .as_ref()
+            .is_some_and(|c| c.store.config().mode == CacheMode::ReadOnly)
+        {
+            // Such a cache would neither serve nor save anything.
+            return Err(RO_LIVE_CACHE.into());
+        }
+        let (corpus, results) =
+            read_and_analyze(flags, &paths, Some(&lens), Some(&metrics), cache.as_ref())?;
+        let kept = Kept {
+            corpus: Some(corpus),
+            lens,
+        };
+        (results, cache, Some(Arc::new(Mutex::new(kept))))
+    } else {
+        let (results, cache) = analyze_paths(flags, &paths, Some(&metrics))?;
+        (results, cache, None)
+    };
     let cache: Option<Arc<Cache>> = cache.map(Arc::new);
     metrics.set_wall(&run_timer);
     if results.is_empty() {
@@ -263,72 +351,46 @@ pub fn run(flags: &Flags) -> Result<(), String> {
         .store(epoch.generation(), Ordering::Relaxed);
 
     // The live engine: debounced re-analysis, wired to this daemon's
-    // cache and epoch cell through one closure so `lastmile-live` stays
-    // free of CLI types.
-    let engine = if live_enabled {
+    // kept columns and epoch cell through one closure so `lastmile-live`
+    // stays free of CLI types.
+    let engine = kept.as_ref().map(|kept| {
         let reanalyze = {
             let flags = flags.clone();
             let paths = paths.clone();
             let cache = cache.clone();
             let epoch = Arc::clone(&epoch);
             let live_metrics = Arc::clone(&live_metrics);
-            let analyzed_lens = Arc::clone(&analyzed_lens);
-            Box::new(move |invalidation: &Invalidation| -> Result<(), String> {
-                // Invalidate on the engine thread, before this pass
-                // reads: the entries dropped here were built from bytes
-                // that predate the intake (or a truncation).
-                if let Some(c) = &cache {
-                    if invalidation.all {
-                        c.store.clear();
-                    } else {
-                        for probe in &invalidation.probes {
-                            c.store.invalidate_probe(*probe);
-                        }
-                    }
-                }
-                // Lengths before the read: append-only files mean the
-                // analysis covers at least these bytes, so the shutdown
-                // persist can stamp a fingerprint iff the files still
-                // end exactly here (nothing landed after the read).
-                let lens_before = corpus_lens(&paths);
+            let kept = Arc::clone(kept);
+            Box::new(move |batch: Batch| -> Result<u64, String> {
                 // A fresh RunMetrics per re-analysis: each epoch's
                 // `/metrics.run` and `/v1/populations` describe exactly
                 // the run that produced it, not an accumulation.
                 let run = RunMetrics::new();
                 let timer = StageTimer::start();
-                let outcome = (|| {
-                    let results = analyze_corpus(&flags, &paths, Some(&run), cache.as_deref())?;
-                    run.set_wall(&timer);
-                    if results.is_empty() {
-                        return Err("no analysable traceroutes in the window".into());
-                    }
-                    let snapshot = build_snapshot(&results, run.snapshot());
-                    let generation = publish_snapshot(&epoch, &live_metrics, snapshot);
-                    eprintln!(
-                        "[live] epoch {generation}: {} population(s) published",
-                        results.len()
-                    );
-                    Ok(())
-                })();
-                // A failed pass may have memoized series from bytes no
-                // published epoch reflects; `None` makes the shutdown
-                // persist skip rather than stamp a lying fingerprint.
-                *analyzed_lens.lock().expect("lens lock poisoned") = match &outcome {
-                    Ok(()) => lens_before,
-                    Err(_) => None,
-                };
-                outcome
+                let mut kept = kept.lock().expect("kept corpus lock");
+                let (decoded, results) =
+                    kept.pass(&flags, &paths, cache.as_deref(), batch, &run)?;
+                drop(kept);
+                run.set_wall(&timer);
+                if results.is_empty() {
+                    return Err("no analysable traceroutes in the window".into());
+                }
+                let snapshot = build_snapshot(&results, run.snapshot());
+                let generation = publish_snapshot(&epoch, &live_metrics, snapshot);
+                eprintln!(
+                    "[live] epoch {generation}: {} population(s) published",
+                    results.len()
+                );
+                Ok(decoded)
             })
         };
-        Some(LiveEngine::start(
+        LiveEngine::start(
             REANALYZE_DEBOUNCE,
             Arc::clone(&live_metrics),
             Arc::clone(&telemetry),
             reanalyze,
-        ))
-    } else {
-        None
-    };
+        )
+    });
     // The corpus watcher: one more intake producer, polled on its own
     // ticker every `--watch-poll-ms` (at least 10 ms, so 0 cannot spin).
     let watcher = match &engine {
@@ -458,10 +520,12 @@ pub fn run(flags: &Flags) -> Result<(), String> {
     let served = serve_metrics.requests.load(Ordering::Relaxed);
     eprintln!("[serve] shutdown: drained, {served} request(s) served");
     if let Some(c) = &cache {
-        if live_enabled {
-            persist_live_snapshot(c, flags, &paths, &analyzed_lens, &metrics)?;
-        } else {
-            c.persist(c.fingerprint, Some(&metrics))?;
+        match &kept {
+            Some(kept) => {
+                let mut kept = kept.lock().expect("kept corpus lock");
+                persist_live_snapshot(c, flags, &paths, &mut kept, &metrics)?;
+            }
+            None => c.persist(c.fingerprint, Some(&metrics))?,
         }
     }
     if wants_stats(flags) {
@@ -470,49 +534,58 @@ pub fn run(flags: &Flags) -> Result<(), String> {
     Ok(())
 }
 
-/// The byte lengths of the union-corpus files, in `paths` order
-/// (`None` when any is unreadable).
-fn corpus_lens(paths: &[String]) -> Option<Vec<u64>> {
+/// The byte lengths of the union-corpus files, in `paths` order.
+fn file_lens(paths: &[String]) -> Result<Vec<u64>, String> {
     paths
         .iter()
-        .map(|p| std::fs::metadata(p).map(|m| m.len()).ok())
+        .map(|p| {
+            std::fs::metadata(p)
+                .map(|m| m.len())
+                .map_err(|e| format!("open {p}: {e}"))
+        })
         .collect()
 }
 
-/// Re-persist the series cache after a live run. The corpus grew while
-/// serving, so the snapshot must be stamped with a fingerprint of
-/// exactly the bytes the store reflects — the bytes the last successful
-/// analysis read. Those bytes are only nameable while the (append-only)
-/// files still end where that read found them, so the lengths are
-/// checked against the last pass's both before and after the
-/// fingerprint scan; any drift — a record landing after the final
-/// drain, a failed last pass, an unreadable file — skips persisting.
-/// Skipping is the safe side: the next start recomputes cold, whereas a
-/// fingerprint claiming bytes the store never saw would make a warm
-/// start serve stale memoized series with no error.
+/// Refill and persist the series cache after a live run. The corpus grew
+/// while serving, so the snapshot must be stamped with a fingerprint of
+/// exactly the bytes the last analysis covered. Those bytes are only
+/// nameable while the (append-only) files still end where it reached
+/// (the kept columns, and a watched file's provisional tail), so the
+/// lengths are checked both before and after the
+/// fingerprint scan; any drift — a record landing after the final drain,
+/// a failed rebuild, an unreadable file — skips persisting. Skipping is
+/// the safe side: the next start recomputes cold, whereas a fingerprint
+/// claiming bytes the store never saw would make a warm start serve
+/// stale memoized series with no error.
 fn persist_live_snapshot(
     cache: &Cache,
     flags: &Flags,
     paths: &[String],
-    analyzed_lens: &Mutex<Option<Vec<u64>>>,
+    kept: &mut Kept,
     metrics: &RunMetrics,
 ) -> Result<(), String> {
     let skip = |why: &str| {
         eprintln!("[cache] {why}; leaving the snapshot unpersisted (next start recomputes)");
         Ok(())
     };
-    let Some(expected) = analyzed_lens.lock().expect("lens lock poisoned").clone() else {
-        return skip("last re-analysis did not complete cleanly");
+    let Some(corpus) = kept.corpus.as_mut() else {
+        return skip("last rebuild did not complete cleanly");
     };
-    if corpus_lens(paths).as_ref() != Some(&expected) {
+    let mut covered = kept.lens.clone();
+    covered[0] += corpus.tail_len();
+    let unchanged = || file_lens(paths).is_ok_and(|now| now == covered);
+    if !unchanged() {
         return skip("corpus changed after the last analysis");
     }
     let fingerprint = match corpus_fingerprint(flags, paths) {
         Ok(f) => f,
         Err(e) => return skip(&format!("cannot fingerprint the final corpus ({e})")),
     };
-    if corpus_lens(paths).as_ref() != Some(&expected) {
+    if !unchanged() {
         return skip("corpus changed while fingerprinting");
+    }
+    if let Err(e) = corpus.refill(cache) {
+        return skip(&format!("cannot build the final series ({e})"));
     }
     cache.persist(fingerprint, Some(metrics))
 }
@@ -655,13 +728,8 @@ fn ops_epochs(state: &ServeState) -> Response {
 
 /// `POST /v1/traceroutes`: validate the body with the batch-ingest
 /// framing/decoding (same quarantine taxonomy), spool accepted records,
-/// and hand their probes to the engine as dirty. The handler never
-/// touches the memoized store itself: invalidating from this worker
-/// thread would race an in-flight re-analysis, which could re-insert a
-/// series built from pre-append bytes *after* the invalidation — a
-/// stale entry every later pass would cache-hit. The engine invalidates
-/// the recorded probes at the start of its next pass instead, strictly
-/// before re-reading the corpus.
+/// and hand their decoded rows to the engine — under the spool lock, so
+/// spool order is hand-off order (see [`intake_body`]).
 fn ingest(req: &Request, state: &ServeState) -> Response {
     let resp = match &state.live {
         Some(LiveState {
@@ -671,7 +739,7 @@ fn ingest(req: &Request, state: &ServeState) -> Response {
             if req.body.is_empty() {
                 Response::json(400, "{\"error\":\"empty body\"}\n")
             } else {
-                match intake_body(&req.body, spool) {
+                match intake_body(&req.body, spool, |d| handle.intake(Source::Post, d)) {
                     Err(e) => Response::json(500, format!("{{\"error\":\"spool write: {e}\"}}\n")),
                     Ok(outcome) => {
                         let lm = &state.live_metrics;
@@ -688,10 +756,6 @@ fn ingest(req: &Request, state: &ServeState) -> Response {
                         } else {
                             lm.posts_accepted
                                 .fetch_add(outcome.accepted, Ordering::Relaxed);
-                            // The spool append above is durable, so the
-                            // engine's next pass is guaranteed to read
-                            // these records after it invalidates.
-                            handle.intake(Source::Post, outcome.accepted, &outcome.probes);
                             let body = serde_json::json!({
                                 "accepted": outcome.accepted,
                                 "rejected": rejected,

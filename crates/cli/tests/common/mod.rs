@@ -67,19 +67,28 @@ pub fn spawn_serve_over(
     ready: &Path,
     extra: &[&str],
 ) -> (Child, String) {
-    let _ = std::fs::remove_file(ready);
-    let mut args = vec![
-        "serve".to_string(),
-        "--traceroutes".into(),
-        trs.to_str().unwrap().into(),
-        "--probes".into(),
-        probes.to_str().unwrap().into(),
-        "--addr".into(),
-        "127.0.0.1:0".into(),
-        "--ready-file".into(),
-        ready.to_str().unwrap().into(),
+    let args = [
+        "--traceroutes",
+        trs.to_str().unwrap(),
+        "--probes",
+        probes.to_str().unwrap(),
     ];
-    args.extend(extra.iter().map(|s| s.to_string()));
+    spawn_serve_with(ready, &[&args[..], extra].concat())
+}
+
+/// `lastmile serve ARGS` on an ephemeral port; returns the child and its
+/// address once the daemon writes it to `ready` (removed first, so a
+/// restart never reads the previous daemon's address).
+pub fn spawn_serve_with(ready: &Path, args: &[&str]) -> (Child, String) {
+    let _ = std::fs::remove_file(ready);
+    let head = [
+        "serve",
+        "--addr",
+        "127.0.0.1:0",
+        "--ready-file",
+        ready.to_str().unwrap(),
+    ];
+    let args: Vec<&str> = [&head[..], args].concat();
     let mut child = Command::new(lastmile_bin())
         .args(&args)
         .stdout(Stdio::piped())

@@ -277,7 +277,7 @@ fn closed_spans(trace: &serde_json::Value) -> Vec<Span> {
 }
 
 #[test]
-fn fleet_gen_trace_separates_simulation_from_rendering() {
+fn fleet_gen_trace_accounts_for_every_probe_record_and_byte() {
     let dir = std::env::temp_dir().join(format!("lastmile-obs-fleet-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let spec = dir.join("spec.json");
@@ -313,18 +313,21 @@ fn fleet_gen_trace_separates_simulation_from_rendering() {
             .map(|s| s.begin_args["probe"].as_u64().expect("probe arg"))
             .collect()
     };
-    // Every emitted probe is simulated, then rendered, in sibling spans:
-    // rendering time is never booked as simulation.
+    // Every emitted probe is rendered as it is simulated: one
+    // `render_probe` span per probe, its `simulate_probe` span inside.
     let simulated = probes("simulate_probe");
     assert_eq!(simulated.len(), 6, "{simulated:?}");
     assert_eq!(probes("render_probe"), simulated);
     for s in spans.iter().filter(|s| s.name.ends_with("_probe")) {
-        assert!(
-            !matches!(s.parent.as_deref(), Some("simulate_probe" | "render_probe")),
-            "{} nested in {:?}",
-            s.name,
-            s.parent
-        );
+        let parent = s.parent.as_deref();
+        match s.name.as_str() {
+            "simulate_probe" => assert_eq!(parent, Some("render_probe")),
+            _ => assert!(
+                !matches!(parent, Some("simulate_probe" | "render_probe")),
+                "{} nested in {parent:?}",
+                s.name
+            ),
+        }
     }
     // Each probe waits for its turn and appends its records in exactly
     // one write span of its own.
@@ -343,7 +346,7 @@ fn fleet_gen_trace_separates_simulation_from_rendering() {
     let corpus = std::fs::read(out.join("traceroutes.jsonl")).unwrap();
     let lines = corpus.iter().filter(|&&b| b == b'\n').count() as u64;
     assert!(lines > 0);
-    assert_eq!(sum("render_probe", "records", |s| &s.begin_args), lines);
+    assert_eq!(sum("render_probe", "records", |s| &s.end_args), lines);
     assert_eq!(
         sum("render_probe", "bytes", |s| &s.end_args),
         corpus.len() as u64

@@ -17,7 +17,7 @@
 //! * SIGTERM drains in-flight requests AND any pending re-analysis
 //!   (epoch swap before snapshot re-persist), then exits 0;
 //! * every analysis decodes each record once: batch (cold, warm, cached
-//!   `--bgp`) and each live re-analysis pass over the union corpus;
+//!   `--bgp`), and a live pass decodes only what arrived since;
 //! * a POSTed record nested past the parser's recursion limit is
 //!   rejected as `json` and the daemon keeps serving;
 //! * an idle daemon sleeps: its threads wake only to work or to stop
@@ -675,8 +675,8 @@ fn each_record_is_decoded_once_per_analysis() {
         );
     }
 
-    // One live re-analysis pass decodes the union corpus once: the
-    // startup corpus plus the POSTed records, not twice that.
+    // A live pass decodes nothing the startup read covered: it folds
+    // the POSTed records' rows, each decoded once, at intake.
     let posted: Vec<&str> = corpus.lines().take(25).collect();
     let body = posted.join("\n") + "\n";
     let (status, _, reply) = http_post(&addr, "/v1/traceroutes", body.as_bytes());
@@ -688,12 +688,515 @@ fn each_record_is_decoded_once_per_analysis() {
         serde_json::from_str(std::str::from_utf8(&body).unwrap()).expect("metrics doc");
     assert_eq!(
         records_decoded(&metrics["run"]),
-        Some(records + posted.len() as u64),
+        Some(posted.len() as u64),
         "live pass"
     );
 
     let (stderr, ok) = terminate(child);
     assert!(ok, "serve did not exit cleanly: {stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The fixture corpus in `dir`, split into the records of every probe
+/// but 6005 (`head`) and probe 6005's own (`tail`), which a daemon that
+/// starts on `head` receives later: dropping a whole probe changes the
+/// population, and so the classification bytes, for sure.
+fn split_fixture(dir: &Path) -> (Vec<String>, Vec<String>, std::path::PathBuf) {
+    let (full, probes) = fixture(dir);
+    let all = std::fs::read_to_string(full).expect("fixture corpus");
+    let (head, tail): (Vec<String>, Vec<String>) = all
+        .lines()
+        .map(str::to_string)
+        .partition(|line| !line.contains("\"prb_id\":6005"));
+    assert!(tail.len() > 1000, "fixture probe 6005 too sparse to split");
+    (head, tail, probes)
+}
+
+/// Newline-terminated JSON Lines of `lines`.
+fn jsonl(lines: &[String]) -> String {
+    lines.iter().fold(String::new(), |mut s, l| {
+        s.push_str(l);
+        s.push('\n');
+        s
+    })
+}
+
+/// Cold `classify --json` over the live union (corpus, then spool):
+/// its stdout and `--stats-out` document.
+fn cold_union(
+    dir: &Path,
+    corpus: &Path,
+    spool: &Path,
+    probes: &Path,
+) -> (String, serde_json::Value) {
+    let union = dir.join("union.jsonl");
+    let mut bytes = std::fs::read(corpus).unwrap();
+    bytes.extend_from_slice(&std::fs::read(spool).unwrap());
+    std::fs::write(&union, bytes).unwrap();
+    let stats = dir.join("union-stats.json");
+    let (cold, err, ok) = run(&[
+        "classify",
+        "--traceroutes",
+        union.to_str().unwrap(),
+        "--probes",
+        probes.to_str().unwrap(),
+        "--json",
+        "--stats-out",
+        stats.to_str().unwrap(),
+    ]);
+    assert!(ok, "cold union classify failed: {err}");
+    (cold, read_stats(&stats))
+}
+
+/// The daemon's `/metrics` document.
+fn metrics_doc(addr: &str) -> serde_json::Value {
+    let (status, _, body) = http_get(addr, "/metrics");
+    assert_eq!(status, 200);
+    serde_json::from_str(std::str::from_utf8(&body).unwrap()).expect("metrics doc")
+}
+
+/// The published records of `/v1/ops/epochs`.
+fn published_epochs(addr: &str) -> Vec<serde_json::Value> {
+    let (status, _, body) = http_get(addr, "/v1/ops/epochs");
+    assert_eq!(status, 200);
+    let doc: serde_json::Value =
+        serde_json::from_str(std::str::from_utf8(&body).unwrap()).expect("epochs doc");
+    doc["epochs"]
+        .as_array()
+        .expect("epochs array")
+        .iter()
+        .filter(|e| e["outcome"] == "published")
+        .cloned()
+        .collect()
+}
+
+#[test]
+fn concurrent_posts_and_appends_converge_and_quarantine_like_a_restart() {
+    let dir = std::env::temp_dir().join(format!("lastmile-serve-mixed-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (head, tail, probes) = split_fixture(&dir);
+    // Four posters send 100 records each, 25 per POST, while the rest of
+    // probe 6005's records are appended to the watched corpus in chunks,
+    // one malformed line among them.
+    let (posted, appended) = tail.split_at(400);
+    let corpus = dir.join("live.jsonl");
+    let spool = dir.join("spool.jsonl");
+    let dump = dir.join("quarantine-live.jsonl");
+    std::fs::write(&corpus, jsonl(&head)).unwrap();
+    let live = |dump: &Path| {
+        vec![
+            "--watch".to_string(),
+            "--watch-poll-ms".into(),
+            "20".into(),
+            "--live-spool".into(),
+            spool.to_str().unwrap().into(),
+            "--quarantine".into(),
+            dump.to_str().unwrap().into(),
+        ]
+    };
+    let args = live(&dump);
+    let args: Vec<&str> = args.iter().map(String::as_str).collect();
+    let (child, addr) = spawn_serve_over(&corpus, &probes, &dir.join("ready"), &args);
+
+    std::thread::scope(|scope| {
+        for share in posted.chunks(100) {
+            let addr = addr.clone();
+            scope.spawn(move || {
+                for body in share.chunks(25) {
+                    let (status, _, reply) =
+                        http_post(&addr, "/v1/traceroutes", jsonl(body).as_bytes());
+                    assert_eq!(status, 200, "{}", String::from_utf8_lossy(&reply));
+                    let outcome: serde_json::Value =
+                        serde_json::from_str(std::str::from_utf8(&reply).unwrap()).unwrap();
+                    assert_eq!(outcome["accepted"].as_u64(), Some(body.len() as u64));
+                }
+            });
+        }
+        for (i, chunk) in appended.chunks(appended.len() / 8 + 1).enumerate() {
+            append_file(&corpus, jsonl(chunk).as_bytes());
+            if i == 3 {
+                append_file(&corpus, b"not a traceroute\n");
+            }
+            std::thread::sleep(Duration::from_millis(30));
+        }
+    });
+    let delivered = (posted.len() + appended.len()) as u64;
+    await_live_convergence(&addr, delivered, Duration::from_secs(120));
+
+    let (_, _, live_body) = http_get(&addr, "/v1/classify");
+    let (cold, _) = cold_union(&dir, &corpus, &spool, &probes);
+    assert_eq!(
+        live_body,
+        cold.as_bytes(),
+        "live daemon diverged from cold union classify"
+    );
+    let gauges = &metrics_doc(&addr)["live"];
+    assert_eq!(gauges["watch_quarantined"].as_u64(), Some(1), "{gauges}");
+    let (stderr, ok) = terminate(child);
+    assert!(ok, "serve did not exit cleanly: {stderr}");
+
+    // A daemon restarted over the final files dumps the same quarantine.
+    let restarted = dir.join("quarantine-restart.jsonl");
+    let args = live(&restarted);
+    let args: Vec<&str> = args.iter().map(String::as_str).collect();
+    let (child, _) = spawn_serve_over(&corpus, &probes, &dir.join("ready"), &args);
+    let (stderr, ok) = terminate(child);
+    assert!(ok, "restarted serve did not exit cleanly: {stderr}");
+    let live_dump = std::fs::read_to_string(&dump).unwrap();
+    assert!(live_dump.contains("not a traceroute"), "{live_dump}");
+    assert_eq!(live_dump, std::fs::read_to_string(&restarted).unwrap());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn rotation_mid_run_rebuilds_and_folds_no_record_twice() {
+    let dir = std::env::temp_dir().join(format!("lastmile-serve-rotate-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (head, tail, probes) = split_fixture(&dir);
+    // POST `before`, rotate the corpus to head + `rotated`, POST `after`,
+    // then append `appended` to the replacement.
+    let (before, rest) = tail.split_at(200);
+    let (after, rest) = rest.split_at(200);
+    let (rotated, appended) = rest.split_at(300);
+    let corpus = dir.join("live.jsonl");
+    let spool = dir.join("spool.jsonl");
+    std::fs::write(&corpus, jsonl(&head)).unwrap();
+    let (child, addr) = spawn_serve_over(
+        &corpus,
+        &probes,
+        &dir.join("ready"),
+        &[
+            "--watch",
+            "--watch-poll-ms",
+            "20",
+            "--live-spool",
+            spool.to_str().unwrap(),
+        ],
+    );
+    let post = |lines: &[String]| {
+        let (status, _, reply) = http_post(&addr, "/v1/traceroutes", jsonl(lines).as_bytes());
+        assert_eq!(status, 200, "{}", String::from_utf8_lossy(&reply));
+    };
+
+    post(before);
+    await_live_convergence(&addr, before.len() as u64, Duration::from_secs(60));
+    // Rotation by rename: a new file, longer than the old one. The POST
+    // right after it lands in the rebuild's window, so the rebuild must
+    // drop its rows: the spool it re-reads holds them.
+    let staging = dir.join("live.jsonl.new");
+    std::fs::write(&staging, jsonl(&[&head[..], rotated].concat())).unwrap();
+    std::fs::rename(&staging, &corpus).unwrap();
+    post(after);
+    let started = std::time::Instant::now();
+    while !published_epochs(&addr)
+        .iter()
+        .any(|e| e["trigger"].as_str().unwrap().contains("watch_truncation"))
+    {
+        assert!(
+            started.elapsed() < Duration::from_secs(60),
+            "no rebuild published"
+        );
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    append_file(&corpus, jsonl(appended).as_bytes());
+    let delivered = (before.len() + after.len() + appended.len()) as u64;
+    await_live_convergence(&addr, delivered, Duration::from_secs(60));
+
+    let (_, _, live_body) = http_get(&addr, "/v1/classify");
+    let (cold, cold_stats) = cold_union(&dir, &corpus, &spool, &probes);
+    assert_eq!(
+        live_body,
+        cold.as_bytes(),
+        "live daemon diverged from cold union classify"
+    );
+    // No record was folded twice: the kept pipelines were fed exactly
+    // what a cold read of the union feeds them.
+    let metrics = metrics_doc(&addr);
+    assert_eq!(
+        metrics["run"]["traceroutes_ingested"],
+        cold_stats["traceroutes_ingested"]
+    );
+    // Intake counted every delivered record once; the passes decoded
+    // each of them once, and the rebuild re-read the replacement and
+    // `before` from the spool (`after` is decoded once either way: by
+    // its own pass, or re-read by the rebuild with its rows dropped).
+    assert_eq!(
+        metrics["live"]["records_ingested"].as_u64(),
+        Some(delivered)
+    );
+    let decoded: u64 = published_epochs(&addr)
+        .iter()
+        .map(|e| e["records_decoded"].as_u64().unwrap())
+        .sum();
+    let reread = (head.len() + rotated.len() + before.len()) as u64;
+    assert_eq!(decoded, delivered + reread);
+    let (stderr, ok) = terminate(child);
+    assert!(ok, "serve did not exit cleanly: {stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `--start` and `--end` of the midnight-aligned days holding every
+/// record of `lines`.
+fn day_window<'a>(lines: impl IntoIterator<Item = &'a str>) -> (String, String) {
+    let timestamps: Vec<i64> = lines
+        .into_iter()
+        .map(|l| {
+            let doc: serde_json::Value = serde_json::from_str(l).unwrap();
+            doc["timestamp"].as_i64().unwrap()
+        })
+        .collect();
+    let day = 86_400;
+    let start = timestamps.iter().min().unwrap().div_euclid(day) * day;
+    let end = (timestamps.iter().max().unwrap().div_euclid(day) + 1) * day;
+    (start.to_string(), end.to_string())
+}
+
+/// The record `line` moved `secs` later.
+fn shifted(line: &str, secs: i64) -> String {
+    let doc: serde_json::Value = serde_json::from_str(line).unwrap();
+    let t = doc["timestamp"].as_i64().unwrap();
+    let field = format!("\"timestamp\":{t},");
+    assert!(line.contains(&field), "{line}");
+    line.replacen(&field, &format!("\"timestamp\":{},", t + secs), 1)
+}
+
+#[test]
+fn a_last_record_without_newline_is_analysed_and_persisted() {
+    let dir = std::env::temp_dir().join(format!("lastmile-serve-unterm-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (full, probes) = fixture(&dir);
+    let all = std::fs::read_to_string(&full).unwrap();
+    let last = all
+        .lines()
+        .rfind(|l| l.contains("\"prb_id\":6005"))
+        .expect("a record of probe 6005");
+    // Two days past the data, alone in its bin: it widens the window a
+    // cold read closes at the data span, so the bytes show it, and its
+    // probe's series gains a discarded bin.
+    let (late, later) = (shifted(last, 2 * 86_400), shifted(last, 3 * 86_400));
+    let corpus = dir.join("live.jsonl");
+    std::fs::write(&corpus, format!("{all}{late}")).unwrap();
+    let cold = |path: &Path, extra: &[&str]| {
+        let path = path.to_str().unwrap();
+        let args = ["classify", "--traceroutes", path, "--probes"];
+        let (out, err, ok) =
+            run(&[&args[..], &[probes.to_str().unwrap(), "--json"], extra].concat());
+        assert!(ok, "cold classify failed: {err}");
+        out
+    };
+    let watch = ["--watch", "--watch-poll-ms", "20"];
+    let (child, addr) = spawn_serve_over(&corpus, &probes, &dir.join("ready"), &watch);
+    let (_, _, body) = http_get(&addr, "/v1/classify");
+    assert_eq!(body, cold(&corpus, &[]).as_bytes(), "last record left out");
+    assert_ne!(
+        body,
+        cold(&full, &[]).as_bytes(),
+        "the last record shows nowhere"
+    );
+
+    // Its newline lands with the start of one more record: the watcher
+    // delivers the first, and the second is the new unterminated tail.
+    append_file(&corpus, format!("\n{later}").as_bytes());
+    await_live_convergence(&addr, 1, Duration::from_secs(60));
+    let (_, _, body) = http_get(&addr, "/v1/classify");
+    assert_eq!(body, cold(&corpus, &[]).as_bytes(), "after the newline");
+    let (stderr, ok) = terminate(child);
+    assert!(ok, "serve did not exit cleanly: {stderr}");
+
+    // A daemon over a known window with a series cache saves its
+    // snapshot at shutdown, the tail's series included: a warm
+    // `classify` over the file is served every probe from it and agrees
+    // with a cold one, discarded bins and all.
+    let bytes = std::fs::read_to_string(&corpus).unwrap();
+    let (start, end) = day_window(bytes.lines());
+    let cache = dir.join("cache");
+    let window = ["--start", &start, "--end", &end];
+    let (child, _) = spawn_serve_over(
+        &corpus,
+        &probes,
+        &dir.join("ready"),
+        &[
+            &watch[..],
+            &window[..],
+            &["--cache-dir", cache.to_str().unwrap()],
+        ]
+        .concat(),
+    );
+    let (stderr, ok) = terminate(child);
+    assert!(ok, "serve did not exit cleanly: {stderr}");
+    assert!(stderr.contains("[cache] saved"), "{stderr}");
+    let stats = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let (cold_stats, warm_stats) = (stats("cold.json"), stats("warm.json"));
+    let uncached = cold(
+        &corpus,
+        &[&window[..], &["--stats-out", &cold_stats]].concat(),
+    );
+    let warm_args = ["--cache-dir", cache.to_str().unwrap(), "--cache", "ro"];
+    let warm = cold(
+        &corpus,
+        &[&window[..], &warm_args[..], &["--stats-out", &warm_stats]].concat(),
+    );
+    assert_eq!(warm, uncached, "warm classify diverged from cold");
+    let (cold_stats, warm_stats) = (
+        read_stats(Path::new(&cold_stats)),
+        read_stats(Path::new(&warm_stats)),
+    );
+    assert_eq!(
+        warm_stats["store"]["misses"].as_u64(),
+        Some(0),
+        "{warm_stats}"
+    );
+    assert!(
+        warm_stats["store"]["hits"].as_u64().unwrap() > 0,
+        "{warm_stats}"
+    );
+    assert_eq!(
+        warm_stats["bins_discarded_sanity"],
+        cold_stats["bins_discarded_sanity"]
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A live daemon over `head` (`source`: routing flags and a known
+/// window) with a series cache: POST `posted`, append `appended` to the
+/// watched corpus, SIGTERM. Its snapshot must hold exactly the entries
+/// a cold `classify --cache rw` over the final union writes, and its
+/// last epoch the cold bytes. Returns the cold run's store inserts.
+fn live_snapshot_matches_cold_union(
+    dir: &Path,
+    head: &[String],
+    posted: &[String],
+    appended: &[String],
+    source: &[&str],
+) -> u64 {
+    let corpus = dir.join("live.jsonl");
+    let spool = dir.join("spool.jsonl");
+    let (live_cache, cold_cache) = (dir.join("live-cache"), dir.join("cold-cache"));
+    std::fs::write(&corpus, jsonl(head)).unwrap();
+    let live = [
+        "--traceroutes",
+        corpus.to_str().unwrap(),
+        "--watch",
+        "--watch-poll-ms",
+        "20",
+        "--live-spool",
+        spool.to_str().unwrap(),
+        "--cache-dir",
+        live_cache.to_str().unwrap(),
+    ];
+    let (child, addr) = common::spawn_serve_with(&dir.join("ready"), &[&live[..], source].concat());
+    let (status, _, reply) = http_post(&addr, "/v1/traceroutes", jsonl(posted).as_bytes());
+    assert_eq!(status, 200, "{}", String::from_utf8_lossy(&reply));
+    append_file(&corpus, jsonl(appended).as_bytes());
+    let delivered = (posted.len() + appended.len()) as u64;
+    await_live_convergence(&addr, delivered, Duration::from_secs(60));
+    let (_, _, live_body) = http_get(&addr, "/v1/classify");
+    let (stderr, ok) = terminate(child);
+    assert!(ok, "serve did not exit cleanly: {stderr}");
+    assert!(stderr.contains("[cache] saved"), "{stderr}");
+
+    let union = dir.join("union.jsonl");
+    let mut bytes = std::fs::read(&corpus).unwrap();
+    bytes.extend_from_slice(&std::fs::read(&spool).unwrap());
+    std::fs::write(&union, bytes).unwrap();
+    let stats = dir.join("cold-stats.json");
+    let cold = [
+        "classify",
+        "--traceroutes",
+        union.to_str().unwrap(),
+        "--cache-dir",
+        cold_cache.to_str().unwrap(),
+        "--json",
+        "--stats-out",
+        stats.to_str().unwrap(),
+    ];
+    let (out, err, ok) = run(&[&cold[..], source].concat());
+    assert!(ok, "cold union classify failed: {err}");
+    assert_eq!(
+        live_body,
+        out.as_bytes(),
+        "live daemon diverged from cold union"
+    );
+    // Bytes 8..16 are the source fingerprint (of two files live, of one
+    // cold); the rest, entries and their checksum, must agree.
+    let snapshot = |cache: &Path| std::fs::read(cache.join("series.lmss")).unwrap();
+    let (live, cold) = (snapshot(&live_cache), snapshot(&cold_cache));
+    assert_eq!(live[..8], cold[..8]);
+    assert_eq!(live[16..], cold[16..], "live snapshot entries differ");
+    read_stats(&stats)["store"]["inserts"].as_u64().unwrap()
+}
+
+#[test]
+fn live_snapshot_holds_what_a_cold_build_of_the_union_holds() {
+    let dir = std::env::temp_dir().join(format!("lastmile-serve-refill-{}", std::process::id()));
+    // Probe metadata: probe 6005 arrives live, by POST and by append.
+    let anchor = dir.join("anchor");
+    std::fs::create_dir_all(&anchor).unwrap();
+    let (head, tail, probes) = split_fixture(&anchor);
+    let (start, end) = day_window(head.iter().chain(&tail).map(String::as_str));
+    let (posted, appended) = tail.split_at(300);
+    let source = [
+        "--probes",
+        probes.to_str().unwrap(),
+        "--start",
+        &start,
+        "--end",
+        &end,
+    ];
+    let inserts = live_snapshot_matches_cold_union(&anchor, &head, posted, appended, &source);
+    assert!(inserts > 0);
+
+    // Per-traceroute BGP attribution: probe 1's records split across two
+    // ASNs, so only probe 2's series may be stored.
+    let (trs, bgp) = common::write_multi_asn_fixture(&dir.join("bgp"));
+    let lines: Vec<String> = std::fs::read_to_string(trs)
+        .unwrap()
+        .lines()
+        .map(str::to_string)
+        .collect();
+    let source = [
+        "--bgp",
+        bgp.to_str().unwrap(),
+        "--min-probes",
+        "1",
+        "--start",
+        "0",
+        "--end",
+        "86400",
+    ];
+    let (head, rest) = lines.split_at(24);
+    let (posted, appended) = rest.split_at(12);
+    let inserts =
+        live_snapshot_matches_cold_union(&dir.join("bgp"), head, posted, appended, &source);
+    assert_eq!(inserts, 1);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_live_daemon_refuses_a_read_only_cache() {
+    let dir = std::env::temp_dir().join(format!("lastmile-serve-live-ro-{}", std::process::id()));
+    let (trs, bgp) = common::write_multi_asn_fixture(&dir);
+    let (_, err, ok) = run(&[
+        "serve",
+        "--traceroutes",
+        trs.to_str().unwrap(),
+        "--bgp",
+        bgp.to_str().unwrap(),
+        "--min-probes",
+        "1",
+        "--watch",
+        "--cache-dir",
+        dir.join("cache").to_str().unwrap(),
+        "--cache",
+        "ro",
+        "--addr",
+        "127.0.0.1:0",
+    ]);
+    assert!(!ok, "a live daemon started with --cache ro");
+    assert!(
+        err.contains("--cache ro does nothing in a live daemon"),
+        "{err}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

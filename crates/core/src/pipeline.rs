@@ -18,6 +18,8 @@ use crate::series::{BuiltSeries, ProbeSeriesBuilder, QueuingDelaySeries};
 use lastmile_atlas::{LastMile, ProbeId, TracerouteResult};
 use lastmile_obs::{trace, Histogram};
 use lastmile_timebase::{BinSpec, TimeRange, UnixTime};
+use std::borrow::Cow;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::time::Instant;
 
@@ -225,8 +227,8 @@ impl AsPipeline {
                 "probe {probe:?} fed twice (raw and prebuilt)"
             );
             match self.builders.entry(probe) {
-                std::collections::btree_map::Entry::Occupied(mut e) => e.get_mut().absorb(builder),
-                std::collections::btree_map::Entry::Vacant(e) => drop(e.insert(builder)),
+                Entry::Occupied(mut e) => e.get_mut().absorb(builder),
+                Entry::Vacant(e) => drop(e.insert(builder)),
             }
         }
         for (probe, pre) in other.prebuilt {
@@ -236,6 +238,14 @@ impl AsPipeline {
             );
             self.prebuilt.insert(probe, pre);
         }
+    }
+
+    /// [`ProbeSeriesBuilder::seal`] every probe's columns: for a pipeline
+    /// kept alive to be fed more rows after a bulk read.
+    pub fn seal(&mut self) {
+        self.builders
+            .values_mut()
+            .for_each(ProbeSeriesBuilder::seal);
     }
 
     /// Number of traceroutes dropped for being outside the period.
@@ -250,7 +260,7 @@ impl AsPipeline {
 
     /// Run the full analysis. Panics on a pipeline built with an open
     /// bound; close it with [`AsPipeline::finish_in`].
-    pub fn finish(self) -> PopulationAnalysis {
+    pub fn finish(&self) -> PopulationAnalysis {
         let (Some(start), Some(end)) = (self.start, self.end) else {
             panic!("pipeline period has an open bound: finish it with finish_in");
         };
@@ -262,13 +272,27 @@ impl AsPipeline {
     /// traceroute it accepted, so closing it excludes nothing after the
     /// fact: the analysis and its counters equal those of a pipeline
     /// built over `period` from the start. Panics otherwise.
-    pub fn finish_in(self, period: TimeRange) -> PopulationAnalysis {
+    ///
+    /// The pipeline keeps what it was fed, so a live caller can feed it
+    /// more rows and analyse again; the result equals that of one
+    /// pipeline fed everything once.
+    pub fn finish_in(&self, period: TimeRange) -> PopulationAnalysis {
+        self.finish_in_with(period, &[])
+    }
+
+    /// [`AsPipeline::finish_in`] as if `extra` had been fed last, without
+    /// keeping it: a probe `extra` reaches is binned from a copy of its
+    /// columns. A live caller analyses so the rows it may have to take
+    /// back (a record whose line is still growing).
+    pub fn finish_in_with(&self, period: TimeRange, extra: &[LastMile]) -> PopulationAnalysis {
+        let mut over = AsPipeline::with_bounds(self.cfg, self.start, self.end);
+        extra.iter().for_each(|row| over.ingest_row(row));
         assert!(
             self.start.is_none_or(|s| s == period.start())
                 && self.end.is_none_or(|e| e == period.end()),
             "finish period {period:?} moves a bound the pipeline streamed with"
         );
-        if let Some((lo, hi)) = self.fed_span {
+        for (lo, hi) in [self.fed_span, over.fed_span].into_iter().flatten() {
             assert!(
                 period.contains(lo) && period.contains(hi),
                 "finish period {period:?} excludes traceroutes the pipeline accepted"
@@ -276,8 +300,9 @@ impl AsPipeline {
         }
         let cfg = self.cfg;
         let mut stats = PopulationStats {
-            traceroutes_ingested: self.ingested,
-            traceroutes_out_of_period: self.ignored_out_of_period as u64,
+            traceroutes_ingested: self.ingested + over.ingested,
+            traceroutes_out_of_period: (self.ignored_out_of_period + over.ignored_out_of_period)
+                as u64,
             ..PopulationStats::default()
         };
 
@@ -287,21 +312,30 @@ impl AsPipeline {
         // order a raw-only run produces, so downstream aggregation (and
         // therefore the report) is byte-identical however each probe's
         // series arrived.
-        enum Source {
-            Raw(ProbeSeriesBuilder),
-            Pre(BuiltSeries),
+        enum Source<'a> {
+            Raw(Cow<'a, ProbeSeriesBuilder>),
+            Pre(&'a BuiltSeries),
         }
         let mut merged: BTreeMap<ProbeId, Source> = self
             .builders
-            .into_iter()
-            .map(|(probe, b)| (probe, Source::Raw(b)))
+            .iter()
+            .map(|(&probe, b)| (probe, Source::Raw(Cow::Borrowed(b))))
             .collect();
-        for (probe, pre) in self.prebuilt {
+        for (&probe, pre) in &self.prebuilt {
             let clash = merged.insert(probe, Source::Pre(pre));
             assert!(
                 clash.is_none(),
                 "probe {probe:?} fed twice (raw and prebuilt)"
             );
+        }
+        for (probe, rows) in over.builders {
+            match merged.entry(probe) {
+                Entry::Occupied(mut e) => match e.get_mut() {
+                    Source::Raw(b) => b.to_mut().absorb(rows),
+                    Source::Pre(_) => panic!("probe {probe:?} fed twice (raw and prebuilt)"),
+                },
+                Entry::Vacant(e) => drop(e.insert(Source::Raw(Cow::Owned(rows)))),
+            }
         }
         let retain = self.retain_median_series;
         let mut built_series: Vec<BuiltSeries> = Vec::new();
@@ -309,15 +343,21 @@ impl AsPipeline {
             .into_values()
             .map(|src| {
                 let t_probe = Instant::now();
-                let (built, raw) = match src {
-                    Source::Raw(b) => (b.finish_detailed(), true),
-                    Source::Pre(pre) => (pre, false),
+                let q = match src {
+                    Source::Raw(b) => {
+                        let built = b.finish_detailed();
+                        stats.bins_discarded_sanity += built.discarded_bins;
+                        let q = built.series.queuing_delay();
+                        if retain {
+                            built_series.push(built);
+                        }
+                        q
+                    }
+                    Source::Pre(pre) => {
+                        stats.bins_discarded_sanity += pre.discarded_bins;
+                        pre.series.queuing_delay()
+                    }
                 };
-                stats.bins_discarded_sanity += built.discarded_bins;
-                let q = built.series.queuing_delay();
-                if raw && retain {
-                    built_series.push(built);
-                }
                 stats.series_hist.record(elapsed_nanos(t_probe));
                 q
             })
@@ -560,6 +600,34 @@ mod tests {
             merged.detection.map(|d| d.daily_amplitude_ms),
             whole.detection.map(|d| d.daily_amplitude_ms)
         );
+    }
+
+    #[test]
+    fn extra_rows_analyse_as_fed_and_are_not_kept() {
+        // Extra rows for a fed probe, a new probe and outside the period:
+        // the analysis of one pipeline fed them, and the pipeline after
+        // is as before.
+        let mut p = AsPipeline::new(PipelineConfig::paper(), period_15d());
+        feed_diurnal(&mut p, 3, 2.0);
+        let before = p.finish();
+        let extra: Vec<TracerouteResult> = (0..3)
+            .flat_map(|i| [tr(1, 5 + i * 400, 9.0), tr(7, 3600 + i * 400, 4.0)])
+            .chain([tr(2, -100, 5.0)])
+            .collect();
+        let rows: Vec<LastMile> = extra.iter().map(LastMile::of).collect();
+        let with = p.finish_in_with(period_15d(), &rows);
+        let mut fed = AsPipeline::new(PipelineConfig::paper(), period_15d());
+        feed_diurnal(&mut fed, 3, 2.0);
+        extra.iter().for_each(|t| fed.ingest(t));
+        let fed = fed.finish();
+        assert_eq!(with.probe_series, fed.probe_series);
+        assert_eq!(with.aggregated, fed.aggregated);
+        assert_eq!(with.probes_used(), 4);
+        assert_eq!(with.stats.traceroutes_ingested, 3 * 720 * 3 + 7);
+        assert_eq!(with.stats.traceroutes_out_of_period, 1);
+        let after = p.finish();
+        assert_eq!(after.probe_series, before.probe_series);
+        assert_eq!(after.stats.traceroutes_ingested, 3 * 720 * 3);
     }
 
     #[test]

@@ -30,14 +30,23 @@ use std::collections::BTreeMap;
 /// probe filled on different threads merge with
 /// [`ProbeSeriesBuilder::absorb`], which moves their columns instead of
 /// copying them.
+///
+/// The columns grow in parts of at most [`PART_ROWS`] rows, each closed
+/// at its length: feeding a builder never copies more than one part,
+/// and a builder kept alive to take more rows (a live daemon's) holds
+/// little unused capacity.
 #[derive(Clone, Debug)]
 pub struct ProbeSeriesBuilder {
     probe: ProbeId,
     bin: BinSpec,
     min_traceroutes: usize,
-    /// Column sets in feed order: one per builder absorbed.
+    /// Column sets in feed order: a new one every [`PART_ROWS`] rows,
+    /// per builder absorbed and per [`ProbeSeriesBuilder::seal`].
     parts: Vec<Columns>,
 }
+
+/// Rows per column part of a [`ProbeSeriesBuilder`].
+const PART_ROWS: usize = 1024;
 
 #[derive(Clone, Debug, Default)]
 struct Columns {
@@ -87,8 +96,13 @@ impl ProbeSeriesBuilder {
     /// probes would corrupt the series silently).
     pub fn ingest_row(&mut self, row: &LastMile) {
         assert_eq!(row.probe, self.probe, "traceroute from wrong probe");
-        if self.parts.is_empty() {
-            self.parts.push(Columns::default());
+        match self.parts.last_mut() {
+            Some(full) if full.rows.len() >= PART_ROWS => {
+                full.rtts.shrink_to_fit();
+                self.parts.push(Columns::default());
+            }
+            Some(_) => {}
+            None => self.parts.push(Columns::default()),
         }
         let part = self.parts.last_mut().expect("a part was just ensured");
         let count = |n: usize| u32::try_from(n).expect("a hop's replies fit in u32");
@@ -115,8 +129,17 @@ impl ProbeSeriesBuilder {
         self.parts.extend(other.parts);
     }
 
+    /// Close the columns as they are: rows fed later start a new part.
+    /// A builder kept alive to take more rows then never copies, or
+    /// doubles, what it already holds.
+    pub fn seal(&mut self) {
+        if !self.parts.is_empty() {
+            self.parts.push(Columns::default());
+        }
+    }
+
     /// Apply the sanity filter and compute per-bin medians.
-    pub fn finish(self) -> ProbeSeries {
+    pub fn finish(&self) -> ProbeSeries {
         self.finish_detailed().series
     }
 
@@ -127,8 +150,10 @@ impl ProbeSeriesBuilder {
     ///
     /// Rows are grouped by bin with a stable sort, so each bin's samples
     /// come out in feed order, each traceroute's in the order
-    /// [`crate::estimator::last_mile_samples`] gives them.
-    pub fn finish_detailed(self) -> BuiltSeries {
+    /// [`crate::estimator::last_mile_samples`] gives them. The builder
+    /// keeps its columns, so a live caller can feed it more rows and
+    /// build again.
+    pub fn finish_detailed(&self) -> BuiltSeries {
         // (bin, the row's RTTs, how many of them are private), feed order.
         let mut rows: Vec<(BinIndex, &[f64], usize)> = Vec::new();
         for part in &self.parts {
@@ -458,6 +483,35 @@ mod tests {
         }
         front.absorb(back);
         assert_eq!(front.finish_detailed(), whole.finish_detailed());
+    }
+
+    #[test]
+    fn bins_the_same_whatever_the_feed_order_or_part_count() {
+        // Three parts' worth of rows in time order, the same rows
+        // reversed, and two time-ordered halves absorbed one after the
+        // other.
+        let feed: Vec<TracerouteResult> = (0..3000)
+            .map(|i| tr(1, i * 50, 5.0 + (i % 11) as f64))
+            .collect();
+        let mut ordered = ProbeSeriesBuilder::paper(ProbeId(1));
+        feed.iter().for_each(|t| ordered.ingest(t));
+        assert_eq!(ordered.parts.len(), 3);
+        let mut reversed = ProbeSeriesBuilder::paper(ProbeId(1));
+        feed.iter().rev().for_each(|t| reversed.ingest(t));
+        let mut halves = ProbeSeriesBuilder::paper(ProbeId(1));
+        let mut odd = ProbeSeriesBuilder::paper(ProbeId(1));
+        for (i, t) in feed.iter().enumerate() {
+            if i % 2 == 0 {
+                halves.ingest(t)
+            } else {
+                odd.ingest(t)
+            }
+        }
+        halves.absorb(odd);
+        let built = ordered.finish_detailed();
+        assert_eq!(built.series.len(), 84);
+        assert_eq!(reversed.finish_detailed(), built);
+        assert_eq!(halves.finish_detailed(), built);
     }
 
     #[test]

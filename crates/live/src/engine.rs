@@ -2,34 +2,27 @@
 //!
 //! One engine thread owns the re-analysis closure. Intake producers —
 //! the corpus watcher's ticker and the `POST /v1/traceroutes` handler —
-//! hand what they accepted to [`LiveHandle::intake`], which marks the
-//! engine dirty. The first intake opens a debounce window and the pass
-//! runs once the window closes, so a burst of intake coalesces into one
-//! recompute instead of N. The deadline is anchored to the *first*
-//! intake (not pushed by later ones), so a continuous stream cannot
-//! starve re-analysis. The engine thread sleeps only on its condvar:
-//! until intake or shutdown while clean, until the deadline while
-//! dirty.
+//! decode what they accepted and hand the rows to [`LiveHandle::intake`],
+//! which adds them to the pending [`Batch`] and marks the engine dirty.
+//! The first intake opens a debounce window and the pass runs once the
+//! window closes, so a burst of intake coalesces into one recompute
+//! instead of N. The deadline is anchored to the *first* intake (not
+//! pushed by later ones), so a continuous stream cannot starve
+//! re-analysis. The engine thread sleeps only on its condvar: until
+//! intake or shutdown while clean, until the deadline while dirty.
 //!
-//! Dirty state is cleared *before* the closure runs: intake landing
-//! mid-analysis opens the next window and triggers another pass, which
-//! is how readers converge on the union corpus without the engine ever
-//! holding intake back. [`LiveHandle::intake`] counts the records under
-//! the lock that the pass clears the dirty state under, so each pass
-//! covers exactly the records counted before it started.
+//! A pass takes the pending batch under the lock that clears the dirty
+//! state, and [`LiveHandle::intake`] counts `live.records_ingested` under
+//! that same lock, so each pass folds exactly the records counted before
+//! it started. Intake landing mid-analysis opens the next window and
+//! triggers another pass, which is how readers converge on the union
+//! corpus without the engine ever holding intake back.
 //!
-//! Intake paths never invalidate the memoizing store themselves — they
-//! *record* dirty probes (or, on truncation, "everything") in the engine
-//! state, and each re-analysis pass snapshots-and-clears that record
-//! and hands it to the re-analysis closure, which invalidates just
-//! before reading the corpus.
-//! Invalidating from the intake thread would race an in-flight
-//! analysis: the analysis could insert a series built from bytes read
-//! *before* the append, after the invalidation, resurrecting a stale
-//! entry that the next pass would then cache-hit. With pass-start
-//! invalidation the insert and the invalidation are sequenced on the
-//! engine thread, so a dirty probe is always recomputed from bytes
-//! that include its append.
+//! Nothing is re-decoded: a pass folds the rows intake already decoded
+//! into the caller's kept columns. Only a truncated or rotated corpus
+//! makes the batch a rebuild, which re-reads the files up to the lengths
+//! the batch records — the lengths every taken hand-off reaches — and
+//! drops the rows handed over, since those bytes hold them.
 //!
 //! Shutdown drains: once the caller has stopped its intake producers,
 //! [`LiveEngine::shutdown`] lets an in-flight re-analysis finish, then
@@ -38,29 +31,52 @@
 //! record, never a mix.
 
 use crate::watch::{AppendWatcher, WatchPoll};
-use lastmile_atlas::{LastMile, ProbeId};
-use lastmile_ingest::ingest_slice;
+use lastmile_atlas::LastMile;
+use lastmile_ingest::{ingest_slice, Quarantined};
 use lastmile_obs::{ops::now_unix_ms, trace, EpochRecord, EpochTelemetry, LiveMetrics};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-/// What a re-analysis pass must invalidate before it reads.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Invalidation {
-    /// Probes with intake since the last pass (fresh records arrived
-    /// for them). May repeat.
-    pub probes: Vec<ProbeId>,
-    /// The corpus was truncated/rotated: every memoized series is
-    /// suspect, since the bytes it was built from may be gone.
-    pub all: bool,
+/// One hand-off from an intake path: the records it decoded and how far
+/// into its file they reach.
+#[derive(Debug, Default)]
+pub struct Delivery {
+    /// The accepted records' rows, in file order.
+    pub rows: Vec<LastMile>,
+    /// Records the watcher quarantined, at offsets in the corpus file
+    /// (rejected POST records never reach the spool, so a POST hands
+    /// over none).
+    pub quarantined: Vec<Quarantined>,
+    /// The length of the path's file once it holds these records: the
+    /// watcher's new offset, or the spool's length after the append.
+    pub reach: u64,
 }
 
-/// Invalidate what the pass was handed, re-run the analysis over the
-/// union corpus and publish the next epoch. Runs on the engine thread
-/// only, so the invalidation is sequenced after every earlier pass's
-/// inserts and before this pass's read.
-pub type ReanalyzeFn = Box<dyn FnMut(&Invalidation) -> Result<(), String> + Send>;
+/// Everything intake delivered since the last pass took it: what that
+/// pass folds.
+#[derive(Debug, Default)]
+pub struct Batch {
+    /// The delivered rows, in hand-off order.
+    pub rows: Vec<LastMile>,
+    /// The watcher's quarantined records, at corpus-file offsets.
+    pub quarantined: Vec<Quarantined>,
+    /// How far into the watched corpus the delivered records reach, when
+    /// the watcher delivered.
+    pub watched_len: Option<u64>,
+    /// The spool's length with the last taken POST in it, when a POST
+    /// was taken.
+    pub spool_len: Option<u64>,
+    /// The watched corpus was truncated or rotated: the pass must
+    /// re-read the files up to the recorded lengths instead of folding
+    /// `rows`, which those bytes already hold.
+    pub rebuild: bool,
+}
+
+/// Fold a taken batch into the analysis, re-run it and publish the next
+/// epoch; returns the records the pass decoded (the rows it folded, or
+/// what a rebuild re-read). Runs on the engine thread only.
+pub type ReanalyzeFn = Box<dyn FnMut(Batch) -> Result<u64, String> + Send>;
 
 /// The intake path behind one [`LiveHandle::intake`] call; each epoch
 /// record names the sources its pass covers.
@@ -69,7 +85,7 @@ pub enum Source {
     /// Records the corpus watcher found appended.
     WatchAppend,
     /// The watched corpus was truncated or rotated: the next pass
-    /// invalidates every memoized series.
+    /// rebuilds from the files.
     WatchTruncation,
     /// Records accepted by `POST /v1/traceroutes`.
     Post,
@@ -110,12 +126,10 @@ impl Triggers {
 struct EngineState {
     /// When the current debounce window opened (None: clean).
     dirty_since: Option<Instant>,
-    /// Probes with intake since the last re-analysis *started reading*;
-    /// the next pass invalidates them before it reads. May repeat.
-    dirty_probes: Vec<ProbeId>,
+    /// What intake delivered since the last pass took it.
+    pending: Batch,
     /// Intake paths that delivered since the last pass; cleared with the
-    /// dirty state so each epoch record attributes its own window. A
-    /// watcher truncation also makes the next pass invalidate everything.
+    /// dirty state so each epoch record attributes its own window.
     triggers: Triggers,
     shutdown: bool,
 }
@@ -141,23 +155,32 @@ pub struct LiveHandle {
 }
 
 impl LiveHandle {
-    /// Hand `records` accepted records of `probes` to the engine: count
-    /// them in `live.records_ingested`, record the probes whose memoized
-    /// series the next pass must invalidate, note `source` in that
+    /// Hand one `source` delivery to the engine: count its rows in
+    /// `live.records_ingested`, add it to the pending batch (a
+    /// truncation makes the batch a rebuild), note `source` in that
     /// pass's trigger, open the debounce window if it is closed, and
-    /// wake the engine — all under the lock the pass takes them under.
-    /// The caller must have durably appended the
-    /// records (spool/corpus) *before* calling: the recording
-    /// happens-before the pass's snapshot-and-clear, which
-    /// happens-before its read, so the recomputed series always covers
-    /// the append.
-    pub fn intake(&self, source: Source, records: u64, probes: &[ProbeId]) {
+    /// wake the engine — all under the lock the pass takes the batch
+    /// under. The caller must have durably appended the records
+    /// (spool/corpus) *before* calling, and calls from one path must
+    /// come in file order: a rebuild re-reads the files up to the last
+    /// `reach` it took.
+    pub fn intake(&self, source: Source, delivery: Delivery) {
         let mut state = self.shared.lock();
         self.shared
             .metrics
             .records_ingested
-            .fetch_add(records, Ordering::Relaxed);
-        state.dirty_probes.extend_from_slice(probes);
+            .fetch_add(delivery.rows.len() as u64, Ordering::Relaxed);
+        let batch = &mut state.pending;
+        match source {
+            Source::WatchAppend => batch.watched_len = Some(delivery.reach),
+            Source::WatchTruncation => {
+                batch.watched_len = Some(delivery.reach);
+                batch.rebuild = true;
+            }
+            Source::Post => batch.spool_len = Some(delivery.reach),
+        }
+        batch.rows.extend(delivery.rows);
+        batch.quarantined.extend(delivery.quarantined);
         state.triggers.set(source);
         state.dirty_since.get_or_insert_with(Instant::now);
         drop(state);
@@ -165,8 +188,8 @@ impl LiveHandle {
     }
 
     /// Poll `watcher` once and hand what it found to
-    /// [`LiveHandle::intake`]: the appended records' probes, or a
-    /// truncation.
+    /// [`LiveHandle::intake`]: the appended records' rows and quarantine,
+    /// or a truncation.
     pub fn poll_watcher(&self, watcher: &mut AppendWatcher) {
         let m = &self.shared.metrics;
         match watcher.poll() {
@@ -175,13 +198,15 @@ impl LiveHandle {
                 let _span = trace::span_with("live_watch_append", |a| {
                     a.u64("bytes", bytes.len() as u64);
                 });
-                let mut probes = Vec::new();
-                let quarantined =
-                    ingest_slice(&bytes, |_, _, row: LastMile| probes.push(row.probe));
+                let reach = watcher.offset();
+                let start = reach - bytes.len() as u64;
+                let mut rows = Vec::new();
+                let mut quarantined = ingest_slice(&bytes, |_, _, row: LastMile| rows.push(row));
                 m.watch_appends.fetch_add(1, Ordering::Relaxed);
                 m.watch_quarantined
                     .fetch_add(quarantined.len() as u64, Ordering::Relaxed);
-                for q in &quarantined {
+                for q in &mut quarantined {
+                    q.offset += start;
                     eprintln!(
                         "[live] watch: quarantined record at byte {} ({}): {}",
                         q.offset,
@@ -189,19 +214,30 @@ impl LiveHandle {
                         q.detail
                     );
                 }
-                if !probes.is_empty() {
-                    self.intake(Source::WatchAppend, probes.len() as u64, &probes);
-                }
+                self.intake(
+                    Source::WatchAppend,
+                    Delivery {
+                        rows,
+                        quarantined,
+                        reach,
+                    },
+                );
             }
             WatchPoll::Truncated(len) => {
                 let _span = trace::span_with("live_watch_truncation", |a| {
                     a.u64("bytes", len);
                 });
                 eprintln!(
-                    "[live] watch: corpus truncated/rotated; falling back to full re-ingest ({len} bytes)"
+                    "[live] watch: corpus truncated/rotated; rebuilding from the files ({len} bytes)"
                 );
                 m.watch_truncations.fetch_add(1, Ordering::Relaxed);
-                self.intake(Source::WatchTruncation, 0, &[]);
+                self.intake(
+                    Source::WatchTruncation,
+                    Delivery {
+                        reach: len,
+                        ..Delivery::default()
+                    },
+                );
             }
         }
     }
@@ -304,13 +340,10 @@ fn engine_loop(shared: &Shared, debounce: Duration, mut reanalyze: ReanalyzeFn) 
     }
 }
 
-/// Run one re-analysis pass: snapshot-and-clear the dirty state (so
-/// intake landing mid-analysis opens the next window), release the lock
-/// and hand the snapshot to the closure, which invalidates, then
-/// re-reads and publishes; return the lock retaken. Invalidation
-/// happens there — on the engine thread, after any prior pass's inserts
-/// and before this pass's read — never on the intake threads (see the
-/// module docs for the resurrection race that ordering prevents).
+/// Run one re-analysis pass: take the pending batch and clear the dirty
+/// state (so intake landing mid-analysis opens the next window), release
+/// the lock and hand the batch to the closure, which folds it and
+/// publishes; return the lock retaken.
 fn run_reanalysis<'a>(
     shared: &'a Shared,
     mut state: MutexGuard<'a, EngineState>,
@@ -318,30 +351,27 @@ fn run_reanalysis<'a>(
 ) -> MutexGuard<'a, EngineState> {
     let m = &shared.metrics;
     // The records this pass covers: intake counts them under this lock,
-    // so the count and the probes taken below describe the same intake.
+    // so the count and the batch taken below describe the same intake.
     let base = m.records_ingested.load(Ordering::Relaxed);
     state.dirty_since = None;
     let triggers = std::mem::take(&mut state.triggers);
-    let invalidation = Invalidation {
-        probes: std::mem::take(&mut state.dirty_probes),
-        all: triggers.watch_truncation,
-    };
+    let batch = std::mem::take(&mut state.pending);
     drop(state);
     let started = Instant::now();
     let _span = trace::span("live_reanalyze");
-    let outcome = reanalyze(&invalidation);
+    let outcome = reanalyze(batch);
     let pass_nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    let error = match &outcome {
-        Ok(()) => {
+    let (records_decoded, error) = match outcome {
+        Ok(decoded) => {
             m.reanalyses.fetch_add(1, Ordering::Relaxed);
             m.reanalysis_nanos.store(pass_nanos, Ordering::Relaxed);
             m.records_analyzed.fetch_max(base, Ordering::Relaxed);
-            String::new()
+            (decoded, String::new())
         }
         Err(e) => {
             m.reanalysis_errors.fetch_add(1, Ordering::Relaxed);
             eprintln!("[live] re-analysis failed: {e}");
-            e.clone()
+            (0, e)
         }
     };
     // Epoch and swap nanos are read *after* the pass: the reanalyze
@@ -351,7 +381,7 @@ fn run_reanalysis<'a>(
         epoch: m.epoch.load(Ordering::Relaxed),
         trigger: triggers.label(),
         records_ingested: base,
-        probes_invalidated: invalidation.probes.len() as u64,
+        records_decoded,
         pass_nanos,
         swap_nanos: m.swap_nanos.load(Ordering::Relaxed),
         outcome: if error.is_empty() {
@@ -370,18 +400,36 @@ mod tests {
     use super::*;
     use crate::intake::tests::record;
     use crate::watch::tests::TempDir;
+    use lastmile_atlas::ProbeId;
     use lastmile_obs::Ticker;
+    use lastmile_timebase::UnixTime;
     use std::sync::mpsc::{channel, Receiver, Sender};
 
-    /// An engine with no debounce whose passes each log their
-    /// invalidation and bump the epoch like the real closure, then wait
-    /// for the test to release them, so a test can land intake while a
-    /// pass is held.
+    /// What one pass was handed: the probes of its rows, in hand-off
+    /// order, and whether it was a rebuild.
+    #[derive(Clone, Debug, PartialEq, Eq)]
+    struct Taken {
+        probes: Vec<ProbeId>,
+        rebuild: bool,
+    }
+
+    impl Taken {
+        fn of(batch: &Batch) -> Taken {
+            Taken {
+                probes: batch.rows.iter().map(|row| row.probe).collect(),
+                rebuild: batch.rebuild,
+            }
+        }
+    }
+
+    /// An engine with no debounce whose passes each log what they took
+    /// and bump the epoch like the real closure, then wait for the test
+    /// to release them, so a test can land intake while a pass is held.
     struct Gated {
         engine: LiveEngine,
         metrics: Arc<LiveMetrics>,
         telemetry: Arc<EpochTelemetry>,
-        passes: Arc<Mutex<Vec<Invalidation>>>,
+        passes: Arc<Mutex<Vec<Taken>>>,
         /// One message per pass, sent as it starts.
         started: Receiver<()>,
         /// Each message lets one held pass finish; dropping it lets
@@ -401,12 +449,12 @@ mod tests {
                 Duration::ZERO,
                 Arc::clone(&metrics),
                 Arc::clone(&telemetry),
-                Box::new(move |invalidation: &Invalidation| {
-                    seen.lock().unwrap().push(invalidation.clone());
+                Box::new(move |batch: Batch| {
+                    seen.lock().unwrap().push(Taken::of(&batch));
                     let _ = started_tx.send(());
                     let _ = released.recv();
                     epoch.epoch.fetch_add(1, Ordering::Relaxed);
-                    Ok(())
+                    Ok(batch.rows.len() as u64)
                 }),
             );
             Gated {
@@ -428,7 +476,7 @@ mod tests {
 
         /// Let every pass run through, shut down (draining) and return
         /// what each pass was handed.
-        fn finish(self) -> (Vec<Invalidation>, Arc<LiveMetrics>, Arc<EpochTelemetry>) {
+        fn finish(self) -> (Vec<Taken>, Arc<LiveMetrics>, Arc<EpochTelemetry>) {
             drop(self.release);
             self.engine.shutdown();
             let passes = self.passes.lock().unwrap().clone();
@@ -440,16 +488,41 @@ mod tests {
         ids.iter().copied().map(ProbeId).collect()
     }
 
+    /// A delivery of one row per probe in `ids`.
+    fn rows(ids: &[u32]) -> Delivery {
+        Delivery {
+            rows: ids
+                .iter()
+                .map(|&id| LastMile {
+                    probe: ProbeId(id),
+                    timestamp: UnixTime::from_secs(1000),
+                    edge: None,
+                    rtts: Vec::new(),
+                    private: 0,
+                })
+                .collect(),
+            ..Delivery::default()
+        }
+    }
+
+    /// A pass that took the rows of `ids`, not as a rebuild.
+    fn folded(ids: &[u32]) -> Taken {
+        Taken {
+            probes: probes(ids),
+            rebuild: false,
+        }
+    }
+
     #[test]
     fn burst_of_signals_coalesces_into_one_reanalysis() {
         let gated = Gated::start();
         let handle = gated.engine.handle();
-        handle.intake(Source::Post, 1, &probes(&[1]));
+        handle.intake(Source::Post, rows(&[1]));
         gated.held();
         // Five intakes while the first pass is held: one more pass
         // covers them all.
         for probe in 10..15 {
-            handle.intake(Source::Post, 1, &probes(&[probe]));
+            handle.intake(Source::Post, rows(&[probe]));
         }
         gated.release.send(()).unwrap();
         gated.held();
@@ -457,16 +530,7 @@ mod tests {
         let (passes, metrics, _) = gated.finish();
         assert_eq!(
             passes,
-            vec![
-                Invalidation {
-                    probes: probes(&[1]),
-                    all: false,
-                },
-                Invalidation {
-                    probes: probes(&[10, 11, 12, 13, 14]),
-                    all: false,
-                },
-            ],
+            vec![folded(&[1]), folded(&[10, 11, 12, 13, 14]),],
             "clean shutdown re-runs nothing"
         );
         assert_eq!(metrics.reanalyses.load(Ordering::Relaxed), 2);
@@ -484,22 +548,19 @@ mod tests {
             Duration::from_secs(3600),
             Arc::clone(&metrics),
             Arc::new(EpochTelemetry::new()),
-            Box::new(move |invalidation: &Invalidation| {
-                seen.lock().unwrap().push(invalidation.clone());
-                Ok(())
+            Box::new(move |batch: Batch| {
+                seen.lock().unwrap().push(Taken::of(&batch));
+                Ok(batch.rows.len() as u64)
             }),
         );
         let handle = engine.handle();
-        handle.intake(Source::Post, 1, &probes(&[7]));
-        handle.intake(Source::Post, 2, &probes(&[9, 7]));
+        handle.intake(Source::Post, rows(&[7]));
+        handle.intake(Source::Post, rows(&[9, 7]));
         assert!(passes.lock().unwrap().is_empty(), "the window is open");
         engine.shutdown();
         assert_eq!(
             *passes.lock().unwrap(),
-            vec![Invalidation {
-                probes: probes(&[7, 9, 7]),
-                all: false,
-            }],
+            vec![folded(&[7, 9, 7])],
             "pending intake must drain through one final re-analysis"
         );
         assert_eq!(metrics.snapshot().ingest_lag, 0);
@@ -516,16 +577,16 @@ mod tests {
             debounce,
             Arc::new(LiveMetrics::new()),
             Arc::new(EpochTelemetry::new()),
-            Box::new(move |invalidation: &Invalidation| {
-                seen.lock().unwrap().push(invalidation.clone());
+            Box::new(move |batch: Batch| {
+                seen.lock().unwrap().push(Taken::of(&batch));
                 ran.send(Instant::now()).unwrap();
-                Ok(())
+                Ok(batch.rows.len() as u64)
             }),
         );
         let handle = engine.handle();
         let opened = Instant::now();
         for probe in 1..=4 {
-            handle.intake(Source::Post, 1, &probes(&[probe]));
+            handle.intake(Source::Post, rows(&[probe]));
         }
         let ran_at = runs
             .recv_timeout(Duration::from_secs(10))
@@ -536,48 +597,37 @@ mod tests {
         );
         engine.shutdown();
         assert_eq!(runs.try_iter().count(), 0, "no second pass");
-        assert_eq!(
-            *passes.lock().unwrap(),
-            vec![Invalidation {
-                probes: probes(&[1, 2, 3, 4]),
-                all: false,
-            }]
-        );
+        assert_eq!(*passes.lock().unwrap(), vec![folded(&[1, 2, 3, 4])]);
     }
 
     #[test]
-    fn dirty_probes_invalidate_at_pass_start_not_at_intake() {
-        // The regression this pins: POST intake must NOT invalidate the
-        // store from the worker thread (an in-flight analysis could
-        // re-insert a stale series after that). Instead the probes are
-        // recorded, and the pass hands them to the re-analysis closure,
-        // which invalidates right before it reads.
+    fn intake_during_a_pass_waits_for_the_next_one() {
+        // Intake landing while a pass runs is only recorded: the held
+        // pass keeps what it took, and the next pass takes the rows of
+        // every intake since, coalesced in hand-off order.
         let gated = Gated::start();
         let handle = gated.engine.handle();
-        handle.intake(Source::Post, 1, &probes(&[1]));
+        handle.intake(Source::Post, rows(&[1]));
         gated.held();
-        handle.intake(Source::Post, 1, &probes(&[7]));
-        handle.intake(Source::Post, 2, &probes(&[9, 7]));
+        handle.intake(Source::Post, rows(&[7]));
+        handle.intake(Source::Post, rows(&[9, 7]));
         assert_eq!(
             gated.passes.lock().unwrap().len(),
             1,
-            "intake must only record dirty probes, never invalidate inline"
+            "intake must only add to the pending batch, never run a pass inline"
         );
         gated.release.send(()).unwrap();
         gated.held();
         let (passes, _, _) = gated.finish();
         assert_eq!(
             passes[1],
-            Invalidation {
-                probes: probes(&[7, 9, 7]),
-                all: false,
-            },
-            "one coalesced invalidation, handed to the pass that reads"
+            folded(&[7, 9, 7]),
+            "one coalesced batch, handed to the next pass"
         );
     }
 
     #[test]
-    fn truncation_makes_the_next_pass_clear_everything() {
+    fn truncation_makes_the_next_pass_a_rebuild() {
         let dir = TempDir::new("engine-trunc");
         let corpus = dir.path("corpus.jsonl");
         std::fs::write(&corpus, b"aaa\nbbb\n").unwrap();
@@ -590,9 +640,9 @@ mod tests {
         assert_eq!(metrics.watch_truncations.load(Ordering::Relaxed), 1);
         assert_eq!(
             passes,
-            vec![Invalidation {
+            vec![Taken {
                 probes: Vec::new(),
-                all: true,
+                rebuild: true,
             }]
         );
     }
@@ -615,13 +665,7 @@ mod tests {
         std::fs::write(&corpus, format!("{}\n", record(42))).unwrap();
         gated.engine.handle().poll_watcher(&mut ticker.stop());
         let (passes, metrics, telemetry) = gated.finish();
-        assert_eq!(
-            passes,
-            vec![Invalidation {
-                probes: probes(&[42]),
-                all: false,
-            }]
-        );
+        assert_eq!(passes, vec![folded(&[42])]);
         let live = metrics.snapshot();
         assert_eq!((live.records_ingested, live.ingest_lag), (1, 0));
         assert_eq!(telemetry.snapshot()[0].trigger, "watch_append");
@@ -630,18 +674,23 @@ mod tests {
     #[test]
     fn ingest_lag_reaches_zero_under_concurrent_intake() {
         let metrics = Arc::new(LiveMetrics::new());
+        let folded = Arc::new(std::sync::atomic::AtomicU64::new(0));
+        let sum = Arc::clone(&folded);
         let engine = LiveEngine::start(
             Duration::ZERO,
             Arc::clone(&metrics),
             Arc::new(EpochTelemetry::new()),
-            Box::new(|_| Ok(())),
+            Box::new(move |batch: Batch| {
+                sum.fetch_add(batch.rows.len() as u64, Ordering::Relaxed);
+                Ok(batch.rows.len() as u64)
+            }),
         );
         let producers: Vec<_> = (0..4u32)
             .map(|t| {
                 let handle = engine.handle();
                 std::thread::spawn(move || {
                     for i in 0..500u32 {
-                        handle.intake(Source::Post, u64::from(i % 3 + 1), &probes(&[t, i]));
+                        handle.intake(Source::Post, rows(&vec![t; (i % 3 + 1) as usize]));
                     }
                 })
             })
@@ -654,6 +703,8 @@ mod tests {
         let per_producer: u64 = (0..500u64).map(|i| i % 3 + 1).sum();
         assert_eq!(live.records_ingested, 4 * per_producer);
         assert_eq!(live.ingest_lag, 0, "{live:?}");
+        // Every row handed over was folded by exactly one pass.
+        assert_eq!(folded.load(Ordering::Relaxed), live.records_ingested);
     }
 
     #[test]
@@ -665,12 +716,12 @@ mod tests {
             Duration::ZERO,
             Arc::clone(&metrics),
             Arc::clone(&telemetry),
-            Box::new(move |_| {
+            Box::new(move |_: Batch| {
                 ran.send(()).unwrap();
                 Err("boom".to_string())
             }),
         );
-        engine.handle().intake(Source::Post, 1, &probes(&[1]));
+        engine.handle().intake(Source::Post, rows(&[1]));
         runs.recv_timeout(Duration::from_secs(10))
             .expect("failed re-analysis");
         // An error clears the dirty state like a success, so nothing is
@@ -691,23 +742,23 @@ mod tests {
     fn epoch_telemetry_attributes_triggers_per_pass() {
         let gated = Gated::start();
         let handle = gated.engine.handle();
-        handle.intake(Source::Post, 2, &probes(&[7, 9]));
+        handle.intake(Source::Post, rows(&[7, 9]));
         gated.held();
-        handle.intake(Source::WatchAppend, 3, &probes(&[3, 3, 4]));
-        handle.intake(Source::Post, 1, &probes(&[5]));
+        handle.intake(Source::WatchAppend, rows(&[3, 3, 4]));
+        handle.intake(Source::Post, rows(&[5]));
         let (_, _, telemetry) = gated.finish();
         let records = telemetry.snapshot();
         assert_eq!(records.len(), 2, "one record per pass");
         let (first, second) = (&records[0], &records[1]);
         assert_eq!(first.trigger, "post");
-        assert_eq!(first.probes_invalidated, 2);
+        assert_eq!(first.records_decoded, 2);
         assert_eq!(first.records_ingested, 2);
         assert_eq!(first.outcome, "published");
         assert_eq!(first.epoch, 1, "records the epoch the pass produced");
         assert!(first.unix_ms > 0);
         assert_eq!(first.error, "");
         assert_eq!(second.trigger, "watch_append+post");
-        assert_eq!(second.probes_invalidated, 4);
+        assert_eq!(second.records_decoded, 4);
         assert_eq!(second.records_ingested, 6);
         assert_eq!(second.epoch, 2);
     }

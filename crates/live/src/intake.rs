@@ -1,15 +1,19 @@
-//! POST intake: validate a request body and spool accepted records.
+//! POST intake: validate a request body, spool accepted records and
+//! hand their rows to the engine.
 //!
 //! `POST /v1/traceroutes` bodies are framed and decoded to their
 //! last-mile rows by [`lastmile_ingest::ingest_slice`] — the same
-//! framing, decoder and quarantine taxonomy as batch ingest, verbatim. Accepted records are appended to
-//! the **spool**: a JSON Lines file that is part of the daemon's union
-//! corpus from startup, so every re-analysis (and any later cold
-//! `classify` over corpus + spool) sees POSTed records exactly as
-//! file-appended ones. Rejected records never touch the spool; they go
-//! back to the client with their quarantine kind/detail.
+//! framing, decoder and quarantine taxonomy as batch ingest, verbatim.
+//! Accepted records are appended to the **spool**: a JSON Lines file
+//! that is part of the daemon's union corpus from startup, so a rebuild
+//! (and any later cold `classify` over corpus + spool) sees POSTed
+//! records exactly as file-appended ones. Their rows go to the engine as
+//! decoded here, so no pass decodes them again. Rejected records never
+//! touch the spool; they go back to the client with their quarantine
+//! kind/detail.
 
-use lastmile_atlas::{LastMile, ProbeId};
+use crate::engine::Delivery;
+use lastmile_atlas::LastMile;
 use lastmile_ingest::{ingest_slice, Quarantined};
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -46,57 +50,61 @@ impl Spool {
     pub fn path(&self) -> &Path {
         &self.path
     }
-
-    /// Append each record as one newline-terminated line and flush.
-    fn append_records(&self, records: &[&[u8]]) -> std::io::Result<()> {
-        let mut file = self.file.lock().expect("spool lock poisoned");
-        for record in records {
-            file.write_all(record)?;
-            file.write_all(b"\n")?;
-        }
-        file.flush()
-    }
 }
 
 /// What one POST body produced.
 pub struct IntakeOutcome {
     /// Records validated and spooled.
     pub accepted: u64,
-    /// Probe of each accepted record (the caller invalidates their
-    /// memoized series); may repeat.
-    pub probes: Vec<ProbeId>,
     /// Records refused, with the batch-ingest quarantine taxonomy.
     pub rejected: Vec<Quarantined>,
 }
 
-/// Validate `body` and spool the accepted records. All-or-per-record:
-/// each record stands alone (a bad line never blocks its neighbours),
-/// exactly like batch ingest over a corrupted corpus. Nothing is
-/// spooled if the write fails — the error propagates and the client
-/// gets a 500 rather than a silently half-accepted batch.
-pub fn intake_body(body: &[u8], spool: &Spool) -> std::io::Result<IntakeOutcome> {
+/// Validate `body`, spool the accepted records and pass their rows to
+/// `hand_off`. All-or-per-record: each record stands alone (a bad line
+/// never blocks its neighbours), exactly like batch ingest over a
+/// corrupted corpus. Nothing is spooled or handed off if the write fails
+/// — the error propagates and the client gets a 500 rather than a
+/// silently half-accepted batch.
+///
+/// `hand_off` runs under the spool lock, right after the append, with
+/// the spool's new length as the delivery's `reach`: spool order is
+/// hand-off order, so a rebuild that re-reads the spool up to a taken
+/// length holds exactly the POSTs handed off before it.
+pub fn intake_body(
+    body: &[u8],
+    spool: &Spool,
+    hand_off: impl FnOnce(Delivery),
+) -> std::io::Result<IntakeOutcome> {
     let mut raw: Vec<Vec<u8>> = Vec::new();
-    let mut probes = Vec::new();
+    let mut rows = Vec::new();
     let rejected = ingest_slice(body, |_, bytes, row: LastMile| {
         raw.push(bytes.to_vec());
-        probes.push(row.probe);
+        rows.push(row);
     });
-    if !raw.is_empty() {
-        let slices: Vec<&[u8]> = raw.iter().map(|r| r.as_slice()).collect();
-        spool.append_records(&slices)?;
+    let accepted = rows.len() as u64;
+    if !rows.is_empty() {
+        let mut file = spool.file.lock().expect("spool lock poisoned");
+        for record in &raw {
+            file.write_all(record)?;
+            file.write_all(b"\n")?;
+        }
+        file.flush()?;
+        let reach = file.metadata()?.len();
+        hand_off(Delivery {
+            rows,
+            quarantined: Vec::new(),
+            reach,
+        });
     }
-    Ok(IntakeOutcome {
-        accepted: raw.len() as u64,
-        probes,
-        rejected,
-    })
+    Ok(IntakeOutcome { accepted, rejected })
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
     use lastmile_atlas::json::to_atlas_json;
-    use lastmile_atlas::{Hop, Reply, TracerouteResult};
+    use lastmile_atlas::{Hop, ProbeId, Reply, TracerouteResult};
     use lastmile_timebase::UnixTime;
 
     /// One valid Atlas traceroute line (no newline) from `probe`.
@@ -126,17 +134,24 @@ pub(crate) mod tests {
     fn accepted_records_spool_verbatim_rejects_carry_taxonomy() {
         let (spool, path) = temp_spool("mixed");
         let body = format!("{}\n{{\"bad\":1}}\nnot json\n{}\n", record(1), record(2));
-        let outcome = intake_body(body.as_bytes(), &spool).unwrap();
+        let mut handed = Vec::new();
+        let outcome = intake_body(body.as_bytes(), &spool, |d| handed.push(d)).unwrap();
         assert_eq!(outcome.accepted, 2);
-        assert_eq!(outcome.probes, vec![ProbeId(1), ProbeId(2)]);
+        let probes: Vec<ProbeId> = handed[0].rows.iter().map(|r| r.probe).collect();
+        assert_eq!(probes, vec![ProbeId(1), ProbeId(2)]);
         assert_eq!(outcome.rejected.len(), 2);
         assert!(outcome.rejected.iter().all(|q| q.kind.name() == "json"));
         // The spool holds exactly the accepted records, newline-
         // terminated, in order — a valid JSON Lines corpus fragment.
         let spooled = std::fs::read_to_string(&path).unwrap();
         assert_eq!(spooled, format!("{}\n{}\n", record(1), record(2)));
+        // The hand-off reaches the end of the spool it was appended to.
+        assert_eq!(handed[0].reach, spooled.len() as u64);
         // A second batch appends.
-        let outcome = intake_body(format!("{}\n", record(3)).as_bytes(), &spool).unwrap();
+        let outcome = intake_body(format!("{}\n", record(3)).as_bytes(), &spool, |d| {
+            handed.push(d)
+        })
+        .unwrap();
         assert_eq!(outcome.accepted, 1);
         let spooled = std::fs::read_to_string(&path).unwrap();
         assert_eq!(
@@ -149,7 +164,10 @@ pub(crate) mod tests {
     #[test]
     fn all_rejected_body_spools_nothing() {
         let (spool, path) = temp_spool("rejected");
-        let outcome = intake_body(b"junk\nmore junk\n", &spool).unwrap();
+        let outcome = intake_body(b"junk\nmore junk\n", &spool, |_| {
+            panic!("nothing accepted, nothing handed off")
+        })
+        .unwrap();
         assert_eq!(outcome.accepted, 0);
         assert_eq!(outcome.rejected.len(), 2);
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "");

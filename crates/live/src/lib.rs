@@ -12,19 +12,28 @@
 //! * [`watch::AppendWatcher`] — polls the corpus file's length and
 //!   identity (`(dev, inode)` where available), slurps
 //!   newline-terminated bytes appended past the length the startup
-//!   analysis read, and falls back to a full re-ingest on
-//!   truncation/rotation — including rename-rotation to a
-//!   same-or-longer replacement.
+//!   read covered, and reports a truncation/rotation — including
+//!   rename-rotation to a same-or-longer replacement — with the
+//!   replacement's newline-aligned length.
 //! * [`engine::LiveEngine`] — the scheduler thread. Intake enters
 //!   through one call, [`engine::LiveHandle::intake`], from the watcher
 //!   (polled on the caller's `obs::Ticker`) and from
-//!   `POST /v1/traceroutes`. A debounce window coalesces bursts, then
-//!   one re-analysis pass invalidates the dirty probes' memoized series
-//!   (on the engine thread, so an in-flight pass can never resurrect a
-//!   stale entry) and publishes the next epoch. Shutdown drains: after
-//!   the caller's last watcher poll, a pending re-analysis completes
-//!   before the engine joins, so the snapshot the daemon re-persists
-//!   never mixes epochs.
+//!   `POST /v1/traceroutes` ([`intake::intake_body`], which hands off
+//!   under the spool lock). Each path decodes its records once and hands
+//!   over the rows; a debounce window coalesces bursts into one
+//!   [`engine::Batch`], and one pass folds it into the caller's kept
+//!   columns and publishes the next epoch — nothing already read is
+//!   decoded again. A truncation makes the batch a rebuild, which
+//!   re-reads the files up to the lengths the batch records. Shutdown
+//!   drains: after the caller's last watcher poll, a pending
+//!   re-analysis completes before the engine joins, so the snapshot the
+//!   daemon persists never mixes epochs.
+//!
+//! The kept columns are the caller's (the CLI keeps them in its
+//! `classify::Corpus`) and cost about 16 B per in-window record plus
+//! 8 B per kept RTT for as long as the daemon runs. Every read of a
+//! union file is bounded to a recorded length, and a daemon consults
+//! its series store only at shutdown, when it refills and persists it.
 //!
 //! The correctness contract the whole crate serves: after any sequence
 //! of accepted appends, `GET /v1/classify` is byte-identical to a cold
@@ -35,7 +44,7 @@ pub mod epoch;
 pub mod intake;
 pub mod watch;
 
-pub use engine::{Invalidation, LiveEngine, LiveHandle, Source};
+pub use engine::{Batch, Delivery, LiveEngine, LiveHandle, Source};
 pub use epoch::Epoch;
 pub use intake::{intake_body, IntakeOutcome, Spool};
 pub use watch::{newline_aligned_len, AppendWatcher, WatchPoll};

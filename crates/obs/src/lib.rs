@@ -100,7 +100,10 @@ metrics! {
         counter decode_fallbacks("lastmile_run_ingest_decode_fallbacks_total", "Records the decoder's fast pass declined and handed to serde, quarantined ones included.");
         counter wall_nanos("lastmile_run_ingest_wall_nanos_total", "Elapsed wall nanoseconds of file ingest, summed across input files.");
         /// A queue pinned at its capacity means the parse workers are the
-        /// bottleneck, a queue near zero means framing/IO is.
+        /// bottleneck, a queue near zero means framing/IO is. A
+        /// scheduling-dependent high-water mark: two runs over the same
+        /// input may differ, so it is outside the identical-across-threads
+        /// contract the counters keep.
         max queue_max_depth("lastmile_run_ingest_queue_max_depth", "High-water mark of the bounded ingest batch queue.");
     }
 }
@@ -369,6 +372,8 @@ metrics! {
         counter worker_panics("lastmile_serve_worker_panics_total", "Worker iterations that panicked while handling a connection.");
         gauge in_flight("lastmile_serve_in_flight", "Requests being handled right now.");
         gauge queue_depth("lastmile_serve_queue_depth", "Connections sitting in the accept queue right now.");
+        /// A scheduling-dependent high-water mark, outside the
+        /// identical-across-threads contract the counters keep.
         derived queue_max_depth(u64 = |m, _| m.queue_depth.high_water(),
             "lastmile_serve_queue_max_depth", "High-water mark of the accept queue depth.");
         counter fastlane_hits("lastmile_serve_fastlane_hits_total", "Probes served by the fast lane while the accept queue was busy.");

@@ -360,8 +360,9 @@ pub struct EpochRecord {
     pub trigger: String,
     /// Total records live-ingested when the pass started.
     pub records_ingested: u64,
-    /// Probes invalidated at pass start (0 = full invalidation).
-    pub probes_invalidated: u64,
+    /// Records the pass decoded: the rows it folded (each decoded once,
+    /// at intake), or what a rebuild re-read from the files.
+    pub records_decoded: u64,
     /// Wall nanoseconds the whole pass took.
     pub pass_nanos: u64,
     /// Wall nanoseconds the epoch pointer swap took.

@@ -12,8 +12,8 @@
 //! merge, no slice. Repeated runs over one window (a re-run of
 //! `classify`, a live pass) therefore pay the binning cost once per
 //! probe instead of once per run. The one caller is the CLI's
-//! `--cache-dir` path (`classify`, `hygiene`, `serve` start-up and its
-//! live re-analysis passes).
+//! `--cache-dir` path (`classify`, `hygiene`, `serve` start-up, and a
+//! live daemon's shutdown write-back).
 //!
 //! The store only stores: it keeps no traffic counters. [`Lookup`] and
 //! [`SeriesStore::insert`]'s result tell the caller what happened, and
@@ -44,8 +44,8 @@
 //! Every entry sits in one `RwLock`-protected map, and all methods take
 //! `&self`, so a store is safe to share between threads. Nothing
 //! contends on it in practice: `classify` looks probes up under its own
-//! probe-table lock and inserts on one thread after the read, the live
-//! engine invalidates and clears on its one thread, and snapshots load
+//! probe-table lock and inserts on one thread after the read, a live
+//! daemon clears and refills it once, at shutdown, and snapshots load
 //! and save on one thread.
 //!
 //! ## Persistence
@@ -186,21 +186,9 @@ impl SeriesStore {
         self.len() == 0
     }
 
-    /// Drop every memoized entry for `probe`, across all
-    /// parameterisations and windows. The live re-ingest engine calls
-    /// this when a freshly ingested traceroute touches a probe: any
-    /// resident series for that probe is stale (its source bins
-    /// changed), so the next lookup must miss and rebuild from the full
-    /// record set. Returns the number of entries removed.
-    pub fn invalidate_probe(&self, probe: ProbeId) -> u64 {
-        let mut entries = self.write();
-        let before = entries.len();
-        entries.retain(|(key, _), _| key.probe != probe);
-        (before - entries.len()) as u64
-    }
-
-    /// Drop every memoized entry (full re-ingest fallback after corpus
-    /// truncation/rotation). Returns the number of entries removed.
+    /// Drop every memoized entry (a live daemon's shutdown write-back
+    /// refills the store from scratch). Returns the number of entries
+    /// removed.
     pub fn clear(&self) -> u64 {
         let mut entries = self.write();
         let removed = entries.len() as u64;
@@ -432,25 +420,6 @@ mod tests {
         let store = SeriesStore::default();
         assert!(!store.insert(&key(1), &aligned(4, 4), &built(1, &[], 0)));
         assert!(store.is_empty());
-    }
-
-    #[test]
-    fn invalidate_probe_drops_every_parameterisation_of_that_probe_only() {
-        let store = SeriesStore::default();
-        let range = aligned(0, 4);
-        store.insert(&key(1), &range, &built(1, &[(0, 5.0)], 0));
-        let alt = StoreKey::new(ProbeId(1), BinSpec::thirty_minutes(), 5);
-        store.insert(&alt, &range, &built(1, &[(0, 5.0)], 0));
-        store.insert(&key(2), &range, &built(2, &[(0, 6.0)], 0));
-        assert_eq!(store.len(), 3);
-        assert_eq!(store.invalidate_probe(ProbeId(1)), 2);
-        assert_eq!(store.len(), 1);
-        // Probe 1 must rebuild; probe 2 still hits.
-        assert!(matches!(store.lookup(&key(1), &range), Lookup::Miss));
-        assert!(matches!(store.lookup(&alt, &range), Lookup::Miss));
-        assert!(matches!(store.lookup(&key(2), &range), Lookup::Hit(_)));
-        // Idempotent on an absent probe.
-        assert_eq!(store.invalidate_probe(ProbeId(1)), 0);
     }
 
     #[test]

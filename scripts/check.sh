@@ -178,6 +178,14 @@ if command -v curl >/dev/null 2>&1; then
         [ "$i" -le 600 ] || { echo "live /v1/classify never converged to cold union classify" >&2; cat "$smoke/serve-live.log" >&2; exit 1; }
         sleep 0.1
     done
+    # A pass folds only what arrived: the epoch's run decoded at most the
+    # POSTed and appended records, never the union corpus again.
+    arrived=$((200 + $(wc -l <"$smoke/append.jsonl")))
+    decoded=$(curl -sf "http://$addr/metrics" | grep -o '"records_decoded": *[0-9]*' | head -n 1 | grep -o '[0-9]*$')
+    [ -n "$decoded" ] && [ "$decoded" -le "$arrived" ] || {
+        echo "live pass decoded ${decoded:-?} records; at most $arrived arrived" >&2
+        exit 1
+    }
     stop_serve -live
 
     # Loadgen smoke: a tight heavy budget plus a slowed heavy handler
