@@ -17,17 +17,28 @@ use lastmile_repro::ingest::{fold_reader, ingest_slice, IngestSummary, Quarantin
 use lastmile_repro::live::newline_aligned_len;
 use lastmile_repro::obs::{trace, LiveProgress, RunMetrics, StageTimer};
 use lastmile_repro::prefix::{Asn, PrefixTrie};
-use lastmile_repro::runner::record_population_metrics;
+use lastmile_repro::runner::{record_population_metrics, record_reused_population};
 use lastmile_repro::store::{CacheMode, Lookup, StoreKey};
 use lastmile_repro::timebase::{TimeRange, UnixTime};
 use std::collections::btree_map::Entry;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::io::{Read, Seek, SeekFrom};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 
-/// One [`PopulationAnalysis`] per ASN, in ASN order.
-pub type Analyses = Vec<(Asn, PopulationAnalysis)>;
+/// One [`PopulationAnalysis`] per ASN, in ASN order, shared with the
+/// corpus's memo ([`Corpus::analyze`]).
+pub type Analyses = Vec<(Asn, Arc<PopulationAnalysis>)>;
+
+/// What one [`Corpus::analyze`] computed afresh.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Recomputed {
+    /// Populations analysed; the others kept their last analysis.
+    pub populations: u64,
+    /// Probes binned from their columns; the other probes of those
+    /// populations kept their last series.
+    pub probes: u64,
+}
 
 /// What the flags fix before a corpus is read: the window bounds, how a
 /// row is routed to its population, and the pipeline each population
@@ -42,7 +53,8 @@ struct Routing {
     /// Edge address → origin ASN from `--bgp`.
     bgp: Option<PrefixTrie<Asn>>,
     cfg: PipelineConfig,
-    /// Pipelines keep each raw-built series for store write-back.
+    /// Pipelines keep each built series, for store write-back or for
+    /// the next live analysis to reuse.
     retain: bool,
     /// Record every routed probe's ASNs ([`Fold::routed`]): a store is
     /// engaged, and only single-ASN probes may enter it.
@@ -50,8 +62,10 @@ struct Routing {
 }
 
 impl Routing {
-    /// `retain` only when write-back can accept the built series: a
-    /// read-write store and a window known before the read.
+    /// `retain` in live mode, whose analyses reuse the series of probes
+    /// no pass fed, and otherwise only when write-back can accept the
+    /// built series: a read-write store and a window known before the
+    /// read.
     fn from_flags(flags: &Flags, cache: Option<&Cache>, live: bool) -> Result<Routing, String> {
         let known_window = flag_window(flags)?;
         let anchors_only = flags.switch("anchors-only");
@@ -77,9 +91,9 @@ impl Routing {
             probe_to_asn,
             bgp: flags.optional("bgp").map(load_table).transpose()?,
             cfg,
-            retain: !live
-                && cache.is_some_and(|c| c.store.config().mode == CacheMode::ReadWrite)
-                && known_window.is_some(),
+            retain: live
+                || cache.is_some_and(|c| c.store.config().mode == CacheMode::ReadWrite)
+                    && known_window.is_some(),
             track_routes: cache.is_some(),
         })
     }
@@ -152,12 +166,15 @@ impl Fold {
     /// Fold one decoded row: widen the data span, route the row and feed
     /// it to its population's pipeline — unless its probe is served, as
     /// `serves` decides on the probe's first routed row (only asked when
-    /// a store is engaged).
-    fn fold_row(&mut self, routing: &Routing, row: &LastMile, serves: impl FnOnce(Asn) -> bool) {
+    /// a store is engaged). Returns the population fed, if any.
+    fn fold_row(
+        &mut self,
+        routing: &Routing,
+        row: &LastMile,
+        serves: impl FnOnce(Asn) -> bool,
+    ) -> Option<Asn> {
         self.data_span = widen(self.data_span, row.timestamp);
-        let Some(asn) = routing.route(row) else {
-            return;
-        };
+        let asn = routing.route(row)?;
         if routing.track_routes {
             let sight = self.routed.entry(row.probe).or_insert_with(|| Sight {
                 asn: Some(asn),
@@ -167,13 +184,14 @@ impl Fold {
                 sight.asn = None;
             }
             if sight.served {
-                return;
+                return None;
             }
         }
         self.pipelines
             .entry(asn)
             .or_insert_with(|| routing.pipeline())
             .ingest_row(row);
+        Some(asn)
     }
 }
 
@@ -195,11 +213,19 @@ struct Tail {
     quarantined: Vec<Quarantined>,
 }
 
+/// The last analyses of a corpus's populations: each one still holds
+/// for the folded columns unless rows reached its population since.
+struct Memo {
+    /// The resolved window they were analysed over.
+    window: TimeRange,
+    analyses: BTreeMap<Asn, Arc<PopulationAnalysis>>,
+}
+
 /// A corpus of one or more traceroute files read into per-population
 /// columns: the one read behind `classify`, `hygiene` and `serve`
-/// start-up. [`Corpus::analyze`] borrows it, so a live daemon keeps it
-/// and folds each pass's rows in ([`Corpus::fold_rows`]) instead of
-/// reading the files again.
+/// start-up. A live daemon keeps it, folds each pass's rows in
+/// ([`Corpus::fold_rows`]) instead of reading the files again, and
+/// analyses again only what those rows reached ([`Corpus::analyze`]).
 pub struct Corpus {
     routing: Routing,
     fold: Fold,
@@ -210,6 +236,10 @@ pub struct Corpus {
     /// The watched file's provisional last record, analysed with the
     /// folded rows.
     tail: Tail,
+    /// The last analysis of each population, and the window it used.
+    memo: Option<Memo>,
+    /// The probes each population was fed since its memoized analysis.
+    reached: BTreeMap<Asn, BTreeSet<ProbeId>>,
 }
 
 impl Corpus {
@@ -267,7 +297,7 @@ impl Corpus {
             decision.is_some()
         };
         let fold_row = |fold: &mut Fold, row: LastMile| {
-            fold.fold_row(&routing, &row, |asn| serves(row.probe, asn))
+            fold.fold_row(&routing, &row, |asn| serves(row.probe, asn));
         };
         let mut read = Fold::default();
         let mut parsed = 0u64;
@@ -307,6 +337,8 @@ impl Corpus {
             quarantined,
             parsed,
             tail: Tail::default(),
+            memo: None,
+            reached: BTreeMap::new(),
         };
         if let Some(m) = metrics {
             // Probes looked up under no window (it was resolved only
@@ -398,10 +430,20 @@ impl Corpus {
             .map(|(&probe, _)| probe)
     }
 
+    /// Fold one row that arrived after the read, marking the probe it
+    /// fed as reached.
+    fn fold_late(&mut self, row: &LastMile) {
+        if let Some(asn) = self.fold.fold_row(&self.routing, row, |_| false) {
+            self.reached.entry(asn).or_default().insert(row.probe);
+        }
+    }
+
     /// Fold rows that live intake decoded, as if the files had held them
-    /// all along; `quarantined` are the records intake quarantined in the
-    /// first (watched) file, at offsets in it. Returns the records
-    /// folded, which `metrics` counts as the pass's decoded records.
+    /// all along, marking the population and probe each row feeds for
+    /// the next analysis; `quarantined` are the records intake
+    /// quarantined in the first (watched) file, at offsets in it.
+    /// Returns the records folded, which `metrics` counts as the pass's
+    /// decoded records.
     pub fn fold_rows(
         &mut self,
         rows: Vec<LastMile>,
@@ -409,9 +451,7 @@ impl Corpus {
         metrics: &RunMetrics,
     ) -> u64 {
         let timer = StageTimer::start();
-        for row in &rows {
-            self.fold.fold_row(&self.routing, row, |_| false);
-        }
+        rows.iter().for_each(|row| self.fold_late(row));
         let summary = IngestSummary {
             parsed: rows.len() as u64,
             quarantined,
@@ -449,11 +489,18 @@ impl Corpus {
     /// side left open closed at the data span. A provisional tail is
     /// analysed as if folded. When `metrics` is given, pipeline counters
     /// and stage timings are accumulated into it.
+    ///
+    /// The analyses are memoized, so the next call recomputes only what
+    /// rows folded since reached: a population no row reached hands back
+    /// its last analysis, and in one that was reached only the probes fed
+    /// are binned again, the others reusing their last series. The memo
+    /// is dropped when the window moves. The population a provisional
+    /// tail reaches is analysed afresh each time and never memoized.
     pub fn analyze(
-        &self,
+        &mut self,
         metrics: Option<&RunMetrics>,
         progress: Option<&LiveProgress>,
-    ) -> Result<Analyses, String> {
+    ) -> Result<(Analyses, Recomputed), String> {
         let routing = &self.routing;
         let tail = &self.tail.rows[..];
         let span = tail
@@ -485,35 +532,87 @@ impl Corpus {
             p.populations_total
                 .store(pipelines.len() as u64, Ordering::Relaxed);
         }
-        Ok(pipelines
-            .into_iter()
-            .map(|(asn, p)| {
-                let span = trace::span_with("population", |a| {
-                    a.u64("asn", u64::from(asn))
-                        .str("period", window_label.as_str());
-                });
-                let extra = if Some(asn) == tail_asn { tail } else { &[] };
-                let analysis = p.finish_in_with(window, extra);
-                if let Some(m) = metrics {
-                    // Streaming interleaves populations, so ingest time
-                    // is accounted once, by the read; per-task wall =
-                    // pipeline stages.
-                    let s = &analysis.stats;
-                    record_population_metrics(
-                        m,
-                        asn,
-                        &window_label,
-                        &analysis,
-                        s.series_nanos + s.aggregate_nanos + s.detect_nanos,
-                    );
+        let memo = match self.memo.take() {
+            Some(memo) if memo.window == window => memo,
+            _ => Memo {
+                window,
+                analyses: BTreeMap::new(),
+            },
+        };
+        let reached = &self.reached;
+        let mut recomputed = Recomputed::default();
+        let mut memoized = BTreeMap::new();
+        let mut results = Vec::with_capacity(pipelines.len());
+        for (asn, p) in pipelines {
+            let last = memo.analyses.get(&asn);
+            let fed = reached.get(&asn);
+            let provisional = Some(asn) == tail_asn;
+            let analysis = match last {
+                Some(last) if fed.is_none() && !provisional => {
+                    if let Some(m) = metrics {
+                        record_reused_population(m, asn, &window_label, last);
+                    }
+                    Arc::clone(last)
                 }
-                drop(span);
-                if let Some(p) = progress {
-                    p.populations_done.fetch_add(1, Ordering::Relaxed);
+                _ => {
+                    let span = trace::span_with("population", |a| {
+                        a.u64("asn", u64::from(asn))
+                            .str("period", window_label.as_str());
+                    });
+                    let extra = if provisional { tail } else { &[] };
+                    // A probe fed nothing since the last analysis keeps
+                    // its series (retained in probe order).
+                    let reuse = |probe: ProbeId| {
+                        let kept = &last?.built_series;
+                        if fed.is_some_and(|probes| probes.contains(&probe)) {
+                            return None;
+                        }
+                        let i = kept
+                            .binary_search_by_key(&probe, |b| b.series.probe())
+                            .ok()?;
+                        Some(&kept[i])
+                    };
+                    let analysis = Arc::new(p.finish_in_with(window, extra, reuse));
+                    recomputed.populations += 1;
+                    recomputed.probes += analysis.stats.probes_binned;
+                    if let Some(m) = metrics {
+                        // Streaming interleaves populations, so ingest
+                        // time is accounted once, by the read; per-task
+                        // wall = pipeline stages.
+                        let s = &analysis.stats;
+                        record_population_metrics(
+                            m,
+                            asn,
+                            &window_label,
+                            &analysis,
+                            s.series_nanos + s.aggregate_nanos + s.detect_nanos,
+                        );
+                    }
+                    drop(span);
+                    analysis
                 }
-                (asn, analysis)
-            })
-            .collect())
+            };
+            if let Some(p) = progress {
+                p.populations_done.fetch_add(1, Ordering::Relaxed);
+            }
+            // A provisional population's memo entry, if any, still holds
+            // for its folded columns, as do its reached marks.
+            let keep = if provisional {
+                last.cloned()
+            } else {
+                Some(Arc::clone(&analysis))
+            };
+            if let Some(keep) = keep {
+                memoized.insert(asn, keep);
+            }
+            results.push((asn, analysis));
+        }
+        self.reached.retain(|&asn, _| Some(asn) == tail_asn);
+        self.memo = Some(Memo {
+            window,
+            analyses: memoized,
+        });
+        Ok((results, recomputed))
     }
 
     /// Memoize the retained series of `results` — every cacheable probe's
@@ -544,18 +643,17 @@ impl Corpus {
     /// entry built before intake survives, in any window; with a window
     /// left to the data span nothing is memoized, as in `classify`. The
     /// provisional tail is folded first: nothing follows it any more.
+    /// The series written are the ones the last analysis kept; only a
+    /// population the tail reached is analysed again.
     pub fn refill(&mut self, cache: &Cache) -> Result<(), String> {
         for row in std::mem::take(&mut self.tail).rows {
-            self.fold.fold_row(&self.routing, &row, |_| false);
+            self.fold_late(&row);
         }
         cache.store.clear();
         if self.routing.known_window.is_none() {
             return Ok(());
         }
-        for p in self.fold.pipelines.values_mut() {
-            p.retain_median_series(true);
-        }
-        let results = self.analyze(None, None)?;
+        let (results, _) = self.analyze(None, None)?;
         self.insert_series(cache, &results, None);
         Ok(())
     }
@@ -574,7 +672,7 @@ pub fn read_and_analyze(
     bounds: Option<&[u64]>,
     metrics: Option<&RunMetrics>,
     cache: Option<&Cache>,
-) -> Result<(Corpus, Analyses), String> {
+) -> Result<(Corpus, Analyses, Recomputed), String> {
     let progress = flags
         .switch("progress")
         .then(|| Arc::new(LiveProgress::default()));
@@ -584,8 +682,8 @@ pub fn read_and_analyze(
         corpus.read_tail(&paths[0], bounds[0], metrics);
     }
     corpus.write_quarantine(flags)?;
-    let results = corpus.analyze(metrics, progress.as_deref())?;
-    Ok((corpus, results))
+    let (results, recomputed) = corpus.analyze(metrics, progress.as_deref())?;
+    Ok((corpus, results, recomputed))
 }
 
 /// The one start-up analysis of `classify`, `hygiene` and a non-live
@@ -618,7 +716,7 @@ pub fn analyze_paths(
     // An empty flag window fails before the fingerprint reads the corpus.
     flag_window(flags)?;
     let cache = cache::from_flags(flags, || corpus_fingerprint(flags, paths), metrics)?;
-    let (corpus, results) = read_and_analyze(flags, paths, None, metrics, cache.as_ref())?;
+    let (corpus, results, _) = read_and_analyze(flags, paths, None, metrics, cache.as_ref())?;
     if let Some(c) = &cache {
         corpus.insert_series(c, &results, metrics);
         c.persist(c.fingerprint, metrics)?;
@@ -664,7 +762,7 @@ pub fn classification_doc(asn: Asn, a: &PopulationAnalysis) -> serde_json::Value
 
 /// The exact bytes `classify --json` prints: a pretty array of
 /// [`classification_doc`]s with a trailing newline.
-pub fn classification_json(results: &[(Asn, PopulationAnalysis)]) -> String {
+pub fn classification_json(results: &[(Asn, Arc<PopulationAnalysis>)]) -> String {
     let docs: Vec<serde_json::Value> = results
         .iter()
         .map(|(asn, a)| classification_doc(*asn, a))
@@ -738,9 +836,82 @@ mod tests {
         ) + "\n"
     }
 
+    /// The `classify --json` bytes of `corpus`'s analysis.
+    fn json(corpus: &mut Corpus) -> String {
+        classification_json(&corpus.analyze(None, None).unwrap().0)
+    }
+
     fn flags(path: &std::path::Path) -> Flags {
         let args = ["--traceroutes", path.to_str().unwrap(), "--min-probes", "1"];
         Flags::parse(&args.map(String::from)).unwrap()
+    }
+
+    #[test]
+    fn a_fold_rebins_only_the_probes_it_fed() {
+        // Probes 1 and 2 route to AS64500 and probe 3 to AS64501. Some of
+        // probe 1's records, from inside the data span (so the window
+        // stays put), arrive after the read.
+        let dir = Scratch::new("partial-pass");
+        let bgp = dir.join("bgp.csv");
+        std::fs::write(&bgp, "20.0.0.0/16,64500\n20.1.0.0/16,64501\n").unwrap();
+        let line = |i: u64| match i % 3 {
+            2 => record(i).replace("20.0.0.1", "20.1.0.1"),
+            _ => record(i),
+        };
+        let late = |i: &u64| i.is_multiple_of(3) && (150..180).contains(i);
+        let read: String = (0..300).filter(|i| !late(i)).map(line).collect();
+        let arrived: String = (0..300).filter(late).map(line).collect();
+        let path = dir.join("corpus.jsonl");
+        let whole = dir.join("whole.jsonl");
+        std::fs::write(&path, &read).unwrap();
+        std::fs::write(&whole, format!("{read}{arrived}")).unwrap();
+        let flags = |path: &std::path::Path| {
+            let args = [
+                "--traceroutes",
+                path.to_str().unwrap(),
+                "--bgp",
+                bgp.to_str().unwrap(),
+                "--min-probes",
+                "1",
+            ];
+            Flags::parse(&args.map(String::from)).unwrap()
+        };
+        let paths = [path.display().to_string()];
+        let bound = [read.len() as u64];
+        let mut live = Corpus::read(&flags(&path), &paths, Some(&bound), None, None, None).unwrap();
+        let (before, all) = live.analyze(None, None).unwrap();
+        assert_eq!(
+            all,
+            Recomputed {
+                populations: 2,
+                probes: 3
+            }
+        );
+        assert_eq!(live.analyze(None, None).unwrap().1, Recomputed::default());
+
+        let mut rows = Vec::new();
+        assert!(ingest_slice(arrived.as_bytes(), |_, _, row: LastMile| rows.push(row)).is_empty());
+        assert_eq!(live.fold_rows(rows, Vec::new(), &RunMetrics::new()), 10);
+        let (after, recomputed) = live.analyze(None, None).unwrap();
+        assert_eq!(
+            recomputed,
+            Recomputed {
+                populations: 1,
+                probes: 1
+            }
+        );
+        assert!(
+            Arc::ptr_eq(&before[1].1, &after[1].1),
+            "AS64501 was reached"
+        );
+        assert_eq!(after[0].1.stats.probes_binned, 1);
+
+        // The bytes of a fresh corpus over the same records.
+        let paths = [whole.display().to_string()];
+        let mut fresh = Corpus::read(&flags(&whole), &paths, None, None, None, None).unwrap();
+        let fresh = json(&mut fresh);
+        assert_eq!(classification_json(&after), fresh);
+        assert_ne!(classification_json(&before), fresh);
     }
 
     #[test]
@@ -754,25 +925,24 @@ mod tests {
         let paths = [path.display().to_string()];
         let len = newline_aligned_len(&path);
         assert_eq!(len, body.len() as u64);
-        let json = |c: &Corpus| classification_json(&c.analyze(None, None).unwrap());
         let read = |bound: Option<&[u64]>| {
             Corpus::read(&flags(&path), &paths, bound, None, None, None).unwrap()
         };
         let mut live = read(Some(&[len]));
-        let folded = json(&live);
+        let folded = json(&mut live);
         assert_eq!(live.read_tail(&paths[0], len, None), 1);
         assert_eq!(live.tail_len(), last.len() as u64 - 1);
         assert_eq!(live.records_read(), 301);
         // A cold read of the file decodes the unterminated record too.
-        let cold = json(&read(None));
-        assert_eq!(json(&live), cold);
+        let cold = json(&mut read(None));
+        assert_eq!(json(&mut live), cold);
         assert_ne!(folded, cold, "the last record changes nothing");
         // Once its newline lands, the bytes are the watcher's to deliver:
         // the tail is dropped, and the folded columns never held it.
         std::fs::write(&path, format!("{body}{last}")).unwrap();
         assert_eq!(live.read_tail(&paths[0], len, None), 0);
         assert_eq!(live.tail_len(), 0);
-        assert_eq!(json(&live), folded);
+        assert_eq!(json(&mut live), folded);
     }
 
     #[test]
@@ -819,9 +989,9 @@ mod tests {
         let whole = dir.join("prefix.jsonl");
         std::fs::write(&whole, prefix).unwrap();
         let paths = [whole.display().to_string()];
-        let expected = Corpus::read(&flags(&whole), &paths, None, None, None, None).unwrap();
-        let json = |c: &Corpus| classification_json(&c.analyze(None, None).unwrap());
-        assert_eq!(json(&corpus), json(&expected));
-        assert!(json(&expected).contains("\"probes\": 3"));
+        let mut expected = Corpus::read(&flags(&whole), &paths, None, None, None, None).unwrap();
+        let (mut corpus, expected) = (corpus, json(&mut expected));
+        assert_eq!(json(&mut corpus), expected);
+        assert!(expected.contains("\"probes\": 3"));
     }
 }

@@ -25,12 +25,15 @@
 //! intake path decodes its records once and hands the rows to the engine
 //! through one call; after a fixed [`REANALYZE_DEBOUNCE`] window the
 //! engine folds them into the columns the startup read kept (a
-//! [`Corpus`]), re-runs series → aggregate → detect over those columns
-//! and publishes the result as a new **epoch**. A pass decodes nothing
-//! it has already read, so its cost follows the appended records and the
-//! series building, not the corpus size. Only a truncated or rotated
-//! corpus makes a pass re-read the files, each up to the length the
-//! taken intake reaches. Every live read of a file is bounded so: the
+//! [`Corpus`]), analyses again only what they reached and publishes the
+//! result as a new **epoch**: a population no row reached keeps its last
+//! analysis, and in one that was reached only the probes fed are binned
+//! again ([`Corpus::analyze`]; the memo is dropped when the resolved
+//! window moves). A pass decodes nothing it has already read, so its
+//! cost follows the appended records and the probes they feed, not the
+//! corpus size. Only a truncated or rotated corpus makes a pass re-read
+//! the files, each up to the length the taken intake reaches, and
+//! analyse everything afresh. Every live read of a file is bounded so: the
 //! startup read stops where the watcher starts, so an append landing
 //! mid-startup is folded once, by the first poll. A watched last line
 //! with no newline yet, which the watcher leaves and a cold read
@@ -46,7 +49,8 @@
 //! `--cache ro`). Shutdown
 //! drains queued and in-flight requests, polls the watcher once more,
 //! and drains any pending re-analysis, then refills the store with the
-//! current window's series and persists the snapshot stamped with the
+//! current window's series (the ones the last analyses kept) and
+//! persists the snapshot stamped with the
 //! final union corpus fingerprint — but only if the corpus still ends
 //! where the last analysis covered it (see [`persist_live_snapshot`]);
 //! otherwise the snapshot is skipped and the next start recomputes cold.
@@ -54,7 +58,7 @@
 use crate::cache::{self, Cache};
 use crate::classify::{
     analyze_paths, classification_doc, classification_json, corpus_fingerprint, read_and_analyze,
-    Analyses, Corpus,
+    Analyses, Corpus, Recomputed,
 };
 use crate::input::{create_parent_dirs, flag_window, quarantine_doc};
 use crate::stats::{emit_stats, wants_stats};
@@ -66,7 +70,7 @@ use lastmile_repro::live::{
 };
 use lastmile_repro::obs::ops::{now_unix_ms, TimelineSampler, TIMELINE_METRICS};
 use lastmile_repro::obs::{
-    prom, EpochTelemetry, LiveMetrics, LiveMetricsSnapshot, OpsTimeline, RunMetrics,
+    prom, EpochRecord, EpochTelemetry, LiveMetrics, LiveMetricsSnapshot, OpsTimeline, RunMetrics,
     RunMetricsSnapshot, ServeEndpoint, ServeMetrics, ServeMetricsSnapshot, StageTimer, Ticker,
 };
 use lastmile_repro::prefix::Asn;
@@ -175,10 +179,7 @@ struct MetricsDoc {
 }
 
 /// Render the per-ASN analyses into one immutable snapshot.
-fn build_snapshot(
-    results: &[(Asn, PopulationAnalysis)],
-    run: RunMetricsSnapshot,
-) -> AnalysisSnapshot {
+fn build_snapshot(results: &Analyses, run: RunMetricsSnapshot) -> AnalysisSnapshot {
     AnalysisSnapshot {
         classify_all: classification_json(results),
         classify_by_asn: results
@@ -230,13 +231,24 @@ struct Kept {
     lens: Vec<u64>,
 }
 
+/// A pass's work counts, as its epoch record carries them.
+fn pass_work(records_decoded: u64, recomputed: Recomputed) -> EpochRecord {
+    EpochRecord {
+        records_decoded,
+        populations_reanalysed: recomputed.populations,
+        probes_rebinned: recomputed.probes,
+        ..EpochRecord::default()
+    }
+}
+
 impl Kept {
     /// Fold one taken batch into the kept columns, read the watched
-    /// file's tail afresh and analyse them; returns the records decoded
-    /// (folded, plus the tail's) and the analyses. A rotated corpus, or
-    /// a rebuild that failed before, re-reads the files up to the lengths
-    /// every taken hand-off reaches and drops the batch's rows, which
-    /// those bytes hold.
+    /// file's tail afresh and analyse again what the batch and the tail
+    /// reached ([`Corpus::analyze`]); returns the pass's work (records
+    /// decoded: folded, plus the tail's) and the analyses. A rotated
+    /// corpus, or a rebuild that failed before, re-reads the files up to
+    /// the lengths every taken hand-off reaches, drops the batch's rows,
+    /// which those bytes hold, and analyses everything afresh.
     fn pass(
         &mut self,
         flags: &Flags,
@@ -244,7 +256,7 @@ impl Kept {
         cache: Option<&Cache>,
         batch: Batch,
         run: &RunMetrics,
-    ) -> Result<(u64, Analyses), String> {
+    ) -> Result<(EpochRecord, Analyses), String> {
         if let Some(len) = batch.watched_len {
             self.lens[0] = len;
         }
@@ -258,15 +270,16 @@ impl Kept {
                     decoded += corpus.read_tail(&paths[0], self.lens[0], Some(run));
                 }
                 corpus.write_quarantine(flags)?;
-                Ok((decoded, corpus.analyze(Some(run), None)?))
+                let (results, recomputed) = corpus.analyze(Some(run), None)?;
+                Ok((pass_work(decoded, recomputed), results))
             }
             _ => {
                 self.corpus = None;
-                let (corpus, results) =
+                let (corpus, results, recomputed) =
                     read_and_analyze(flags, paths, Some(&self.lens), Some(run), cache)?;
-                let read = corpus.records_read();
+                let work = pass_work(corpus.records_read(), recomputed);
                 self.corpus = Some(corpus);
-                Ok((read, results))
+                Ok((work, results))
             }
         }
     }
@@ -319,7 +332,7 @@ pub fn run(flags: &Flags) -> Result<(), String> {
             // Such a cache would neither serve nor save anything.
             return Err(RO_LIVE_CACHE.into());
         }
-        let (corpus, results) =
+        let (corpus, results, _) =
             read_and_analyze(flags, &paths, Some(&lens), Some(&metrics), cache.as_ref())?;
         let kept = Kept {
             corpus: Some(corpus),
@@ -335,6 +348,7 @@ pub fn run(flags: &Flags) -> Result<(), String> {
     if results.is_empty() {
         return Err("no analysable traceroutes in the window".into());
     }
+    let populations = results.len();
 
     let serve_metrics = Arc::new(ServeMetrics::new());
     let live_metrics = Arc::new(LiveMetrics::default());
@@ -345,7 +359,9 @@ pub fn run(flags: &Flags) -> Result<(), String> {
     // based on configuration.
     let telemetry = Arc::new(EpochTelemetry::new());
     let timeline = Arc::new(OpsTimeline::new());
+    // The analyses live on only in a live corpus's memo.
     let epoch = Arc::new(Epoch::new(build_snapshot(&results, metrics.snapshot())));
+    drop(results);
     live_metrics
         .epoch
         .store(epoch.generation(), Ordering::Relaxed);
@@ -361,15 +377,14 @@ pub fn run(flags: &Flags) -> Result<(), String> {
             let epoch = Arc::clone(&epoch);
             let live_metrics = Arc::clone(&live_metrics);
             let kept = Arc::clone(kept);
-            Box::new(move |batch: Batch| -> Result<u64, String> {
+            Box::new(move |batch: Batch| -> Result<EpochRecord, String> {
                 // A fresh RunMetrics per re-analysis: each epoch's
                 // `/metrics.run` and `/v1/populations` describe exactly
                 // the run that produced it, not an accumulation.
                 let run = RunMetrics::new();
                 let timer = StageTimer::start();
                 let mut kept = kept.lock().expect("kept corpus lock");
-                let (decoded, results) =
-                    kept.pass(&flags, &paths, cache.as_deref(), batch, &run)?;
+                let (work, results) = kept.pass(&flags, &paths, cache.as_deref(), batch, &run)?;
                 drop(kept);
                 run.set_wall(&timer);
                 if results.is_empty() {
@@ -378,10 +393,11 @@ pub fn run(flags: &Flags) -> Result<(), String> {
                 let snapshot = build_snapshot(&results, run.snapshot());
                 let generation = publish_snapshot(&epoch, &live_metrics, snapshot);
                 eprintln!(
-                    "[live] epoch {generation}: {} population(s) published",
-                    results.len()
+                    "[live] epoch {generation}: {} population(s) published, {} re-analysed",
+                    results.len(),
+                    work.populations_reanalysed
                 );
-                Ok(decoded)
+                Ok(work)
             })
         };
         LiveEngine::start(
@@ -467,7 +483,7 @@ pub fn run(flags: &Flags) -> Result<(), String> {
         "[serve] listening on {addr} ({} workers, queue {}, {} population(s){})",
         config.workers.max(1),
         config.queue.max(1),
-        results.len(),
+        populations,
         if live_enabled { ", live" } else { "" }
     );
     // Test/orchestration hook: the actual bound address (the port is

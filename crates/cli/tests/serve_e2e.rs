@@ -935,6 +935,156 @@ fn rotation_mid_run_rebuilds_and_folds_no_record_twice() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The fixture in `dir` with its probes split across two ASNs: 6000–6002
+/// stay in AS64520, 6003–6005 move to AS64521. Returns its records and
+/// the rewritten metadata path.
+fn two_asn_fixture(dir: &Path) -> (Vec<String>, std::path::PathBuf) {
+    let (full, probes) = fixture(dir);
+    let meta: serde_json::Value =
+        serde_json::from_str(&std::fs::read_to_string(probes).unwrap()).unwrap();
+    let serde_json::Value::Array(mut list) = meta else {
+        panic!("probe metadata is not a list: {meta}");
+    };
+    for probe in &mut list {
+        let moved = (6003..=6005).contains(&probe["id"].as_u64().unwrap());
+        if let (true, serde_json::Value::Object(fields)) = (moved, probe) {
+            let asn = fields.iter_mut().find(|(k, _)| k == "asn").unwrap();
+            asn.1 = serde_json::json!(64521);
+        }
+    }
+    let split = dir.join("probes-two-asn.json");
+    std::fs::write(&split, serde_json::Value::Array(list).to_string()).unwrap();
+    let lines = std::fs::read_to_string(full).unwrap();
+    (lines.lines().map(str::to_string).collect(), split)
+}
+
+/// The published epochs' `(populations_reanalysed, probes_rebinned)`.
+fn pass_work(addr: &str) -> Vec<(u64, u64)> {
+    published_epochs(addr)
+        .iter()
+        .map(|e| {
+            let n = |k: &str| e[k].as_u64().unwrap_or_else(|| panic!("no {k}: {e}"));
+            (n("populations_reanalysed"), n("probes_rebinned"))
+        })
+        .collect()
+}
+
+/// The live daemon at `addr` serves what a cold run over the union of
+/// `corpus` and `spool` gives: `/v1/classify` bytes, and every
+/// non-timing field of `/metrics.run` and `/v1/populations`.
+fn assert_serves_cold_union(dir: &Path, addr: &str, corpus: &Path, spool: &Path, probes: &Path) {
+    let (_, _, live_body) = http_get(addr, "/v1/classify");
+    let (cold, cold_stats) = cold_union(dir, corpus, spool, probes);
+    assert_eq!(
+        live_body,
+        cold.as_bytes(),
+        "diverged from cold union classify"
+    );
+    let run = &metrics_doc(addr)["run"];
+    for counter in [
+        "traceroutes_ingested",
+        "traceroutes_out_of_period",
+        "bins_discarded_sanity",
+        "bins_interpolated",
+        "welch_segments",
+        "populations_analyzed",
+        "populations_with_detection",
+    ] {
+        assert_eq!(run[counter], cold_stats[counter], "run.{counter}");
+    }
+    let untimed = |rows: &serde_json::Value| -> Vec<Vec<(String, serde_json::Value)>> {
+        let row = |r: &serde_json::Value| {
+            let fields = r.as_object().unwrap().iter();
+            fields.filter(|(k, _)| k != "nanos").cloned().collect()
+        };
+        rows.as_array().unwrap().iter().map(row).collect()
+    };
+    let (status, _, body) = http_get(addr, "/v1/populations");
+    assert_eq!(status, 200);
+    let served: serde_json::Value =
+        serde_json::from_str(std::str::from_utf8(&body).unwrap()).expect("population table");
+    assert_eq!(untimed(&served), untimed(&cold_stats["populations"]));
+    assert_eq!(untimed(&run["populations"]), untimed(&served));
+}
+
+#[test]
+fn posts_reaching_one_asn_leave_the_other_untouched() {
+    let dir = std::env::temp_dir().join(format!("lastmile-serve-partial-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (lines, probes) = two_asn_fixture(&dir);
+    // 50 of probe 6000's records from the middle of its run arrive by
+    // POST, so the data span, and the window, stay put.
+    let ours: Vec<usize> = (0..lines.len())
+        .filter(|&i| lines[i].contains("\"prb_id\":6000,"))
+        .collect();
+    let held = &ours[ours.len() / 2..][..50];
+    let posted: Vec<String> = held.iter().map(|&i| lines[i].clone()).collect();
+    let head: Vec<String> = (0..lines.len())
+        .filter(|i| !held.contains(i))
+        .map(|i| lines[i].clone())
+        .collect();
+    let corpus = dir.join("live.jsonl");
+    let spool = dir.join("spool.jsonl");
+    std::fs::write(&corpus, jsonl(&head)).unwrap();
+    let (child, addr) = spawn_serve_over(
+        &corpus,
+        &probes,
+        &dir.join("ready"),
+        &["--live-spool", spool.to_str().unwrap()],
+    );
+    let other = |addr: &str| http_get(addr, "/v1/classify/64521").2;
+    let before = other(&addr);
+    assert!(String::from_utf8_lossy(&before).contains("\"probes\": 3"));
+    for (i, body) in posted.chunks(25).enumerate() {
+        let (status, _, reply) = http_post(&addr, "/v1/traceroutes", jsonl(body).as_bytes());
+        assert_eq!(status, 200, "{}", String::from_utf8_lossy(&reply));
+        await_live_convergence(&addr, 25 * (i as u64 + 1), Duration::from_secs(60));
+    }
+    assert_eq!(other(&addr), before, "AS64521 was re-analysed");
+    let work = pass_work(&addr);
+    assert!(!work.is_empty());
+    assert!(work.iter().all(|&w| w == (1, 1)), "{work:?}");
+    assert_serves_cold_union(&dir, &addr, &corpus, &spool, &probes);
+    let (stderr, ok) = terminate(child);
+    assert!(ok, "serve did not exit cleanly: {stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_post_that_moves_an_open_window_reanalyses_everything() {
+    let dir = std::env::temp_dir().join(format!("lastmile-serve-widen-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (lines, probes) = two_asn_fixture(&dir);
+    // With no --end, the window ends at the data: a record of probe 6000
+    // two days past the rest moves it for both populations.
+    let last = lines
+        .iter()
+        .rev()
+        .find(|l| l.contains("\"prb_id\":6000,"))
+        .unwrap();
+    let posted = [shifted(last, 2 * 86_400)];
+    let corpus = dir.join("live.jsonl");
+    let spool = dir.join("spool.jsonl");
+    std::fs::write(&corpus, jsonl(&lines)).unwrap();
+    let (child, addr) = spawn_serve_over(
+        &corpus,
+        &probes,
+        &dir.join("ready"),
+        &["--live-spool", spool.to_str().unwrap()],
+    );
+    let (_, _, before) = http_get(&addr, "/v1/classify");
+    let (status, _, reply) = http_post(&addr, "/v1/traceroutes", jsonl(&posted).as_bytes());
+    assert_eq!(status, 200, "{}", String::from_utf8_lossy(&reply));
+    await_live_convergence(&addr, 1, Duration::from_secs(60));
+    assert_eq!(pass_work(&addr), vec![(2, 6)], "every probe binned again");
+    let (_, _, after) = http_get(&addr, "/v1/classify");
+    assert_ne!(after, before, "the window did not move");
+    assert_serves_cold_union(&dir, &addr, &corpus, &spool, &probes);
+    let (stderr, ok) = terminate(child);
+    assert!(ok, "serve did not exit cleanly: {stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// `--start` and `--end` of the midnight-aligned days holding every
 /// record of `lines`.
 fn day_window<'a>(lines: impl IntoIterator<Item = &'a str>) -> (String, String) {

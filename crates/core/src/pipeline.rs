@@ -76,6 +76,9 @@ pub struct PopulationStats {
     /// Welch segments averaged by the detector (0 when detection was
     /// skipped).
     pub welch_segments: u64,
+    /// Probes whose series this analysis binned from their columns; a
+    /// served or reused series is not binned.
+    pub probes_binned: u64,
     /// Wall time spent binning probe series and computing queuing delay.
     pub series_nanos: u64,
     /// Per-probe series-build latency distribution (one sample per probe
@@ -136,7 +139,8 @@ impl AsPipeline {
 
     /// Keep each raw-built probe's median series (and its discarded bins)
     /// in the analysis result, so the caller can insert them into a
-    /// series store after [`AsPipeline::finish`]. Off by default — the
+    /// series store after [`AsPipeline::finish`], or offer them to a
+    /// later analysis ([`AsPipeline::finish_in_with`]). Off by default — the
     /// retained copies roughly double the per-probe memory.
     pub fn retain_median_series(&mut self, on: bool) {
         self.retain_median_series = on;
@@ -277,14 +281,25 @@ impl AsPipeline {
     /// more rows and analyse again; the result equals that of one
     /// pipeline fed everything once.
     pub fn finish_in(&self, period: TimeRange) -> PopulationAnalysis {
-        self.finish_in_with(period, &[])
+        self.finish_in_with(period, &[], |_| None)
     }
 
     /// [`AsPipeline::finish_in`] as if `extra` had been fed last, without
     /// keeping it: a probe `extra` reaches is binned from a copy of its
     /// columns. A live caller analyses so the rows it may have to take
     /// back (a record whose line is still growing).
-    pub fn finish_in_with(&self, period: TimeRange, extra: &[LastMile]) -> PopulationAnalysis {
+    ///
+    /// `reuse` offers a fed probe's series from an earlier analysis: one
+    /// it returns is taken as built, not binned again, unless `extra`
+    /// reaches the probe. The caller vouches that the probe was fed
+    /// nothing since that series was built; the result then equals a
+    /// full build's.
+    pub fn finish_in_with<'s>(
+        &self,
+        period: TimeRange,
+        extra: &[LastMile],
+        reuse: impl Fn(ProbeId) -> Option<&'s BuiltSeries>,
+    ) -> PopulationAnalysis {
         let mut over = AsPipeline::with_bounds(self.cfg, self.start, self.end);
         extra.iter().for_each(|row| over.ingest_row(row));
         assert!(
@@ -315,11 +330,19 @@ impl AsPipeline {
         enum Source<'a> {
             Raw(Cow<'a, ProbeSeriesBuilder>),
             Pre(&'a BuiltSeries),
+            /// A fed probe's series from an earlier analysis.
+            Kept(&'a BuiltSeries),
         }
         let mut merged: BTreeMap<ProbeId, Source> = self
             .builders
             .iter()
-            .map(|(&probe, b)| (probe, Source::Raw(Cow::Borrowed(b))))
+            .map(|(&probe, b)| {
+                let kept = (!over.builders.contains_key(&probe))
+                    .then(|| reuse(probe))
+                    .flatten();
+                let source = kept.map_or(Source::Raw(Cow::Borrowed(b)), Source::Kept);
+                (probe, source)
+            })
             .collect();
         for (&probe, pre) in &self.prebuilt {
             let clash = merged.insert(probe, Source::Pre(pre));
@@ -332,7 +355,10 @@ impl AsPipeline {
             match merged.entry(probe) {
                 Entry::Occupied(mut e) => match e.get_mut() {
                     Source::Raw(b) => b.to_mut().absorb(rows),
-                    Source::Pre(_) => panic!("probe {probe:?} fed twice (raw and prebuilt)"),
+                    // A probe `extra` reaches is never reused.
+                    Source::Pre(_) | Source::Kept(_) => {
+                        panic!("probe {probe:?} fed twice (raw and prebuilt)")
+                    }
                 },
                 Entry::Vacant(e) => drop(e.insert(Source::Raw(Cow::Owned(rows)))),
             }
@@ -346,12 +372,20 @@ impl AsPipeline {
                 let q = match src {
                     Source::Raw(b) => {
                         let built = b.finish_detailed();
+                        stats.probes_binned += 1;
                         stats.bins_discarded_sanity += built.discarded_bins;
                         let q = built.series.queuing_delay();
                         if retain {
                             built_series.push(built);
                         }
                         q
+                    }
+                    Source::Kept(kept) => {
+                        stats.bins_discarded_sanity += kept.discarded_bins;
+                        if retain {
+                            built_series.push(kept.clone());
+                        }
+                        kept.series.queuing_delay()
                     }
                     Source::Pre(pre) => {
                         stats.bins_discarded_sanity += pre.discarded_bins;
@@ -418,9 +452,10 @@ pub struct PopulationAnalysis {
     pub enough_probes: bool,
     /// Counters and stage timings from this analysis.
     pub stats: PopulationStats,
-    /// Median series of the raw-built probes, kept only when
-    /// [`AsPipeline::retain_median_series`] was enabled (for insertion
-    /// into a series store); empty otherwise.
+    /// Median series of the raw-built and reused probes, in probe order,
+    /// kept only when [`AsPipeline::retain_median_series`] was enabled
+    /// (for insertion into a series store, or reuse by a later analysis:
+    /// see [`AsPipeline::finish_in_with`]); empty otherwise.
     pub built_series: Vec<BuiltSeries>,
 }
 
@@ -615,7 +650,7 @@ mod tests {
             .chain([tr(2, -100, 5.0)])
             .collect();
         let rows: Vec<LastMile> = extra.iter().map(LastMile::of).collect();
-        let with = p.finish_in_with(period_15d(), &rows);
+        let with = p.finish_in_with(period_15d(), &rows, |_| None);
         let mut fed = AsPipeline::new(PipelineConfig::paper(), period_15d());
         feed_diurnal(&mut fed, 3, 2.0);
         extra.iter().for_each(|t| fed.ingest(t));
@@ -628,6 +663,38 @@ mod tests {
         let after = p.finish();
         assert_eq!(after.probe_series, before.probe_series);
         assert_eq!(after.stats.traceroutes_ingested, 3 * 720 * 3);
+    }
+
+    #[test]
+    fn reused_series_analyse_like_a_full_build() {
+        let mut p = AsPipeline::new(PipelineConfig::paper(), period_15d());
+        p.retain_median_series(true);
+        feed_diurnal(&mut p, 4, 2.0);
+        let first = p.finish();
+        assert_eq!(first.stats.probes_binned, 4);
+        // Probe 2 is fed more, and a tail row reaches probe 3: only they
+        // are binned again; probes 1 and 4 reuse their series.
+        (0..3).for_each(|i| p.ingest(&tr(2, 86_400 + i * 400, 9.0)));
+        let extra = [LastMile::of(&tr(3, 7_200, 4.0))];
+        let earlier = |probe: ProbeId| {
+            let kept = first
+                .built_series
+                .iter()
+                .find(|b| b.series.probe() == probe);
+            (probe != ProbeId(2)).then_some(kept).flatten()
+        };
+        let reused = p.finish_in_with(period_15d(), &extra, earlier);
+        let full = p.finish_in_with(period_15d(), &extra, |_| None);
+        assert_eq!(reused.stats.probes_binned, 2);
+        assert_eq!(full.stats.probes_binned, 4);
+        assert_eq!(reused.probe_series, full.probe_series);
+        assert_eq!(reused.aggregated, full.aggregated);
+        assert_eq!(reused.built_series, full.built_series);
+        assert_eq!(
+            reused.stats.bins_discarded_sanity,
+            full.stats.bins_discarded_sanity
+        );
+        assert_ne!(reused.probe_series, first.probe_series);
     }
 
     #[test]

@@ -34,14 +34,17 @@ use std::collections::BTreeMap;
 /// The columns grow in parts of at most [`PART_ROWS`] rows, each closed
 /// at its length: feeding a builder never copies more than one part,
 /// and a builder kept alive to take more rows (a live daemon's) holds
-/// little unused capacity.
+/// little unused capacity. A row keeps its bin as a 32-bit offset from
+/// its part's first bin (12 bytes a row); a row too far from it starts a
+/// part of its own, so no bin is ever clamped.
 #[derive(Clone, Debug)]
 pub struct ProbeSeriesBuilder {
     probe: ProbeId,
     bin: BinSpec,
     min_traceroutes: usize,
     /// Column sets in feed order: a new one every [`PART_ROWS`] rows,
-    /// per builder absorbed and per [`ProbeSeriesBuilder::seal`].
+    /// per row whose bin offset would not fit, per builder absorbed and
+    /// per [`ProbeSeriesBuilder::seal`].
     parts: Vec<Columns>,
 }
 
@@ -50,15 +53,34 @@ const PART_ROWS: usize = 1024;
 
 #[derive(Clone, Debug, Default)]
 struct Columns {
+    /// The bin its rows' offsets count from: its first row's.
+    base: BinIndex,
     rows: Vec<Row>,
     /// Each row's private RTTs then its public ones, row after row.
     rtts: Vec<f64>,
 }
 
-/// One traceroute in the columns.
+impl Columns {
+    /// The offset `bin` is stored at in this part, when the part can take
+    /// another row: it is not full, and the offset fits. An empty part
+    /// takes its base from `bin`.
+    fn offset_of(&mut self, bin: BinIndex) -> Option<i32> {
+        if self.rows.is_empty() {
+            self.base = bin;
+        }
+        if self.rows.len() >= PART_ROWS {
+            return None;
+        }
+        bin.checked_sub(self.base)
+            .and_then(|offset| i32::try_from(offset).ok())
+    }
+}
+
+/// One traceroute in the columns: 12 bytes.
 #[derive(Clone, Copy, Debug)]
 struct Row {
-    bin: BinIndex,
+    /// Its bin, as an offset from its part's [`Columns::base`].
+    bin: i32,
     private: u32,
     public: u32,
 }
@@ -96,20 +118,27 @@ impl ProbeSeriesBuilder {
     /// probes would corrupt the series silently).
     pub fn ingest_row(&mut self, row: &LastMile) {
         assert_eq!(row.probe, self.probe, "traceroute from wrong probe");
-        match self.parts.last_mut() {
-            Some(full) if full.rows.len() >= PART_ROWS => {
-                full.rtts.shrink_to_fit();
-                self.parts.push(Columns::default());
+        let bin = self.bin.bin_index(row.timestamp);
+        let offset = self.parts.last_mut().and_then(|part| part.offset_of(bin));
+        // A full part, or one whose base is too far from this bin, is
+        // closed at its length; the row starts a part based at its bin.
+        let offset = offset.unwrap_or_else(|| {
+            if let Some(closed) = self.parts.last_mut() {
+                closed.rows.shrink_to_fit();
+                closed.rtts.shrink_to_fit();
             }
-            Some(_) => {}
-            None => self.parts.push(Columns::default()),
-        }
+            self.parts.push(Columns {
+                base: bin,
+                ..Columns::default()
+            });
+            0
+        });
         let part = self.parts.last_mut().expect("a part was just ensured");
         let count = |n: usize| u32::try_from(n).expect("a hop's replies fit in u32");
         // Every traceroute counts toward the sanity threshold, with or
         // without usable samples: the probe was demonstrably online.
         part.rows.push(Row {
-            bin: self.bin.bin_index(row.timestamp),
+            bin: offset,
             private: count(row.private),
             public: count(row.rtts.len() - row.private),
         });
@@ -154,17 +183,20 @@ impl ProbeSeriesBuilder {
     /// keeps its columns, so a live caller can feed it more rows and
     /// build again.
     pub fn finish_detailed(&self) -> BuiltSeries {
-        // (bin, the row's RTTs, how many of them are private), feed order.
-        let mut rows: Vec<(BinIndex, &[f64], usize)> = Vec::new();
+        // (bin, how many RTTs are private, the row's RTTs), feed order,
+        // in one buffer of exactly the row count.
+        let total = self.parts.iter().map(|part| part.rows.len()).sum();
+        let mut rows: Vec<(BinIndex, u32, &[f64])> = Vec::with_capacity(total);
         for part in &self.parts {
             let mut rtts = &part.rtts[..];
             rows.extend(part.rows.iter().map(|row| {
-                let private = row.private as usize;
-                let (own, rest) = rtts.split_at(private + row.public as usize);
+                let (own, rest) = rtts.split_at(row.private as usize + row.public as usize);
                 rtts = rest;
-                (row.bin, own, private)
+                (part.base + BinIndex::from(row.bin), row.private, own)
             }));
         }
+        // Stable: parallel ingest leaves a probe's rows in a few runs
+        // each in time order, which a stable sort merges in linear time.
         rows.sort_by_key(|&(bin, _, _)| bin);
 
         let mut medians = BTreeMap::new();
@@ -177,8 +209,8 @@ impl ProbeSeriesBuilder {
                 continue;
             }
             samples.clear();
-            for &(_, rtts, private) in group {
-                let (near, far) = rtts.split_at(private);
+            for &(_, private, rtts) in group {
+                let (near, far) = rtts.split_at(private as usize);
                 for &pu in far {
                     samples.extend(near.iter().map(|&pr| pu - pr));
                 }
@@ -512,6 +544,20 @@ mod tests {
         assert_eq!(built.series.len(), 84);
         assert_eq!(reversed.finish_detailed(), built);
         assert_eq!(halves.finish_detailed(), built);
+    }
+
+    #[test]
+    fn bins_too_far_for_an_offset_start_a_part_and_are_kept() {
+        // One-second bins: rows 2^31 and 2^32 bins apart cannot share a
+        // part's 32-bit offsets, yet each keeps its own bin.
+        let mut b = ProbeSeriesBuilder::new(ProbeId(1), BinSpec::new(1), 1);
+        let far = 1i64 << 31;
+        for (t, rtt) in [(0, 5.0), (far, 7.0), (2 * far, 6.0), (1, 8.0)] {
+            b.ingest(&tr(1, t, rtt));
+        }
+        assert_eq!(b.parts.len(), 4);
+        let bins: Vec<(BinIndex, f64)> = b.finish().iter_bins().collect();
+        assert_eq!(bins, vec![(0, 5.0), (1, 8.0), (far, 7.0), (2 * far, 6.0)]);
     }
 
     #[test]

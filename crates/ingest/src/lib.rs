@@ -24,10 +24,13 @@
 //!                     ▼
 //!           join: N states S (+ quarantine) ──► caller merges them once
 //!
-//!  workers ≤ 1 (inline), and every `ingest_slice`:
+//!  workers ≤ 1 (inline):
 //!  file ──► framing loop ──► decode each chunk's frames ──► fold into S
 //!           (DocSplitter)     (same decode, catch_unwind)
 //!           └──────────────── all on the caller thread ──────────────┘
+//!
+//!  `ingest_slice`: the caller's bytes ──► DocSplitter ──► decode each
+//!  frame where it lies (no read chunk, no copy), on the caller thread
 //! ```
 //!
 //! * **Rows**: the engine is generic over what a record decodes to (a
@@ -167,7 +170,8 @@ impl IngestSummary {
 /// in-flight batch pins the read-chunk buffer(s) its records point into
 /// (records are `(chunk, range)` slices, not copies), so the worker
 /// pool holds at most roughly `(queue_batches + threads + 1) ×
-/// chunk_bytes` of input at once; inline decode holds one chunk.
+/// chunk_bytes` of input at once (11 × 64 KiB = 704 KiB at the
+/// defaults on a two-core host); inline decode holds one chunk.
 #[derive(Clone, Debug)]
 pub struct IngestOptions {
     /// Workers; `0` (the default) means one per available core, as
@@ -203,7 +207,7 @@ impl Default for IngestOptions {
             threads: 0,
             batch_records: 64,
             queue_batches: 8,
-            chunk_bytes: 256 * 1024,
+            chunk_bytes: 64 * 1024,
             record_latency: false,
             progress: None,
             inject_panic_offset: None,
@@ -379,17 +383,45 @@ pub fn fold_reader<R: Row, S: Send>(
 /// /v1/traceroutes` body) with exactly the framing and quarantine
 /// semantics of [`fold_reader`]. Each decoded row is delivered, in
 /// input order, with its byte offset within the slice and its raw framed
-/// bytes, so callers can spool accepted records verbatim. Decoded inline
-/// — live intake chunks are small, and the worker pool's spawn cost
-/// would dominate. Returns the quarantined records, sorted by offset.
+/// bytes, so callers can spool accepted records verbatim. The slice is
+/// framed in place, as one chunk: a record is decoded from the caller's
+/// bytes, never copied into a read buffer (only a last line with no
+/// newline passes through the splitter's carry). Decoded inline — live
+/// intake slices are small, and the worker pool's spawn cost would
+/// dominate. Returns the quarantined records, sorted by offset.
 pub fn ingest_slice<R: Row>(
     bytes: &[u8],
-    on_record: impl FnMut(u64, &[u8], R),
+    mut on_record: impl FnMut(u64, &[u8], R),
 ) -> Vec<Quarantined> {
     let _span = trace::span("ingest_slice");
-    fold_inline(bytes, &IngestOptions::default(), on_record)
-        .expect("reading a byte slice cannot fail")
-        .quarantined
+    let options = IngestOptions::default();
+    let mut tally = Tally::default();
+    let mut emit = |frame: Frame<'_>| match frame {
+        Frame::Doc { offset, bytes } => match decode_record(offset, bytes, &options, &mut tally) {
+            Ok(row) => on_record(offset, bytes, row),
+            Err(q) => tally.quarantined.push(q),
+        },
+        Frame::Junk {
+            offset,
+            bytes,
+            reason,
+        } => tally.quarantined.push(framing_junk(offset, bytes, reason)),
+    };
+    let mut splitter = DocSplitter::new();
+    splitter.feed(bytes, &mut emit);
+    splitter.finish(&mut emit);
+    tally.quarantined.sort_by_key(|q| q.offset);
+    tally.quarantined
+}
+
+/// The quarantine record of bytes the splitter could not frame.
+fn framing_junk(offset: u64, bytes: &[u8], reason: &str) -> Quarantined {
+    Quarantined {
+        offset,
+        kind: QuarantineKind::Framing,
+        detail: reason.to_string(),
+        record: bytes.to_vec(),
+    }
 }
 
 /// The message of a caught panic's payload: its `&str` or `String`, or
@@ -569,12 +601,7 @@ fn frame_loop(
                 offset,
                 bytes,
                 reason,
-            } => junk.push(Quarantined {
-                offset,
-                kind: QuarantineKind::Framing,
-                detail: reason.to_string(),
-                record: bytes.to_vec(),
-            }),
+            } => junk.push(framing_junk(offset, bytes, reason)),
         };
         if n == 0 {
             std::mem::take(&mut splitter).finish(&mut handle);
@@ -836,6 +863,57 @@ mod tests {
         let mut n = 0;
         assert!(ingest_slice(&array_input(3), |_, _, _: LastMile| n += 1).is_empty());
         assert_eq!(n, 3);
+    }
+
+    #[test]
+    fn ingest_slice_frames_in_place_as_a_chunked_read_does() {
+        // Junk lines among records and a last record with no newline;
+        // then an array with content after its close (framing junk).
+        let mut lines = Vec::new();
+        for (i, junk) in ["not json at all", "{\"not\":\"atlas\"}", ""]
+            .iter()
+            .enumerate()
+        {
+            lines.extend_from_slice(tr_json(i as u32, 1000 + i as i64).as_bytes());
+            lines.extend_from_slice(format!("\n{junk}\n").as_bytes());
+        }
+        lines.extend_from_slice(tr_json(9, 2000).as_bytes());
+        let mut array = array_input(4);
+        array.extend_from_slice(b" trailing");
+        for body in [lines, array] {
+            let mut rows: Vec<(u64, Vec<u8>, LastMile)> = Vec::new();
+            let quarantined = ingest_slice(&body, |offset, raw, row: LastMile| {
+                rows.push((offset, raw.to_vec(), row))
+            });
+            let (summary, folds) = fold_reader(
+                &body[..],
+                &IngestOptions {
+                    threads: 1,
+                    chunk_bytes: 97,
+                    ..IngestOptions::default()
+                },
+                Vec::new,
+                |seen: &mut Vec<LastMile>, row| seen.push(row),
+            )
+            .unwrap();
+            let read: Vec<LastMile> = folds.into_iter().flatten().collect();
+            let sliced: Vec<LastMile> = rows.iter().map(|(_, _, row)| row.clone()).collect();
+            assert_eq!(sliced, read);
+            assert!(read.len() >= 4, "{} rows", read.len());
+            for (offset, raw, _) in &rows {
+                assert_eq!(
+                    &body[*offset as usize..*offset as usize + raw.len()],
+                    &raw[..]
+                );
+            }
+            let triage = |q: &[Quarantined]| -> Vec<(u64, &'static str, String, Vec<u8>)> {
+                q.iter()
+                    .map(|q| (q.offset, q.kind.name(), q.detail.clone(), q.record.clone()))
+                    .collect()
+            };
+            assert_eq!(triage(&quarantined), triage(&summary.quarantined));
+            assert!(!quarantined.is_empty());
+        }
     }
 
     #[test]

@@ -73,10 +73,12 @@ pub struct Batch {
     pub rebuild: bool,
 }
 
-/// Fold a taken batch into the analysis, re-run it and publish the next
-/// epoch; returns the records the pass decoded (the rows it folded, or
-/// what a rebuild re-read). Runs on the engine thread only.
-pub type ReanalyzeFn = Box<dyn FnMut(Batch) -> Result<u64, String> + Send>;
+/// Fold a taken batch into the analysis, re-run what it reached and
+/// publish the next epoch. Returns the pass's work as the work fields
+/// of its [`EpochRecord`] (`records_decoded`: the rows it folded, or
+/// what a rebuild re-read; `populations_reanalysed`; `probes_rebinned`);
+/// the engine fills in the rest. Runs on the engine thread only.
+pub type ReanalyzeFn = Box<dyn FnMut(Batch) -> Result<EpochRecord, String> + Send>;
 
 /// The intake path behind one [`LiveHandle::intake`] call; each epoch
 /// record names the sources its pass covers.
@@ -361,17 +363,17 @@ fn run_reanalysis<'a>(
     let _span = trace::span("live_reanalyze");
     let outcome = reanalyze(batch);
     let pass_nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-    let (records_decoded, error) = match outcome {
-        Ok(decoded) => {
+    let (work, error) = match outcome {
+        Ok(work) => {
             m.reanalyses.fetch_add(1, Ordering::Relaxed);
             m.reanalysis_nanos.store(pass_nanos, Ordering::Relaxed);
             m.records_analyzed.fetch_max(base, Ordering::Relaxed);
-            (decoded, String::new())
+            (work, String::new())
         }
         Err(e) => {
             m.reanalysis_errors.fetch_add(1, Ordering::Relaxed);
             eprintln!("[live] re-analysis failed: {e}");
-            (0, e)
+            (EpochRecord::default(), e)
         }
     };
     // Epoch and swap nanos are read *after* the pass: the reanalyze
@@ -381,7 +383,6 @@ fn run_reanalysis<'a>(
         epoch: m.epoch.load(Ordering::Relaxed),
         trigger: triggers.label(),
         records_ingested: base,
-        records_decoded,
         pass_nanos,
         swap_nanos: m.swap_nanos.load(Ordering::Relaxed),
         outcome: if error.is_empty() {
@@ -391,6 +392,7 @@ fn run_reanalysis<'a>(
         },
         error,
         unix_ms: now_unix_ms(),
+        ..work
     });
     shared.lock()
 }
@@ -420,6 +422,14 @@ mod tests {
                 rebuild: batch.rebuild,
             }
         }
+    }
+
+    /// The work of a pass that folded every row of `batch`.
+    fn folded_all(batch: &Batch) -> Result<EpochRecord, String> {
+        Ok(EpochRecord {
+            records_decoded: batch.rows.len() as u64,
+            ..EpochRecord::default()
+        })
     }
 
     /// An engine with no debounce whose passes each log what they took
@@ -454,7 +464,7 @@ mod tests {
                     let _ = started_tx.send(());
                     let _ = released.recv();
                     epoch.epoch.fetch_add(1, Ordering::Relaxed);
-                    Ok(batch.rows.len() as u64)
+                    folded_all(&batch)
                 }),
             );
             Gated {
@@ -550,7 +560,7 @@ mod tests {
             Arc::new(EpochTelemetry::new()),
             Box::new(move |batch: Batch| {
                 seen.lock().unwrap().push(Taken::of(&batch));
-                Ok(batch.rows.len() as u64)
+                folded_all(&batch)
             }),
         );
         let handle = engine.handle();
@@ -580,7 +590,7 @@ mod tests {
             Box::new(move |batch: Batch| {
                 seen.lock().unwrap().push(Taken::of(&batch));
                 ran.send(Instant::now()).unwrap();
-                Ok(batch.rows.len() as u64)
+                folded_all(&batch)
             }),
         );
         let handle = engine.handle();
@@ -682,7 +692,7 @@ mod tests {
             Arc::new(EpochTelemetry::new()),
             Box::new(move |batch: Batch| {
                 sum.fetch_add(batch.rows.len() as u64, Ordering::Relaxed);
-                Ok(batch.rows.len() as u64)
+                folded_all(&batch)
             }),
         );
         let producers: Vec<_> = (0..4u32)

@@ -88,7 +88,7 @@ metrics! {
     /// disk.
     pub struct IngestStats {
         counter bytes_read("lastmile_run_ingest_bytes_read_total", "Bytes read from traceroute input files.");
-        counter records_decoded("lastmile_run_ingest_records_decoded_total", "Traceroute records decoded from disk.");
+        counter records_decoded("lastmile_run_ingest_records_decoded_total", "Traceroute records decoded.");
         derived records_per_sec(f64 = |_, s| if s.wall_nanos > 0 { s.records_decoded as f64 / (s.wall_nanos as f64 / 1e9) } else { 0.0 },
             "lastmile_run_ingest_records_per_sec", "Traceroute records decoded per second of ingest wall time.");
         group quarantined(QuarantineMetrics => QuarantineStats);

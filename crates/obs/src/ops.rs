@@ -363,6 +363,12 @@ pub struct EpochRecord {
     /// Records the pass decoded: the rows it folded (each decoded once,
     /// at intake), or what a rebuild re-read from the files.
     pub records_decoded: u64,
+    /// Populations analysed again; every other one kept its analysis
+    /// from the pass before.
+    pub populations_reanalysed: u64,
+    /// Probes binned again from their columns; every other probe of a
+    /// re-analysed population kept its series from the pass before.
+    pub probes_rebinned: u64,
     /// Wall nanoseconds the whole pass took.
     pub pass_nanos: u64,
     /// Wall nanoseconds the epoch pointer swap took.
@@ -568,6 +574,8 @@ mod tests {
         let json = serde_json::to_string(&records[0]).expect("serializes");
         assert!(json.contains("\"trigger\":\"post\""));
         assert!(!json.contains("\"error\""));
+        assert!(json
+            .contains("\"records_decoded\":0,\"populations_reanalysed\":0,\"probes_rebinned\":0"));
         let mut with_error = records[0].clone();
         with_error.error = "boom".into();
         with_error.outcome = "error".into();

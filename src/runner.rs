@@ -305,8 +305,46 @@ pub fn record_population_metrics(
     analysis: &PopulationAnalysis,
     task_nanos: u64,
 ) {
+    record_population(metrics, asn, label, analysis, Some(task_nanos));
+}
+
+/// [`record_population_metrics`] for an analysis an earlier run made and
+/// this run reuses as it is (a live pass's untouched population): its
+/// counters and table row add up as a fresh analysis's would, but it
+/// cost this run no time, so no stage time or latency is recorded.
+pub fn record_reused_population(
+    metrics: &RunMetrics,
+    asn: Asn,
+    label: &str,
+    analysis: &PopulationAnalysis,
+) {
+    record_population(metrics, asn, label, analysis, None);
+}
+
+/// The one recording of a population: with its timings when this run
+/// analysed it (`task_nanos`), without them when it was reused.
+fn record_population(
+    metrics: &RunMetrics,
+    asn: Asn,
+    label: &str,
+    analysis: &PopulationAnalysis,
+    task_nanos: Option<u64>,
+) {
     let s = &analysis.stats;
-    let pipeline_nanos = s.series_nanos + s.aggregate_nanos + s.detect_nanos;
+    let stage_nanos = match task_nanos {
+        Some(task_nanos) => {
+            metrics.latency.series.merge(&s.series_hist);
+            let pipeline_nanos = s.series_nanos + s.aggregate_nanos + s.detect_nanos;
+            StageNanos {
+                ingest: task_nanos.saturating_sub(pipeline_nanos),
+                series: s.series_nanos,
+                aggregate: s.aggregate_nanos,
+                detect: s.detect_nanos,
+                ..StageNanos::default()
+            }
+        }
+        None => StageNanos::default(),
+    };
     metrics.add(&RunMetricsSnapshot {
         traceroutes_ingested: s.traceroutes_ingested,
         traceroutes_out_of_period: s.traceroutes_out_of_period,
@@ -315,16 +353,9 @@ pub fn record_population_metrics(
         welch_segments: s.welch_segments,
         populations_analyzed: 1,
         populations_with_detection: u64::from(analysis.detection.is_some()),
-        stage_nanos: StageNanos {
-            ingest: task_nanos.saturating_sub(pipeline_nanos),
-            series: s.series_nanos,
-            aggregate: s.aggregate_nanos,
-            detect: s.detect_nanos,
-            ..StageNanos::default()
-        },
+        stage_nanos,
         ..RunMetricsSnapshot::default()
     });
-    metrics.latency.series.merge(&s.series_hist);
     metrics.record_population_row(PopulationRow {
         asn,
         period: label.to_string(),
@@ -332,7 +363,7 @@ pub fn record_population_metrics(
         bins_discarded: s.bins_discarded_sanity,
         probes: analysis.probes_used() as u64,
         class: analysis.class().name().to_string(),
-        nanos: task_nanos,
+        nanos: task_nanos.unwrap_or(0),
     });
 }
 
