@@ -214,7 +214,9 @@ struct Tail {
 }
 
 /// The last analyses of a corpus's populations: each one still holds
-/// for the folded columns unless rows reached its population since.
+/// for the folded columns unless rows reached its population since (a
+/// provisional tail's row counts as reaching it until the tail is read
+/// again).
 struct Memo {
     /// The resolved window they were analysed over.
     window: TimeRange,
@@ -233,6 +235,9 @@ pub struct Corpus {
     quarantined: Vec<Vec<Quarantined>>,
     /// Records decoded by the read.
     parsed: u64,
+    /// The store's hits, by the population their probe's first routed
+    /// row went to: analysed as kept series, never binned.
+    served: BTreeMap<Asn, Vec<BuiltSeries>>,
     /// The watched file's provisional last record, analysed with the
     /// folded rows.
     tail: Tail,
@@ -255,8 +260,9 @@ impl Corpus {
     /// first routed row in any worker, counted there as a store hit or
     /// miss (so the counts are the same at any thread count). A served
     /// probe's series was built over this window: its rows are skipped,
-    /// never binned, and the prebuilt series is fed to its population
-    /// after the read. Only a window known before the read can be served.
+    /// never binned, and its population's analysis takes the series as
+    /// kept ([`Corpus::analyze`]). Only a window known before the read
+    /// can be served.
     pub fn read(
         flags: &Flags,
         paths: &[String],
@@ -270,14 +276,14 @@ impl Corpus {
         let mut ingest_opts = ingest_options(flags)?;
         ingest_opts.progress = progress;
         ingest_opts.record_latency = metrics.is_some();
-        let served: Mutex<BTreeMap<ProbeId, Option<(Asn, BuiltSeries)>>> =
+        let decided: Mutex<BTreeMap<ProbeId, Option<(Asn, BuiltSeries)>>> =
             Mutex::new(BTreeMap::new());
         let serves = |probe: ProbeId, asn: Asn| {
             let (Some(c), Some(window)) = (lookups, routing.known_window) else {
                 return false;
             };
-            let mut served = served.lock().expect("served-probe table lock");
-            let decision = served.entry(probe).or_insert_with(|| {
+            let mut decided = decided.lock().expect("served-probe table lock");
+            let decision = decided.entry(probe).or_insert_with(|| {
                 let key = StoreKey::for_pipeline(probe, &routing.cfg);
                 let decision = match c.store.lookup(&key, &window) {
                     Lookup::Hit(pre) => Some((asn, pre)),
@@ -323,19 +329,21 @@ impl Corpus {
             // A live read's columns are kept and fed more rows.
             read.pipelines.values_mut().for_each(AsPipeline::seal);
         }
-        for (_, decision) in served.into_inner().expect("served-probe table lock") {
-            if let Some((asn, pre)) = decision {
-                read.pipelines
-                    .entry(asn)
-                    .or_insert_with(|| routing.pipeline())
-                    .ingest_series(pre);
-            }
+        let mut served: BTreeMap<Asn, Vec<BuiltSeries>> = BTreeMap::new();
+        let decided = decided.into_inner().expect("served-probe table lock");
+        for (asn, built) in decided.into_values().flatten() {
+            // A population whose every probe was served is analysed too.
+            read.pipelines
+                .entry(asn)
+                .or_insert_with(|| routing.pipeline());
+            served.entry(asn).or_default().push(built);
         }
         let corpus = Corpus {
             routing,
             fold: read,
             quarantined,
             parsed,
+            served,
             tail: Tail::default(),
             memo: None,
             reached: BTreeMap::new(),
@@ -414,19 +422,21 @@ impl Corpus {
         summary.parsed
     }
 
-    /// The probes whose series may be cached at all: those whose routed
-    /// rows all went to one ASN. Under probe metadata or ASN 0 that holds
-    /// for every probe; under per-traceroute BGP attribution a probe's
-    /// rows can split across AS pipelines, and each pipeline's partial
-    /// series under the store's one key per probe would poison the
-    /// snapshot. Serving needs no such check: a hit under the snapshot's
-    /// source fingerprint (which mixes in the table) was inserted from
-    /// this same corpus, where the probe was single-ASN.
+    /// The probes whose series a write-back inserts: those the store
+    /// did not serve (it holds their series already), and whose routed
+    /// rows all went to one ASN. Under probe metadata or ASN 0 the
+    /// latter holds for every probe; under per-traceroute BGP
+    /// attribution a probe's rows can split across AS pipelines, and
+    /// each pipeline's partial series under the store's one key per
+    /// probe would poison the snapshot. Serving needs no such check: a
+    /// hit under the snapshot's source fingerprint (which mixes in the
+    /// table) was inserted from this same corpus, where the probe was
+    /// single-ASN.
     fn cacheable(&self) -> impl Iterator<Item = ProbeId> + '_ {
         self.fold
             .routed
             .iter()
-            .filter(|(_, sight)| sight.asn.is_some())
+            .filter(|(_, sight)| sight.asn.is_some() && !sight.served)
             .map(|(&probe, _)| probe)
     }
 
@@ -435,6 +445,16 @@ impl Corpus {
     fn fold_late(&mut self, row: &LastMile) {
         if let Some(asn) = self.fold.fold_row(&self.routing, row, |_| false) {
             self.reached.entry(asn).or_default().insert(row.probe);
+        }
+    }
+
+    /// Mark the population and probe the provisional tail reaches, as a
+    /// folded row would.
+    fn mark_tail(&mut self) {
+        for row in &self.tail.rows {
+            if let Some(asn) = self.routing.route(row) {
+                self.reached.entry(asn).or_default().insert(row.probe);
+            }
         }
     }
 
@@ -493,14 +513,17 @@ impl Corpus {
     /// The analyses are memoized, so the next call recomputes only what
     /// rows folded since reached: a population no row reached hands back
     /// its last analysis, and in one that was reached only the probes fed
-    /// are binned again, the others reusing their last series. The memo
-    /// is dropped when the window moves. The population a provisional
-    /// tail reaches is analysed afresh each time and never memoized.
+    /// are binned again, the others keeping their last series (or, before
+    /// any analysis, the store's). The memo is dropped when the window
+    /// moves. A provisional tail marks its population and probe like a
+    /// folded row, and the marks stay set after the analysis: the memo
+    /// holds the tail's row, which the next call must take back.
     pub fn analyze(
         &mut self,
         metrics: Option<&RunMetrics>,
         progress: Option<&LiveProgress>,
     ) -> Result<(Analyses, Recomputed), String> {
+        self.mark_tail();
         let routing = &self.routing;
         let tail = &self.tail.rows[..];
         let span = tail
@@ -541,14 +564,12 @@ impl Corpus {
         };
         let reached = &self.reached;
         let mut recomputed = Recomputed::default();
-        let mut memoized = BTreeMap::new();
         let mut results = Vec::with_capacity(pipelines.len());
         for (asn, p) in pipelines {
             let last = memo.analyses.get(&asn);
             let fed = reached.get(&asn);
-            let provisional = Some(asn) == tail_asn;
             let analysis = match last {
-                Some(last) if fed.is_none() && !provisional => {
+                Some(last) if fed.is_none() => {
                     if let Some(m) = metrics {
                         record_reused_population(m, asn, &window_label, last);
                     }
@@ -559,20 +580,16 @@ impl Corpus {
                         a.u64("asn", u64::from(asn))
                             .str("period", window_label.as_str());
                     });
-                    let extra = if provisional { tail } else { &[] };
+                    let extra = if Some(asn) == tail_asn { tail } else { &[] };
                     // A probe fed nothing since the last analysis keeps
-                    // its series (retained in probe order).
-                    let reuse = |probe: ProbeId| {
-                        let kept = &last?.built_series;
-                        if fed.is_some_and(|probes| probes.contains(&probe)) {
-                            return None;
-                        }
-                        let i = kept
-                            .binary_search_by_key(&probe, |b| b.series.probe())
-                            .ok()?;
-                        Some(&kept[i])
-                    };
-                    let analysis = Arc::new(p.finish_in_with(window, extra, reuse));
+                    // its series; before one, a served probe its hit.
+                    let kept = last
+                        .map(|last| &last.built_series)
+                        .or_else(|| self.served.get(&asn))
+                        .into_iter()
+                        .flatten()
+                        .filter(|b| fed.is_none_or(|probes| !probes.contains(&b.series.probe())));
+                    let analysis = Arc::new(p.finish_in_with(window, extra, kept));
                     recomputed.populations += 1;
                     recomputed.probes += analysis.stats.probes_binned;
                     if let Some(m) = metrics {
@@ -595,22 +612,13 @@ impl Corpus {
             if let Some(p) = progress {
                 p.populations_done.fetch_add(1, Ordering::Relaxed);
             }
-            // A provisional population's memo entry, if any, still holds
-            // for its folded columns, as do its reached marks.
-            let keep = if provisional {
-                last.cloned()
-            } else {
-                Some(Arc::clone(&analysis))
-            };
-            if let Some(keep) = keep {
-                memoized.insert(asn, keep);
-            }
             results.push((asn, analysis));
         }
-        self.reached.retain(|&asn, _| Some(asn) == tail_asn);
+        self.reached.clear();
+        self.mark_tail();
         self.memo = Some(Memo {
             window,
-            analyses: memoized,
+            analyses: results.iter().cloned().collect(),
         });
         Ok((results, recomputed))
     }
@@ -918,31 +926,46 @@ mod tests {
     fn a_tail_without_newline_is_analysed_and_never_folded() {
         let dir = Scratch::new("tail");
         let path = dir.join("corpus.jsonl");
-        let body: String = (0..300).map(record).collect();
-        // Two days past the rest, so it widens the window.
-        let last = record(3000);
-        std::fs::write(&path, format!("{body}{}", last.trim_end())).unwrap();
-        let paths = [path.display().to_string()];
-        let len = newline_aligned_len(&path);
-        assert_eq!(len, body.len() as u64);
-        let read = |bound: Option<&[u64]>| {
-            Corpus::read(&flags(&path), &paths, bound, None, None, None).unwrap()
-        };
-        let mut live = read(Some(&[len]));
-        let folded = json(&mut live);
-        assert_eq!(live.read_tail(&paths[0], len, None), 1);
-        assert_eq!(live.tail_len(), last.len() as u64 - 1);
-        assert_eq!(live.records_read(), 301);
-        // A cold read of the file decodes the unterminated record too.
-        let cold = json(&mut read(None));
-        assert_eq!(json(&mut live), cold);
-        assert_ne!(folded, cold, "the last record changes nothing");
-        // Once its newline lands, the bytes are the watcher's to deliver:
-        // the tail is dropped, and the folded columns never held it.
-        std::fs::write(&path, format!("{body}{last}")).unwrap();
-        assert_eq!(live.read_tail(&paths[0], len, None), 0);
-        assert_eq!(live.tail_len(), 0);
-        assert_eq!(json(&mut live), folded);
+        // Two days past the rest, so it widens the window; then inside
+        // the data span, so the window and the memo stay put.
+        let inside = 150;
+        for (body, last) in [
+            ((0..300).map(record).collect::<String>(), record(3000)),
+            (
+                (0..300).filter(|&i| i != inside).map(record).collect(),
+                record(inside),
+            ),
+        ] {
+            std::fs::write(&path, format!("{body}{}", last.trim_end())).unwrap();
+            let paths = [path.display().to_string()];
+            let len = newline_aligned_len(&path);
+            assert_eq!(len, body.len() as u64);
+            let read = |bound: Option<&[u64]>| {
+                Corpus::read(&flags(&path), &paths, bound, None, None, None).unwrap()
+            };
+            let mut live = read(Some(&[len]));
+            let folded = json(&mut live);
+            assert_eq!(live.read_tail(&paths[0], len, None), 1);
+            assert_eq!(live.tail_len(), last.len() as u64 - 1);
+            assert_eq!(live.records_read(), body.lines().count() as u64 + 1);
+            // A cold read of the file decodes the unterminated record too.
+            let cold = json(&mut read(None));
+            assert_eq!(json(&mut live), cold);
+            assert_ne!(folded, cold, "the last record changes nothing");
+            // Once its newline lands, the bytes are the watcher's to
+            // deliver: the tail is dropped, and the folded columns never
+            // held it.
+            std::fs::write(&path, format!("{body}{last}")).unwrap();
+            assert_eq!(live.read_tail(&paths[0], len, None), 0);
+            assert_eq!(live.tail_len(), 0);
+            assert_eq!(json(&mut live), folded);
+            // Once the watcher delivers it, it is folded once.
+            let mut rows = Vec::new();
+            assert!(ingest_slice(last.as_bytes(), |_, _, row: LastMile| rows.push(row)).is_empty());
+            assert_eq!(live.fold_rows(rows, Vec::new(), &RunMetrics::new()), 1);
+            assert_eq!(live.read_tail(&paths[0], len + last.len() as u64, None), 0);
+            assert_eq!(json(&mut live), cold);
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Helpers and fixtures shared by the end-to-end test files: the
-//! `lastmile` binary, an anchor corpus, a spawned `serve` daemon, and a
-//! plain HTTP/1.1 client over `std::net::TcpStream`.
+//! `lastmile` binary, scratch dirs, an anchor corpus, a spawned `serve`
+//! daemon, and a plain HTTP/1.1 client over `std::net::TcpStream`.
 
 // Each test file uses only some of these.
 #![allow(dead_code)]
@@ -19,6 +19,61 @@ pub fn lastmile_bin() -> PathBuf {
     path.pop(); // debug/
     path.push(format!("lastmile{}", std::env::consts::EXE_SUFFIX));
     path
+}
+
+/// A scratch dir, removed when the test that made it ends. A failed
+/// test keeps it, and names it, for a look at what the run left.
+pub struct Scratch(PathBuf);
+
+impl Scratch {
+    /// A fresh, empty `lastmile-{tag}-{pid}` in the temp dir (parallel
+    /// tests must not share a tag).
+    pub fn new(tag: &str) -> Scratch {
+        let dir = std::env::temp_dir().join(format!("lastmile-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        Scratch(dir)
+    }
+}
+
+impl std::ops::Deref for Scratch {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            eprintln!("kept scratch dir {}", self.0.display());
+        } else {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+}
+
+/// A spawned `serve` daemon. One the test did not stop with
+/// [`terminate`] (a failed assertion) is SIGKILLed and reaped on drop,
+/// so it never outlives the test, nor holds the test binary's output
+/// pipes open. Bound after the test's [`Scratch`], it drops first.
+pub struct Daemon(Option<Child>);
+
+impl Daemon {
+    /// The daemon's process id.
+    pub fn id(&self) -> u32 {
+        self.0.as_ref().expect("daemon still running").id()
+    }
+}
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        if let Some(mut child) = self.0.take() {
+            let _ = child.kill();
+            let _ = child.wait();
+        }
+    }
 }
 
 /// Run `lastmile ARGS` to completion: `(stdout, stderr, success)`.
@@ -52,21 +107,21 @@ pub fn fixture(dir: &Path) -> (PathBuf, PathBuf) {
 
 /// Write the [`fixture`] corpus into `dir` and serve it with `extra`
 /// flags (see [`spawn_serve_over`]).
-pub fn spawn_serve(dir: &Path, extra: &[&str]) -> (Child, String) {
+pub fn spawn_serve(dir: &Path, extra: &[&str]) -> (Daemon, String) {
     let (trs, probes) = fixture(dir);
     spawn_serve_over(&trs, &probes, &dir.join("ready"), extra)
 }
 
 /// Serve the corpus `trs` with `probes` metadata on an ephemeral port
-/// with `extra` flags; returns the child and its address once the
-/// daemon writes it to `ready` (removed first, so a restart never reads
-/// the previous daemon's address).
+/// with `extra` flags; returns the daemon and its address once it
+/// writes it to `ready` (removed first, so a restart never reads the
+/// previous daemon's address).
 pub fn spawn_serve_over(
     trs: &Path,
     probes: &Path,
     ready: &Path,
     extra: &[&str],
-) -> (Child, String) {
+) -> (Daemon, String) {
     let args = [
         "--traceroutes",
         trs.to_str().unwrap(),
@@ -76,10 +131,10 @@ pub fn spawn_serve_over(
     spawn_serve_with(ready, &[&args[..], extra].concat())
 }
 
-/// `lastmile serve ARGS` on an ephemeral port; returns the child and its
-/// address once the daemon writes it to `ready` (removed first, so a
-/// restart never reads the previous daemon's address).
-pub fn spawn_serve_with(ready: &Path, args: &[&str]) -> (Child, String) {
+/// `lastmile serve ARGS` on an ephemeral port; returns the daemon and
+/// its address once it writes it to `ready` (removed first, so a restart
+/// never reads the previous daemon's address).
+pub fn spawn_serve_with(ready: &Path, args: &[&str]) -> (Daemon, String) {
     let _ = std::fs::remove_file(ready);
     let head = [
         "serve",
@@ -89,12 +144,14 @@ pub fn spawn_serve_with(ready: &Path, args: &[&str]) -> (Child, String) {
         ready.to_str().unwrap(),
     ];
     let args: Vec<&str> = [&head[..], args].concat();
-    let mut child = Command::new(lastmile_bin())
-        .args(&args)
-        .stdout(Stdio::piped())
-        .stderr(Stdio::piped())
-        .spawn()
-        .expect("spawn lastmile serve");
+    let mut daemon = Daemon(Some(
+        Command::new(lastmile_bin())
+            .args(&args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn lastmile serve"),
+    ));
     let deadline = Instant::now() + Duration::from_secs(60);
     let addr = loop {
         if let Ok(contents) = std::fs::read_to_string(ready) {
@@ -102,8 +159,10 @@ pub fn spawn_serve_with(ready: &Path, args: &[&str]) -> (Child, String) {
                 break contents.trim().to_string();
             }
         }
+        let child = daemon.0.as_mut().expect("daemon still running");
         if let Some(status) = child.try_wait().expect("try_wait") {
-            let out = child.wait_with_output().expect("collect output");
+            let exited = daemon.0.take().expect("daemon still running");
+            let out = exited.wait_with_output().expect("collect output");
             panic!(
                 "serve exited before ready ({status}): {}",
                 String::from_utf8_lossy(&out.stderr)
@@ -112,17 +171,18 @@ pub fn spawn_serve_with(ready: &Path, args: &[&str]) -> (Child, String) {
         assert!(Instant::now() < deadline, "serve never became ready");
         std::thread::sleep(Duration::from_millis(20));
     };
-    (child, addr)
+    (daemon, addr)
 }
 
 /// SIGTERM the daemon and collect `(stderr, exited successfully)`.
-pub fn terminate(child: Child) -> (String, bool) {
+pub fn terminate(mut daemon: Daemon) -> (String, bool) {
     let ok = Command::new("kill")
-        .arg(child.id().to_string())
+        .arg(daemon.id().to_string())
         .status()
         .expect("spawn kill")
         .success();
     assert!(ok, "kill failed");
+    let child = daemon.0.take().expect("daemon still running");
     let out = child.wait_with_output().expect("collect serve output");
     (
         String::from_utf8_lossy(&out.stderr).into_owned(),

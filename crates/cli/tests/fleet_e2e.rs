@@ -7,7 +7,7 @@
 
 mod common;
 
-use common::{lastmile_bin, run};
+use common::{lastmile_bin, run, Scratch};
 use std::fs::File;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, ExitStatus, Stdio};
@@ -15,32 +15,7 @@ use std::time::{Duration, Instant};
 
 /// A fresh scratch dir per test (parallel tests must not collide).
 fn scratch(tag: &str) -> Scratch {
-    let dir = std::env::temp_dir().join(format!("lastmile-fleet-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    Scratch(dir)
-}
-
-/// A scratch dir, removed when the test that made it ends. A failed
-/// test keeps it, and names it, for a look at what the run left.
-struct Scratch(PathBuf);
-
-impl std::ops::Deref for Scratch {
-    type Target = Path;
-
-    fn deref(&self) -> &Path {
-        &self.0
-    }
-}
-
-impl Drop for Scratch {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            eprintln!("kept scratch dir {}", self.0.display());
-        } else {
-            let _ = std::fs::remove_dir_all(&self.0);
-        }
-    }
+    Scratch::new(&format!("fleet-{tag}"))
 }
 
 /// A small spec covering a persistent, a clean, and an adversarial AS.

@@ -15,7 +15,7 @@
 
 mod common;
 
-use common::{header, http_get, http_get_with, http_post, spawn_serve, terminate};
+use common::{header, http_get, http_get_with, http_post, spawn_serve, terminate, Scratch};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 fn metrics_json(addr: &str) -> serde_json::Value {
@@ -33,8 +33,7 @@ fn unix_now_secs() -> i64 {
 
 #[test]
 fn ops_plane_joins_timeline_epochs_access_log_and_prom() {
-    let dir = std::env::temp_dir().join(format!("lastmile-ops-e2e-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = Scratch::new("ops-e2e");
     let access = dir.join("access.jsonl");
     let trace = dir.join("trace.json");
     let spool = dir.join("spool.jsonl");
@@ -267,5 +266,4 @@ fn ops_plane_joins_timeline_epochs_access_log_and_prom() {
         trace_json.contains("ops-e2e-probe-1"),
         "request id missing from trace"
     );
-    std::fs::remove_dir_all(&dir).ok();
 }

@@ -27,7 +27,7 @@ mod common;
 
 use common::{
     await_live_convergence, fixture, header, http_get, http_post, lastmile_bin, run, spawn_serve,
-    spawn_serve_over, terminate,
+    spawn_serve_over, terminate, Scratch,
 };
 use std::path::Path;
 use std::process::Command;
@@ -44,8 +44,7 @@ fn strip_last_column(csv: &str) -> String {
 
 #[test]
 fn concurrent_responses_match_batch_output() {
-    let dir = std::env::temp_dir().join(format!("lastmile-serve-e2e-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = Scratch::new("serve-e2e");
     let (child, addr) = spawn_serve(&dir, &[]);
 
     // The batch outputs the daemon must reproduce byte-for-byte.
@@ -175,13 +174,11 @@ fn concurrent_responses_match_batch_output() {
     let (stderr, ok) = terminate(child);
     assert!(ok, "serve did not exit cleanly: {stderr}");
     assert!(stderr.contains("[serve] shutdown: drained"), "{stderr}");
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn saturated_queue_answers_503_with_retry_after() {
-    let dir = std::env::temp_dir().join(format!("lastmile-serve-busy-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = Scratch::new("serve-busy");
     // One worker, one queue slot, and a handler slow enough that two
     // staggered requests hold both; the third must bounce — but health
     // probes must keep answering via the fast lane the whole time.
@@ -258,7 +255,6 @@ fn saturated_queue_answers_503_with_retry_after() {
 
     let (stderr, ok) = terminate(child);
     assert!(ok, "serve did not exit cleanly: {stderr}");
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Append a newline-terminated chunk to a file (the collector-style
@@ -274,8 +270,7 @@ fn append_file(path: &Path, bytes: &[u8]) {
 
 #[test]
 fn live_appends_and_posts_converge_to_cold_union_bytes() {
-    let dir = std::env::temp_dir().join(format!("lastmile-serve-live-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = Scratch::new("serve-live");
     let (full_corpus, probes) = fixture(&dir);
     let all = std::fs::read_to_string(&full_corpus).expect("fixture corpus");
     let lines: Vec<&str> = all.lines().collect();
@@ -425,13 +420,11 @@ fn live_appends_and_posts_converge_to_cold_union_bytes() {
     let (stderr, ok) = terminate(child);
     assert!(ok, "serve did not exit cleanly: {stderr}");
     assert!(stderr.contains("[live] epoch"), "{stderr}");
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn sigterm_drains_pending_reanalysis_before_snapshot_persist() {
-    let dir = std::env::temp_dir().join(format!("lastmile-serve-drain-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = Scratch::new("serve-drain");
     let cache_dir = dir.join("cache");
     // A watcher that polls once a minute has not seen the append when
     // SIGTERM lands: only its final poll at shutdown finds it, which
@@ -474,13 +467,11 @@ fn sigterm_drains_pending_reanalysis_before_snapshot_persist() {
         swap_at < last_persist_at,
         "snapshot persisted before the drained epoch swap: {stderr}"
     );
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn restart_reanalyses_nothing_the_startup_analysis_covered() {
-    let dir = std::env::temp_dir().join(format!("lastmile-serve-restart-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = Scratch::new("serve-restart");
     let watch = ["--watch", "--watch-poll-ms", "50"];
     let (child, addr) = spawn_serve(&dir, &watch);
     let corpus = dir.join("traceroutes.jsonl");
@@ -527,13 +518,11 @@ fn restart_reanalyses_nothing_the_startup_analysis_covered() {
     let (stderr, ok) = terminate(child);
     assert!(ok, "serve did not exit cleanly: {stderr}");
     assert!(!stderr.contains("[live] epoch"), "{stderr}");
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn sigterm_drains_in_flight_and_repersists_snapshot() {
-    let dir = std::env::temp_dir().join(format!("lastmile-serve-term-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = Scratch::new("serve-term");
     let cache_dir = dir.join("cache");
     let (child, addr) = spawn_serve(
         &dir,
@@ -575,7 +564,6 @@ fn sigterm_drains_in_flight_and_repersists_snapshot() {
         "expected startup + shutdown persists: {stderr}"
     );
     assert!(snapshot.exists(), "shutdown snapshot missing");
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// `ingest.records_decoded` of a `--stats-out` document.
@@ -590,8 +578,7 @@ fn read_stats(path: &Path) -> serde_json::Value {
 
 #[test]
 fn each_record_is_decoded_once_per_analysis() {
-    let dir = std::env::temp_dir().join(format!("lastmile-serve-decode-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = Scratch::new("serve-decode");
     let spool = dir.join("spool.jsonl");
     let (child, addr) = spawn_serve(&dir, &["--live-spool", spool.to_str().unwrap()]);
     let trs = dir.join("traceroutes.jsonl");
@@ -694,7 +681,6 @@ fn each_record_is_decoded_once_per_analysis() {
 
     let (stderr, ok) = terminate(child);
     assert!(ok, "serve did not exit cleanly: {stderr}");
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The fixture corpus in `dir`, split into the records of every probe
@@ -772,8 +758,7 @@ fn published_epochs(addr: &str) -> Vec<serde_json::Value> {
 
 #[test]
 fn concurrent_posts_and_appends_converge_and_quarantine_like_a_restart() {
-    let dir = std::env::temp_dir().join(format!("lastmile-serve-mixed-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = Scratch::new("serve-mixed");
     let (head, tail, probes) = split_fixture(&dir);
     // Four posters send 100 records each, 25 per POST, while the rest of
     // probe 6005's records are appended to the watched corpus in chunks,
@@ -845,13 +830,11 @@ fn concurrent_posts_and_appends_converge_and_quarantine_like_a_restart() {
     let live_dump = std::fs::read_to_string(&dump).unwrap();
     assert!(live_dump.contains("not a traceroute"), "{live_dump}");
     assert_eq!(live_dump, std::fs::read_to_string(&restarted).unwrap());
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn rotation_mid_run_rebuilds_and_folds_no_record_twice() {
-    let dir = std::env::temp_dir().join(format!("lastmile-serve-rotate-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = Scratch::new("serve-rotate");
     let (head, tail, probes) = split_fixture(&dir);
     // POST `before`, rotate the corpus to head + `rotated`, POST `after`,
     // then append `appended` to the replacement.
@@ -932,7 +915,6 @@ fn rotation_mid_run_rebuilds_and_folds_no_record_twice() {
     assert_eq!(decoded, delivered + reread);
     let (stderr, ok) = terminate(child);
     assert!(ok, "serve did not exit cleanly: {stderr}");
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The fixture in `dir` with its probes split across two ASNs: 6000–6002
@@ -1009,8 +991,7 @@ fn assert_serves_cold_union(dir: &Path, addr: &str, corpus: &Path, spool: &Path,
 
 #[test]
 fn posts_reaching_one_asn_leave_the_other_untouched() {
-    let dir = std::env::temp_dir().join(format!("lastmile-serve-partial-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = Scratch::new("serve-partial");
     let (lines, probes) = two_asn_fixture(&dir);
     // 50 of probe 6000's records from the middle of its run arrive by
     // POST, so the data span, and the window, stay put.
@@ -1047,13 +1028,11 @@ fn posts_reaching_one_asn_leave_the_other_untouched() {
     assert_serves_cold_union(&dir, &addr, &corpus, &spool, &probes);
     let (stderr, ok) = terminate(child);
     assert!(ok, "serve did not exit cleanly: {stderr}");
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn a_post_that_moves_an_open_window_reanalyses_everything() {
-    let dir = std::env::temp_dir().join(format!("lastmile-serve-widen-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = Scratch::new("serve-widen");
     let (lines, probes) = two_asn_fixture(&dir);
     // With no --end, the window ends at the data: a record of probe 6000
     // two days past the rest moves it for both populations.
@@ -1082,7 +1061,6 @@ fn a_post_that_moves_an_open_window_reanalyses_everything() {
     assert_serves_cold_union(&dir, &addr, &corpus, &spool, &probes);
     let (stderr, ok) = terminate(child);
     assert!(ok, "serve did not exit cleanly: {stderr}");
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// `--start` and `--end` of the midnight-aligned days holding every
@@ -1112,8 +1090,7 @@ fn shifted(line: &str, secs: i64) -> String {
 
 #[test]
 fn a_last_record_without_newline_is_analysed_and_persisted() {
-    let dir = std::env::temp_dir().join(format!("lastmile-serve-unterm-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = Scratch::new("serve-unterm");
     let (full, probes) = fixture(&dir);
     let all = std::fs::read_to_string(&full).unwrap();
     let last = all
@@ -1204,7 +1181,6 @@ fn a_last_record_without_newline_is_analysed_and_persisted() {
         warm_stats["bins_discarded_sanity"],
         cold_stats["bins_discarded_sanity"]
     );
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// A live daemon over `head` (`source`: routing flags and a known
@@ -1278,7 +1254,7 @@ fn live_snapshot_matches_cold_union(
 
 #[test]
 fn live_snapshot_holds_what_a_cold_build_of_the_union_holds() {
-    let dir = std::env::temp_dir().join(format!("lastmile-serve-refill-{}", std::process::id()));
+    let dir = Scratch::new("serve-refill");
     // Probe metadata: probe 6005 arrives live, by POST and by append.
     let anchor = dir.join("anchor");
     std::fs::create_dir_all(&anchor).unwrap();
@@ -1319,12 +1295,11 @@ fn live_snapshot_holds_what_a_cold_build_of_the_union_holds() {
     let inserts =
         live_snapshot_matches_cold_union(&dir.join("bgp"), head, posted, appended, &source);
     assert_eq!(inserts, 1);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn a_live_daemon_refuses_a_read_only_cache() {
-    let dir = std::env::temp_dir().join(format!("lastmile-serve-live-ro-{}", std::process::id()));
+    let dir = Scratch::new("serve-live-ro");
     let (trs, bgp) = common::write_multi_asn_fixture(&dir);
     let (_, err, ok) = run(&[
         "serve",
@@ -1347,13 +1322,11 @@ fn a_live_daemon_refuses_a_read_only_cache() {
         err.contains("--cache ro does nothing in a live daemon"),
         "{err}"
     );
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn deeply_nested_post_is_rejected_and_the_daemon_stays_up() {
-    let dir = std::env::temp_dir().join(format!("lastmile-serve-deep-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = Scratch::new("serve-deep");
     let spool = dir.join("spool.jsonl");
     let (child, addr) = spawn_serve(&dir, &["--live-spool", spool.to_str().unwrap()]);
     // 150,000 arrays deep: about 300 KB, far under the intake body cap
@@ -1370,7 +1343,6 @@ fn deeply_nested_post_is_rejected_and_the_daemon_stays_up() {
     assert_eq!(body, b"{\"status\":\"ok\"}\n");
     let (stderr, ok) = terminate(child);
     assert!(ok, "serve did not exit cleanly: {stderr}");
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Voluntary context switches summed over every thread of `pid`: how
@@ -1392,8 +1364,7 @@ fn voluntary_switches(pid: u32) -> u64 {
 #[test]
 #[cfg(target_os = "linux")]
 fn idle_daemon_wakes_only_for_work() {
-    let dir = std::env::temp_dir().join(format!("lastmile-serve-idle-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = Scratch::new("serve-idle");
     let spool = dir.join("spool.jsonl");
     // Live intake armed and the ops sampler at its default period: every
     // background thread of the daemon is running.
@@ -1412,7 +1383,6 @@ fn idle_daemon_wakes_only_for_work() {
         wakeups <= 12,
         "{wakeups} voluntary context switches in 2 s idle"
     );
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// CPU time (user + system, in 1/100 s ticks) the process has used so far.
@@ -1429,8 +1399,7 @@ fn cpu_ticks(pid: u32) -> u64 {
 #[test]
 #[cfg(target_os = "linux")]
 fn a_zero_watch_poll_does_not_spin() {
-    let dir = std::env::temp_dir().join(format!("lastmile-serve-poll0-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = Scratch::new("serve-poll0");
     let (child, addr) = spawn_serve(&dir, &["--watch", "--watch-poll-ms", "0"]);
     let (status, _, _) = http_get(&addr, "/healthz");
     assert_eq!(status, 200);
@@ -1444,7 +1413,6 @@ fn a_zero_watch_poll_does_not_spin() {
         used <= 40,
         "{used} CPU ticks in 2 s idle with --watch-poll-ms 0"
     );
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

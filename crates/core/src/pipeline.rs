@@ -77,12 +77,12 @@ pub struct PopulationStats {
     /// skipped).
     pub welch_segments: u64,
     /// Probes whose series this analysis binned from their columns; a
-    /// served or reused series is not binned.
+    /// kept series is not binned.
     pub probes_binned: u64,
     /// Wall time spent binning probe series and computing queuing delay.
     pub series_nanos: u64,
     /// Per-probe series-build latency distribution (one sample per probe
-    /// fed to the series stage, raw or prebuilt). A `Default` histogram
+    /// fed to the series stage, binned or kept). A `Default` histogram
     /// is one unallocated `Vec`, so carrying it here is effectively free.
     pub series_hist: Histogram,
     /// Wall time spent in cross-probe median aggregation.
@@ -91,7 +91,10 @@ pub struct PopulationStats {
     pub detect_nanos: u64,
 }
 
-/// Streams traceroutes of a probe population into an analysis.
+/// Streams traceroutes of a probe population into an analysis. Series
+/// built earlier (a store hit, or a live caller's last analysis) join
+/// at analysis, as kept series ([`AsPipeline::finish_in_with`]), and are
+/// retained like binned ones.
 pub struct AsPipeline {
     cfg: PipelineConfig,
     /// The period's bounds as known while streaming; a `None` side is
@@ -101,7 +104,6 @@ pub struct AsPipeline {
     /// Earliest and latest timestamps of the in-period traceroutes fed.
     fed_span: Option<(UnixTime, UnixTime)>,
     builders: BTreeMap<ProbeId, ProbeSeriesBuilder>,
-    prebuilt: BTreeMap<ProbeId, BuiltSeries>,
     retain_median_series: bool,
     ingested: u64,
     ignored_out_of_period: usize,
@@ -130,49 +132,19 @@ impl AsPipeline {
             end,
             fed_span: None,
             builders: BTreeMap::new(),
-            prebuilt: BTreeMap::new(),
             retain_median_series: false,
             ingested: 0,
             ignored_out_of_period: 0,
         }
     }
 
-    /// Keep each raw-built probe's median series (and its discarded bins)
-    /// in the analysis result, so the caller can insert them into a
-    /// series store after [`AsPipeline::finish`], or offer them to a
-    /// later analysis ([`AsPipeline::finish_in_with`]). Off by default — the
-    /// retained copies roughly double the per-probe memory.
+    /// Keep each probe's median series (and its discarded bins), binned
+    /// or kept, in the analysis result, so the caller can insert them
+    /// into a series store after [`AsPipeline::finish`], or offer them to
+    /// a later analysis ([`AsPipeline::finish_in_with`]). Off by default —
+    /// the retained copies roughly double the per-probe memory.
     pub fn retain_median_series(&mut self, on: bool) {
         self.retain_median_series = on;
-    }
-
-    /// Feed one probe's series ready-made instead of its raw traceroutes,
-    /// as a `lastmile-store` cache serves it: no traceroute is consumed,
-    /// so a served probe adds nothing to `traceroutes_ingested`, and its
-    /// discarded-bin count joins the sanity-filter statistics as a raw
-    /// build's would.
-    ///
-    /// Panics if the pipeline's period has an open bound (a prebuilt
-    /// series is built over a period known up front), if the series' bin
-    /// width differs from the pipeline's, or if the probe was already fed
-    /// (raw or prebuilt) — mixing sources for one probe would corrupt the
-    /// analysis silently.
-    pub fn ingest_series(&mut self, pre: BuiltSeries) {
-        assert!(
-            self.start.is_some() && self.end.is_some(),
-            "a prebuilt series needs the period known up front"
-        );
-        assert_eq!(
-            pre.series.bin(),
-            self.cfg.bin,
-            "prebuilt series bin width differs from the pipeline's"
-        );
-        let probe = pre.series.probe();
-        assert!(
-            !self.builders.contains_key(&probe) && !self.prebuilt.contains_key(&probe),
-            "probe {probe:?} fed twice (raw and/or prebuilt)"
-        );
-        self.prebuilt.insert(probe, pre);
     }
 
     /// Ingest one traceroute: [`AsPipeline::ingest_row`] of its last-mile
@@ -209,8 +181,7 @@ impl AsPipeline {
     /// both fed keeps both feeds ([`ProbeSeriesBuilder::absorb`] moves
     /// the columns). This is how pipelines filled on separate ingest
     /// threads become one. Panics unless both were built over the same
-    /// bounds, or if a probe was fed prebuilt to one and in any form to
-    /// the other.
+    /// bounds.
     pub fn merge(&mut self, other: AsPipeline) {
         assert!(
             (self.start, self.end) == (other.start, other.end),
@@ -226,21 +197,10 @@ impl AsPipeline {
             );
         }
         for (probe, builder) in other.builders {
-            assert!(
-                !self.prebuilt.contains_key(&probe),
-                "probe {probe:?} fed twice (raw and prebuilt)"
-            );
             match self.builders.entry(probe) {
                 Entry::Occupied(mut e) => e.get_mut().absorb(builder),
                 Entry::Vacant(e) => drop(e.insert(builder)),
             }
-        }
-        for (probe, pre) in other.prebuilt {
-            assert!(
-                !self.builders.contains_key(&probe) && !self.prebuilt.contains_key(&probe),
-                "probe {probe:?} fed twice (raw and/or prebuilt)"
-            );
-            self.prebuilt.insert(probe, pre);
         }
     }
 
@@ -259,7 +219,7 @@ impl AsPipeline {
 
     /// Number of probes seen so far.
     pub fn probe_count(&self) -> usize {
-        self.builders.len() + self.prebuilt.len()
+        self.builders.len()
     }
 
     /// Run the full analysis. Panics on a pipeline built with an open
@@ -281,7 +241,7 @@ impl AsPipeline {
     /// more rows and analyse again; the result equals that of one
     /// pipeline fed everything once.
     pub fn finish_in(&self, period: TimeRange) -> PopulationAnalysis {
-        self.finish_in_with(period, &[], |_| None)
+        self.finish_in_with(period, &[], [])
     }
 
     /// [`AsPipeline::finish_in`] as if `extra` had been fed last, without
@@ -289,16 +249,20 @@ impl AsPipeline {
     /// columns. A live caller analyses so the rows it may have to take
     /// back (a record whose line is still growing).
     ///
-    /// `reuse` offers a fed probe's series from an earlier analysis: one
-    /// it returns is taken as built, not binned again, unless `extra`
-    /// reaches the probe. The caller vouches that the probe was fed
-    /// nothing since that series was built; the result then equals a
-    /// full build's.
+    /// `kept` yields series built earlier over `period`, in any order:
+    /// a store hit, whose probe was never fed, or a fed probe's series
+    /// from an earlier analysis. Each is taken as built, not binned,
+    /// unless `extra` reaches its probe; then the probe is binned from
+    /// its columns and `extra`. The caller vouches that a kept series is
+    /// what a build of everything its probe was fed (or, for a store
+    /// hit, would have been fed) gives; the result then equals a full
+    /// build's. Panics if a kept series' bin width differs from the
+    /// pipeline's.
     pub fn finish_in_with<'s>(
         &self,
         period: TimeRange,
         extra: &[LastMile],
-        reuse: impl Fn(ProbeId) -> Option<&'s BuiltSeries>,
+        kept: impl IntoIterator<Item = &'s BuiltSeries>,
     ) -> PopulationAnalysis {
         let mut over = AsPipeline::with_bounds(self.cfg, self.start, self.end);
         extra.iter().for_each(|row| over.ingest_row(row));
@@ -323,42 +287,35 @@ impl AsPipeline {
 
         let t = Instant::now();
         let span = trace::span("series");
-        // Merge raw-built and prebuilt probes in ProbeId order — the same
-        // order a raw-only run produces, so downstream aggregation (and
+        // Merge binned and kept probes in ProbeId order — the same order
+        // a raw-only run produces, so downstream aggregation (and
         // therefore the report) is byte-identical however each probe's
         // series arrived.
         enum Source<'a> {
             Raw(Cow<'a, ProbeSeriesBuilder>),
-            Pre(&'a BuiltSeries),
-            /// A fed probe's series from an earlier analysis.
             Kept(&'a BuiltSeries),
         }
         let mut merged: BTreeMap<ProbeId, Source> = self
             .builders
             .iter()
-            .map(|(&probe, b)| {
-                let kept = (!over.builders.contains_key(&probe))
-                    .then(|| reuse(probe))
-                    .flatten();
-                let source = kept.map_or(Source::Raw(Cow::Borrowed(b)), Source::Kept);
-                (probe, source)
-            })
+            .map(|(&probe, b)| (probe, Source::Raw(Cow::Borrowed(b))))
             .collect();
-        for (&probe, pre) in &self.prebuilt {
-            let clash = merged.insert(probe, Source::Pre(pre));
-            assert!(
-                clash.is_none(),
-                "probe {probe:?} fed twice (raw and prebuilt)"
+        for series in kept {
+            assert_eq!(
+                series.series.bin(),
+                cfg.bin,
+                "kept series bin width differs from the pipeline's"
             );
+            let probe = series.series.probe();
+            if !over.builders.contains_key(&probe) {
+                merged.insert(probe, Source::Kept(series));
+            }
         }
         for (probe, rows) in over.builders {
             match merged.entry(probe) {
                 Entry::Occupied(mut e) => match e.get_mut() {
                     Source::Raw(b) => b.to_mut().absorb(rows),
-                    // A probe `extra` reaches is never reused.
-                    Source::Pre(_) | Source::Kept(_) => {
-                        panic!("probe {probe:?} fed twice (raw and prebuilt)")
-                    }
+                    Source::Kept(_) => unreachable!("a probe extra reaches is never kept"),
                 },
                 Entry::Vacant(e) => drop(e.insert(Source::Raw(Cow::Owned(rows)))),
             }
@@ -386,10 +343,6 @@ impl AsPipeline {
                             built_series.push(kept.clone());
                         }
                         kept.series.queuing_delay()
-                    }
-                    Source::Pre(pre) => {
-                        stats.bins_discarded_sanity += pre.discarded_bins;
-                        pre.series.queuing_delay()
                     }
                 };
                 stats.series_hist.record(elapsed_nanos(t_probe));
@@ -452,10 +405,10 @@ pub struct PopulationAnalysis {
     pub enough_probes: bool,
     /// Counters and stage timings from this analysis.
     pub stats: PopulationStats,
-    /// Median series of the raw-built and reused probes, in probe order,
-    /// kept only when [`AsPipeline::retain_median_series`] was enabled
-    /// (for insertion into a series store, or reuse by a later analysis:
-    /// see [`AsPipeline::finish_in_with`]); empty otherwise.
+    /// Median series of every probe, binned or kept, in probe order,
+    /// retained only when [`AsPipeline::retain_median_series`] was
+    /// enabled (for insertion into a series store, or reuse by a later
+    /// analysis: see [`AsPipeline::finish_in_with`]); empty otherwise.
     pub built_series: Vec<BuiltSeries>,
 }
 
@@ -650,7 +603,7 @@ mod tests {
             .chain([tr(2, -100, 5.0)])
             .collect();
         let rows: Vec<LastMile> = extra.iter().map(LastMile::of).collect();
-        let with = p.finish_in_with(period_15d(), &rows, |_| None);
+        let with = p.finish_in_with(period_15d(), &rows, []);
         let mut fed = AsPipeline::new(PipelineConfig::paper(), period_15d());
         feed_diurnal(&mut fed, 3, 2.0);
         extra.iter().for_each(|t| fed.ingest(t));
@@ -676,15 +629,12 @@ mod tests {
         // are binned again; probes 1 and 4 reuse their series.
         (0..3).for_each(|i| p.ingest(&tr(2, 86_400 + i * 400, 9.0)));
         let extra = [LastMile::of(&tr(3, 7_200, 4.0))];
-        let earlier = |probe: ProbeId| {
-            let kept = first
-                .built_series
-                .iter()
-                .find(|b| b.series.probe() == probe);
-            (probe != ProbeId(2)).then_some(kept).flatten()
-        };
+        let earlier = first
+            .built_series
+            .iter()
+            .filter(|b| b.series.probe() != ProbeId(2));
         let reused = p.finish_in_with(period_15d(), &extra, earlier);
-        let full = p.finish_in_with(period_15d(), &extra, |_| None);
+        let full = p.finish_in_with(period_15d(), &extra, []);
         assert_eq!(reused.stats.probes_binned, 2);
         assert_eq!(full.stats.probes_binned, 4);
         assert_eq!(reused.probe_series, full.probe_series);
@@ -695,6 +645,61 @@ mod tests {
             full.stats.bins_discarded_sanity
         );
         assert_ne!(reused.probe_series, first.probe_series);
+    }
+
+    #[test]
+    fn kept_series_analyse_like_a_full_build() {
+        // Probe 9 has a bin the sanity filter discards.
+        let feed = |p: &mut AsPipeline| {
+            feed_diurnal(p, 4, 2.0);
+            p.ingest(&tr(9, 0, 5.0));
+            p.ingest(&tr(9, 400, 5.0));
+            for bin in 1..(15 * 48) {
+                (0..3).for_each(|i| p.ingest(&tr(9, bin * 1800 + i * 400, 6.0)));
+            }
+        };
+        let retained = || {
+            let mut p = AsPipeline::new(PipelineConfig::paper(), period_15d());
+            p.retain_median_series(true);
+            p
+        };
+        let mut earlier = retained();
+        feed(&mut earlier);
+        let earlier = earlier.finish();
+        let extra: Vec<LastMile> = (0..3)
+            .map(|i| LastMile::of(&tr(3, 7_200 + i * 400, 4.0)))
+            .collect();
+        let mut full = retained();
+        feed(&mut full);
+        extra.iter().for_each(|row| full.ingest_row(row));
+        let full = full.finish();
+
+        // Probe 9 is never fed and comes only as a kept series, as a
+        // store hit does; probe 1 is fed and kept, as a memo's is; probe
+        // 3 is fed and kept, but `extra` reaches it. Probes 2, 3 and 4
+        // are binned.
+        let mut p = retained();
+        feed_diurnal(&mut p, 4, 2.0);
+        let kept = earlier
+            .built_series
+            .iter()
+            .filter(|b| [1, 3, 9].contains(&b.series.probe().0));
+        let with = p.finish_in_with(period_15d(), &extra, kept);
+        assert_eq!(with.stats.probes_binned, 3);
+        assert_eq!(with.probe_series, full.probe_series);
+        assert_eq!(with.aggregated, full.aggregated);
+        assert_eq!(with.built_series, full.built_series);
+        assert_eq!(with.built_series.len(), 5);
+        assert_eq!(
+            with.stats.bins_discarded_sanity,
+            full.stats.bins_discarded_sanity
+        );
+        assert_eq!(full.stats.bins_discarded_sanity, 1);
+        assert_eq!(
+            with.stats.series_hist.count(),
+            full.stats.series_hist.count()
+        );
+        assert_ne!(with.probe_series, earlier.probe_series, "extra shows");
     }
 
     #[test]

@@ -337,17 +337,6 @@ pub fn ingest_reader(
     })
 }
 
-/// [`fold_reader`] over a file.
-pub fn fold_file<R: Row, S: Send>(
-    path: &str,
-    options: &IngestOptions,
-    init: impl Fn() -> S + Sync,
-    fold: impl Fn(&mut S, R) + Sync,
-) -> Result<(IngestSummary, Vec<S>), String> {
-    let file = std::fs::File::open(path).map_err(|e| format!("open {path}: {e}"))?;
-    fold_reader(file, options, init, fold).map_err(|e| format!("{path}: {e}"))
-}
-
 /// The engine: frame `reader` on the calling thread, decode each record
 /// as `R` on [`IngestOptions::threads`] workers (or inline), and fold
 /// each row into the state of the thread that decoded it. Returns one

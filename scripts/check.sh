@@ -20,13 +20,25 @@ cargo build --workspace --benches --examples
 
 # The suite gets a temp dir of its own, so any scratch file or dir
 # (lastmile-*) that a test leaves behind shows, and fails the gate. A
-# failing suite keeps the dir for a look at what it left.
-echo "==> cargo test -q --workspace (TMPDIR checked for scratch leaks)"
+# failing suite keeps the dir for a look at what it left. A process a
+# test spawned and never stopped (a `serve` daemon) names that dir on
+# its command line: any still running fails the gate too, and is
+# killed.
+echo "==> cargo test -q --workspace (TMPDIR checked for scratch and process leaks)"
 test_tmp=$(mktemp -d)
-TMPDIR=$test_tmp cargo test -q --workspace || {
+suite_ok=1
+TMPDIR=$test_tmp cargo test -q --workspace || suite_ok=
+strays=$(pgrep -af "$test_tmp" || true)
+if [ -n "$strays" ]; then
+    echo "tests left processes running (killed):" >&2
+    echo "$strays" >&2
+    pkill -KILL -f "$test_tmp" || true
+fi
+if [ -z "$suite_ok" ]; then
     echo "test scratch kept in $test_tmp" >&2
     exit 1
-}
+fi
+[ -z "$strays" ] || exit 1
 leaks=$(find "$test_tmp" -mindepth 1 -maxdepth 1 -name 'lastmile-*')
 rm -rf "$test_tmp"
 if [ -n "$leaks" ]; then
