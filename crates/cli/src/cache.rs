@@ -39,7 +39,11 @@ pub fn from_flags(
         return Ok(None);
     };
     let path = &cache.path;
+    let span = trace::span("fingerprint");
+    let fingerprint_timer = StageTimer::start();
     cache.fingerprint = fingerprint()?;
+    let fingerprint_nanos = fingerprint_timer.elapsed_nanos();
+    drop(span);
     let span = trace::span_with("snapshot_load", |a| {
         a.str("path", path.display().to_string());
     });
@@ -50,6 +54,7 @@ pub fn from_flags(
     if let Some(m) = metrics {
         m.store.add(&StoreStats {
             snapshot_load_nanos: load_timer.elapsed_nanos(),
+            fingerprint_nanos,
             snapshot_bytes_read: bytes,
             ..StoreStats::default()
         });

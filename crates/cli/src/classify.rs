@@ -508,7 +508,8 @@ impl Corpus {
     /// Analyse every population over the window: the flag bounds, with a
     /// side left open closed at the data span. A provisional tail is
     /// analysed as if folded. When `metrics` is given, pipeline counters
-    /// and stage timings are accumulated into it.
+    /// and stage timings are accumulated into it, and its `column_bytes`
+    /// is set to what the folded columns hold.
     ///
     /// The analyses are memoized, so the next call recomputes only what
     /// rows folded since reached: a population no row reached hands back
@@ -524,6 +525,11 @@ impl Corpus {
         progress: Option<&LiveProgress>,
     ) -> Result<(Analyses, Recomputed), String> {
         self.mark_tail();
+        if let Some(m) = metrics {
+            let pipelines = self.fold.pipelines.values();
+            let bytes = pipelines.map(AsPipeline::column_bytes).sum();
+            m.column_bytes.store(bytes, Ordering::Relaxed);
+        }
         let routing = &self.routing;
         let tail = &self.tail.rows[..];
         let span = tail

@@ -593,7 +593,13 @@ fn persist_live_snapshot(
     if !unchanged() {
         return skip("corpus changed after the last analysis");
     }
-    let fingerprint = match corpus_fingerprint(flags, paths) {
+    let timer = StageTimer::start();
+    let fingerprint = corpus_fingerprint(flags, paths);
+    metrics
+        .store
+        .fingerprint_nanos
+        .fetch_add(timer.elapsed_nanos(), Ordering::Relaxed);
+    let fingerprint = match fingerprint {
         Ok(f) => f,
         Err(e) => return skip(&format!("cannot fingerprint the final corpus ({e})")),
     };

@@ -434,6 +434,94 @@ fn bgp_cache_excludes_multi_asn_probes() {
     }
 }
 
+/// Record `i` of the column fixture: probe `1 + i % 3`, every 60 s from
+/// 1,000,000 s. Its last private hop answers `near` times; its first
+/// public hop answers `far` times, or is missing when `far` is 0.
+fn column_record(i: u64, near: usize, far: usize) -> String {
+    let replies = |from: &str, rtt: f64, n: usize| {
+        vec![format!(r#"{{"from":"{from}","rtt":{rtt:?}}}"#); n].join(",")
+    };
+    let mut hops = vec![format!(
+        r#"{{"hop":1,"result":[{}]}}"#,
+        replies("192.168.1.1", 1.0, near)
+    )];
+    if far > 0 {
+        hops.push(format!(
+            r#"{{"hop":2,"result":[{}]}}"#,
+            replies("20.0.0.1", 5.5 + (i % 7) as f64, far)
+        ));
+    }
+    format!(
+        r#"{{"fw":5020,"af":4,"dst_addr":"20.99.0.1","src_addr":"192.168.1.10","from":"20.0.0.1","msm_id":5001,"prb_id":{},"timestamp":{},"proto":"ICMP","type":"traceroute","result":[{}]}}"#,
+        1 + i % 3,
+        1_000_000 + i * 60,
+        hops.join(",")
+    )
+}
+
+#[test]
+fn column_bytes_count_each_kept_row_and_rtt_at_any_thread_count() {
+    // 3000 records over several ingest chunks, malformed lines between
+    // them. Rows outside the window are never kept. An in-window row
+    // costs 4 bytes, or 8 for one of more than 255 replies, plus 8 per
+    // RTT; a row with no public hop keeps no RTT.
+    let dir = Scratch::new("columns");
+    std::fs::create_dir_all(&*dir).unwrap();
+    let (first, last) = (100, 2900);
+    let mut corpus = String::new();
+    let mut expected = 0u64;
+    for i in 0..3000u64 {
+        let (near, far) = match i {
+            1500 => (300, 2),
+            _ => (1 + i as usize % 3, i as usize % 4),
+        };
+        corpus.push_str(&column_record(i, near, far));
+        corpus.push('\n');
+        if i % 400 == 0 {
+            corpus.push_str("{\"prb_id\": 1, \"timestamp\": \n");
+        }
+        if (first..last).contains(&i) {
+            let row = if near > 255 { 8 } else { 4 };
+            let rtts = if far > 0 { near + far } else { 0 };
+            expected += row + 8 * rtts as u64;
+        }
+    }
+    let trs = dir.join("traceroutes.jsonl");
+    std::fs::write(&trs, corpus).unwrap();
+    let stats_path = dir.join("stats.json");
+    let (start, end) = (
+        (1_000_000 + first * 60).to_string(),
+        (1_000_000 + last * 60).to_string(),
+    );
+    for threads in ["1", "2", "3"] {
+        let (_, err, ok) = run(&[
+            "classify",
+            "--traceroutes",
+            trs.to_str().unwrap(),
+            "--start",
+            &start,
+            "--end",
+            &end,
+            "--min-probes",
+            "1",
+            "--json",
+            "--ingest-threads",
+            threads,
+            "--stats-out",
+            stats_path.to_str().unwrap(),
+        ]);
+        assert!(ok, "classify at --ingest-threads {threads} failed: {err}");
+        let stats: serde_json::Value =
+            serde_json::from_str(&std::fs::read_to_string(&stats_path).unwrap()).unwrap();
+        assert_eq!(
+            stats["column_bytes"].as_u64(),
+            Some(expected),
+            "--ingest-threads {threads}: {stats}"
+        );
+        assert_eq!(stats["traceroutes_out_of_period"].as_u64(), Some(200));
+    }
+}
+
 #[test]
 fn empty_flag_window_fails_before_reading_the_corpus() {
     // The corpus does not exist: the window check must come first, with

@@ -14,6 +14,7 @@ use lastmile_repro::obs::RunMetrics;
 use lastmile_repro::runner::record_population_metrics;
 use lastmile_repro::timebase::{TimeRange, UnixTime};
 use std::path::PathBuf;
+use std::sync::atomic::Ordering;
 
 /// One synthetic Atlas traceroute line: probe `prb`, congestion-shaped
 /// RTT at the edge hop.
@@ -269,6 +270,9 @@ fn reference(
     let metrics = RunMetrics::new();
     let label = format!("{}..{}", window.start().as_secs(), window.end().as_secs());
     record_population_metrics(&metrics, 0, &label, &analysis, 0);
+    metrics
+        .column_bytes
+        .store(pipeline.column_bytes(), Ordering::Relaxed);
     (json, serde_json::to_value(&metrics.snapshot()))
 }
 

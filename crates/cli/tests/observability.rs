@@ -126,6 +126,7 @@ fn trace_stats_and_csv_artifacts() {
             "populations_analyzed",
             "populations_with_detection",
             "tasks_failed",
+            "column_bytes",
             "store",
             "ingest",
             "latency",

@@ -971,6 +971,7 @@ fn assert_serves_cold_union(dir: &Path, addr: &str, corpus: &Path, spool: &Path,
         "welch_segments",
         "populations_analyzed",
         "populations_with_detection",
+        "column_bytes",
     ] {
         assert_eq!(run[counter], cold_stats[counter], "run.{counter}");
     }

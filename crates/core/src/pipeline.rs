@@ -222,6 +222,15 @@ impl AsPipeline {
         self.builders.len()
     }
 
+    /// Payload bytes of the probes' columns
+    /// ([`ProbeSeriesBuilder::column_bytes`]).
+    pub fn column_bytes(&self) -> u64 {
+        self.builders
+            .values()
+            .map(ProbeSeriesBuilder::column_bytes)
+            .sum()
+    }
+
     /// Run the full analysis. Panics on a pipeline built with an open
     /// bound; close it with [`AsPipeline::finish_in`].
     pub fn finish(&self) -> PopulationAnalysis {

@@ -34,17 +34,20 @@ use std::collections::BTreeMap;
 /// The columns grow in parts of at most [`PART_ROWS`] rows, each closed
 /// at its length: feeding a builder never copies more than one part,
 /// and a builder kept alive to take more rows (a live daemon's) holds
-/// little unused capacity. A row keeps its bin as a 32-bit offset from
-/// its part's first bin (12 bytes a row); a row too far from it starts a
-/// part of its own, so no bin is ever clamped.
+/// little unused capacity. A row keeps its bin as a 16-bit offset from
+/// its part's first bin and its reply counts as bytes (4 bytes a row).
+/// A row too far from that bin starts a new part, and a row of more than
+/// 255 private or public replies gets a part of its own that keeps its
+/// counts whole: no row is clamped, dropped or moved out of feed order.
 #[derive(Clone, Debug)]
 pub struct ProbeSeriesBuilder {
     probe: ProbeId,
     bin: BinSpec,
     min_traceroutes: usize,
     /// Column sets in feed order: a new one every [`PART_ROWS`] rows,
-    /// per row whose bin offset would not fit, per builder absorbed and
-    /// per [`ProbeSeriesBuilder::seal`].
+    /// per row whose bin offset would not fit, per wide row and the row
+    /// after it, per builder absorbed and per
+    /// [`ProbeSeriesBuilder::seal`].
     parts: Vec<Columns>,
 }
 
@@ -56,34 +59,49 @@ struct Columns {
     /// The bin its rows' offsets count from: its first row's.
     base: BinIndex,
     rows: Vec<Row>,
+    /// A wide part's one row, binned at `base`: private and public reply
+    /// counts too large for a [`Row`]. A wide part has no `rows`.
+    wide: Option<[u32; 2]>,
     /// Each row's private RTTs then its public ones, row after row.
     rtts: Vec<f64>,
 }
 
 impl Columns {
     /// The offset `bin` is stored at in this part, when the part can take
-    /// another row: it is not full, and the offset fits. An empty part
-    /// takes its base from `bin`.
-    fn offset_of(&mut self, bin: BinIndex) -> Option<i32> {
+    /// another row: it is not full or wide, and the offset fits. An empty
+    /// part takes its base from `bin`.
+    fn offset_of(&mut self, bin: BinIndex) -> Option<i16> {
+        if self.rows.len() >= PART_ROWS || self.wide.is_some() {
+            return None;
+        }
         if self.rows.is_empty() {
             self.base = bin;
         }
-        if self.rows.len() >= PART_ROWS {
-            return None;
-        }
+        // ±32767 bins: `i16::MIN` is left out, so a reversed feed splits
+        // its parts where a forward one does.
         bin.checked_sub(self.base)
-            .and_then(|offset| i32::try_from(offset).ok())
+            .and_then(|offset| i16::try_from(offset).ok())
+            .filter(|&offset| offset != i16::MIN)
+    }
+
+    /// Payload bytes: its rows as stored, plus 8 per RTT.
+    fn bytes(&self) -> u64 {
+        let rows = self.rows.len() * size_of::<Row>();
+        let wide = self.wide.map_or(0, |counts| size_of_val(&counts));
+        (rows + wide + self.rtts.len() * size_of::<f64>()) as u64
     }
 }
 
-/// One traceroute in the columns: 12 bytes.
+/// One traceroute in the columns: 4 bytes.
 #[derive(Clone, Copy, Debug)]
 struct Row {
     /// Its bin, as an offset from its part's [`Columns::base`].
-    bin: i32,
-    private: u32,
-    public: u32,
+    bin: i16,
+    private: u8,
+    public: u8,
 }
+
+const _: () = assert!(size_of::<Row>() == 4);
 
 impl ProbeSeriesBuilder {
     /// A builder using the paper's parameters: 30-minute bins, at least 3
@@ -119,9 +137,14 @@ impl ProbeSeriesBuilder {
     pub fn ingest_row(&mut self, row: &LastMile) {
         assert_eq!(row.probe, self.probe, "traceroute from wrong probe");
         let bin = self.bin.bin_index(row.timestamp);
-        let offset = self.parts.last_mut().and_then(|part| part.offset_of(bin));
-        // A full part, or one whose base is too far from this bin, is
-        // closed at its length; the row starts a part based at its bin.
+        let (private, public) = (row.private, row.rtts.len() - row.private);
+        let narrow = u8::try_from(private).ok().zip(u8::try_from(public).ok());
+        let offset = narrow
+            .and(self.parts.last_mut())
+            .and_then(|part| part.offset_of(bin));
+        // A full or wide part, or one whose base is too far from this
+        // bin, is closed at its length, as is any part before a wide row;
+        // the row starts a part based at its bin.
         let offset = offset.unwrap_or_else(|| {
             if let Some(closed) = self.parts.last_mut() {
                 closed.rows.shrink_to_fit();
@@ -134,14 +157,19 @@ impl ProbeSeriesBuilder {
             0
         });
         let part = self.parts.last_mut().expect("a part was just ensured");
-        let count = |n: usize| u32::try_from(n).expect("a hop's replies fit in u32");
         // Every traceroute counts toward the sanity threshold, with or
         // without usable samples: the probe was demonstrably online.
-        part.rows.push(Row {
-            bin: offset,
-            private: count(row.private),
-            public: count(row.rtts.len() - row.private),
-        });
+        match narrow {
+            Some((private, public)) => part.rows.push(Row {
+                bin: offset,
+                private,
+                public,
+            }),
+            None => {
+                let count = |n: usize| u32::try_from(n).expect("a hop's replies fit in u32");
+                part.wide = Some([count(private), count(public)]);
+            }
+        }
         part.rtts.extend_from_slice(&row.rtts);
     }
 
@@ -167,6 +195,13 @@ impl ProbeSeriesBuilder {
         }
     }
 
+    /// Payload bytes of the columns: each row as stored (4 bytes, or 8
+    /// for a wide row's counts) plus 8 per RTT. Capacity and part
+    /// headers are not counted.
+    pub fn column_bytes(&self) -> u64 {
+        self.parts.iter().map(Columns::bytes).sum()
+    }
+
     /// Apply the sanity filter and compute per-bin medians.
     pub fn finish(&self) -> ProbeSeries {
         self.finish_detailed().series
@@ -185,14 +220,23 @@ impl ProbeSeriesBuilder {
     pub fn finish_detailed(&self) -> BuiltSeries {
         // (bin, how many RTTs are private, the row's RTTs), feed order,
         // in one buffer of exactly the row count.
-        let total = self.parts.iter().map(|part| part.rows.len()).sum();
+        let total = self
+            .parts
+            .iter()
+            .map(|part| part.rows.len() + usize::from(part.wide.is_some()))
+            .sum();
         let mut rows: Vec<(BinIndex, u32, &[f64])> = Vec::with_capacity(total);
         for part in &self.parts {
             let mut rtts = &part.rtts[..];
-            rows.extend(part.rows.iter().map(|row| {
-                let (own, rest) = rtts.split_at(row.private as usize + row.public as usize);
+            let narrow = part
+                .rows
+                .iter()
+                .map(|row| (row.bin, u32::from(row.private), u32::from(row.public)));
+            let wide = part.wide.map(|[private, public]| (0, private, public));
+            rows.extend(narrow.chain(wide).map(|(offset, private, public)| {
+                let (own, rest) = rtts.split_at(private as usize + public as usize);
                 rtts = rest;
-                (part.base + BinIndex::from(row.bin), row.private, own)
+                (part.base + BinIndex::from(offset), private, own)
             }));
         }
         // Stable: parallel ingest leaves a probe's rows in a few runs
@@ -549,7 +593,7 @@ mod tests {
     #[test]
     fn bins_too_far_for_an_offset_start_a_part_and_are_kept() {
         // One-second bins: rows 2^31 and 2^32 bins apart cannot share a
-        // part's 32-bit offsets, yet each keeps its own bin.
+        // part's 16-bit offsets, yet each keeps its own bin.
         let mut b = ProbeSeriesBuilder::new(ProbeId(1), BinSpec::new(1), 1);
         let far = 1i64 << 31;
         for (t, rtt) in [(0, 5.0), (far, 7.0), (2 * far, 6.0), (1, 8.0)] {
@@ -576,6 +620,168 @@ mod tests {
         });
         // Samples are 300 × 1.0 and 300 × 3.0: the median is 2.0.
         assert_eq!(b.finish().iter().next().unwrap().1, 2.0);
+    }
+
+    /// A last-mile row of probe 1 at `t`: `near.0` private RTTs of
+    /// `near.1` ms, then `far.0` public ones of `far.1` ms.
+    fn lm(t: i64, near: (usize, f64), far: (usize, f64)) -> LastMile {
+        let mut rtts = vec![near.1; near.0];
+        rtts.extend(vec![far.1; far.0]);
+        LastMile {
+            probe: ProbeId(1),
+            timestamp: UnixTime::from_secs(t),
+            edge: Some(ip("20.0.0.1")),
+            rtts,
+            private: near.0,
+        }
+    }
+
+    /// Each part's narrow row count and wide counts, in feed order.
+    fn layout(b: &ProbeSeriesBuilder) -> Vec<(usize, Option<[u32; 2]>)> {
+        b.parts.iter().map(|p| (p.rows.len(), p.wide)).collect()
+    }
+
+    /// The medians `b` must give for `feed`, computed the plain way: group
+    /// the rows by bin, drop bins of fewer than the minimum traceroutes,
+    /// take every public-minus-private difference and the sorted middle.
+    fn assert_reference_medians(b: &ProbeSeriesBuilder, feed: &[LastMile]) {
+        let mut bins: BTreeMap<BinIndex, Vec<&LastMile>> = BTreeMap::new();
+        for row in feed {
+            let bin = b.bin.bin_index(row.timestamp);
+            bins.entry(bin).or_default().push(row);
+        }
+        let mut expected = Vec::new();
+        for (bin, rows) in bins {
+            if rows.len() < b.min_traceroutes {
+                continue;
+            }
+            let mut samples = Vec::new();
+            for row in rows {
+                let (near, far) = row.rtts.split_at(row.private);
+                for pu in far {
+                    for pr in near {
+                        samples.push(pu - pr);
+                    }
+                }
+            }
+            samples.sort_by(f64::total_cmp);
+            let n = samples.len();
+            if n > 0 {
+                let mid = if n % 2 == 1 {
+                    samples[n / 2]
+                } else {
+                    (samples[n / 2 - 1] + samples[n / 2]) / 2.0
+                };
+                expected.push((bin, mid));
+            }
+        }
+        let got: Vec<(BinIndex, f64)> = b.finish().iter_bins().collect();
+        assert_eq!(got, expected);
+    }
+
+    #[test]
+    fn offsets_of_32767_bins_share_a_part_and_32768_start_one() {
+        // One-second bins from a base of 100000.
+        let base = 100_000;
+        let row = |t| lm(t, (1, 1.0), (1, 2.0));
+        let mut b = ProbeSeriesBuilder::new(ProbeId(1), BinSpec::new(1), 1);
+        for t in [base, base + 32_767, base - 32_767] {
+            b.ingest_row(&row(t));
+        }
+        assert_eq!(layout(&b), vec![(3, None)]);
+        b.ingest_row(&row(base + 32_768));
+        assert_eq!(layout(&b), vec![(3, None), (1, None)]);
+        let mut below = ProbeSeriesBuilder::new(ProbeId(1), BinSpec::new(1), 1);
+        below.ingest_row(&row(base));
+        below.ingest_row(&row(base - 32_768));
+        assert_eq!(layout(&below), vec![(1, None), (1, None)]);
+        let bins: Vec<BinIndex> = b.finish().iter_bins().map(|(bin, _)| bin).collect();
+        assert_eq!(
+            bins,
+            vec![base - 32_767, base, base + 32_767, base + 32_768]
+        );
+    }
+
+    #[test]
+    fn a_reversed_feed_stays_in_one_part() {
+        // 1000 bins in descending order: every offset but the first is
+        // negative, and all fit the first row's part.
+        let feed: Vec<LastMile> = (0..1000)
+            .rev()
+            .map(|i| lm(i * 1800, (1, 1.0), (1, 2.0 + (i % 5) as f64)))
+            .collect();
+        let mut b = ProbeSeriesBuilder::new(ProbeId(1), BinSpec::thirty_minutes(), 1);
+        feed.iter().for_each(|row| b.ingest_row(row));
+        assert_eq!(layout(&b), vec![(1000, None)]);
+        assert_reference_medians(&b, &feed);
+    }
+
+    #[test]
+    fn counts_past_a_byte_get_a_wide_part_of_one_row() {
+        let mut b = ProbeSeriesBuilder::new(ProbeId(1), BinSpec::thirty_minutes(), 1);
+        b.ingest_row(&lm(0, (255, 1.0), (255, 2.0)));
+        assert_eq!(layout(&b), vec![(1, None)]);
+        b.ingest_row(&lm(60, (256, 1.0), (3, 2.0)));
+        b.ingest_row(&lm(120, (3, 1.0), (3, 2.0)));
+        b.ingest_row(&lm(180, (3, 1.0), (256, 2.0)));
+        b.ingest_row(&lm(240, (3, 1.0), (3, 2.0)));
+        assert_eq!(
+            layout(&b),
+            vec![
+                (1, None),
+                (0, Some([256, 3])),
+                (1, None),
+                (0, Some([3, 256])),
+                (1, None),
+            ]
+        );
+        // 3 narrow rows (the 255-reply one included), 2 wide ones and
+        // their RTTs.
+        assert_eq!(
+            b.column_bytes(),
+            3 * 4 + 2 * 8 + (510 + 259 * 2 + 6 * 2) * 8
+        );
+    }
+
+    #[test]
+    fn wide_rows_bin_like_the_plain_method() {
+        // Bin 0: a wide row between narrow rows; bin 1: narrow rows then
+        // a wide one; bin 2: narrow rows. The wide rows' samples
+        // outnumber the rest, so a wide row lost, misread or moved
+        // changes the medians.
+        let feed = vec![
+            lm(0, (3, 1.0), (3, 6.0)),
+            lm(100, (3, 1.5), (2, 6.0)),
+            lm(200, (256, 1.0), (3, 101.0)),
+            lm(300, (3, 1.0), (3, 6.5)),
+            lm(1800, (3, 2.0), (3, 7.0)),
+            lm(1900, (2, 2.0), (3, 7.5)),
+            lm(2000, (3, 2.0), (256, 4.0)),
+            lm(3600, (3, 1.0), (3, 5.0)),
+            lm(3700, (3, 1.0), (3, 5.5)),
+            lm(3800, (3, 1.0), (3, 6.0)),
+        ];
+        let mut b = ProbeSeriesBuilder::paper(ProbeId(1));
+        feed.iter().for_each(|row| b.ingest_row(row));
+        assert_reference_medians(&b, &feed);
+        let bins: Vec<(BinIndex, f64)> = b.finish().iter_bins().collect();
+        assert_eq!(bins, vec![(0, 100.0), (1, 2.0), (2, 4.5)]);
+
+        // A builder that ends in a wide part, absorbed, then fed on.
+        let mut whole = ProbeSeriesBuilder::paper(ProbeId(1));
+        feed[..6].iter().for_each(|row| whole.ingest_row(row));
+        let mut wide = ProbeSeriesBuilder::paper(ProbeId(1));
+        wide.ingest_row(&feed[6]);
+        whole.absorb(wide);
+        feed[7..].iter().for_each(|row| whole.ingest_row(row));
+        assert_reference_medians(&whole, &feed);
+
+        // Sealed after a wide part, then fed on.
+        let mut sealed = ProbeSeriesBuilder::paper(ProbeId(1));
+        feed[..7].iter().for_each(|row| sealed.ingest_row(row));
+        sealed.seal();
+        feed[7..].iter().for_each(|row| sealed.ingest_row(row));
+        assert_reference_medians(&sealed, &feed);
     }
 
     #[test]

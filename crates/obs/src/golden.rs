@@ -33,6 +33,7 @@ fn run_metrics() -> RunMetrics {
         populations_analyzed: 3,
         populations_with_detection: 2,
         tasks_failed: 4,
+        column_bytes: 106,
         store: StoreStats {
             hits: 201,
             misses: 202,
@@ -42,6 +43,7 @@ fn run_metrics() -> RunMetrics {
             snapshot_bytes_read: 207,
             snapshot_save_nanos: 208,
             snapshot_load_nanos: 209,
+            fingerprint_nanos: 210,
         },
         ingest: IngestStats {
             bytes_read: 301,
@@ -262,5 +264,5 @@ fn every_declared_metric_is_in_json_and_exposition() {
     v.group("run", &[], |v| run.visit(v));
     v.group("serve", &[], |v| serve.visit(v));
     v.group("live", &[], |v| live.visit(v));
-    assert_eq!(seen, 41 + 28 + 12, "run + serve + live declarations");
+    assert_eq!(seen, 43 + 28 + 12, "run + serve + live declarations");
 }

@@ -65,6 +65,7 @@ metrics! {
         counter snapshot_bytes_read("lastmile_run_store_snapshot_bytes_total" {direction: "read"});
         counter snapshot_save_nanos("lastmile_run_store_snapshot_save_nanos_total", "Nanoseconds spent saving series-store snapshots.");
         counter snapshot_load_nanos("lastmile_run_store_snapshot_load_nanos_total", "Nanoseconds spent loading series-store snapshots.");
+        counter fingerprint_nanos("lastmile_run_store_fingerprint_nanos_total", "Nanoseconds spent fingerprinting the corpus a series-store snapshot is stamped with.");
     }
 }
 
@@ -161,6 +162,7 @@ metrics! {
         counter populations_analyzed("lastmile_run_populations_analyzed_total", "(AS, period) populations fully analyzed.");
         counter populations_with_detection("lastmile_run_populations_with_detection_total", "Analyzed populations that produced a congestion detection.");
         counter tasks_failed("lastmile_run_tasks_failed_total", "Survey tasks whose worker panicked (isolated per task).");
+        gauge column_bytes("lastmile_run_column_bytes", "Payload bytes of the last-mile columns the analysis read: each row as stored plus 8 per kept RTT.");
         group store(StoreMetrics => StoreStats);
         group ingest(IngestMetrics => IngestStats);
         group latency(LatencyMetrics => LatencyStats);
@@ -517,6 +519,7 @@ mod tests {
             populations_analyzed: 2,
             populations_with_detection: 1,
             tasks_failed: 1,
+            column_bytes: 13,
             ..RunMetricsSnapshot::default()
         });
         m.store.add(&StoreStats {
@@ -535,6 +538,7 @@ mod tests {
             snapshot_bytes_read: 80,
             snapshot_save_nanos: 11,
             snapshot_load_nanos: 9,
+            fingerprint_nanos: 12,
             ..StoreStats::default()
         });
         m.ingest.add(&IngestStats {
@@ -591,6 +595,7 @@ mod tests {
         assert_eq!(s.populations_analyzed, 2);
         assert_eq!(s.populations_with_detection, 1);
         assert_eq!(s.tasks_failed, 1);
+        assert_eq!(s.column_bytes, 13);
         assert_eq!(
             s.store,
             StoreStats {
@@ -602,6 +607,7 @@ mod tests {
                 snapshot_bytes_read: 80,
                 snapshot_save_nanos: 11,
                 snapshot_load_nanos: 9,
+                fingerprint_nanos: 12,
             }
         );
         assert_eq!(
@@ -681,6 +687,7 @@ mod tests {
             "populations_analyzed",
             "populations_with_detection",
             "tasks_failed",
+            "column_bytes",
             "store",
             "hits",
             "misses",
@@ -690,6 +697,7 @@ mod tests {
             "snapshot_bytes_read",
             "snapshot_save_nanos",
             "snapshot_load_nanos",
+            "fingerprint_nanos",
             "ingest",
             "bytes_read",
             "records_decoded",
