@@ -12,13 +12,14 @@
 //! [`TracerouteResult`] model. This keeps the reproduction's analysis
 //! pipeline wire-compatible: point it at real Atlas JSON and it parses.
 //!
-//! Records are read with [`decode_traceroute`]: one borrowed pass over
-//! the record bytes builds the model directly, and serde through
-//! [`AtlasTraceroute`] stays the reference. It decides every record the
-//! pass declines, so models and error texts are serde's either way.
-//! [`decode_last_mile`] reads only a record's [`LastMile`] row, the two
-//! hops the analysis uses, by the same rule: what its pass declines
-//! takes the projection of serde's model, and serde's error.
+//! Records decode to the model with [`decode_with_serde`]: serde
+//! through [`AtlasTraceroute`], then [`AtlasTraceroute::to_model`].
+//! What the analysis reads of a record is its [`LastMile`] row, the two
+//! hops §2.1 uses, and [`decode_last_mile`] reads that row in one
+//! borrowed pass over the bytes, without building the model. Serde is
+//! its reference: a record the pass declines takes the projection of
+//! serde's model, or serde's error, so rows and error texts are serde's
+//! either way.
 //!
 //! Records are written with [`write_traceroute`]: one pass from the
 //! model straight into the caller's buffer. Serde through
@@ -202,7 +203,7 @@ impl AtlasTraceroute {
     }
 }
 
-/// Which stage rejected a record in [`decode_traceroute`].
+/// Which stage rejected a record.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum DecodeErrorKind {
     /// Not valid JSON of the Atlas traceroute shape (includes invalid
@@ -213,7 +214,7 @@ pub enum DecodeErrorKind {
     Model,
 }
 
-/// Why [`decode_traceroute`] rejected a record; `detail` is serde's (or
+/// Why a decoder rejected a record; `detail` is serde's (or
 /// [`ConvertError`]'s) exact text.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct DecodeError {
@@ -231,46 +232,14 @@ impl fmt::Display for DecodeError {
 
 impl std::error::Error for DecodeError {}
 
-/// Decode one framed Atlas traceroute into the internal model.
-///
-/// One borrowed pass over the bytes decodes every record it can prove
-/// serde would decode to the same model; it declines the rest (escapes,
-/// duplicate keys, malformed or unusual input: see the `fast` module),
-/// and those go through [`decode_with_serde`], whose answer stands. So
-/// every model, error kind and error detail is serde's by construction.
-pub fn decode_traceroute(bytes: &[u8]) -> Result<TracerouteResult, DecodeError> {
-    decode_traceroute_tallied(bytes, &mut 0)
-}
-
-/// [`decode_traceroute`], adding one to `fallbacks` for each record the
-/// fast pass declined and serde decided.
-pub fn decode_traceroute_tallied(
-    bytes: &[u8],
-    fallbacks: &mut u64,
-) -> Result<TracerouteResult, DecodeError> {
-    match fast::decode(bytes) {
-        Some(tr) => Ok(tr),
-        None => {
-            *fallbacks += 1;
-            decode_with_serde(bytes)
-        }
-    }
-}
-
-/// The fast pass alone: `Some` exactly when it accepts the record. For
-/// tests that the pass covers the canonical record shape.
-pub fn decode_fast(bytes: &[u8]) -> Option<TracerouteResult> {
-    fast::decode(bytes)
-}
-
 /// Decode one framed Atlas traceroute to its [`LastMile`] row: exactly
-/// `decode_traceroute(bytes).map(|t| LastMile::of(&t))`, without
+/// `decode_with_serde(bytes).map(|t| LastMile::of(&t))`, without
 /// building the model.
 ///
-/// One borrowed pass accepts exactly the records the full fast pass
-/// accepts, with the same checks, but builds no hop: it parses reply
-/// addresses only up to the first public hop and RTTs only of the two
-/// hops it keeps (see the `fast` module). The records it declines go to
+/// One borrowed pass builds no hop: it parses reply addresses only up
+/// to the first public hop and RTTs only of the two hops it keeps (see
+/// the `fast` module). It accepts only records it can prove serde
+/// decodes to a model with this projection; the rest go to
 /// [`decode_with_serde`], and the row is the projection of serde's
 /// model, so error kinds and details are serde's too.
 pub fn decode_last_mile(bytes: &[u8]) -> Result<LastMile, DecodeError> {
@@ -293,13 +262,16 @@ pub fn decode_last_mile_tallied(
 }
 
 /// The last-mile pass alone: `Some` exactly when it accepts the record.
-/// For tests that it accepts what the full fast pass accepts.
+/// For tests that it takes the records writers emit itself, without
+/// handing them to serde.
 pub fn decode_last_mile_fast(bytes: &[u8]) -> Option<LastMile> {
     fast::decode_last_mile(bytes)
 }
 
-/// The reference decoder: UTF-8 check, `serde_json` into
-/// [`AtlasTraceroute`], then [`AtlasTraceroute::to_model`].
+/// Decode one framed Atlas traceroute into the internal model: UTF-8
+/// check, `serde_json` into [`AtlasTraceroute`], then
+/// [`AtlasTraceroute::to_model`]. The one model decoder, and the
+/// reference [`decode_last_mile`] is held to.
 pub fn decode_with_serde(bytes: &[u8]) -> Result<TracerouteResult, DecodeError> {
     let json = |detail: String| DecodeError {
         kind: DecodeErrorKind::Json,
@@ -311,49 +283,6 @@ pub fn decode_with_serde(bytes: &[u8]) -> Result<TracerouteResult, DecodeError> 
         kind: DecodeErrorKind::Model,
         detail: e.to_string(),
     })
-}
-
-/// Parse one Atlas JSON document into the internal model.
-pub fn parse_traceroute(json: &str) -> Result<TracerouteResult, Box<dyn std::error::Error>> {
-    Ok(decode_traceroute(json.as_bytes())?)
-}
-
-/// Parse a JSON array of Atlas documents (the API's list form).
-///
-/// The array is framed element-by-element with [`crate::framing`] rather
-/// than deserialised as one `Vec` — same single-pass splitter the
-/// streaming ingest uses — so errors carry the failing element's byte
-/// offset. The first bad element (unparsable JSON, non-traceroute
-/// document, or unframeable bytes) fails the whole call, matching the
-/// strictness of whole-buffer deserialisation.
-pub fn parse_traceroutes(json: &str) -> Result<Vec<TracerouteResult>, Box<dyn std::error::Error>> {
-    let mut out: Vec<TracerouteResult> = Vec::new();
-    let mut first_err: Option<String> = None;
-    let mut emit = |frame: crate::framing::Frame<'_>| {
-        if first_err.is_some() {
-            return;
-        }
-        match frame {
-            crate::framing::Frame::Doc { offset, bytes } => match decode_traceroute(bytes) {
-                Ok(tr) => out.push(tr),
-                Err(e) => first_err = Some(format!("element at byte {offset}: {e}")),
-            },
-            crate::framing::Frame::Junk { offset, reason, .. } => {
-                first_err = Some(format!("at byte {offset}: {reason}"))
-            }
-        }
-    };
-    let mut splitter = crate::framing::DocSplitter::new();
-    splitter.feed(json.as_bytes(), &mut emit);
-    let kind = splitter.kind();
-    splitter.finish(&mut emit);
-    if kind != Some(crate::framing::FrameKind::Array) {
-        return Err("expected a top-level JSON array of Atlas documents".into());
-    }
-    if let Some(e) = first_err {
-        return Err(e.into());
-    }
-    Ok(out)
 }
 
 /// Append one internal traceroute to `out` as a compact Atlas JSON
@@ -701,9 +630,13 @@ mod tests {
         ]
     }"#;
 
+    fn decode(json: &str) -> Result<TracerouteResult, DecodeError> {
+        decode_with_serde(json.as_bytes())
+    }
+
     #[test]
     fn parses_atlas_shaped_json() {
-        let tr = parse_traceroute(SAMPLE).unwrap();
+        let tr = decode(SAMPLE).unwrap();
         assert_eq!(tr.probe, ProbeId(6042));
         assert_eq!(tr.msm_id, 5001);
         assert_eq!(tr.timestamp.as_secs(), 1_567_296_000);
@@ -711,6 +644,7 @@ mod tests {
         assert_eq!(tr.hops[0].replies.len(), 3);
         assert!(tr.hops[1].replies[1].from.is_none(), "timeout preserved");
         assert_eq!(tr.edge_address().unwrap().to_string(), "20.0.0.1");
+        assert_eq!(decode_last_mile(SAMPLE.as_bytes()), Ok(LastMile::of(&tr)));
     }
 
     #[test]
@@ -720,44 +654,15 @@ mod tests {
             "\"fw\": 4790, \"lts\": 22, \"group_id\": 5001,",
             1,
         );
-        assert!(parse_traceroute(&json).is_ok());
+        assert!(decode(&json).is_ok());
     }
 
     #[test]
     fn round_trip_through_wire_format() {
-        let tr = parse_traceroute(SAMPLE).unwrap();
+        let tr = decode(SAMPLE).unwrap();
         let json = to_atlas_json(&tr, "20.0.0.55".parse().unwrap());
-        let back = parse_traceroute(&json).unwrap();
+        let back = decode(&json).unwrap();
         assert_eq!(back, tr);
-    }
-
-    #[test]
-    fn array_form_parses() {
-        let json = format!("[{SAMPLE},{SAMPLE}]");
-        let list = parse_traceroutes(&json).unwrap();
-        assert_eq!(list.len(), 2);
-    }
-
-    #[test]
-    fn empty_array_parses_and_non_array_is_rejected() {
-        assert!(parse_traceroutes("[]").unwrap().is_empty());
-        assert!(parse_traceroutes(" [ ] ").unwrap().is_empty());
-        assert!(
-            parse_traceroutes(SAMPLE).is_err(),
-            "bare object is not a list"
-        );
-        assert!(parse_traceroutes("").is_err());
-    }
-
-    #[test]
-    fn array_errors_carry_the_element_offset() {
-        let err = parse_traceroutes("[ {\"bogus\":1} ]")
-            .unwrap_err()
-            .to_string();
-        assert!(err.contains("at byte 2"), "{err}");
-        let truncated = format!("[{SAMPLE},{}", &SAMPLE[..40]);
-        let err = parse_traceroutes(&truncated).unwrap_err().to_string();
-        assert!(err.contains("truncated"), "{err}");
     }
 
     #[test]
@@ -786,7 +691,7 @@ mod tests {
             "\"from\": \"20.0.0.1\", \"rtt\": 5.1",
             "\"from\": \"bogus\", \"rtt\": 5.1",
         );
-        let tr = parse_traceroute(&json).unwrap();
+        let tr = decode(&json).unwrap();
         assert!(!tr.hops[1].replies[0].is_answered());
         // The hop still has one good reply.
         assert_eq!(tr.hops[1].rtts().count(), 1);
@@ -991,7 +896,7 @@ mod tests {
 
     #[test]
     fn timeout_serializes_as_star() {
-        let tr = parse_traceroute(SAMPLE).unwrap();
+        let tr = decode(SAMPLE).unwrap();
         let json = to_atlas_json(&tr, "20.0.0.55".parse().unwrap());
         assert!(json.contains(r#"{"x":"*"}"#), "{json}");
     }

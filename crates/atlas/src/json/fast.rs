@@ -1,23 +1,20 @@
-//! The borrowed passes behind [`super::decode_traceroute`] and
-//! [`super::decode_last_mile`].
+//! The borrowed pass behind [`super::decode_last_mile`].
 //!
-//! Both walk the frame bytes once, parsing integers, addresses and RTTs
-//! straight from byte slices, and accept a record only when they can
-//! prove serde's path would build the same model (or, for the last-mile
-//! pass, the same projection of it). Everything else returns `None`, and
-//! the caller hands the record to serde, whose answer (model or exact
-//! error text) stands. So these passes never produce an error of their
-//! own: they are allowed to be stricter than serde, never looser.
+//! It walks the frame bytes once, parsing integers, addresses and RTTs
+//! straight from byte slices, and accepts a record only when it can
+//! prove serde's path would build a model with the same [`LastMile`]
+//! projection. Everything else returns `None`, and the caller hands the
+//! record to serde, whose answer (row or exact error text) stands. So
+//! this pass never produces an error of its own: it may be stricter
+//! than serde, never looser.
 //!
-//! What they decline: a string with an escape or a control byte, a
-//! known key seen twice (serde keeps the first), a missing required
+//! What it declines: a string with an escape or a control byte, a known
+//! key seen twice (serde keeps the first), a missing required
 //! field, `null` outside an `Option` field, a value of the wrong JSON
 //! type, an integer out of its field's range, a number token no `f64`
 //! parse accepts, a non-`traceroute` type, an unparsable
 //! `dst_addr`/`src_addr`, nesting deeper than [`SKIP_DEPTH`] inside an
 //! unknown field, and anything but whitespace after the closing `}`.
-//! The two passes share every one of those checks, so each accepts
-//! exactly the records the other does.
 //!
 //! Most of the cost is walking the record, so the walk reads the
 //! spellings writers emit straight off the bytes. Every other spelling
@@ -39,20 +36,19 @@
 //!
 //! What is left per record is the walk itself (key and literal compares,
 //! the scans, the range checks), the `f64` parse of each RTT the pass
-//! keeps (about a fifth of a last-mile decode on the benchmark corpus),
-//! and the row's two allocations.
+//! keeps (about a fifth of a decode on the benchmark corpus), and the
+//! row's two allocations.
 //!
-//! The last-mile pass builds no hop or reply. It parses reply addresses
-//! only up to the first public hop: past it an unparsable `from` could
-//! only turn a reply into a timeout in serde's model, never fail the
-//! record. And it parses RTTs only for the two hops it keeps: an RTT
-//! token of the plain form `-?[0-9]+(\.[0-9]+)?`, which every `f64`
-//! parse accepts, is kept as text until its hop is known to be kept;
-//! any other token is parsed at once, and declines the record if that
-//! fails.
+//! The pass builds no hop or reply. It parses reply addresses only up
+//! to the first public hop: past it an unparsable `from` could only turn
+//! a reply into a timeout in serde's model, never fail the record. And
+//! it parses RTTs only for the two hops it keeps: an RTT token of the
+//! plain form `-?[0-9]+(\.[0-9]+)?`, which every `f64` parse accepts, is
+//! kept as text until its hop is known to be kept; any other token is
+//! parsed at once, and declines the record if that fails.
 
 use crate::probe::ProbeId;
-use crate::traceroute::{Hop, LastMile, Reply, TracerouteResult};
+use crate::traceroute::LastMile;
 use lastmile_prefix::special;
 use lastmile_timebase::UnixTime;
 use std::net::{IpAddr, Ipv4Addr};
@@ -64,37 +60,12 @@ use std::ops::Range;
 /// is never one serde rejects for depth.
 const SKIP_DEPTH: u32 = 32;
 
-/// Hops reserved up front: built-in traceroutes rarely exceed it.
-const HOPS_RESERVED: usize = 16;
-
 /// Replies per hop: Atlas sends three packets per TTL.
 const REPLIES_RESERVED: usize = 3;
 
 /// RTT tokens the last-mile pass reserves up front: the replies of the
 /// hops up to the edge, which home paths reach within a few hops.
 const EDGE_RTTS_RESERVED: usize = 4 * REPLIES_RESERVED;
-
-/// Decode `bytes` if this pass can prove the result equals serde's.
-pub(super) fn decode(bytes: &[u8]) -> Option<TracerouteResult> {
-    let mut cursor = Cursor { bytes, pos: 0 };
-    let mut hops = Vec::with_capacity(HOPS_RESERVED);
-    let head = cursor.traceroute(|c| {
-        hops.push(c.full_hop()?);
-        Some(())
-    })?;
-    cursor.end()?;
-    // Exact capacity, as serde's `collect` leaves it: records in flight
-    // stay as small as before.
-    hops.shrink_to_fit();
-    Some(TracerouteResult {
-        probe: head.probe,
-        msm_id: head.msm_id,
-        timestamp: head.timestamp,
-        dst: head.dst,
-        src: head.src,
-        hops,
-    })
-}
 
 /// Decode the [`LastMile`] row of `bytes` if this pass can prove it
 /// equals the projection of serde's model.
@@ -352,13 +323,10 @@ fn first_sight(seen: &mut u16, bit: u16) -> Option<()> {
     Some(())
 }
 
-/// The top-level fields both passes keep.
+/// The top-level fields the row keeps.
 struct Head {
     probe: ProbeId,
-    msm_id: u32,
     timestamp: UnixTime,
-    dst: IpAddr,
-    src: IpAddr,
 }
 
 /// A reply's `from` string and `rtt` token, each `None` when absent or
@@ -616,9 +584,7 @@ impl<'a> Cursor<'a> {
     /// `hop` consumes each element of the `result` array.
     fn traceroute(&mut self, mut hop: impl FnMut(&mut Self) -> Option<()>) -> Option<Head> {
         let mut seen = 0u16;
-        let (mut msm_id, mut prb_id, mut timestamp) = (0, 0, 0);
-        let mut dst = None;
-        let mut src = None;
+        let (mut prb_id, mut timestamp) = (0, 0);
         self.object_in_order(HEAD_KEYS, |c, key| {
             match key {
                 b"fw" => {
@@ -631,11 +597,11 @@ impl<'a> Cursor<'a> {
                 }
                 b"dst_addr" => {
                     first_sight(&mut seen, DST)?;
-                    dst = Some(c.address()?);
+                    c.address()?;
                 }
                 b"src_addr" => {
                     first_sight(&mut seen, SRC)?;
-                    src = Some(c.address()?);
+                    c.address()?;
                 }
                 b"from" => {
                     first_sight(&mut seen, FROM)?;
@@ -643,7 +609,7 @@ impl<'a> Cursor<'a> {
                 }
                 b"msm_id" => {
                     first_sight(&mut seen, MSM)?;
-                    msm_id = c.number()?.unsigned(u32::MAX.into())? as u32;
+                    c.number()?.unsigned(u32::MAX.into())?;
                 }
                 b"prb_id" => {
                     first_sight(&mut seen, PRB)?;
@@ -674,10 +640,7 @@ impl<'a> Cursor<'a> {
         (seen == ALL_FIELDS).then_some(())?;
         Some(Head {
             probe: ProbeId(prb_id),
-            msm_id,
             timestamp: UnixTime::from_secs(timestamp),
-            dst: dst?,
-            src: src?,
         })
     }
 
@@ -782,26 +745,6 @@ impl<'a> Cursor<'a> {
             Some(())
         })?;
         Some((from, rtt))
-    }
-
-    /// A hop of the full model.
-    fn full_hop(&mut self) -> Option<Hop> {
-        let mut replies = Vec::with_capacity(REPLIES_RESERVED);
-        let mut last = None;
-        let hop = self.hop(|c| {
-            let (from, rtt) = c.reply()?;
-            let rtt = match rtt {
-                Some(token) => Some(token.rtt()?),
-                None => None,
-            };
-            let from = from.and_then(|text| cached_address(&mut last, text));
-            replies.push(match (from, rtt) {
-                (Some(a), Some(rtt)) => Reply::answered(a, rtt),
-                _ => Reply::timeout(),
-            });
-            Some(())
-        })?;
-        Some(Hop { hop, replies })
     }
 }
 

@@ -23,9 +23,9 @@
 //!   deterministic schedule (which traceroutes exist in a time range).
 //! * [`json`] — the Atlas API JSON format (`prb_id`, `msm_id`, `result`
 //!   arrays with `from`/`rtt` or `x: "*"` entries), round-trippable;
-//!   records decode in one borrowed pass (to the full model, or only to
-//!   their [`LastMile`] row) and are written in one direct pass, with
-//!   serde as the reference both ways.
+//!   records decode to the model through serde, and to their
+//!   [`LastMile`] row in one borrowed pass held to serde, and are
+//!   written in one direct pass, with serde as the reference.
 //! * [`framing`] — incremental splitting of JSON Lines / JSON array
 //!   inputs into record-aligned document frames, for streaming ingest.
 //!

@@ -1,24 +1,19 @@
-//! Differential tests of the traceroute decoder and writer against
+//! Differential tests of the traceroute row decoder and writer against
 //! their serde oracles: on every input, generated or mutated,
-//! `decode_traceroute` must give exactly what `decode_with_serde` gives —
-//! the same model (RTTs compared bit for bit) or the same error kind and
-//! detail. `write_traceroute` must write exactly the bytes serde writes
-//! for `AtlasTraceroute::from_model`. And the fast pass must accept every
-//! canonical written record, so the decoder never silently runs at
-//! serde's speed.
-//!
-//! The last-mile decoder is held to the same oracle through the model:
-//! `decode_last_mile(b)` must equal `decode_traceroute(b)` projected
-//! with `LastMile::of`, row or error, and its pass must accept exactly
-//! the records the full fast pass accepts.
+//! `decode_last_mile(b)` must give exactly `decode_with_serde(b)`
+//! projected with `LastMile::of` — the same row (RTTs compared bit for
+//! bit) or the same error kind and detail. `write_traceroute` must write
+//! exactly the bytes serde writes for `AtlasTraceroute::from_model`. And
+//! the row pass must accept every canonical written record, so the
+//! decoder never silently runs at serde's speed.
 //!
 //! Each case draws one `u64` seed and generates everything from it; a
 //! failure prints that seed and the input (the vendored proptest does
 //! not shrink).
 
 use lastmile_atlas::json::{
-    decode_fast, decode_last_mile, decode_last_mile_fast, decode_traceroute, decode_with_serde,
-    to_atlas_json, write_traceroute, AtlasTraceroute,
+    decode_last_mile, decode_last_mile_fast, decode_with_serde, to_atlas_json, write_traceroute,
+    AtlasTraceroute,
 };
 use lastmile_atlas::{Hop, LastMile, ProbeId, Reply, TracerouteResult};
 use lastmile_timebase::UnixTime;
@@ -395,19 +390,6 @@ fn damage(rng: &mut SmallRng, bytes: &mut Vec<u8>) {
     }
 }
 
-/// The property: the decoder answers exactly as serde does. Models are
-/// compared through `Debug`, which tells `-0.0` from `0.0`.
-fn assert_matches_oracle(case: &str, bytes: &[u8]) {
-    let got = decode_traceroute(bytes);
-    let want = decode_with_serde(bytes);
-    assert_eq!(
-        format!("{got:?}"),
-        format!("{want:?}"),
-        "{case}: decoder and serde disagree on {:?}",
-        String::from_utf8_lossy(bytes)
-    );
-}
-
 /// A canonical record with one to three structural edits, written with
 /// random noise.
 fn varied(seed: u64) -> Vec<u8> {
@@ -434,23 +416,16 @@ fn damaged(seed: u64) -> Vec<u8> {
     bytes
 }
 
-/// The last-mile property: the row decoder answers exactly as the
-/// model decoder projected with `LastMile::of` (compared through
-/// `Debug`, so `-0.0` and `0.0` differ), and its pass accepts exactly
-/// the records the full fast pass accepts.
+/// The property: the row decoder answers exactly as serde's model
+/// projected with `LastMile::of`, row or error kind and detail (compared
+/// through `Debug`, so `-0.0` and `0.0` differ).
 fn assert_projects_the_model(case: &str, bytes: &[u8]) {
     let got = decode_last_mile(bytes);
-    let want = decode_traceroute(bytes).map(|t| LastMile::of(&t));
+    let want = decode_with_serde(bytes).map(|t| LastMile::of(&t));
     assert_eq!(
         format!("{got:?}"),
         format!("{want:?}"),
-        "{case}: last-mile decoder and projected model disagree on {:?}",
-        String::from_utf8_lossy(bytes)
-    );
-    assert_eq!(
-        decode_last_mile_fast(bytes).is_some(),
-        decode_fast(bytes).is_some(),
-        "{case}: the two fast passes accept different records: {:?}",
+        "{case}: last-mile decoder and projected serde model disagree on {:?}",
         String::from_utf8_lossy(bytes)
     );
 }
@@ -464,8 +439,7 @@ proptest! {
         let (tr, json) = canonical(&mut rng);
         let case = format!("seed {seed:#x}");
         assert_projects_the_model(&case, json.as_bytes());
-        let row = decode_last_mile_fast(json.as_bytes());
-        prop_assert_eq!(row, Some(LastMile::of(&tr)), "{}", case);
+        prop_assert_eq!(decode_last_mile(json.as_bytes()), Ok(LastMile::of(&tr)), "{}", case);
     }
 
     #[test]
@@ -482,14 +456,9 @@ proptest! {
     fn fast_pass_accepts_every_canonical_record(seed in any::<u64>()) {
         let mut rng = SmallRng::seed_from_u64(seed);
         let (tr, json) = canonical(&mut rng);
-        let fast = decode_fast(json.as_bytes());
-        prop_assert!(fast.is_some(), "seed {seed:#x}: fast pass declined {json}");
-        prop_assert_eq!(
-            format!("{fast:?}"),
-            format!("{:?}", decode_with_serde(json.as_bytes()).ok()),
-            "seed {:#x}", seed
-        );
-        prop_assert_eq!(fast, Some(tr));
+        let fast = decode_last_mile_fast(json.as_bytes());
+        prop_assert!(fast.is_some(), "seed {seed:#x}: row pass declined {json}");
+        prop_assert_eq!(fast, Some(LastMile::of(&tr)), "seed {:#x}", seed);
     }
 
     #[test]
@@ -498,20 +467,10 @@ proptest! {
         let tr = traceroute(&mut rng);
         assert_writes_as_serde(&format!("seed {seed:#x}"), &tr, ip(&mut rng));
     }
-
-    #[test]
-    fn varied_records_decode_as_serde_does(seed in any::<u64>()) {
-        assert_matches_oracle(&format!("seed {seed:#x}"), &varied(seed));
-    }
-
-    #[test]
-    fn damaged_records_decode_as_serde_does(seed in any::<u64>()) {
-        assert_matches_oracle(&format!("seed {seed:#x}"), &damaged(seed));
-    }
 }
 
 /// The generators must keep reaching every outcome, or the properties
-/// above would pass vacuously: records the fast pass decodes, records
+/// above would pass vacuously: records the row pass decodes, records
 /// it declines that serde decodes, and records serde rejects.
 #[test]
 fn generators_reach_every_outcome() {
@@ -526,7 +485,7 @@ fn generators_reach_every_outcome() {
         let mut seen = [0u32; 3];
         for seed in 0..1000 {
             let bytes = make(seed);
-            let outcome = match (decode_fast(&bytes), decode_with_serde(&bytes)) {
+            let outcome = match (decode_last_mile_fast(&bytes), decode_with_serde(&bytes)) {
                 (Some(_), _) => 0,
                 (None, Ok(_)) => 1,
                 (None, Err(_)) => 2,
@@ -636,8 +595,8 @@ fn last_mile_edge_cases_project_as_the_model() {
         }
     }
     // An unparsable and an escaped `from`, before and after the edge: the
-    // first makes a timeout wherever it is, the second makes the fast
-    // passes decline.
+    // first makes a timeout wherever it is, the second makes the row
+    // pass decline.
     for from in ["bogus", r"20.0.0.\u0031", "192.168.1.1 "] {
         let odd = |hop: u8| hop_json(hop, from, &["4"]);
         for (at, hops) in [
@@ -684,9 +643,9 @@ fn last_mile_edge_cases_project_as_the_model() {
 
 /// Every integer field of the record, head, hop and reply, at its
 /// maximum, one past it, with leading zeros, as `-0` and after
-/// whitespace; the reply fields in both compact key orders. Both
-/// decoders must answer as serde does, and the fast passes must take
-/// every spelling serde accepts themselves.
+/// whitespace; the reply fields in both compact key orders. The row
+/// decoder must answer as serde does, and its pass must take every
+/// spelling serde accepts itself.
 #[test]
 fn integer_fields_decode_as_serde_does() {
     let record = r#"{"fw":FW,"af":AF,"dst_addr":"1.2.3.4","src_addr":"10.0.0.1","from":"1.2.3.5","msm_id":MSM,"prb_id":PRB,"timestamp":TS,"proto":"ICMP","type":"traceroute","result":[{"hop":1,"result":[{"from":"192.168.1.1","rtt":1.5,"size":28,"ttl":64}]},{"hop":HOP,"result":[REPLY]}]}"#;
@@ -747,10 +706,9 @@ fn integer_fields_decode_as_serde_does() {
             for (name, value, accepted) in spellings {
                 let case = format!("{field} {name} ({order})");
                 let json = fill(reply, slot, value);
-                assert_matches_oracle(&case, json.as_bytes());
                 assert_projects_the_model(&case, json.as_bytes());
                 assert_eq!(
-                    decode_fast(json.as_bytes()).is_some(),
+                    decode_last_mile_fast(json.as_bytes()).is_some(),
                     accepted,
                     "{case}: {json}"
                 );
@@ -773,22 +731,19 @@ const ATLAS_FIXTURE: &str = include_str!("fixtures/atlas_result_format.jsonl");
 
 #[test]
 fn atlas_format_fixture_decodes_the_same_through_both_passes() {
-    let mut declined = [0usize; 2];
     let mut spans = 0;
     for (i, line) in ATLAS_FIXTURE.lines().enumerate() {
         let case = format!("fixture line {}", i + 1);
-        let model = decode_traceroute(line.as_bytes()).expect(&case);
-        let row = decode_last_mile(line.as_bytes()).expect(&case);
-        assert_eq!(row, LastMile::of(&model), "{case}");
         assert_projects_the_model(&case, line.as_bytes());
-        declined[0] += usize::from(decode_fast(line.as_bytes()).is_none());
-        declined[1] += usize::from(decode_last_mile_fast(line.as_bytes()).is_none());
+        let row = decode_last_mile(line.as_bytes()).expect(&case);
+        // Unknown members are skipped, never declined: the row pass
+        // takes every record itself.
+        assert!(
+            decode_last_mile_fast(line.as_bytes()).is_some(),
+            "{case}: row pass declined it"
+        );
         spans += usize::from(!row.rtts.is_empty());
     }
-    eprintln!("fixture records declined: [full pass, last-mile pass] = {declined:?}");
-    // Unknown members are skipped, never declined: both passes take
-    // every record themselves.
-    assert_eq!(declined, [0, 0]);
     assert_eq!(spans, 3, "three records have a private hop before the edge");
     // The first record's rows, by hand: the CGN hop (one timeout) is the
     // last private hop, and the edge's three 3-decimal RTTs follow.
@@ -802,7 +757,9 @@ fn atlas_format_fixture_decodes_the_same_through_both_passes() {
 fn edge_cases_decode_as_serde_does() {
     let mut rng = SmallRng::seed_from_u64(1);
     let (_, json) = canonical(&mut rng);
-    let base = r#"{"fw":1,"af":4,"dst_addr":"1.2.3.4","src_addr":"10.0.0.1","from":"1.2.3.5","msm_id":5,"prb_id":6,"timestamp":7,"proto":"ICMP","type":"traceroute","result":[{"hop":1,"result":[{"from":"1.2.3.4","rtt":RTT}]}]}"#;
+    // The RTT sits in the first public hop, after a private one, so the
+    // row keeps it.
+    let base = r#"{"fw":1,"af":4,"dst_addr":"1.2.3.4","src_addr":"10.0.0.1","from":"1.2.3.5","msm_id":5,"prb_id":6,"timestamp":7,"proto":"ICMP","type":"traceroute","result":[{"hop":1,"result":[{"from":"10.0.0.1","rtt":1}]},{"hop":2,"result":[{"from":"1.2.3.4","rtt":RTT}]}]}"#;
     let mut cases: Vec<String> = NUMBERS.iter().map(|n| base.replace("RTT", n)).collect();
     cases.extend([
         base.replace("RTT", "1.5")
@@ -842,17 +799,16 @@ fn edge_cases_decode_as_serde_does() {
         "[]".into(),
     ]);
     for (i, case) in cases.iter().enumerate() {
-        assert_matches_oracle(&format!("edge case {i}"), case.as_bytes());
+        assert_projects_the_model(&format!("edge case {i}"), case.as_bytes());
     }
+    let public_rtt = |rtt: &str| {
+        let row = decode_last_mile(base.replace("RTT", rtt).as_bytes()).unwrap();
+        row.public_rtts()[0].to_bits()
+    };
     // `-0` as an integer token is +0.0, as serde reads it.
-    let tr = decode_traceroute(base.replace("RTT", "-0").as_bytes()).unwrap();
-    assert_eq!(tr.hops[0].replies[0].rtt_ms.map(f64::to_bits), Some(0));
+    assert_eq!(public_rtt("-0"), 0);
     // A fraction-form `-0.0` keeps its sign.
-    let tr = decode_traceroute(base.replace("RTT", "-0.0").as_bytes()).unwrap();
-    assert_eq!(
-        tr.hops[0].replies[0].rtt_ms.map(f64::to_bits),
-        Some((-0.0f64).to_bits())
-    );
+    assert_eq!(public_rtt("-0.0"), (-0.0f64).to_bits());
 }
 
 #[test]

@@ -658,8 +658,9 @@ impl Corpus {
     /// left to the data span nothing is memoized, as in `classify`. The
     /// provisional tail is folded first: nothing follows it any more.
     /// The series written are the ones the last analysis kept; only a
-    /// population the tail reached is analysed again.
-    pub fn refill(&mut self, cache: &Cache) -> Result<(), String> {
+    /// population the tail reached is analysed again. The inserts count
+    /// in `metrics`.
+    pub fn refill(&mut self, cache: &Cache, metrics: &RunMetrics) -> Result<(), String> {
         for row in std::mem::take(&mut self.tail).rows {
             self.fold_late(&row);
         }
@@ -668,7 +669,7 @@ impl Corpus {
             return Ok(());
         }
         let (results, _) = self.analyze(None, None)?;
-        self.insert_series(cache, &results, None);
+        self.insert_series(cache, &results, Some(metrics));
         Ok(())
     }
 }

@@ -120,7 +120,7 @@ fn usage() -> &'static str {
      lastmile simulate --scenario tokyo|fig1|anchor --out DIR [--seed N] [--days N]\n  \
      lastmile fleet gen --spec SPEC.json --out DIR [--seed N] [--threads N (default 0 = one per core)] [--probes-per-as N [--sample-mode biased|uniform] [--sample-seed N]]\n  \
      lastmile fleet score --truth DIR/truth.json --classified FILE.json [--min-recall F] [--max-peering-fp N] [--json]\n  \
-     lastmile serve    --traceroutes FILE [classify flags] [--addr HOST:PORT] [--serve-workers N] [--serve-queue N] [--retry-after SECS] [--ready-file FILE]\n                       \
+     lastmile serve    --traceroutes FILE [classify flags except --json] [--addr HOST:PORT] [--serve-workers N] [--serve-queue N] [--retry-after SECS] [--ready-file FILE]\n                       \
 [--serve-budget-heavy N (0 = workers)]\n                       \
 [--watch [--watch-poll-ms MS (min 10)]] [--live-spool FILE]\n                       \
 [--ops-sample-ms MS (default 1000, 0 = off)] [--access-log FILE]\n  \
@@ -151,7 +151,7 @@ fn accepted_flags(cmd: &str, action: Option<&str>) -> Option<impl Iterator<Item 
     let lists: &[&str] = match (cmd, action) {
         ("classify", _) => &[ANALYSIS_FLAGS, "json"],
         ("hygiene", _) => &[ANALYSIS_FLAGS, "threshold"],
-        ("serve", _) => &[ANALYSIS_FLAGS, "json", SERVE_FLAGS],
+        ("serve", _) => &[ANALYSIS_FLAGS, SERVE_FLAGS],
         ("simulate", _) => &["scenario out seed days"],
         ("throughput", _) => &["cdn bgp bin-minutes view csv"],
         ("fleet", Some("gen")) => &["spec out seed threads probes-per-as sample-mode sample-seed"],
@@ -431,6 +431,12 @@ mod tests {
         assert_eq!(
             check_flags("serve", None, &f).unwrap_err(),
             "unknown flag --serve-budget-cheap for serve"
+        );
+        // serve renders no classify document on stdout.
+        let f = parse(&["--traceroutes", "a.jsonl", "--json"]).unwrap();
+        assert_eq!(
+            check_flags("serve", None, &f).unwrap_err(),
+            "unknown flag --json for serve"
         );
         assert!(check_flags(
             "classify",

@@ -606,7 +606,7 @@ fn persist_live_snapshot(
     if !unchanged() {
         return skip("corpus changed while fingerprinting");
     }
-    if let Err(e) = corpus.refill(cache) {
+    if let Err(e) = corpus.refill(cache, metrics) {
         return skip(&format!("cannot build the final series ({e})"));
     }
     cache.persist(fingerprint, Some(metrics))

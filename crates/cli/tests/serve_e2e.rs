@@ -1299,6 +1299,42 @@ fn live_snapshot_holds_what_a_cold_build_of_the_union_holds() {
 }
 
 #[test]
+fn a_live_daemon_counts_its_shutdown_inserts() {
+    let dir = Scratch::new("serve-inserts");
+    let (trs, probes) = fixture(&dir);
+    let (start, end) = day_window(std::fs::read_to_string(&trs).unwrap().lines());
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let (spool, cache, stats) = (path("spool.jsonl"), path("cache"), path("stats.json"));
+    let live = [
+        "--start",
+        &start,
+        "--end",
+        &end,
+        "--live-spool",
+        &spool,
+        "--cache-dir",
+        &cache,
+        "--stats-out",
+        &stats,
+    ];
+    let (child, _) = spawn_serve_over(&trs, &probes, &dir.join("ready"), &live);
+    let (stderr, ok) = terminate(child);
+    assert!(ok, "serve did not exit cleanly: {stderr}");
+    // `[cache] saved PATH (N series, B bytes)`, written at shutdown.
+    let saved: u64 = stderr
+        .lines()
+        .rev()
+        .find_map(|line| {
+            let (_, counts) = line.strip_prefix("[cache] saved ")?.rsplit_once(" (")?;
+            counts.split_once(" series")?.0.parse().ok()
+        })
+        .unwrap_or_else(|| panic!("no shutdown persist: {stderr}"));
+    assert!(saved > 0, "{stderr}");
+    let stats = read_stats(Path::new(&stats));
+    assert_eq!(stats["store"]["inserts"].as_u64(), Some(saved), "{stats}");
+}
+
+#[test]
 fn a_live_daemon_refuses_a_read_only_cache() {
     let dir = Scratch::new("serve-live-ro");
     let (trs, bgp) = common::write_multi_asn_fixture(&dir);

@@ -26,18 +26,26 @@
 //! ```
 //! use lastmile_core::pipeline::{AsPipeline, PipelineConfig};
 //! use lastmile_core::detect::CongestionClass;
-//! use lastmile_atlas::json::parse_traceroutes;
+//! use lastmile_atlas::json::decode_last_mile;
 //! use lastmile_timebase::{TimeRange, UnixTime};
 //!
-//! // Parse Atlas-format JSON (here: an empty array) and feed the pipeline.
-//! let traceroutes = parse_traceroutes("[]").unwrap();
+//! // Decode one Atlas-format record to the row the analysis reads: the
+//! // last private hop's RTTs and the first public hop's.
+//! let record = br#"{"fw":5080,"af":4,"dst_addr":"193.0.14.129","src_addr":"192.168.1.10",
+//!     "from":"20.0.0.55","msm_id":5001,"prb_id":6042,"timestamp":86400,"proto":"ICMP",
+//!     "type":"traceroute","result":[
+//!     {"hop":1,"result":[{"from":"192.168.1.1","rtt":0.5},{"x":"*"}]},
+//!     {"hop":2,"result":[{"from":"20.0.0.1","rtt":5.1},{"from":"20.0.0.1","rtt":4.9}]}]}"#;
+//! let row = decode_last_mile(record).unwrap();
+//! assert_eq!((row.private_rtts(), row.public_rtts()), (&[0.5][..], &[5.1, 4.9][..]));
+//!
+//! // Feed it to the pipeline of one probe population.
 //! let period = TimeRange::new(UnixTime::from_secs(0), UnixTime::from_secs(15 * 86_400));
 //! let mut pipeline = AsPipeline::new(PipelineConfig::paper(), period);
-//! for tr in &traceroutes {
-//!     pipeline.ingest(tr);
-//! }
+//! pipeline.ingest_row(&row);
 //! let analysis = pipeline.finish();
-//! // No data -> no detection, classified as None by convention.
+//! // One traceroute is far too little to detect anything: classified
+//! // None by convention.
 //! assert_eq!(analysis.class(), CongestionClass::None);
 //! ```
 

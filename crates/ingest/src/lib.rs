@@ -34,8 +34,9 @@
 //! ```
 //!
 //! * **Rows**: the engine is generic over what a record decodes to (a
-//!   [`Row`]): the full [`TracerouteResult`], or the [`LastMile`] row the
-//!   analysis reads, which decodes without building hops. There is no
+//!   [`Row`]): the [`LastMile`] row the analysis reads, which decodes
+//!   without building hops, or the full [`TracerouteResult`], which
+//!   only [`ingest_file`] delivers. There is no
 //!   result queue and no consumer thread: a record is folded (routed and
 //!   binned, for the CLI's analysis) by the worker that decoded it, and
 //!   freed there. [`fold_reader`] hands the caller one state per worker.
@@ -45,11 +46,13 @@
 //!   plus the queue — never by the file. Framing, decode and fold are
 //!   timed apart in both modes, so `frame_nanos`, `decode_nanos` and
 //!   `fold_nanos` compare across worker counts.
-//! * **Decode** is [`lastmile_atlas::json::decode_traceroute`] or
-//!   [`lastmile_atlas::json::decode_last_mile`]: one borrowed pass over
-//!   the record bytes, with serde deciding only the records that pass
-//!   declines, so quarantine kinds and details are serde's.
-//!   [`IngestSummary::decode_fallbacks`] counts those records.
+//! * **Decode** of a row is [`lastmile_atlas::json::decode_last_mile`]:
+//!   one borrowed pass over the record bytes, with serde deciding only
+//!   the records that pass declines, so quarantine kinds and details are
+//!   serde's. [`IngestSummary::decode_fallbacks`] counts those records.
+//!   A model is decoded by serde itself
+//!   ([`lastmile_atlas::json::decode_with_serde`]), which never falls
+//!   back.
 //! * **Backpressure**: the batch queue is a `sync_channel`. Slow workers
 //!   stall the framer, which stops reading.
 //! * **Determinism**: which worker folds which record varies with thread
@@ -71,7 +74,7 @@
 
 use lastmile_atlas::framing::{DocSplitter, Frame};
 use lastmile_atlas::json::{
-    decode_last_mile_tallied, decode_traceroute_tallied, DecodeError, DecodeErrorKind,
+    decode_last_mile_tallied, decode_with_serde, DecodeError, DecodeErrorKind,
 };
 use lastmile_atlas::{LastMile, TracerouteResult};
 use lastmile_obs::{trace, Gauge, Histogram, LiveProgress};
@@ -140,8 +143,8 @@ pub struct IngestSummary {
     /// Nanoseconds spent folding decoded rows into the workers' states,
     /// summed across workers.
     pub fold_nanos: u64,
-    /// Records the decoder's fast pass declined and handed to serde
-    /// (quarantined ones included).
+    /// Records the row pass declined and handed to serde (quarantined
+    /// ones included); always 0 for model rows, which serde decodes.
     pub decode_fallbacks: u64,
     /// Elapsed time of the whole ingest.
     pub wall_nanos: u64,
@@ -234,14 +237,15 @@ pub fn worker_count(threads: usize) -> usize {
 /// row. Both decoders accept and reject the same records, with the same
 /// quarantine kinds and details.
 pub trait Row: Sized + Send {
-    /// Decode one framed record, adding one to `fallbacks` when serde
-    /// had to decide it.
+    /// Decode one framed record, adding one to `fallbacks` when the row
+    /// pass declined it and serde had to decide it.
     fn decode(bytes: &[u8], fallbacks: &mut u64) -> Result<Self, DecodeError>;
 }
 
+/// Serde decodes the model, so no record falls back.
 impl Row for TracerouteResult {
-    fn decode(bytes: &[u8], fallbacks: &mut u64) -> Result<Self, DecodeError> {
-        decode_traceroute_tallied(bytes, fallbacks)
+    fn decode(bytes: &[u8], _fallbacks: &mut u64) -> Result<Self, DecodeError> {
+        decode_with_serde(bytes)
     }
 }
 
@@ -427,7 +431,7 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// What one decoding thread tallies besides its rows: counts, timers,
 /// its quarantine, the latency histogram (only when
-/// [`IngestOptions::record_latency`] asks for it) and the fast-pass
+/// [`IngestOptions::record_latency`] asks for it) and the row-pass
 /// fallbacks.
 #[derive(Default)]
 struct Tally {
@@ -1005,24 +1009,29 @@ mod tests {
 
     #[test]
     fn fallbacks_count_the_records_the_fast_pass_declined() {
-        // Canonical records take the fast pass; an escaped string, a
+        // Canonical records take the row pass; an escaped string, a
         // duplicate key and two malformed records go to serde.
         let good = tr_json(1, 1000);
         let escaped = good.replace("\"ICMP\"", "\"IC\\u004dP\"");
         let duplicate = good.replace("\"fw\":5080", "\"fw\":5080,\"fw\":1");
         let model_bad = good.replace("traceroute", "ping");
         let input = format!("{good}\n{escaped}\n{duplicate}\nnot json\n{model_bad}\n{good}\n");
+        let rows = |options: &IngestOptions, input: &[u8]| {
+            let (summary, states) =
+                fold_reader(input, options, || 0u64, |n, _: LastMile| *n += 1).unwrap();
+            (summary, states.iter().sum::<u64>())
+        };
         for threads in [1, 2] {
             let options = IngestOptions {
                 threads,
                 ..IngestOptions::default()
             };
-            let (seen, summary) = fingerprint(&options, input.as_bytes());
+            let (summary, folded) = rows(&options, input.as_bytes());
             assert_eq!(summary.parsed, 4, "threads={threads}");
-            assert_eq!(seen.values().sum::<u64>(), 4);
+            assert_eq!(folded, 4);
             assert_eq!(summary.skipped(), 2);
             assert_eq!(summary.decode_fallbacks, 4, "threads={threads}");
-            let (_, clean) = fingerprint(&options, &lines_input(50));
+            let (clean, _) = rows(&options, &lines_input(50));
             assert_eq!(clean.decode_fallbacks, 0, "threads={threads}");
         }
     }

@@ -2,8 +2,10 @@
 //! through the RIPE Atlas JSON format without changing any analysis
 //! result — so the pipeline can be pointed at real Atlas dumps.
 
-use lastmile_repro::atlas::json::{parse_traceroutes, to_atlas_json};
+use lastmile_repro::atlas::json::to_atlas_json;
+use lastmile_repro::atlas::LastMile;
 use lastmile_repro::core::pipeline::{AsPipeline, PipelineConfig};
+use lastmile_repro::ingest::ingest_slice;
 use lastmile_repro::netsim::world::ProbeSpec;
 use lastmile_repro::netsim::{IspConfig, TracerouteEngine, World};
 use lastmile_repro::timebase::{MeasurementPeriod, TimeRange, TzOffset};
@@ -39,15 +41,17 @@ fn analysis_is_invariant_under_json_round_trip() {
         json_lines.len()
     );
 
-    // Re-parse the whole corpus as one Atlas API array.
+    // Re-read the whole corpus as one Atlas API array, through the
+    // framing and row decoder the CLI runs.
     let corpus = format!("[{}]", json_lines.join(","));
-    let parsed = parse_traceroutes(&corpus).expect("corpus must parse");
-    assert_eq!(parsed.len(), json_lines.len());
-
     let mut from_json = AsPipeline::new(PipelineConfig::paper(), window);
-    for tr in &parsed {
-        from_json.ingest(tr);
-    }
+    let mut rows = 0;
+    let quarantined = ingest_slice(corpus.as_bytes(), |_, _, row: LastMile| {
+        from_json.ingest_row(&row);
+        rows += 1;
+    });
+    assert!(quarantined.is_empty(), "corpus must decode");
+    assert_eq!(rows, json_lines.len());
 
     let a = direct.finish();
     let b = from_json.finish();

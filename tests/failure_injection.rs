@@ -201,7 +201,7 @@ fn cdn_records_with_zero_or_negative_duration_are_skipped() {
 
 #[test]
 fn malformed_atlas_json_is_rejected_not_panicked() {
-    use lastmile_repro::atlas::json::parse_traceroute;
+    use lastmile_repro::atlas::json::{decode_last_mile, decode_with_serde};
     for bad in [
         "",
         "{",
@@ -209,6 +209,13 @@ fn malformed_atlas_json_is_rejected_not_panicked() {
         r#"{"type":"traceroute"}"#,
         r#"{"fw":1,"af":4,"dst_addr":"x","src_addr":"y","from":"z","msm_id":1,"prb_id":1,"timestamp":0,"proto":"ICMP","type":"traceroute","result":[]}"#,
     ] {
-        assert!(parse_traceroute(bad).is_err(), "{bad:?} must fail to parse");
+        assert!(
+            decode_with_serde(bad.as_bytes()).is_err(),
+            "{bad:?} must fail to parse"
+        );
+        assert!(
+            decode_last_mile(bad.as_bytes()).is_err(),
+            "{bad:?} must fail to parse"
+        );
     }
 }
