@@ -35,13 +35,22 @@ pub fn from_flags(
     fingerprint: impl FnOnce() -> Result<u64, String>,
     metrics: Option<&RunMetrics>,
 ) -> Result<Option<Cache>, String> {
-    let Some(mut cache) = unloaded(flags)? else {
+    let mode: CacheMode = flags
+        .optional("cache")
+        .map(str::parse)
+        .transpose()?
+        .unwrap_or_default();
+    let Some(dir) = flags.optional("cache-dir") else {
+        if flags.optional("cache").is_some() {
+            return Err("--cache needs --cache-dir".into());
+        }
         return Ok(None);
     };
-    let path = &cache.path;
+    std::fs::create_dir_all(dir).map_err(|e| format!("create --cache-dir {dir}: {e}"))?;
+    let path = PathBuf::from(dir).join(SNAPSHOT_FILE);
     let span = trace::span("fingerprint");
     let fingerprint_timer = StageTimer::start();
-    cache.fingerprint = fingerprint()?;
+    let fingerprint = fingerprint()?;
     let fingerprint_nanos = fingerprint_timer.elapsed_nanos();
     drop(span);
     let span = trace::span_with("snapshot_load", |a| {
@@ -49,7 +58,7 @@ pub fn from_flags(
     });
     let load_timer = StageTimer::start();
     let (store, bytes, error) =
-        SeriesStore::load_snapshot_or_empty(path, cache.fingerprint, cache.store.config());
+        SeriesStore::load_snapshot_or_empty(&path, fingerprint, StoreConfig { mode });
     drop(span);
     if let Some(m) = metrics {
         m.store.add(&StoreStats {
@@ -68,41 +77,17 @@ pub fn from_flags(
         ),
         None => {}
     }
-    cache.store = store;
-    Ok(Some(cache))
-}
-
-/// The `--cache-dir` cache with an empty store and no snapshot read: a
-/// live daemon's, which consults no store while it runs and fills it
-/// only at shutdown. Its `fingerprint` is 0 until then; the shutdown
-/// persist stamps the final corpus's.
-pub fn unloaded(flags: &Flags) -> Result<Option<Cache>, String> {
-    let mode: CacheMode = flags
-        .optional("cache")
-        .map(str::parse)
-        .transpose()?
-        .unwrap_or_default();
-    let Some(dir) = flags.optional("cache-dir") else {
-        if flags.optional("cache").is_some() {
-            return Err("--cache needs --cache-dir".into());
-        }
-        return Ok(None);
-    };
-    std::fs::create_dir_all(dir).map_err(|e| format!("create --cache-dir {dir}: {e}"))?;
     Ok(Some(Cache {
-        store: SeriesStore::new(StoreConfig { mode }),
-        path: PathBuf::from(dir).join(SNAPSHOT_FILE),
-        fingerprint: 0,
+        store,
+        path,
+        fingerprint,
     }))
 }
 
 impl Cache {
     /// Persist the store back to the snapshot (no-op unless `rw`),
-    /// stamped with the source `fingerprint`: [`Cache::fingerprint`] for
-    /// the corpus the cache was opened over. A live daemon's corpus grows
-    /// while it runs, so its shutdown persist stamps a fingerprint of the
-    /// final corpus instead.
-    pub fn persist(&self, fingerprint: u64, metrics: Option<&RunMetrics>) -> Result<(), String> {
+    /// stamped with [`Cache::fingerprint`], the source it was opened over.
+    pub fn persist(&self, metrics: Option<&RunMetrics>) -> Result<(), String> {
         if self.store.config().mode != CacheMode::ReadWrite {
             return Ok(());
         }
@@ -112,7 +97,7 @@ impl Cache {
         let save_timer = StageTimer::start();
         let bytes = self
             .store
-            .save_snapshot(&self.path, fingerprint)
+            .save_snapshot(&self.path, self.fingerprint)
             .map_err(|e| format!("save cache snapshot {}: {e}", self.path.display()))?;
         drop(span);
         if let Some(m) = metrics {

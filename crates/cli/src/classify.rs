@@ -205,8 +205,6 @@ fn widen(span: Option<(UnixTime, UnixTime)>, t: UnixTime) -> Option<(UnixTime, U
 /// its line may still grow ([`Corpus::read_tail`]).
 #[derive(Default)]
 struct Tail {
-    /// The bytes it covers (0: no tail).
-    len: u64,
     /// The record's row, when the bytes decode.
     rows: Vec<LastMile>,
     /// The record, when they do not, at its offset in the file.
@@ -254,15 +252,14 @@ impl Corpus {
     ///
     /// `bounds` makes this a live read: each file is read only up to its
     /// bound (so bytes appended during the read are left to live intake),
-    /// every row is folded, and no store is consulted — a live daemon
-    /// writes its store only at shutdown. Otherwise each file is read to
-    /// its end, and with a `cache` a probe is looked up once, on its
-    /// first routed row in any worker, counted there as a store hit or
-    /// miss (so the counts are the same at any thread count). A served
-    /// probe's series was built over this window: its rows are skipped,
-    /// never binned, and its population's analysis takes the series as
-    /// kept ([`Corpus::analyze`]). Only a window known before the read
-    /// can be served.
+    /// and every row is folded; a live daemon passes no `cache`.
+    /// Otherwise each file is read to its end. With a `cache` a probe is
+    /// looked up once, on its first routed row in any worker, counted
+    /// there as a store hit or miss (so the counts are the same at any
+    /// thread count). A served probe's series was built over this window:
+    /// its rows are skipped, never binned, and its population's analysis
+    /// takes the series as kept ([`Corpus::analyze`]). Only a window
+    /// known before the read can be served.
     pub fn read(
         flags: &Flags,
         paths: &[String],
@@ -272,14 +269,13 @@ impl Corpus {
         progress: Option<Arc<LiveProgress>>,
     ) -> Result<Corpus, String> {
         let routing = Routing::from_flags(flags, cache, bounds.is_some())?;
-        let lookups = cache.filter(|_| bounds.is_none());
         let mut ingest_opts = ingest_options(flags)?;
         ingest_opts.progress = progress;
         ingest_opts.record_latency = metrics.is_some();
         let decided: Mutex<BTreeMap<ProbeId, Option<(Asn, BuiltSeries)>>> =
             Mutex::new(BTreeMap::new());
         let serves = |probe: ProbeId, asn: Asn| {
-            let (Some(c), Some(window)) = (lookups, routing.known_window) else {
+            let (Some(c), Some(window)) = (cache, routing.known_window) else {
                 return false;
             };
             let mut decided = decided.lock().expect("served-probe table lock");
@@ -352,7 +348,7 @@ impl Corpus {
             // Probes looked up under no window (it was resolved only
             // after the read) are ones the store could not serve:
             // bypasses.
-            if lookups.is_some() && corpus.routing.known_window.is_none() {
+            if cache.is_some() && corpus.routing.known_window.is_none() {
                 let unasked = corpus.cacheable().count() as u64;
                 m.store.bypasses.fetch_add(unasked, Ordering::Relaxed);
             }
@@ -370,11 +366,6 @@ impl Corpus {
     /// Records the read decoded, a provisional tail's included.
     pub fn records_read(&self) -> u64 {
         self.parsed + self.tail.rows.len() as u64
-    }
-
-    /// The bytes the provisional tail covers past the folded ones.
-    pub fn tail_len(&self) -> u64 {
-        self.tail.len
     }
 
     /// Replace the provisional tail with the bytes of the first (watched)
@@ -415,7 +406,6 @@ impl Corpus {
             m.ingest.add(&ingest_traffic(&summary));
         }
         self.tail = Tail {
-            len: summary.bytes_read,
             rows,
             quarantined: summary.quarantined,
         };
@@ -651,27 +641,6 @@ impl Corpus {
             m.store.inserts.fetch_add(inserts, Ordering::Relaxed);
         }
     }
-
-    /// Replace everything `cache` holds with the current window's series
-    /// of every cacheable probe: a live daemon's shutdown write-back. No
-    /// entry built before intake survives, in any window; with a window
-    /// left to the data span nothing is memoized, as in `classify`. The
-    /// provisional tail is folded first: nothing follows it any more.
-    /// The series written are the ones the last analysis kept; only a
-    /// population the tail reached is analysed again. The inserts count
-    /// in `metrics`.
-    pub fn refill(&mut self, cache: &Cache, metrics: &RunMetrics) -> Result<(), String> {
-        for row in std::mem::take(&mut self.tail).rows {
-            self.fold_late(&row);
-        }
-        cache.store.clear();
-        if self.routing.known_window.is_none() {
-            return Ok(());
-        }
-        let (results, _) = self.analyze(None, None)?;
-        self.insert_series(cache, &results, Some(metrics));
-        Ok(())
-    }
 }
 
 /// Read `paths` (up to `bounds`, when given: see [`Corpus::read`]),
@@ -702,19 +671,20 @@ pub fn read_and_analyze(
 }
 
 /// The one start-up analysis of `classify`, `hygiene` and a non-live
-/// `serve`: read the corpus `paths` once ([`read_and_analyze`]) and
-/// return one [`PopulationAnalysis`] per ASN (ASN 0 = "all probes" when
-/// no metadata is given) plus the active series cache (when
-/// `--cache-dir` was given), whose snapshot is already persisted.
+/// `serve`, and the only code that touches the series store: read the
+/// corpus file `path` once ([`read_and_analyze`]) and return one
+/// [`PopulationAnalysis`] per ASN (ASN 0 = "all probes" when no metadata
+/// is given).
 ///
 /// With `--cache-dir` the per-probe median series are served from /
 /// memoized into a `lastmile-store` snapshot: a probe whose series the
 /// cache holds for exactly this analysis window skips ingestion
 /// entirely, and freshly built series are written back (`--cache rw`, the
-/// default). The classification output is byte-identical either way. The
-/// cache only engages when the window is known before the file is read —
-/// pass `--start` AND `--end`. A window with a bound left to the data
-/// span is never served or memoized; its probes count as store bypasses.
+/// default) in the run's one snapshot save. The classification output is
+/// byte-identical either way. The cache only engages when the window is
+/// known before the file is read — pass `--start` AND `--end`. A window
+/// with a bound left to the data span is never served or memoized; its
+/// probes count as store bypasses.
 ///
 /// Under per-traceroute ASN attribution (`--bgp` without `--probes`) a
 /// probe can legitimately split across AS pipelines, but the store holds
@@ -723,34 +693,29 @@ pub fn read_and_analyze(
 /// attribution), and the snapshot's source fingerprint mixes in the BGP
 /// table (the table decides which traceroutes are ingested), so `--bgp`
 /// snapshots never cross with `--probes`/ASN-0 ones.
-pub fn analyze_paths(
+pub fn analyze_file(
     flags: &Flags,
-    paths: &[String],
+    path: &str,
     metrics: Option<&RunMetrics>,
-) -> Result<(Analyses, Option<Cache>), String> {
+) -> Result<Analyses, String> {
     // An empty flag window fails before the fingerprint reads the corpus.
     flag_window(flags)?;
-    let cache = cache::from_flags(flags, || corpus_fingerprint(flags, paths), metrics)?;
-    let (corpus, results, _) = read_and_analyze(flags, paths, None, metrics, cache.as_ref())?;
+    let cache = cache::from_flags(flags, || corpus_fingerprint(flags, path), metrics)?;
+    let paths = [path.to_string()];
+    let (corpus, results, _) = read_and_analyze(flags, &paths, None, metrics, cache.as_ref())?;
     if let Some(c) = &cache {
         corpus.insert_series(c, &results, metrics);
-        c.persist(c.fingerprint, metrics)?;
+        c.persist(metrics)?;
     }
-    Ok((results, cache))
+    Ok(results)
 }
 
-/// The source fingerprint for a (possibly multi-file) corpus: the files'
-/// content fingerprints folded left-to-right, plus the BGP table under
+/// The source fingerprint of a corpus file: its content fingerprint
+/// ([`cache::file_fingerprint`]), mixed with the BGP table's under
 /// per-traceroute attribution (the table decides which traceroutes are
-/// ingested). One file gives exactly [`cache::file_fingerprint`] of it.
-/// Snapshots stamped under the earlier byte-at-a-time FNV-1a fingerprint
-/// no longer match: they fall back to one cold recompute (which `rw`
-/// mode then persists under the new fingerprint).
-pub fn corpus_fingerprint(flags: &Flags, paths: &[String]) -> Result<u64, String> {
-    let mut f = cache::file_fingerprint(&paths[0])?;
-    for path in &paths[1..] {
-        f = cache::combine_fingerprints(f, cache::file_fingerprint(path)?);
-    }
+/// ingested).
+fn corpus_fingerprint(flags: &Flags, path: &str) -> Result<u64, String> {
+    let mut f = cache::file_fingerprint(path)?;
     let per_traceroute_asn = flags.optional("probes").is_none();
     if let (true, Some(table_path)) = (per_traceroute_asn, flags.optional("bgp")) {
         f = cache::combine_fingerprints(f, cache::file_fingerprint(table_path)?);
@@ -790,8 +755,7 @@ pub fn classification_json(results: &[(Asn, Arc<PopulationAnalysis>)]) -> String
 pub fn run(flags: &Flags) -> Result<(), String> {
     let metrics = wants_stats(flags).then(RunMetrics::new);
     let run_timer = StageTimer::start();
-    let corpus = [flags.required("traceroutes")?.to_string()];
-    let (results, _cache) = analyze_paths(flags, &corpus, metrics.as_ref())?;
+    let results = analyze_file(flags, flags.required("traceroutes")?, metrics.as_ref())?;
     if let Some(m) = &metrics {
         m.set_wall(&run_timer);
     }
@@ -952,9 +916,9 @@ mod tests {
             };
             let mut live = read(Some(&[len]));
             let folded = json(&mut live);
+            let folded_records = body.lines().count() as u64;
             assert_eq!(live.read_tail(&paths[0], len, None), 1);
-            assert_eq!(live.tail_len(), last.len() as u64 - 1);
-            assert_eq!(live.records_read(), body.lines().count() as u64 + 1);
+            assert_eq!(live.records_read(), folded_records + 1);
             // A cold read of the file decodes the unterminated record too.
             let cold = json(&mut read(None));
             assert_eq!(json(&mut live), cold);
@@ -964,7 +928,7 @@ mod tests {
             // held it.
             std::fs::write(&path, format!("{body}{last}")).unwrap();
             assert_eq!(live.read_tail(&paths[0], len, None), 0);
-            assert_eq!(live.tail_len(), 0);
+            assert_eq!(live.records_read(), folded_records);
             assert_eq!(json(&mut live), folded);
             // Once the watcher delivers it, it is folded once.
             let mut rows = Vec::new();

@@ -1,7 +1,7 @@
 //! `lastmile hygiene`: the §6 advisory for latency-sensitive studies —
 //! which hours and probes to avoid per AS.
 
-use crate::classify::analyze_paths;
+use crate::classify::analyze_file;
 use crate::stats::{emit_stats, wants_stats};
 use crate::Flags;
 use lastmile_repro::core::hygiene::advise;
@@ -14,8 +14,7 @@ pub fn run(flags: &Flags) -> Result<(), String> {
     }
     let metrics = wants_stats(flags).then(RunMetrics::new);
     let run_timer = StageTimer::start();
-    let corpus = [flags.required("traceroutes")?.to_string()];
-    let (results, _cache) = analyze_paths(flags, &corpus, metrics.as_ref())?;
+    let results = analyze_file(flags, flags.required("traceroutes")?, metrics.as_ref())?;
     if let Some(m) = &metrics {
         m.set_wall(&run_timer);
     }

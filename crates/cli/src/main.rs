@@ -122,7 +122,7 @@ fn usage() -> &'static str {
      lastmile fleet score --truth DIR/truth.json --classified FILE.json [--min-recall F] [--max-peering-fp N] [--json]\n  \
      lastmile serve    --traceroutes FILE [classify flags except --json] [--addr HOST:PORT] [--serve-workers N] [--serve-queue N] [--retry-after SECS] [--ready-file FILE]\n                       \
 [--serve-budget-heavy N (0 = workers)]\n                       \
-[--watch [--watch-poll-ms MS (min 10)]] [--live-spool FILE]\n                       \
+[--watch [--watch-poll-ms MS (min 10)]] [--live-spool FILE] (live: no --cache-dir/--cache)\n                       \
 [--ops-sample-ms MS (default 1000, 0 = off)] [--access-log FILE]\n  \
      lastmile loadgen  --addr HOST:PORT [--profile ladder|burst] [--mix classify=4,series=1,...] [--concurrency N] [--timeout-ms MS]\n                       \
 [ladder: --rates 25,50,100 --dwell-ms MS] [burst: --requests N --bursts B]\n                       \

@@ -1,9 +1,10 @@
 //! `lastmile serve`: the always-on congestion observatory daemon.
 //!
 //! Startup runs the exact `classify` analysis (same flags, same
-//! one-pass ingest, same series cache — a warm `--cache-dir` snapshot
-//! skips recomputation), then serves the results over a bounded
-//! worker pool (`lastmile-serve`) until SIGTERM/SIGINT:
+//! one-pass ingest; without live intake, the same series cache — a
+//! warm `--cache-dir` snapshot skips recomputation), then serves the
+//! results over a bounded worker pool (`lastmile-serve`) until
+//! SIGTERM/SIGINT:
 //!
 //! | endpoint                      | payload                                             |
 //! |-------------------------------|-----------------------------------------------------|
@@ -45,20 +46,16 @@
 //! it) and never block on re-analysis. At any instant `GET /v1/classify`
 //! is byte-identical to a cold `classify --json` over corpus + spool.
 //!
-//! A live daemon consults no series store while it runs (so it refuses
-//! `--cache ro`). Shutdown
-//! drains queued and in-flight requests, polls the watcher once more,
-//! and drains any pending re-analysis, then refills the store with the
-//! current window's series (the ones the last analyses kept) and
-//! persists the snapshot stamped with the
-//! final union corpus fingerprint — but only if the corpus still ends
-//! where the last analysis covered it (see [`persist_live_snapshot`]);
-//! otherwise the snapshot is skipped and the next start recomputes cold.
+//! A live daemon keeps no series store: the store memoizes one batch
+//! pass over one window, so `--watch`/`--live-spool` refuse `--cache-dir`
+//! and `--cache` before the corpus is read. Shutdown drains queued and
+//! in-flight requests, polls the watcher once more, and drains any
+//! pending re-analysis. A non-live daemon saves its snapshot once, at
+//! start-up, as `classify` does.
 
-use crate::cache::{self, Cache};
 use crate::classify::{
-    analyze_paths, classification_doc, classification_json, corpus_fingerprint, read_and_analyze,
-    Analyses, Corpus, Recomputed,
+    analyze_file, classification_doc, classification_json, read_and_analyze, Analyses, Corpus,
+    Recomputed,
 };
 use crate::input::{create_parent_dirs, flag_window, quarantine_doc};
 use crate::stats::{emit_stats, wants_stats};
@@ -77,7 +74,6 @@ use lastmile_repro::prefix::Asn;
 use lastmile_repro::serve::http::{Request, Response};
 use lastmile_repro::serve::server::Handler;
 use lastmile_repro::serve::{signal, AccessLog, Server, ServerConfig};
-use lastmile_repro::store::CacheMode;
 use serde::Serialize;
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
@@ -88,10 +84,6 @@ use std::time::Duration;
 /// a pass: intake landing inside the window joins that pass, and a POST's
 /// acknowledgement reaches its client before the pass it triggered starts.
 const REANALYZE_DEBOUNCE: Duration = Duration::from_millis(250);
-
-/// Why a live daemon refuses `--cache ro`.
-const RO_LIVE_CACHE: &str = "--cache ro does nothing in a live daemon (--watch/--live-spool): \
-     it reads no snapshot and saves one only at shutdown, under --cache rw";
 
 /// One fully-rendered analysis generation: everything a request needs,
 /// immutable once published. Re-analysis builds the next one off to the
@@ -219,8 +211,7 @@ fn publish_snapshot(
     generation
 }
 
-/// A live daemon's kept ingest state, shared by its passes and its
-/// shutdown write-back.
+/// A live daemon's kept ingest state, shared by its passes.
 struct Kept {
     /// The merged read plus every row folded since; `None` after a
     /// rebuild failed, until one succeeds.
@@ -253,7 +244,6 @@ impl Kept {
         &mut self,
         flags: &Flags,
         paths: &[String],
-        cache: Option<&Cache>,
         batch: Batch,
         run: &RunMetrics,
     ) -> Result<(EpochRecord, Analyses), String> {
@@ -276,7 +266,7 @@ impl Kept {
             _ => {
                 self.corpus = None;
                 let (corpus, results, recomputed) =
-                    read_and_analyze(flags, paths, Some(&self.lens), Some(run), cache)?;
+                    read_and_analyze(flags, paths, Some(&self.lens), Some(run), None)?;
                 let work = pass_work(corpus.records_read(), recomputed);
                 self.corpus = Some(corpus);
                 Ok((work, results))
@@ -290,6 +280,13 @@ pub fn run(flags: &Flags) -> Result<(), String> {
     // An empty flag window fails before anything opens the corpus.
     flag_window(flags)?;
     let watch = flags.switch("watch");
+    let live_enabled = watch || flags.optional("live-spool").is_some();
+    if live_enabled && (flags.optional("cache-dir").is_some() || flags.optional("cache").is_some())
+    {
+        return Err("--cache-dir and --cache are for batch runs: a live daemon \
+                    (--watch/--live-spool) keeps no series store"
+            .into());
+    }
     // Where the watcher starts, measured BEFORE the startup read: the
     // read stops here, and appends that land mid-read are left to the
     // first poll instead of being folded twice or silently skipped.
@@ -303,7 +300,6 @@ pub fn run(flags: &Flags) -> Result<(), String> {
         .map(|p| Spool::open(p).map_err(|e| format!("open --live-spool {p}: {e}")))
         .transpose()?
         .map(Arc::new);
-    let live_enabled = watch || spool.is_some();
     // The analysis corpus: the traceroute file plus (in live mode) the
     // POST spool. Both cold `classify` over these paths and every
     // re-analysis see the same union, which is what makes the
@@ -316,7 +312,7 @@ pub fn run(flags: &Flags) -> Result<(), String> {
     // Metrics are always collected: `/metrics` serves them.
     let metrics = Arc::new(RunMetrics::new());
     let run_timer = StageTimer::start();
-    let (results, cache, kept) = if live_enabled {
+    let (results, kept) = if live_enabled {
         // Every live read of a file stops at a recorded length: the
         // watcher's start offset for a watched corpus, else the length
         // each file has now.
@@ -324,26 +320,16 @@ pub fn run(flags: &Flags) -> Result<(), String> {
         if watch {
             lens[0] = corpus_len0;
         }
-        let cache = cache::unloaded(flags)?;
-        if cache
-            .as_ref()
-            .is_some_and(|c| c.store.config().mode == CacheMode::ReadOnly)
-        {
-            // Such a cache would neither serve nor save anything.
-            return Err(RO_LIVE_CACHE.into());
-        }
         let (corpus, results, _) =
-            read_and_analyze(flags, &paths, Some(&lens), Some(&metrics), cache.as_ref())?;
+            read_and_analyze(flags, &paths, Some(&lens), Some(&metrics), None)?;
         let kept = Kept {
             corpus: Some(corpus),
             lens,
         };
-        (results, cache, Some(Arc::new(Mutex::new(kept))))
+        (results, Some(Arc::new(Mutex::new(kept))))
     } else {
-        let (results, cache) = analyze_paths(flags, &paths, Some(&metrics))?;
-        (results, cache, None)
+        (analyze_file(flags, &corpus, Some(&metrics))?, None)
     };
-    let cache: Option<Arc<Cache>> = cache.map(Arc::new);
     metrics.set_wall(&run_timer);
     if results.is_empty() {
         return Err("no analysable traceroutes in the window".into());
@@ -373,7 +359,6 @@ pub fn run(flags: &Flags) -> Result<(), String> {
         let reanalyze = {
             let flags = flags.clone();
             let paths = paths.clone();
-            let cache = cache.clone();
             let epoch = Arc::clone(&epoch);
             let live_metrics = Arc::clone(&live_metrics);
             let kept = Arc::clone(kept);
@@ -384,7 +369,7 @@ pub fn run(flags: &Flags) -> Result<(), String> {
                 let run = RunMetrics::new();
                 let timer = StageTimer::start();
                 let mut kept = kept.lock().expect("kept corpus lock");
-                let (work, results) = kept.pass(&flags, &paths, cache.as_deref(), batch, &run)?;
+                let (work, results) = kept.pass(&flags, &paths, batch, &run)?;
                 drop(kept);
                 run.set_wall(&timer);
                 if results.is_empty() {
@@ -521,12 +506,11 @@ pub fn run(flags: &Flags) -> Result<(), String> {
         sampler.stop();
     }
     run_result?;
-    // Drain live intake BEFORE reporting/persisting: stop the watcher's
-    // ticker and poll once more, so an append that landed after its last
-    // tick still counts; then a re-analysis in flight finishes and a
-    // pending one (even mid-debounce) runs and swaps its epoch, so the
-    // persisted snapshot below reflects every accepted append — never a
-    // mix of epochs.
+    // Drain live intake before reporting: stop the watcher's ticker and
+    // poll once more, so an append that landed after its last tick still
+    // counts; then a re-analysis in flight finishes and a pending one
+    // (even mid-debounce) runs and swaps its epoch, so every accepted
+    // append is analysed before the daemon exits.
     if let Some(engine) = engine {
         if let Some(watcher) = watcher {
             engine.handle().poll_watcher(&mut watcher.stop());
@@ -535,15 +519,6 @@ pub fn run(flags: &Flags) -> Result<(), String> {
     }
     let served = serve_metrics.requests.load(Ordering::Relaxed);
     eprintln!("[serve] shutdown: drained, {served} request(s) served");
-    if let Some(c) = &cache {
-        match &kept {
-            Some(kept) => {
-                let mut kept = kept.lock().expect("kept corpus lock");
-                persist_live_snapshot(c, flags, &paths, &mut kept, &metrics)?;
-            }
-            None => c.persist(c.fingerprint, Some(&metrics))?,
-        }
-    }
     if wants_stats(flags) {
         emit_stats(flags, &metrics)?;
     }
@@ -560,56 +535,6 @@ fn file_lens(paths: &[String]) -> Result<Vec<u64>, String> {
                 .map_err(|e| format!("open {p}: {e}"))
         })
         .collect()
-}
-
-/// Refill and persist the series cache after a live run. The corpus grew
-/// while serving, so the snapshot must be stamped with a fingerprint of
-/// exactly the bytes the last analysis covered. Those bytes are only
-/// nameable while the (append-only) files still end where it reached
-/// (the kept columns, and a watched file's provisional tail), so the
-/// lengths are checked both before and after the
-/// fingerprint scan; any drift — a record landing after the final drain,
-/// a failed rebuild, an unreadable file — skips persisting. Skipping is
-/// the safe side: the next start recomputes cold, whereas a fingerprint
-/// claiming bytes the store never saw would make a warm start serve
-/// stale memoized series with no error.
-fn persist_live_snapshot(
-    cache: &Cache,
-    flags: &Flags,
-    paths: &[String],
-    kept: &mut Kept,
-    metrics: &RunMetrics,
-) -> Result<(), String> {
-    let skip = |why: &str| {
-        eprintln!("[cache] {why}; leaving the snapshot unpersisted (next start recomputes)");
-        Ok(())
-    };
-    let Some(corpus) = kept.corpus.as_mut() else {
-        return skip("last rebuild did not complete cleanly");
-    };
-    let mut covered = kept.lens.clone();
-    covered[0] += corpus.tail_len();
-    let unchanged = || file_lens(paths).is_ok_and(|now| now == covered);
-    if !unchanged() {
-        return skip("corpus changed after the last analysis");
-    }
-    let timer = StageTimer::start();
-    let fingerprint = corpus_fingerprint(flags, paths);
-    metrics
-        .store
-        .fingerprint_nanos
-        .fetch_add(timer.elapsed_nanos(), Ordering::Relaxed);
-    let fingerprint = match fingerprint {
-        Ok(f) => f,
-        Err(e) => return skip(&format!("cannot fingerprint the final corpus ({e})")),
-    };
-    if !unchanged() {
-        return skip("corpus changed while fingerprinting");
-    }
-    if let Err(e) = corpus.refill(cache, metrics) {
-        return skip(&format!("cannot build the final series ({e})"));
-    }
-    cache.persist(fingerprint, Some(metrics))
 }
 
 /// Pretty-print one ASN's document with a trailing newline (the same

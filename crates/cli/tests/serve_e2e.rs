@@ -15,7 +15,9 @@
 //!   byte-identity with a cold `classify --json` over the union corpus,
 //!   and concurrent readers see exactly one epoch per response;
 //! * SIGTERM drains in-flight requests AND any pending re-analysis
-//!   (epoch swap before snapshot re-persist), then exits 0;
+//!   (its epoch swaps before the shutdown line), then exits 0;
+//! * a live daemon refuses a series cache, and a non-live one saves its
+//!   snapshot once;
 //! * every analysis decodes each record once: batch (cold, warm, cached
 //!   `--bgp`), and a live pass decodes only what arrived since;
 //! * a POSTed record nested past the parser's recursion limit is
@@ -423,23 +425,13 @@ fn live_appends_and_posts_converge_to_cold_union_bytes() {
 }
 
 #[test]
-fn sigterm_drains_pending_reanalysis_before_snapshot_persist() {
+fn sigterm_drains_pending_reanalysis_before_shutdown() {
     let dir = Scratch::new("serve-drain");
-    let cache_dir = dir.join("cache");
     // A watcher that polls once a minute has not seen the append when
     // SIGTERM lands: only its final poll at shutdown finds it, which
     // leaves the re-analysis PENDING, so the engine must run it during
-    // shutdown (draining the swap) before the snapshot re-persist.
-    let (child, addr) = spawn_serve(
-        &dir,
-        &[
-            "--watch",
-            "--watch-poll-ms",
-            "60000",
-            "--cache-dir",
-            cache_dir.to_str().unwrap(),
-        ],
-    );
+    // shutdown (draining the swap) before the daemon reports it drained.
+    let (child, addr) = spawn_serve(&dir, &["--watch", "--watch-poll-ms", "60000"]);
     let corpus = dir.join("traceroutes.jsonl");
     let all = std::fs::read_to_string(&corpus).unwrap();
     let last_line = all.lines().next_back().expect("nonempty corpus");
@@ -453,8 +445,7 @@ fn sigterm_drains_pending_reanalysis_before_snapshot_persist() {
     let (stderr, ok) = terminate(child);
     assert!(ok, "serve did not exit cleanly: {stderr}");
     // The pending window was drained: epoch 2 published during
-    // shutdown, strictly before the final snapshot persist — so the
-    // persisted store never mixes epochs.
+    // shutdown, strictly before the daemon reports it drained.
     assert!(
         stderr.contains("[live] draining pending re-analysis before shutdown"),
         "{stderr}"
@@ -462,10 +453,12 @@ fn sigterm_drains_pending_reanalysis_before_snapshot_persist() {
     let swap_at = stderr
         .find("[live] epoch 2")
         .unwrap_or_else(|| panic!("drained re-analysis never published its epoch: {stderr}"));
-    let last_persist_at = stderr.rfind("[cache] saved").expect("shutdown persist");
+    let drained_at = stderr
+        .find("[serve] shutdown: drained")
+        .expect("shutdown line");
     assert!(
-        swap_at < last_persist_at,
-        "snapshot persisted before the drained epoch swap: {stderr}"
+        swap_at < drained_at,
+        "shutdown reported before the drained epoch swap: {stderr}"
     );
 }
 
@@ -521,7 +514,7 @@ fn restart_reanalyses_nothing_the_startup_analysis_covered() {
 }
 
 #[test]
-fn sigterm_drains_in_flight_and_repersists_snapshot() {
+fn sigterm_drains_in_flight_and_persists_the_snapshot_once() {
     let dir = Scratch::new("serve-term");
     let cache_dir = dir.join("cache");
     let (child, addr) = spawn_serve(
@@ -557,13 +550,13 @@ fn sigterm_drains_in_flight_and_repersists_snapshot() {
 
     assert!(ok, "serve did not exit cleanly: {stderr}");
     assert!(stderr.contains("[serve] shutdown: drained"), "{stderr}");
-    // Snapshot persisted twice: once at startup, once at shutdown.
+    // The startup save was the only one: shutdown writes nothing.
     assert_eq!(
         stderr.matches("[cache] saved").count(),
-        2,
-        "expected startup + shutdown persists: {stderr}"
+        1,
+        "expected exactly the startup persist: {stderr}"
     );
-    assert!(snapshot.exists(), "shutdown snapshot missing");
+    assert!(snapshot.exists(), "snapshot missing after shutdown");
 }
 
 /// `ingest.records_decoded` of a `--stats-out` document.
@@ -1090,7 +1083,7 @@ fn shifted(line: &str, secs: i64) -> String {
 }
 
 #[test]
-fn a_last_record_without_newline_is_analysed_and_persisted() {
+fn a_last_record_without_newline_is_analysed() {
     let dir = Scratch::new("serve-unterm");
     let (full, probes) = fixture(&dir);
     let all = std::fs::read_to_string(&full).unwrap();
@@ -1099,26 +1092,30 @@ fn a_last_record_without_newline_is_analysed_and_persisted() {
         .rfind(|l| l.contains("\"prb_id\":6005"))
         .expect("a record of probe 6005");
     // Two days past the data, alone in its bin: it widens the window a
-    // cold read closes at the data span, so the bytes show it, and its
-    // probe's series gains a discarded bin.
+    // cold read closes at the data span, so the bytes show it.
     let (late, later) = (shifted(last, 2 * 86_400), shifted(last, 3 * 86_400));
     let corpus = dir.join("live.jsonl");
     std::fs::write(&corpus, format!("{all}{late}")).unwrap();
-    let cold = |path: &Path, extra: &[&str]| {
+    let cold = |path: &Path| {
         let path = path.to_str().unwrap();
-        let args = ["classify", "--traceroutes", path, "--probes"];
-        let (out, err, ok) =
-            run(&[&args[..], &[probes.to_str().unwrap(), "--json"], extra].concat());
+        let (out, err, ok) = run(&[
+            "classify",
+            "--traceroutes",
+            path,
+            "--probes",
+            probes.to_str().unwrap(),
+            "--json",
+        ]);
         assert!(ok, "cold classify failed: {err}");
         out
     };
     let watch = ["--watch", "--watch-poll-ms", "20"];
     let (child, addr) = spawn_serve_over(&corpus, &probes, &dir.join("ready"), &watch);
     let (_, _, body) = http_get(&addr, "/v1/classify");
-    assert_eq!(body, cold(&corpus, &[]).as_bytes(), "last record left out");
+    assert_eq!(body, cold(&corpus).as_bytes(), "last record left out");
     assert_ne!(
         body,
-        cold(&full, &[]).as_bytes(),
+        cold(&full).as_bytes(),
         "the last record shows nowhere"
     );
 
@@ -1127,78 +1124,24 @@ fn a_last_record_without_newline_is_analysed_and_persisted() {
     append_file(&corpus, format!("\n{later}").as_bytes());
     await_live_convergence(&addr, 1, Duration::from_secs(60));
     let (_, _, body) = http_get(&addr, "/v1/classify");
-    assert_eq!(body, cold(&corpus, &[]).as_bytes(), "after the newline");
+    assert_eq!(body, cold(&corpus).as_bytes(), "after the newline");
     let (stderr, ok) = terminate(child);
     assert!(ok, "serve did not exit cleanly: {stderr}");
-
-    // A daemon over a known window with a series cache saves its
-    // snapshot at shutdown, the tail's series included: a warm
-    // `classify` over the file is served every probe from it and agrees
-    // with a cold one, discarded bins and all.
-    let bytes = std::fs::read_to_string(&corpus).unwrap();
-    let (start, end) = day_window(bytes.lines());
-    let cache = dir.join("cache");
-    let window = ["--start", &start, "--end", &end];
-    let (child, _) = spawn_serve_over(
-        &corpus,
-        &probes,
-        &dir.join("ready"),
-        &[
-            &watch[..],
-            &window[..],
-            &["--cache-dir", cache.to_str().unwrap()],
-        ]
-        .concat(),
-    );
-    let (stderr, ok) = terminate(child);
-    assert!(ok, "serve did not exit cleanly: {stderr}");
-    assert!(stderr.contains("[cache] saved"), "{stderr}");
-    let stats = |name: &str| dir.join(name).to_str().unwrap().to_string();
-    let (cold_stats, warm_stats) = (stats("cold.json"), stats("warm.json"));
-    let uncached = cold(
-        &corpus,
-        &[&window[..], &["--stats-out", &cold_stats]].concat(),
-    );
-    let warm_args = ["--cache-dir", cache.to_str().unwrap(), "--cache", "ro"];
-    let warm = cold(
-        &corpus,
-        &[&window[..], &warm_args[..], &["--stats-out", &warm_stats]].concat(),
-    );
-    assert_eq!(warm, uncached, "warm classify diverged from cold");
-    let (cold_stats, warm_stats) = (
-        read_stats(Path::new(&cold_stats)),
-        read_stats(Path::new(&warm_stats)),
-    );
-    assert_eq!(
-        warm_stats["store"]["misses"].as_u64(),
-        Some(0),
-        "{warm_stats}"
-    );
-    assert!(
-        warm_stats["store"]["hits"].as_u64().unwrap() > 0,
-        "{warm_stats}"
-    );
-    assert_eq!(
-        warm_stats["bins_discarded_sanity"],
-        cold_stats["bins_discarded_sanity"]
-    );
 }
 
 /// A live daemon over `head` (`source`: routing flags and a known
-/// window) with a series cache: POST `posted`, append `appended` to the
-/// watched corpus, SIGTERM. Its snapshot must hold exactly the entries
-/// a cold `classify --cache rw` over the final union writes, and its
-/// last epoch the cold bytes. Returns the cold run's store inserts.
-fn live_snapshot_matches_cold_union(
+/// window): POST `posted` and append `appended` to the watched corpus.
+/// Its last epoch must hold the bytes of a cold `classify --json` over
+/// the final union.
+fn live_bytes_match_cold_union(
     dir: &Path,
     head: &[String],
     posted: &[String],
     appended: &[String],
     source: &[&str],
-) -> u64 {
+) {
     let corpus = dir.join("live.jsonl");
     let spool = dir.join("spool.jsonl");
-    let (live_cache, cold_cache) = (dir.join("live-cache"), dir.join("cold-cache"));
     std::fs::write(&corpus, jsonl(head)).unwrap();
     let live = [
         "--traceroutes",
@@ -1208,8 +1151,6 @@ fn live_snapshot_matches_cold_union(
         "20",
         "--live-spool",
         spool.to_str().unwrap(),
-        "--cache-dir",
-        live_cache.to_str().unwrap(),
     ];
     let (child, addr) = common::spawn_serve_with(&dir.join("ready"), &[&live[..], source].concat());
     let (status, _, reply) = http_post(&addr, "/v1/traceroutes", jsonl(posted).as_bytes());
@@ -1220,22 +1161,16 @@ fn live_snapshot_matches_cold_union(
     let (_, _, live_body) = http_get(&addr, "/v1/classify");
     let (stderr, ok) = terminate(child);
     assert!(ok, "serve did not exit cleanly: {stderr}");
-    assert!(stderr.contains("[cache] saved"), "{stderr}");
 
     let union = dir.join("union.jsonl");
     let mut bytes = std::fs::read(&corpus).unwrap();
     bytes.extend_from_slice(&std::fs::read(&spool).unwrap());
     std::fs::write(&union, bytes).unwrap();
-    let stats = dir.join("cold-stats.json");
     let cold = [
         "classify",
         "--traceroutes",
         union.to_str().unwrap(),
-        "--cache-dir",
-        cold_cache.to_str().unwrap(),
         "--json",
-        "--stats-out",
-        stats.to_str().unwrap(),
     ];
     let (out, err, ok) = run(&[&cold[..], source].concat());
     assert!(ok, "cold union classify failed: {err}");
@@ -1244,18 +1179,11 @@ fn live_snapshot_matches_cold_union(
         out.as_bytes(),
         "live daemon diverged from cold union"
     );
-    // Bytes 8..16 are the source fingerprint (of two files live, of one
-    // cold); the rest, entries and their checksum, must agree.
-    let snapshot = |cache: &Path| std::fs::read(cache.join("series.lmss")).unwrap();
-    let (live, cold) = (snapshot(&live_cache), snapshot(&cold_cache));
-    assert_eq!(live[..8], cold[..8]);
-    assert_eq!(live[16..], cold[16..], "live snapshot entries differ");
-    read_stats(&stats)["store"]["inserts"].as_u64().unwrap()
 }
 
 #[test]
-fn live_snapshot_holds_what_a_cold_build_of_the_union_holds() {
-    let dir = Scratch::new("serve-refill");
+fn a_live_daemon_matches_a_cold_build_of_the_union() {
+    let dir = Scratch::new("serve-union");
     // Probe metadata: probe 6005 arrives live, by POST and by append.
     let anchor = dir.join("anchor");
     std::fs::create_dir_all(&anchor).unwrap();
@@ -1270,11 +1198,10 @@ fn live_snapshot_holds_what_a_cold_build_of_the_union_holds() {
         "--end",
         &end,
     ];
-    let inserts = live_snapshot_matches_cold_union(&anchor, &head, posted, appended, &source);
-    assert!(inserts > 0);
+    live_bytes_match_cold_union(&anchor, &head, posted, appended, &source);
 
     // Per-traceroute BGP attribution: probe 1's records split across two
-    // ASNs, so only probe 2's series may be stored.
+    // ASNs, by POST and by append as well as in the startup read.
     let (trs, bgp) = common::write_multi_asn_fixture(&dir.join("bgp"));
     let lines: Vec<String> = std::fs::read_to_string(trs)
         .unwrap()
@@ -1293,72 +1220,49 @@ fn live_snapshot_holds_what_a_cold_build_of_the_union_holds() {
     ];
     let (head, rest) = lines.split_at(24);
     let (posted, appended) = rest.split_at(12);
-    let inserts =
-        live_snapshot_matches_cold_union(&dir.join("bgp"), head, posted, appended, &source);
-    assert_eq!(inserts, 1);
+    live_bytes_match_cold_union(&dir.join("bgp"), head, posted, appended, &source);
 }
 
 #[test]
-fn a_live_daemon_counts_its_shutdown_inserts() {
-    let dir = Scratch::new("serve-inserts");
-    let (trs, probes) = fixture(&dir);
-    let (start, end) = day_window(std::fs::read_to_string(&trs).unwrap().lines());
-    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
-    let (spool, cache, stats) = (path("spool.jsonl"), path("cache"), path("stats.json"));
-    let live = [
-        "--start",
-        &start,
-        "--end",
-        &end,
-        "--live-spool",
-        &spool,
-        "--cache-dir",
-        &cache,
-        "--stats-out",
-        &stats,
-    ];
-    let (child, _) = spawn_serve_over(&trs, &probes, &dir.join("ready"), &live);
-    let (stderr, ok) = terminate(child);
-    assert!(ok, "serve did not exit cleanly: {stderr}");
-    // `[cache] saved PATH (N series, B bytes)`, written at shutdown.
-    let saved: u64 = stderr
-        .lines()
-        .rev()
-        .find_map(|line| {
-            let (_, counts) = line.strip_prefix("[cache] saved ")?.rsplit_once(" (")?;
-            counts.split_once(" series")?.0.parse().ok()
-        })
-        .unwrap_or_else(|| panic!("no shutdown persist: {stderr}"));
-    assert!(saved > 0, "{stderr}");
-    let stats = read_stats(Path::new(&stats));
-    assert_eq!(stats["store"]["inserts"].as_u64(), Some(saved), "{stats}");
-}
-
-#[test]
-fn a_live_daemon_refuses_a_read_only_cache() {
-    let dir = Scratch::new("serve-live-ro");
+fn a_live_daemon_refuses_a_series_cache() {
+    let dir = Scratch::new("serve-live-cache");
     let (trs, bgp) = common::write_multi_asn_fixture(&dir);
-    let (_, err, ok) = run(&[
+    let (cache, spool, ready) = (
+        dir.join("cache"),
+        dir.join("spool.jsonl"),
+        dir.join("ready"),
+    );
+    let cache_dir = ["--cache-dir", cache.to_str().unwrap()];
+    let spool_flag = ["--live-spool", spool.to_str().unwrap()];
+    let head = [
         "serve",
         "--traceroutes",
         trs.to_str().unwrap(),
         "--bgp",
         bgp.to_str().unwrap(),
-        "--min-probes",
-        "1",
-        "--watch",
-        "--cache-dir",
-        dir.join("cache").to_str().unwrap(),
-        "--cache",
-        "ro",
         "--addr",
         "127.0.0.1:0",
-    ]);
-    assert!(!ok, "a live daemon started with --cache ro");
-    assert!(
-        err.contains("--cache ro does nothing in a live daemon"),
-        "{err}"
-    );
+        "--ready-file",
+        ready.to_str().unwrap(),
+    ];
+    for live in [&["--watch"][..], &spool_flag[..]] {
+        for mode in [&["--cache", "ro"][..], &["--cache", "rw"][..], &[][..]] {
+            let (_, err, ok) = run(&[&head[..], live, &cache_dir[..], mode].concat());
+            assert!(!ok, "a live daemon started with {live:?} {mode:?}");
+            assert!(
+                err.contains("a live daemon (--watch/--live-spool) keeps no series store"),
+                "{err}"
+            );
+            // Refused before anything was opened, created or bound.
+            for made in [&cache, &spool, &ready] {
+                assert!(
+                    !made.exists(),
+                    "{} exists after {live:?} {mode:?}",
+                    made.display()
+                );
+            }
+        }
+    }
 }
 
 #[test]

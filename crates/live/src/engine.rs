@@ -27,8 +27,7 @@
 //! Shutdown drains: once the caller has stopped its intake producers,
 //! [`LiveEngine::shutdown`] lets an in-flight re-analysis finish, then
 //! runs one final pass at once if intake is still pending — so the
-//! epoch the daemon re-persists its cache under reflects every accepted
-//! record, never a mix.
+//! daemon's last epoch reflects every accepted record.
 
 use crate::watch::{AppendWatcher, WatchPoll};
 use lastmile_atlas::LastMile;
@@ -328,7 +327,7 @@ fn engine_loop(shared: &Shared, debounce: Duration, mut reanalyze: ReanalyzeFn) 
         let left = (since + debounce).saturating_duration_since(Instant::now());
         if state.shutdown {
             // Intake accepted before shutdown must reach an epoch before
-            // the daemon re-persists its snapshot.
+            // the daemon exits.
             eprintln!("[live] draining pending re-analysis before shutdown");
         } else if !left.is_zero() {
             state = shared

@@ -26,14 +26,14 @@
 //!   decoded again. A truncation makes the batch a rebuild, which
 //!   re-reads the files up to the lengths the batch records. Shutdown
 //!   drains: after the caller's last watcher poll, a pending
-//!   re-analysis completes before the engine joins, so the snapshot the
-//!   daemon persists never mixes epochs.
+//!   re-analysis completes before the engine joins, so the daemon's
+//!   last epoch holds every accepted record.
 //!
 //! The kept columns are the caller's (the CLI keeps them in its
-//! `classify::Corpus`) and cost about 16 B per in-window record plus
+//! `classify::Corpus`) and cost about 4 B per in-window record plus
 //! 8 B per kept RTT for as long as the daemon runs. Every read of a
-//! union file is bounded to a recorded length, and a daemon consults
-//! its series store only at shutdown, when it refills and persists it.
+//! union file is bounded to a recorded length, and a live daemon keeps
+//! no series store: the CLI refuses `--cache-dir` with live intake.
 //!
 //! The correctness contract the whole crate serves: after any sequence
 //! of accepted appends, `GET /v1/classify` is byte-identical to a cold

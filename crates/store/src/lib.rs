@@ -9,11 +9,11 @@
 //! — `(probe, bin width, sanity threshold)` plus the exact window the
 //! series was built over. A lookup hits only when an insert recorded
 //! that same window, and a hit returns the value as it was built: no
-//! merge, no slice. Repeated runs over one window (a re-run of
-//! `classify`, a live pass) therefore pay the binning cost once per
-//! probe instead of once per run. The one caller is the CLI's
-//! `--cache-dir` path (`classify`, `hygiene`, `serve` start-up, and a
-//! live daemon's shutdown write-back).
+//! merge, no slice. Repeated batch runs over one window therefore pay
+//! the binning cost once per probe instead of once per run. The one caller is the CLI's
+//! `--cache-dir` path: the start-up analysis of `classify`, `hygiene`
+//! and a non-live `serve`, which loads the snapshot, serves its hits,
+//! inserts what it built and saves once. A live daemon keeps no store.
 //!
 //! The store only stores: it keeps no traffic counters. [`Lookup`] and
 //! [`SeriesStore::insert`]'s result tell the caller what happened, and
@@ -44,9 +44,8 @@
 //! Every entry sits in one `RwLock`-protected map, and all methods take
 //! `&self`, so a store is safe to share between threads. Nothing
 //! contends on it in practice: `classify` looks probes up under its own
-//! probe-table lock and inserts on one thread after the read, a live
-//! daemon clears and refills it once, at shutdown, and snapshots load
-//! and save on one thread.
+//! probe-table lock and inserts on one thread after the read, and
+//! snapshots load and save on one thread.
 //!
 //! ## Persistence
 //!
@@ -184,16 +183,6 @@ impl SeriesStore {
     /// Whether no entry is resident.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Drop every memoized entry (a live daemon's shutdown write-back
-    /// refills the store from scratch). Returns the number of entries
-    /// removed.
-    pub fn clear(&self) -> u64 {
-        let mut entries = self.write();
-        let removed = entries.len() as u64;
-        entries.clear();
-        removed
     }
 
     fn read(&self) -> RwLockReadGuard<'_, Entries> {
@@ -420,17 +409,6 @@ mod tests {
         let store = SeriesStore::default();
         assert!(!store.insert(&key(1), &aligned(4, 4), &built(1, &[], 0)));
         assert!(store.is_empty());
-    }
-
-    #[test]
-    fn clear_empties_the_store() {
-        let store = SeriesStore::default();
-        let range = aligned(0, 4);
-        store.insert(&key(1), &range, &built(1, &[(0, 5.0)], 0));
-        store.insert(&key(2), &range, &built(2, &[(0, 6.0)], 0));
-        assert_eq!(store.clear(), 2);
-        assert!(store.is_empty());
-        assert!(matches!(store.lookup(&key(1), &range), Lookup::Miss));
     }
 
     #[test]
